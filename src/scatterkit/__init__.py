@@ -15,7 +15,7 @@ self-adjoint boundary condition at the origin:
 
 Everything is table-driven: build a :class:`~scatterkit.grids.KXGrid`, solve
 for the Faddeev tables, then derive scattering/spectral/wave-operator objects
-from them.  The ``scatter`` command line exposes the same pipeline.
+from them.
 """
 
 from .grids import KXGrid, GridError, GridTooCoarse
@@ -44,7 +44,8 @@ from .jost import (
     JostTable,
     JostMatrix,
     KernelTable,
-    NoConvergence,
+    JostError,
+    JostOverflow,
     TailNotNegligible,
     solve_faddeev,
     jost_matrix,

@@ -13,9 +13,12 @@ sampled on:
 
 Notes
 -----
-The spatial step must resolve the fastest oscillation ``e^{2i k_max x}``
-appearing in the Volterra iteration; construction enforces the sampling
-condition ``dx <= pi / (4 k_max)``.
+The spatial trapezoid rules (the generalized Fourier maps, the Marchenko
+kernel representation) integrate a plane wave at ``|k| <= k_max`` against
+fields band-limited to ``k_max``, so their integrands oscillate as fast as
+``e^{2i k_max x}``.  Construction enforces ``dx <= pi / (4 k_max)``: four
+nodes per period of that fastest oscillation.  The Jost solver itself is
+exact per cell and needs no such condition.
 """
 
 from __future__ import annotations

@@ -1,17 +1,14 @@
 """Jost (Faddeev) solutions, the Jost matrix and the Marchenko kernel.
 
 The Jost solution ``f(k, x)`` solves ``-f'' + V f = k^2 f`` with
-``f(k, x) ~ e^{ikx} I`` as ``x -> infinity``.  Writing
-``f(k, x) = e^{ikx} m(k, x)`` the Faddeev function ``m`` satisfies the
-Volterra integral equation
-
-    m(k, x) = I + integral_x^inf D_k(y - x) V(y) m(k, y) dy,
-    D_k(s)  = (e^{2iks} - 1) / (2ik),      D_0(s) = s,
-
-whose Neumann iteration always converges for integrable first-moment
-potentials.  The solver iterates the equation on a refined spatial grid with
-*cellwise exact* oscillatory weights, vectorized over the whole momentum grid
-via backward cumulative sums, so each sweep costs one batched matrix product.
+``f(k, x) = e^{ikx} I`` beyond the support of ``V``; the Faddeev function is
+``m(k, x) = e^{-ikx} f(k, x)``.  Every potential is a step function, so on
+each cell ``f`` has a closed form: in the eigenbasis of the cell matrix each
+channel is a combination of ``cos(qs)`` and ``sin(qs)/q`` with
+``q = sqrt(k^2 - lambda)``.  The solver starts at the support edge and
+propagates ``(f, f')`` exactly from cell edge to cell edge, right to left,
+vectorized over the whole momentum grid; there is no iteration and no
+spatial refinement, and ``k = 0`` is the same formula.
 
 Derived objects:
 
@@ -30,30 +27,39 @@ import numpy as np
 
 from .boundary import BoundaryPair
 from .grids import KXGrid, cosine_taper, trapezoid_weights
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, validate_potential
 
-CONVERGENCE_TOL = 1e-12
-MAX_SWEEPS = 60
-DEFAULT_REFINE = 8
 EXCEPTIONAL_TOL = 1e-6
-#: budget (complex entries) for one momentum chunk of the iteration tables
-CHUNK_BUDGET = 8_388_608
 
 
 class JostError(RuntimeError):
     """Base class for solver failures."""
 
 
-class NoConvergence(JostError):
-    """The Volterra iteration failed to reach tolerance."""
+class JostOverflow(JostError):
+    """The Jost solution outgrows float64 inside an opaque barrier.
 
-    def __init__(self, k: float, delta: float, sweeps: int):
+    Crossing a cell where ``lambda > k^2`` multiplies the solution by up to
+    ``e^{width sqrt(lambda - k^2)}``; past ``log(float64 max)`` the tables
+    would be non-finite.
+    """
+
+    def __init__(self, cell: tuple[float, float], k: float, growth: float):
+        self.cell = (float(cell[0]), float(cell[1]))
         self.k = float(k)
-        self.delta = float(delta)
-        self.sweeps = int(sweeps)
+        self.growth = float(growth)
         super().__init__(
-            f"Volterra iteration stalled at k={k}: residual {delta:.3e} after {sweeps} sweeps"
+            f"Jost solution overflows float64 in the cell [{self.cell[0]:g}, {self.cell[1]:g}] "
+            f"at k={self.k:g}: its growth exponent integral sqrt(max(lambda - k^2, 0)) "
+            f"reaches {self.growth:.4g}, past log(float64 max) = {np.log(np.finfo(float).max):.1f}"
         )
+
+    @classmethod
+    def at(cls, edges: np.ndarray, cells: np.ndarray, c: int, k: float) -> "JostOverflow":
+        """The error for cell ``c``, with the exponent summed from the right edge."""
+        lam = np.array([np.linalg.eigvalsh(v).max() for v in cells[c:]])
+        growth = float(np.diff(edges[c:]) @ np.sqrt(np.clip(lam - k * k, 0.0, None)))
+        return cls((edges[c], edges[c + 1]), k, growth)
 
 
 class TailNotNegligible(JostError):
@@ -137,47 +143,70 @@ class JostTable:
         )
 
 
-def _reverse_cumsum(seg: np.ndarray) -> np.ndarray:
-    """Node values ``A_j = sum_{s >= j} seg_s`` with a trailing zero node."""
-    out = np.zeros(seg.shape[:1] + (seg.shape[1] + 1,) + seg.shape[2:], dtype=seg.dtype)
-    out[:, :-1] = np.cumsum(seg[:, ::-1], axis=1)[:, ::-1]
-    return out
+def _cell_factors(q2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``cos(qs)`` and ``sin(qs)/q`` for real ``q^2`` of shape ``(nk, n)`` at
+    offsets ``s``, each of shape ``(nk, n, len(s))``.
+
+    Both are even in ``q``: for ``q^2 < 0`` they are ``cosh(|q|s)`` and
+    ``sinh(|q|s)/|q|``, and at ``q = 0`` they are ``1`` and ``s``.  They may
+    overflow to ``inf`` in an opaque barrier.
+    """
+    q = np.sqrt(np.abs(q2))[..., None]
+    qs = q * s
+    osc = np.broadcast_to((q2 >= 0)[..., None], qs.shape)
+    cos, sinc = np.empty_like(qs), np.empty_like(qs)
+    with np.errstate(over="ignore"):
+        np.cos(qs, out=cos, where=osc)
+        np.cosh(qs, out=cos, where=~osc)
+        np.sin(qs, out=sinc, where=osc)
+        np.sinh(qs, out=sinc, where=~osc)
+    np.divide(sinc, q, out=sinc, where=q > 0)
+    np.copyto(sinc, s, where=q == 0)
+    return cos, sinc
 
 
 def faddeev_solve(
     potential: PotentialSpec,
     k: np.ndarray,
     x_out: np.ndarray,
-    refine: int = DEFAULT_REFINE,
-    tol: float = CONVERGENCE_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the Volterra equation for ``m`` and ``m'`` at the given momenta.
+    """Propagate the Jost solution across the cells and return ``m`` and ``m'``.
 
-    The iteration runs on a grid refined ``refine``-fold (plus all cell
-    boundaries as extra nodes, so every integration segment lies inside one
-    cell and the oscillatory factor integrates exactly) and is subsampled onto
-    ``x_out``.
+    Starting from ``f = e^{ikx} I``, ``f' = ik f`` at ``x_out[-1]``, each
+    cell ``[a, b]`` (walked right to left) is crossed in the eigenbasis
+    ``V = U diag(lambda) U^dagger`` of its matrix, where ``q^2 = k^2 - lambda``
+    and, with ``s = b - x``,
+
+        f(x)  = U [cos(qs) U^dagger f(b) - (sin(qs)/q) U^dagger f'(b)],
+        f'(x) = U [q sin(qs) U^dagger f(b) + cos(qs) U^dagger f'(b)].
+
+    These factors are even in ``q`` and finite at ``q = 0``, so ``k = 0``
+    and ``k^2 = lambda`` take the same formula.  Every output node is evaluated from its own cell's
+    right edge, so round-off does not accumulate node by node.
 
     Parameters
     ----------
     k : ndarray
-        Momentum values; ``k = 0`` entries are handled with the degenerate
-        ``D_0(s) = s`` weights.
+        Momentum values (``k = 0`` allowed).
     x_out : ndarray
-        Uniform output nodes; the last node must sit at or beyond the
+        Ascending output nodes; the last node must sit at or beyond the
         potential support.
 
     Returns
     -------
     (m, mprime)
-        Arrays of shape ``(len(k), len(x_out), n, n)``.
+        ``m = e^{-ikx} f`` and ``m' = e^{-ikx} f' - ik m``, each of shape
+        ``(len(k), len(x_out), n, n)``.
 
     Raises
     ------
-    NoConvergence
-        If any momentum fails to converge within ``max_sweeps``.
+    NonHermitian
+        If a cell matrix is not Hermitian (``eigh`` would read one triangle).
+    JostOverflow
+        If the solution outgrows float64 inside an opaque barrier; no table
+        with non-finite entries is returned.
     """
+    validate_potential(potential)
     k = np.asarray(k, dtype=float)
     x_out = np.asarray(x_out, dtype=float)
     n = potential.n
@@ -190,110 +219,71 @@ def faddeev_solve(
             f"{potential.support_radius}; the tail integral would be truncated"
         )
 
-    m_out = np.empty((nk, nx, n, n), dtype=complex)
-    mp_out = np.empty((nk, nx, n, n), dtype=complex)
-
     if nx == 1 or potential.support_radius <= x_out[0]:
         # no potential to the right of the output window: m == I
-        m_out[...] = eye
-        mp_out[...] = 0.0
-        return m_out, mp_out
+        m = np.broadcast_to(eye, (nk, nx, n, n)).copy()
+        return m, np.zeros_like(m)
 
-    # --- integration nodes: refined output grid + interior cell boundaries ---
-    xs_end = x_out[-1]
-    fine = np.linspace(x_out[0], xs_end, refine * (nx - 1) + 1)
-    inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xs_end)]
-    nodes = np.unique(np.concatenate([fine, inner]))
-    pos = np.clip(np.searchsorted(nodes, x_out), 0, nodes.size - 1)
-    left = np.clip(pos - 1, 0, nodes.size - 1)
-    out_idx = np.where(np.abs(nodes[left] - x_out) <= np.abs(nodes[pos] - x_out), left, pos)
-    if np.abs(nodes[out_idx] - x_out).max() > 1e-9:
-        raise JostError("output nodes are not contained in the integration grid")
+    xe = x_out[-1]
+    inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xe)]
+    edges = np.concatenate([[x_out[0]], inner, [xe]])
+    cells = potential.segment_values(edges)
+    owner = np.clip(np.searchsorted(edges, x_out, side="right") - 1, 0, cells.shape[0] - 1)
 
-    vseg = potential.segment_values(nodes)  # (S, n, n)
-    a, b = nodes[:-1], nodes[1:]
-    w0 = b - a
-    wy = 0.5 * (b * b - a * a)
-
-    chunk = max(1, CHUNK_BUDGET // max(1, nodes.size * n * n))
-    for lo in range(0, nk, chunk):
-        hi = min(nk, lo + chunk)
-        kc = k[lo:hi]
-        zero = kc == 0.0
-        twoik = 2j * kc
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1 = (np.exp(2j * np.outer(kc, b)) - np.exp(2j * np.outer(kc, a))) / twoik[:, None]
-        w1[zero] = w0[None, :]
-        phase = np.exp(-2j * np.outer(kc, nodes))  # e^{-2ikx_j}
-
-        m = np.broadcast_to(eye, (hi - lo, nodes.size, n, n)).copy()
-        deltas = np.full(hi - lo, np.inf)
-        for sweep in range(max_sweeps):
-            mbar = 0.5 * (m[:, :-1] + m[:, 1:])
-            p = vseg[None] @ mbar  # (c, S, n, n)
-            anode = _reverse_cumsum(p * w1[:, :, None, None])
-            bnode = _reverse_cumsum(p * w0[None, :, None, None])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                m_new = (
-                    eye
-                    + (phase / twoik[:, None])[:, :, None, None] * anode
-                    - bnode / twoik[:, None, None, None]
-                )
-            if zero.any():
-                cnode = _reverse_cumsum((p * wy[None, :, None, None])[zero])
-                m_new[zero] = eye + cnode - nodes[None, :, None, None] * bnode[zero]
-            deltas = np.abs(m_new - m).reshape(hi - lo, -1).max(axis=1)
-            m = m_new
-            if deltas.max() < tol:
-                break
-        else:
-            bad = int(np.argmax(deltas))
-            raise NoConvergence(kc[bad], float(deltas[bad]), max_sweeps)
-
-        # consistent final assembly of m' from the converged m
-        mbar = 0.5 * (m[:, :-1] + m[:, 1:])
-        p = vseg[None] @ mbar
-        anode = _reverse_cumsum(p * w1[:, :, None, None])
-        mprime = -phase[:, :, None, None] * anode
-        if zero.any():
-            bnode = _reverse_cumsum((p * w0[None, :, None, None])[zero])
-            mprime[zero] = -bnode
-
-        m_out[lo:hi] = m[:, out_idx]
-        mp_out[lo:hi] = mprime[:, out_idx]
-    return m_out, mp_out
+    f = np.exp(1j * k * xe)[:, None, None] * eye  # state at the current right edge
+    fp = 1j * k[:, None, None] * f
+    m_out = np.empty((nk, nx, n * n), dtype=complex)
+    mp_out = np.empty((nk, nx, n * n), dtype=complex)
+    for c in range(cells.shape[0] - 1, -1, -1):
+        a, b = edges[c], edges[c + 1]
+        lam, u = np.linalg.eigh(cells[c])
+        lo, hi = np.searchsorted(owner, (c, c + 1))
+        s = b - np.append(x_out[lo:hi], a)  # the cell's output nodes, then its left edge
+        q2 = (k * k)[:, None] - lam  # (nk, n)
+        cos, sinc = _cell_factors(q2, s)
+        # f(x) = sum over channels l of cos_l A_l - sinc_l B_l and
+        # f'(x) = sum of q2_l sinc_l A_l + cos_l B_l, where
+        # A_l = u[:, l] (u^dagger f(b))[l, :] and B_l is the same for f'(b)
+        basis = u.T[None, :, :, None] * (u.conj().T @ np.stack([f, fp], axis=1))[:, :, :, None, :]
+        basis = basis.reshape(nk, 2 * n, n * n)
+        fcoef = np.concatenate([cos, -sinc], axis=1).swapaxes(1, 2)  # (nk, ns + 1, 2n)
+        fpcoef = np.concatenate([q2[..., None] * sinc, cos], axis=1).swapaxes(1, 2)
+        phase = np.exp(-1j * np.outer(k, x_out[lo:hi]))[..., None]
+        mc, mpc = m_out[:, lo:hi], mp_out[:, lo:hi]
+        with np.errstate(invalid="ignore"):
+            mcoef = phase * fcoef[:, :-1]
+            np.matmul(mcoef, basis, out=mc)
+            np.matmul(phase * fpcoef[:, :-1] - 1j * k[:, None, None] * mcoef, basis, out=mpc)
+            f = (fcoef[:, -1:] @ basis).reshape(nk, n, n)
+            fp = (fpcoef[:, -1:] @ basis).reshape(nk, n, n)
+        if not all(np.isfinite(t).all() for t in (mc, mpc, f, fp)):
+            finite = [np.isfinite(t.reshape(nk, -1)).all(axis=1) for t in (mc, mpc, f, fp)]
+            raise JostOverflow.at(edges, cells, c, k[np.argmin(np.logical_and.reduce(finite))])
+    return m_out.reshape(nk, nx, n, n), mp_out.reshape(nk, nx, n, n)
 
 
-def solve_faddeev(
-    potential: PotentialSpec,
-    grid: KXGrid,
-    refine: int = DEFAULT_REFINE,
-    tol: float = CONVERGENCE_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> JostTable:
+def solve_faddeev(potential: PotentialSpec, grid: KXGrid) -> JostTable:
     """Build the Faddeev tables on a standard grid pair.
 
     The near field ``xv`` consists of the grid nodes covering the potential
     support (plus the endpoint node), on which ``m`` differs from the
-    identity; beyond it ``f(k, x) = e^{ikx} I`` exactly.
+    identity; beyond it ``f(k, x) = e^{ikx} I`` exactly.  The zero-energy
+    tables come from the same propagation, with ``k = 0`` appended.
     """
     xs = potential.support_radius
     if xs > grid.xmax + 1e-12:
         raise JostError(f"potential support {xs} exceeds the spatial window {grid.xmax}")
     last = min(grid.x.size - 1, int(np.ceil(xs / grid.dx - 1e-9)))
     xv = grid.x[: last + 1]
-    m, mprime = faddeev_solve(potential, grid.k, xv, refine=refine, tol=tol, max_sweeps=max_sweeps)
-    m0, m0prime = faddeev_solve(
-        potential, np.zeros(1), xv, refine=refine, tol=tol, max_sweeps=max_sweeps
-    )
+    m, mprime = faddeev_solve(potential, np.append(grid.k, 0.0), xv)
     return JostTable(
         potential=potential,
         k=grid.k.copy(),
         xv=xv,
-        m=m,
-        mprime=mprime,
-        m0=m0[0],
-        m0prime=m0prime[0],
+        m=m[:-1],
+        mprime=mprime[:-1],
+        m0=m[-1],
+        m0prime=mprime[-1],
         grid=grid,
     )
 
@@ -512,24 +502,20 @@ def kernel_diagonal_wide(
     kmax: float = 2560.0,
     nk: int = 16384,
     dx: float = 1.0 / 256.0,
-    refine: int = 2,
-    tol: float = CONVERGENCE_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal jump values from a dedicated wide momentum window.
 
     The windowed diagonal estimate carries an O(1/K_max) residual from the
     oscillatory tail of ``m - I``; the default window pushes it below 1e-4
-    for order-one potentials.  The solver itself is uniformly accurate in
-    ``k`` (the oscillatory weights are exact per cell), so the wide window
-    costs only linear work.  Returns ``(diagonal, x)``.
+    for order-one potentials.  The solver is exact per cell at every ``k``,
+    so the wide window costs only linear work.  Returns ``(diagonal, x)``.
     """
     dk = 2.0 * kmax / nk
     k = (np.arange(nk) + 0.5 - nk / 2.0) * dk
     xs = potential.support_radius
     last = max(0, int(np.ceil(xs / dx - 1e-9)))
     x = np.arange(last + 1) * dx
-    m, mp = faddeev_solve(potential, k, x, refine=refine, tol=tol, max_sweeps=max_sweeps)
+    m, mp = faddeev_solve(potential, k, x)
     jt = JostTable(
         potential=potential, k=k, xv=x, m=m, mprime=mp, m0=m[0], m0prime=mp[0]
     )

@@ -121,8 +121,9 @@ def smatrix(jt: JostTable) -> ScatteringTable:
         If some ``J(k)`` is numerically singular (relative to the table's
         largest singular value).
     ScatteringError
-        If the computed matrix fails unitarity beyond a loose solver-sanity
-        guard (indicates an under-resolved solve, not physics).
+        If the computed matrix fails unitarity beyond a loose sanity guard.
+        The Jost tables are exact per cell, so this means round-off amplified
+        by an ill-conditioned ``J(k)`` or an input that is not self-adjoint.
     """
     jm = jt.jmatrix
     if jm is None:
@@ -137,12 +138,16 @@ def smatrix(jt: JostTable) -> ScatteringTable:
     # S J = -J(-k)  <=>  J^T S^T = -J(-k)^T
     S = -np.linalg.solve(J.transpose(0, 2, 1), Jm.transpose(0, 2, 1)).transpose(0, 2, 1)
     eye = np.eye(jt.n)
-    unit = float(np.abs(S.conj().swapaxes(-1, -2) @ S - eye).max())
+    defects = np.abs(S.conj().swapaxes(-1, -2) @ S - eye).max(axis=(1, 2))
+    unit = float(defects.max())
     symm = float(np.abs(S[::-1] - S.conj().swapaxes(-1, -2)).max())
     if unit > UNITARITY_GUARD:
+        bad = int(np.argmax(defects))
         raise ScatteringError(
-            f"unitarity defect {unit:.2e} exceeds the sanity guard; "
-            "increase the solver refinement"
+            f"unitarity defect {unit:.2e} exceeds the sanity guard at k={jt.k[bad]:g}, where "
+            f"J(k) has condition number {sv[bad].max() / sv[bad].min():.1e}: the Jost tables are "
+            "exact per cell, so round-off in an ill-conditioned J(k) or an input that is not "
+            "self-adjoint is to blame"
         )
     return ScatteringTable(
         k=jt.k,

@@ -7,7 +7,7 @@ from scatterkit.boundary import BoundaryPair
 from scatterkit.grids import KXGrid
 from scatterkit.jost import (
     JostError,
-    NoConvergence,
+    JostOverflow,
     TailNotNegligible,
     born_term,
     faddeev_solve,
@@ -19,12 +19,13 @@ from scatterkit.jost import (
     marchenko_kernel,
     solve_faddeev,
 )
-from scatterkit.potentials import PotentialSpec, box_potential, zero_potential
+from scatterkit.potentials import NonHermitian, PotentialSpec, box_potential, zero_potential
+from scatterkit.scattering import smatrix
 
 # --- frozen Jost values for V = 1 on (0, 1) ---------------------------------
 # f(k, 0) = e^{ik} (cos g - (ik/g) sin g), f'(k, 0) = e^{ik} (g sin g + ik cos g)
 # with g = sqrt(k^2 - 1); cross-checked against a DOP853 integration to 1e-10
-# (see oracles.step_jost_closed).
+# (see oracles.step_jost_closed).  The literals carry 14-16 digits.
 F2 = 1.103159739289392 + 0.32829730771248344j
 FP2 = -0.419449137875723 + 1.6881471567415j
 F07 = 1.45858085158185 + 0.233522393202157j
@@ -33,19 +34,24 @@ COSH1 = np.cosh(1.0)
 SINH1 = np.sinh(1.0)
 
 
-def test_volterra_matches_closed_form_step():
+def _assert_step_values(m, mp, atol):
+    """Check tables at k = (2, 0.7, -2, 0) against the frozen unit-step values."""
+    # x = 0: f = m, f' = ik m + m'
+    np.testing.assert_allclose(m[0, 0, 0, 0], F2, atol=atol)
+    np.testing.assert_allclose(2j * m[0, 0, 0, 0] + mp[0, 0, 0, 0], FP2, atol=atol)
+    np.testing.assert_allclose(m[1, 0, 0, 0], F07, atol=atol)
+    np.testing.assert_allclose(0.7j * m[1, 0, 0, 0] + mp[1, 0, 0, 0], FP07, atol=atol)
+    # zero energy: m(0, 0) = cosh 1, m'(0, 0) = -sinh 1
+    np.testing.assert_allclose(m[3, 0, 0, 0], COSH1, atol=atol)
+    np.testing.assert_allclose(mp[3, 0, 0, 0], -SINH1, atol=atol)
+
+
+def test_jost_matches_closed_form_step():
     v = box_potential(1.0, 0.0, 1.0)
     k = np.array([2.0, 0.7, -2.0, 0.0])
     x = np.linspace(0.0, 1.0, 257)
     m, mp = faddeev_solve(v, k, x)
-    # x = 0: f = m, f' = ik m + m'
-    np.testing.assert_allclose(m[0, 0, 0, 0], F2, atol=5e-7)
-    np.testing.assert_allclose(2j * m[0, 0, 0, 0] + mp[0, 0, 0, 0], FP2, atol=5e-7)
-    np.testing.assert_allclose(m[1, 0, 0, 0], F07, atol=5e-7)
-    np.testing.assert_allclose(0.7j * m[1, 0, 0, 0] + mp[1, 0, 0, 0], FP07, atol=5e-7)
-    # zero energy: m(0, 0) = cosh 1, m'(0, 0) = -sinh 1
-    np.testing.assert_allclose(m[3, 0, 0, 0], COSH1, atol=5e-7)
-    np.testing.assert_allclose(mp[3, 0, 0, 0], -SINH1, atol=5e-7)
+    _assert_step_values(m, mp, atol=1e-12)
     # real potential: k -> -k is entrywise conjugation
     np.testing.assert_allclose(m[2], m[0].conj(), atol=1e-12)
     np.testing.assert_allclose(mp[2], mp[0].conj(), atol=1e-12)
@@ -54,16 +60,45 @@ def test_volterra_matches_closed_form_step():
     np.testing.assert_allclose(mp[:, -1], 0.0, atol=1e-14)
 
 
-def test_volterra_matches_ode_oracle_matrix(matrix_potential):
+def test_jost_matches_ode_oracle_matrix(matrix_potential):
     x = np.linspace(0.0, 2.0, 257)
     idx = [0, 96]  # x = 0 and x = 0.75
     for k in (0.6, 3.7):
-        m, mp = faddeev_solve(matrix_potential, np.array([k]), x, refine=16)
+        m, mp = faddeev_solve(matrix_potential, np.array([k]), x)
         f = np.exp(1j * k * x[idx, None, None]) * m[0, idx]
         fp = np.exp(1j * k * x[idx, None, None]) * (1j * k * m[0, idx] + mp[0, idx])
         f_ref, fp_ref = oracles.ode_jost(matrix_potential, k, x[idx])
-        np.testing.assert_allclose(f, f_ref, atol=2e-6)
-        np.testing.assert_allclose(fp, fp_ref, atol=2e-6)
+        np.testing.assert_allclose(f, f_ref, atol=1e-8)
+        np.testing.assert_allclose(fp, fp_ref, atol=1e-8)
+
+
+def test_jost_agrees_with_volterra_oracle_matrix(matrix_potential):
+    # the integral-equation oracle is second order in its segment width, so
+    # its gap to the exact solver shrinks about fourfold per doubling
+    x = np.linspace(0.0, 2.0, 257)
+    k = np.array([0.0, 0.6, -1.3, 3.7])
+    m, mp = faddeev_solve(matrix_potential, k, x)
+    gaps = []
+    for refine in (8, 16):
+        mv, mpv = oracles.volterra_faddeev(matrix_potential, k, x, refine=refine)
+        gaps.append(max(np.abs(mv - m).max(), np.abs(mpv - mp).max()))
+    assert gaps[0] < 5e-6
+    assert gaps[1] < gaps[0] / 3.0
+
+
+def test_volterra_oracle_matches_closed_form_step():
+    k = np.array([2.0, 0.7, -2.0, 0.0])
+    m, mp = oracles.volterra_faddeev(box_potential(1.0, 0.0, 1.0), k, np.linspace(0.0, 1.0, 257))
+    _assert_step_values(m, mp, atol=5e-7)
+
+
+def test_volterra_oracle_stall_reports_worst_momentum():
+    v = box_potential(1e6, 0.0, 1.0)
+    with pytest.raises(oracles.VolterraStall) as err:
+        oracles.volterra_faddeev(v, np.array([1.0]), np.linspace(0.0, 1.0, 65), max_sweeps=5)
+    assert err.value.sweeps == 5
+    assert err.value.k == 1.0
+    assert err.value.delta > 0
 
 
 def test_wronskian_identities(matrix_potential):
@@ -71,7 +106,7 @@ def test_wronskian_identities(matrix_potential):
     # carries the constant 2ik, the k/-k pairing vanishes identically.
     k = 1.3
     x = np.linspace(0.0, 2.0, 257)
-    m, mp = faddeev_solve(matrix_potential, np.array([k, -k]), x, refine=128)
+    m, mp = faddeev_solve(matrix_potential, np.array([k, -k]), x)
     phase = np.exp(1j * np.array([k, -k])[:, None] * x[None, :])
     f = phase[..., None, None] * m
     fp = phase[..., None, None] * (
@@ -102,12 +137,43 @@ def test_output_window_must_cover_support():
         faddeev_solve(v, np.array([1.0]), np.array([0.0]))
 
 
-def test_no_convergence_reports_worst_momentum():
+def test_non_hermitian_cell_rejected():
+    # the cellwise eigenbasis needs Hermitian cells; a silent triangle read
+    # would solve a different potential
+    v = PotentialSpec.from_cells(2, [(0.0, 1.0, np.array([[1.0, 0.5], [0.0, 1.0]]))])
+    with pytest.raises(NonHermitian):
+        faddeev_solve(v, np.array([1.0]), np.linspace(0.0, 1.0, 17))
+
+
+def test_tall_barrier_raises_jost_overflow():
+    # sqrt(1e6 - k^2) over a unit width is ~1000 > log(float64 max) ~ 709.8:
+    # cosh overflows, and no table with non-finite entries may be returned
     v = box_potential(1e6, 0.0, 1.0)
-    with pytest.raises(NoConvergence) as err:
-        faddeev_solve(v, np.array([1.0]), np.linspace(0.0, 1.0, 65), max_sweeps=5)
-    assert err.value.sweeps == 5
-    assert err.value.delta > 0
+    with pytest.raises(JostOverflow) as err:
+        faddeev_solve(v, np.array([1.0]), np.linspace(0.0, 1.0, 65))
+    assert err.value.cell == (0.0, 1.0)
+    assert err.value.k == 1.0
+    assert err.value.growth > np.log(np.finfo(float).max)
+    with pytest.raises(JostOverflow):
+        solve_faddeev(v, KXGrid.build(kmax=8.0, nk=64, dx=1.0 / 32.0, xmax=4.0))
+
+
+def test_deep_well_with_bound_states():
+    # V = -10 on (0, 2) binds states; the table must be exact down to k -> 0
+    v = box_potential(-10.0, 0.0, 2.0)
+    g = KXGrid.build(kmax=8.0, nk=512, dx=1.0 / 32.0, xmax=4.0)
+    jt = solve_faddeev(v, g)
+    picks = np.flatnonzero(np.isin(np.abs(g.k), np.abs(g.k)[[255, 250, 200, 20]]))
+    assert np.abs(g.k[picks]).min() < 0.05
+    for i in picks:
+        f_ref, fp_ref = oracles.ode_jost(v, g.k[i])
+        np.testing.assert_allclose(jt.f(np.array([i]))[0, 0], f_ref[0], atol=1e-8)
+        np.testing.assert_allclose(jt.fprime(np.array([i]))[0, 0], fp_ref[0], atol=1e-8)
+    f0_ref, fp0_ref = oracles.ode_jost(v, 0.0)
+    np.testing.assert_allclose(jt.m0[0], f0_ref[0], atol=1e-8)
+    np.testing.assert_allclose(jt.m0prime[0], fp0_ref[0], atol=1e-8)
+    for bp in (BoundaryPair.dirichlet(), BoundaryPair.neumann()):
+        assert smatrix(jost_matrix(jt, bp)).unitarity_defect < 1e-12
 
 
 def test_free_table_and_free_jost():
@@ -201,7 +267,7 @@ def test_jost_representation(golden_table, golden_kernel):
 
 def test_kernel_requires_momentum_window():
     g = KXGrid.build(kmax=8.0, nk=128, dx=1.0 / 32.0, xmax=4.0)
-    jt = solve_faddeev(box_potential(25.0, 0.0, 1.0), g, max_sweeps=120)
+    jt = solve_faddeev(box_potential(25.0, 0.0, 1.0), g)
     with pytest.raises(TailNotNegligible):
         marchenko_kernel(jt)
 

@@ -39,7 +39,7 @@ from scatterkit.spectral import (
 
 
 def _free_table(bc: BoundaryPair, grid: KXGrid):
-    jt = jost_matrix(solve_faddeev(zero_potential(bc.n), grid, refine=2), bc)
+    jt = jost_matrix(solve_faddeev(zero_potential(bc.n), grid), bc)
     return physical_solution(jt, smatrix(jt))
 
 
@@ -86,7 +86,7 @@ def test_golden_far_field_and_boundary_residual(golden_physical):
 
 def test_mismatched_grids_rejected(golden_scatter, small_grid):
     _, table = golden_scatter
-    jt_other = solve_faddeev(zero_potential(1), small_grid, refine=2)
+    jt_other = solve_faddeev(zero_potential(1), small_grid)
     with pytest.raises(SpectralError, match="momentum grids"):
         physical_solution(jt_other, table)
 

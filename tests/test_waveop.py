@@ -68,14 +68,14 @@ def dirichlet_fine():
     midpoint momentum sum carries an O(dk^2 x) boundary term, so closed-form
     comparisons want small dk)."""
     grid = KXGrid.build(kmax=20.0, nk=4096, dx=1 / 128, xmax=16.0)
-    jt = jost_matrix(solve_faddeev(zero_potential(1), grid, refine=2), BoundaryPair.dirichlet(1))
+    jt = jost_matrix(solve_faddeev(zero_potential(1), grid), BoundaryPair.dirichlet(1))
     return jt, smatrix(jt)
 
 
 @pytest.fixture(scope="module")
 def neumann_free():
     grid = KXGrid.build(kmax=40.0, nk=2048, dx=1 / 128, xmax=16.0)
-    jt = jost_matrix(solve_faddeev(zero_potential(1), grid, refine=2), BoundaryPair.neumann(1))
+    jt = jost_matrix(solve_faddeev(zero_potential(1), grid), BoundaryPair.neumann(1))
     table = scattering_table(jt)
     return physical_solution(jt, table), table, marchenko_kernel(jt)
 
@@ -446,7 +446,7 @@ def test_lp_probe_dichotomy(golden_scatter):
 
     def dirichlet_factory(xg):
         g = KXGrid.build(kmax=20.0, nk=1024, dx=float(xg[1] - xg[0]), xmax=float(xg[-1]))
-        jt = jost_matrix(solve_faddeev(zero_potential(1), g, refine=2), BoundaryPair.dirichlet(1))
+        jt = jost_matrix(solve_faddeev(zero_potential(1), g), BoundaryPair.dirichlet(1))
         table = scattering_table(jt)
         kt = marchenko_kernel(jt)
         return lambda f: wave_op_decomposed(table, kt, f, +1)
@@ -455,7 +455,7 @@ def test_lp_probe_dichotomy(golden_scatter):
 
     def golden_factory(xg):
         g = KXGrid.build(kmax=40.0, nk=2048, dx=float(xg[1] - xg[0]), xmax=float(xg[-1]))
-        jt = jost_matrix(solve_faddeev(jt0.potential, g, refine=2), table0.boundary)
+        jt = jost_matrix(solve_faddeev(jt0.potential, g), table0.boundary)
         table = scattering_table(jt)
         kt = marchenko_kernel(jt)
         return lambda f: wave_op_decomposed(table, kt, f, +1)
