@@ -53,4 +53,6 @@ from .jost import (
     jost_representation_check,
 )
 
+from . import scattering, spectral, waveop
+
 __version__ = "0.1.0"

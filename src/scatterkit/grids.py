@@ -19,6 +19,16 @@ fields band-limited to ``k_max``, so their integrands oscillate as fast as
 ``e^{2i k_max x}``.  Construction enforces ``dx <= pi / (4 k_max)``: four
 nodes per period of that fastest oscillation.  The Jost solver itself is
 exact per cell and needs no such condition.
+
+Every sum over a uniform grid, ``sum_j g_j e^{+-i (k_0 + j dk) y_l}``, goes
+through :func:`fourier_sum`.  On uniform nodes ``y`` it is a chirp-z
+transform (Bluestein's algorithm): one FFT convolution, ``O((N + m) log)``
+work and memory instead of a dense ``N x m`` phase matrix.  The chirp phases
+``theta j^2 / 2`` reach ``~3e4`` rad on the default grid, so all phases are
+formed in ``np.longdouble`` and reduced modulo a ``longdouble`` ``2 pi``
+before rounding.  The sums then match a ``longdouble`` direct sum to about
+``6e-16`` relative, against ``2e-14`` with float64 phases and ``5e-11`` with
+the chirp ``w**(j^2/2)`` of ``scipy.signal.czt``.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 
 DEFAULT_KMAX = 40.0
 DEFAULT_NK = 4096
@@ -106,6 +117,53 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
+
+
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """``e^{i phase}`` of ``longdouble`` phases, reduced modulo ``2 pi``
+    before they are rounded to float64."""
+    return np.exp(1j * np.fmod(phase, _TWO_PI).astype(float))
+
+
+def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = +1) -> np.ndarray:
+    """``sum_j g[j] e^{i sign (k0 + j dk) y_l}`` along axis 0 of ``g``.
+
+    Returns shape ``(len(y),) + g.shape[1:]``.  Uniform nodes ``y``
+    (ascending or descending) take one Bluestein convolution, with
+    ``j l = (j^2 + l^2 - (l - j)^2) / 2`` and ``theta = dk dy``; other nodes
+    take the direct sum.  Sign ``-1`` is ``conj`` of the ``+1`` sum of
+    ``conj(g)``, so the two signs are exact conjugates.  Phases are formed
+    in ``np.longdouble``; on a platform where that type is float64 the
+    accuracy falls to that of float64 phases, about ``2e-14`` on the
+    default grid.
+    """
+    if sign == -1:
+        return np.conj(fourier_sum(np.conj(g), k0, dk, y))
+    if sign != +1:
+        raise ValueError("sign must be +1 or -1")
+    g = np.asarray(g)
+    y = np.asarray(y, dtype=float)
+    nk, m = g.shape[0], y.size
+    cols = g.reshape(nk, -1)
+    kj = np.longdouble(k0) + np.arange(nk, dtype=np.longdouble) * np.longdouble(dk)
+    dy = (y[-1] - y[0]) / (m - 1) if m > 2 else 0.0
+    line = y[:1] + np.arange(m) * dy
+    if m < 3 or np.abs(y - line).max() > 16 * np.finfo(float).eps * np.abs(y).max():
+        out = _cis(np.outer(y.astype(np.longdouble), kj)) @ cols
+        return out.reshape((m,) + g.shape[1:])
+    theta = np.longdouble(dk) * np.longdouble(dy)
+    size = next_fast_len(nk + m - 1)
+    n = np.arange(size, dtype=np.longdouble)
+    lag = np.where(n < size - nk + 1, n, n - size)  # lags -(nk - 1) .. -1 wrap to the end
+    chirp = fft(_cis(-0.5 * theta * lag * lag))
+    j, l = n[:nk], n[:m]
+    a = fft(cols * _cis(kj * np.longdouble(y[0]) + 0.5 * theta * j * j)[:, None], size, axis=0)
+    conv = ifft(a * chirp[:, None], axis=0)[:m]
+    out = conv * _cis(np.longdouble(k0) * l * np.longdouble(dy) + 0.5 * theta * l * l)[:, None]
+    return out.reshape((m,) + g.shape[1:])
+
+
 @dataclass(frozen=True)
 class KXGrid:
     """Paired momentum/space grids with their quadrature weights.
@@ -158,7 +216,8 @@ class KXGrid:
 
     @cached_property
     def dk(self) -> float:
-        return float(self.k[1] - self.k[0])
+        """Spacing from the end nodes (one difference's rounding grows along a sum)."""
+        return float((self.k[-1] - self.k[0]) / (self.k.size - 1))
 
     @cached_property
     def kmax(self) -> float:

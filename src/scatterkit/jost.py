@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .boundary import BoundaryPair
-from .grids import KXGrid, cosine_taper, trapezoid_weights
+from .grids import KXGrid, cosine_taper, fourier_sum, trapezoid_weights
 from .potentials import PotentialSpec, validate_potential
 
 EXCEPTIONAL_TOL = 1e-6
@@ -436,7 +436,9 @@ def marchenko_kernel(
     g = jt.m - np.eye(n)  # (Nk, Nx, n, n)
     # window check on the Born-subtracted remainder
     remainder = g - born_term(jt.potential, k, xv)
-    mags = np.linalg.norm(remainder, ord=2, axis=(-2, -1))
+    # spectral norms from the top Gram eigenvalue: no SVD per (k, x) matrix
+    gram = remainder.conj().swapaxes(-1, -2) @ remainder
+    mags = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
     edge_zone = np.abs(k) >= 0.9 * grid.kmax
     peak = float(mags.max())
     tail_fraction = float(mags[edge_zone].max() / peak) if peak > 0 else 0.0
@@ -448,9 +450,7 @@ def marchenko_kernel(
 
     gt = g * taper[:, None, None, None]
     h = gt * np.exp(1j * np.outer(k, xv))[:, :, None, None]
-    phases = np.exp(-1j * np.outer(k, y))  # (Nk, Ny)
-    raw = np.tensordot(phases, h.reshape(k.size, -1), axes=(0, 0))
-    raw = (grid.dk / (2.0 * np.pi)) * raw.reshape(y.size, xv.size, n, n).swapaxes(0, 1)
+    raw = (grid.dk / (2.0 * np.pi)) * fourier_sum(h, k[0], grid.dk, y, -1).swapaxes(0, 1)
 
     values = raw.copy()
     sub = y[None, :] < xv[:, None] - 1e-12
@@ -542,8 +542,8 @@ def jost_representation_check(
     kmax = float(np.abs(k).max())
     inner = np.flatnonzero(np.abs(k) <= 0.45 * kmax)
     sel = inner[np.linspace(0, inner.size - 1, min(k_samples, inner.size)).astype(int)]
-    phases = np.exp(1j * np.outer(k[sel], kt.y)) * kt.wy[None, :]  # (S, Ny)
-    integ = np.einsum("sl,jlab->sjab", phases, kt.raw)
+    weighted = (kt.raw * kt.wy[None, :, None, None]).swapaxes(0, 1)  # (Ny, Nx, n, n)
+    integ = fourier_sum(weighted, kt.y[0], kt.y[1] - kt.y[0], k[sel])
     f_rep = np.exp(1j * np.outer(k[sel], xv))[:, :, None, None] * np.eye(jt.n) + integ
     f_true = jt.f(sel)
     defects = np.abs(f_rep - f_true).reshape(sel.size, -1).max(axis=1)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import KXGrid, trapezoid_weights
+from .grids import KXGrid, fourier_sum, trapezoid_weights
 from .jost import JostTable
 
 __all__ = [
@@ -97,7 +97,8 @@ class ScatteringTable:
 
     @cached_property
     def dk(self) -> float:
-        return float(self.k[1] - self.k[0])
+        """Spacing from the end nodes (one difference's rounding grows along a sum)."""
+        return float((self.k[-1] - self.k[0]) / (self.k.size - 1))
 
     def s_at(self, k_query: np.ndarray) -> np.ndarray:
         """S at arbitrary momenta by cubic interpolation of the grid samples
@@ -225,9 +226,7 @@ def fs_symbol(st: ScatteringTable, y: np.ndarray | None = None) -> ScatteringTab
         else np.ones_like(st.k)
     )
     g = (st.S - st.S_infinity) * taper[:, None, None]
-    phases = np.exp(1j * np.outer(st.k, y))
-    Fs = np.tensordot(phases, g.reshape(st.k.size, -1), axes=(0, 0))
-    Fs = (st.dk / (2.0 * np.pi)) * Fs.reshape(y.size, st.n, st.n)
+    Fs = (st.dk / (2.0 * np.pi)) * fourier_sum(g, st.k[0], st.dk, y)
     norms = np.linalg.norm(Fs, ord=2, axis=(-2, -1))
     l1 = float(norms @ trapezoid_weights(y))
     return replace(st, Fs=Fs, Fs_y=y, fs_l1=l1)
@@ -257,12 +256,9 @@ def p_symbols(st: ScatteringTable, x: np.ndarray | None = None) -> ScatteringTab
     )
     gp = (st.S[pos] - st.S_infinity) * taper[:, None, None]
     gm = (st.S[::-1][pos] - st.S_infinity) * taper[:, None, None]  # S(-k), k > 0
-    ph_minus = np.exp(1j * np.outer(kp, x))
-    Pminus = np.tensordot(ph_minus, gp.reshape(kp.size, -1), axes=(0, 0))
-    Pplus = np.tensordot(ph_minus.conj(), gm.reshape(kp.size, -1), axes=(0, 0))
     scalefac = st.dk / (2.0 * np.pi)
-    Pminus = scalefac * Pminus.reshape(x.size, st.n, st.n)
-    Pplus = scalefac * Pplus.reshape(x.size, st.n, st.n)
+    Pminus = scalefac * fourier_sum(gp, kp[0], st.dk, x, +1)
+    Pplus = scalefac * fourier_sum(gm, kp[0], st.dk, x, -1)
     # exact when the table has exact momentum-reflection symmetry; of the
     # order of the solver's symmetry defect otherwise
     mismatch = float(np.abs(Pminus - Pplus.conj().swapaxes(-1, -2)).max())

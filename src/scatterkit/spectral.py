@@ -21,10 +21,9 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eig_banded
-from scipy.signal import czt
 
 from .boundary import BoundaryPair, diagonalize_boundary
-from .grids import KXGrid, simpson_weights, trapezoid_weights
+from .grids import KXGrid, fourier_sum, simpson_weights, trapezoid_weights
 from .jost import JostTable
 from .potentials import PotentialSpec
 from .scattering import ScatteringTable
@@ -50,7 +49,7 @@ __all__ = [
     "field_inner",
 ]
 
-#: complex elements per transient phase block
+#: complex elements per transient block of the dense stage's near-field loops
 CHUNK = 1 << 21
 #: maximum radians of accumulated phase between adjacent dense momentum nodes
 PHASE_BUDGET = 0.3
@@ -170,17 +169,17 @@ def boundary_residual(pt: PhysicalSolutionTable) -> float:
 # -- cosine transform --------------------------------------------------------
 
 
+def _cosine_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray) -> np.ndarray:
+    """``sum_j g_j cos((k0 + j dk) y_l)``, the mean of the two signed sums."""
+    return 0.5 * (fourier_sum(g, k0, dk, y, +1) + fourier_sum(g, k0, dk, y, -1))
+
+
 def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
     """Cosine transform ``sqrt(2/pi) integral_0^inf cos(kx) Y(x) dx`` by
     composite-Simpson quadrature on the spatial grid."""
     kq = grid.kpos if k is None else np.asarray(k, dtype=float)
     Yw = _as_field(Y) * simpson_weights(grid.x)[:, None]
-    out = np.empty((kq.size, Yw.shape[1]), dtype=complex)
-    step = max(1, CHUNK // grid.x.size)
-    for a in range(0, kq.size, step):
-        block = np.cos(np.outer(kq[a : a + step], grid.x))
-        out[a : a + step] = block @ Yw
-    return np.sqrt(2.0 / np.pi) * out
+    return np.sqrt(2.0 / np.pi) * _cosine_sum(Yw, grid.x[0], grid.dx, kq)
 
 
 def f0_synthesis(grid: KXGrid, Z: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
@@ -192,24 +191,10 @@ def f0_synthesis(grid: KXGrid, Z: np.ndarray, x: np.ndarray | None = None) -> np
     ``x`` well inside that alias window."""
     xq = grid.x if x is None else np.asarray(x, dtype=float)
     Zw = _as_field(Z) * grid.dk
-    out = np.empty((xq.size, Zw.shape[1]), dtype=complex)
-    step = max(1, CHUNK // grid.kpos.size)
-    for a in range(0, xq.size, step):
-        block = np.cos(np.outer(xq[a : a + step], grid.kpos))
-        out[a : a + step] = block @ Zw
-    return np.sqrt(2.0 / np.pi) * out
+    return np.sqrt(2.0 / np.pi) * _cosine_sum(Zw, grid.kpos[0], grid.dk, xq)
 
 
 # -- generalized Fourier maps on the table grid ------------------------------
-
-
-def _plane_sum(kq: np.ndarray, x: np.ndarray, Yw: np.ndarray) -> np.ndarray:
-    """``sum_x e^{i kq x} Yw(x)`` evaluated in chunks, shape ``(len(kq), n)``."""
-    out = np.zeros((kq.size, Yw.shape[1]), dtype=complex)
-    step = max(1, CHUNK // max(1, kq.size))
-    for a in range(0, x.size, step):
-        out += np.exp(1j * np.outer(kq, x[a : a + step])) @ Yw[a : a + step]
-    return out
 
 
 def _near_weights(xv: np.ndarray) -> np.ndarray:
@@ -249,8 +234,8 @@ def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np
     Yw = Y * grid.wx[:, None]
     kq = pt.kpos
     Ssel, m_s, m_ms = _map_tables(pt, sign)
-    out = _plane_sum(-sign * kq, grid.x, Yw)
-    out += np.einsum("kji,kj->ki", Ssel.conj(), _plane_sum(sign * kq, grid.x, Yw))
+    out = fourier_sum(Yw, grid.x[0], grid.dx, kq, -sign)
+    out += np.einsum("kji,kj->ki", Ssel.conj(), fourier_sum(Yw, grid.x[0], grid.dx, kq, sign))
     eye = np.eye(pt.n)
     nxv = pt.xv.size
     Ynear_w = Y[:nxv] * _near_weights(pt.xv)[:, None]
@@ -273,11 +258,8 @@ def fourier_maps_adjoint(
     Zw = Z * grid.dk
     Ssel, m_s, m_ms = _map_tables(pt, sign)
     SZ = np.einsum("kij,kj->ki", Ssel, Zw)
-    out = np.zeros((grid.x.size, Z.shape[1]), dtype=complex)
-    step = max(1, CHUNK // max(1, kq.size))
-    for a in range(0, grid.x.size, step):
-        ph = np.exp(1j * sign * np.outer(grid.x[a : a + step], kq))
-        out[a : a + step] = ph @ Zw + ph.conj() @ SZ
+    out = fourier_sum(Zw, kq[0], grid.dk, grid.x, sign)
+    out += fourier_sum(SZ, kq[0], grid.dk, grid.x, -sign)
     eye = np.eye(pt.n)
     nxv = pt.xv.size
     ph = np.exp(1j * sign * np.outer(kq, pt.xv))
@@ -369,21 +351,7 @@ class _DenseStage:
         return np.sqrt(2.0 / np.pi) * 0.5 * (up + down)
 
     def cosine_synthesis_at(self, Z: np.ndarray, xq: np.ndarray) -> np.ndarray:
-        Zw = Z * self.wk[:, None]
-        out = np.zeros((xq.size, Z.shape[1]), dtype=complex)
-        step = max(1, CHUNK // max(1, xq.size))
-        for a in range(0, self.kq.size, step):
-            block = np.cos(np.outer(xq, self.kq[a : a + step]))
-            out += block @ Zw[a : a + step]
-        return np.sqrt(2.0 / np.pi) * out
-
-    def _czt_sum(self, coeff: np.ndarray, dx_out: float, nx_out: int, sgn: float) -> np.ndarray:
-        """``sum_l coeff_l e^{i sgn k_l x_j}`` at ``x_j = j dx_out``."""
-        out = np.empty((nx_out, coeff.shape[1]), dtype=complex)
-        w = np.exp(1j * sgn * self.dkq * dx_out)
-        for c in range(coeff.shape[1]):
-            out[:, c] = czt(coeff[:, c], m=nx_out, w=w)
-        return out
+        return np.sqrt(2.0 / np.pi) * _cosine_sum(Z * self.wk[:, None], 0.0, self.dkq, xq)
 
     def synthesis(self, Z: np.ndarray, sign: int, dx_out: float, nx_out: int) -> np.ndarray:
         """Adjoint map of the dense stage evaluated on uniform output nodes
@@ -392,8 +360,9 @@ class _DenseStage:
         Ssel = self.Sm if sign == +1 else self.Sq
         SZ = np.einsum("kij,kj->ki", Ssel, Zw)
         # plane parts at the fine output nodes: e^{i sign k x} Zw + conj phase SZ
-        out = self._czt_sum(Zw, dx_out, nx_out, float(sign))
-        out += self._czt_sum(SZ, dx_out, nx_out, -float(sign))
+        x_out = np.arange(nx_out) * dx_out
+        out = fourier_sum(Zw, 0.0, self.dkq, x_out, sign)
+        out += fourier_sum(SZ, 0.0, self.dkq, x_out, -sign)
         # near-field corrections (stored nodes prefix the output grid)
         xv = self.pt.xv
         eye = np.eye(self.pt.n)

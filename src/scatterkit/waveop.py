@@ -31,7 +31,7 @@ import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 from scipy.signal import fftconvolve
 
-from .grids import trapezoid_weights
+from .grids import fourier_sum, trapezoid_weights
 from .jost import KernelTable
 from .scattering import ScatteringTable
 from .spectral import (
@@ -736,8 +736,7 @@ def wave_op_adjoint(
 def _half_synthesis(grid, phi: np.ndarray, sign: int) -> np.ndarray:
     """``(1/sqrt(2 pi)) integral_0^inf e^{sign * ikx} phi(k) dk`` on the
     half-line grid (midpoint rule over positive momenta)."""
-    phases = np.exp(1j * sign * np.outer(grid.x, grid.kpos))
-    return (grid.dk / np.sqrt(2.0 * np.pi)) * (phases @ phi)
+    return (grid.dk / np.sqrt(2.0 * np.pi)) * fourier_sum(phi, grid.kpos[0], grid.dk, grid.x, sign)
 
 
 def t_split_terms(

@@ -319,3 +319,23 @@ def free_dirichlet_evolution(x, t, x0=0.0, sigma=1.0):
     return free_gaussian_evolution(x, t, x0, sigma) - free_gaussian_evolution(
         x, t, -x0, sigma
     )
+
+
+# -- uniform-grid Fourier sums ------------------------------------------------
+
+
+def direct_fourier_sum(g, k0, dk, y, sign=+1):
+    """``sum_j g[j] e^{i sign (k0 + j dk) y_l}`` term by term, with the
+    phases, their cosines and sines and the sums all in ``np.longdouble``;
+    returns complex128 of shape ``(len(y),) + g.shape[1:]``."""
+    g = np.asarray(g, dtype=complex)
+    cols = g.reshape(g.shape[0], -1)
+    gr, gi = cols.real.astype(np.longdouble), cols.imag.astype(np.longdouble)
+    kj = np.longdouble(k0) + np.arange(g.shape[0], dtype=np.longdouble) * np.longdouble(dk)
+    y = np.asarray(y, dtype=float)
+    out = np.empty((y.size, cols.shape[1]), dtype=complex)
+    for row, yl in enumerate(y.astype(np.longdouble)):
+        phase = sign * kj * yl
+        c, s = np.cos(phase), np.sin(phase)
+        out[row] = (c @ gr - s @ gi).astype(float) + 1j * (s @ gr + c @ gi).astype(float)
+    return out.reshape((y.size,) + g.shape[1:])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from scatterkit.grids import (
     GridError,
     GridTooCoarse,
     KXGrid,
     cosine_taper,
+    fourier_sum,
     simpson_weights,
     trapezoid_weights,
 )
@@ -96,3 +98,83 @@ def test_simpson_weights_even_count_falls_back():
     w = simpson_weights(x)
     np.testing.assert_allclose(w.sum(), 1.0, atol=1e-14)
     np.testing.assert_allclose(w @ x, 0.5, atol=1e-14)
+
+
+def _smooth_coefficients(grid, *trailing):
+    """Tapered random coefficients on the momentum grid, fixed seed."""
+    rng = np.random.default_rng(7)
+    shape = (grid.k.size,) + trailing
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return g * grid.taper.reshape((-1,) + (1,) * len(trailing))
+
+
+def _relative_gap(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("nk", [4096, 16384])
+def test_fourier_sum_matches_longdouble_direct_sum(nk):
+    # the default grid and 4x its momenta; the chirp phases theta j^2 / 2
+    # reach 3e4 and 1.2e5 rad, where a float64 chirp misses by ~5e-11
+    grid = KXGrid.build(nk=nk)
+    g = _smooth_coefficients(grid)
+    y = grid.x_sym
+    rows = np.arange(0, y.size, 181)
+    for sign in (+1, -1):
+        got = fourier_sum(g, grid.k[0], grid.dk, y, sign)
+        assert got.shape == (y.size,)
+        ref = oracles.direct_fourier_sum(g, grid.k[0], grid.dk, y[rows], sign)
+        assert _relative_gap(got[rows], ref) < 5e-15
+
+
+def test_fourier_sum_sign_minus_is_exact_conjugate():
+    grid = small_grid()
+    g = _smooth_coefficients(grid, 2, 2)
+    minus = fourier_sum(g, grid.k[0], grid.dk, grid.x_sym, -1)
+    np.testing.assert_array_equal(
+        minus, np.conj(fourier_sum(np.conj(g), grid.k[0], grid.dk, grid.x_sym, +1))
+    )
+    real = g.real
+    np.testing.assert_array_equal(
+        fourier_sum(real, grid.k[0], grid.dk, grid.x, -1),
+        np.conj(fourier_sum(real, grid.k[0], grid.dk, grid.x, +1)),
+    )
+    with pytest.raises(ValueError):
+        fourier_sum(g, grid.k[0], grid.dk, grid.x, 2)
+
+
+def test_fourier_sum_descending_and_nonuniform_nodes():
+    grid = KXGrid.build()
+    g = _smooth_coefficients(grid)
+    descending = grid.x_sym[::-1]
+    rows = np.arange(0, descending.size, 181)
+    got = fourier_sum(g, grid.k[0], grid.dk, descending)
+    ref = oracles.direct_fourier_sum(g, grid.k[0], grid.dk, descending[rows])
+    assert _relative_gap(got[rows], ref) < 5e-15
+    scattered = np.array([-3.7, 0.0, 0.5, 1.0, 2.0, 11.25, 39.9])
+    got = fourier_sum(g, grid.k[0], grid.dk, scattered, -1)
+    ref = oracles.direct_fourier_sum(g, grid.k[0], grid.dk, scattered, -1)
+    assert _relative_gap(got, ref) < 5e-15
+
+
+def test_fourier_sum_keeps_trailing_axes():
+    grid = small_grid()
+    g = _smooth_coefficients(grid, 3, 2, 2)
+    y = grid.x
+    got = fourier_sum(g, grid.k[0], grid.dk, y, -1)
+    assert got.shape == (y.size, 3, 2, 2)
+    ref = oracles.direct_fourier_sum(g, grid.k[0], grid.dk, y, -1)
+    assert _relative_gap(got, ref) < 5e-15
+    column = fourier_sum(g[:, 1, 0, 1], grid.k[0], grid.dk, y, -1)
+    np.testing.assert_allclose(got[:, 1, 0, 1], column, rtol=0, atol=1e-14)
+    assert fourier_sum(g, grid.k[0], grid.dk, np.array([]), +1).shape == (0, 3, 2, 2)
+
+
+def test_fourier_sum_on_non_dyadic_spacing():
+    # k[1] - k[0] carries the rounding of two nodes; across 3000 nodes and
+    # |y| <= 40 that shifts the sum by ~6e-11, the end-node spacing does not
+    grid = KXGrid.build(kmax=37.3, nk=3000, dx=1 / 128, xmax=40.0)
+    g = _smooth_coefficients(grid)
+    y = grid.x[::8]
+    dense = np.exp(1j * np.outer(y, grid.k)) @ g
+    assert _relative_gap(fourier_sum(g, grid.k[0], grid.dk, y), dense) < 1e-13

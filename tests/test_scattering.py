@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -206,6 +207,26 @@ def test_p_symbols_rational_toy():
     # the two half-line pieces recombine to the full-line transform exp(-x)
     full = table.Pminus[:, 0, 0] + table.Pplus[:, 0, 0]
     assert np.abs(full - np.exp(-xq)).max() < 1e-4
+
+
+def test_symbols_on_default_grid_build_no_phase_matrix():
+    # a dense e^{iky} matrix on the default grid (4096 momenta, 20481 nodes)
+    # would take 1.3 GB; the chirp-z sums need a few megabytes
+    grid = KXGrid.build()
+    table = s_limits(_synthetic_table(grid, (grid.k - 1j) / (grid.k + 1j)))
+    tracemalloc.start()
+    try:
+        table = fs_symbol(table)
+        fs_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = p_symbols(table)
+        p_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.Fs.shape == (grid.x_sym.size, 1, 1)
+    assert table.Pplus.shape == table.Pminus.shape == (grid.x_sym.size, 1, 1)
+    assert fs_peak < 64 * 2**20
+    assert p_peak < 64 * 2**20
 
 
 def test_fs_symbol_free_mixed_boundary_closed_form():
