@@ -6,15 +6,18 @@ composed with the free cosine transform.  This module also evaluates the two
 operator-algebra decompositions of ``W`` built from elementary pieces — even
 extension to the full line, restriction back, the Hilbert transform,
 convolution by the transformed scattering data, and the transformation-kernel
-integral operator — and provides probes that measure how the composed
-pipelines act on L^p test families.
+integral operator — and provides probes that measure how the routes act on
+L^p test families.
 
 Layout
 ------
-``FieldRplus`` / ``FieldR`` tag which domain a sampled field lives on (half
-line vs. symmetric line); every primitive declares its input and output tags
-and compositions are validated when a pipeline is assembled, since the
-formulas interleave the two domains and a silent mismatch is the main hazard.
+``FieldRplus`` / ``FieldR`` hold fields sampled on the half line and on a
+grid symmetric about 0; each constructor checks its own grid.  The routes
+are written directly on the primitives (extension, restriction, Hilbert
+transform, convolution, kernel application).  The formulas interleave the
+two domains; ``kernel_apply`` and its adjoint reject a ``FieldR`` with
+``DomainMismatch``, since a full-line field passes their grid checks and the
+kernel rows would act on its negative-x samples.
 
 All adjoints are the exact discrete adjoints of the forward quadratures with
 respect to the trapezoid inner products, so duality tests close to rounding;
@@ -52,24 +55,12 @@ __all__ = [
     "DomainReflection",
     "FieldR",
     "FieldRplus",
-    "Stage",
-    "OperatorPipeline",
-    "pipeline_sum",
-    "stage_extend_even",
-    "stage_extend_odd",
-    "stage_restrict",
-    "stage_hilbert",
-    "stage_convolve",
-    "stage_kernel",
-    "stage_matmul",
-    "stage_identity",
     "extend_even",
     "extend_odd",
     "restrict",
     "extend_even_adjoint",
     "restrict_adjoint",
     "hilbert",
-    "halfline_band_projection",
     "convolve",
     "convolve_adjoint",
     "kernel_apply",
@@ -125,7 +116,7 @@ class GridMismatch(WaveOpError):
 
 
 class DomainMismatch(WaveOpError):
-    """Pipeline stages whose domains do not chain."""
+    """A field on the wrong domain for the operator."""
 
 
 class WindowTooSmall(WaveOpError):
@@ -171,8 +162,9 @@ def _check_uniform(x: np.ndarray, label: str) -> float:
 
 
 @dataclass(frozen=True)
-class FieldRplus:
-    """Samples of a C^n-valued function on a uniform half-line grid."""
+class _Field:
+    """Samples of a C^n-valued function on a uniform grid; the subclasses
+    fix and check which grid."""
 
     x: np.ndarray
     values: np.ndarray
@@ -180,13 +172,8 @@ class FieldRplus:
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "values", _as_columns(self.values))
-        _check_uniform(self.x, "half-line")
-        if abs(self.x[0]) > 1e-12:
-            raise GridMismatch("half-line grid must start at 0")
         if self.values.shape[0] != self.x.size:
             raise GridMismatch("field values do not match the grid length")
-
-    domain = "R+"
 
     @property
     def n(self) -> int:
@@ -203,49 +190,33 @@ class FieldRplus:
     def norm(self, p: float = 2) -> float:
         return _lp_norm(self.values, self.weights, p)
 
-    def replace_values(self, values: np.ndarray) -> "FieldRplus":
-        return FieldRplus(self.x, values)
+    def replace_values(self, values: np.ndarray):
+        """The same kind of field on the same grid with new samples."""
+        return type(self)(self.x, values)
 
 
-@dataclass(frozen=True)
-class FieldR:
-    """Samples of a C^n-valued function on a uniform grid symmetric about 0."""
-
-    x: np.ndarray
-    values: np.ndarray
+class FieldRplus(_Field):
+    """Samples of a C^n-valued function on a uniform half-line grid."""
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "values", _as_columns(self.values))
+        super().__post_init__()
+        _check_uniform(self.x, "half-line")
+        if abs(self.x[0]) > 1e-12:
+            raise GridMismatch("half-line grid must start at 0")
+
+
+class FieldR(_Field):
+    """Samples of a C^n-valued function on a uniform grid symmetric about 0."""
+
+    def __post_init__(self):
+        super().__post_init__()
         _check_uniform(self.x, "symmetric")
         if self.x.size % 2 == 0 or np.abs(self.x + self.x[::-1]).max() > 1e-9:
             raise GridMismatch("full-line grid must be symmetric about 0")
-        if self.values.shape[0] != self.x.size:
-            raise GridMismatch("field values do not match the grid length")
-
-    domain = "R"
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
 
     @property
     def center(self) -> int:
         return self.x.size // 2
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return trapezoid_weights(self.x)
-
-    def norm(self, p: float = 2) -> float:
-        return _lp_norm(self.values, self.weights, p)
-
-    def replace_values(self, values: np.ndarray) -> "FieldR":
-        return FieldR(self.x, values)
 
 
 def _lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
@@ -308,7 +279,7 @@ def restrict_adjoint(f: FieldRplus) -> FieldR:
 
 
 # --------------------------------------------------------------------------
-# Hilbert transform and the half-momentum projections
+# Hilbert transform
 # --------------------------------------------------------------------------
 
 
@@ -321,40 +292,18 @@ def _edge_mass_fraction(f: FieldR, outer_fraction: float = 0.1) -> float:
     return float(np.sum(f.weights[edge] * point[edge]) / total)
 
 
-def _padded_fft_multiplier(f: FieldR, multiplier: Callable[[np.ndarray], np.ndarray],
-                           inverse_first: bool = False) -> np.ndarray:
-    """Apply a momentum multiplier, given as a function of ``sign(k)``, with
-    several window lengths of zero padding.  Padding controls circular
-    leakage: a multiplier image with a ``C/x`` tail sees its nearest periodic
-    ghosts at ``+-L`` (one circular period), which cancel to ``O(x / L^2)``
-    inside the window, so a generous pad buys two orders of accuracy at
-    log-linear cost.
-
-    ``sign`` is 0 at ``k = 0`` and at the Nyquist bin of an even padded
-    length (the ``scipy.signal.hilbert`` convention).  The Nyquist bin is its
-    own conjugate, so any other value there makes an odd multiplier
-    non-odd, and makes the ``inverse_first`` order (which applies the
-    multiplier at ``-k``) differ from the forward order by an alternating
-    mode."""
-    nsym = f.x.size
-    nfft = next_fast_len(PAD_FACTOR * nsym)
-    pad = np.zeros((nfft, f.n), dtype=complex)
-    pad[:nsym] = f.values
-    sign = np.sign(np.fft.fftfreq(nfft))
-    if nfft % 2 == 0:
-        sign[nfft // 2] = 0.0
-    m = multiplier(sign)[:, None]
-    if inverse_first:
-        return fft(m * ifft(pad, axis=0), axis=0)[:nsym]
-    return ifft(m * fft(pad, axis=0), axis=0)[:nsym]
-
-
 def hilbert(f: FieldR, mass_tol: float = OUTER_MASS_FRACTION) -> FieldR:
     """Discrete Hilbert transform ``(1/pi) PV integral Y(y)/(x-y) dy`` as the
     momentum multiplier ``-i sign(k)`` in the forward-transform convention
-    ``e^{-ikx}``.  ``sign`` is 0 at ``k = 0`` and at the Nyquist bin of the
-    padded length, so the multiplier is odd in ``k`` on every bin and the
-    transform of a real field is real.
+    ``e^{-ikx}``, applied with several window lengths of zero padding.
+
+    Padding controls circular leakage: the image's ``C/x`` tail sees its
+    nearest periodic ghosts at ``+-L`` (one circular period), which cancel to
+    ``O(x / L^2)`` inside the window, so a generous pad buys two orders of
+    accuracy at log-linear cost.  ``sign`` is 0 at ``k = 0`` and at the
+    Nyquist bin of an even padded length (the ``scipy.signal.hilbert``
+    convention): that bin is its own conjugate, so any other value there
+    makes the multiplier non-odd and the transform of a real field complex.
 
     Raises
     ------
@@ -368,25 +317,12 @@ def hilbert(f: FieldR, mass_tol: float = OUTER_MASS_FRACTION) -> FieldR:
             f"{frac:.1%} of the field mass lies in the outer tenth of the "
             "window; enlarge it before applying a nonlocal transform"
         )
-    out = _padded_fft_multiplier(f, lambda sign: -1j * sign)
-    return f.replace_values(out)
-
-
-def halfline_band_projection(f: FieldR, branch: int = +1) -> FieldR:
-    """Project onto positive momenta: forward transform, cut off k < 0,
-    transform back (``branch=+1``); ``branch=-1`` runs the transforms in the
-    opposite order.  Both equal ``(branch*i/2) H + 1/2`` exactly in the
-    discrete transform algebra, mirroring the continuum identity: they share
-    ``hilbert``'s padded transform and its sign convention, whose 0 at the
-    self-conjugate Nyquist bin makes the two transform orders agree there."""
-    positive = lambda sign: 0.5 * (1.0 + sign)
-    if branch == +1:
-        out = _padded_fft_multiplier(f, positive)
-    elif branch == -1:
-        out = _padded_fft_multiplier(f, positive, inverse_first=True)
-    else:
-        raise WaveOpError("branch must be +1 or -1")
-    return f.replace_values(out)
+    nfft = next_fast_len(PAD_FACTOR * f.x.size)
+    sign = np.sign(np.fft.fftfreq(nfft))
+    if nfft % 2 == 0:
+        sign[nfft // 2] = 0.0
+    spectrum = -1j * sign[:, None] * fft(f.values, n=nfft, axis=0)
+    return f.replace_values(ifft(spectrum, axis=0)[: f.x.size])
 
 
 # --------------------------------------------------------------------------
@@ -394,35 +330,38 @@ def halfline_band_projection(f: FieldR, branch: int = +1) -> FieldR:
 # --------------------------------------------------------------------------
 
 
-def convolve(G: FieldR, f: FieldR) -> FieldR:
-    """``(Q(G)Y)(x) = integral G(x-y) Y(y) dy`` with matrix-valued samples of
-    ``G`` on the same symmetric grid (trapezoid-in-physical-space, evaluated
-    as an exact linear convolution)."""
+def _matrix_kernel(G: FieldR, f: FieldR) -> np.ndarray:
+    """The kernel samples as an ``(x, n, n)`` array, checked against the
+    field's grid and channel count."""
     _same_grid(G.x, f.x, "convolution kernel and field")
     g = G.values if G.values.ndim == 3 else G.values[:, :, None]
     if g.shape[1] != f.n or g.shape[2] != f.n:
         raise GridMismatch("kernel channel count does not match the field")
-    out = np.zeros_like(f.values)
-    for i in range(f.n):
-        for l in range(f.n):
-            out[:, i] += fftconvolve(g[:, i, l], f.values[:, l], mode="same")
-    return f.replace_values(out * f.dx)
+    return g
+
+
+def _channel_convolve(g: np.ndarray, values: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(values)
+    for i in range(values.shape[1]):
+        for l in range(values.shape[1]):
+            out[:, i] += fftconvolve(g[:, i, l], values[:, l], mode="same")
+    return out
+
+
+def convolve(G: FieldR, f: FieldR) -> FieldR:
+    """``(Q(G)Y)(x) = integral G(x-y) Y(y) dy`` with matrix-valued samples of
+    ``G`` on the same symmetric grid (trapezoid-in-physical-space, evaluated
+    as an exact linear convolution)."""
+    g = _matrix_kernel(G, f)
+    return f.replace_values(_channel_convolve(g, f.values) * f.dx)
 
 
 def convolve_adjoint(G: FieldR, f: FieldR) -> FieldR:
     """Exact discrete adjoint of :func:`convolve`: convolution by the
     reversed conjugate-transposed kernel, with the endpoint trapezoid weights
     folded in so the duality pairing closes to rounding."""
-    _same_grid(G.x, f.x, "convolution kernel and field")
-    g = G.values if G.values.ndim == 3 else G.values[:, :, None]
-    if g.shape[1] != f.n or g.shape[2] != f.n:
-        raise GridMismatch("kernel channel count does not match the field")
-    flipped = g[::-1].conj().swapaxes(-1, -2)
-    weighted = f.weights[:, None] * f.values
-    out = np.zeros_like(f.values)
-    for i in range(f.n):
-        for l in range(f.n):
-            out[:, i] += fftconvolve(flipped[:, i, l], weighted[:, l], mode="same")
+    flipped = _matrix_kernel(G, f)[::-1].conj().swapaxes(-1, -2)
+    out = _channel_convolve(flipped, f.weights[:, None] * f.values)
     return f.replace_values(out * (f.dx / f.weights[:, None]))
 
 
@@ -436,6 +375,10 @@ def _kernel_gate(kt: KernelTable, schur_bound: float) -> None:
 
 
 def _kernel_grid_check(kt: KernelTable, f: FieldRplus) -> None:
+    if not isinstance(f, FieldRplus):
+        raise DomainMismatch(
+            f"the kernel acts on half-line fields, got a {type(f).__name__}"
+        )
     if abs(f.dx - (kt.y[1] - kt.y[0])) > 1e-9 * f.dx:
         raise GridMismatch("field and kernel columns use different spacings")
     if f.x.size < kt.y.size:
@@ -452,6 +395,8 @@ def kernel_apply(
     ------
     SchurUnbounded
         If either Schur integral of the kernel exceeds ``schur_bound``.
+    DomainMismatch
+        If the field is not a half-line field.
     GridMismatch
         If the field grid is not a superset of the kernel columns.
     """
@@ -485,135 +430,6 @@ def kernel_apply_adjoint(
 
 
 # --------------------------------------------------------------------------
-# composable pipelines with domain tags
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One linear operator with declared input and output domains."""
-
-    name: str
-    in_domain: str
-    out_domain: str
-    apply: Callable
-
-
-@dataclass(frozen=True)
-class OperatorPipeline:
-    """Stages applied left to right; domains are validated on construction."""
-
-    stages: tuple
-
-    def __post_init__(self):
-        for a, b in zip(self.stages, self.stages[1:]):
-            if a.out_domain != b.in_domain:
-                raise DomainMismatch(
-                    f"stage '{a.name}' produces {a.out_domain} but stage "
-                    f"'{b.name}' expects {b.in_domain}"
-                )
-
-    @property
-    def in_domain(self) -> str:
-        return self.stages[0].in_domain
-
-    @property
-    def out_domain(self) -> str:
-        return self.stages[-1].out_domain
-
-    def then(self, *stages: Stage) -> "OperatorPipeline":
-        return OperatorPipeline(self.stages + tuple(stages))
-
-    def __call__(self, field):
-        if field.domain != self.in_domain:
-            raise DomainMismatch(
-                f"pipeline expects a {self.in_domain} field, got {field.domain}"
-            )
-        for stage in self.stages:
-            field = stage.apply(field)
-        return field
-
-
-@dataclass(frozen=True)
-class _PipelineSum:
-    """Linear combination of pipelines with one common domain signature."""
-
-    parts: tuple
-    coefficients: tuple
-
-    @property
-    def in_domain(self) -> str:
-        return self.parts[0].in_domain
-
-    @property
-    def out_domain(self) -> str:
-        return self.parts[0].out_domain
-
-    def __call__(self, field):
-        total = None
-        for c, part in zip(self.coefficients, self.parts):
-            piece = part(field)
-            vals = c * piece.values
-            total = vals if total is None else total + vals
-        return piece.replace_values(total)
-
-
-def pipeline_sum(parts: Sequence, coefficients: Sequence[complex] | None = None):
-    parts = tuple(parts)
-    if coefficients is None:
-        coefficients = (1.0,) * len(parts)
-    for p in parts[1:]:
-        if p.in_domain != parts[0].in_domain or p.out_domain != parts[0].out_domain:
-            raise DomainMismatch("summed pipelines must share domain signatures")
-    return _PipelineSum(parts, tuple(coefficients))
-
-
-def stage_extend_even() -> Stage:
-    return Stage("extend_even", "R+", "R", extend_even)
-
-
-def stage_extend_odd() -> Stage:
-    return Stage("extend_odd", "R+", "R", extend_odd)
-
-
-def stage_restrict() -> Stage:
-    return Stage("restrict", "R", "R+", restrict)
-
-
-def stage_hilbert() -> Stage:
-    return Stage("hilbert", "R", "R", hilbert)
-
-
-def stage_convolve(G: FieldR) -> Stage:
-    return Stage("convolve", "R", "R", lambda f: convolve(G, f))
-
-
-def stage_kernel(kt: KernelTable, schur_bound: float = SCHUR_BOUND) -> Stage:
-    return Stage("kernel", "R+", "R+", lambda f: kernel_apply(kt, f, schur_bound))
-
-
-def stage_matmul(C: np.ndarray, domain: str = "R") -> Stage:
-    C = np.asarray(C, dtype=complex)
-    return Stage(
-        "matmul", domain, domain,
-        lambda f: f.replace_values(f.values @ C.T),
-    )
-
-
-def stage_identity(domain: str) -> Stage:
-    return Stage("identity", domain, domain, lambda f: f)
-
-
-def _one_plus_kernel(kt: KernelTable) -> object:
-    return pipeline_sum(
-        [
-            OperatorPipeline((stage_identity("R+"),)),
-            OperatorPipeline((stage_kernel(kt),)),
-        ]
-    )
-
-
-# --------------------------------------------------------------------------
 # the three wave-operator routes
 # --------------------------------------------------------------------------
 
@@ -627,48 +443,34 @@ def wave_op_stationary(pt: PhysicalSolutionTable, f: FieldRplus, sign: int = +1)
     return f.replace_values(out)
 
 
-def _decomposed_pipeline(st: ScatteringTable, kt: KernelTable, sign: int):
-    if st.S_infinity is None or st.Fs is None:
-        raise WaveOpError("attach the high-energy limit and its transform first")
-    G = FieldR(st.Fs_y, st.Fs)
-    up = 0.5j * sign
-    down = -0.5j * sign
-    even = stage_extend_even()
-    hil = stage_hilbert()
-    sinf = stage_matmul(st.S_infinity)
-    conv = stage_convolve(G)
-    inner = [
-        pipeline_sum(
-            [OperatorPipeline((even, hil)), OperatorPipeline((even,))],
-            [up, 0.5],
-        ),
-        pipeline_sum(
-            [OperatorPipeline((even, sinf, hil)), OperatorPipeline((even, sinf))],
-            [down, 0.5],
-        ),
-        pipeline_sum(
-            [OperatorPipeline((even, conv, hil)), OperatorPipeline((even, conv))],
-            [down, 0.5],
-        ),
-    ]
-    okern = _one_plus_kernel(kt)
-    rst = OperatorPipeline((stage_restrict(),))
-    return [lambda f, p=p: okern(rst(p(f))) for p in inner]
-
-
 def wave_op_decomposed(
     st: ScatteringTable, kt: KernelTable, f: FieldRplus, sign: int = +1
 ) -> FieldRplus:
-    """Operator-algebra route: three terms, each the kernel-dressed
-    restriction of a half-momentum projection — the plain one, the one twisted
-    by the high-energy limit of S, and the one twisted by convolution with the
-    transform of ``S - S_infinity``."""
-    terms = _decomposed_pipeline(st, kt, sign)
-    total = None
-    for term in terms:
-        piece = term(f)
-        total = piece.values if total is None else total + piece.values
-    return f.replace_values(total)
+    """Operator-algebra route ``(I + K) R [P_+- E f + P_-+ S_inf E f +
+    P_-+ (F_s * E f)]`` with the half-momentum projections
+    ``P_+- = (1 +- i sign H) / 2``: the plain even extension, the one twisted
+    by the high-energy limit of S, and the one twisted by convolution with
+    the transform of ``S - S_infinity``.  ``H`` is linear, so with
+    ``t = S_inf E f + F_s * E f`` the bracket is ``(E f + t) / 2 +
+    (i sign / 2) H(E f - t)``: one convolution, one Hilbert transform and one
+    kernel pass.
+
+    Raises
+    ------
+    WindowTooSmall
+        If ``E f - t``, the one field that is Hilbert transformed, has too
+        much mass near the window edge; that is where wrap-around error
+        arises.  Under ``S_inf = I`` and ``F_s = 0`` (free Neumann) that
+        field vanishes to rounding, so the gate passes and the route returns
+        ``f`` whatever the field's support.
+    """
+    if st.S_infinity is None or st.Fs is None:
+        raise WaveOpError("attach the high-energy limit and its transform first")
+    g = extend_even(f)
+    t = g.values @ st.S_infinity.T + convolve(FieldR(st.Fs_y, st.Fs), g).values
+    h = hilbert(g.replace_values(g.values - t))
+    u = restrict(g.replace_values(0.5 * (g.values + t) + 0.5j * sign * h.values))
+    return u.replace_values(u.values + kernel_apply(kt, u).values)
 
 
 def _identity_gate(st: ScatteringTable) -> None:

@@ -4,13 +4,18 @@ Everything here deliberately avoids the package's own numerics: ordinary
 differential equations are integrated with scipy's adaptive Runge-Kutta on
 the matrix system, special-function values come from closed forms or mpmath
 high-precision quadrature.  Tests freeze these outputs as literals; rerun the
-functions to regenerate them.
+functions to regenerate them.  The one exception is
+:func:`decomposed_three_terms`, the decomposed wave operator written term by
+term from the package's public primitives, against which the fused route is
+checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from scatterkit.waveop import FieldR, convolve, extend_even, hilbert, kernel_apply, restrict
 
 
 # -- adaptive-RK Jost solution oracle -----------------------------------------
@@ -339,3 +344,24 @@ def direct_fourier_sum(g, k0, dk, y, sign=+1):
         c, s = np.cos(phase), np.sin(phase)
         out[row] = (c @ gr - s @ gi).astype(float) + 1j * (s @ gr + c @ gi).astype(float)
     return out.reshape((y.size,) + g.shape[1:])
+
+
+# -- the decomposed wave operator, term by term --------------------------------
+
+
+def decomposed_three_terms(st, kt, f, sign=+1):
+    """``(I + K) R [P_+- E f + P_-+ S_inf E f + P_-+ (F_s * E f)]`` with
+    ``P_+- = (1 +- i sign H) / 2``, as printed: each of the three terms gets
+    its own Hilbert transform and its own ``(I + K) R`` pass."""
+    g = extend_even(f)
+    terms = (
+        (g, +1),
+        (g.replace_values(g.values @ st.S_infinity.T), -1),
+        (convolve(FieldR(st.Fs_y, st.Fs), g), -1),
+    )
+    total = np.zeros_like(f.values)
+    for field, branch in terms:
+        projected = field.values / 2 + branch * 0.5j * sign * hilbert(field).values
+        u = restrict(field.replace_values(projected))
+        total += u.values + kernel_apply(kt, u).values
+    return f.replace_values(total)

@@ -1,4 +1,4 @@
-"""Wave operators: domain-tagged primitives, the three equivalent routes,
+"""Wave operators: the field primitives, the three equivalent routes,
 adjoints, finite-time limits, and the L^p boundedness probes.
 
 Closed forms used here: the Hilbert transform pair 1/(1+x^2) -> x/(1+x^2);
@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from scatterkit import waveop
 from scatterkit.boundary import BoundaryPair
 from scatterkit.grids import KXGrid
 from scatterkit.jost import marchenko_kernel, solve_faddeev, jost_matrix
@@ -26,7 +28,6 @@ from scatterkit.waveop import (
     FieldRplus,
     GridMismatch,
     HypothesisViolated,
-    OperatorPipeline,
     SchurUnbounded,
     WindowTooSmall,
     bump_family,
@@ -35,17 +36,12 @@ from scatterkit.waveop import (
     extend_even,
     extend_even_adjoint,
     extend_odd,
-    halfline_band_projection,
     hilbert,
     kernel_apply,
     kernel_apply_adjoint,
     lp_probe,
-    pipeline_sum,
     restrict,
     restrict_adjoint,
-    stage_extend_even,
-    stage_hilbert,
-    stage_restrict,
     t_split_terms,
     wave_op_adjoint,
     wave_op_decomposed,
@@ -73,6 +69,16 @@ def dirichlet_fine():
 
 
 @pytest.fixture(scope="module")
+def matrix_wave(matrix_potential):
+    """Scattering and kernel tables for the 2x2 potential under the Robin
+    pair (pi, 0.9), where S_inf != I and F_s != 0, on a small grid."""
+    grid = KXGrid.build(kmax=20.0, nk=512, dx=1 / 64, xmax=12.0)
+    bc = BoundaryPair.robin(np.array([np.pi, 0.9]), n=2)
+    jt = jost_matrix(solve_faddeev(matrix_potential, grid), bc)
+    return scattering_table(jt), marchenko_kernel(jt)
+
+
+@pytest.fixture(scope="module")
 def neumann_free():
     grid = KXGrid.build(kmax=40.0, nk=2048, dx=1 / 128, xmax=16.0)
     jt = jost_matrix(solve_faddeev(zero_potential(1), grid), BoundaryPair.neumann(1))
@@ -88,7 +94,7 @@ def _inner_line(f: FieldR, g: FieldR) -> complex:
     return complex(np.sum(f.weights[:, None] * f.values.conj() * g.values))
 
 
-# -- fields and domain tags ---------------------------------------------------
+# -- fields ---------------------------------------------------------------------
 
 
 def test_field_contracts():
@@ -103,6 +109,18 @@ def test_field_contracts():
     FieldR(xs, np.ones(xs.size))
     with pytest.raises(GridMismatch, match="symmetric about 0"):
         FieldR(xs[:-1], np.ones(xs.size - 1))
+    bent = np.concatenate([x[:8], x[8:] * 1.01])
+    with pytest.raises(GridMismatch, match="half-line grid must be uniform"):
+        FieldRplus(bent, np.ones(x.size))
+    with pytest.raises(GridMismatch, match="symmetric grid must be uniform"):
+        FieldR(np.concatenate([-bent[:0:-1], bent]), np.ones(2 * x.size - 1))
+    for cls, grid in ((FieldRplus, x), (FieldR, xs)):
+        with pytest.raises(GridMismatch, match="do not match the grid length"):
+            cls(grid, np.ones(grid.size + 1))
+        field = cls(grid, np.ones((grid.size, 2)))
+        replaced = field.replace_values(2.0 * field.values)
+        assert type(replaced) is cls and replaced.n == 2
+        assert np.array_equal(replaced.x, grid) and np.all(replaced.values == 2.0)
 
 
 def test_extension_restriction_algebra():
@@ -134,7 +152,7 @@ def test_extension_adjoints_are_exact():
     assert abs(lhs - rhs) < 1e-12
 
 
-# -- Hilbert transform and band projections -----------------------------------
+# -- Hilbert transform ----------------------------------------------------------
 
 
 def test_hilbert_matches_lorentzian_pair():
@@ -174,18 +192,6 @@ def test_hilbert_of_real_field_is_real():
     x = np.arange(-30.0, 30.0 + 1e-9, 1 / 8)
     f = FieldR(x, rng.normal(size=(x.size, 1)) * np.exp(-(x[:, None] ** 2) / 40.0))
     assert np.abs(hilbert(f).values.imag).max() < 1e-12
-
-
-def test_band_projections_equal_hilbert_combination():
-    rng = np.random.default_rng(5)
-    x = np.arange(-30.0, 30.0 + 1e-9, 1 / 8)
-    f = FieldR(x, (rng.normal(size=(x.size, 2)) + 1j * rng.normal(size=(x.size, 2)))
-               * np.exp(-(x[:, None] ** 2) / 40.0))
-    h = hilbert(f)
-    for branch in (+1, -1):
-        proj = halfline_band_projection(f, branch)
-        combo = branch * 0.5j * h.values + 0.5 * f.values
-        assert np.abs(proj.values - combo).max() < 1e-12
 
 
 # -- convolution and kernel application ---------------------------------------
@@ -255,21 +261,15 @@ def test_kernel_schur_below_closed_form_bound(golden_wave):
     assert kt.schur_col <= 0.5 * np.exp(0.5) + 1e-12
 
 
-# -- pipelines -----------------------------------------------------------------
-
-
-def test_pipeline_domain_validation():
-    with pytest.raises(DomainMismatch, match="restrict"):
-        OperatorPipeline((stage_restrict(), stage_restrict()))
-    pipe = OperatorPipeline((stage_extend_even(), stage_hilbert(), stage_restrict()))
-    x = np.arange(0.0, 8.0, 1 / 16)
-    out = pipe(FieldRplus(x, np.exp(-((x - 3.0) ** 2))))
-    assert isinstance(out, FieldRplus)
-    with pytest.raises(DomainMismatch):
-        pipe(extend_even(FieldRplus(x, np.ones(x.size))))
-    summed = pipeline_sum([pipe, pipe], [0.25, 0.75])
-    f = FieldRplus(x, np.exp(-((x - 3.0) ** 2)))
-    assert np.allclose(summed(f).values, pipe(f).values, atol=1e-14)
+def test_kernel_rejects_full_line_field(golden_wave):
+    # an even extension fits the kernel's spacing and length, so only its
+    # domain tells it apart: its kernel rows would act on negative-x samples
+    _, _, kt = golden_wave
+    xg = np.arange(0.0, 16.0, 1 / 128)
+    full = extend_even(FieldRplus(xg, np.exp(-((xg - 2.0) ** 2))))
+    for op in (kernel_apply, kernel_apply_adjoint):
+        with pytest.raises(DomainMismatch, match="half-line"):
+            op(kt, full)
 
 
 # -- the three routes ----------------------------------------------------------
@@ -347,6 +347,51 @@ def test_routes_are_linear(golden_wave):
     ):
         defect = op(comb).values - a * op(fa).values - b * op(fb).values
         assert np.abs(defect).max() < 1e-10
+
+
+def test_decomposed_matches_three_term_oracle(golden_wave, matrix_wave):
+    _, golden, golden_kt = golden_wave
+    matrix, matrix_kt = matrix_wave
+    assert np.abs(matrix.S_infinity - np.eye(2)).max() > 0.5
+    assert np.abs(matrix.Fs).max() > 1e-3
+    for table, kt in ((golden, golden_kt), (matrix, matrix_kt)):
+        x = table.grid.x
+        f = FieldRplus(x, np.stack([
+            np.exp(-((x - 2.0) ** 2)),
+            np.exp(1.5j * x) * np.exp(-((x - 2.5) ** 2)),
+        ], axis=1)[:, : table.n])
+        for sign in (+1, -1):
+            fused = wave_op_decomposed(table, kt, f, sign)
+            reference = oracles.decomposed_three_terms(table, kt, f, sign)
+            gap = fused.replace_values(fused.values - reference.values).norm(2)
+            assert gap / reference.norm(2) < 1e-12
+
+
+def test_decomposed_makes_one_pass_of_each_primitive(golden_wave, monkeypatch):
+    _, table, kt = golden_wave
+    calls = dict.fromkeys(("hilbert", "convolve", "kernel_apply"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _op=getattr(waveop, name)):
+            calls[_name] += 1
+            return _op(*args)
+        monkeypatch.setattr(waveop, name, counted)
+    x = table.grid.x
+    wave_op_decomposed(table, kt, FieldRplus(x, np.exp(-((x - 6.0) ** 2))), +1)
+    assert calls == {"hilbert": 1, "convolve": 1, "kernel_apply": 1}
+
+
+def test_decomposed_window_gate(dirichlet_fine, neumann_free):
+    # the gate watches E f - S_inf E f - F_s * E f, the one field that is
+    # Hilbert transformed: 2 E f under free Dirichlet, 0 under free Neumann
+    jt, _ = dirichlet_fine
+    x = jt.grid.x
+    edge = FieldRplus(x, np.exp(-((x - 15.5) ** 2)))
+    with pytest.raises(WindowTooSmall, match="outer tenth"):
+        wave_op_decomposed(scattering_table(jt), marchenko_kernel(jt), edge, +1)
+    _, table, kt = neumann_free
+    edge = FieldRplus(table.grid.x, np.exp(-((table.grid.x - 15.5) ** 2)))
+    for sign in (+1, -1):
+        assert np.abs(wave_op_decomposed(table, kt, edge, sign).values - edge.values).max() < 1e-15
 
 
 def test_t_split_terms_sum_to_stationary(golden_wave):
