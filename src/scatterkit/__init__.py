@@ -4,14 +4,15 @@ The package computes, for -d^2/dx^2 + V(x) on x >= 0 with a general
 self-adjoint boundary condition at the origin:
 
 * Jost (Faddeev) solutions and the Jost matrix,
-* the scattering matrix, its zero/infinite-energy limits and Fourier symbols,
+* the scattering matrix, its exact zero/infinite-energy limits and Fourier
+  symbols,
 * the Marchenko integral kernel of the Jost-solution representation,
 * generalized Fourier maps, spectral time evolution and bound states,
 * wave operators in three equivalent forms (spectral, three-term
   Hilbert-transform decomposition, four-term convolution form),
-* full-line problems with point interactions reduced to half-line systems of
-  doubled size, and the full-line scattering matrix assembled from the
-  reflection/transmission blocks.
+* fold helpers that turn a full-line problem with a point interaction into a
+  half-line system of doubled size (``fold_line_potential``,
+  ``line_interaction_matrices``, ``transmission_boundary``).
 
 Everything is table-driven: build a :class:`~scatterkit.grids.KXGrid`, solve
 for the Faddeev tables, then derive scattering/spectral/wave-operator objects

@@ -89,16 +89,21 @@ class DiagonalForm:
 
     ``A = M @ diag(-sin theta) @ T1 @ M^dagger @ T2`` and
     ``B = M @ diag(cos theta) @ T1 @ M^dagger @ T2`` with ``M`` unitary,
-    ``T1 = diag(e^{i theta})`` and ``T2 = B + iA``.
+    ``T1 = diag(e^{i theta})`` and ``T2 = B + iA``.  ``dirichlet`` marks the
+    channels with ``theta = pi`` (within ``ANGLE_SNAP_TOL``).
     """
 
     thetas: np.ndarray
     M: np.ndarray
     T1: np.ndarray
     T2: np.ndarray
-    n_dirichlet: int
+    dirichlet: np.ndarray
     n_neumann: int
     n_mixed: int
+
+    @property
+    def n_dirichlet(self) -> int:
+        return int(self.dirichlet.sum())
 
     @cached_property
     def A_tilde(self) -> np.ndarray:
@@ -182,16 +187,16 @@ def diagonalize_boundary(bp: BoundaryPair) -> DiagonalForm:
     M = Z[:, order]
     T1 = np.diag(np.exp(1j * thetas))
     T2 = bp.B + 1j * bp.A
-    n_dir = int(np.sum(np.abs(thetas - np.pi) <= ANGLE_SNAP_TOL))
+    dirichlet = np.abs(thetas - np.pi) <= ANGLE_SNAP_TOL
     n_neu = int(np.sum(np.abs(thetas - np.pi / 2) <= ANGLE_SNAP_TOL))
     form = DiagonalForm(
         thetas=thetas,
         M=M,
         T1=T1,
         T2=T2,
-        n_dirichlet=n_dir,
+        dirichlet=dirichlet,
         n_neumann=n_neu,
-        n_mixed=bp.n - n_dir - n_neu,
+        n_mixed=bp.n - int(dirichlet.sum()) - n_neu,
     )
     A_rec, B_rec = form.reconstruct()
     scale = max(1.0, float(np.linalg.norm(bp.A, 2)), float(np.linalg.norm(bp.B, 2)))
@@ -208,7 +213,7 @@ def predicted_s_infinity(form: DiagonalForm) -> np.ndarray:
     """High-energy scattering-matrix limit determined by the boundary
     condition alone: ``M diag(d) M^dagger`` with ``d_j = -1`` on Dirichlet
     channels and ``+1`` otherwise."""
-    d = np.where(np.abs(form.thetas - np.pi) <= ANGLE_SNAP_TOL, -1.0, 1.0)
+    d = np.where(form.dirichlet, -1.0, 1.0)
     return form.M @ np.diag(d).astype(complex) @ form.M.conj().T
 
 

@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .boundary import BoundaryPair
-from .grids import KXGrid, cosine_taper, fourier_sum, trapezoid_weights
-from .potentials import PotentialSpec, validate_potential
+from .grids import KXGrid, fourier_sum, trapezoid_weights
+from .potentials import PotentialSpec, tail_integral, validate_potential
 
 EXCEPTIONAL_TOL = 1e-6
 
@@ -84,6 +84,9 @@ class JostMatrix:
         Smallest singular value of ``J(0)``.
     exceptional : bool
         True when ``J(0)`` is numerically singular (relative 1e-6).
+    zero_modes : ndarray
+        Orthonormal basis of ``Ker J(0)^dagger``, shape ``(n, d)``: the left
+        singular vectors of ``J(0)`` below the same relative 1e-6.
     """
 
     k: np.ndarray
@@ -92,6 +95,7 @@ class JostMatrix:
     min_sv: float
     min_sv0: float
     exceptional: bool
+    zero_modes: np.ndarray
     boundary: BoundaryPair
 
 
@@ -304,15 +308,16 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
     J = f_dag @ bp.B - fp_dag @ bp.A
     J0 = jt.m0[0].conj().T @ bp.B - jt.m0prime[0].conj().T @ bp.A
     sv = np.linalg.svd(J, compute_uv=False)
-    sv0 = np.linalg.svd(J0, compute_uv=False)
-    scale0 = max(1.0, float(sv0.max()))
+    u0, sv0, _ = np.linalg.svd(J0)
+    zero = sv0 < EXCEPTIONAL_TOL * max(1.0, float(sv0.max()))
     jm = JostMatrix(
         k=jt.k,
         J=J,
         J0=J0,
         min_sv=float(sv.min()),
         min_sv0=float(sv0.min()),
-        exceptional=bool(sv0.min() < EXCEPTIONAL_TOL * scale0),
+        exceptional=bool(zero.any()),
+        zero_modes=u0[:, zero],
         boundary=bp,
     )
     return replace(jt, jmatrix=jm)
@@ -342,7 +347,8 @@ class KernelTable:
         the jump at ``y = x``); integrates exactly against band-limited
         fields, so all operator applications use it.
     diagonal : ndarray
-        Estimates of the jump ``K(x, x+)``, shape ``(len(x), n, n)``.
+        The jump ``K(x, x+) = (1/2) integral_x^inf V``, exact over the cells;
+        shape ``(len(x), n, n)``.
     tail_fraction : float
         Edge-to-peak fraction of the (first-Born-subtracted) synthesis
         integrand; a large value means the momentum window was too small.
@@ -456,70 +462,15 @@ def marchenko_kernel(
     sub = y[None, :] < xv[:, None] - 1e-12
     values[sub] = 0.0
 
-    diagonal = kernel_diagonal_estimate(jt)
     return KernelTable(
         x=xv,
         y=y,
         values=values,
         raw=raw,
-        diagonal=diagonal,
+        diagonal=0.5 * tail_integral(jt.potential, xv),
         tail_fraction=tail_fraction,
         n=n,
     )
-
-
-def kernel_diagonal_estimate(jt: JostTable, fit_lo: float = 0.5, fit_hi: float = 0.85) -> np.ndarray:
-    """Jump values ``K(x, x+)`` from the zero-offset synthesis.
-
-    At zero offset the windowed synthesis converges to half the jump (the
-    odd ``i Gamma / k`` part of ``m - I`` cancels in symmetric pairs), so the
-    estimate is twice the synthesis plus an analytic correction for the
-    ``O(1/k^2)`` Hermitian tail outside the window, whose constant is fitted
-    on the plateau ``[fit_lo, fit_hi] * k_max``.
-    """
-    k, xv, n = jt.k, jt.xv, jt.n
-    dk = float(k[1] - k[0])
-    kmax = float(np.abs(k).max()) + 0.5 * dk  # nominal window edge
-    taper = cosine_taper(k, kmax)
-    g = jt.m - np.eye(n)
-    half = (dk / (2.0 * np.pi)) * (g * taper[:, None, None, None]).sum(axis=0)
-
-    # Hermitian 1/k^2 tail constant, averaged over the untapered plateau
-    herm = 0.5 * (g + g[::-1].conj().swapaxes(-1, -2))  # pairs k with -k
-    window = (np.abs(k) >= fit_lo * kmax) & (np.abs(k) <= fit_hi * kmax)
-    a0 = (herm[window] * (k[window] ** 2)[:, None, None, None]).mean(axis=0)
-
-    # missing mass of a0/k^2 outside the effective window:
-    # (1/pi) [ integral_{0.9K}^{K} (1 - w)/k^2 dk + 1/K ]
-    kk = np.linspace(0.9 * kmax, kmax, 513)
-    win = cosine_taper(kk, kmax)
-    miss = np.trapezoid((1.0 - win) / kk**2, kk) + 1.0 / kmax
-    return 2.0 * half + (miss / np.pi) * a0
-
-
-def kernel_diagonal_wide(
-    potential: PotentialSpec,
-    kmax: float = 2560.0,
-    nk: int = 16384,
-    dx: float = 1.0 / 256.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal jump values from a dedicated wide momentum window.
-
-    The windowed diagonal estimate carries an O(1/K_max) residual from the
-    oscillatory tail of ``m - I``; the default window pushes it below 1e-4
-    for order-one potentials.  The solver is exact per cell at every ``k``,
-    so the wide window costs only linear work.  Returns ``(diagonal, x)``.
-    """
-    dk = 2.0 * kmax / nk
-    k = (np.arange(nk) + 0.5 - nk / 2.0) * dk
-    xs = potential.support_radius
-    last = max(0, int(np.ceil(xs / dx - 1e-9)))
-    x = np.arange(last + 1) * dx
-    m, mp = faddeev_solve(potential, k, x)
-    jt = JostTable(
-        potential=potential, k=k, xv=x, m=m, mprime=mp, m0=m[0], m0prime=mp[0]
-    )
-    return kernel_diagonal_estimate(jt), x
 
 
 def jost_representation_check(

@@ -240,19 +240,28 @@ def validate_potential(spec: PotentialSpec) -> dict:
     }
 
 
+def _tail_cells(spec: PotentialSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ends ``(a, b)`` of each cell's part in ``[x, inf)``, shape ``(len(x), cells)``."""
+    x = np.asarray(x, dtype=float)[:, None]
+    return np.maximum(spec.breaks[:-1], x), np.maximum(spec.breaks[1:], x)
+
+
 def moments(spec: PotentialSpec, x: np.ndarray) -> Moments:
     """Tail moments ``sigma`` and ``sigma1`` evaluated exactly at the given
     positions (closed-form integration over the step cells)."""
     x = np.asarray(x, dtype=float)
-    lo = spec.breaks[:-1][None, :]
-    hi = spec.breaks[1:][None, :]
+    a, b = _tail_cells(spec, x)
     norms = spec.cell_norms[None, :]
-    a = np.maximum(lo, x[:, None])
-    b = np.maximum(hi, x[:, None])
-    length = np.clip(b - a, 0.0, None)
-    sigma = (norms * length).sum(axis=1)
+    sigma = (norms * (b - a)).sum(axis=1)
     sigma1 = (norms * 0.5 * np.clip(b * b - a * a, 0.0, None)).sum(axis=1)
     return Moments(x=x, sigma=sigma, sigma1=sigma1)
+
+
+def tail_integral(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
+    """``integral_x^inf V(y) dy`` at each position, exact over the cells;
+    shape ``(len(x), n, n)``."""
+    a, b = _tail_cells(spec, x)
+    return np.tensordot(b - a, spec.values, axes=1)
 
 
 def l1gamma_norm(spec: PotentialSpec, gamma: float) -> float:

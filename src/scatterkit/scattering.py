@@ -1,10 +1,12 @@
 """Scattering matrix, its limits, and the Fourier symbols built from it.
 
 The scattering matrix on the momentum grid is assembled from the Jost matrix
-by batched linear solves; its zero- and high-energy limits are estimated by
-polynomial extrapolation and plateau averaging, and the symbols used by the
-wave-operator formulas (the full-line transform of ``S - S_inf`` and its two
-half-line restrictions) are synthesized with the grid's tapered quadrature.
+by batched linear solves.  Its limits are exact: ``S_inf`` depends on the
+boundary pair alone, and ``S(0) = -I + 2P`` with ``P`` the orthogonal
+projector onto ``Ker J(0)^dagger``.  The table's outer samples are checked
+against ``S_inf``, and the symbols used by the wave-operator formulas (the
+full-line transform of ``S - S_inf`` and its two half-line restrictions) are
+synthesized with the grid's tapered quadrature.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .boundary import diagonalize_boundary, predicted_s_infinity
 from .grids import KXGrid, fourier_sum, trapezoid_weights
 from .jost import JostTable
 
@@ -31,7 +34,6 @@ __all__ = [
     "scattering_table",
 ]
 
-INNER_FIT_NODES = 6
 OUTER_PLATEAU_FRACTION = 0.10
 PLATEAU_TOL = 1e-2
 UNITARITY_GUARD = 1e-3
@@ -54,7 +56,7 @@ class SingularJost(ScatteringError):
 
 
 class NoPlateau(ScatteringError):
-    """The high-energy plateau of S(k) has not formed inside the window."""
+    """The outer samples of S(k) have not reached S_inf inside the window."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,10 @@ class ScatteringTable:
         Momentum nodes (symmetric, half-offset).
     S : ndarray
         ``S(k) = -J(-k) J(k)^{-1}``, shape ``(len(k), n, n)``.
-    S0, S_infinity : ndarray or None
-        Extrapolated zero-energy limit and plateau estimate (see s_limits).
+    S0, S_infinity : ndarray
+        The exact zero- and high-energy limits (see smatrix).
+    plateau_deviation : float or None
+        Gap between the outer samples and ``S_infinity`` (see s_limits).
     Fs, Fs_y : ndarray or None
         Samples of the full-line transform of ``S - S_inf`` and their nodes.
     Pplus, Pminus, P_x : ndarray or None
@@ -81,10 +85,10 @@ class ScatteringTable:
     exceptional: bool
     unitarity_defect: float
     symmetry_defect: float
+    S0: np.ndarray
+    S_infinity: np.ndarray
     grid: KXGrid | None = None
     boundary: object = None
-    S0: np.ndarray | None = None
-    S_infinity: np.ndarray | None = None
     plateau_deviation: float | None = None
     Fs: np.ndarray | None = None
     Fs_y: np.ndarray | None = None
@@ -110,11 +114,14 @@ class ScatteringTable:
 
 
 def smatrix(jt: JostTable) -> ScatteringTable:
-    """Scattering matrix ``S(k) = -J(-k) J(k)^{-1}`` on the grid.
+    """Scattering matrix ``S(k) = -J(-k) J(k)^{-1}`` on the grid, and its
+    exact limits.
 
     Solves ``S(k) J(k) = -J(-k)`` as one batched linear system per momentum;
     the symmetric half-offset grid never contains ``k = 0``, so the
-    exceptional case needs no special-casing here.
+    exceptional case needs no special-casing here.  ``S_inf`` is
+    ``predicted_s_infinity`` of the boundary pair, and ``S(0) = 2 P - I``
+    with ``P`` the projector onto the Jost matrix's ``zero_modes``.
 
     Raises
     ------
@@ -150,6 +157,7 @@ def smatrix(jt: JostTable) -> ScatteringTable:
             "exact per cell, so round-off in an ill-conditioned J(k) or an input that is not "
             "self-adjoint is to blame"
         )
+    u0 = jm.zero_modes
     return ScatteringTable(
         k=jt.k,
         S=S,
@@ -157,54 +165,40 @@ def smatrix(jt: JostTable) -> ScatteringTable:
         exceptional=jm.exceptional,
         unitarity_defect=unit,
         symmetry_defect=symm,
+        S0=2.0 * (u0 @ u0.conj().T) - eye,
+        S_infinity=predicted_s_infinity(diagonalize_boundary(jm.boundary)),
         grid=jt.grid,
         boundary=jm.boundary,
     )
 
 
-def s_limits(
-    st: ScatteringTable,
-    inner_nodes: int = INNER_FIT_NODES,
-    outer_fraction: float = OUTER_PLATEAU_FRACTION,
-    plateau_tol: float = PLATEAU_TOL,
-) -> ScatteringTable:
-    """Estimate ``S(0)`` and ``S_inf`` and attach them to the table.
-
-    ``S(0)`` is extrapolated entrywise with a quadratic fit in ``k`` over the
-    ``inner_nodes`` smallest ``|k|`` nodes (never by inverting ``J(0)``, which
-    may be singular).  ``S_inf`` averages the Hermitian-symmetrized samples
-    ``(S(k) + S(-k))/2`` over the outer ``outer_fraction`` of nodes; the
-    symmetrization cancels the anti-Hermitian ``O(1/k)`` leading tail, leaving
-    an ``O(1/k^2)`` bias.
+def s_limits(st: ScatteringTable) -> ScatteringTable:
+    """Attach ``plateau_deviation``, the largest gap between the exact
+    ``S_inf`` and the Hermitian-symmetrized samples ``(S(k) + S(-k))/2`` over
+    the outer ``OUTER_PLATEAU_FRACTION`` of nodes; the symmetrization cancels
+    the anti-Hermitian ``O(1/k)`` leading tail, leaving an ``O(1/k^2)`` gap.
 
     Raises
     ------
     NoPlateau
-        If the symmetrized outer samples deviate from their mean by more than
-        ``plateau_tol``: the momentum window ends before the plateau forms.
+        If the gap exceeds ``PLATEAU_TOL``: the momentum window ends before
+        the plateau forms.
     """
     k, S = st.k, st.S
-    order = np.argsort(np.abs(k), kind="stable")
-    sel = order[:inner_nodes]
-    design = np.vander(k[sel], 3)  # columns k^2, k, 1
-    coef, *_ = np.linalg.lstsq(design, S[sel].reshape(inner_nodes, -1), rcond=None)
-    S0 = coef[2].reshape(st.n, st.n)
-
     sym = 0.5 * (S + S[::-1])  # S(-k) = S(k)^dagger: Hermitian part, pairwise
-    m = max(2, int(round(outer_fraction * k.size / 2)))
+    m = max(2, int(round(OUTER_PLATEAU_FRACTION * k.size / 2)))
     outer = np.concatenate([sym[:m], sym[-m:]], axis=0)
-    S_inf = outer.mean(axis=0)
-    deviation = float(np.abs(outer - S_inf).max())
-    if deviation > plateau_tol:
+    deviation = float(np.abs(outer - st.S_infinity).max())
+    if deviation > PLATEAU_TOL:
         raise NoPlateau(
-            f"high-energy plateau deviation {deviation:.2e} exceeds {plateau_tol:.1e}; "
+            f"high-energy plateau deviation {deviation:.2e} exceeds {PLATEAU_TOL:.1e}; "
             "increase the momentum window"
         )
-    return replace(st, S0=S0, S_infinity=S_inf, plateau_deviation=deviation)
+    return replace(st, plateau_deviation=deviation)
 
 
 def _require_sinf(st: ScatteringTable) -> ScatteringTable:
-    return st if st.S_infinity is not None else s_limits(st)
+    return st if st.plateau_deviation is not None else s_limits(st)
 
 
 def fs_symbol(st: ScatteringTable, y: np.ndarray | None = None) -> ScatteringTable:

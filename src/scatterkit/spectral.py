@@ -57,7 +57,6 @@ PHASE_BUDGET = 0.3
 BAND_TOL = 1e-6
 #: abort threshold for mass reaching the outer tenth of the evolution domain
 OVERFLOW_FRACTION = 0.01
-DIRICHLET_ANGLE_TOL = 1e-9
 
 
 class SpectralError(RuntimeError):
@@ -575,19 +574,18 @@ def discrete_hamiltonian(
     M = form.M
     thetas = form.thetas
     n = M.shape[0]
-    dirichlet = np.abs(thetas - np.pi) < DIRICHLET_ANGLE_TOL
 
     nx = x.size
     index = -np.ones((nx, n), dtype=int)
     count = 0
     for j in range(nx - 1):  # right wall eliminated
         for c in range(n):
-            if j == 0 and dirichlet[c]:
+            if j == 0 and form.dirichlet[c]:
                 continue
             index[j, c] = count
             count += 1
     scale = np.ones(count)
-    scale[index[0][~dirichlet]] = 1.0 / np.sqrt(2.0)
+    scale[index[0][~form.dirichlet]] = 1.0 / np.sqrt(2.0)
 
     vrot = np.einsum("ij,xjl,lm->xim", M.conj().T, potential.value_at(x), M)
     band = np.zeros((n + 1, count), dtype=complex)

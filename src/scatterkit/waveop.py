@@ -464,8 +464,8 @@ def wave_op_decomposed(
         field vanishes to rounding, so the gate passes and the route returns
         ``f`` whatever the field's support.
     """
-    if st.S_infinity is None or st.Fs is None:
-        raise WaveOpError("attach the high-energy limit and its transform first")
+    if st.Fs is None:
+        raise WaveOpError("attach the transform of S - S_infinity first")
     g = extend_even(f)
     t = g.values @ st.S_infinity.T + convolve(FieldR(st.Fs_y, st.Fs), g).values
     h = hilbert(g.replace_values(g.values - t))
@@ -474,8 +474,6 @@ def wave_op_decomposed(
 
 
 def _identity_gate(st: ScatteringTable) -> None:
-    if st.S0 is None or st.S_infinity is None:
-        raise WaveOpError("attach S(0) and the high-energy limit first")
     eye = np.eye(st.n)
     s0_defect = float(np.linalg.norm(st.S0 - eye, 2))
     sinf_defect = float(np.linalg.norm(st.S_infinity - eye, 2))
@@ -495,7 +493,8 @@ def wave_op_l1_form(
     """Four-term convolution route, valid when both S(0) and the high-energy
     limit equal the identity: field, kernel image, restricted convolution of
     the even extension by the half-momentum symbol, and the kernel image of
-    that.
+    that.  By linearity this is ``(I + K)(I + R Q E) f`` with ``Q`` the
+    convolution by the symbol: one convolution and one kernel pass.
 
     Raises
     ------
@@ -505,29 +504,21 @@ def wave_op_l1_form(
     """
     _identity_gate(st)
     G = _p_symbol_field(st, sign)
-    corr = restrict(convolve(G, extend_even(f)))
-    out = (
-        f.values
-        + kernel_apply(kt, f).values
-        + corr.values
-        + kernel_apply(kt, corr).values
-    )
-    return f.replace_values(out)
+    u = f.replace_values(f.values + restrict(convolve(G, extend_even(f))).values)
+    return u.replace_values(u.values + kernel_apply(kt, u).values)
 
 
 def wave_op_adjoint(
     st: ScatteringTable, kt: KernelTable, f: FieldRplus, sign: int = +1
 ) -> FieldRplus:
-    """Adjoint of the four-term route, evaluated as the printed adjoint
-    pipeline (each factor replaced by its exact discrete adjoint, applied in
-    reverse order)."""
+    """Adjoint of the four-term route, ``(I + E^* Q^* R^*)(I + K^*) f`` with
+    ``Q`` the convolution by the half-momentum symbol: each factor replaced
+    by its exact discrete adjoint, applied in reverse order, one pass each."""
     _identity_gate(st)
     G = _p_symbol_field(st, sign)
-    kdag = kernel_apply_adjoint(kt, f)
-    tail = extend_even_adjoint(convolve_adjoint(G, restrict_adjoint(f)))
-    tail_k = extend_even_adjoint(convolve_adjoint(G, restrict_adjoint(kdag)))
-    out = f.values + kdag.values + tail.values + tail_k.values
-    return f.replace_values(out)
+    v = f.replace_values(f.values + kernel_apply_adjoint(kt, f).values)
+    tail = extend_even_adjoint(convolve_adjoint(G, restrict_adjoint(v)))
+    return v.replace_values(v.values + tail.values)
 
 
 # --------------------------------------------------------------------------
@@ -552,8 +543,6 @@ def t_split_terms(
     its kernel image, high-energy-limit part and its kernel image, and the
     S-remainder part and its kernel image.  The pieces sum to
     :func:`wave_op_stationary` up to quadrature."""
-    if st.S_infinity is None:
-        raise WaveOpError("attach the high-energy limit first")
     grid = pt.grid
     _same_grid(grid.x, f.x, "field and solution table")
     phi = f0_transform(grid, f.values)  # free transform at positive momenta

@@ -4,10 +4,12 @@ Everything here deliberately avoids the package's own numerics: ordinary
 differential equations are integrated with scipy's adaptive Runge-Kutta on
 the matrix system, special-function values come from closed forms or mpmath
 high-precision quadrature.  Tests freeze these outputs as literals; rerun the
-functions to regenerate them.  The one exception is
-:func:`decomposed_three_terms`, the decomposed wave operator written term by
-term from the package's public primitives, against which the fused route is
-checked.
+functions to regenerate them.  There are two exceptions.
+:func:`decomposed_three_terms` is the decomposed wave operator written term
+by term from the package's public primitives, against which the fused route
+is checked.  :func:`s_zero_richardson` extrapolates ``S(0)`` from the exact
+cellwise Jost solver (itself checked against :func:`ode_jost`), because the
+ODE oracle's error would be amplified by ``1/h``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from scatterkit.jost import faddeev_solve
 from scatterkit.waveop import FieldR, convolve, extend_even, hilbert, kernel_apply, restrict
 
 
@@ -206,6 +209,32 @@ def step_smatrix_closed(k, theta, height=1.0, width=1.0):
     jp = fp * np.cos(theta) + fpp * np.sin(theta)
     jm = fm * np.cos(theta) + fmp * np.sin(theta)
     return -jm / jp
+
+
+# -- zero-energy limit of S by extrapolation ------------------------------------
+
+
+def s_zero_richardson(potential, bp, h=1e-4):
+    """``S(0)`` from ``S(k) = -J(-k) J(k)^{-1}`` at ``k = +-h, +-2h``.
+
+    The even parts ``E(h) = (S(h) + S(-h))/2`` equal ``S(0) + O(h^2)``, and
+    one Richardson step ``(4 E(h) - E(2h))/3`` cancels the ``h^2`` term.
+    ``J(0)`` is never inverted, so the exceptional case takes the same
+    formula; the error is about ``eps/h`` there, from ``J(h) = O(h)``.
+    """
+    ks = np.array([h, 2 * h, -h, -2 * h])
+    m, mp = faddeev_solve(potential, ks, np.array([0.0, potential.breaks[-1]]))
+    f = m[:, 0]
+    fp = 1j * ks[:, None, None] * f + mp[:, 0]
+    # J at k_i reads f(-k_i), f'(-k_i): index (i + 2) % 4
+    J = [
+        f[j].conj().T @ bp.B - fp[j].conj().T @ bp.A
+        for j in (2, 3, 0, 1)
+    ]
+    S = [-J[(i + 2) % 4] @ np.linalg.inv(J[i]) for i in range(4)]
+    even_h = 0.5 * (S[0] + S[2])
+    even_2h = 0.5 * (S[1] + S[3])
+    return (4.0 * even_h - even_2h) / 3.0
 
 
 # -- high-precision half-line Fourier symbols ----------------------------------

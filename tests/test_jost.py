@@ -14,8 +14,6 @@ from scatterkit.jost import (
     free_jost_matrix,
     jost_matrix,
     jost_representation_check,
-    kernel_diagonal_estimate,
-    kernel_diagonal_wide,
     marchenko_kernel,
     solve_faddeev,
 )
@@ -214,23 +212,20 @@ def test_golden_table_far_edge_exact(golden_table):
     np.testing.assert_allclose(golden_table.m0prime[0, 0, 0], -SINH1, atol=1e-6)
 
 
-def test_kernel_diagonal_matches_half_tail(golden_table, golden_kernel):
-    # K(x, x+) = (1/2) integral_x^inf V = (1 - x)/2 on [0, 1]; the windowed
-    # estimate carries an O(1/K_max) residual, ~2e-3 at K_max = 40
+def test_kernel_diagonal_matches_half_tail(golden_kernel, matrix_potential):
+    # K(x, x+) = (1/2) integral_x^inf V, summed by hand over the cells:
+    # (1 - x)/2 for the unit step, zero for V = 0, and for the 2x2 potential
+    # ((1 - x) V1 + V2)/2 on [0, 1] and (2 - x) V2 / 2 on [1, 2]
     xv = golden_kernel.x
-    for xq in (0.0, 0.25, 0.5):
-        i = int(round(xq / (xv[1] - xv[0])))
-        np.testing.assert_allclose(
-            golden_kernel.diagonal[i, 0, 0], 0.5 * (1.0 - xq), atol=3e-3
-        )
-
-
-def test_kernel_diagonal_wide_window_hits_e4():
-    # the dedicated wide-window solve reaches the 1e-4 target everywhere
-    diag, x = kernel_diagonal_wide(
-        box_potential(1.0, 0.0, 1.0), kmax=640.0, nk=4096, dx=1.0 / 128.0
-    )
-    np.testing.assert_allclose(diag[:, 0, 0].real, 0.5 * (1.0 - x), atol=2.5e-4)
+    np.testing.assert_allclose(golden_kernel.diagonal[:, 0, 0], 0.5 * (1.0 - xv), atol=1e-13)
+    grid = KXGrid.build(kmax=20.0, nk=512, dx=1 / 64, xmax=8.0)
+    kt = marchenko_kernel(solve_faddeev(matrix_potential, grid))
+    v1, v2 = matrix_potential.values
+    w1 = np.clip(1.0 - kt.x, 0.0, None)[:, None, None]
+    w2 = np.clip(2.0 - np.maximum(kt.x, 1.0), 0.0, None)[:, None, None]
+    np.testing.assert_allclose(kt.diagonal, 0.5 * (w1 * v1 + w2 * v2), rtol=0, atol=1e-13)
+    kt = marchenko_kernel(solve_faddeev(zero_potential(2), grid))
+    assert np.abs(kt.diagonal).max() == 0.0
 
 
 def test_kernel_is_real_and_upper_triangular(golden_kernel):
@@ -285,9 +280,3 @@ def test_born_term_leading_order():
     np.testing.assert_allclose(
         born[1, :, 0, 0], 0.5 * eps * (1.0 - x) ** 2, atol=1e-12
     )
-
-
-def test_diagonal_estimator_on_free_potential():
-    g = KXGrid.build(kmax=8.0, nk=64, dx=1.0 / 32.0, xmax=4.0)
-    jt = solve_faddeev(zero_potential(1), g)
-    np.testing.assert_allclose(kernel_diagonal_estimate(jt), 0.0, atol=1e-14)

@@ -82,9 +82,35 @@ def test_limits_of_exceptional_step(golden_scatter):
     _, table = golden_scatter
     # both limits are +1: the zero-energy limit because J(0) is singular at
     # this angle, the high-energy limit because no channel is Dirichlet
-    assert abs(table.S0[0, 0] - 1.0) < 1e-4
-    assert abs(table.S_infinity[0, 0] - 1.0) < 3e-4
+    assert abs(table.S0[0, 0] - 1.0) < 1e-12
+    assert abs(table.S_infinity[0, 0] - 1.0) < 1e-12
     assert table.plateau_deviation < 1e-3
+
+
+def _rotated_pair():
+    """The unit step in channel 1 at the exceptional angle and a well under
+    a generic Robin angle in channel 2, rotated by a fixed complex unitary:
+    ``Ker J(0)^dagger`` is one-dimensional and not a coordinate axis."""
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    v = PotentialSpec.from_cells(2, [(0.0, 1.0, q @ np.diag([1.0, -0.5]) @ q.conj().T)])
+    bc = BoundaryPair.robin(np.array([GOLDEN_THETA, 0.4]), n=2)
+    return v, BoundaryPair.from_matrices(q @ bc.A, q @ bc.B), q
+
+
+def test_s0_matches_richardson_oracle(golden_potential, golden_boundary, matrix_potential):
+    rotated, rotated_bc, q = _rotated_pair()
+    cases = [
+        (golden_potential, golden_boundary, np.eye(1)),
+        (matrix_potential, BoundaryPair.robin(np.array([np.pi, 0.9]), n=2), -np.eye(2)),
+        (zero_potential(2), line_interaction_matrices(np.zeros((1, 1))), np.array([[0, 1], [1, 0]])),
+        (rotated, rotated_bc, q @ np.diag([1.0, -1.0]) @ q.conj().T),
+    ]
+    grid = KXGrid.build(kmax=20.0, nk=512, dx=1 / 64, xmax=8.0)
+    for v, bc, closed in cases:
+        table = smatrix(jost_matrix(solve_faddeev(v, grid), bc))
+        assert np.abs(table.S0 - oracles.s_zero_richardson(v, bc)).max() < 1e-10
+        assert np.abs(table.S0 - closed).max() < 1e-10
 
 
 def test_fs_symbol_tail_and_reconstruction(golden_scatter):
@@ -117,8 +143,8 @@ def test_sdot_low_energy_bounded_for_dirichlet(golden_scatter, golden_potential)
     table = s_limits(smatrix(jost_matrix(jt, BoundaryPair.dirichlet(1))))
     report = sdot_asymptotics(table)
     assert 1.0 < report["low_energy_ratio"] < 3.0
-    assert abs(table.S0[0, 0] + 1.0) < 1e-4
-    assert abs(table.S_infinity[0, 0] + 1.0) < 1e-3
+    assert abs(table.S0[0, 0] + 1.0) < 1e-12
+    assert abs(table.S_infinity[0, 0] + 1.0) < 1e-12
 
 
 def test_h1_norm_stable_under_window_change(golden_scatter, golden_potential, golden_boundary):
@@ -171,11 +197,13 @@ def test_free_point_interaction_fold_is_swap():
     table = s_limits(smatrix(jost_matrix(jt, line_interaction_matrices(np.zeros((1, 1))))))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.abs(table.S - swap).max() < 1e-12
-    assert np.abs(table.S0 - swap).max() < 1e-10
+    assert np.abs(table.S0 - swap).max() < 1e-12
     assert np.abs(table.S_infinity - swap).max() < 1e-12
 
 
-def _synthetic_table(grid, values):
+def _synthetic_table(grid, values, s0):
+    """A scalar table with ``S_inf = 1`` and the given ``S(0)``, both known
+    by construction."""
     return ScatteringTable(
         k=grid.k,
         S=values.reshape(-1, 1, 1),
@@ -183,6 +211,8 @@ def _synthetic_table(grid, values):
         exceptional=False,
         unitarity_defect=0.0,
         symmetry_defect=0.0,
+        S0=np.array([[s0]], dtype=complex),
+        S_infinity=np.eye(1, dtype=complex),
         grid=grid,
     )
 
@@ -192,10 +222,7 @@ def test_p_symbols_rational_toy():
     # transform is frozen from an oscillatory-aware high-precision quadrature,
     # and its real part equals exp(-x)/2
     grid = KXGrid.build(kmax=640.0, nk=16384, dx=1 / 1024, xmax=4.0)
-    table = _synthetic_table(grid, 1.0 + 1.0 / (1.0 + 1j * grid.k))
-    table = replace(
-        table, S0=np.array([[2.0]]), S_infinity=np.array([[1.0]]), plateau_deviation=0.0
-    )
+    table = _synthetic_table(grid, 1.0 + 1.0 / (1.0 + 1j * grid.k), s0=2.0)
     xq = np.array(sorted(RATIONAL_P_MINUS))
     table = p_symbols(table, xq)
     for i, xv in enumerate(xq):
@@ -213,7 +240,7 @@ def test_symbols_on_default_grid_build_no_phase_matrix():
     # a dense e^{iky} matrix on the default grid (4096 momenta, 20481 nodes)
     # would take 1.3 GB; the chirp-z sums need a few megabytes
     grid = KXGrid.build()
-    table = s_limits(_synthetic_table(grid, (grid.k - 1j) / (grid.k + 1j)))
+    table = s_limits(_synthetic_table(grid, (grid.k - 1j) / (grid.k + 1j), s0=-1.0))
     tracemalloc.start()
     try:
         table = fs_symbol(table)
@@ -235,8 +262,7 @@ def test_fs_symbol_free_mixed_boundary_closed_form():
     grid = KXGrid.build(kmax=640.0, nk=16384, dx=1 / 1024, xmax=4.0)
     th = 1.0
     S = -(np.cos(th) - 1j * grid.k * np.sin(th)) / (np.cos(th) + 1j * grid.k * np.sin(th))
-    table = s_limits(_synthetic_table(grid, S))
-    assert abs(table.S_infinity[0, 0] - 1.0) < 1e-5
+    table = s_limits(_synthetic_table(grid, S, s0=-1.0))
     y = np.linspace(-4.0, 4.0, 801)
     table = fs_symbol(table, y)
     away_from_jump = np.abs(y) > 0.25
@@ -270,7 +296,8 @@ def test_unitarity_guard_rejects_asymmetric_table(free_scatter):
 
 def test_no_plateau_raised_when_window_too_small():
     grid = KXGrid.build(kmax=10.0, nk=512, dx=1 / 128, xmax=4.0)
-    table = _synthetic_table(grid, np.exp(5j / grid.k))
+    # S(0) has no limit here; s_limits reads only S_inf
+    table = _synthetic_table(grid, np.exp(5j / grid.k), s0=1.0)
     with pytest.raises(NoPlateau):
         s_limits(table)
 
@@ -284,7 +311,7 @@ def test_matrix_potential_pipeline(matrix_potential):
     # complex potential: conjugation symmetry only up to the solver error
     assert table.p_conjugation_defect < 5e-6
     predicted = predicted_s_infinity(diagonalize_boundary(bc))
-    assert np.abs(table.S_infinity - predicted).max() < 5e-3
+    np.testing.assert_array_equal(table.S_infinity, predicted)
     assert 0.0 < table.h1norm < np.inf
     report = sdot_asymptotics(table)
     assert report["slope_sdot"] < -1.5
@@ -298,13 +325,11 @@ def test_matrix_potential_pipeline(matrix_potential):
 )
 def test_synthetic_unimodular_products(a1, a2):
     # products of factors (a - ik)/(a + ik) are exactly unimodular with
-    # S(0) = S_inf = 1; the estimators must recover both limits
+    # S(0) = S_inf = 1
     grid = KXGrid.build(kmax=600.0, nk=65536, dx=1 / 1024, xmax=1.0)
     k = grid.k
     S = ((a1 - 1j * k) / (a1 + 1j * k)) * ((a2 - 1j * k) / (a2 + 1j * k))
-    table = s_limits(_synthetic_table(grid, S))
-    assert abs(table.S0[0, 0] - 1.0) < 5e-3
-    assert abs(table.S_infinity[0, 0] - 1.0) < 1e-3
+    table = s_limits(_synthetic_table(grid, S, s0=1.0))
     table = h1_membership(table)
     assert 0.0 < table.h1norm < np.inf
     # pure quadrature refinement: the norm is already converged
@@ -312,7 +337,7 @@ def test_synthetic_unimodular_products(a1, a2):
     Sd = ((a1 - 1j * dense.k) / (a1 + 1j * dense.k)) * (
         (a2 - 1j * dense.k) / (a2 + 1j * dense.k)
     )
-    other = h1_membership(s_limits(_synthetic_table(dense, Sd)))
+    other = h1_membership(s_limits(_synthetic_table(dense, Sd, s0=1.0)))
     assert abs(other.h1norm - table.h1norm) / table.h1norm < 1e-3
     table = p_symbols(table, np.array([0.5, 1.5]))
     assert table.p_conjugation_defect < 1e-14

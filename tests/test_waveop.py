@@ -18,7 +18,7 @@ from scatterkit import waveop
 from scatterkit.boundary import BoundaryPair
 from scatterkit.grids import KXGrid
 from scatterkit.jost import marchenko_kernel, solve_faddeev, jost_matrix
-from scatterkit.potentials import zero_potential
+from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import fs_symbol, p_symbols, s_limits, scattering_table, smatrix
 from scatterkit.spectral import WindowOverflow, evolve_spectral, f0_synthesis, f0_transform, physical_solution
 from scatterkit.waveop import (
@@ -314,6 +314,17 @@ def test_l1_form_requires_identity_limits(dirichlet_fine):
     assert err.value.sinf_defect > 1.5
 
 
+def test_identity_gate_reads_exact_limits():
+    # the unit step under Neumann is generic (J(0) = -f'(0, 0) = sinh 1):
+    # S(0) = -I and S_inf = I exactly, so the S(0) defect is |-I - I| = 2
+    grid = KXGrid.build(kmax=20.0, nk=512, dx=1 / 64, xmax=4.0)
+    jt = jost_matrix(solve_faddeev(box_potential(1.0, 0.0, 1.0), grid), BoundaryPair.neumann(1))
+    with pytest.raises(HypothesisViolated) as err:
+        waveop._identity_gate(smatrix(jt))
+    assert abs(err.value.s0_defect - 2.0) < 1e-12
+    assert err.value.sinf_defect < 1e-12
+
+
 def test_routes_agree_pairwise(golden_wave):
     pt, table, kt = golden_wave
     x = pt.grid.x
@@ -367,17 +378,26 @@ def test_decomposed_matches_three_term_oracle(golden_wave, matrix_wave):
             assert gap / reference.norm(2) < 1e-12
 
 
-def test_decomposed_makes_one_pass_of_each_primitive(golden_wave, monkeypatch):
+@pytest.mark.parametrize(
+    "route, passes",
+    [
+        (wave_op_decomposed, {"hilbert": 1, "convolve": 1, "kernel_apply": 1}),
+        (wave_op_l1_form, {"hilbert": 0, "convolve": 1, "kernel_apply": 1}),
+        (wave_op_adjoint, {"convolve_adjoint": 1, "kernel_apply_adjoint": 1}),
+    ],
+    ids=["decomposed", "l1_form", "adjoint"],
+)
+def test_route_makes_one_pass_of_each_primitive(golden_wave, monkeypatch, route, passes):
     _, table, kt = golden_wave
-    calls = dict.fromkeys(("hilbert", "convolve", "kernel_apply"), 0)
+    calls = dict.fromkeys(passes, 0)
     for name in calls:
         def counted(*args, _name=name, _op=getattr(waveop, name)):
             calls[_name] += 1
             return _op(*args)
         monkeypatch.setattr(waveop, name, counted)
     x = table.grid.x
-    wave_op_decomposed(table, kt, FieldRplus(x, np.exp(-((x - 6.0) ** 2))), +1)
-    assert calls == {"hilbert": 1, "convolve": 1, "kernel_apply": 1}
+    route(table, kt, FieldRplus(x, np.exp(-((x - 6.0) ** 2))), +1)
+    assert calls == passes
 
 
 def test_decomposed_window_gate(dirichlet_fine, neumann_free):
