@@ -243,10 +243,6 @@ class KXGrid:
     def taper_pos(self) -> np.ndarray:
         return cosine_taper(self.kpos, self.kmax)
 
-    def flip_k(self, table: np.ndarray, axis: int = 0) -> np.ndarray:
-        """View of a k-indexed table evaluated at ``-k`` (exact node map)."""
-        return np.flip(table, axis=axis)
-
     # -- space-side helpers ----------------------------------------------------
 
     @cached_property

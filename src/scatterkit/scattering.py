@@ -261,11 +261,7 @@ def p_symbols(st: ScatteringTable, x: np.ndarray | None = None) -> ScatteringTab
     )
 
 
-def sdot_asymptotics(
-    st: ScatteringTable,
-    fit_lo: float | None = None,
-    fit_hi: float | None = None,
-) -> dict:
+def sdot_asymptotics(st: ScatteringTable) -> dict:
     """Momentum-derivative report: high-energy decay slopes and low-energy
     boundedness statistics.
 
@@ -284,8 +280,7 @@ def sdot_asymptotics(
     nd = np.linalg.norm(Sdot, ord=2, axis=(-2, -1))
     ns = np.linalg.norm(S[1:-1] - st.S_infinity, ord=2, axis=(-2, -1))
     kmax = float(np.abs(k).max()) + 0.5 * dk  # nominal window edge
-    lo = kmax / 5.0 if fit_lo is None else fit_lo
-    hi = kmax / 1.2 if fit_hi is None else fit_hi
+    lo, hi = kmax / 5.0, kmax / 1.2
     band = (kin >= lo) & (kin <= hi)
 
     flat = bool(nd.max() < 1e-12)

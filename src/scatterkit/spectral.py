@@ -2,18 +2,21 @@
 
 The physical solution combines the two Jost solutions through the scattering
 matrix; beyond the potential's support it is an exact plane-wave combination,
-so tables store only the near field and every transform splits into
-closed-form plane-wave sums plus a small near-field correction.  Time
-evolution conjugates the multiplier ``e^{-itk^2}`` by the generalized Fourier
-maps on a t-adapted dense momentum grid: fixed grids cannot resolve the
-quadratic phase once ``2 t k`` outruns the node spacing, so the dense grid is
-sized from a phase-resolution budget and the stored tables are interpolated
-onto it (they are smooth in momentum).
+so tables store only the near field.  Every generalized Fourier map, forward
+(analysis) or adjoint (synthesis), is evaluated by one kernel,
+``Psi(-sign*k, x)^dagger``: two plane-wave sums over the whole window plus a
+near-field correction, summed block by block over the momenta.  The kernel
+runs on the table's positive momentum nodes, reading the stored tables, or
+on a dense momentum grid for time evolution, which conjugates the multiplier
+``e^{-itk^2}`` by the maps: fixed grids cannot resolve the quadratic phase
+once ``2 t k`` outruns the node spacing, so the dense grid is sized from a
+phase-resolution budget and the stored tables are interpolated onto it (they
+are smooth in momentum).
 """
-
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,10 +49,9 @@ __all__ = [
     "bound_states",
     "evolve_discrete",
     "field_norm",
-    "field_inner",
 ]
 
-#: complex elements per transient block of the dense stage's near-field loops
+#: complex elements per Faddeev-factor table in one block of a map's near-field sums
 CHUNK = 1 << 21
 #: maximum radians of accumulated phase between adjacent dense momentum nodes
 PHASE_BUDGET = 0.3
@@ -82,11 +84,6 @@ def field_norm(Y: np.ndarray, w: np.ndarray) -> float:
     """Weighted L2 norm of a vector field sampled as ``(nx, n)``."""
     Y = _as_field(Y)
     return float(np.sqrt(np.einsum("x,xc->", w, np.abs(Y) ** 2).real))
-
-
-def field_inner(Y: np.ndarray, Z: np.ndarray, w: np.ndarray) -> complex:
-    """Weighted inner product (conjugate-linear in the first argument)."""
-    return complex(np.einsum("x,xc,xc->", w, np.conj(_as_field(Y)), _as_field(Z)))
 
 
 @dataclass(frozen=True)
@@ -193,31 +190,97 @@ def f0_synthesis(grid: KXGrid, Z: np.ndarray, x: np.ndarray | None = None) -> np
     return np.sqrt(2.0 / np.pi) * _cosine_sum(Zw, grid.kpos[0], grid.dk, xq)
 
 
-# -- generalized Fourier maps on the table grid ------------------------------
+# -- generalized Fourier maps ------------------------------------------------
 
 
-def _near_weights(xv: np.ndarray) -> np.ndarray:
-    """Trapezoid weights on the near-field nodes (zero when the near field
-    is a single node, where the Faddeev factor is the identity anyway)."""
-    if xv.size < 2:
-        return np.zeros(xv.size)
-    return trapezoid_weights(xv)
+@dataclass(frozen=True)
+class _MapKernel:
+    """The kernel ``Psi(-sign*k, x)^dagger`` of one generalized Fourier map on
+    uniform momenta ``k`` with spacing ``dk``.
+
+    Beyond the near field the kernel is the plane-wave pair
+    ``e^{-i sign k x} + S(-sign*k)^dagger e^{i sign k x}``, summed by
+    :func:`fourier_sum`; on the near-field nodes ``xv`` the Faddeev factors
+    add ``(m - I)`` corrections.  ``S`` holds ``S(-sign*k)`` and
+    ``tables(block)`` returns ``m(sign*k, xv)`` and ``m(-sign*k, xv)`` on a
+    slice of the momenta.  Analysis and synthesis read the same arrays, so
+    they are adjoint to roundoff whenever the synthesis nodes are the
+    analysis nodes with ``xv`` as a prefix.
+    """
+
+    sign: int
+    k: np.ndarray
+    dk: float
+    xv: np.ndarray
+    S: np.ndarray
+    tables: Callable[[slice], tuple[np.ndarray, np.ndarray]]
+
+    def __post_init__(self) -> None:
+        if self.sign not in (+1, -1):
+            raise SpectralError("sign must be +1 or -1")
+
+    def _blocks(self):
+        """Momentum blocks with their phases ``e^{i sign k xv}`` and tables;
+        each table holds at most ``CHUNK`` elements."""
+        n = self.S.shape[-1]
+        step = max(1, CHUNK // (self.xv.size * n * n))
+        for a in range(0, self.k.size, step):
+            blk = slice(a, a + step)
+            ph = np.exp(1j * self.sign * np.outer(self.k[blk], self.xv))
+            yield (blk, ph) + self.tables(blk)
+
+    def analysis(
+        self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray
+    ) -> np.ndarray:
+        """``sqrt(1/2pi) sum_x w(x) Psi(-sign*k, x)^dagger Y(x)`` for samples
+        ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on ``xv``."""
+        Yw = Y * w[:, None]
+        out = fourier_sum(Yw, x0, dx, self.k, -self.sign)
+        out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
+        # e^{-i sign k x} (m_s - I)^dagger Y + S^dagger e^{i sign k x} (m_ms - I)^dagger Y,
+        # summed over xv as the conjugate of its transpose
+        Yc = np.conj(Ynear * trapezoid_weights(self.xv)[:, None])
+        for blk, ph, m_s, m_ms in self._blocks():
+            near = _near_t(ph, m_s, Yc)
+            near += np.einsum("kji,kj->ki", self.S[blk], _near_t(ph.conj(), m_ms, Yc))
+            out[blk] += near.conj()
+        return out / np.sqrt(2.0 * np.pi)
+
+    def synthesis(self, Zw: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``sqrt(1/2pi) sum_k Psi(-sign*k, x) Zw(k)`` at uniform nodes ``x``
+        whose prefix is ``xv``; ``Zw`` carries the momentum weights."""
+        SZ = np.einsum("kij,kj->ki", self.S, Zw)
+        out = fourier_sum(Zw, self.k[0], self.dk, x, self.sign)
+        out += fourier_sum(SZ, self.k[0], self.dk, x, -self.sign)
+        for blk, ph, m_s, m_ms in self._blocks():
+            out[: self.xv.size] += _near(ph, m_s, Zw[blk]) + _near(ph.conj(), m_ms, SZ[blk])
+        return out / np.sqrt(2.0 * np.pi)
 
 
-def _map_tables(
-    pt: PhysicalSolutionTable, sign: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stored arrays entering the kernel ``Psi(-sign*k, x)^dagger`` for
-    ``k > 0``: the scattering values ``S(-sign*k)`` and the Faddeev factors
-    at ``+sign*k`` and ``-sign*k``.  Forward and adjoint maps draw on the
-    same arrays so their quadrature duality is exact to roundoff."""
-    if sign not in (+1, -1):
-        raise SpectralError("sign must be +1 or -1")
+def _near(ph: np.ndarray, m: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """``sum_k ph(k, x) (m(k, x) - I) Z(k)`` over one block, as a batched
+    matrix-vector product against the table (no ``m - I`` copy)."""
+    b, nxv, n = m.shape[:3]
+    mZ = np.matmul(m.reshape(b, nxv * n, n), Z[:, :, None]).reshape(b, nxv, n)
+    return np.einsum("kx,kxi->xi", ph, mZ) - ph.T @ Z
+
+
+def _near_t(ph: np.ndarray, m: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``sum_x ph(k, x) (m(k, x) - I)^T Y(x)`` over one block, as a batched
+    row-vector product against the table (no ``m - I`` copy)."""
+    b, nxv, n = m.shape[:3]
+    row = (ph[:, :, None] * Y).reshape(b, 1, nxv * n)
+    return np.matmul(row, m.reshape(b, nxv * n, n))[:, 0] - ph @ Y
+
+
+def _table_kernel(pt: PhysicalSolutionTable, sign: int) -> _MapKernel:
+    """The map kernel on the positive nodes of the table grid, reading the
+    stored ``S`` and Faddeev factors (``k[::-1] == -k`` exactly)."""
     npos = pt.npos
-    flip_pos = slice(npos - 1, None, -1)
-    if sign == +1:
-        return pt.S[:npos][flip_pos], pt.mnear[npos:], pt.mnear[:npos][flip_pos]
-    return pt.S[npos:], pt.mnear[:npos][flip_pos], pt.mnear[npos:]
+    m_pos, m_neg = pt.mnear[npos:], pt.mnear[npos - 1 :: -1]
+    m_s, m_ms = (m_pos, m_neg) if sign == +1 else (m_neg, m_pos)
+    S = pt.S[npos - 1 :: -1] if sign == +1 else pt.S[npos:]
+    return _MapKernel(sign, pt.kpos, pt.grid.dk, pt.xv, S, lambda blk: (m_s[blk], m_ms[blk]))
 
 
 def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np.ndarray:
@@ -230,19 +293,7 @@ def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np
     """
     grid = pt.grid
     Y = _as_field(Y)
-    Yw = Y * grid.wx[:, None]
-    kq = pt.kpos
-    Ssel, m_s, m_ms = _map_tables(pt, sign)
-    out = fourier_sum(Yw, grid.x[0], grid.dx, kq, -sign)
-    out += np.einsum("kji,kj->ki", Ssel.conj(), fourier_sum(Yw, grid.x[0], grid.dx, kq, sign))
-    eye = np.eye(pt.n)
-    nxv = pt.xv.size
-    Ynear_w = Y[:nxv] * _near_weights(pt.xv)[:, None]
-    ph = np.exp(-1j * sign * np.outer(kq, pt.xv))
-    out += np.einsum("kx,kxji,xj->ki", ph, (m_s - eye).conj(), Ynear_w)
-    near = np.einsum("kx,kxji,xj->ki", ph.conj(), (m_ms - eye).conj(), Ynear_w)
-    out += np.einsum("kji,kj->ki", Ssel.conj(), near)
-    return out / np.sqrt(2.0 * np.pi)
+    return _table_kernel(pt, sign).analysis(Y, grid.x[0], grid.dx, grid.wx, Y[: pt.xv.size])
 
 
 def fourier_maps_adjoint(
@@ -251,21 +302,7 @@ def fourier_maps_adjoint(
     """Adjoint map ``sqrt(1/2pi) integral_0^inf Psi(-sign*k, x) Z(k) dk`` on
     the spatial grid (midpoint momentum weights, so quadrature duality with
     the forward map is exact up to roundoff)."""
-    grid = pt.grid
-    Z = _as_field(Z)
-    kq = pt.kpos
-    Zw = Z * grid.dk
-    Ssel, m_s, m_ms = _map_tables(pt, sign)
-    SZ = np.einsum("kij,kj->ki", Ssel, Zw)
-    out = fourier_sum(Zw, kq[0], grid.dk, grid.x, sign)
-    out += fourier_sum(SZ, kq[0], grid.dk, grid.x, -sign)
-    eye = np.eye(pt.n)
-    nxv = pt.xv.size
-    ph = np.exp(1j * sign * np.outer(kq, pt.xv))
-    corr = np.einsum("kx,kxij,kj->xi", ph, m_s - eye, Zw)
-    corr += np.einsum("kx,kxij,kj->xi", ph.conj(), m_ms - eye, SZ)
-    out[:nxv] += corr
-    return out / np.sqrt(2.0 * np.pi)
+    return _table_kernel(pt, sign).synthesis(_as_field(Z) * pt.grid.dk, pt.grid.x)
 
 
 # -- dense momentum stage for time evolution ---------------------------------
@@ -273,119 +310,44 @@ def fourier_maps_adjoint(
 
 @dataclass(frozen=True)
 class _DenseStage:
-    """FFT-sized dense momentum/space grids with the solution tables
-    interpolated onto them, for one evolution request."""
+    """The dense momentum grid of one evolution request: positive momenta
+    ``kq[l] = l * dkq`` with trapezoid weights ``wk``, and the spatial step
+    ``ratio * dx`` of an ``nfft``-node circle whose lower half is the
+    evolution domain.  Its map kernels interpolate the stored tables onto
+    ``kq`` (they are smooth in momentum)."""
 
     pt: PhysicalSolutionTable
     nfft: int
-    dxb: float
     ratio: int
-    kq: np.ndarray  # dense positive momenta, kq[l] = l * dkq
+    dxb: float
+    dkq: float
+    kq: np.ndarray
     wk: np.ndarray
-    Sq: np.ndarray  # S(kq)
-    Sm: np.ndarray  # S(-kq)
 
-    @property
-    def dkq(self) -> float:
-        return float(2.0 * np.pi / (self.nfft * self.dxb))
+    def kernel(self, sign: int) -> _MapKernel:
+        """The map kernel on ``kq``, with ``S`` and the Faddeev factors
+        interpolated from the stored tables one block at a time."""
+        pt, kq = self.pt, self.kq
+        return _MapKernel(
+            sign,
+            kq,
+            self.dkq,
+            pt.xv,
+            pt._spline_s(-sign * kq),
+            lambda blk: (pt._spline_m(sign * kq[blk]), pt._spline_m(-sign * kq[blk])),
+        )
 
-    @cached_property
-    def xb(self) -> np.ndarray:
-        return np.arange(self.nfft) * self.dxb
-
-    def resample(self, Y: np.ndarray) -> np.ndarray:
-        """Exact subsampling of a fine-grid field onto the FFT nodes."""
-        Yb = np.zeros((self.nfft, self.pt.n), dtype=complex)
-        src = _as_field(Y)[:: self.ratio]
-        Yb[: src.shape[0]] = src
-        return Yb
-
-    def _plane_pair(self, Yb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``A_l = sum_j w_j Y_j e^{-i k_l x_j}`` and the conjugate-phase sum,
-        trapezoid weights on the FFT circle, band nodes only."""
-        L = self.kq.size
-        Yw = Yb * self.dxb
-        Yw[0] *= 0.5
-        A = fft(Yw, axis=0)[:L]
-        B = (self.nfft * ifft(Yw, axis=0))[:L]
-        return A, B
-
-    def _tables_for(self, sign: int, a: int, b: int) -> tuple[np.ndarray, ...]:
-        """Interpolated kernel tables ``S(-sign*k)``, ``m(sign*k, x)``,
-        ``m(-sign*k, x)`` on a block of dense momenta."""
-        ks = self.kq[a:b]
-        Ssel = self.Sm[a:b] if sign == +1 else self.Sq[a:b]
-        return Ssel, self.pt._spline_m(sign * ks), self.pt._spline_m(-sign * ks)
-
-    def analysis(self, Yb: np.ndarray, Ynear: np.ndarray, sign: int) -> np.ndarray:
-        """Generalized Fourier map at the dense momenta; ``Ynear`` holds the
-        field's exact values on the stored near-field nodes."""
-        A, B = self._plane_pair(Yb)
-        down, up = (A, B) if sign == +1 else (B, A)  # e^{-i sign k x}, conj
-        Ssel_full = self.Sm if sign == +1 else self.Sq
-        out = down + np.einsum("kji,kj->ki", Ssel_full.conj(), up)
-        xv = self.pt.xv
-        Ynear_w = _as_field(Ynear) * _near_weights(xv)[:, None]
-        eye = np.eye(self.pt.n)
-        step = max(1, CHUNK // (xv.size * self.pt.n * self.pt.n))
-        for a0 in range(0, self.kq.size, step):
-            b0 = min(a0 + step, self.kq.size)
-            Ssel, m_s, m_ms = self._tables_for(sign, a0, b0)
-            ph = np.exp(-1j * sign * np.outer(self.kq[a0:b0], xv))
-            out[a0:b0] += np.einsum("kx,kxji,xj->ki", ph, (m_s - eye).conj(), Ynear_w)
-            near = np.einsum("kx,kxji,xj->ki", ph.conj(), (m_ms - eye).conj(), Ynear_w)
-            out[a0:b0] += np.einsum("kji,kj->ki", Ssel.conj(), near)
-        return out / np.sqrt(2.0 * np.pi)
-
-    def cosine_analysis(self, Yb: np.ndarray) -> np.ndarray:
-        A, B = self._plane_pair(Yb)
-        return np.sqrt(2.0 / np.pi) * 0.5 * (A + B)
-
-    def cosine_synthesis_nodes(self, Z: np.ndarray) -> np.ndarray:
-        """``sqrt(2/pi) integral_0^infty cos(kx) Z(k) dk`` at every FFT node."""
-        c = np.zeros((self.nfft, Z.shape[1]), dtype=complex)
-        c[: self.kq.size] = Z * self.wk[:, None]
-        up = self.nfft * ifft(c, axis=0)
-        down = fft(c, axis=0)
-        return np.sqrt(2.0 / np.pi) * 0.5 * (up + down)
-
-    def cosine_synthesis_at(self, Z: np.ndarray, xq: np.ndarray) -> np.ndarray:
-        return np.sqrt(2.0 / np.pi) * _cosine_sum(Z * self.wk[:, None], 0.0, self.dkq, xq)
-
-    def synthesis(self, Z: np.ndarray, sign: int, dx_out: float, nx_out: int) -> np.ndarray:
-        """Adjoint map of the dense stage evaluated on uniform output nodes
-        ``j * dx_out``, plus the wrap-around monitor on the full FFT circle."""
-        Zw = Z * self.wk[:, None]
-        Ssel = self.Sm if sign == +1 else self.Sq
-        SZ = np.einsum("kij,kj->ki", Ssel, Zw)
-        # plane parts at the fine output nodes: e^{i sign k x} Zw + conj phase SZ
-        x_out = np.arange(nx_out) * dx_out
-        out = fourier_sum(Zw, 0.0, self.dkq, x_out, sign)
-        out += fourier_sum(SZ, 0.0, self.dkq, x_out, -sign)
-        # near-field corrections (stored nodes prefix the output grid)
-        xv = self.pt.xv
-        eye = np.eye(self.pt.n)
-        corr = np.zeros((xv.size, Z.shape[1]), dtype=complex)
-        step = max(1, CHUNK // (xv.size * self.pt.n * self.pt.n))
-        for a0 in range(0, self.kq.size, step):
-            b0 = min(a0 + step, self.kq.size)
-            _, m_s, m_ms = self._tables_for(sign, a0, b0)
-            ph = np.exp(1j * sign * np.outer(self.kq[a0:b0], xv))
-            corr += np.einsum("kx,kxij,kj->xi", ph, m_s - eye, Zw[a0:b0])
-            corr += np.einsum("kx,kxij,kj->xi", ph.conj(), m_ms - eye, SZ[a0:b0])
-        out[: xv.size] += corr
-        out /= np.sqrt(2.0 * np.pi)
-        self._check_overflow(Zw if sign == +1 else SZ, SZ if sign == +1 else Zw)
-        return out
-
-    def _check_overflow(self, first: np.ndarray, second: np.ndarray) -> None:
-        """Reconstruct the field on the full FFT circle and abort if too much
-        mass reaches the outer tenth of the physical half-domain.
+    def check_overflow(self, kernel: _MapKernel, Zw: np.ndarray) -> None:
+        """Reconstruct the field synthesized from ``Zw`` on the full FFT
+        circle and abort if too much mass reaches the outer tenth of the
+        physical half-domain.
 
         The conjugate-phase term always parks a mirror copy of the field in
         the upper half of the circle, so the physical domain is the lower
         half and wrap-around shows up as mass near the midpoint, where the
         direct and mirrored copies collide."""
+        SZ = np.einsum("kij,kj->ki", kernel.S, Zw)
+        first, second = (Zw, SZ) if kernel.sign == +1 else (SZ, Zw)
         c = np.zeros((self.nfft, first.shape[1]), dtype=complex)
         c[: self.kq.size] = first
         field = self.nfft * ifft(c, axis=0)
@@ -401,21 +363,19 @@ class _DenseStage:
             )
 
 
-def _band_edge(kpos: np.ndarray, Z: np.ndarray, tol: float = BAND_TOL) -> float:
-    norms = np.linalg.norm(_as_field(Z), axis=1)
-    top = norms.max()
-    if top == 0.0:
-        return float(kpos[min(4, kpos.size - 1)])
-    alive = norms > tol * top
-    return float(kpos[alive].max())
+def _wall_weights(size: int, step: float) -> np.ndarray:
+    """Trapezoid weights of ``size`` uniform nodes from zero, open at the far
+    end, past which the integrand is negligible."""
+    w = np.full(size, step)
+    w[0] *= 0.5
+    return w
 
 
-def _field_extent(x: np.ndarray, Y: np.ndarray, tol: float = 1e-9) -> float:
-    norms = np.linalg.norm(_as_field(Y), axis=1)
-    top = norms.max()
-    if top == 0.0:
-        return float(x[0])
-    return float(x[norms > tol * top].max())
+def _last_above(nodes: np.ndarray, F: np.ndarray, tol: float) -> float:
+    """Last node where the channel norm of ``F`` exceeds ``tol`` times its
+    peak (the first node for a zero field)."""
+    norms = np.linalg.norm(_as_field(F), axis=1)
+    return float(nodes[max(np.flatnonzero(norms > tol * norms.max()), default=0)])
 
 
 def _build_stage(pt: PhysicalSolutionTable, k_band: float, reach: float) -> _DenseStage:
@@ -431,20 +391,19 @@ def _build_stage(pt: PhysicalSolutionTable, k_band: float, reach: float) -> _Den
     dkq = 2.0 * np.pi / (nfft * dxb)
     L = int(np.ceil(k_band / dkq)) + 1
     kq = dkq * np.arange(L)
-    wk = np.full(L, dkq)
-    wk[0] = 0.5 * dkq
-    Sq = pt._spline_s(kq)
-    Sm = pt._spline_s(-kq)
-    return _DenseStage(pt=pt, nfft=nfft, dxb=dxb, ratio=ratio, kq=kq, wk=wk, Sq=Sq, Sm=Sm)
+    wk = _wall_weights(L, dkq)
+    return _DenseStage(pt=pt, nfft=nfft, ratio=ratio, dxb=dxb, dkq=dkq, kq=kq, wk=wk)
 
 
-def _phase_reach(pt, Y, t, sign) -> tuple[float, float]:
-    """Band edge and domain size needed to evolve ``Y`` to time ``t``."""
-    phi = fourier_maps(pt, Y, sign)
-    k_band = _band_edge(pt.kpos, phi)
-    x_sup = _field_extent(pt.grid.x, Y)
-    reach = x_sup + 2.0 * abs(t) * k_band + 8.0
-    return k_band, reach
+def _stage_for(
+    pt: PhysicalSolutionTable, Y: np.ndarray, phi: np.ndarray, t: float
+) -> _DenseStage:
+    """Dense stage for evolving ``Y``, whose spectrum on the positive table
+    nodes is ``phi``, to time ``t``: band edge from ``phi``, domain from the
+    field's extent plus the distance ``2 |t| k_band`` its fastest part runs."""
+    k_band = _last_above(pt.kpos, phi, BAND_TOL)
+    reach = _last_above(pt.grid.x, Y, 1e-9) + 2.0 * abs(t) * k_band + 8.0
+    return _build_stage(pt, k_band, reach)
 
 
 def evolve_spectral(
@@ -478,16 +437,20 @@ def evolve_spectral(
     if np.all(times == 0.0) and xmax_out is None:
         out0 = fourier_maps_adjoint(pt, fourier_maps(pt, Y, sign), sign)
         return out0 if single else np.repeat(out0[None], times.size, axis=0)
-    k_band, reach = _phase_reach(pt, Y, float(np.abs(times).max()), sign)
-    stage = _build_stage(pt, k_band, reach)
-    dx_out = pt.grid.dx
-    nx_out = pt.grid.x.size if xmax_out is None else int(np.ceil(xmax_out / dx_out)) + 1
-    Yb = stage.resample(Y)
-    phi = stage.analysis(Yb, Y[: pt.xv.size], sign)
+    grid = pt.grid
+    stage = _stage_for(pt, Y, fourier_maps(pt, Y, sign), float(np.abs(times).max()))
+    kernel = stage.kernel(sign)
+    # the band-limited field is resolved on every ratio-th node
+    Ys = Y[:: stage.ratio]
+    w = _wall_weights(Ys.shape[0], stage.dxb)
+    phi = kernel.analysis(Ys, 0.0, stage.dxb, w, Y[: pt.xv.size])
+    nx_out = grid.x.size if xmax_out is None else int(np.ceil(xmax_out / grid.dx)) + 1
+    x_out = np.arange(nx_out) * grid.dx
     outs = []
     for ti in times:
-        Zt = np.exp(-1j * ti * stage.kq**2)[:, None] * phi
-        outs.append(stage.synthesis(Zt, sign, dx_out, nx_out))
+        Zw = (np.exp(-1j * ti * stage.kq**2) * stage.wk)[:, None] * phi
+        stage.check_overflow(kernel, Zw)
+        outs.append(kernel.synthesis(Zw, x_out))
     return outs[0] if single else np.stack(outs)
 
 
@@ -499,28 +462,26 @@ def interacting_after_free(
     one the cosine transform diagonalizes).
 
     Both factors share one dense momentum stage: the freely evolved field is
-    synthesized on the FFT nodes, analyzed by the generalized Fourier map,
-    multiplied by the conjugate quadratic phase, and synthesized back on the
-    table's spatial grid.
+    synthesized by the cosine sum on the physical half of the FFT circle and
+    on the near field, analyzed by the generalized Fourier map, multiplied by
+    the conjugate quadratic phase, and synthesized back on the table's
+    spatial grid.
     """
+    grid = pt.grid
     Y = _as_field(Y)
-    phi0 = f0_transform(pt.grid, Y)
-    k_band = _band_edge(pt.grid.kpos, phi0)
-    x_sup = _field_extent(pt.grid.x, Y)
-    reach = x_sup + 2.0 * abs(t) * k_band + 8.0
-    stage = _build_stage(pt, k_band, reach)
-    # free half: cosine data at the dense nodes, evolved backwards
-    c0 = stage.cosine_analysis(stage.resample(Y))
-    c0 *= np.exp(-1j * t * stage.kq**2)[:, None]
-    u_nodes = stage.cosine_synthesis_nodes(c0)
-    # the cosine sum mirrors the field into the upper half of the FFT
-    # circle; only the physical half may enter the next analysis integral
-    u_nodes[stage.nfft // 2 :] = 0.0
-    u_near = stage.cosine_synthesis_at(c0, pt.xv)
+    stage = _stage_for(pt, Y, f0_transform(grid, Y), t)
+    kernel = stage.kernel(sign)
+    # free half: cosine data at the dense nodes, evolved backwards; the
+    # cosine sum mirrors the field into the upper half of the FFT circle, so
+    # only the physical half enters the analysis integral
+    c0 = f0_transform(grid, Y, stage.kq) * (np.exp(-1j * t * stage.kq**2) * stage.wk)[:, None]
+    xs = np.arange(stage.nfft // 2) * stage.dxb
+    u, u_near = (np.sqrt(2.0 / np.pi) * _cosine_sum(c0, 0.0, stage.dkq, y) for y in (xs, pt.xv))
     # interacting half applied with the opposite phase
-    phi1 = stage.analysis(u_nodes, u_near, sign)
-    phi1 *= np.exp(1j * t * stage.kq**2)[:, None]
-    return stage.synthesis(phi1, sign, pt.grid.dx, pt.grid.x.size)
+    phi = kernel.analysis(u, 0.0, stage.dxb, _wall_weights(xs.size, stage.dxb), u_near)
+    Zw = (np.exp(1j * t * stage.kq**2) * stage.wk)[:, None] * phi
+    stage.check_overflow(kernel, Zw)
+    return kernel.synthesis(Zw, grid.x)
 
 
 # -- discrete Hamiltonian ----------------------------------------------------

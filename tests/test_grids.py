@@ -50,14 +50,6 @@ def test_symmetric_spatial_extension():
     np.testing.assert_array_equal(g.x_sym[g.x.size - 1 :], g.x)
 
 
-def test_flip_k_is_exact_node_map():
-    g = small_grid()
-    odd = np.sin(g.k)
-    np.testing.assert_array_equal(g.flip_k(odd), -odd)
-    table = np.exp(1j * np.outer(g.k, g.x))
-    np.testing.assert_array_equal(g.flip_k(table), np.exp(-1j * np.outer(g.k, g.x)))
-
-
 def test_taper_window_shape():
     g = small_grid()
     t = g.taper

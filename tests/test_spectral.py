@@ -18,11 +18,14 @@ from scatterkit.grids import KXGrid, simpson_weights, trapezoid_weights
 from scatterkit.jost import jost_matrix, solve_faddeev
 from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import smatrix
+from scatterkit import spectral
 from scatterkit.spectral import (
     BoundStatesPresent,
     SpectralError,
     WindowOverflow,
     _build_stage,
+    _stage_for,
+    _wall_weights,
     bound_states,
     boundary_residual,
     discrete_hamiltonian,
@@ -329,12 +332,75 @@ def test_bound_state_warning_and_projection(wide_grid):
 
 def test_window_overflow_monitor(wide_grid):
     pt = _free_table(BoundaryPair.neumann(1), wide_grid)
-    Y = np.exp(-((wide_grid.x - 3.0) ** 2) / 1.5)
+    Y = np.exp(-((wide_grid.x - 3.0) ** 2) / 1.5)[:, None]
     stage = _build_stage(pt, 3.0, 12.0)  # far too small for t = 60
-    phi = stage.analysis(stage.resample(Y[:, None]), Y[: pt.xv.size, None], +1)
-    shifted = np.exp(-1j * 60.0 * stage.kq**2)[:, None] * phi
+    kernel = stage.kernel(+1)
+    Ys = Y[:: stage.ratio]
+    w = _wall_weights(Ys.shape[0], stage.dxb)
+    phi = kernel.analysis(Ys, 0.0, stage.dxb, w, Y[: pt.xv.size])
+    shifted = (np.exp(-1j * 60.0 * stage.kq**2) * stage.wk)[:, None] * phi
     with pytest.raises(WindowOverflow, match="outer tenth"):
-        stage.synthesis(shifted, +1, wide_grid.dx, wide_grid.x.size)
+        stage.check_overflow(kernel, shifted)
+
+
+@pytest.fixture(scope="module")
+def matrix_physical(matrix_potential):
+    grid = KXGrid.build(kmax=8.0, nk=128, dx=1 / 16, xmax=16.0)
+    bc = BoundaryPair.robin(np.array([np.pi, 0.9]), n=2)
+    jt = jost_matrix(solve_faddeev(matrix_potential, grid), bc)
+    return physical_solution(jt, smatrix(jt))
+
+
+def _packet(x: np.ndarray, n: int) -> np.ndarray:
+    """A Gaussian packet zero at the wall to roundoff, spread over ``n`` channels."""
+    mix = np.array([1.0, 0.5j, -0.3])[:n]
+    return np.exp(-((x - 6.0) ** 2) / 2.0 + 1.5j * x)[:, None] * mix
+
+
+def test_kernel_blocks_do_not_change_results(matrix_physical, monkeypatch):
+    """The near-field sums run block by block over the momenta; splitting
+    them into many blocks must give the one-block values."""
+    pt = matrix_physical
+    Y = _packet(pt.grid.x, pt.n)
+    step = 7  # momenta per block
+    assert pt.npos >= 5 * step
+    assert _stage_for(pt, Y, fourier_maps(pt, Y, +1), 2.0).kq.size >= 5 * step
+
+    def run():
+        out = []
+        for sign in (+1, -1):
+            phi = fourier_maps(pt, Y, sign)
+            out += [phi, fourier_maps_adjoint(pt, phi, sign)]
+            out.append(evolve_spectral(pt, Y, 1.0, sign))
+            out.append(interacting_after_free(pt, Y, 2.0 * sign, sign))
+        return out
+
+    monkeypatch.setattr(spectral, "CHUNK", 1 << 40)
+    whole = run()
+    monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * step)
+    for a, b in zip(whole, run()):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
+def test_dense_kernel_duality(table, request):
+    """On the dense momentum grid, analysis and synthesis are an exact
+    adjoint pair: <A Y, Z>_wk = <Y, B (wk Z)>_wx."""
+    pt = request.getfixturevalue(table)
+    grid = pt.grid
+    stage = _build_stage(pt, 6.0, 30.0)
+    rng = np.random.default_rng(11)
+    Y = _packet(grid.x, pt.n) + 0.1 * rng.normal(size=(grid.x.size, pt.n))
+    Z = rng.normal(size=(stage.kq.size, pt.n)) + 1j * rng.normal(size=(stage.kq.size, pt.n))
+    for sign in (+1, -1):
+        kernel = stage.kernel(sign)
+        AY = kernel.analysis(Y, 0.0, grid.dx, grid.wx, Y[: pt.xv.size])
+        lhs = np.sum(stage.wk[:, None] * np.conj(AY) * Z)
+        BZ = kernel.synthesis(stage.wk[:, None] * Z, grid.x)
+        rhs = np.sum(grid.wx[:, None] * np.conj(Y) * BZ)
+        norm_ay = np.sqrt(np.sum(stage.wk[:, None] * np.abs(AY) ** 2))
+        norm_z = np.sqrt(np.sum(stage.wk[:, None] * np.abs(Z) ** 2))
+        assert abs(lhs - rhs) < 1e-12 * norm_ay * norm_z
 
 
 def test_wave_limit_identity_for_free_neumann():
