@@ -38,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
+from scipy.linalg import solve_banded
 
 DEFAULT_KMAX = 40.0
 DEFAULT_NK = 4096
@@ -46,6 +47,9 @@ DEFAULT_XMAX = 40.0
 
 #: fraction of the momentum range occupied by the smooth spectral taper
 TAPER_FRACTION = 0.10
+
+#: gathered spline coefficients per evaluation block (512 KB when complex)
+SPLINE_BLOCK = 1 << 15
 
 
 class GridError(ValueError):
@@ -162,6 +166,47 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
     conv = ifft(a * chirp[:, None], axis=0)[:m]
     out = conv * _cis(np.longdouble(k0) * l * np.longdouble(dy) + 0.5 * theta * l * l)[:, None]
     return out.reshape((m,) + g.shape[1:])
+
+
+class UniformSpline:
+    """Not-a-knot cubic spline through samples ``y`` at uniform knots ``x``
+    along axis 0, the interpolant ``scipy.interpolate.CubicSpline`` builds by
+    default; past the end knots the end cubics extend.  The knot slopes ``s``
+    solve ``s[i-1] + 4 s[i] + s[i+1] = 3 (d[i-1] + d[i])`` in the secant
+    slopes ``d``, closed by ``s[0] + 2 s[1] = (5 d[0] + d[1]) / 2`` and its
+    mirror."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
+        self.x, y = np.asarray(x, dtype=float), np.asarray(y)
+        nx = self.x.size
+        if nx < 4:
+            raise GridError("a not-a-knot spline needs at least four knots")
+        self._tail = y.shape[1:]
+        h = (self.x[-1] - self.x[0]) / (nx - 1)
+        y = y.reshape(nx, -1)
+        d = np.diff(y, axis=0) / h
+        band = np.ones((3, nx))
+        band[1, 1:-1] = 4.0
+        band[0, 1] = band[2, -2] = 2.0
+        ends = (2.5 * d[:1] + 0.5 * d[1:2], 0.5 * d[-2:-1] + 2.5 * d[-1:])
+        s = solve_banded((1, 1), band, np.concatenate([ends[0], 3.0 * (d[:-1] + d[1:]), ends[1]]))
+        c3 = (s[:-1] + s[1:] - 2.0 * d) / h**2
+        c2 = (d - s[:-1]) / h - c3 * h
+        self._coef = np.stack([y[:-1], s[:-1], c2, c3], axis=1)  # (nx - 1, 4, size)
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        """Spline values at ``q``, shape ``q.shape + y.shape[1:]``; blocks of
+        at most ``SPLINE_BLOCK`` gathered coefficients."""
+        flat = np.ravel(q).astype(float)
+        i = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, self.x.size - 2)
+        powers = ((flat - self.x[i])[:, None] ** np.arange(4)).astype(self._coef.dtype)
+        size = self._coef.shape[-1]
+        out = np.empty((flat.size, size), dtype=self._coef.dtype)
+        step = max(1, SPLINE_BLOCK // (4 * size))
+        for a in range(0, flat.size, step):
+            blk = slice(a, a + step)
+            out[blk] = np.matmul(powers[blk, None], self._coef[i[blk]])[:, 0]
+        return out.reshape(np.shape(q) + self._tail)
 
 
 @dataclass(frozen=True)

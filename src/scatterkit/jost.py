@@ -413,6 +413,17 @@ def born_term(potential: PotentialSpec, k: np.ndarray, x: np.ndarray) -> np.ndar
     return out
 
 
+def _largest_norm(mats: np.ndarray) -> float:
+    """Largest spectral norm in a stack of ``n x n`` matrices: only those whose
+    Frobenius norm (at most ``sqrt(n)`` times the spectral norm) reaches
+    ``1/sqrt(n)`` of the largest can hold it, and only their top Gram
+    eigenvalues are taken.  The margin absorbs the rounding of both norms."""
+    fro = np.linalg.norm(mats, axis=(-2, -1))
+    top = mats[fro >= fro.max() / np.sqrt(mats.shape[-1]) * (1.0 - 1e-12)]
+    gram = top.conj().swapaxes(-1, -2) @ top
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None)).max())
+
+
 def marchenko_kernel(
     jt: JostTable,
     y_margin: float = 0.5,
@@ -442,12 +453,9 @@ def marchenko_kernel(
     g = jt.m - np.eye(n)  # (Nk, Nx, n, n)
     # window check on the Born-subtracted remainder
     remainder = g - born_term(jt.potential, k, xv)
-    # spectral norms from the top Gram eigenvalue: no SVD per (k, x) matrix
-    gram = remainder.conj().swapaxes(-1, -2) @ remainder
-    mags = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
-    edge_zone = np.abs(k) >= 0.9 * grid.kmax
-    peak = float(mags.max())
-    tail_fraction = float(mags[edge_zone].max() / peak) if peak > 0 else 0.0
+    peak = _largest_norm(remainder)
+    edge = _largest_norm(remainder[np.abs(k) >= 0.9 * grid.kmax])
+    tail_fraction = edge / peak if peak > 0 else 0.0
     if tail_fraction > tail_tol:
         raise TailNotNegligible(
             f"kernel integrand edge fraction {tail_fraction:.2e} exceeds {tail_tol:.1e}; "

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .boundary import diagonalize_boundary, predicted_s_infinity
-from .grids import KXGrid, fourier_sum, trapezoid_weights
+from .grids import KXGrid, UniformSpline, fourier_sum, trapezoid_weights
 from .jost import JostTable
 
 __all__ = [
@@ -105,12 +105,9 @@ class ScatteringTable:
         return float((self.k[-1] - self.k[0]) / (self.k.size - 1))
 
     def s_at(self, k_query: np.ndarray) -> np.ndarray:
-        """S at arbitrary momenta by cubic interpolation of the grid samples
-        (entrywise, real and imaginary parts)."""
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(self.k, self.S, axis=0)
-        return spline(np.asarray(k_query, dtype=float))
+        """S at arbitrary momenta: the not-a-knot :class:`~.grids.UniformSpline`
+        through the grid samples, entrywise."""
+        return UniformSpline(self.k, self.S)(k_query)
 
 
 def smatrix(jt: JostTable) -> ScatteringTable:

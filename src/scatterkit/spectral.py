@@ -22,11 +22,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eig_banded
 
 from .boundary import BoundaryPair, diagonalize_boundary
-from .grids import KXGrid, fourier_sum, simpson_weights, trapezoid_weights
+from .grids import KXGrid, UniformSpline, fourier_sum, simpson_weights, trapezoid_weights
 from .jost import JostTable
 from .potentials import PotentialSpec
 from .scattering import ScatteringTable
@@ -92,7 +91,9 @@ class PhysicalSolutionTable:
 
     ``psi[a, j]`` holds the n-by-n solution matrix at momentum ``k[a]`` and
     position ``xv[j]``; beyond ``xv[-1]`` the solution equals
-    ``e^{-ikx} I + e^{ikx} S(k)`` exactly, so it is never stored.
+    ``e^{-ikx} I + e^{ikx} S(k)`` exactly, so it is never stored.  Off the
+    grid, ``mnear`` and ``S`` are read through the not-a-knot
+    :class:`~.grids.UniformSpline`.
     """
 
     k: np.ndarray
@@ -118,12 +119,8 @@ class PhysicalSolutionTable:
         return self.k[self.k > 0]
 
     @cached_property
-    def _spline_m(self) -> CubicSpline:
-        return CubicSpline(self.k, self.mnear, axis=0)
-
-    @cached_property
-    def _spline_s(self) -> CubicSpline:
-        return CubicSpline(self.k, self.S, axis=0)
+    def _spline_m(self) -> UniformSpline:
+        return UniformSpline(self.k, self.mnear)
 
 
 def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTable:
@@ -333,7 +330,7 @@ class _DenseStage:
             kq,
             self.dkq,
             pt.xv,
-            pt._spline_s(-sign * kq),
+            UniformSpline(pt.k, pt.S)(-sign * kq),
             lambda blk: (pt._spline_m(sign * kq[blk]), pt._spline_m(-sign * kq[blk])),
         )
 

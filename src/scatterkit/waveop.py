@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
-from scipy.signal import fftconvolve
 
 from .grids import fourier_sum, trapezoid_weights
 from .jost import KernelTable
@@ -341,11 +340,15 @@ def _matrix_kernel(G: FieldR, f: FieldR) -> np.ndarray:
 
 
 def _channel_convolve(g: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(values)
-    for i in range(values.shape[1]):
-        for l in range(values.shape[1]):
-            out[:, i] += fftconvolve(g[:, i, l], values[:, l], mode="same")
-    return out
+    """``sum_l g[:, i, l] * values[:, l]`` as linear convolutions along axis
+    0, cropped to the centred ``len(values)`` nodes (``mode="same"``): one
+    FFT product for all channel pairs."""
+    nx = values.shape[0]
+    size = g.shape[0] + nx - 1
+    nfft = next_fast_len(size)
+    spectrum = np.einsum("kil,kl->ki", fft(g, nfft, axis=0), fft(values, nfft, axis=0))
+    start = (size - nx) // 2
+    return ifft(spectrum, axis=0)[start : start + nx]
 
 
 def convolve(G: FieldR, f: FieldR) -> FieldR:

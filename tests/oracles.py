@@ -3,13 +3,16 @@
 Everything here deliberately avoids the package's own numerics: ordinary
 differential equations are integrated with scipy's adaptive Runge-Kutta on
 the matrix system, special-function values come from closed forms or mpmath
-high-precision quadrature.  Tests freeze these outputs as literals; rerun the
-functions to regenerate them.  There are two exceptions.
+high-precision quadrature; convolutions come from ``scipy.signal``.  Tests
+freeze these outputs as literals; rerun the functions to regenerate them.
+There are three exceptions.
 :func:`decomposed_three_terms` is the decomposed wave operator written term
 by term from the package's public primitives, against which the fused route
 is checked.  :func:`s_zero_richardson` extrapolates ``S(0)`` from the exact
 cellwise Jost solver (itself checked against :func:`ode_jost`), because the
-ODE oracle's error would be amplified by ``1/h``.
+ODE oracle's error would be amplified by ``1/h``.  :func:`tail_fraction_all_norms`
+is the Marchenko window check with the exact norm of every ``(k, x)``
+matrix, against which the filtered check must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from scatterkit.jost import faddeev_solve
+from scatterkit.jost import born_term, faddeev_solve
 from scatterkit.waveop import FieldR, convolve, extend_even, hilbert, kernel_apply, restrict
 
 
@@ -394,3 +397,29 @@ def decomposed_three_terms(st, kt, f, sign=+1):
         u = restrict(field.replace_values(projected))
         total += u.values + kernel_apply(kt, u).values
     return f.replace_values(total)
+
+
+# -- channel convolution and the kernel window check ---------------------------
+
+
+def channel_convolve_loop(g, values):
+    """``sum_l g[:, i, l] * values[:, l]`` with one ``fftconvolve(mode="same")``
+    per channel pair."""
+    from scipy.signal import fftconvolve  # perfbench loads this module: keep its import lean
+
+    out = np.zeros(values.shape, dtype=np.result_type(g, values))
+    for i in range(values.shape[1]):
+        for l in range(values.shape[1]):
+            out[:, i] += fftconvolve(g[:, i, l], values[:, l], mode="same")
+    return out
+
+
+def tail_fraction_all_norms(jt):
+    """Edge-to-peak ratio of the Born-subtracted Faddeev remainder, with the
+    spectral norm of every ``(k, x)`` matrix from its top Gram eigenvalue."""
+    k, grid = jt.k, jt.grid
+    remainder = jt.m - np.eye(jt.n) - born_term(jt.potential, k, jt.xv)
+    gram = remainder.conj().swapaxes(-1, -2) @ remainder
+    mags = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
+    peak = float(mags.max())
+    return float(mags[np.abs(k) >= 0.9 * grid.kmax].max() / peak) if peak > 0 else 0.0

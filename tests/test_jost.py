@@ -267,6 +267,24 @@ def test_kernel_requires_momentum_window():
         marchenko_kernel(jt)
 
 
+def test_tail_fraction_equals_all_norms_check(matrix_potential):
+    grid = KXGrid.build(kmax=20.0, nk=512, dx=1.0 / 64.0, xmax=6.0)
+    c, s = np.cos(0.7), np.sin(0.7)
+    rot = np.array([[c, -s, 0.0], [s * 0.6, c * 0.6, 0.8], [-s * 0.8, -c * 0.8, 0.6]])
+    rotated = box_potential(rot @ np.diag([0.5, 1.0, 1.5]) @ rot.T, 0.0, 1.0)
+    for potential in (matrix_potential, rotated):
+        jt = solve_faddeev(potential, grid)
+        kt = marchenko_kernel(jt, tail_tol=1.0)
+        assert kt.tail_fraction > 0.0
+        assert kt.tail_fraction == oracles.tail_fraction_all_norms(jt)
+    # on n = 3 the Frobenius peak is not the spectral one, so the equality
+    # above needs the exact norms the filter keeps
+    remainder = jt.m - np.eye(3) - born_term(rotated, jt.k, jt.xv)
+    fro = np.linalg.norm(remainder, axis=(-2, -1)).max()
+    spectral = np.linalg.norm(remainder, ord=2, axis=(-2, -1)).max()
+    assert fro > spectral * (1.0 + 1e-3)
+
+
 def test_born_term_leading_order():
     eps = 1e-3
     v = box_potential(eps, 0.0, 1.0)

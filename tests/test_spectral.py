@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from scatterkit.boundary import BoundaryPair
-from scatterkit.grids import KXGrid, simpson_weights, trapezoid_weights
+from scatterkit.grids import KXGrid, UniformSpline, simpson_weights, trapezoid_weights
 from scatterkit.jost import jost_matrix, solve_faddeev
 from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import smatrix
@@ -380,6 +380,23 @@ def test_kernel_blocks_do_not_change_results(matrix_physical, monkeypatch):
     monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * step)
     for a, b in zip(whole, run()):
         assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
+def test_tables_spline_matches_scipy_cubic_spline(table, request):
+    """``mnear`` and ``S`` off the grid: the dense stage's momenta, both signs,
+    and points past the end knots, against ``scipy``'s not-a-knot spline."""
+    from scipy.interpolate import CubicSpline
+
+    pt = request.getfixturevalue(table)
+    kq = _build_stage(pt, 6.0, 30.0).kq
+    past = pt.grid.kmax * np.linspace(0.97, 1.05, 9)
+    q = np.concatenate([kq, -kq, past, -past])
+    assert np.abs(q).max() > pt.k[-1]
+    for samples in (pt.mnear, pt.S):
+        reference = CubicSpline(pt.k, samples, axis=0)(q)
+        got = UniformSpline(pt.k, samples)(q)
+        assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])

@@ -231,6 +231,22 @@ def test_convolve_adjoint_duality():
         convolve(bad, f)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("nodes", [64, 65])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_channel_convolve_matches_fftconvolve_loop(n, nodes, dtype):
+    rng = np.random.default_rng(nodes + 10 * n)
+
+    def sample(*shape):
+        out = rng.normal(size=shape)
+        return out + 1j * rng.normal(size=shape) if dtype is complex else out
+
+    g, values = sample(nodes, n, n), sample(nodes, n)
+    reference = oracles.channel_convolve_loop(g, values)
+    got = waveop._channel_convolve(g, values)
+    assert np.abs(got - reference).max() < 1e-14 * np.abs(reference).max()
+
+
 def test_kernel_apply_matches_row_quadrature(golden_wave):
     _, _, kt = golden_wave
     xg = np.arange(0.0, 16.0, 1 / 128)
