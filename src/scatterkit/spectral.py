@@ -11,7 +11,8 @@ on a dense momentum grid for time evolution, which conjugates the multiplier
 ``e^{-itk^2}`` by the maps: fixed grids cannot resolve the quadratic phase
 once ``2 t k`` outruns the node spacing, so the dense grid is sized from a
 phase-resolution budget and the stored tables are interpolated onto it (they
-are smooth in momentum).
+are smooth in momentum).  Evolution runs the analysis and every synthesis
+in one pass over the momentum blocks.
 """
 from __future__ import annotations
 
@@ -226,32 +227,82 @@ class _MapKernel:
             ph = np.exp(1j * self.sign * np.outer(self.k[blk], self.xv))
             yield (blk, ph) + self.tables(blk)
 
+    def _plane_analysis(self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray) -> np.ndarray:
+        """The plane-wave part of the analysis sum, unscaled."""
+        Yw = Y * w[:, None]
+        out = fourier_sum(Yw, x0, dx, self.k, -self.sign)
+        out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
+        return out
+
+    def _near_analysis(self, blk, ph, m_s, m_ms, Yc: np.ndarray) -> np.ndarray:
+        """The near-field part of the analysis sum on one block, unscaled;
+        ``Yc`` is the conjugate of the weighted field on ``xv``."""
+        # e^{-i sign k x} (m_s - I)^dagger Y + S^dagger e^{i sign k x} (m_ms - I)^dagger Y,
+        # summed over xv as the conjugate of its transpose
+        near = _near_t(ph, m_s, Yc)
+        near += np.einsum("kji,kj->ki", self.S[blk], _near_t(ph.conj(), m_ms, Yc))
+        return near.conj()
+
+    @staticmethod
+    def _near_synthesis(ph, m_s, m_ms, Zw: np.ndarray, SZ: np.ndarray) -> np.ndarray:
+        """The near-field part of the synthesis sum from one block, unscaled."""
+        return _near(ph, m_s, Zw) + _near(ph.conj(), m_ms, SZ)
+
+    def _plane_synthesis(self, Zw: np.ndarray, SZ: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The plane-wave part of the synthesis sum, unscaled."""
+        out = fourier_sum(Zw, self.k[0], self.dk, x, self.sign)
+        out += fourier_sum(SZ, self.k[0], self.dk, x, -self.sign)
+        return out
+
     def analysis(
         self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray
     ) -> np.ndarray:
         """``sqrt(1/2pi) sum_x w(x) Psi(-sign*k, x)^dagger Y(x)`` for samples
         ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on ``xv``."""
-        Yw = Y * w[:, None]
-        out = fourier_sum(Yw, x0, dx, self.k, -self.sign)
-        out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
-        # e^{-i sign k x} (m_s - I)^dagger Y + S^dagger e^{i sign k x} (m_ms - I)^dagger Y,
-        # summed over xv as the conjugate of its transpose
+        out = self._plane_analysis(Y, x0, dx, w)
         Yc = np.conj(Ynear * trapezoid_weights(self.xv)[:, None])
         for blk, ph, m_s, m_ms in self._blocks():
-            near = _near_t(ph, m_s, Yc)
-            near += np.einsum("kji,kj->ki", self.S[blk], _near_t(ph.conj(), m_ms, Yc))
-            out[blk] += near.conj()
+            out[blk] += self._near_analysis(blk, ph, m_s, m_ms, Yc)
         return out / np.sqrt(2.0 * np.pi)
 
     def synthesis(self, Zw: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``sqrt(1/2pi) sum_k Psi(-sign*k, x) Zw(k)`` at uniform nodes ``x``
         whose prefix is ``xv``; ``Zw`` carries the momentum weights."""
         SZ = np.einsum("kij,kj->ki", self.S, Zw)
-        out = fourier_sum(Zw, self.k[0], self.dk, x, self.sign)
-        out += fourier_sum(SZ, self.k[0], self.dk, x, -self.sign)
+        out = self._plane_synthesis(Zw, SZ, x)
         for blk, ph, m_s, m_ms in self._blocks():
-            out[: self.xv.size] += _near(ph, m_s, Zw[blk]) + _near(ph.conj(), m_ms, SZ[blk])
+            out[: self.xv.size] += self._near_synthesis(ph, m_s, m_ms, Zw[blk], SZ[blk])
         return out / np.sqrt(2.0 * np.pi)
+
+    def transfer(
+        self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray,
+        mults: np.ndarray, x: np.ndarray, check: Callable[[np.ndarray], None],
+    ) -> list[np.ndarray]:
+        """``synthesis(mult * analysis(Y), x)`` for every row ``mult`` of
+        ``mults`` (weights included), in one pass over the momentum blocks:
+        each block's phases and tables serve its near-field analysis and then
+        every synthesis.  ``check`` sees every ``Zw`` before the plane sums
+        run, so a failing check returns nothing."""
+        phi = self._plane_analysis(Y, x0, dx, w)
+        Yc = np.conj(Ynear * trapezoid_weights(self.xv)[:, None])
+        Zw = np.empty((mults.shape[0],) + phi.shape, dtype=complex)
+        SZ = np.empty_like(Zw)
+        near = np.zeros((mults.shape[0], self.xv.size, phi.shape[1]), dtype=complex)
+        for blk, ph, m_s, m_ms in self._blocks():
+            phi[blk] += self._near_analysis(blk, ph, m_s, m_ms, Yc)
+            phi[blk] /= np.sqrt(2.0 * np.pi)
+            Zw[:, blk] = mults[:, blk, None] * phi[blk]
+            SZ[:, blk] = np.einsum("kij,tkj->tki", self.S[blk], Zw[:, blk])
+            for Z, SZi, acc in zip(Zw[:, blk], SZ[:, blk], near):
+                acc += self._near_synthesis(ph, m_s, m_ms, Z, SZi)
+        for Z in Zw:
+            check(Z)
+        outs = []
+        for Z, SZi, acc in zip(Zw, SZ, near):
+            out = self._plane_synthesis(Z, SZi, x)
+            out[: self.xv.size] += acc
+            outs.append(out / np.sqrt(2.0 * np.pi))
+        return outs
 
 
 def _near(ph: np.ndarray, m: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -415,9 +466,10 @@ def evolve_spectral(
     the diagonalization ``(F^s)^dagger e^{-itk^2} F^s``.
 
     Accepts a single time or a sequence (evolved on one shared dense grid
-    sized for the largest |t|).  If a discrete Hamiltonian is supplied and has
-    negative eigenvalues, a BoundStatesPresent warning lists them: those
-    components are absent from the result by construction.
+    sized for the largest |t|, in one pass over its momentum blocks).  If a
+    discrete Hamiltonian is supplied and has negative eigenvalues, a
+    BoundStatesPresent warning lists them: those components are absent from
+    the result by construction.
     """
     if hamiltonian is not None:
         ev = bound_states(hamiltonian)
@@ -440,14 +492,13 @@ def evolve_spectral(
     # the band-limited field is resolved on every ratio-th node
     Ys = Y[:: stage.ratio]
     w = _wall_weights(Ys.shape[0], stage.dxb)
-    phi = kernel.analysis(Ys, 0.0, stage.dxb, w, Y[: pt.xv.size])
     nx_out = grid.x.size if xmax_out is None else int(np.ceil(xmax_out / grid.dx)) + 1
     x_out = np.arange(nx_out) * grid.dx
-    outs = []
-    for ti in times:
-        Zw = (np.exp(-1j * ti * stage.kq**2) * stage.wk)[:, None] * phi
-        stage.check_overflow(kernel, Zw)
-        outs.append(kernel.synthesis(Zw, x_out))
+    mults = np.exp(-1j * times[:, None] * stage.kq**2) * stage.wk
+    outs = kernel.transfer(
+        Ys, 0.0, stage.dxb, w, Y[: pt.xv.size], mults, x_out,
+        lambda Zw: stage.check_overflow(kernel, Zw),
+    )
     return outs[0] if single else np.stack(outs)
 
 
@@ -475,10 +526,11 @@ def interacting_after_free(
     xs = np.arange(stage.nfft // 2) * stage.dxb
     u, u_near = (np.sqrt(2.0 / np.pi) * _cosine_sum(c0, 0.0, stage.dkq, y) for y in (xs, pt.xv))
     # interacting half applied with the opposite phase
-    phi = kernel.analysis(u, 0.0, stage.dxb, _wall_weights(xs.size, stage.dxb), u_near)
-    Zw = (np.exp(1j * t * stage.kq**2) * stage.wk)[:, None] * phi
-    stage.check_overflow(kernel, Zw)
-    return kernel.synthesis(Zw, grid.x)
+    mult = np.exp(1j * t * stage.kq**2) * stage.wk
+    return kernel.transfer(
+        u, 0.0, stage.dxb, _wall_weights(xs.size, stage.dxb), u_near, mult[None], grid.x,
+        lambda Zw: stage.check_overflow(kernel, Zw),
+    )[0]
 
 
 # -- discrete Hamiltonian ----------------------------------------------------

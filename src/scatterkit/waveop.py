@@ -79,9 +79,6 @@ __all__ = [
 #: transform precondition
 OUTER_MASS_FRACTION = 0.01
 
-#: zero-padding factor for momentum-multiplier transforms
-PAD_FACTOR = 32
-
 #: squared-norm mass below which a field counts as numerically zero and the
 #: window precondition is moot
 NEGLIGIBLE_MASS = 1e-20
@@ -293,22 +290,22 @@ def _edge_mass_fraction(f: FieldR, outer_fraction: float = 0.1) -> float:
 
 def hilbert(f: FieldR, mass_tol: float = OUTER_MASS_FRACTION) -> FieldR:
     """Discrete Hilbert transform ``(1/pi) PV integral Y(y)/(x-y) dy`` as the
-    momentum multiplier ``-i sign(k)`` in the forward-transform convention
-    ``e^{-ikx}``, applied with several window lengths of zero padding.
+    linear convolution of the samples with the lattice Hilbert kernel,
+    ``(H Y)_j = sum_l h[j - l] Y_l`` with ``h[m] = 2/(pi m)`` for odd ``m`` and
+    0 for even ``m``.
 
-    Padding controls circular leakage: the image's ``C/x`` tail sees its
-    nearest periodic ghosts at ``+-L`` (one circular period), which cancel to
-    ``O(x / L^2)`` inside the window, so a generous pad buys two orders of
-    accuracy at log-linear cost.  ``sign`` is 0 at ``k = 0`` and at the
-    Nyquist bin of an even padded length (the ``scipy.signal.hilbert``
-    convention): that bin is its own conjugate, so any other value there
-    makes the multiplier non-odd and the transform of a real field complex.
+    ``h[m]`` is the transform of a unit sample's sinc interpolant, read ``m``
+    nodes away: the infinite-padding limit of the momentum multiplier
+    ``-i sign(k)``.  So the result is exact for band-limited samples, and the
+    linear convolution, one FFT product of length ``3N - 2``, cannot wrap
+    around.
 
     Raises
     ------
     WindowTooSmall
         If more than ``mass_tol`` of the field's mass sits in the outer tenth
-        of the window: the transform's 1/x tail would wrap around.
+        of the window: the field is cut off at the window edge, and the
+        transform's 1/x tail misses what lies beyond it.
     """
     frac = _edge_mass_fraction(f)
     if frac > mass_tol:
@@ -316,12 +313,11 @@ def hilbert(f: FieldR, mass_tol: float = OUTER_MASS_FRACTION) -> FieldR:
             f"{frac:.1%} of the field mass lies in the outer tenth of the "
             "window; enlarge it before applying a nonlocal transform"
         )
-    nfft = next_fast_len(PAD_FACTOR * f.x.size)
-    sign = np.sign(np.fft.fftfreq(nfft))
-    if nfft % 2 == 0:
-        sign[nfft // 2] = 0.0
-    spectrum = -1j * sign[:, None] * fft(f.values, n=nfft, axis=0)
-    return f.replace_values(ifft(spectrum, axis=0)[: f.x.size])
+    m = np.arange(1 - f.x.size, f.x.size)
+    h = np.zeros(m.size)
+    odd = m % 2 == 1
+    h[odd] = 2.0 / (np.pi * m[odd])
+    return f.replace_values(_channel_convolve(h, f.values))
 
 
 # --------------------------------------------------------------------------
@@ -342,11 +338,13 @@ def _matrix_kernel(G: FieldR, f: FieldR) -> np.ndarray:
 def _channel_convolve(g: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``sum_l g[:, i, l] * values[:, l]`` as linear convolutions along axis
     0, cropped to the centred ``len(values)`` nodes (``mode="same"``): one
-    FFT product for all channel pairs."""
+    FFT product for all channel pairs.  A scalar ``(x,)`` kernel acts on
+    every channel alike."""
     nx = values.shape[0]
     size = g.shape[0] + nx - 1
     nfft = next_fast_len(size)
-    spectrum = np.einsum("kil,kl->ki", fft(g, nfft, axis=0), fft(values, nfft, axis=0))
+    gk, vk = fft(g, nfft, axis=0), fft(values, nfft, axis=0)
+    spectrum = gk[:, None] * vk if g.ndim == 1 else np.einsum("kil,kl->ki", gk, vk)
     start = (size - nx) // 2
     return ifft(spectrum, axis=0)[start : start + nx]
 
@@ -462,10 +460,10 @@ def wave_op_decomposed(
     ------
     WindowTooSmall
         If ``E f - t``, the one field that is Hilbert transformed, has too
-        much mass near the window edge; that is where wrap-around error
-        arises.  Under ``S_inf = I`` and ``F_s = 0`` (free Neumann) that
-        field vanishes to rounding, so the gate passes and the route returns
-        ``f`` whatever the field's support.
+        much mass near the window edge, where the transform cuts it off.
+        Under ``S_inf = I`` and ``F_s = 0`` (free Neumann) that field
+        vanishes to rounding, so the gate passes and the route returns ``f``
+        whatever the field's support.
     """
     if st.Fs is None:
         raise WaveOpError("attach the transform of S - S_infinity first")

@@ -343,6 +343,18 @@ def test_window_overflow_monitor(wide_grid):
         stage.check_overflow(kernel, shifted)
 
 
+def test_evolve_spectral_checks_every_time_for_overflow(wide_grid, monkeypatch):
+    """The monitor runs inside ``evolve_spectral`` on every time before any
+    output: t = 1 fits the stage, t = 60 does not."""
+    pt = _free_table(BoundaryPair.neumann(1), wide_grid)
+    Y = np.exp(-((wide_grid.x - 3.0) ** 2) / 1.5)
+    stage = _build_stage(pt, 3.0, 12.0)  # far too small for t = 60
+    monkeypatch.setattr(spectral, "_stage_for", lambda *args: stage)
+    evolve_spectral(pt, Y, 1.0)
+    with pytest.raises(WindowOverflow, match="outer tenth"):
+        evolve_spectral(pt, Y, [1.0, 60.0])
+
+
 @pytest.fixture(scope="module")
 def matrix_physical(matrix_potential):
     grid = KXGrid.build(kmax=8.0, nk=128, dx=1 / 16, xmax=16.0)
@@ -380,6 +392,50 @@ def test_kernel_blocks_do_not_change_results(matrix_physical, monkeypatch):
     monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * step)
     for a, b in zip(whole, run()):
         assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+
+
+def test_evolution_evaluates_tables_once_per_block(matrix_physical, monkeypatch):
+    """One ``evolve_spectral`` call runs one pass over the momentum blocks:
+    each block's two Faddeev-factor tables serve the analysis and every
+    synthesis time."""
+    pt = matrix_physical
+    Y = _packet(pt.grid.x, pt.n)
+    step = 7  # momenta per block
+    monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * step)
+    stages = []
+
+    def stage_for(*args):
+        stages.append(_stage_for(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(spectral, "_stage_for", stage_for)
+    spline = pt._spline_m
+    calls = []
+
+    def counted(q):
+        calls.append(q.size)
+        return spline(q)
+
+    monkeypatch.setitem(pt.__dict__, "_spline_m", counted)
+    evolve_spectral(pt, Y, [0.5, -1.0, 2.0])
+    blocks = -(-stages[0].kq.size // step)
+    assert blocks >= 5
+    assert len(calls) == 2 * blocks
+
+
+def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch):
+    """All times of one call share one pass; on a common stage each equals
+    its own scalar-time call."""
+    pt = matrix_physical
+    Y = _packet(pt.grid.x, pt.n)
+    times = (0.5, -1.0, 2.0)
+    stage = _stage_for(pt, Y, fourier_maps(pt, Y, +1), max(map(abs, times)))
+    monkeypatch.setattr(spectral, "_stage_for", lambda *args: stage)
+    for sign in (+1, -1):
+        together = evolve_spectral(pt, Y, times, sign)
+        for t, out in zip(times, together):
+            alone = evolve_spectral(pt, Y, t, sign)
+            assert np.abs(out - alone).max() <= 1e-15 * np.abs(alone).max()
 
 
 @pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])

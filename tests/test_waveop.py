@@ -10,6 +10,7 @@ forward quadratures, so duality tests run at rounding level.
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,9 +186,41 @@ def test_hilbert_parity_and_window_gate():
     hilbert(tiny)  # numerically-zero mass: the precondition is moot
 
 
+@pytest.mark.parametrize(
+    "xmax, dx, width, n",
+    [(40.0, 1 / 8, 2.0, 1), (20.0, 1 / 32, 0.75, 2), (160.0, 1 / 2, 6.0, 1)],
+)
+def test_hilbert_matches_dawson_closed_form(xmax, dx, width, n):
+    # H e^{-(x/s)^2} = (2/sqrt(pi)) dawsn(x/s); the lattice kernel is exact
+    # for band-limited samples, and the window holds the packet to rounding
+    from scipy.special import dawsn
+
+    x = np.arange(-xmax, xmax + 1e-9, dx)
+    mix = np.array([1.0, 0.5 - 2.0j])[:n]
+    f = FieldR(x, np.exp(-((x / width) ** 2))[:, None] * mix)
+    target = (2.0 / np.sqrt(np.pi)) * dawsn(x / width)[:, None] * mix
+    h = hilbert(f).values
+    assert np.abs(h - target).max() < 1e-13 * np.abs(target).max()
+
+
+def test_hilbert_fft_length(monkeypatch):
+    # one linear convolution with the lattice kernel: no transform longer
+    # than the 3N - 2 points of the full convolution
+    lengths = []
+    for name in ("fft", "ifft"):
+        def recorded(a, *args, _op=getattr(waveop, name), **kwargs):
+            out = _op(a, *args, **kwargs)
+            lengths.append(out.shape[kwargs.get("axis", -1)])
+            return out
+        monkeypatch.setattr(waveop, name, recorded)
+    x = np.arange(-30.0, 30.0 + 1e-9, 1 / 8)
+    hilbert(FieldR(x, np.exp(-(x**2))))
+    assert lengths and max(lengths) <= next_fast_len(3 * x.size - 2)
+
+
 def test_hilbert_of_real_field_is_real():
-    # -i sign(k) is odd on every bin, the Nyquist bin of the padded length
-    # included, so a real field with energy up to that bin maps to a real one
+    # the lattice kernel is real, so a real field with energy up to the
+    # Nyquist frequency of the grid maps to a real one
     rng = np.random.default_rng(5)
     x = np.arange(-30.0, 30.0 + 1e-9, 1 / 8)
     f = FieldR(x, rng.normal(size=(x.size, 1)) * np.exp(-(x[:, None] ** 2) / 40.0))
