@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 SELF_ADJOINT_TOL = 1e-10
 MIN_RANK_TOL = 1e-10
@@ -160,21 +159,33 @@ def boundary_unitary(bp: BoundaryPair) -> np.ndarray:
 def diagonalize_boundary(bp: BoundaryPair) -> DiagonalForm:
     """Compute the channel angles and mixing unitary of a validated pair.
 
-    The unitary ``U`` is normal, so its complex Schur form is diagonal with a
-    unitary similarity; angles are read off as half the eigenvalue arguments
-    taken in ``(0, 2 pi]`` (so ``theta in (0, pi]`` with Dirichlet mapped to
-    ``pi``).  Channels are ordered by descending angle: Dirichlet first, then
-    mixed, then Neumann, then small-angle mixed.
+    The unitary ``U`` is normal, so its eigenvectors are those of the
+    Hermitian Cayley transform ``H = i (I - V)^{-1} (I + V)`` of ``V =
+    e^{-i alpha} U``, with ``alpha`` the middle of the widest gap between
+    the eigenvalue arguments of ``U`` (at least ``2 pi / n`` wide, so ``I -
+    V`` stays well conditioned); ``numpy.linalg.eigh`` of ``H`` gives them
+    as the unitary ``M``.  ``M^dagger U M`` is then diagonal, and the angles
+    are read off its diagonal as half the arguments taken in ``(0, 2 pi]``
+    (so ``theta in (0, pi]`` with Dirichlet mapped to ``pi``).  Channels are
+    ordered by descending angle: Dirichlet first, then mixed, then Neumann,
+    then small-angle mixed.
 
     Raises
     ------
     BoundaryError
-        If the Schur form is not numerically diagonal (``U`` not normal) or
+        If ``M^dagger U M`` is not numerically diagonal (``U`` not normal) or
         the reconstruction defect exceeds 1e-9.
     """
     validate_boundary(bp)
     U = boundary_unitary(bp)
-    T, Z = scipy.linalg.schur(U, output="complex")
+    eye = np.eye(bp.n)
+    phases = np.sort(np.angle(np.linalg.eigvals(U)))
+    gaps = np.diff(phases, append=phases[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    V = np.exp(-1j * (phases[widest] + 0.5 * gaps[widest])) * U
+    H = 1j * np.linalg.solve(eye - V, eye + V)
+    _, Z = np.linalg.eigh(0.5 * (H + H.conj().T))
+    T = Z.conj().T @ U @ Z
     off = T - np.diag(np.diag(T))
     if np.linalg.norm(off, 2) > 1e-8:
         raise BoundaryError("boundary unitary failed to diagonalize (not normal?)")

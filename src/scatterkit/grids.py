@@ -29,16 +29,25 @@ formed in ``np.longdouble`` and reduced modulo a ``longdouble`` ``2 pi``
 before rounding.  The sums then match a ``longdouble`` direct sum to about
 ``6e-16`` relative, against ``2e-14`` with float64 phases and ``5e-11`` with
 the chirp ``w**(j^2/2)`` of ``scipy.signal.czt``.
+
+Every FFT in the package is ``numpy.fft``, at the 11-smooth lengths of
+:func:`next_fast_len`; the package imports no scipy module on any path of
+the pipeline.  Spectra that do not depend on the data are computed once per
+key and kept, at most ``SPECTRUM_CACHE`` of each kind: the chirp spectrum
+of :func:`fourier_sum`, keyed on the FFT length, the node count and the
+float64 steps ``(size, nk, dk, dy)``, and the lattice Hilbert kernel's
+spectrum in ``waveop``, keyed on the node count.  Kept spectra are
+read-only.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.linalg import solve_banded
+from numpy.fft import fft, ifft
 
 DEFAULT_KMAX = 40.0
 DEFAULT_NK = 4096
@@ -50,6 +59,11 @@ TAPER_FRACTION = 0.10
 
 #: gathered spline coefficients per evaluation block (512 KB when complex)
 SPLINE_BLOCK = 1 << 15
+#: rows per block of the spline's slope sweeps: a carry crossing a whole
+#: block shrinks by ``(2 - sqrt 3)^32 < 2^-60``, below float64 rounding
+SWEEP_BLOCK = 32
+#: kept data-independent spectra (and spline pivots) of each kind
+SPECTRUM_CACHE = 32
 
 
 class GridError(ValueError):
@@ -121,6 +135,27 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=None)
+def _smooth_lengths(bits: int) -> tuple[int, ...]:
+    """The 11-smooth integers up to ``2**bits``, ascending."""
+    lengths = [1]
+    for p in (2, 3, 5, 7, 11):
+        grown = []
+        for m in lengths:
+            while m <= 1 << bits:
+                grown.append(m)
+                m *= p
+        lengths = grown
+    return tuple(sorted(lengths))
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 11-smooth integer ``>= n``: a length whose complex FFT
+    has only the radices 2, 3, 5, 7 and 11."""
+    lengths = _smooth_lengths(max(int(n) - 1, 0).bit_length())
+    return lengths[bisect_left(lengths, n)]
+
+
 _TWO_PI = 8 * np.arctan(np.longdouble(1))
 
 
@@ -130,15 +165,28 @@ def _cis(phase: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.fmod(phase, _TWO_PI).astype(float))
 
 
+@lru_cache(maxsize=SPECTRUM_CACHE)
+def _chirp_spectrum(size: int, nk: int, dk: float, dy: float) -> np.ndarray:
+    """FFT of the chirp ``e^{-i theta lag^2 / 2}``, ``theta = dk dy``, over
+    the lags ``-(nk - 1) .. size - nk`` of a ``size``-point circle."""
+    theta = np.longdouble(dk) * np.longdouble(dy)
+    n = np.arange(size, dtype=np.longdouble)
+    lag = np.where(n < size - nk + 1, n, n - size)  # lags -(nk - 1) .. -1 wrap to the end
+    spectrum = fft(_cis(-0.5 * theta * lag * lag))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = +1) -> np.ndarray:
     """``sum_j g[j] e^{i sign (k0 + j dk) y_l}`` along axis 0 of ``g``.
 
     Returns shape ``(len(y),) + g.shape[1:]``.  Uniform nodes ``y``
     (ascending or descending) take one Bluestein convolution, with
-    ``j l = (j^2 + l^2 - (l - j)^2) / 2`` and ``theta = dk dy``; other nodes
-    take the direct sum.  Sign ``-1`` is ``conj`` of the ``+1`` sum of
-    ``conj(g)``, so the two signs are exact conjugates.  Phases are formed
-    in ``np.longdouble``; on a platform where that type is float64 the
+    ``j l = (j^2 + l^2 - (l - j)^2) / 2`` and ``theta = dk dy``, run along
+    the contiguous last axis of the transposed columns; other nodes take the
+    direct sum.  Sign ``-1`` is ``conj`` of the ``+1`` sum of ``conj(g)``,
+    so the two signs are exact conjugates.  Phases are formed in
+    ``np.longdouble``; on a platform where that type is float64 the
     accuracy falls to that of float64 phases, about ``2e-14`` on the
     default grid.
     """
@@ -158,14 +206,79 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
         return out.reshape((m,) + g.shape[1:])
     theta = np.longdouble(dk) * np.longdouble(dy)
     size = next_fast_len(nk + m - 1)
-    n = np.arange(size, dtype=np.longdouble)
-    lag = np.where(n < size - nk + 1, n, n - size)  # lags -(nk - 1) .. -1 wrap to the end
-    chirp = fft(_cis(-0.5 * theta * lag * lag))
+    chirp = _chirp_spectrum(size, nk, float(dk), float(dy))
+    n = np.arange(max(nk, m), dtype=np.longdouble)
     j, l = n[:nk], n[:m]
-    a = fft(cols * _cis(kj * np.longdouble(y[0]) + 0.5 * theta * j * j)[:, None], size, axis=0)
-    conv = ifft(a * chirp[:, None], axis=0)[:m]
-    out = conv * _cis(np.longdouble(k0) * l * np.longdouble(dy) + 0.5 * theta * l * l)[:, None]
-    return out.reshape((m,) + g.shape[1:])
+    head = _cis(kj * np.longdouble(y[0]) + 0.5 * theta * j * j)
+    tail = _cis(np.longdouble(k0) * l * np.longdouble(dy) + 0.5 * theta * l * l)
+    conv = ifft(fft(np.multiply(cols.T, head, order="C"), size) * chirp)[:, :m]
+    return np.multiply(conv.T, tail[:, None], order="C").reshape((m,) + g.shape[1:])
+
+
+@lru_cache(maxsize=SPECTRUM_CACHE)
+def _slope_sweeps(nx: int) -> tuple[np.ndarray, ...]:
+    """The two bidiagonal sweeps that solve the not-a-knot slope system for
+    ``nx`` knots, in blocks of ``SWEEP_BLOCK`` rows.
+
+    Elimination needs no pivoting (from the second row on the pivots ``w``
+    exceed the sub-diagonal ``l``) and gives the forward sweep ``r'[i] =
+    (r[i] - l[i] r'[i-1]) / w[i]`` and the backward sweep ``s[i] = r'[i] -
+    c[i] s[i+1]``.  Rows past ``nx`` pad the last block with identity rows.
+    The pivots settle after 16 rows, so only the first, the inner and the
+    last blocks differ.  Returns, for each distinct block, the inverse of
+    its diagonal block of either factor (the sweep with no incoming carry)
+    and the column the carry from the neighbouring block enters with, and
+    each block's index into them: ``(forward, forward_carry, backward,
+    backward_carry, kind)``.
+    """
+    rows = -(-nx // SWEEP_BLOCK) * SWEEP_BLOCK
+    lower, pivot, sup, upper = np.zeros(rows), np.ones(rows), np.zeros(rows), np.zeros(rows)
+    lower[1:nx], pivot[1 : nx - 1], sup[: nx - 1] = 1.0, 4.0, 1.0
+    lower[nx - 1] = sup[0] = 2.0
+    for j in range(nx):
+        pivot[j] -= lower[j] * upper[j - 1]
+        upper[j] = sup[j] / pivot[j]
+    blocks = np.stack([lower, pivot, upper]).reshape(3, -1, SWEEP_BLOCK).swapaxes(0, 1)
+    distinct, kind = np.unique(blocks, axis=0, return_inverse=True)
+    lower, pivot, upper = distinct.swapaxes(0, 1)
+    i = np.arange(SWEEP_BLOCK)
+    factor = np.zeros((2,) + pivot.shape + (SWEEP_BLOCK,))
+    factor[0][:, i, i], factor[0][:, i[1:], i[:-1]] = pivot, lower[:, 1:]
+    factor[1][:, i, i], factor[1][:, i[:-1], i[1:]] = 1.0, upper[:, :-1]
+    forward, backward = np.linalg.inv(factor)
+    tables = (
+        forward, -forward[..., :1] * lower[:, :1, None],
+        backward, -backward[..., -1:] * upper[:, -1:, None],
+        kind.ravel(),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _knot_slopes(d: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot spline from the secant slopes ``d``,
+    shape ``(nx - 1, columns)`` to ``(nx, columns)``.
+
+    Each sweep is one batched matmul over the blocks with no incoming
+    carry, then one broadcast of the carry from the neighbouring block's
+    end row.  That carry is itself taken without its own incoming carry:
+    the part dropped crossed a whole block, which damps it below ``2^-60``.
+    """
+    nx = d.shape[0] + 1
+    ends = (2.5 * d[:1] + 0.5 * d[1:2], 0.5 * d[-2:-1] + 2.5 * d[-1:])
+    rhs = np.concatenate([ends[0], 3.0 * (d[:-1] + d[1:]), ends[1]])
+    cplx = np.iscomplexobj(rhs)
+    flat = np.ascontiguousarray(rhs, dtype=complex).view(float) if cplx else rhs
+    forward, forward_carry, backward, backward_carry, kind = _slope_sweeps(nx)
+    r = np.zeros((kind.size * SWEEP_BLOCK, flat.shape[1]))
+    r[:nx] = flat
+    r = forward[kind] @ r.reshape(kind.size, SWEEP_BLOCK, -1)
+    r[1:] += forward_carry[kind[1:]] * r[:-1, -1:]
+    s = backward[kind] @ r
+    s[:-1] += backward_carry[kind[:-1]] * s[1:, :1]
+    s = s.reshape(kind.size * SWEEP_BLOCK, -1)[:nx]
+    return s.view(complex) if cplx else s
 
 
 class UniformSpline:
@@ -174,7 +287,7 @@ class UniformSpline:
     default; past the end knots the end cubics extend.  The knot slopes ``s``
     solve ``s[i-1] + 4 s[i] + s[i+1] = 3 (d[i-1] + d[i])`` in the secant
     slopes ``d``, closed by ``s[0] + 2 s[1] = (5 d[0] + d[1]) / 2`` and its
-    mirror."""
+    mirror (:func:`_knot_slopes`)."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
         self.x, y = np.asarray(x, dtype=float), np.asarray(y)
@@ -185,11 +298,7 @@ class UniformSpline:
         h = (self.x[-1] - self.x[0]) / (nx - 1)
         y = y.reshape(nx, -1)
         d = np.diff(y, axis=0) / h
-        band = np.ones((3, nx))
-        band[1, 1:-1] = 4.0
-        band[0, 1] = band[2, -2] = 2.0
-        ends = (2.5 * d[:1] + 0.5 * d[1:2], 0.5 * d[-2:-1] + 2.5 * d[-1:])
-        s = solve_banded((1, 1), band, np.concatenate([ends[0], 3.0 * (d[:-1] + d[1:]), ends[1]]))
+        s = _knot_slopes(d)
         c3 = (s[:-1] + s[1:] - 2.0 * d) / h**2
         c2 = (d - s[:-1]) / h - c3 * h
         self._coef = np.stack([y[:-1], s[:-1], c2, c3], axis=1)  # (nx - 1, 4, size)

@@ -371,16 +371,23 @@ class KernelTable:
         return trapezoid_weights(self.x)
 
     @cached_property
+    def _schur(self) -> tuple[float, float]:
+        """Both Schur integrals from one table of spectral norms ``|K(x, y)|``
+        of the supported values."""
+        norms = _spectral_norms(self.values)
+        row = (norms * self.wy[None, :]).sum(axis=1).max()
+        col = (norms * self.wx[:, None]).sum(axis=0).max()
+        return float(row), float(col)
+
+    @property
     def schur_row(self) -> float:
         """sup_x integral |K(x, y)| dy (spectral norms, supported values)."""
-        norms = np.linalg.norm(self.values, ord=2, axis=(-2, -1))
-        return float((norms * self.wy[None, :]).sum(axis=1).max())
+        return self._schur[0]
 
-    @cached_property
+    @property
     def schur_col(self) -> float:
         """sup_y integral |K(x, y)| dx (spectral norms, supported values)."""
-        norms = np.linalg.norm(self.values, ord=2, axis=(-2, -1))
-        return float((norms * self.wx[:, None]).sum(axis=0).max())
+        return self._schur[1]
 
 
 def born_term(potential: PotentialSpec, k: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -413,15 +420,23 @@ def born_term(potential: PotentialSpec, k: np.ndarray, x: np.ndarray) -> np.ndar
     return out
 
 
+def _spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of ``n x n`` matrices: ``|a|`` when ``n = 1``,
+    otherwise the square root of the top Gram eigenvalue."""
+    if mats.shape[-1] == 1:
+        return np.abs(mats[..., 0, 0])
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
+
+
 def _largest_norm(mats: np.ndarray) -> float:
     """Largest spectral norm in a stack of ``n x n`` matrices: only those whose
     Frobenius norm (at most ``sqrt(n)`` times the spectral norm) reaches
-    ``1/sqrt(n)`` of the largest can hold it, and only their top Gram
-    eigenvalues are taken.  The margin absorbs the rounding of both norms."""
+    ``1/sqrt(n)`` of the largest can hold it, and only their norms are
+    taken.  The margin absorbs the rounding of both norms."""
     fro = np.linalg.norm(mats, axis=(-2, -1))
     top = mats[fro >= fro.max() / np.sqrt(mats.shape[-1]) * (1.0 - 1e-12)]
-    gram = top.conj().swapaxes(-1, -2) @ top
-    return float(np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None)).max())
+    return float(_spectral_norms(top).max())
 
 
 def marchenko_kernel(

@@ -22,11 +22,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.linalg import eig_banded
+from numpy.fft import fft, ifft
 
 from .boundary import BoundaryPair, diagonalize_boundary
-from .grids import KXGrid, UniformSpline, fourier_sum, simpson_weights, trapezoid_weights
+from .grids import (
+    KXGrid,
+    UniformSpline,
+    fourier_sum,
+    next_fast_len,
+    simpson_weights,
+    trapezoid_weights,
+)
 from .jost import JostTable
 from .potentials import PotentialSpec
 from .scattering import ScatteringTable
@@ -556,6 +562,11 @@ class DiscreteHamiltonian:
 
     @cached_property
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        # numpy has no banded eigensolver, and the dense one would cost
+        # O(N^3); this optional model is off the pipeline's path, so scipy
+        # is imported only here
+        from scipy.linalg import eig_banded
+
         band = self.band.real if not self.band.imag.any() else self.band
         w, v = eig_banded(band, lower=True)
         return w, v

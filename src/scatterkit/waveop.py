@@ -27,13 +27,13 @@ they agree with the continuum adjoint formulas up to the quadrature rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft, rfft
 
-from .grids import fourier_sum, trapezoid_weights
+from .grids import SPECTRUM_CACHE, fourier_sum, next_fast_len, trapezoid_weights
 from .jost import KernelTable
 from .scattering import ScatteringTable
 from .spectral import (
@@ -313,11 +313,23 @@ def hilbert(f: FieldR, mass_tol: float = OUTER_MASS_FRACTION) -> FieldR:
             f"{frac:.1%} of the field mass lies in the outer tenth of the "
             "window; enlarge it before applying a nonlocal transform"
         )
-    m = np.arange(1 - f.x.size, f.x.size)
+    nx = f.x.size
+    return f.replace_values(_spectrum_convolve(_hilbert_spectrum(nx), f.values, 3 * nx - 2))
+
+
+@lru_cache(maxsize=SPECTRUM_CACHE)
+def _hilbert_spectrum(nx: int) -> np.ndarray:
+    """FFT of the lattice Hilbert kernel ``h[m]``, ``|m| < nx``, at the
+    length of its linear convolution with ``nx`` samples."""
+    m = np.arange(1 - nx, nx)
     h = np.zeros(m.size)
     odd = m % 2 == 1
     h[odd] = 2.0 / (np.pi * m[odd])
-    return f.replace_values(_channel_convolve(h, f.values))
+    size = next_fast_len(3 * nx - 2)
+    half = rfft(h, size)  # a real kernel's spectrum is Hermitian
+    spectrum = np.concatenate([half, half[1 : size - half.size + 1][::-1].conj()])
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 # --------------------------------------------------------------------------
@@ -340,11 +352,16 @@ def _channel_convolve(g: np.ndarray, values: np.ndarray) -> np.ndarray:
     0, cropped to the centred ``len(values)`` nodes (``mode="same"``): one
     FFT product for all channel pairs.  A scalar ``(x,)`` kernel acts on
     every channel alike."""
+    size = g.shape[0] + values.shape[0] - 1
+    return _spectrum_convolve(fft(g, next_fast_len(size), axis=0), values, size)
+
+
+def _spectrum_convolve(gk: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """:func:`_channel_convolve` from the kernel's spectrum ``gk``, taken at
+    a length of at least ``size``, the length of the linear convolution."""
     nx = values.shape[0]
-    size = g.shape[0] + nx - 1
-    nfft = next_fast_len(size)
-    gk, vk = fft(g, nfft, axis=0), fft(values, nfft, axis=0)
-    spectrum = gk[:, None] * vk if g.ndim == 1 else np.einsum("kil,kl->ki", gk, vk)
+    vk = fft(values, gk.shape[0], axis=0)
+    spectrum = gk[:, None] * vk if gk.ndim == 1 else np.einsum("kil,kl->ki", gk, vk)
     start = (size - nx) // 2
     return ifft(spectrum, axis=0)[start : start + nx]
 

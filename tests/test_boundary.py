@@ -149,3 +149,54 @@ def test_angles_recovered_from_conjugated_diagonal(thetas, seed):
     B = M @ np.diag(np.cos(thetas)).astype(complex) @ M.conj().T
     form = diagonalize_boundary(BoundaryPair.from_matrices(A, B))
     np.testing.assert_allclose(form.thetas, np.sort(thetas)[::-1], atol=1e-8)
+
+
+def _mixed_pair():
+    # one Dirichlet, one Neumann and one intermediate channel
+    A = np.diag([0.0, 1.0, -np.sin(GOLDEN_THETA)]).astype(complex)
+    B = np.diag([-1.0, 0.0, np.cos(GOLDEN_THETA)]).astype(complex)
+    return BoundaryPair.from_matrices(A, B)
+
+
+def _random_pairs():
+    rng = np.random.default_rng(23)
+    pairs = []
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            A = haar_unitary(n, rng)
+            H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            pairs.append(BoundaryPair.from_matrices(A, A @ (H + H.conj().T)))
+    return pairs
+
+
+def _schur_thetas(bp):
+    """Channel angles from the complex Schur form of the boundary unitary."""
+    import scipy.linalg
+
+    T, _ = scipy.linalg.schur(boundary_unitary(bp), output="complex")
+    ang = np.angle(np.diag(T))
+    ang = np.where(ang <= 1e-9, ang + 2.0 * np.pi, ang)
+    return np.sort(0.5 * ang)[::-1]
+
+
+@pytest.mark.parametrize(
+    "bp",
+    [
+        BoundaryPair.dirichlet(2),
+        BoundaryPair.neumann(2),
+        _mixed_pair(),
+        _mixed_pair().transformed(haar_unitary(3, np.random.default_rng(3))),
+        transmission_boundary(
+            A1=[[0.0, 1.0]], A2=[[0.0, -1.0]], B1=[[-1.0, 2.0]], B2=[[-1.0, 0.0]]
+        ),
+        line_interaction_matrices(0.0),
+        *_random_pairs(),
+    ],
+)
+def test_diagonalization_matches_schur_reference(bp):
+    form = diagonalize_boundary(bp)
+    np.testing.assert_allclose(form.thetas, _schur_thetas(bp), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(form.M.conj().T @ form.M, np.eye(bp.n), rtol=0, atol=1e-14)
+    A_rec, B_rec = form.reconstruct()
+    scale = max(1.0, np.linalg.norm(bp.A, 2), np.linalg.norm(bp.B, 2))
+    assert max(np.linalg.norm(A_rec - bp.A, 2), np.linalg.norm(B_rec - bp.B, 2)) <= 1e-9 * scale

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from scatterkit import grids
+from scatterkit import grids, waveop
 from scatterkit.grids import (
     GridError,
     GridTooCoarse,
@@ -10,9 +10,11 @@ from scatterkit.grids import (
     UniformSpline,
     cosine_taper,
     fourier_sum,
+    next_fast_len,
     simpson_weights,
     trapezoid_weights,
 )
+from scatterkit.waveop import FieldR, hilbert
 
 
 def small_grid():
@@ -189,3 +191,53 @@ def test_uniform_spline_reproduces_cubics(monkeypatch):
     assert spline(np.float64(0.3)).shape == (3,)
     with pytest.raises(GridError, match="four knots"):
         UniformSpline(grid.k[:3], y[:3])
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as reference
+
+    assert [n for n in range(1, 100_001) if next_fast_len(n) != reference(n)] == []
+
+
+@pytest.mark.parametrize("nx", [4, 5, 31, 32, 33, 1024, 4097])
+def test_knot_slopes_match_banded_solve(nx):
+    # the not-a-knot slope system of the class docstring, solved by LAPACK
+    from scipy.linalg import solve_banded
+
+    rng = np.random.default_rng(nx)
+    band = np.ones((3, nx))
+    band[1, 1:-1] = 4.0
+    band[0, 1] = band[2, -2] = 2.0
+    for columns in (1, 4, 516):
+        for imag in (0.0, 1.0):
+            y = rng.standard_normal((nx, columns)) + imag * 1j * rng.standard_normal((nx, columns))
+            d = np.diff(y, axis=0)
+            rhs = np.concatenate(
+                [2.5 * d[:1] + 0.5 * d[1:2], 3.0 * (d[:-1] + d[1:]), 0.5 * d[-2:-1] + 2.5 * d[-1:]]
+            )
+            got = grids._knot_slopes(d)
+            assert got.dtype == y.dtype
+            assert _relative_gap(got, solve_banded((1, 1), band, rhs)) < 1e-15
+
+
+def test_reused_spectra_give_bit_identical_results():
+    grid = small_grid()
+    g = _smooth_coefficients(grid, 2)
+    x = grid.x_sym
+    f = FieldR(x, np.exp(-(x**2))[:, None] * np.array([1.0, 0.5j]))
+
+    def run():
+        return fourier_sum(g, grid.k[0], grid.dk, x, -1), hilbert(f).values
+
+    caches = (grids._chirp_spectrum, waveop._hilbert_spectrum)
+    for cache in caches:
+        cache.cache_clear()
+    first = run()
+    again = run()
+    assert [cache.cache_info().hits for cache in caches] == [1, 1]
+    for cache in caches:
+        cache.cache_clear()
+    cold = run()
+    for a, b, c in zip(first, again, cold):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)

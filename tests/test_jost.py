@@ -285,6 +285,16 @@ def test_tail_fraction_equals_all_norms_check(matrix_potential):
     assert fro > spectral * (1.0 + 1e-3)
 
 
+def test_schur_integrals_match_svd_norms(golden_kernel, matrix_potential, medium_grid):
+    bp = BoundaryPair.robin(np.array([np.pi, 0.9]), n=2)
+    matrix_kernel = marchenko_kernel(jost_matrix(solve_faddeev(matrix_potential, medium_grid), bp))
+    for kt in (golden_kernel, matrix_kernel):
+        norms = np.linalg.norm(kt.values, ord=2, axis=(-2, -1))
+        row = (norms * kt.wy[None, :]).sum(axis=1).max()
+        col = (norms * kt.wx[:, None]).sum(axis=0).max()
+        np.testing.assert_allclose([kt.schur_row, kt.schur_col], [row, col], rtol=1e-14, atol=0)
+
+
 def test_born_term_leading_order():
     eps = 1e-3
     v = box_potential(eps, 0.0, 1.0)
