@@ -15,8 +15,10 @@ self-adjoint boundary condition at the origin:
   ``line_interaction_matrices``, ``transmission_boundary``).
 
 Everything is table-driven: build a :class:`~scatterkit.grids.KXGrid`, solve
-for the Faddeev tables, then derive scattering/spectral/wave-operator objects
-from them.
+for the Faddeev table, then derive scattering/spectral/wave-operator objects
+from it.  The table holds ``m(k, x)`` on the near field, which the Marchenko
+kernel and the Fourier maps read, and the wall values from which the Jost
+matrix, ``S`` and the boundary values of the physical solutions follow.
 """
 
 from .grids import KXGrid, GridError, GridTooCoarse
@@ -51,7 +53,6 @@ from .jost import (
     solve_faddeev,
     jost_matrix,
     marchenko_kernel,
-    jost_representation_check,
 )
 
 from . import scattering, spectral, waveop

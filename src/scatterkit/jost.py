@@ -16,6 +16,10 @@ Derived objects:
 * the Marchenko kernel ``K(x, y)``, the Fourier synthesis of ``m - I``,
   entering the representation
   ``f(k, x) = e^{ikx} I + integral_x^inf K(x, y) e^{iky} dy``.
+
+The table keeps ``m`` on the near field, which the kernel and the Fourier
+maps read, and ``m'`` at the wall only: the Jost matrix, ``S`` and the
+boundary values of the physical solutions need ``f`` and ``f'`` nowhere else.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .grids import KXGrid, fourier_sum, trapezoid_weights
 from .potentials import PotentialSpec, tail_integral, validate_potential
 
 EXCEPTIONAL_TOL = 1e-6
+#: kernel columns reach this far past twice the support radius
+Y_MARGIN = 0.5
 
 
 class JostError(RuntimeError):
@@ -101,18 +107,22 @@ class JostMatrix:
 
 @dataclass(frozen=True)
 class JostTable:
-    """Faddeev function tables on the momentum grid and near field.
+    """Faddeev function table on the momentum grid and near field, with the
+    wall values of its derivative.
 
     Attributes
     ----------
     k : ndarray
         Momentum nodes (symmetric, never containing 0).
     xv : ndarray
-        Near-field spatial nodes covering the potential support.
-    m, mprime : ndarray
-        ``m(k, x)`` and ``m'(k, x)``, shape ``(len(k), len(xv), n, n)``.
+        Near-field spatial nodes covering the potential support, from the
+        wall ``xv[0] = 0``.
+    m : ndarray
+        ``m(k, x)``, shape ``(len(k), len(xv), n, n)``.
+    mprime : ndarray
+        ``m'(k, 0)``, shape ``(len(k), n, n)``.
     m0, m0prime : ndarray
-        Zero-energy tables, shape ``(len(xv), n, n)``.
+        ``m(0, 0)`` and ``m'(0, 0)``, each of shape ``(n, n)``.
     """
 
     potential: PotentialSpec
@@ -122,7 +132,7 @@ class JostTable:
     mprime: np.ndarray
     m0: np.ndarray
     m0prime: np.ndarray
-    grid: KXGrid | None = None
+    grid: KXGrid
     jmatrix: JostMatrix | None = None
 
     @property
@@ -133,18 +143,13 @@ class JostTable:
     def support_radius(self) -> float:
         return float(self.xv[-1])
 
-    def f(self, ki: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """Jost solution ``f = e^{ikx} m`` on the near field."""
-        phase = np.exp(1j * self.k[ki, None] * self.xv[None, :])
-        return phase[..., None, None] * self.m[ki]
-
-    def fprime(self, ki: slice | np.ndarray = slice(None)) -> np.ndarray:
-        """Spatial derivative ``f' = e^{ikx} (ik m + m')`` on the near field."""
-        kk = self.k[ki]
-        phase = np.exp(1j * kk[:, None] * self.xv[None, :])
-        return phase[..., None, None] * (
-            1j * kk[:, None, None, None] * self.m[ki] + self.mprime[ki]
-        )
+    @property
+    def wall(self) -> tuple[np.ndarray, np.ndarray]:
+        """``f(k, 0) = m(k, 0)`` and ``f'(k, 0) = ik m(k, 0) + m'(k, 0)``, each
+        of shape ``(len(k), n, n)``; ``k[::-1] == -k``, so reversed rows give
+        ``f(-k, 0)`` and ``f'(-k, 0)``."""
+        f = self.m[:, 0]
+        return f, 1j * self.k[:, None, None] * f + self.mprime
 
 
 def _cell_factors(q2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +179,8 @@ def faddeev_solve(
     k: np.ndarray,
     x_out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the Jost solution across the cells and return ``m`` and ``m'``.
+    """Propagate the Jost solution across the cells and return ``m`` on the
+    output nodes and ``m'`` at the first of them.
 
     Starting from ``f = e^{ikx} I``, ``f' = ik f`` at ``x_out[-1]``, each
     cell ``[a, b]`` (walked right to left) is crossed in the eigenbasis
@@ -199,8 +205,10 @@ def faddeev_solve(
     Returns
     -------
     (m, mprime)
-        ``m = e^{-ikx} f`` and ``m' = e^{-ikx} f' - ik m``, each of shape
-        ``(len(k), len(x_out), n, n)``.
+        ``m = e^{-ikx} f`` on ``x_out``, shape ``(len(k), len(x_out), n, n)``,
+        and ``m' = e^{-ikx} f' - ik m`` at ``x_out[0]``, shape
+        ``(len(k), n, n)``, from the state the propagation holds after its
+        last cell.
 
     Raises
     ------
@@ -226,7 +234,7 @@ def faddeev_solve(
     if nx == 1 or potential.support_radius <= x_out[0]:
         # no potential to the right of the output window: m == I
         m = np.broadcast_to(eye, (nk, nx, n, n)).copy()
-        return m, np.zeros_like(m)
+        return m, np.zeros((nk, n, n), dtype=complex)
 
     xe = x_out[-1]
     inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xe)]
@@ -237,7 +245,6 @@ def faddeev_solve(
     f = np.exp(1j * k * xe)[:, None, None] * eye  # state at the current right edge
     fp = 1j * k[:, None, None] * f
     m_out = np.empty((nk, nx, n * n), dtype=complex)
-    mp_out = np.empty((nk, nx, n * n), dtype=complex)
     for c in range(cells.shape[0] - 1, -1, -1):
         a, b = edges[c], edges[c + 1]
         lam, u = np.linalg.eigh(cells[c])
@@ -251,28 +258,27 @@ def faddeev_solve(
         basis = u.T[None, :, :, None] * (u.conj().T @ np.stack([f, fp], axis=1))[:, :, :, None, :]
         basis = basis.reshape(nk, 2 * n, n * n)
         fcoef = np.concatenate([cos, -sinc], axis=1).swapaxes(1, 2)  # (nk, ns + 1, 2n)
-        fpcoef = np.concatenate([q2[..., None] * sinc, cos], axis=1).swapaxes(1, 2)
+        fpcoef = np.concatenate([q2 * sinc[..., -1], cos[..., -1]], axis=1)[:, None]  # left edge
         phase = np.exp(-1j * np.outer(k, x_out[lo:hi]))[..., None]
-        mc, mpc = m_out[:, lo:hi], mp_out[:, lo:hi]
+        mc = m_out[:, lo:hi]
         with np.errstate(invalid="ignore"):
-            mcoef = phase * fcoef[:, :-1]
-            np.matmul(mcoef, basis, out=mc)
-            np.matmul(phase * fpcoef[:, :-1] - 1j * k[:, None, None] * mcoef, basis, out=mpc)
+            np.matmul(phase * fcoef[:, :-1], basis, out=mc)
             f = (fcoef[:, -1:] @ basis).reshape(nk, n, n)
-            fp = (fpcoef[:, -1:] @ basis).reshape(nk, n, n)
-        if not all(np.isfinite(t).all() for t in (mc, mpc, f, fp)):
-            finite = [np.isfinite(t.reshape(nk, -1)).all(axis=1) for t in (mc, mpc, f, fp)]
+            fp = (fpcoef @ basis).reshape(nk, n, n)
+        if not all(np.isfinite(t).all() for t in (mc, f, fp)):
+            finite = [np.isfinite(t.reshape(nk, -1)).all(axis=1) for t in (mc, f, fp)]
             raise JostOverflow.at(edges, cells, c, k[np.argmin(np.logical_and.reduce(finite))])
-    return m_out.reshape(nk, nx, n, n), mp_out.reshape(nk, nx, n, n)
+    mprime = np.exp(-1j * k * x_out[0])[:, None, None] * (fp - 1j * k[:, None, None] * f)
+    return m_out.reshape(nk, nx, n, n), mprime
 
 
 def solve_faddeev(potential: PotentialSpec, grid: KXGrid) -> JostTable:
-    """Build the Faddeev tables on a standard grid pair.
+    """Build the Faddeev table on a standard grid pair.
 
     The near field ``xv`` consists of the grid nodes covering the potential
     support (plus the endpoint node), on which ``m`` differs from the
     identity; beyond it ``f(k, x) = e^{ikx} I`` exactly.  The zero-energy
-    tables come from the same propagation, with ``k = 0`` appended.
+    wall values come from the same propagation, with ``k = 0`` appended.
     """
     xs = potential.support_radius
     if xs > grid.xmax + 1e-12:
@@ -286,7 +292,7 @@ def solve_faddeev(potential: PotentialSpec, grid: KXGrid) -> JostTable:
         xv=xv,
         m=m[:-1],
         mprime=mprime[:-1],
-        m0=m[-1],
+        m0=m[-1, 0],
         m0prime=mprime[-1],
         grid=grid,
     )
@@ -300,13 +306,9 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
     """
     if bp.n != jt.n:
         raise JostError(f"boundary dimension {bp.n} does not match potential {jt.n}")
-    mm = jt.m[::-1, 0]  # m(-k, 0)
-    mpm = jt.mprime[::-1, 0]  # m'(-k, 0)
-    kk = jt.k[:, None, None]
-    f_dag = mm.conj().swapaxes(-1, -2)
-    fp_dag = (-1j * kk * mm + mpm).conj().swapaxes(-1, -2)
-    J = f_dag @ bp.B - fp_dag @ bp.A
-    J0 = jt.m0[0].conj().T @ bp.B - jt.m0prime[0].conj().T @ bp.A
+    f, fp = jt.wall
+    J = f[::-1].conj().swapaxes(-1, -2) @ bp.B - fp[::-1].conj().swapaxes(-1, -2) @ bp.A
+    J0 = jt.m0.conj().T @ bp.B - jt.m0prime.conj().T @ bp.A
     sv = np.linalg.svd(J, compute_uv=False)
     u0, sv0, _ = np.linalg.svd(J0)
     zero = sv0 < EXCEPTIONAL_TOL * max(1.0, float(sv0.max()))
@@ -321,12 +323,6 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
         boundary=bp,
     )
     return replace(jt, jmatrix=jm)
-
-
-def free_jost_matrix(k: np.ndarray, bp: BoundaryPair) -> np.ndarray:
-    """Closed form ``J(k) = B - ikA`` of the zero potential."""
-    k = np.asarray(k, dtype=float)
-    return bp.B[None] - 1j * k[:, None, None] * bp.A[None]
 
 
 @dataclass(frozen=True)
@@ -439,15 +435,11 @@ def _largest_norm(mats: np.ndarray) -> float:
     return float(_spectral_norms(top).max())
 
 
-def marchenko_kernel(
-    jt: JostTable,
-    y_margin: float = 0.5,
-    tail_tol: float = 5e-3,
-) -> KernelTable:
-    """Synthesize the Marchenko kernel from the Faddeev tables.
+def marchenko_kernel(jt: JostTable, tail_tol: float = 5e-3) -> KernelTable:
+    """Synthesize the Marchenko kernel from the Faddeev table.
 
     ``K(x, y) = (1/2pi) integral e^{ik(x-y)} (m(k, x) - I) dk`` with the
-    grid's smooth taper; columns cover ``[0, 2 X_V + margin]`` (the kernel is
+    grid's smooth taper; columns cover ``[0, 2 X_V + Y_MARGIN]`` (the kernel is
     supported in ``x + y <= 2 X_V``).
 
     Raises
@@ -458,10 +450,8 @@ def marchenko_kernel(
         decayed inside the momentum window.
     """
     grid = jt.grid
-    if grid is None:
-        raise JostError("kernel synthesis needs the table's standard grid")
     k, xv, n = jt.k, jt.xv, jt.n
-    ymax = min(2.0 * jt.support_radius + y_margin, grid.xmax)
+    ymax = min(2.0 * jt.support_radius + Y_MARGIN, grid.xmax)
     y = grid.x[grid.x <= ymax + 1e-12]
     taper = grid.taper
 
@@ -494,35 +484,3 @@ def marchenko_kernel(
         tail_fraction=tail_fraction,
         n=n,
     )
-
-
-def jost_representation_check(
-    jt: JostTable,
-    kt: KernelTable,
-    k_samples: int = 48,
-) -> dict:
-    """Residual of ``f(k,x) = e^{ikx} I + integral_x K(x,y) e^{iky} dy``.
-
-    Momenta are sampled well inside the untapered window so the raw kernel
-    synthesis represents the exact transform there; the defect is then pure
-    quadrature error, ``O(dy^2)``.
-
-    Returns
-    -------
-    dict
-        ``{"max_defect", "k", "defects"}``.
-    """
-    k, xv = jt.k, jt.xv
-    kmax = float(np.abs(k).max())
-    inner = np.flatnonzero(np.abs(k) <= 0.45 * kmax)
-    sel = inner[np.linspace(0, inner.size - 1, min(k_samples, inner.size)).astype(int)]
-    weighted = (kt.raw * kt.wy[None, :, None, None]).swapaxes(0, 1)  # (Ny, Nx, n, n)
-    integ = fourier_sum(weighted, kt.y[0], kt.y[1] - kt.y[0], k[sel])
-    f_rep = np.exp(1j * np.outer(k[sel], xv))[:, :, None, None] * np.eye(jt.n) + integ
-    f_true = jt.f(sel)
-    defects = np.abs(f_rep - f_true).reshape(sel.size, -1).max(axis=1)
-    return {
-        "max_defect": float(defects.max()),
-        "k": k[sel],
-        "defects": defects,
-    }

@@ -135,6 +135,8 @@ class PotentialSpec:
         x = np.asarray(x, dtype=float)
         if x.size < 2:
             raise PotentialError("need at least two sample points")
+        if len(samples) != x.size:
+            raise PotentialError(f"{len(samples)} samples for {x.size} positions")
         h = x[1] - x[0]
         if not np.allclose(np.diff(x), h, rtol=0, atol=1e-12 * max(1.0, abs(h))):
             raise PotentialError("samples must be on a uniform grid")

@@ -29,7 +29,6 @@ __all__ = [
     "s_limits",
     "fs_symbol",
     "p_symbols",
-    "sdot_asymptotics",
     "h1_membership",
     "scattering_table",
 ]
@@ -87,7 +86,7 @@ class ScatteringTable:
     symmetry_defect: float
     S0: np.ndarray
     S_infinity: np.ndarray
-    grid: KXGrid | None = None
+    grid: KXGrid
     boundary: object = None
     plateau_deviation: float | None = None
     Fs: np.ndarray | None = None
@@ -206,17 +205,8 @@ def fs_symbol(st: ScatteringTable, y: np.ndarray | None = None) -> ScatteringTab
     spectral norm (finite for Hermitian potentials with a first moment).
     """
     st = _require_sinf(st)
-    if y is None:
-        if st.grid is None:
-            raise ScatteringError("no default spatial nodes: pass y explicitly")
-        y = st.grid.x_sym
-    y = np.asarray(y, dtype=float)
-    taper = (
-        st.grid.taper
-        if st.grid is not None
-        else np.ones_like(st.k)
-    )
-    g = (st.S - st.S_infinity) * taper[:, None, None]
+    y = st.grid.x_sym if y is None else np.asarray(y, dtype=float)
+    g = (st.S - st.S_infinity) * st.grid.taper[:, None, None]
     Fs = (st.dk / (2.0 * np.pi)) * fourier_sum(g, st.k[0], st.dk, y)
     norms = np.linalg.norm(Fs, ord=2, axis=(-2, -1))
     l1 = float(norms @ trapezoid_weights(y))
@@ -233,18 +223,10 @@ def p_symbols(st: ScatteringTable, x: np.ndarray | None = None) -> ScatteringTab
     exactly on the symmetric grid and is asserted.
     """
     st = _require_sinf(st)
-    if x is None:
-        if st.grid is None:
-            raise ScatteringError("no default spatial nodes: pass x explicitly")
-        x = st.grid.x_sym
-    x = np.asarray(x, dtype=float)
+    x = st.grid.x_sym if x is None else np.asarray(x, dtype=float)
     pos = st.k > 0
     kp = st.k[pos]
-    taper = (
-        st.grid.taper_pos
-        if st.grid is not None
-        else np.ones_like(kp)
-    )
+    taper = st.grid.taper_pos
     gp = (st.S[pos] - st.S_infinity) * taper[:, None, None]
     gm = (st.S[::-1][pos] - st.S_infinity) * taper[:, None, None]  # S(-k), k > 0
     scalefac = st.dk / (2.0 * np.pi)
@@ -256,53 +238,6 @@ def p_symbols(st: ScatteringTable, x: np.ndarray | None = None) -> ScatteringTab
     return replace(
         st, Pplus=Pplus, Pminus=Pminus, P_x=x, p_conjugation_defect=mismatch
     )
-
-
-def sdot_asymptotics(st: ScatteringTable) -> dict:
-    """Momentum-derivative report: high-energy decay slopes and low-energy
-    boundedness statistics.
-
-    ``S'`` is computed by central differences.  The report contains log-log
-    slopes over ``[K_max/5, K_max/1.2]`` for both ``|S'(k)|`` and
-    ``|S(k) - S_inf|`` (the two quantities scale differently: for unimodular
-    scalar ``S = e^{i phi}`` with ``phi ~ c/k``, the former decays like
-    ``1/k^2`` while the latter decays like ``1/k``), plus the low-energy
-    maximum of ``|S'|`` on ``0 < k <= 0.5`` against its value at ``k = 1``.
-    """
-    st = _require_sinf(st)
-    k, S = st.k, st.S
-    dk = st.dk
-    kin = k[1:-1]
-    Sdot = (S[2:] - S[:-2]) / (2.0 * dk)
-    nd = np.linalg.norm(Sdot, ord=2, axis=(-2, -1))
-    ns = np.linalg.norm(S[1:-1] - st.S_infinity, ord=2, axis=(-2, -1))
-    kmax = float(np.abs(k).max()) + 0.5 * dk  # nominal window edge
-    lo, hi = kmax / 5.0, kmax / 1.2
-    band = (kin >= lo) & (kin <= hi)
-
-    flat = bool(nd.max() < 1e-12)
-    if flat or not band.any():
-        slope_sdot = slope_smsinf = None
-    else:
-        logk = np.log(kin[band])
-        slope_sdot = float(np.polyfit(logk, np.log(np.maximum(nd[band], 1e-300)), 1)[0])
-        slope_smsinf = float(np.polyfit(logk, np.log(np.maximum(ns[band], 1e-300)), 1)[0])
-
-    low = (kin > 0) & (kin <= 0.5)
-    i1 = int(np.argmin(np.abs(kin - 1.0)))
-    low_max = float(nd[low].max()) if low.any() else float("nan")
-    at_one = float(nd[i1])
-    return {
-        "k": kin,
-        "sdot_norm": nd,
-        "fit_band": (lo, hi),
-        "slope_sdot": slope_sdot,
-        "slope_s_minus_sinf": slope_smsinf,
-        "flat": flat,
-        "low_energy_max": low_max,
-        "sdot_at_one": at_one,
-        "low_energy_ratio": low_max / at_one if at_one > 0 else float("inf"),
-    }
 
 
 def h1_membership(st: ScatteringTable) -> ScatteringTable:

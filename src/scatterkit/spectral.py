@@ -1,9 +1,11 @@
 """Physical solutions, generalized Fourier maps, and time evolution.
 
-The physical solution combines the two Jost solutions through the scattering
-matrix; beyond the potential's support it is an exact plane-wave combination,
-so tables store only the near field.  Every generalized Fourier map, forward
-(analysis) or adjoint (synthesis), is evaluated by one kernel,
+The physical solution ``Psi(k, x) = f(-k, x) + f(k, x) S(k)`` combines the
+two Jost solutions through the scattering matrix.  Only its wall values are
+stored, for the boundary condition; the maps read it through the Faddeev
+factor ``m`` on the near field and ``S``, since beyond the potential's
+support it is an exact plane-wave combination.  Every generalized Fourier
+map, forward (analysis) or adjoint (synthesis), is evaluated by one kernel,
 ``Psi(-sign*k, x)^dagger``: two plane-wave sums over the whole window plus a
 near-field correction, summed block by block over the momenta.  The kernel
 runs on the table's positive momentum nodes, reading the stored tables, or
@@ -45,7 +47,6 @@ __all__ = [
     "physical_solution",
     "boundary_residual",
     "f0_transform",
-    "f0_synthesis",
     "fourier_maps",
     "fourier_maps_adjoint",
     "evolve_spectral",
@@ -53,7 +54,6 @@ __all__ = [
     "DiscreteHamiltonian",
     "discrete_hamiltonian",
     "bound_states",
-    "evolve_discrete",
     "field_norm",
 ]
 
@@ -94,24 +94,24 @@ def field_norm(Y: np.ndarray, w: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PhysicalSolutionTable:
-    """Samples of the physical solutions on the near field.
+    """What the generalized Fourier maps and the boundary check read of the
+    physical solutions ``Psi(k, x) = f(-k, x) + f(k, x) S(k)``.
 
-    ``psi[a, j]`` holds the n-by-n solution matrix at momentum ``k[a]`` and
-    position ``xv[j]``; beyond ``xv[-1]`` the solution equals
-    ``e^{-ikx} I + e^{ikx} S(k)`` exactly, so it is never stored.  Off the
-    grid, ``mnear`` and ``S`` are read through the not-a-knot
-    :class:`~.grids.UniformSpline`.
+    ``psi0`` and ``psi0prime`` hold ``Psi(k, 0)`` and ``Psi'(k, 0)``, shape
+    ``(len(k), n, n)``.  Elsewhere ``Psi`` is read through the Faddeev factor
+    ``mnear = m(k, xv)`` and ``S``; beyond ``xv[-1]`` it equals
+    ``e^{-ikx} I + e^{ikx} S(k)`` exactly.  Off the grid, ``mnear`` and ``S``
+    are read through the not-a-knot :class:`~.grids.UniformSpline`.
     """
 
     k: np.ndarray
     xv: np.ndarray
-    psi: np.ndarray
+    psi0: np.ndarray
     psi0prime: np.ndarray
     mnear: np.ndarray
     S: np.ndarray
     grid: KXGrid
     boundary: BoundaryPair
-    potential: PotentialSpec
 
     @property
     def n(self) -> int:
@@ -131,26 +131,20 @@ class PhysicalSolutionTable:
 
 
 def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTable:
-    """Assemble ``Psi(k, x) = f(-k, x) + f(k, x) S(k)`` on the near field."""
+    """Assemble ``Psi(k, 0) = f(-k, 0) + f(k, 0) S(k)`` and ``Psi'(k, 0)`` from
+    the Jost table's wall values, alongside its ``m`` table and ``S``."""
     if not np.array_equal(jt.k, st.k):
         raise SpectralError("Jost and scattering tables live on different momentum grids")
-    f = jt.f()
-    fp = jt.fprime()
-    psi = f[::-1] + np.einsum("axij,ajl->axil", f, st.S)
-    psi0prime = fp[::-1, 0] + np.einsum("aij,ajl->ail", fp[:, 0], st.S)
-    grid = jt.grid if jt.grid is not None else st.grid
-    if grid is None:
-        raise SpectralError("attach a grid to the Jost table before building solutions")
+    f, fp = jt.wall
     return PhysicalSolutionTable(
         k=jt.k,
         xv=jt.xv,
-        psi=psi,
-        psi0prime=psi0prime,
+        psi0=f[::-1] + f @ st.S,
+        psi0prime=fp[::-1] + fp @ st.S,
         mnear=jt.m,
         S=st.S,
-        grid=grid,
+        grid=jt.grid,
         boundary=st.boundary,
-        potential=jt.potential,
     )
 
 
@@ -159,9 +153,7 @@ def boundary_residual(pt: PhysicalSolutionTable) -> float:
     solutions, ``-B^dagger Psi(k,0) + A^dagger Psi'(k,0)``, scaled per momentum
     by the size of the boundary pair at that momentum."""
     A, B = pt.boundary.A, pt.boundary.B
-    res = -np.einsum("ij,ajl->ail", B.conj().T, pt.psi[:, 0]) + np.einsum(
-        "ij,ajl->ail", A.conj().T, pt.psi0prime
-    )
+    res = -B.conj().T @ pt.psi0 + A.conj().T @ pt.psi0prime
     scale = np.linalg.norm(B, 2) + np.abs(pt.k) * np.linalg.norm(A, 2)
     return float((np.linalg.norm(res, axis=(-2, -1)) / scale).max())
 
@@ -180,18 +172,6 @@ def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np
     kq = grid.kpos if k is None else np.asarray(k, dtype=float)
     Yw = _as_field(Y) * simpson_weights(grid.x)[:, None]
     return np.sqrt(2.0 / np.pi) * _cosine_sum(Yw, grid.x[0], grid.dx, kq)
-
-
-def f0_synthesis(grid: KXGrid, Z: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of the cosine transform: midpoint sum over the positive
-    momentum nodes (the transform is self-inverse in exact arithmetic).
-
-    The discrete momentum sum periodizes in position with period ``2 pi/dk``
-    and mirrors the field about it, so the synthesis is only faithful for
-    ``x`` well inside that alias window."""
-    xq = grid.x if x is None else np.asarray(x, dtype=float)
-    Zw = _as_field(Z) * grid.dk
-    return np.sqrt(2.0 / np.pi) * _cosine_sum(Zw, grid.kpos[0], grid.dk, xq)
 
 
 # -- generalized Fourier maps ------------------------------------------------
@@ -638,22 +618,3 @@ def bound_states(dh: DiscreteHamiltonian, tol: float = 1e-8) -> np.ndarray:
     """Negative eigenvalues of the discrete model (below ``-tol``)."""
     w, _ = dh.eigenpairs
     return w[w < -tol]
-
-
-def evolve_discrete(dh: DiscreteHamiltonian, Y: np.ndarray, t: float) -> np.ndarray:
-    """Propagate a field with the discrete model's eigen-decomposition;
-    returns samples on the model's grid (zeros on eliminated nodes)."""
-    Y = _as_field(Y)
-    if Y.shape != (dh.x.size, dh.n):
-        raise SpectralError("field samples must match the model grid")
-    rot = Y @ dh.mixer.conj()  # channel frame of the band matrix
-    mask = dh.index >= 0
-    vec = np.zeros(dh.size, dtype=complex)
-    vec[dh.index[mask]] = rot[mask]
-    vec *= dh.boundary_scale  # similarity weight on the boundary node
-    w, v = dh.eigenpairs
-    vec_t = v @ (np.exp(-1j * t * w) * (v.conj().T @ vec))
-    vec_t /= dh.boundary_scale
-    out_rot = np.zeros((dh.x.size, dh.n), dtype=complex)
-    out_rot[mask] = vec_t[dh.index[mask]]
-    return out_rot @ dh.mixer.T

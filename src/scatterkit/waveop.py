@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.fft import fft, ifft, rfft
 
-from .grids import SPECTRUM_CACHE, fourier_sum, next_fast_len, trapezoid_weights
+from .grids import SPECTRUM_CACHE, next_fast_len, trapezoid_weights
 from .jost import KernelTable
 from .scattering import ScatteringTable
 from .spectral import (
@@ -55,7 +55,6 @@ __all__ = [
     "FieldR",
     "FieldRplus",
     "extend_even",
-    "extend_odd",
     "restrict",
     "extend_even_adjoint",
     "restrict_adjoint",
@@ -69,7 +68,6 @@ __all__ = [
     "wave_op_l1_form",
     "wave_op_adjoint",
     "wave_op_time_limit",
-    "t_split_terms",
     "lp_probe",
     "bump_family",
     "EVIDENCE_NOTE",
@@ -239,15 +237,6 @@ def extend_even(f: FieldRplus) -> FieldR:
     return FieldR(xs, vals)
 
 
-def extend_odd(f: FieldRplus) -> FieldR:
-    """Odd reflection; the origin node carries the principal value 0."""
-    xs = np.concatenate([-f.x[:0:-1], f.x])
-    head = f.values.copy()
-    head[0] = 0.0
-    vals = np.concatenate([-f.values[:0:-1], head])
-    return FieldR(xs, vals)
-
-
 def restrict(f: FieldR) -> FieldRplus:
     """Forget the negative half-line."""
     c = f.center
@@ -288,7 +277,7 @@ def _edge_mass_fraction(f: FieldR, outer_fraction: float = 0.1) -> float:
     return float(np.sum(f.weights[edge] * point[edge]) / total)
 
 
-def hilbert(f: FieldR, mass_tol: float = OUTER_MASS_FRACTION) -> FieldR:
+def hilbert(f: FieldR) -> FieldR:
     """Discrete Hilbert transform ``(1/pi) PV integral Y(y)/(x-y) dy`` as the
     linear convolution of the samples with the lattice Hilbert kernel,
     ``(H Y)_j = sum_l h[j - l] Y_l`` with ``h[m] = 2/(pi m)`` for odd ``m`` and
@@ -303,12 +292,12 @@ def hilbert(f: FieldR, mass_tol: float = OUTER_MASS_FRACTION) -> FieldR:
     Raises
     ------
     WindowTooSmall
-        If more than ``mass_tol`` of the field's mass sits in the outer tenth
-        of the window: the field is cut off at the window edge, and the
-        transform's 1/x tail misses what lies beyond it.
+        If more than ``OUTER_MASS_FRACTION`` of the field's mass sits in the
+        outer tenth of the window: the field is cut off at the window edge,
+        and the transform's 1/x tail misses what lies beyond it.
     """
     frac = _edge_mass_fraction(f)
-    if frac > mass_tol:
+    if frac > OUTER_MASS_FRACTION:
         raise WindowTooSmall(
             f"{frac:.1%} of the field mass lies in the outer tenth of the "
             "window; enlarge it before applying a nonlocal transform"
@@ -537,47 +526,6 @@ def wave_op_adjoint(
     v = f.replace_values(f.values + kernel_apply_adjoint(kt, f).values)
     tail = extend_even_adjoint(convolve_adjoint(G, restrict_adjoint(v)))
     return v.replace_values(v.values + tail.values)
-
-
-# --------------------------------------------------------------------------
-# the six-term Fourier split of the stationary route
-# --------------------------------------------------------------------------
-
-
-def _half_synthesis(grid, phi: np.ndarray, sign: int) -> np.ndarray:
-    """``(1/sqrt(2 pi)) integral_0^inf e^{sign * ikx} phi(k) dk`` on the
-    half-line grid (midpoint rule over positive momenta)."""
-    return (grid.dk / np.sqrt(2.0 * np.pi)) * fourier_sum(phi, grid.kpos[0], grid.dk, grid.x, sign)
-
-
-def t_split_terms(
-    pt: PhysicalSolutionTable,
-    st: ScatteringTable,
-    kt: KernelTable,
-    f: FieldRplus,
-    sign: int = +1,
-) -> list[FieldRplus]:
-    """The six half-momentum pieces of the stationary route: plane part and
-    its kernel image, high-energy-limit part and its kernel image, and the
-    S-remainder part and its kernel image.  The pieces sum to
-    :func:`wave_op_stationary` up to quadrature."""
-    grid = pt.grid
-    _same_grid(grid.x, f.x, "field and solution table")
-    phi = f0_transform(grid, f.values)  # free transform at positive momenta
-    npos = grid.npos
-    s_rev = st.S[:npos][::-1] if sign > 0 else st.S[npos:]  # S(-sign*k), k > 0
-    rem = s_rev - st.S_infinity
-    t1 = f.replace_values(_half_synthesis(grid, phi, sign))
-    t3 = f.replace_values(
-        _half_synthesis(grid, np.einsum("ij,kj->ki", st.S_infinity, phi), -sign)
-    )
-    t5 = f.replace_values(
-        _half_synthesis(grid, np.einsum("kij,kj->ki", rem, phi), -sign)
-    )
-    t2 = kernel_apply(kt, t1)
-    t4 = kernel_apply(kt, t3)
-    t6 = kernel_apply(kt, t5)
-    return [t1, t2, t3, t4, t5, t6]
 
 
 # --------------------------------------------------------------------------

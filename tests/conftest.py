@@ -62,3 +62,19 @@ def golden_scatter(golden_potential, golden_boundary):
     grid = KXGrid.build(kmax=40.0, nk=2048, dx=1.0 / 128.0, xmax=16.0)
     jt = jost_matrix(solve_faddeev(golden_potential, grid), golden_boundary)
     return jt, scattering_table(jt)
+
+
+@pytest.fixture(scope="session")
+def matrix_tables(matrix_potential):
+    """Scattering, kernel and physical-solution tables for the 2x2 potential
+    under the Robin pair (pi, 0.9), a Dirichlet and a Robin channel, on the
+    grid of the benchmark's ``matrix2x2`` workload: S(0) = -I and
+    S_inf = diag(-1, 1), so neither limit is the identity."""
+    from scatterkit.scattering import scattering_table
+    from scatterkit.spectral import physical_solution
+
+    grid = KXGrid.build(kmax=20.0, nk=1024, dx=1.0 / 64.0, xmax=16.0)
+    bc = BoundaryPair.robin(np.array([np.pi, 0.9]), n=2)
+    jt = jost_matrix(solve_faddeev(matrix_potential, grid), bc)
+    st = scattering_table(jt)
+    return st, marchenko_kernel(jt), physical_solution(jt, st)

@@ -11,9 +11,7 @@ from scatterkit.jost import (
     TailNotNegligible,
     born_term,
     faddeev_solve,
-    free_jost_matrix,
     jost_matrix,
-    jost_representation_check,
     marchenko_kernel,
     solve_faddeev,
 )
@@ -33,24 +31,26 @@ SINH1 = np.sinh(1.0)
 
 
 def _assert_step_values(m, mp, atol):
-    """Check tables at k = (2, 0.7, -2, 0) against the frozen unit-step values."""
+    """Check ``m`` and the wall values ``m'(k, 0)`` at k = (2, 0.7, -2, 0)
+    against the frozen unit-step values."""
     # x = 0: f = m, f' = ik m + m'
     np.testing.assert_allclose(m[0, 0, 0, 0], F2, atol=atol)
-    np.testing.assert_allclose(2j * m[0, 0, 0, 0] + mp[0, 0, 0, 0], FP2, atol=atol)
+    np.testing.assert_allclose(2j * m[0, 0, 0, 0] + mp[0, 0, 0], FP2, atol=atol)
     np.testing.assert_allclose(m[1, 0, 0, 0], F07, atol=atol)
-    np.testing.assert_allclose(0.7j * m[1, 0, 0, 0] + mp[1, 0, 0, 0], FP07, atol=atol)
+    np.testing.assert_allclose(0.7j * m[1, 0, 0, 0] + mp[1, 0, 0], FP07, atol=atol)
     # zero energy: m(0, 0) = cosh 1, m'(0, 0) = -sinh 1
     np.testing.assert_allclose(m[3, 0, 0, 0], COSH1, atol=atol)
-    np.testing.assert_allclose(mp[3, 0, 0, 0], -SINH1, atol=atol)
+    np.testing.assert_allclose(mp[3, 0, 0], -SINH1, atol=atol)
 
 
 def test_jost_matches_closed_form_step():
     v = box_potential(1.0, 0.0, 1.0)
     k = np.array([2.0, 0.7, -2.0, 0.0])
     x = np.linspace(0.0, 1.0, 257)
-    m, mp = faddeev_solve(v, k, x)
-    _assert_step_values(m, mp, atol=1e-12)
+    m, mp0 = faddeev_solve(v, k, x)
+    _assert_step_values(m, mp0, atol=1e-12)
     # real potential: k -> -k is entrywise conjugation
+    mp = oracles.mprime_nodes(v, k, x)
     np.testing.assert_allclose(m[2], m[0].conj(), atol=1e-12)
     np.testing.assert_allclose(mp[2], mp[0].conj(), atol=1e-12)
     # beyond-support edge is exact
@@ -62,7 +62,8 @@ def test_jost_matches_ode_oracle_matrix(matrix_potential):
     x = np.linspace(0.0, 2.0, 257)
     idx = [0, 96]  # x = 0 and x = 0.75
     for k in (0.6, 3.7):
-        m, mp = faddeev_solve(matrix_potential, np.array([k]), x)
+        m, _ = faddeev_solve(matrix_potential, np.array([k]), x)
+        mp = oracles.mprime_nodes(matrix_potential, np.array([k]), x)
         f = np.exp(1j * k * x[idx, None, None]) * m[0, idx]
         fp = np.exp(1j * k * x[idx, None, None]) * (1j * k * m[0, idx] + mp[0, idx])
         f_ref, fp_ref = oracles.ode_jost(matrix_potential, k, x[idx])
@@ -75,7 +76,8 @@ def test_jost_agrees_with_volterra_oracle_matrix(matrix_potential):
     # its gap to the exact solver shrinks about fourfold per doubling
     x = np.linspace(0.0, 2.0, 257)
     k = np.array([0.0, 0.6, -1.3, 3.7])
-    m, mp = faddeev_solve(matrix_potential, k, x)
+    m, _ = faddeev_solve(matrix_potential, k, x)
+    mp = oracles.mprime_nodes(matrix_potential, k, x)
     gaps = []
     for refine in (8, 16):
         mv, mpv = oracles.volterra_faddeev(matrix_potential, k, x, refine=refine)
@@ -87,7 +89,7 @@ def test_jost_agrees_with_volterra_oracle_matrix(matrix_potential):
 def test_volterra_oracle_matches_closed_form_step():
     k = np.array([2.0, 0.7, -2.0, 0.0])
     m, mp = oracles.volterra_faddeev(box_potential(1.0, 0.0, 1.0), k, np.linspace(0.0, 1.0, 257))
-    _assert_step_values(m, mp, atol=5e-7)
+    _assert_step_values(m, mp[:, 0], atol=5e-7)
 
 
 def test_volterra_oracle_stall_reports_worst_momentum():
@@ -104,7 +106,8 @@ def test_wronskian_identities(matrix_potential):
     # carries the constant 2ik, the k/-k pairing vanishes identically.
     k = 1.3
     x = np.linspace(0.0, 2.0, 257)
-    m, mp = faddeev_solve(matrix_potential, np.array([k, -k]), x)
+    m, _ = faddeev_solve(matrix_potential, np.array([k, -k]), x)
+    mp = oracles.mprime_nodes(matrix_potential, np.array([k, -k]), x)
     phase = np.exp(1j * np.array([k, -k])[:, None] * x[None, :])
     f = phase[..., None, None] * m
     fp = phase[..., None, None] * (
@@ -122,7 +125,8 @@ def test_wronskian_identities(matrix_potential):
 def test_conjugation_symmetry_real_matrix():
     v = PotentialSpec.from_cells(2, [(0.0, 1.5, np.array([[1.0, 0.4], [0.4, -0.5]]))])
     x = np.linspace(0.0, 1.5, 97)
-    m, mp = faddeev_solve(v, np.array([0.9, -0.9]), x)
+    m, _ = faddeev_solve(v, np.array([0.9, -0.9]), x)
+    mp = oracles.mprime_nodes(v, np.array([0.9, -0.9]), x)
     np.testing.assert_allclose(m[1], m[0].conj(), atol=1e-10)
     np.testing.assert_allclose(mp[1], mp[0].conj(), atol=1e-10)
 
@@ -163,13 +167,14 @@ def test_deep_well_with_bound_states():
     jt = solve_faddeev(v, g)
     picks = np.flatnonzero(np.isin(np.abs(g.k), np.abs(g.k)[[255, 250, 200, 20]]))
     assert np.abs(g.k[picks]).min() < 0.05
+    f, fp = jt.wall
     for i in picks:
         f_ref, fp_ref = oracles.ode_jost(v, g.k[i])
-        np.testing.assert_allclose(jt.f(np.array([i]))[0, 0], f_ref[0], atol=1e-8)
-        np.testing.assert_allclose(jt.fprime(np.array([i]))[0, 0], fp_ref[0], atol=1e-8)
+        np.testing.assert_allclose(f[i], f_ref[0], atol=1e-8)
+        np.testing.assert_allclose(fp[i], fp_ref[0], atol=1e-8)
     f0_ref, fp0_ref = oracles.ode_jost(v, 0.0)
-    np.testing.assert_allclose(jt.m0[0], f0_ref[0], atol=1e-8)
-    np.testing.assert_allclose(jt.m0prime[0], fp0_ref[0], atol=1e-8)
+    np.testing.assert_allclose(jt.m0, f0_ref[0], atol=1e-8)
+    np.testing.assert_allclose(jt.m0prime, fp0_ref[0], atol=1e-8)
     for bp in (BoundaryPair.dirichlet(), BoundaryPair.neumann()):
         assert smatrix(jost_matrix(jt, bp)).unitarity_defect < 1e-12
 
@@ -181,7 +186,7 @@ def test_free_table_and_free_jost():
     np.testing.assert_array_equal(jt.mprime, 0.0)
     bp = BoundaryPair.robin(GOLDEN_THETA, n=2)
     jm = jost_matrix(jt, bp).jmatrix
-    np.testing.assert_allclose(jm.J, free_jost_matrix(g.k, bp), atol=1e-14)
+    np.testing.assert_allclose(jm.J, oracles.free_jost_matrix(g.k, bp), atol=1e-14)
     np.testing.assert_allclose(jm.J0, bp.B, atol=1e-14)
     assert not jm.exceptional
     # free Neumann is the classic exceptional case: J(k) = -ik I vanishes at 0
@@ -206,10 +211,11 @@ def test_golden_jost_matrix_is_exceptional(golden_table):
 
 def test_golden_table_far_edge_exact(golden_table):
     # at the support edge m = I exactly, so f = e^{ikx} I there
-    f_edge = golden_table.f()[:, -1, 0, 0]
+    xe = golden_table.xv[-1]
+    f_edge = np.exp(1j * golden_table.k * xe) * golden_table.m[:, -1, 0, 0]
     np.testing.assert_allclose(f_edge, np.exp(1j * golden_table.k), atol=1e-12)
-    np.testing.assert_allclose(golden_table.m0[0, 0, 0], COSH1, atol=1e-6)
-    np.testing.assert_allclose(golden_table.m0prime[0, 0, 0], -SINH1, atol=1e-6)
+    np.testing.assert_allclose(golden_table.m0[0, 0], COSH1, atol=1e-6)
+    np.testing.assert_allclose(golden_table.m0prime[0, 0], -SINH1, atol=1e-6)
 
 
 def test_kernel_diagonal_matches_half_tail(golden_kernel, matrix_potential):
@@ -255,7 +261,7 @@ def test_kernel_exponential_bound(golden_kernel):
 
 
 def test_jost_representation(golden_table, golden_kernel):
-    report = jost_representation_check(golden_table, golden_kernel)
+    report = oracles.jost_representation_check(golden_table, golden_kernel)
     assert report["max_defect"] < 6e-3  # O(dy^2) at dy = 1/128
     assert report["defects"].size == report["k"].size
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scatterkit.potentials import (
     EmptySupport,
     NonHermitian,
+    PotentialError,
     PotentialSpec,
     box_potential,
     fold_line_potential,
@@ -86,6 +87,15 @@ def test_from_samples_midpoint_cells():
     np.testing.assert_allclose(v.value_at(np.array([0.1]))[0, 0, 0], 2.0)
     np.testing.assert_allclose(v.value_at(np.array([0.9]))[0, 0, 0], 4.0)
     np.testing.assert_allclose(moments(v, np.array([0.0])).sigma, [3.0])
+
+
+def test_from_samples_rejects_count_mismatch():
+    # zip would silently keep the shorter of the two: a 2-cell potential of
+    # support 0.75 for five positions, and two dropped samples for two
+    with pytest.raises(PotentialError, match="2 samples for 5 positions"):
+        PotentialSpec.from_samples(np.linspace(0.0, 2.0, 5), [2.0, 4.0])
+    with pytest.raises(PotentialError, match="4 samples for 2 positions"):
+        PotentialSpec.from_samples(np.array([0.25, 0.75]), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_reflect_and_restrict():

@@ -29,9 +29,7 @@ from scatterkit.spectral import (
     bound_states,
     boundary_residual,
     discrete_hamiltonian,
-    evolve_discrete,
     evolve_spectral,
-    f0_synthesis,
     f0_transform,
     field_norm,
     fourier_maps,
@@ -65,14 +63,14 @@ def wide_grid():
 def test_free_neumann_solution_is_cosine(small_grid):
     pt = _free_table(BoundaryPair.neumann(1), small_grid)
     expected = 2.0 * np.cos(np.outer(pt.k, pt.xv))
-    assert np.abs(pt.psi[:, :, 0, 0] - expected).max() < 1e-12
+    assert np.abs(oracles.near_field_psi(pt)[:, :, 0, 0] - expected).max() < 1e-12
     assert boundary_residual(pt) < 1e-12
 
 
 def test_free_dirichlet_solution_is_sine(small_grid):
     pt = _free_table(BoundaryPair.dirichlet(1), small_grid)
     expected = -2j * np.sin(np.outer(pt.k, pt.xv))
-    assert np.abs(pt.psi[:, :, 0, 0] - expected).max() < 1e-12
+    assert np.abs(oracles.near_field_psi(pt)[:, :, 0, 0] - expected).max() < 1e-12
     assert boundary_residual(pt) < 1e-12
 
 
@@ -83,8 +81,18 @@ def test_golden_far_field_and_boundary_residual(golden_physical):
     far = np.exp(-1j * pt.k * xe)[:, None, None] * np.eye(1) + (
         np.exp(1j * pt.k * xe)[:, None, None] * pt.S
     )
-    assert np.abs(pt.psi[:, -1] - far).max() < 1e-8
+    assert np.abs(oracles.near_field_psi(pt)[:, -1] - far).max() < 1e-8
     assert boundary_residual(pt) < 1e-6
+
+
+def test_matrix_mixed_boundary_residual(matrix_tables):
+    """n = 2 with a Dirichlet and a Robin channel: the wall values
+    ``Psi(k, 0)`` and ``Psi'(k, 0)`` meet the boundary condition to
+    round-off, and ``Psi(k, 0)`` is the near-field solution's first node."""
+    _, _, pt = matrix_tables
+    assert boundary_residual(pt) < 1e-12
+    psi = oracles.near_field_psi(pt)
+    assert np.abs(pt.psi0 - psi[:, 0]).max() <= 1e-14 * np.abs(psi[:, 0]).max()
 
 
 def test_mismatched_grids_rejected(golden_scatter, small_grid):
@@ -102,12 +110,13 @@ def test_stationary_equation_residual_scales(golden_potential, golden_boundary):
         grid = KXGrid.build(kmax=8.0, nk=64, dx=dx, xmax=4.0)
         jt = jost_matrix(solve_faddeev(golden_potential, grid), golden_boundary)
         pt = physical_solution(jt, smatrix(jt))
+        psi = oracles.near_field_psi(pt)
         V = golden_potential.value_at(pt.xv)
-        second = (pt.psi[:, 2:] - 2 * pt.psi[:, 1:-1] + pt.psi[:, :-2]) / dx**2
+        second = (psi[:, 2:] - 2 * psi[:, 1:-1] + psi[:, :-2]) / dx**2
         res = (
             -second
-            + np.einsum("xij,axjl->axil", V[1:-1], pt.psi[:, 1:-1])
-            - (pt.k**2)[:, None, None, None] * pt.psi[:, 1:-1]
+            + np.einsum("xij,axjl->axil", V[1:-1], psi[:, 1:-1])
+            - (pt.k**2)[:, None, None, None] * psi[:, 1:-1]
         )
         # the step edge carries an O(1) curvature jump; skip nodes next to it
         keep = np.abs(pt.xv[1:-1] - 1.0) > 1.5 * dx
@@ -140,7 +149,7 @@ def test_f0_zero_parseval_involution(golden_scatter):
     assert abs(norm_x - norm_k) / norm_x < 1e-6
     # self-inverse on data whose even extension is smooth (centered bump)
     even = np.exp(-(grid.x**2) / 2.0)
-    back = f0_synthesis(grid, f0_transform(grid, even))
+    back = oracles.f0_synthesis(grid, f0_transform(grid, even))
     assert np.abs(back[:, 0] - even).max() < 1e-6
 
 
@@ -232,7 +241,7 @@ def test_spectral_matches_discrete_exponential(wide_grid):
     Y = np.exp(-(wide_grid.x**2) / (2.0 * 6.0**2))
     for t in (10.0, 50.0):
         a = evolve_spectral(pt, Y, t)
-        b = evolve_discrete(dh, Y[:, None], t)
+        b = oracles.evolve_discrete(dh, Y[:, None], t)
         assert np.abs(a - b).max() < 2e-3
 
 

@@ -21,7 +21,7 @@ from scatterkit.grids import KXGrid
 from scatterkit.jost import marchenko_kernel, solve_faddeev, jost_matrix
 from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import fs_symbol, p_symbols, s_limits, scattering_table, smatrix
-from scatterkit.spectral import WindowOverflow, evolve_spectral, f0_synthesis, f0_transform, physical_solution
+from scatterkit.spectral import WindowOverflow, evolve_spectral, f0_transform, physical_solution
 from scatterkit.waveop import (
     DomainMismatch,
     DomainReflection,
@@ -36,14 +36,12 @@ from scatterkit.waveop import (
     convolve_adjoint,
     extend_even,
     extend_even_adjoint,
-    extend_odd,
     hilbert,
     kernel_apply,
     kernel_apply_adjoint,
     lp_probe,
     restrict,
     restrict_adjoint,
-    t_split_terms,
     wave_op_adjoint,
     wave_op_decomposed,
     wave_op_l1_form,
@@ -129,14 +127,8 @@ def test_extension_restriction_algebra():
     vals = np.exp(-((x - 2.0) ** 2)) * (1.0 + 0.3j)
     f = FieldRplus(x, vals)
     ev = extend_even(f)
-    od = extend_odd(f)
     assert np.array_equal(restrict(ev).values, f.values)
     assert np.abs(ev.values - ev.values[::-1]).max() == 0.0
-    assert np.abs(od.values + od.values[::-1]).max() == 0.0
-    assert od.values[od.center] == 0.0  # principal value at the origin
-    ones = FieldRplus(x, np.ones(x.size))
-    sign_field = extend_odd(ones).values[:, 0]
-    assert np.array_equal(np.sign(sign_field), np.sign(extend_odd(ones).x))
 
 
 def test_extension_adjoints_are_exact():
@@ -332,10 +324,6 @@ def test_free_neumann_routes_are_identity(neumann_free):
         assert np.abs(wave_op_stationary(pt, f, sign).values - f.values).max() < 1e-8
         assert np.abs(wave_op_decomposed(table, kt, f, sign).values - f.values).max() < 1e-12
         assert np.abs(wave_op_l1_form(table, kt, f, sign).values - f.values).max() < 1e-12
-    terms = t_split_terms(pt, table, kt, f, +1)
-    for idx in (1, 3, 4, 5):
-        assert np.abs(terms[idx].values).max() < 1e-12
-    assert np.abs(terms[0].values + terms[2].values - f.values).max() < 1e-12
 
 
 def test_free_dirichlet_stationary_closed_form(dirichlet_fine):
@@ -391,6 +379,23 @@ def test_routes_agree_pairwise(golden_wave):
             c = wave_op_l1_form(table, kt, f, sign).values
             for u, v in ((a, b), (a, c), (b, c)):
                 assert FieldRplus(x, u - v).norm(2) / scale < 2e-3
+
+
+def test_routes_agree_with_nonidentity_limits(matrix_tables):
+    """Stationary against decomposed route on the 2x2 potential, where
+    S(0) = -I and S_inf = diag(-1, 1): the case in which the stationary
+    route's k = 0 midpoint term and the decomposed route's window show."""
+    table, kt, pt = matrix_tables
+    eye = np.eye(2)
+    assert abs(np.linalg.norm(table.S0 - eye, 2) - 2.0) < 1e-12
+    assert abs(np.linalg.norm(table.S_infinity - eye, 2) - 2.0) < 1e-12
+    x = pt.grid.x
+    direction = np.array([1.0, 0.5j]) / np.sqrt(1.25)
+    f = FieldRplus(x, np.exp(-((x - 0.4 * x[-1]) ** 2) / (2.0 * 0.55**2))[:, None] * direction)
+    for sign in (+1, -1):
+        a = wave_op_stationary(pt, f, sign).values
+        b = wave_op_decomposed(table, kt, f, sign).values
+        assert FieldRplus(x, a - b).norm(2) / f.norm(2) < 3e-3
 
 
 def test_routes_are_linear(golden_wave):
@@ -463,16 +468,6 @@ def test_decomposed_window_gate(dirichlet_fine, neumann_free):
         assert np.abs(wave_op_decomposed(table, kt, edge, sign).values - edge.values).max() < 1e-15
 
 
-def test_t_split_terms_sum_to_stationary(golden_wave):
-    pt, table, kt = golden_wave
-    x = pt.grid.x
-    f = FieldRplus(x, np.exp(-((x - 6.0) ** 2) / 2.0))
-    terms = t_split_terms(pt, table, kt, f, +1)
-    total = sum(term.values for term in terms)
-    w = wave_op_stationary(pt, f, +1)
-    assert FieldRplus(x, total - w.values).norm(2) / f.norm(2) < 1e-4
-
-
 # -- adjoint, projector, intertwining ------------------------------------------
 
 
@@ -502,7 +497,7 @@ def test_intertwining_with_free_evolution(golden_wave):
     lhs = evolve_spectral(pt, y.values, 1.0)
     wd = wave_op_adjoint(table, kt, y, +1)
     phi = f0_transform(pt.grid, wd.values) * np.exp(-1j * pt.grid.kpos**2)[:, None]
-    rhs = wave_op_l1_form(table, kt, y.replace_values(f0_synthesis(pt.grid, phi)), +1)
+    rhs = wave_op_l1_form(table, kt, y.replace_values(oracles.f0_synthesis(pt.grid, phi)), +1)
     assert FieldRplus(x, lhs - rhs.values).norm(2) / y.norm(2) < 5e-3
 
 
