@@ -281,27 +281,35 @@ def _knot_slopes(d: np.ndarray) -> np.ndarray:
     return s.view(complex) if cplx else s
 
 
+def spline_pieces(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+    """The cubic pieces of the not-a-knot spline through the columns of
+    ``y``, shape ``(nx, columns)``, at uniform knots ``x``: for ``p = 0..3``
+    the coefficients of ``(q - x[j])^p`` on piece ``j``, each ``(nx - 1,
+    columns)``.  The knot slopes ``s`` solve ``s[i-1] + 4 s[i] + s[i+1] =
+    3 (d[i-1] + d[i])`` in the secant slopes ``d``, closed by ``s[0] + 2 s[1]
+    = (5 d[0] + d[1]) / 2`` and its mirror (:func:`_knot_slopes`)."""
+    nx = x.size
+    if nx < 4:
+        raise GridError("a not-a-knot spline needs at least four knots")
+    h = (x[-1] - x[0]) / (nx - 1)
+    d = np.diff(y, axis=0) / h
+    s = _knot_slopes(d)
+    c3 = (s[:-1] + s[1:] - 2.0 * d) / h**2
+    c2 = (d - s[:-1]) / h - c3 * h
+    return [y[:-1], s[:-1], c2, c3]
+
+
 class UniformSpline:
     """Not-a-knot cubic spline through samples ``y`` at uniform knots ``x``
     along axis 0, the interpolant ``scipy.interpolate.CubicSpline`` builds by
-    default; past the end knots the end cubics extend.  The knot slopes ``s``
-    solve ``s[i-1] + 4 s[i] + s[i+1] = 3 (d[i-1] + d[i])`` in the secant
-    slopes ``d``, closed by ``s[0] + 2 s[1] = (5 d[0] + d[1]) / 2`` and its
-    mirror (:func:`_knot_slopes`)."""
+    default; past the end knots the end cubics extend.  Its pieces come from
+    :func:`spline_pieces`."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
         self.x, y = np.asarray(x, dtype=float), np.asarray(y)
-        nx = self.x.size
-        if nx < 4:
-            raise GridError("a not-a-knot spline needs at least four knots")
         self._tail = y.shape[1:]
-        h = (self.x[-1] - self.x[0]) / (nx - 1)
-        y = y.reshape(nx, -1)
-        d = np.diff(y, axis=0) / h
-        s = _knot_slopes(d)
-        c3 = (s[:-1] + s[1:] - 2.0 * d) / h**2
-        c2 = (d - s[:-1]) / h - c3 * h
-        self._coef = np.stack([y[:-1], s[:-1], c2, c3], axis=1)  # (nx - 1, 4, size)
+        pieces = spline_pieces(self.x, y.reshape(self.x.size, -1))
+        self._coef = np.stack(pieces, axis=1)  # (nx - 1, 4, size)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         """Spline values at ``q``, shape ``q.shape + y.shape[1:]``; blocks of

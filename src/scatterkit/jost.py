@@ -418,9 +418,18 @@ def born_term(potential: PotentialSpec, k: np.ndarray, x: np.ndarray) -> np.ndar
 
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Spectral norms of a stack of ``n x n`` matrices: ``|a|`` when ``n = 1``,
-    otherwise the square root of the top Gram eigenvalue."""
-    if mats.shape[-1] == 1:
+    otherwise the square root of the top Gram eigenvalue, in closed form
+    ``(a + d)/2 + hypot((a - d)/2, |b|)`` from the Gram entries
+    ``[[a, b], [b*, d]]`` when ``n = 2``."""
+    n = mats.shape[-1]
+    if n == 1:
         return np.abs(mats[..., 0, 0])
+    if n == 2:
+        p, q = mats[..., 0], mats[..., 1]  # the two columns
+        a = (p.real**2 + p.imag**2).sum(axis=-1)
+        d = (q.real**2 + q.imag**2).sum(axis=-1)
+        b = np.abs((p.conj() * q).sum(axis=-1))
+        return np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), b))
     gram = mats.conj().swapaxes(-1, -2) @ mats
     return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
 

@@ -12,9 +12,12 @@ runs on the table's positive momentum nodes, reading the stored tables, or
 on a dense momentum grid for time evolution, which conjugates the multiplier
 ``e^{-itk^2}`` by the maps: fixed grids cannot resolve the quadratic phase
 once ``2 t k`` outruns the node spacing, so the dense grid is sized from a
-phase-resolution budget and the stored tables are interpolated onto it (they
-are smooth in momentum).  Evolution runs the analysis and every synthesis
-in one pass over the momentum blocks.
+phase-resolution budget.  There the near-field sums read ``m`` through the
+cubic pieces of its spline in momentum (it is smooth in momentum): each
+piece's coefficients are contracted once against the field, or against the
+phase-weighted sums of the momenta the piece holds, so no ``m`` table on
+the dense grid is ever formed.  Evolution runs the analysis and every
+synthesis in one pass over the momentum blocks.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from .grids import (
     fourier_sum,
     next_fast_len,
     simpson_weights,
+    spline_pieces,
     trapezoid_weights,
 )
 from .jost import JostTable
@@ -57,7 +61,8 @@ __all__ = [
     "field_norm",
 ]
 
-#: complex elements per Faddeev-factor table in one block of a map's near-field sums
+#: momenta times near-field entries (``len(xv) n^2``) in one block of a map's
+#: near-field sums: the size a Faddeev-factor table on the block would have
 CHUNK = 1 << 21
 #: maximum radians of accumulated phase between adjacent dense momentum nodes
 PHASE_BUDGET = 0.3
@@ -101,7 +106,9 @@ class PhysicalSolutionTable:
     ``(len(k), n, n)``.  Elsewhere ``Psi`` is read through the Faddeev factor
     ``mnear = m(k, xv)`` and ``S``; beyond ``xv[-1]`` it equals
     ``e^{-ikx} I + e^{ikx} S(k)`` exactly.  Off the grid, ``mnear`` and ``S``
-    are read through the not-a-knot :class:`~.grids.UniformSpline`.
+    are read through their not-a-knot splines: ``mnear`` through the pieces
+    of :func:`~.grids.spline_pieces`, ``S`` through the
+    :class:`~.grids.UniformSpline` built on the same pieces.
     """
 
     k: np.ndarray
@@ -126,8 +133,20 @@ class PhysicalSolutionTable:
         return self.k[self.k > 0]
 
     @cached_property
-    def _spline_m(self) -> UniformSpline:
-        return UniformSpline(self.k, self.mnear)
+    def _near_table(self) -> "_NearField":
+        """``m - I`` at the stored momenta: one degree-0 piece per node."""
+        return _NearField.from_pieces(self.k, self.xv, [self.mnear])
+
+    @cached_property
+    def _near_spline(self) -> "_NearField":
+        """``m - I`` between the stored momenta: the cubic pieces of the
+        not-a-knot spline of ``mnear`` (the one :class:`UniformSpline`
+        evaluates)."""
+        shape = self.mnear.shape
+        pieces = spline_pieces(self.k, self.mnear.reshape(shape[0], -1))
+        return _NearField.from_pieces(
+            self.k[:-1], self.xv, [c.reshape((shape[0] - 1,) + shape[1:]) for c in pieces]
+        )
 
 
 def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTable:
@@ -177,41 +196,195 @@ def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np
 # -- generalized Fourier maps ------------------------------------------------
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of float64 ``a`` into a 26-bit head and its tail, so
+    that the product of two heads is exact."""
+    c = 134217729.0 * a  # 2^27 + 1
+    head = c - (c - a)
+    return head, a - head
+
+
+def _phases(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``e^{i q x}`` on uniform nodes ``x`` from zero, shape ``q.shape +
+    x.shape``: the product of ``e^{i q x[bB]}`` and ``e^{i q x[r]}`` at node
+    ``bB + r``, with ``B = ceil(sqrt(len(x)))``, so each momentum takes about
+    ``2 sqrt(len(x))`` complex exponentials instead of ``len(x)``.
+
+    The coarse arguments are the long ones, so they are split: the product
+    of the heads of ``q`` and ``x[bB]`` is exact, and the small rest enters
+    through ``e^{i s} = 1 + i s - s^2/2``.  Rounding ``q x`` would cost up to
+    half an ulp of the phase, ``3.6e-15`` at ``|q x| = 40``.
+    """
+    B = int(np.ceil(np.sqrt(x.size)))
+    q_head, q_tail = _split(q)
+    x_head, x_tail = _split(x[::B])
+    rest = np.multiply.outer(q_head, x_tail) + np.multiply.outer(q_tail, x[::B])
+    coarse = np.exp(1j * np.multiply.outer(q_head, x_head)) * (1.0 - 0.5 * rest**2 + 1j * rest)
+    fine = np.exp(1j * np.multiply.outer(q, x[:B]))
+    out = coarse[..., :, None] * fine[..., None, :]
+    return out.reshape(q.shape + (-1,))[..., : x.size]
+
+
+def _powers(t: np.ndarray, order: int) -> np.ndarray:
+    """``t^p`` for ``p < order`` along a new last axis."""
+    out = np.ones(t.shape + (order,))
+    for p in range(1, order):
+        out[..., p] = out[..., p - 1] * t
+    return out
+
+
+@dataclass(frozen=True)
+class _NearBlock:
+    """One run of whole pieces of a map's near-field sums.
+
+    Its momenta ``k[nodes]`` sit piece by piece in a ``(pieces, width)``
+    layout, padded where a piece holds fewer than ``width``; ``real`` lists
+    the real entries of the flattened layout.  For each Faddeev factor,
+    ``m(k, .)`` then ``m(-k, .)``, it holds the powers ``t^p`` of each
+    momentum's offset in its piece and its pieces' coefficients as a
+    ``(nxv, n, pieces order n)`` view; ``phases`` holds ``e^{ikx}`` on
+    ``xv``, which the second factor reads conjugated by conjugating the
+    smaller operand and the product.  The second factor's pieces are the
+    mirrors of the first's, so its coefficients run in reverse; ``flip``
+    turns them back into block order.
+    """
+
+    nodes: slice
+    real: np.ndarray
+    phases: np.ndarray
+    powers: tuple[np.ndarray, np.ndarray]
+    coef: tuple[np.ndarray, np.ndarray]
+    flip = (slice(None), slice(None, None, -1))
+    conj = (False, True)
+
+    def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
+        """``sum_x e^{+-ikx} (m(+-k, x) - I)^T Yc(x)`` for both factors, each
+        ``(len(nodes), n)``: ``Yc`` is contracted into every piece's
+        coefficients once, then each piece's phase rows run against them."""
+        nxv, n = Yc.shape
+        out = []
+        for pw, C, flip, conj in zip(self.powers, self.coef, self.flip, self.conj):
+            pieces, width, order = pw.shape
+            W = np.matmul(Yc[:, None, :], C).reshape(nxv, pieces, order * n).transpose(1, 0, 2)
+            R = np.matmul(self.phases, W[flip].conj() if conj else W)
+            R = (R.conj() if conj else R).reshape(pieces, width, order, n)
+            out.append(np.take(np.einsum("jwp,jwpn->jwn", pw, R).reshape(-1, n), self.real, axis=0))
+        return out
+
+    def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
+        """``sum_k e^{ikx} (m(k, x) - I) Z(k) + e^{-ikx} (m(-k, x) - I) Zm(k)``
+        on ``xv`` for each row of ``Z`` and ``Zm`` (shape ``(rows,
+        len(nodes), n)``), shape ``(rows, nxv, n)``: each piece sums
+        ``t^p e^{+-ikx} Z`` over its momenta, then the sums are contracted
+        against the pieces' coefficients."""
+        rows, _, n = Z.shape
+        out = 0.0
+        factors = zip(self.powers, self.coef, self.flip, self.conj, (Z, Zm))
+        for pw, C, flip, conj, Zf in factors:
+            pieces, width, order = pw.shape
+            Zp = np.zeros((pieces * width, n, rows), dtype=complex)
+            Zp[self.real] = Zf.conj().transpose(1, 2, 0) if conj else Zf.transpose(1, 2, 0)
+            TZ = pw[..., None, None] * Zp.reshape(pieces, width, 1, n, rows)
+            TZ = TZ.reshape(pieces, width, -1)
+            # G[x, j, (p, b, row)], written straight into the layout C reads
+            G = np.empty((C.shape[0], pieces, TZ.shape[-1]), dtype=complex)
+            np.matmul(self.phases.transpose(0, 2, 1), TZ, out=G[:, flip].transpose(1, 0, 2))
+            if conj:
+                np.conjugate(G, out=G)
+            out = out + np.matmul(C, G.reshape(C.shape[0], -1, rows))
+        return out.transpose(2, 0, 1)
+
+
+@dataclass(frozen=True)
+class _NearField:
+    """``m(q, x) - I`` on the near-field nodes ``xv`` as piecewise
+    polynomials in the momentum: on piece ``j``, with ``t = q - knots[j]``,
+    ``m(q, x) - I = sum_{p < order} t^p C_{j,p}(x)``.
+
+    ``coef[x, a, j, p, b]`` holds ``C_{j,p}(x)[a, b]``, so that a run of
+    pieces is one ``(nxv, n, pieces order n)`` view.  Momenta past the end
+    pieces use them.  Piece ``pieces - 1 - j`` mirrors piece ``j``: the
+    knots are closed under ``q -> -q``, so ``m(-k)`` is read on the mirror
+    of the piece holding ``k``.
+    """
+
+    knots: np.ndarray
+    xv: np.ndarray
+    coef: np.ndarray
+
+    @classmethod
+    def from_pieces(
+        cls, knots: np.ndarray, xv: np.ndarray, pieces: list[np.ndarray]
+    ) -> "_NearField":
+        """From ``pieces[p][j, x, a, b]``, the coefficients of ``m`` itself,
+        written straight into the ``[x, a, j, p, b]`` layout."""
+        npieces, nxv, n = pieces[0].shape[:3]
+        coef = np.empty((nxv, n, npieces, len(pieces), n), dtype=complex)
+        for p, c in enumerate(pieces):
+            coef[:, :, :, p] = c.transpose(1, 2, 0, 3)
+        for a in range(n):
+            coef[:, a, :, 0, a] -= 1.0
+        return cls(knots, xv, coef)
+
+    def blocks(self, k: np.ndarray):
+        """The ascending momenta ``k`` grouped by the piece that holds each,
+        in runs of whole pieces holding at most ``CHUNK / (len(xv) n^2)``
+        padded momenta (at least one piece)."""
+        nxv, n, npieces, order = self.coef.shape[:4]
+        piece = np.clip(np.searchsorted(self.knots, k, side="right") - 1, 0, npieces - 1)
+        lo = piece[0]
+        counts = np.bincount(piece - lo)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        width = int(counts.max())
+        step = max(1, CHUNK // (width * nxv * n * n))
+        for a in range(0, counts.size, step):
+            b = min(a + step, counts.size)
+            run = np.arange(lo + a, lo + b)
+            slot = starts[a:b, None] + np.arange(width)
+            q = k[np.minimum(slot, k.size - 1)]
+            yield _NearBlock(
+                nodes=slice(starts[a], starts[b]),
+                real=np.flatnonzero(slot < starts[a + 1 : b + 1, None]),
+                phases=_phases(q, self.xv),
+                powers=(
+                    _powers(q - self.knots[run, None], order),
+                    _powers(-q - self.knots[npieces - 1 - run, None], order),
+                ),
+                coef=(
+                    self.coef[:, :, lo + a : lo + b].reshape(nxv, n, -1),
+                    self.coef[:, :, npieces - lo - b : npieces - lo - a].reshape(nxv, n, -1),
+                ),
+            )
+
+
 @dataclass(frozen=True)
 class _MapKernel:
     """The kernel ``Psi(-sign*k, x)^dagger`` of one generalized Fourier map on
-    uniform momenta ``k`` with spacing ``dk``.
+    uniform positive momenta ``k`` with spacing ``dk``.
 
     Beyond the near field the kernel is the plane-wave pair
     ``e^{-i sign k x} + S(-sign*k)^dagger e^{i sign k x}``, summed by
-    :func:`fourier_sum`; on the near-field nodes ``xv`` the Faddeev factors
-    add ``(m - I)`` corrections.  ``S`` holds ``S(-sign*k)`` and
-    ``tables(block)`` returns ``m(sign*k, xv)`` and ``m(-sign*k, xv)`` on a
-    slice of the momenta.  Analysis and synthesis read the same arrays, so
-    they are adjoint to roundoff whenever the synthesis nodes are the
-    analysis nodes with ``xv`` as a prefix.
+    :func:`fourier_sum`; on the near-field nodes ``near.xv`` the Faddeev
+    factors ``m(sign*k)`` and ``m(-sign*k)`` add ``(m - I)`` corrections,
+    read from the pieces of ``near`` block by block.  ``S`` holds
+    ``S(-sign*k)``.  Analysis and synthesis read the same pieces, so they
+    are adjoint to roundoff whenever the synthesis nodes are the analysis
+    nodes with ``xv`` as a prefix.
     """
 
     sign: int
     k: np.ndarray
     dk: float
-    xv: np.ndarray
     S: np.ndarray
-    tables: Callable[[slice], tuple[np.ndarray, np.ndarray]]
+    near: _NearField
 
     def __post_init__(self) -> None:
         if self.sign not in (+1, -1):
             raise SpectralError("sign must be +1 or -1")
 
-    def _blocks(self):
-        """Momentum blocks with their phases ``e^{i sign k xv}`` and tables;
-        each table holds at most ``CHUNK`` elements."""
-        n = self.S.shape[-1]
-        step = max(1, CHUNK // (self.xv.size * n * n))
-        for a in range(0, self.k.size, step):
-            blk = slice(a, a + step)
-            ph = np.exp(1j * self.sign * np.outer(self.k[blk], self.xv))
-            yield (blk, ph) + self.tables(blk)
+    @property
+    def xv(self) -> np.ndarray:
+        return self.near.xv
 
     def _plane_analysis(self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray) -> np.ndarray:
         """The plane-wave part of the analysis sum, unscaled."""
@@ -220,19 +393,19 @@ class _MapKernel:
         out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
         return out
 
-    def _near_analysis(self, blk, ph, m_s, m_ms, Yc: np.ndarray) -> np.ndarray:
+    def _near_analysis(self, blk: _NearBlock, Yc: np.ndarray) -> np.ndarray:
         """The near-field part of the analysis sum on one block, unscaled;
         ``Yc`` is the conjugate of the weighted field on ``xv``."""
         # e^{-i sign k x} (m_s - I)^dagger Y + S^dagger e^{i sign k x} (m_ms - I)^dagger Y,
         # summed over xv as the conjugate of its transpose
-        near = _near_t(ph, m_s, Yc)
-        near += np.einsum("kji,kj->ki", self.S[blk], _near_t(ph.conj(), m_ms, Yc))
-        return near.conj()
+        plus, minus = blk.analysis(Yc)
+        near, mirror = (plus, minus) if self.sign == +1 else (minus, plus)
+        return (near + np.einsum("kji,kj->ki", self.S[blk.nodes], mirror)).conj()
 
-    @staticmethod
-    def _near_synthesis(ph, m_s, m_ms, Zw: np.ndarray, SZ: np.ndarray) -> np.ndarray:
-        """The near-field part of the synthesis sum from one block, unscaled."""
-        return _near(ph, m_s, Zw) + _near(ph.conj(), m_ms, SZ)
+    def _near_synthesis(self, blk: _NearBlock, Zw: np.ndarray, SZ: np.ndarray) -> np.ndarray:
+        """The near-field part of the synthesis sums of the rows of ``Zw``
+        (``SZ`` holds ``S Zw``) from one block, unscaled."""
+        return blk.synthesis(Zw, SZ) if self.sign == +1 else blk.synthesis(SZ, Zw)
 
     def _plane_synthesis(self, Zw: np.ndarray, SZ: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The plane-wave part of the synthesis sum, unscaled."""
@@ -247,8 +420,8 @@ class _MapKernel:
         ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on ``xv``."""
         out = self._plane_analysis(Y, x0, dx, w)
         Yc = np.conj(Ynear * trapezoid_weights(self.xv)[:, None])
-        for blk, ph, m_s, m_ms in self._blocks():
-            out[blk] += self._near_analysis(blk, ph, m_s, m_ms, Yc)
+        for blk in self.near.blocks(self.k):
+            out[blk.nodes] += self._near_analysis(blk, Yc)
         return out / np.sqrt(2.0 * np.pi)
 
     def synthesis(self, Zw: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -256,8 +429,9 @@ class _MapKernel:
         whose prefix is ``xv``; ``Zw`` carries the momentum weights."""
         SZ = np.einsum("kij,kj->ki", self.S, Zw)
         out = self._plane_synthesis(Zw, SZ, x)
-        for blk, ph, m_s, m_ms in self._blocks():
-            out[: self.xv.size] += self._near_synthesis(ph, m_s, m_ms, Zw[blk], SZ[blk])
+        for blk in self.near.blocks(self.k):
+            nodes = blk.nodes
+            out[: self.xv.size] += self._near_synthesis(blk, Zw[None, nodes], SZ[None, nodes])[0]
         return out / np.sqrt(2.0 * np.pi)
 
     def transfer(
@@ -266,7 +440,7 @@ class _MapKernel:
     ) -> list[np.ndarray]:
         """``synthesis(mult * analysis(Y), x)`` for every row ``mult`` of
         ``mults`` (weights included), in one pass over the momentum blocks:
-        each block's phases and tables serve its near-field analysis and then
+        each block's phases and pieces serve its near-field analysis and then
         every synthesis.  ``check`` sees every ``Zw`` before the plane sums
         run, so a failing check returns nothing."""
         phi = self._plane_analysis(Y, x0, dx, w)
@@ -274,13 +448,13 @@ class _MapKernel:
         Zw = np.empty((mults.shape[0],) + phi.shape, dtype=complex)
         SZ = np.empty_like(Zw)
         near = np.zeros((mults.shape[0], self.xv.size, phi.shape[1]), dtype=complex)
-        for blk, ph, m_s, m_ms in self._blocks():
-            phi[blk] += self._near_analysis(blk, ph, m_s, m_ms, Yc)
-            phi[blk] /= np.sqrt(2.0 * np.pi)
-            Zw[:, blk] = mults[:, blk, None] * phi[blk]
-            SZ[:, blk] = np.einsum("kij,tkj->tki", self.S[blk], Zw[:, blk])
-            for Z, SZi, acc in zip(Zw[:, blk], SZ[:, blk], near):
-                acc += self._near_synthesis(ph, m_s, m_ms, Z, SZi)
+        for blk in self.near.blocks(self.k):
+            nodes = blk.nodes
+            phi[nodes] += self._near_analysis(blk, Yc)
+            phi[nodes] /= np.sqrt(2.0 * np.pi)
+            Zw[:, nodes] = mults[:, nodes, None] * phi[nodes]
+            SZ[:, nodes] = np.einsum("kij,tkj->tki", self.S[nodes], Zw[:, nodes])
+            near += self._near_synthesis(blk, Zw[:, nodes], SZ[:, nodes])
         for Z in Zw:
             check(Z)
         outs = []
@@ -291,30 +465,12 @@ class _MapKernel:
         return outs
 
 
-def _near(ph: np.ndarray, m: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """``sum_k ph(k, x) (m(k, x) - I) Z(k)`` over one block, as a batched
-    matrix-vector product against the table (no ``m - I`` copy)."""
-    b, nxv, n = m.shape[:3]
-    mZ = np.matmul(m.reshape(b, nxv * n, n), Z[:, :, None]).reshape(b, nxv, n)
-    return np.einsum("kx,kxi->xi", ph, mZ) - ph.T @ Z
-
-
-def _near_t(ph: np.ndarray, m: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``sum_x ph(k, x) (m(k, x) - I)^T Y(x)`` over one block, as a batched
-    row-vector product against the table (no ``m - I`` copy)."""
-    b, nxv, n = m.shape[:3]
-    row = (ph[:, :, None] * Y).reshape(b, 1, nxv * n)
-    return np.matmul(row, m.reshape(b, nxv * n, n))[:, 0] - ph @ Y
-
-
 def _table_kernel(pt: PhysicalSolutionTable, sign: int) -> _MapKernel:
     """The map kernel on the positive nodes of the table grid, reading the
     stored ``S`` and Faddeev factors (``k[::-1] == -k`` exactly)."""
     npos = pt.npos
-    m_pos, m_neg = pt.mnear[npos:], pt.mnear[npos - 1 :: -1]
-    m_s, m_ms = (m_pos, m_neg) if sign == +1 else (m_neg, m_pos)
     S = pt.S[npos - 1 :: -1] if sign == +1 else pt.S[npos:]
-    return _MapKernel(sign, pt.kpos, pt.grid.dk, pt.xv, S, lambda blk: (m_s[blk], m_ms[blk]))
+    return _MapKernel(sign, pt.kpos, pt.grid.dk, S, pt._near_table)
 
 
 def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np.ndarray:
@@ -347,8 +503,9 @@ class _DenseStage:
     """The dense momentum grid of one evolution request: positive momenta
     ``kq[l] = l * dkq`` with trapezoid weights ``wk``, and the spatial step
     ``ratio * dx`` of an ``nfft``-node circle whose lower half is the
-    evolution domain.  Its map kernels interpolate the stored tables onto
-    ``kq`` (they are smooth in momentum)."""
+    evolution domain.  Its map kernels read ``S`` interpolated onto ``kq``
+    and the Faddeev factors through the cubic pieces of their spline (both
+    are smooth in momentum)."""
 
     pt: PhysicalSolutionTable
     nfft: int
@@ -359,17 +516,11 @@ class _DenseStage:
     wk: np.ndarray
 
     def kernel(self, sign: int) -> _MapKernel:
-        """The map kernel on ``kq``, with ``S`` and the Faddeev factors
-        interpolated from the stored tables one block at a time."""
+        """The map kernel on ``kq``: ``S`` from its spline at ``-sign*kq``,
+        the Faddeev factors from the pieces of theirs that hold ``kq``."""
         pt, kq = self.pt, self.kq
-        return _MapKernel(
-            sign,
-            kq,
-            self.dkq,
-            pt.xv,
-            UniformSpline(pt.k, pt.S)(-sign * kq),
-            lambda blk: (pt._spline_m(sign * kq[blk]), pt._spline_m(-sign * kq[blk])),
-        )
+        S = UniformSpline(pt.k, pt.S)(-sign * kq)
+        return _MapKernel(sign, kq, self.dkq, S, pt._near_spline)
 
     def check_overflow(self, kernel: _MapKernel, Zw: np.ndarray) -> None:
         """Reconstruct the field synthesized from ``Zw`` on the full FFT

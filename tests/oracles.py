@@ -16,10 +16,13 @@ is the Marchenko window check with the exact norm of every ``(k, x)``
 matrix, against which the filtered check must agree bit for bit.
 :func:`mprime_nodes` and :func:`near_field_psi` rebuild, for the checks that
 read them, the tables the package no longer keeps: ``m'`` at every node and
-the physical solution on the near field.  :func:`jost_representation_check`
-tests the paper's representation ``f = e^{ikx} + integral K e^{iky}`` on the
-package's kernel.  :func:`f0_synthesis` inverts the package's cosine
-transform, :func:`evolve_discrete` propagates with the package's
+the physical solution on the near field.  :func:`map_kernel_near_sums` forms
+the generalized Fourier maps' near-field sums from whole Faddeev-factor
+tables, against which the sums from the spline's pieces are checked.
+:func:`jost_representation_check` tests the paper's representation
+``f = e^{ikx} + integral K e^{iky}`` on the package's kernel.
+:func:`f0_synthesis` inverts the package's cosine transform,
+:func:`evolve_discrete` propagates with the package's
 finite-difference model, and :func:`free_jost_matrix` is the closed-form
 Jost matrix of the zero potential.
 
@@ -453,6 +456,47 @@ def near_field_psi(pt):
     ``k[::-1] == -k``; shape ``(len(k), len(xv), n, n)``."""
     f = np.exp(1j * np.outer(pt.k, pt.xv))[..., None, None] * pt.mnear
     return f[::-1] + f @ pt.S[:, None]
+
+
+def _near(ph, m, Z):
+    """``sum_k ph(k, x) (m(k, x) - I) Z(k)`` as a batched matrix-vector
+    product against the table (no ``m - I`` copy)."""
+    b, nxv, n = m.shape[:3]
+    mZ = np.matmul(m.reshape(b, nxv * n, n), Z[:, :, None]).reshape(b, nxv, n)
+    return np.einsum("kx,kxi->xi", ph, mZ) - ph.T @ Z
+
+
+def _near_t(ph, m, Y):
+    """``sum_x ph(k, x) (m(k, x) - I)^T Y(x)`` as a batched row-vector
+    product against the table (no ``m - I`` copy)."""
+    b, nxv, n = m.shape[:3]
+    row = (ph[:, :, None] * Y).reshape(b, 1, nxv * n)
+    return np.matmul(row, m.reshape(b, nxv * n, n))[:, 0] - ph @ Y
+
+
+def map_kernel_near_sums(pt, k, sign, S, Yc, Zw):
+    """The near-field sums of the generalized Fourier map kernel
+    ``Psi(-sign*k, x)^dagger`` on positive momenta ``k``, from whole
+    Faddeev-factor tables ``m(+-sign*k, xv)``: the stored table when ``k``
+    are its positive nodes, its not-a-knot spline otherwise, with the phases
+    ``e^{i sign k x}`` from one complex exponential each.  ``S`` holds
+    ``S(-sign*k)`` and ``Yc`` the conjugate weighted field on ``xv``.
+    Returns, unscaled, the analysis part ``(len(k), n)`` and, for each row
+    of ``Zw``, the synthesis part on ``xv``."""
+    from scatterkit.grids import UniformSpline
+
+    if np.array_equal(k, pt.kpos):
+        m_pos, m_neg = pt.mnear[pt.npos :], pt.mnear[pt.npos - 1 :: -1]
+    else:
+        spline = UniformSpline(pt.k, pt.mnear)
+        m_pos, m_neg = spline(k), spline(-k)
+    m_s, m_ms = (m_pos, m_neg) if sign == +1 else (m_neg, m_pos)
+    ph = np.exp(1j * sign * np.outer(k, pt.xv))
+    mirror = np.einsum("kji,kj->ki", S, _near_t(ph.conj(), m_ms, Yc))
+    analysis = (_near_t(ph, m_s, Yc) + mirror).conj()
+    SZ = np.einsum("kij,tkj->tki", S, Zw)
+    synthesis = [_near(ph, m_s, Z) + _near(ph.conj(), m_ms, SZi) for Z, SZi in zip(Zw, SZ)]
+    return analysis, synthesis
 
 
 # -- helpers on the package's own tables and models ------------------------------

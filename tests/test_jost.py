@@ -9,6 +9,7 @@ from scatterkit.jost import (
     JostError,
     JostOverflow,
     TailNotNegligible,
+    _spectral_norms,
     born_term,
     faddeev_solve,
     jost_matrix,
@@ -299,6 +300,23 @@ def test_schur_integrals_match_svd_norms(golden_kernel, matrix_potential, medium
         row = (norms * kt.wy[None, :]).sum(axis=1).max()
         col = (norms * kt.wx[:, None]).sum(axis=0).max()
         np.testing.assert_allclose([kt.schur_row, kt.schur_col], [row, col], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spectral_norms_match_svd(n):
+    """``_spectral_norms`` (closed form at n = 2, Gram eigenvalue at n = 3)
+    against the SVD norm on random, zero, rank-one and equal-singular-value
+    stacks."""
+    rng = np.random.default_rng(3)
+    shape = (40, 7, n, n)
+    random = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    u, v = (rng.normal(size=(40, 7, n, 1)) + 1j * rng.normal(size=(40, 7, n, 1)) for _ in range(2))
+    rank_one = u @ v.conj().swapaxes(-1, -2)
+    unitary = np.linalg.qr(random)[0] * rng.uniform(0.1, 10.0, size=(40, 7, 1, 1))
+    for mats in (random, rank_one, unitary, 1e-150 * random, 1e150 * random):
+        expected = np.linalg.norm(mats, ord=2, axis=(-2, -1))
+        np.testing.assert_allclose(_spectral_norms(mats), expected, rtol=1e-14, atol=0)
+    assert not _spectral_norms(np.zeros(shape, dtype=complex)).any()
 
 
 def test_born_term_leading_order():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from scatterkit.boundary import BoundaryPair
-from scatterkit.grids import KXGrid, UniformSpline, simpson_weights, trapezoid_weights
+from scatterkit.grids import KXGrid, UniformSpline, _cis, simpson_weights, trapezoid_weights
 from scatterkit.jost import jost_matrix, solve_faddeev
 from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import smatrix
@@ -403,10 +403,10 @@ def test_kernel_blocks_do_not_change_results(matrix_physical, monkeypatch):
         assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
 
 
-def test_evolution_evaluates_tables_once_per_block(matrix_physical, monkeypatch):
-    """One ``evolve_spectral`` call runs one pass over the momentum blocks:
-    each block's two Faddeev-factor tables serve the analysis and every
-    synthesis time."""
+def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
+    """One ``evolve_spectral`` call runs one pass over the pieces of the dense
+    stage, for every time: each block's phases and coefficients serve the
+    analysis and every synthesis."""
     pt = matrix_physical
     Y = _packet(pt.grid.x, pt.n)
     step = 7  # momenta per block
@@ -418,18 +418,21 @@ def test_evolution_evaluates_tables_once_per_block(matrix_physical, monkeypatch)
         return stages[-1]
 
     monkeypatch.setattr(spectral, "_stage_for", stage_for)
-    spline = pt._spline_m
-    calls = []
+    blocks = spectral._NearField.blocks
+    visits = []
 
-    def counted(q):
-        calls.append(q.size)
-        return spline(q)
+    def counted(near, k):
+        for blk in blocks(near, k):
+            visits.append((k, blk.nodes))
+            yield blk
 
-    monkeypatch.setitem(pt.__dict__, "_spline_m", counted)
+    monkeypatch.setattr(spectral._NearField, "blocks", counted)
     evolve_spectral(pt, Y, [0.5, -1.0, 2.0])
-    blocks = -(-stages[0].kq.size // step)
-    assert blocks >= 5
-    assert len(calls) == 2 * blocks
+    kq = stages[0].kq
+    dense = [nodes for k, nodes in visits if k is kq]
+    assert len(dense) >= 5
+    covered = np.concatenate([np.arange(kq.size)[nodes] for nodes in dense])
+    assert np.array_equal(covered, np.arange(kq.size))
 
 
 def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch):
@@ -483,6 +486,52 @@ def test_dense_kernel_duality(table, request):
         norm_ay = np.sqrt(np.sum(stage.wk[:, None] * np.abs(AY) ** 2))
         norm_z = np.sqrt(np.sum(stage.wk[:, None] * np.abs(Z) ** 2))
         assert abs(lhs - rhs) < 1e-12 * norm_ay * norm_z
+
+
+@pytest.mark.parametrize("blocks", ["one", "many"])
+@pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
+def test_near_field_sums_match_whole_table_reference(table, blocks, request, monkeypatch):
+    """The near-field sums read from the pieces of ``m`` equal those of whole
+    ``m(+-k, xv)`` tables (the stored table on its own nodes, its spline on
+    the dense grid), for both signs and the times of one evolution, in one
+    block or in many."""
+    pt = request.getfixturevalue(table)
+    if blocks == "many":
+        monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * 7)
+    grid = pt.grid
+    rng = np.random.default_rng(5)
+    Y = _packet(grid.x, pt.n) + 0.1 * rng.normal(size=(grid.x.size, pt.n))
+    Yc = np.conj(Y[: pt.xv.size] * trapezoid_weights(pt.xv)[:, None])
+    times = np.array([0.5, -1.0, 2.0])
+    stage = _build_stage(pt, 6.0, 30.0)
+    for sign in (+1, -1):
+        for kernel in (spectral._table_kernel(pt, sign), stage.kernel(sign)):
+            k = kernel.k
+            noise = rng.normal(size=(k.size, pt.n)) + 1j * rng.normal(size=(k.size, pt.n))
+            Zw = np.exp(-(1j * times[:, None] + 0.02) * k**2)[..., None] * noise
+            SZ = np.einsum("kij,tkj->tki", kernel.S, Zw)
+            analysis, synthesis = oracles.map_kernel_near_sums(pt, k, sign, kernel.S, Yc, Zw)
+            parts = list(kernel.near.blocks(k))
+            got = np.concatenate([kernel._near_analysis(blk, Yc) for blk in parts])
+            assert np.abs(got - analysis).max() <= 1e-13 * np.abs(analysis).max()
+            got = sum(
+                kernel._near_synthesis(blk, Zw[:, blk.nodes], SZ[:, blk.nodes]) for blk in parts
+            )
+            for g, ref in zip(got, synthesis):
+                assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
+def test_near_field_phases_match_longdouble_reference(table, request):
+    """The near-field phases from two short exponential tables match
+    ``e^{iqx}`` formed in long double, on the dense grid up to the band cap
+    and on the half-offset table grid, for both signs."""
+    pt = request.getfixturevalue(table)
+    kq = _build_stage(pt, pt.grid.kmax, 30.0).kq
+    xv = pt.xv.astype(np.longdouble)
+    for q in (kq, -kq, pt.kpos, -pt.kpos):
+        reference = _cis(np.multiply.outer(q.astype(np.longdouble), xv))
+        assert np.abs(spectral._phases(q, pt.xv) - reference).max() <= 4e-15
 
 
 def test_wave_limit_identity_for_free_neumann():
