@@ -335,13 +335,11 @@ class KernelTable:
         Row nodes (near field, within the potential support).
     y : ndarray
         Column nodes, reaching past twice the support radius.
-    values : ndarray
-        Contract form: the synthesis with ``K(x, y) = 0`` enforced for
-        ``y < x``; shape ``(len(x), len(y), n, n)``.
     raw : ndarray
-        Bare band-limited synthesis (keeps the smeared sub-diagonal mass of
-        the jump at ``y = x``); integrates exactly against band-limited
-        fields, so all operator applications use it.
+        Bare band-limited synthesis, shape ``(len(x), len(y), n, n)`` (keeps
+        the smeared sub-diagonal mass of the jump at ``y = x``); integrates
+        exactly against band-limited fields, so all operator applications
+        use it.  The contract form ``values`` is derived from it.
     diagonal : ndarray
         The jump ``K(x, x+) = (1/2) integral_x^inf V``, exact over the cells;
         shape ``(len(x), n, n)``.
@@ -352,11 +350,22 @@ class KernelTable:
 
     x: np.ndarray
     y: np.ndarray
-    values: np.ndarray
     raw: np.ndarray
     diagonal: np.ndarray
     tail_fraction: float
     n: int
+
+    @property
+    def _below(self) -> np.ndarray:
+        """Where ``y < x``, outside the kernel's support; shape ``(len(x), len(y))``."""
+        return self.y[None, :] < self.x[:, None] - 1e-12
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Contract form: ``raw`` with ``K(x, y) = 0`` enforced for ``y < x``."""
+        values = self.raw.copy()
+        values[self._below] = 0.0
+        return values
 
     @cached_property
     def wy(self) -> np.ndarray:
@@ -370,7 +379,9 @@ class KernelTable:
     def _schur(self) -> tuple[float, float]:
         """Both Schur integrals from one table of spectral norms ``|K(x, y)|``
         of the supported values."""
-        norms = _spectral_norms(self.values)
+        # row-major, so that each row's integral is a pairwise sum in memory
+        norms = np.ascontiguousarray(_spectral_norms(self.raw))
+        norms[self._below] = 0.0
         row = (norms * self.wy[None, :]).sum(axis=1).max()
         col = (norms * self.wx[:, None]).sum(axis=0).max()
         return float(row), float(col)
@@ -480,14 +491,9 @@ def marchenko_kernel(jt: JostTable, tail_tol: float = 5e-3) -> KernelTable:
     h = gt * np.exp(1j * np.outer(k, xv))[:, :, None, None]
     raw = (grid.dk / (2.0 * np.pi)) * fourier_sum(h, k[0], grid.dk, y, -1).swapaxes(0, 1)
 
-    values = raw.copy()
-    sub = y[None, :] < xv[:, None] - 1e-12
-    values[sub] = 0.0
-
     return KernelTable(
         x=xv,
         y=y,
-        values=values,
         raw=raw,
         diagonal=0.5 * tail_integral(jt.potential, xv),
         tail_fraction=tail_fraction,

@@ -7,17 +7,21 @@ factor ``m`` on the near field and ``S``, since beyond the potential's
 support it is an exact plane-wave combination.  Every generalized Fourier
 map, forward (analysis) or adjoint (synthesis), is evaluated by one kernel,
 ``Psi(-sign*k, x)^dagger``: two plane-wave sums over the whole window plus a
-near-field correction, summed block by block over the momenta.  The kernel
-runs on the table's positive momentum nodes, reading the stored tables, or
-on a dense momentum grid for time evolution, which conjugates the multiplier
-``e^{-itk^2}`` by the maps: fixed grids cannot resolve the quadratic phase
-once ``2 t k`` outruns the node spacing, so the dense grid is sized from a
-phase-resolution budget.  There the near-field sums read ``m`` through the
-cubic pieces of its spline in momentum (it is smooth in momentum): each
-piece's coefficients are contracted once against the field, or against the
-phase-weighted sums of the momenta the piece holds, so no ``m`` table on
-the dense grid is ever formed.  Evolution runs the analysis and every
-synthesis in one pass over the momentum blocks.
+near-field correction.  The kernel runs on the table's positive momentum
+nodes or on a dense momentum grid for time evolution, which conjugates the
+multiplier ``e^{-itk^2}`` by the maps: fixed grids cannot resolve the
+quadratic phase once ``2 t k`` outruns the node spacing, so the dense grid is
+sized from a phase-resolution budget.
+
+On the table grid, which is closed under ``k -> -k``, the near-field
+correction of both Faddeev factors is one product with a matrix of
+``e^{ikx} (m(k, x) - I)`` over the whole grid, built once per table.  On the
+dense grid the near-field sums read ``m`` through the cubic pieces of its
+spline in momentum (it is smooth in momentum), block by block: each piece's
+coefficients are contracted once against the field, or against the
+phase-weighted sums of the momenta the piece holds, so no ``m`` table on the
+dense grid is ever formed.  Evolution runs the analysis and every synthesis
+in one pass over the dense blocks.
 """
 from __future__ import annotations
 
@@ -61,8 +65,9 @@ __all__ = [
     "field_norm",
 ]
 
-#: momenta times near-field entries (``len(xv) n^2``) in one block of a map's
-#: near-field sums: the size a Faddeev-factor table on the block would have
+#: momenta times near-field entries (``len(xv) n^2``) in one block of the
+#: dense grid's near-field sums: the size a Faddeev-factor table on the block
+#: would have (the table grid's sums are one product each, in no blocks)
 CHUNK = 1 << 21
 #: maximum radians of accumulated phase between adjacent dense momentum nodes
 PHASE_BUDGET = 0.3
@@ -105,9 +110,11 @@ class PhysicalSolutionTable:
     ``psi0`` and ``psi0prime`` hold ``Psi(k, 0)`` and ``Psi'(k, 0)``, shape
     ``(len(k), n, n)``.  Elsewhere ``Psi`` is read through the Faddeev factor
     ``mnear = m(k, xv)`` and ``S``; beyond ``xv[-1]`` it equals
-    ``e^{-ikx} I + e^{ikx} S(k)`` exactly.  Off the grid, ``mnear`` and ``S``
-    are read through their not-a-knot splines: ``mnear`` through the pieces
-    of :func:`~.grids.spline_pieces`, ``S`` through the
+    ``e^{-ikx} I + e^{ikx} S(k)`` exactly.  The maps on the table grid read
+    ``mnear`` as one matrix of ``e^{ikx} (m(k, x) - I)``, built at the first
+    such map and kept.  Off the grid, ``mnear`` and ``S`` are read through
+    their not-a-knot splines: ``mnear`` through the pieces of
+    :func:`~.grids.spline_pieces`, ``S`` through the
     :class:`~.grids.UniformSpline` built on the same pieces.
     """
 
@@ -133,9 +140,9 @@ class PhysicalSolutionTable:
         return self.k[self.k > 0]
 
     @cached_property
-    def _near_table(self) -> "_NearField":
-        """``m - I`` at the stored momenta: one degree-0 piece per node."""
-        return _NearField.from_pieces(self.k, self.xv, [self.mnear])
+    def _near_matrix(self) -> "_NearMatrix":
+        """``e^{ikx} (m(k, x) - I)`` at the stored momenta, as one matrix."""
+        return _NearMatrix.from_table(self.k, self.xv, self.mnear)
 
     @cached_property
     def _near_spline(self) -> "_NearField":
@@ -358,6 +365,61 @@ class _NearField:
 
 
 @dataclass(frozen=True)
+class _NearMatrix:
+    """``m(q, x) - I`` at every node ``q`` of the table grid, with its phases,
+    as one matrix ``G[(x, a), (q, b)] = e^{iqx} (m(q, x) - I)[a, b]``.
+
+    The grid is closed under ``q -> -q`` (``q[::-1] == -q``), so for each
+    positive momentum ``k = q[npos + i]`` both Faddeev factors ``m(k)`` and
+    ``m(-k) = m(q[npos - 1 - i])`` are columns of ``G``: each near-field sum
+    of a table-grid map is one product.  It is its own single block over the
+    positive momenta (``nodes``), so the map kernel reads it as it reads the
+    blocks of a :class:`_NearField`.
+    """
+
+    xv: np.ndarray
+    G: np.ndarray
+    npos: int
+
+    @classmethod
+    def from_table(cls, k: np.ndarray, xv: np.ndarray, mnear: np.ndarray) -> "_NearMatrix":
+        """From ``mnear[q, x, a, b] = m(q, x)[a, b]``; the phases of the
+        negative momenta are the exact conjugates of the positive ones."""
+        nk, nxv, n = mnear.shape[:3]
+        npos = nk // 2
+        G = mnear.transpose(1, 2, 0, 3).copy()  # [x, a, q, b]
+        for a in range(n):
+            G[:, a, :, a] -= 1.0
+        phases = _phases(k[npos:], xv).T[:, None, :, None]
+        G[:, :, npos:] *= phases
+        G[:, :, :npos] *= phases[:, :, ::-1].conj()
+        return cls(xv, G.reshape(nxv * n, nk * n), npos)
+
+    @property
+    def nodes(self) -> slice:
+        return slice(0, self.npos)
+
+    def blocks(self, k: np.ndarray):
+        """The positive momenta ``k`` of the table grid, as one block."""
+        yield self
+
+    def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
+        """``sum_x e^{+-ikx} (m(+-k, x) - I)^T Yc(x)`` for both factors, each
+        ``(npos, n)``: one product over the whole grid, split by sign."""
+        R = (Yc.reshape(-1) @ self.G).reshape(-1, Yc.shape[1])
+        return [R[self.npos :], R[self.npos - 1 :: -1]]
+
+    def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
+        """``sum_k e^{ikx} (m(k, x) - I) Z(k) + e^{-ikx} (m(-k, x) - I) Zm(k)``
+        on ``xv`` for each row of ``Z`` and ``Zm`` (shape ``(rows, npos,
+        n)``), shape ``(rows, nxv, n)``: one product with ``Zm`` reversed onto
+        the negative momenta, ``Z`` on the positive."""
+        rows, _, n = Z.shape
+        V = np.concatenate([Zm[:, ::-1], Z], axis=1).reshape(rows, -1)
+        return (V @ self.G.T).reshape(rows, -1, n)
+
+
+@dataclass(frozen=True)
 class _MapKernel:
     """The kernel ``Psi(-sign*k, x)^dagger`` of one generalized Fourier map on
     uniform positive momenta ``k`` with spacing ``dk``.
@@ -366,7 +428,8 @@ class _MapKernel:
     ``e^{-i sign k x} + S(-sign*k)^dagger e^{i sign k x}``, summed by
     :func:`fourier_sum`; on the near-field nodes ``near.xv`` the Faddeev
     factors ``m(sign*k)`` and ``m(-sign*k)`` add ``(m - I)`` corrections,
-    read from the pieces of ``near`` block by block.  ``S`` holds
+    read block by block from ``near``: the pieces of a :class:`_NearField`
+    or the one block of a :class:`_NearMatrix`.  ``S`` holds
     ``S(-sign*k)``.  Analysis and synthesis read the same pieces, so they
     are adjoint to roundoff whenever the synthesis nodes are the analysis
     nodes with ``xv`` as a prefix.
@@ -376,7 +439,7 @@ class _MapKernel:
     k: np.ndarray
     dk: float
     S: np.ndarray
-    near: _NearField
+    near: _NearField | _NearMatrix
 
     def __post_init__(self) -> None:
         if self.sign not in (+1, -1):
@@ -393,7 +456,7 @@ class _MapKernel:
         out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
         return out
 
-    def _near_analysis(self, blk: _NearBlock, Yc: np.ndarray) -> np.ndarray:
+    def _near_analysis(self, blk: _NearBlock | _NearMatrix, Yc: np.ndarray) -> np.ndarray:
         """The near-field part of the analysis sum on one block, unscaled;
         ``Yc`` is the conjugate of the weighted field on ``xv``."""
         # e^{-i sign k x} (m_s - I)^dagger Y + S^dagger e^{i sign k x} (m_ms - I)^dagger Y,
@@ -402,7 +465,9 @@ class _MapKernel:
         near, mirror = (plus, minus) if self.sign == +1 else (minus, plus)
         return (near + np.einsum("kji,kj->ki", self.S[blk.nodes], mirror)).conj()
 
-    def _near_synthesis(self, blk: _NearBlock, Zw: np.ndarray, SZ: np.ndarray) -> np.ndarray:
+    def _near_synthesis(
+        self, blk: _NearBlock | _NearMatrix, Zw: np.ndarray, SZ: np.ndarray
+    ) -> np.ndarray:
         """The near-field part of the synthesis sums of the rows of ``Zw``
         (``SZ`` holds ``S Zw``) from one block, unscaled."""
         return blk.synthesis(Zw, SZ) if self.sign == +1 else blk.synthesis(SZ, Zw)
@@ -470,7 +535,7 @@ def _table_kernel(pt: PhysicalSolutionTable, sign: int) -> _MapKernel:
     stored ``S`` and Faddeev factors (``k[::-1] == -k`` exactly)."""
     npos = pt.npos
     S = pt.S[npos - 1 :: -1] if sign == +1 else pt.S[npos:]
-    return _MapKernel(sign, pt.kpos, pt.grid.dk, S, pt._near_table)
+    return _MapKernel(sign, pt.kpos, pt.grid.dk, S, pt._near_matrix)
 
 
 def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np.ndarray:
@@ -603,11 +668,15 @@ def evolve_spectral(
     the diagonalization ``(F^s)^dagger e^{-itk^2} F^s``.
 
     Accepts a single time or a sequence (evolved on one shared dense grid
-    sized for the largest |t|, in one pass over its momentum blocks).  If a
+    sized for the largest |t|, in one pass over its momentum blocks).  The
+    result is sampled on the table's spatial step up to ``xmax_out`` (by
+    default the table's window), which may end inside the near field.  If a
     discrete Hamiltonian is supplied and has negative eigenvalues, a
     BoundStatesPresent warning lists them: those components are absent from
     the result by construction.
     """
+    if xmax_out is not None and not xmax_out >= 0.0:
+        raise SpectralError(f"xmax_out must be non-negative, got {xmax_out}")
     if hamiltonian is not None:
         ev = bound_states(hamiltonian)
         if ev.size:
@@ -630,13 +699,14 @@ def evolve_spectral(
     Ys = Y[:: stage.ratio]
     w = _wall_weights(Ys.shape[0], stage.dxb)
     nx_out = grid.x.size if xmax_out is None else int(np.ceil(xmax_out / grid.dx)) + 1
-    x_out = np.arange(nx_out) * grid.dx
+    # the synthesis nodes hold the near field, so a shorter output is cut after
+    x_out = np.arange(max(nx_out, pt.xv.size)) * grid.dx
     mults = np.exp(-1j * times[:, None] * stage.kq**2) * stage.wk
     outs = kernel.transfer(
         Ys, 0.0, stage.dxb, w, Y[: pt.xv.size], mults, x_out,
         lambda Zw: stage.check_overflow(kernel, Zw),
     )
-    return outs[0] if single else np.stack(outs)
+    return outs[0][:nx_out] if single else np.stack(outs)[:, :nx_out]
 
 
 def interacting_after_free(

@@ -163,11 +163,34 @@ class _Field:
     x: np.ndarray
     values: np.ndarray
 
+    #: the grid's name in error messages
+    kind = "uniform"
+
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "values", _as_columns(self.values))
+        self._adopt(np.asarray(self.x, dtype=float), self.values)
+        _check_uniform(self.x, self.kind)
+        self._check_grid()
+
+    def _adopt(self, x: np.ndarray, values: np.ndarray) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "values", _as_columns(values))
         if self.values.shape[0] != self.x.size:
             raise GridMismatch("field values do not match the grid length")
+
+    def _check_grid(self) -> None:
+        """Raise ``GridMismatch`` unless ``x`` is this kind of field's grid;
+        uniformity is checked apart."""
+
+    @classmethod
+    def _derived(cls, x: np.ndarray, values: np.ndarray):
+        """A field on ``x``, a grid taken, sliced or reflected from a field
+        that passed its checks, and so uniform: every check but uniformity
+        runs.  Fields on a caller's grid are built by the constructor, which
+        runs every check."""
+        field = object.__new__(cls)
+        field._adopt(x, values)
+        field._check_grid()
+        return field
 
     @property
     def n(self) -> int:
@@ -186,15 +209,15 @@ class _Field:
 
     def replace_values(self, values: np.ndarray):
         """The same kind of field on the same grid with new samples."""
-        return type(self)(self.x, values)
+        return self._derived(self.x, values)
 
 
 class FieldRplus(_Field):
     """Samples of a C^n-valued function on a uniform half-line grid."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        _check_uniform(self.x, "half-line")
+    kind = "half-line"
+
+    def _check_grid(self) -> None:
         if abs(self.x[0]) > 1e-12:
             raise GridMismatch("half-line grid must start at 0")
 
@@ -202,9 +225,9 @@ class FieldRplus(_Field):
 class FieldR(_Field):
     """Samples of a C^n-valued function on a uniform grid symmetric about 0."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        _check_uniform(self.x, "symmetric")
+    kind = "symmetric"
+
+    def _check_grid(self) -> None:
         if self.x.size % 2 == 0 or np.abs(self.x + self.x[::-1]).max() > 1e-9:
             raise GridMismatch("full-line grid must be symmetric about 0")
 
@@ -234,13 +257,13 @@ def extend_even(f: FieldRplus) -> FieldR:
     """Even reflection onto the symmetric grid: value at -x equals value at x."""
     xs = np.concatenate([-f.x[:0:-1], f.x])
     vals = np.concatenate([f.values[:0:-1], f.values])
-    return FieldR(xs, vals)
+    return FieldR._derived(xs, vals)
 
 
 def restrict(f: FieldR) -> FieldRplus:
     """Forget the negative half-line."""
     c = f.center
-    return FieldRplus(f.x[c:], f.values[c:])
+    return FieldRplus._derived(f.x[c:], f.values[c:])
 
 
 def extend_even_adjoint(f: FieldR) -> FieldRplus:
@@ -249,7 +272,7 @@ def extend_even_adjoint(f: FieldR) -> FieldRplus:
     inner products on both grids."""
     c = f.center
     vals = f.values[c:] + f.values[c::-1]
-    return FieldRplus(f.x[c:], vals)
+    return FieldRplus._derived(f.x[c:], vals)
 
 
 def restrict_adjoint(f: FieldRplus) -> FieldR:
@@ -260,7 +283,7 @@ def restrict_adjoint(f: FieldRplus) -> FieldR:
     vals = np.zeros((xs.size, f.n), dtype=complex)
     vals[f.x.size - 1 :] = f.values
     vals[f.x.size - 1] *= 0.5
-    return FieldR(xs, vals)
+    return FieldR._derived(xs, vals)
 
 
 # --------------------------------------------------------------------------

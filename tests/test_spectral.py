@@ -175,22 +175,46 @@ def test_golden_isometry_and_projector(golden_physical):
         assert np.abs(back[:, 0] - Y).max() < 2e-3  # no bound states: P_ac = 1
 
 
-def test_duality_is_exact(golden_physical):
-    pt = golden_physical
+@pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
+def test_duality_is_exact(table, request):
+    """On the table grid, the maps are an exact adjoint pair for a field with
+    mass on the near field: <F Y, Z>_dk = <Y, F^dagger Z>_wx."""
+    pt = request.getfixturevalue(table)
     grid = pt.grid
     rng = np.random.default_rng(7)
-    Y = np.exp(-((grid.x - 4.0) ** 2) / 2.0).astype(complex)
-    Z = rng.normal(size=(grid.npos, 1)) + 1j * rng.normal(size=(grid.npos, 1))
+    Y = _packet(grid.x, pt.n) + 0.1 * rng.normal(size=(grid.x.size, pt.n))
+    assert np.abs(Y[: pt.xv.size]).max() > 0.1
+    Z = rng.normal(size=(grid.npos, pt.n)) + 1j * rng.normal(size=(grid.npos, pt.n))
     Z *= np.exp(-0.02 * grid.kpos[:, None] ** 2)
     for sign in (+1, -1):
-        lhs = np.sum(grid.dk * np.conj(fourier_maps(pt, Y, sign)) * Z)
-        rhs = np.sum(
-            grid.wx[:, None]
-            * np.conj(Y[:, None])
-            * fourier_maps_adjoint(pt, Z, sign)
-        )
-        assert abs(lhs - rhs) < 1e-8
+        FY = fourier_maps(pt, Y, sign)
+        lhs = np.sum(grid.dk * np.conj(FY) * Z)
+        rhs = np.sum(grid.wx[:, None] * np.conj(Y) * fourier_maps_adjoint(pt, Z, sign))
+        norm_fy = np.sqrt(grid.dk * np.sum(np.abs(FY) ** 2))
+        norm_z = np.sqrt(grid.dk * np.sum(np.abs(Z) ** 2))
+        assert abs(lhs - rhs) < 1e-12 * norm_fy * norm_z
     assert np.abs(fourier_maps_adjoint(pt, np.zeros_like(Z), +1)).max() == 0.0
+
+
+def test_table_near_field_matrix_is_built_once(golden_scatter, monkeypatch):
+    """The first table-grid map of a table builds its near-field matrix, and
+    every later map of either sign reads it: no phases are formed again."""
+    pt = physical_solution(*golden_scatter)
+    calls = []
+    phases = spectral._phases
+
+    def counted(q, x):
+        calls.append(q.shape)
+        return phases(q, x)
+
+    monkeypatch.setattr(spectral, "_phases", counted)
+    Y = _packet(pt.grid.x, pt.n)
+    fourier_maps(pt, Y, +1)
+    assert len(calls) == 1
+    calls.clear()
+    for sign in (+1, -1):
+        fourier_maps_adjoint(pt, fourier_maps(pt, Y, sign), sign)
+    assert calls == []
 
 
 def test_free_evolution_matches_image_propagator(wide_grid):
@@ -352,6 +376,25 @@ def test_window_overflow_monitor(wide_grid):
         stage.check_overflow(kernel, shifted)
 
 
+def test_evolution_output_window_may_end_inside_the_near_field(golden_physical):
+    """``xmax_out`` below the near field's end gives the first nodes of the
+    full output (to the rounding of plane-wave sums of another length); a
+    negative one is refused by name."""
+    pt = golden_physical
+    Y = _packet(pt.grid.x, pt.n)
+    assert 0.5 < pt.xv[-1]
+    nx_out = int(np.ceil(0.5 / pt.grid.dx)) + 1
+    full = evolve_spectral(pt, Y, [0.5, 1.0])
+    short = evolve_spectral(pt, Y, [0.5, 1.0], xmax_out=0.5)
+    assert short.shape == (2, nx_out, pt.n)
+    scale = np.abs(full).max()
+    assert np.abs(short - full[:, :nx_out]).max() <= 1e-13 * scale
+    single = evolve_spectral(pt, Y, 1.0, xmax_out=0.5)
+    assert np.abs(single - full[1, :nx_out]).max() <= 1e-13 * scale
+    with pytest.raises(SpectralError, match="xmax_out"):
+        evolve_spectral(pt, Y, 1.0, xmax_out=-1.0)
+
+
 def test_evolve_spectral_checks_every_time_for_overflow(wide_grid, monkeypatch):
     """The monitor runs inside ``evolve_spectral`` on every time before any
     output: t = 1 fits the stage, t = 60 does not."""
@@ -491,10 +534,11 @@ def test_dense_kernel_duality(table, request):
 @pytest.mark.parametrize("blocks", ["one", "many"])
 @pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
 def test_near_field_sums_match_whole_table_reference(table, blocks, request, monkeypatch):
-    """The near-field sums read from the pieces of ``m`` equal those of whole
-    ``m(+-k, xv)`` tables (the stored table on its own nodes, its spline on
-    the dense grid), for both signs and the times of one evolution, in one
-    block or in many."""
+    """The near-field sums read from the table grid's near-field matrix and
+    from the pieces of ``m`` equal those of whole ``m(+-k, xv)`` tables (the
+    stored table on its own nodes, its spline on the dense grid), for both
+    signs and the times of one evolution, with the dense grid in one block or
+    in many (the table grid is one block whatever ``CHUNK``)."""
     pt = request.getfixturevalue(table)
     if blocks == "many":
         monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * 7)

@@ -120,6 +120,8 @@ def test_field_contracts():
         replaced = field.replace_values(2.0 * field.values)
         assert type(replaced) is cls and replaced.n == 2
         assert np.array_equal(replaced.x, grid) and np.all(replaced.values == 2.0)
+        with pytest.raises(GridMismatch, match="do not match the grid length"):
+            field.replace_values(np.ones(grid.size - 1))
 
 
 def test_extension_restriction_algebra():
