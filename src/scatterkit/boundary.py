@@ -134,8 +134,13 @@ def validate_boundary(bp: BoundaryPair) -> dict:
         If the defect exceeds tolerance (relative to the pair's scale).
     DegeneratePair
         If the rank condition fails.
+    BoundaryError
+        If an entry of ``A`` or ``B`` is not finite.
     """
     A, B = bp.A, bp.B
+    for name, m in (("A", A), ("B", B)):
+        if not np.isfinite(m).all():
+            raise BoundaryError(f"boundary matrix {name} has a non-finite entry")
     herm = B.conj().T @ A
     defect = float(np.linalg.norm(herm - herm.conj().T, 2))
     scale = max(1.0, float(np.linalg.norm(A, 2) ** 2 + np.linalg.norm(B, 2) ** 2))

@@ -74,9 +74,9 @@ class GridTooCoarse(GridError):
     """Spatial step too large for the requested momentum range."""
 
 
-def cosine_taper(k: np.ndarray, kmax: float, fraction: float = TAPER_FRACTION) -> np.ndarray:
+def cosine_taper(k: np.ndarray, kmax: float) -> np.ndarray:
     """Raised-cosine window: 1 on the inner part of ``[-kmax, kmax]``, rolling
-    smoothly to 0 over the outer ``fraction`` of the range.
+    smoothly to 0 over the outer ``TAPER_FRACTION`` of the range.
 
     Parameters
     ----------
@@ -84,16 +84,14 @@ def cosine_taper(k: np.ndarray, kmax: float, fraction: float = TAPER_FRACTION) -
         Momentum samples.
     kmax : float
         Nominal half-width of the momentum window.
-    fraction : float
-        Relative width of the roll-off region at each edge.
 
     Returns
     -------
     ndarray
         Window values in ``[0, 1]``, same shape as ``k``.
     """
-    edge = (1.0 - fraction) * kmax
-    width = fraction * kmax
+    edge = (1.0 - TAPER_FRACTION) * kmax
+    width = TAPER_FRACTION * kmax
     a = np.abs(k)
     w = np.ones_like(a)
     roll = a > edge
@@ -354,14 +352,16 @@ class KXGrid:
         Raises
         ------
         GridError
-            If ``nk`` is odd or any size is non-positive.
+            If ``nk`` is odd, any size is non-positive or not finite, or
+            ``xmax < dx / 2`` (a window of one node).
         GridTooCoarse
             If ``dx > pi / (4 kmax)``.
         """
         if nk < 2 or nk % 2:
             raise GridError(f"momentum grid needs an even node count, got {nk}")
-        if kmax <= 0 or dx <= 0 or xmax <= 0:
-            raise GridError("grid sizes must be positive")
+        for name, size in (("kmax", kmax), ("dx", dx), ("xmax", xmax)):
+            if not (np.isfinite(size) and size > 0):
+                raise GridError(f"{name} must be positive and finite, got {size}")
         if dx > np.pi / (4.0 * kmax) * (1 + 1e-12):
             raise GridTooCoarse(
                 f"dx={dx} cannot resolve oscillations at kmax={kmax}; "
@@ -371,6 +371,8 @@ class KXGrid:
         j = np.arange(nk)
         k = (j + 0.5 - nk / 2.0) * dk
         nx = int(round(xmax / dx))
+        if nx < 1:
+            raise GridError(f"xmax={xmax} holds no step of dx={dx}: the window needs two nodes")
         x = np.arange(nx + 1) * dx
         return cls(k=k, x=x)
 

@@ -29,11 +29,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import BoundaryPair
+from .boundary import BoundaryPair, validate_boundary
 from .grids import KXGrid, fourier_sum, trapezoid_weights
-from .potentials import PotentialSpec, tail_integral, validate_potential
+from .potentials import PotentialSpec, _spectral_norms, tail_integral, validate_potential
 
 EXCEPTIONAL_TOL = 1e-6
+#: largest edge-to-peak fraction of the Born-subtracted kernel integrand
+TAIL_TOL = 5e-3
 #: kernel columns reach this far past twice the support radius
 Y_MARGIN = 0.5
 
@@ -63,7 +65,7 @@ class JostOverflow(JostError):
     @classmethod
     def at(cls, edges: np.ndarray, cells: np.ndarray, c: int, k: float) -> "JostOverflow":
         """The error for cell ``c``, with the exponent summed from the right edge."""
-        lam = np.array([np.linalg.eigvalsh(v).max() for v in cells[c:]])
+        lam = np.linalg.eigvalsh(cells[c:])[:, -1]
         growth = float(np.diff(edges[c:]) @ np.sqrt(np.clip(lam - k * k, 0.0, None)))
         return cls((edges[c], edges[c + 1]), k, growth)
 
@@ -84,8 +86,6 @@ class JostMatrix:
         ``J(k)`` samples, shape ``(len(k), n, n)``.
     J0 : ndarray
         ``J(0)`` from the zero-energy Faddeev table.
-    min_sv : float
-        Smallest singular value of ``J`` over the grid.
     min_sv0 : float
         Smallest singular value of ``J(0)``.
     exceptional : bool
@@ -98,11 +98,21 @@ class JostMatrix:
     k: np.ndarray
     J: np.ndarray
     J0: np.ndarray
-    min_sv: float
     min_sv0: float
     exceptional: bool
     zero_modes: np.ndarray
     boundary: BoundaryPair
+
+    @cached_property
+    def sv(self) -> np.ndarray:
+        """Singular values of each ``J(k)``, shape ``(len(k), n)``: the one SVD
+        of the stack, read by ``smatrix`` and ``min_sv``."""
+        return np.linalg.svd(self.J, compute_uv=False)
+
+    @property
+    def min_sv(self) -> float:
+        """Smallest singular value of ``J`` over the grid."""
+        return float(self.sv.min())
 
 
 @dataclass(frozen=True)
@@ -302,21 +312,21 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
     """Attach the Jost matrix ``J(k) = f(-k,0)^dagger B - f'(-k,0)^dagger A``.
 
     Uses the exact node map ``k -> -k`` of the symmetric grid; no extra
-    solves.  Returns a new table with the ``jmatrix`` field filled.
+    solves.  Returns a new table with the ``jmatrix`` field filled, after
+    :func:`~.boundary.validate_boundary` has checked the pair.
     """
     if bp.n != jt.n:
         raise JostError(f"boundary dimension {bp.n} does not match potential {jt.n}")
+    validate_boundary(bp)
     f, fp = jt.wall
     J = f[::-1].conj().swapaxes(-1, -2) @ bp.B - fp[::-1].conj().swapaxes(-1, -2) @ bp.A
     J0 = jt.m0.conj().T @ bp.B - jt.m0prime.conj().T @ bp.A
-    sv = np.linalg.svd(J, compute_uv=False)
     u0, sv0, _ = np.linalg.svd(J0)
     zero = sv0 < EXCEPTIONAL_TOL * max(1.0, float(sv0.max()))
     jm = JostMatrix(
         k=jt.k,
         J=J,
         J0=J0,
-        min_sv=float(sv.min()),
         min_sv0=float(sv0.min()),
         exceptional=bool(zero.any()),
         zero_modes=u0[:, zero],
@@ -427,24 +437,6 @@ def born_term(potential: PotentialSpec, k: np.ndarray, x: np.ndarray) -> np.ndar
     return out
 
 
-def _spectral_norms(mats: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of ``n x n`` matrices: ``|a|`` when ``n = 1``,
-    otherwise the square root of the top Gram eigenvalue, in closed form
-    ``(a + d)/2 + hypot((a - d)/2, |b|)`` from the Gram entries
-    ``[[a, b], [b*, d]]`` when ``n = 2``."""
-    n = mats.shape[-1]
-    if n == 1:
-        return np.abs(mats[..., 0, 0])
-    if n == 2:
-        p, q = mats[..., 0], mats[..., 1]  # the two columns
-        a = (p.real**2 + p.imag**2).sum(axis=-1)
-        d = (q.real**2 + q.imag**2).sum(axis=-1)
-        b = np.abs((p.conj() * q).sum(axis=-1))
-        return np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), b))
-    gram = mats.conj().swapaxes(-1, -2) @ mats
-    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
-
-
 def _largest_norm(mats: np.ndarray) -> float:
     """Largest spectral norm in a stack of ``n x n`` matrices: only those whose
     Frobenius norm (at most ``sqrt(n)`` times the spectral norm) reaches
@@ -455,7 +447,7 @@ def _largest_norm(mats: np.ndarray) -> float:
     return float(_spectral_norms(top).max())
 
 
-def marchenko_kernel(jt: JostTable, tail_tol: float = 5e-3) -> KernelTable:
+def marchenko_kernel(jt: JostTable) -> KernelTable:
     """Synthesize the Marchenko kernel from the Faddeev table.
 
     ``K(x, y) = (1/2pi) integral e^{ik(x-y)} (m(k, x) - I) dk`` with the
@@ -466,7 +458,7 @@ def marchenko_kernel(jt: JostTable, tail_tol: float = 5e-3) -> KernelTable:
     ------
     TailNotNegligible
         If the Born-subtracted integrand at the window edge exceeds
-        ``tail_tol`` of its peak: the nonlinear part of ``m - I`` has not
+        ``TAIL_TOL`` of its peak: the nonlinear part of ``m - I`` has not
         decayed inside the momentum window.
     """
     grid = jt.grid
@@ -481,9 +473,9 @@ def marchenko_kernel(jt: JostTable, tail_tol: float = 5e-3) -> KernelTable:
     peak = _largest_norm(remainder)
     edge = _largest_norm(remainder[np.abs(k) >= 0.9 * grid.kmax])
     tail_fraction = edge / peak if peak > 0 else 0.0
-    if tail_fraction > tail_tol:
+    if tail_fraction > TAIL_TOL:
         raise TailNotNegligible(
-            f"kernel integrand edge fraction {tail_fraction:.2e} exceeds {tail_tol:.1e}; "
+            f"kernel integrand edge fraction {tail_fraction:.2e} exceeds {TAIL_TOL:.1e}; "
             "increase the momentum window"
         )
 

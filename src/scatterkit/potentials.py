@@ -17,7 +17,7 @@ with ``|.|`` the spectral (largest singular value) norm, so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -55,6 +55,24 @@ def _as_matrix(value, n: int) -> np.ndarray:
     return m
 
 
+def _spectral_norms(mats: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of ``n x n`` matrices: ``|a|`` when ``n = 1``,
+    otherwise the square root of the top Gram eigenvalue, in closed form
+    ``(a + d)/2 + hypot((a - d)/2, |b|)`` from the Gram entries
+    ``[[a, b], [b*, d]]`` when ``n = 2``."""
+    n = mats.shape[-1]
+    if n == 1:
+        return np.abs(mats[..., 0, 0])
+    if n == 2:
+        p, q = mats[..., 0], mats[..., 1]  # the two columns
+        a = (p.real**2 + p.imag**2).sum(axis=-1)
+        d = (q.real**2 + q.imag**2).sum(axis=-1)
+        b = np.abs((p.conj() * q).sum(axis=-1))
+        return np.sqrt(0.5 * (a + d) + np.hypot(0.5 * (a - d), b))
+    gram = mats.conj().swapaxes(-1, -2) @ mats
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Step-cell matrix potential.
@@ -68,9 +86,6 @@ class PotentialSpec:
     values : ndarray
         Cell matrices, shape ``(m, n, n)``; the potential is ``values[i]`` on
         ``[breaks[i], breaks[i+1])`` and zero elsewhere.
-    kind : str
-        ``"step-cells"`` for exact step data, ``"uniform-samples"`` when built
-        by sampling a continuous potential.
     domain : str
         ``"half_line"`` (support in ``x >= 0``) or ``"line"``.
     """
@@ -78,7 +93,6 @@ class PotentialSpec:
     n: int
     breaks: np.ndarray
     values: np.ndarray
-    kind: str = "step-cells"
     domain: str = "half_line"
 
     @classmethod
@@ -86,7 +100,6 @@ class PotentialSpec:
         cls,
         n: int,
         cells: Iterable[tuple[float, float, object]],
-        kind: str = "step-cells",
         domain: str = "half_line",
     ) -> "PotentialSpec":
         """Build from ``(a, b, matrix)`` triples; cells may be unsorted but
@@ -113,7 +126,6 @@ class PotentialSpec:
             n=n,
             breaks=np.asarray(edges, dtype=float),
             values=np.asarray(vals, dtype=complex),
-            kind=kind,
             domain=domain,
         )
         if domain == "half_line" and spec.breaks[0] < -1e-12:
@@ -146,14 +158,14 @@ class PotentialSpec:
         if domain == "half_line" and cells[0][0] < 0:
             a, b, m = cells[0]
             cells[0] = (0.0, b, m)
-        return cls.from_cells(n, cells, kind="uniform-samples", domain=domain)
+        return cls.from_cells(n, cells, domain=domain)
 
     # -- evaluation -------------------------------------------------------------
 
     @cached_property
     def cell_norms(self) -> np.ndarray:
         """Spectral norm of each cell matrix."""
-        return np.array([np.linalg.norm(v, 2) for v in self.values])
+        return _spectral_norms(self.values)
 
     @cached_property
     def support_radius(self) -> float:
@@ -224,21 +236,22 @@ def validate_potential(spec: PotentialSpec) -> dict:
         reporting the left edge of the offending cell.
     EmptySupport
         If the potential has no cells.
+    PotentialError
+        If a cell boundary or a cell matrix entry is not finite.
     """
     if spec.values.shape[0] == 0:
         raise EmptySupport("potential has no cells")
-    worst = 0.0
-    for a, v in zip(spec.breaks[:-1], spec.values):
-        defect = float(np.linalg.norm(v - v.conj().T, 2))
-        scale = max(1.0, float(np.linalg.norm(v, 2)))
-        if defect > HERMITICITY_TOL * scale:
-            raise NonHermitian(a, defect)
-        worst = max(worst, defect)
+    if not (np.isfinite(spec.breaks).all() and np.isfinite(spec.values).all()):
+        raise PotentialError("potential cell boundaries and matrices must be finite")
+    defects = _spectral_norms(spec.values - spec.values.conj().swapaxes(-1, -2))
+    bad = np.flatnonzero(defects > HERMITICITY_TOL * np.maximum(1.0, spec.cell_norms))
+    if bad.size:
+        raise NonHermitian(spec.breaks[bad[0]], defects[bad[0]])
     return {
         "n": spec.n,
         "cells": int(spec.values.shape[0]),
         "support_radius": spec.support_radius,
-        "max_hermiticity_defect": worst,
+        "max_hermiticity_defect": float(defects.max()),
     }
 
 
@@ -267,47 +280,32 @@ def tail_integral(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
 
 
 def l1gamma_norm(spec: PotentialSpec, gamma: float) -> float:
-    """Weighted norm ``integral (1 + |x|)^gamma |V(x)| dx`` (exact on cells)."""
+    """Weighted norm ``integral (1 + |x|)^gamma |V(x)| dx``, exact on cells
+    through the odd antiderivative ``sign(x) ((1 + |x|)^(gamma + 1) - 1) /
+    (gamma + 1)`` of the weight."""
     if gamma < 0:
         raise PotentialError("gamma must be non-negative")
     g1 = gamma + 1.0
-    total = 0.0
-    for a, b, nv in zip(spec.breaks[:-1], spec.breaks[1:], spec.cell_norms):
-        if nv == 0.0:
-            continue
-        if a >= 0:
-            part = ((1.0 + b) ** g1 - (1.0 + a) ** g1) / g1
-        elif b <= 0:
-            part = ((1.0 - a) ** g1 - (1.0 - b) ** g1) / g1
-        else:
-            part = ((1.0 - a) ** g1 - 1.0) / g1 + ((1.0 + b) ** g1 - 1.0) / g1
-        total += float(nv) * part
-    return float(total)
+    antiderivative = np.sign(spec.breaks) * ((1.0 + np.abs(spec.breaks)) ** g1 - 1.0) / g1
+    return float(spec.cell_norms @ np.diff(antiderivative))
+
+
+def _half_line(n: int, cells) -> PotentialSpec:
+    """The ``x >= 0`` parts of ``(a, b, matrix)`` cells as a half-line spec
+    (one zero cell if none is left)."""
+    kept = [(max(a, 0.0), b, v) for a, b, v in cells if b > 0]
+    return PotentialSpec.from_cells(n, kept or [(0.0, 1.0, np.zeros((n, n)))])
 
 
 def reflect_potential(spec: PotentialSpec) -> PotentialSpec:
     """The potential ``x -> V(-x)`` restricted to the half line."""
-    cells = []
-    for a, b, v in zip(spec.breaks[:-1], spec.breaks[1:], spec.values):
-        # cell (a, b) reflects onto (-b, -a); keep the x >= 0 part
-        if -a <= 0:
-            continue
-        cells.append((max(0.0, -b), -a, v))
-    if not cells:
-        cells = [(0.0, 1.0, np.zeros((spec.n, spec.n)))]
-    return PotentialSpec.from_cells(spec.n, cells, domain="half_line")
+    # cell (a, b) reflects onto (-b, -a)
+    return _half_line(spec.n, zip(-spec.breaks[1:], -spec.breaks[:-1], spec.values))
 
 
 def restrict_positive(spec: PotentialSpec) -> PotentialSpec:
     """The potential restricted to ``x >= 0`` as a half-line spec."""
-    cells = []
-    for a, b, v in zip(spec.breaks[:-1], spec.breaks[1:], spec.values):
-        if b <= 0:
-            continue
-        cells.append((max(a, 0.0), b, v))
-    if not cells:
-        cells = [(0.0, 1.0, np.zeros((spec.n, spec.n)))]
-    return PotentialSpec.from_cells(spec.n, cells, domain="half_line")
+    return _half_line(spec.n, zip(spec.breaks[:-1], spec.breaks[1:], spec.values))
 
 
 def fold_line_potential(spec: PotentialSpec) -> tuple[PotentialSpec, PotentialSpec, PotentialSpec]:
@@ -322,22 +320,14 @@ def fold_line_potential(spec: PotentialSpec) -> tuple[PotentialSpec, PotentialSp
     """
     if spec.domain != "line":
         raise PotentialError("fold_line_potential expects a line potential")
-    vplus = restrict_positive(spec)
-    vminus = reflect_potential(spec)
+    vplus, vminus = restrict_positive(spec), reflect_potential(spec)
+    # both are half-line specs, so the merged edges start at or after 0
     edges = np.unique(np.concatenate([vplus.breaks, vminus.breaks]))
-    edges = edges[edges >= -1e-15]
-    edges[0] = max(edges[0], 0.0)
-    if edges.size < 2:
-        edges = np.array([0.0, 1.0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    vp = vplus.value_at(mids)
-    vm = vminus.value_at(mids)
     n = spec.n
-    big = np.zeros((mids.size, 2 * n, 2 * n), dtype=complex)
-    big[:, :n, :n] = vp
-    big[:, n:, n:] = vm
-    cells = [(edges[i], edges[i + 1], big[i]) for i in range(mids.size)]
-    vfolded = PotentialSpec.from_cells(2 * n, cells, domain="half_line")
+    big = np.zeros((edges.size - 1, 2 * n, 2 * n), dtype=complex)
+    big[:, :n, :n] = vplus.segment_values(edges)
+    big[:, n:, n:] = vminus.segment_values(edges)
+    vfolded = PotentialSpec.from_cells(2 * n, zip(edges[:-1], edges[1:], big))
     return vplus, vminus, vfolded
 
 

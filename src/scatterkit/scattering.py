@@ -6,19 +6,20 @@ boundary pair alone, and ``S(0) = -I + 2P`` with ``P`` the orthogonal
 projector onto ``Ker J(0)^dagger``.  The table's outer samples are checked
 against ``S_inf``, and the symbols used by the wave-operator formulas (the
 full-line transform of ``S - S_inf`` and its two half-line restrictions) are
-synthesized with the grid's tapered quadrature.
+synthesized with the grid's tapered quadrature on the symmetric spatial
+nodes ``grid.x_sym``, the nodes the wave-operator routes convolve on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from .boundary import diagonalize_boundary, predicted_s_infinity
 from .grids import KXGrid, UniformSpline, fourier_sum, trapezoid_weights
 from .jost import JostTable
+from .potentials import _spectral_norms
 
 __all__ = [
     "ScatteringError",
@@ -72,10 +73,10 @@ class ScatteringTable:
         The exact zero- and high-energy limits (see smatrix).
     plateau_deviation : float or None
         Gap between the outer samples and ``S_infinity`` (see s_limits).
-    Fs, Fs_y : ndarray or None
-        Samples of the full-line transform of ``S - S_inf`` and their nodes.
-    Pplus, Pminus, P_x : ndarray or None
-        The two half-line symbols and their common spatial nodes.
+    Fs : ndarray or None
+        Samples of the full-line transform of ``S - S_inf`` on ``grid.x_sym``.
+    Pplus, Pminus : ndarray or None
+        The two half-line symbols on ``grid.x_sym``.
     """
 
     k: np.ndarray
@@ -90,18 +91,11 @@ class ScatteringTable:
     boundary: object = None
     plateau_deviation: float | None = None
     Fs: np.ndarray | None = None
-    Fs_y: np.ndarray | None = None
     fs_l1: float | None = None
     Pplus: np.ndarray | None = None
     Pminus: np.ndarray | None = None
-    P_x: np.ndarray | None = None
     p_conjugation_defect: float | None = None
     h1norm: float | None = None
-
-    @cached_property
-    def dk(self) -> float:
-        """Spacing from the end nodes (one difference's rounding grows along a sum)."""
-        return float((self.k[-1] - self.k[0]) / (self.k.size - 1))
 
     def s_at(self, k_query: np.ndarray) -> np.ndarray:
         """S at arbitrary momenta: the not-a-knot :class:`~.grids.UniformSpline`
@@ -132,12 +126,11 @@ def smatrix(jt: JostTable) -> ScatteringTable:
     jm = jt.jmatrix
     if jm is None:
         raise ScatteringError("attach a Jost matrix (jost_matrix) before smatrix")
-    J = jm.J
-    sv = np.linalg.svd(J, compute_uv=False)
-    scale = float(sv.max())
-    worst = int(np.argmin(sv.min(axis=1)))
-    if sv[worst].min() < 1e-12 * scale:
-        raise SingularJost(jt.k[worst], float(sv[worst].min()))
+    J, sv = jm.J, jm.sv
+    smallest = sv[:, -1]  # singular values come in descending order
+    worst = int(np.argmin(smallest))
+    if smallest[worst] < 1e-12 * sv.max():
+        raise SingularJost(jt.k[worst], smallest[worst])
     Jm = J[::-1]  # J(-k), exact node map
     # S J = -J(-k)  <=>  J^T S^T = -J(-k)^T
     S = -np.linalg.solve(J.transpose(0, 2, 1), Jm.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -197,57 +190,55 @@ def _require_sinf(st: ScatteringTable) -> ScatteringTable:
     return st if st.plateau_deviation is not None else s_limits(st)
 
 
-def fs_symbol(st: ScatteringTable, y: np.ndarray | None = None) -> ScatteringTable:
+def fs_symbol(st: ScatteringTable) -> ScatteringTable:
     """Full-line transform ``(1/2pi) integral (S(k) - S_inf) e^{iky} dk``.
 
-    Synthesized with the grid's tapered midpoint quadrature on the default
-    symmetric spatial nodes (or given ``y``); also records the integrated
-    spectral norm (finite for Hermitian potentials with a first moment).
+    Synthesized with the grid's tapered midpoint quadrature on the symmetric
+    spatial nodes ``grid.x_sym``; also records the integrated spectral norm
+    (finite for Hermitian potentials with a first moment).
     """
     st = _require_sinf(st)
-    y = st.grid.x_sym if y is None else np.asarray(y, dtype=float)
+    y = st.grid.x_sym
     g = (st.S - st.S_infinity) * st.grid.taper[:, None, None]
-    Fs = (st.dk / (2.0 * np.pi)) * fourier_sum(g, st.k[0], st.dk, y)
-    norms = np.linalg.norm(Fs, ord=2, axis=(-2, -1))
-    l1 = float(norms @ trapezoid_weights(y))
-    return replace(st, Fs=Fs, Fs_y=y, fs_l1=l1)
+    Fs = (st.grid.dk / (2.0 * np.pi)) * fourier_sum(g, st.k[0], st.grid.dk, y)
+    l1 = float(_spectral_norms(Fs) @ trapezoid_weights(y))
+    return replace(st, Fs=Fs, fs_l1=l1)
 
 
-def p_symbols(st: ScatteringTable, x: np.ndarray | None = None) -> ScatteringTable:
+def p_symbols(st: ScatteringTable) -> ScatteringTable:
     """The two positive-momentum symbols
 
     ``P_plus(x)  = (1/2pi) integral_0^inf e^{-ikx} (S(-k) - S_inf) dk``
     ``P_minus(x) = (1/2pi) integral_0^inf e^{+ikx} (S(k) - S_inf) dk``
 
-    on the symmetric spatial nodes; ``P_minus(x) = P_plus(x)^dagger`` holds
-    exactly on the symmetric grid and is asserted.
+    on the symmetric spatial nodes ``grid.x_sym``; ``P_minus(x) =
+    P_plus(x)^dagger`` holds exactly on the symmetric grid and is recorded.
     """
     st = _require_sinf(st)
-    x = st.grid.x_sym if x is None else np.asarray(x, dtype=float)
+    x = st.grid.x_sym
     pos = st.k > 0
     kp = st.k[pos]
     taper = st.grid.taper_pos
     gp = (st.S[pos] - st.S_infinity) * taper[:, None, None]
     gm = (st.S[::-1][pos] - st.S_infinity) * taper[:, None, None]  # S(-k), k > 0
-    scalefac = st.dk / (2.0 * np.pi)
-    Pminus = scalefac * fourier_sum(gp, kp[0], st.dk, x, +1)
-    Pplus = scalefac * fourier_sum(gm, kp[0], st.dk, x, -1)
+    dk = st.grid.dk
+    Pminus = (dk / (2.0 * np.pi)) * fourier_sum(gp, kp[0], dk, x, +1)
+    Pplus = (dk / (2.0 * np.pi)) * fourier_sum(gm, kp[0], dk, x, -1)
     # exact when the table has exact momentum-reflection symmetry; of the
     # order of the solver's symmetry defect otherwise
     mismatch = float(np.abs(Pminus - Pplus.conj().swapaxes(-1, -2)).max())
-    return replace(
-        st, Pplus=Pplus, Pminus=Pminus, P_x=x, p_conjugation_defect=mismatch
-    )
+    return replace(st, Pplus=Pplus, Pminus=Pminus, p_conjugation_defect=mismatch)
 
 
 def h1_membership(st: ScatteringTable) -> ScatteringTable:
     """Discrete first-order Sobolev norm of ``S - S_inf`` over the window:
-    ``integral (|S - S_inf|_F^2 + |S'|_F^2) dk`` (central differences,
-    midpoint weights).  Finite and grid-stable for Hermitian first-moment
-    potentials; attach the value to the table."""
+    ``integral (|S - S_inf|_F^2 + |S'|_F^2) dk``, with trapezoid weights on
+    the nodes for ``|S - S_inf|^2`` and a plain sum over the interior nodes
+    for the central-difference ``|S'|^2``.  Finite and grid-stable for
+    Hermitian first-moment potentials; attach the value to the table."""
     st = _require_sinf(st)
     S = st.S
-    dk = st.dk
+    dk = st.grid.dk
     diff2 = np.abs(S - st.S_infinity) ** 2
     sdot2 = np.abs((S[2:] - S[:-2]) / (2.0 * dk)) ** 2
     total = dk * (

@@ -75,6 +75,8 @@ PHASE_BUDGET = 0.3
 BAND_TOL = 1e-6
 #: abort threshold for mass reaching the outer tenth of the evolution domain
 OVERFLOW_FRACTION = 0.01
+#: eigenvalues of the discrete model below ``-BOUND_STATE_TOL`` are bound states
+BOUND_STATE_TOL = 1e-8
 
 
 class SpectralError(RuntimeError):
@@ -674,9 +676,17 @@ def evolve_spectral(
     discrete Hamiltonian is supplied and has negative eigenvalues, a
     BoundStatesPresent warning lists them: those components are absent from
     the result by construction.
+
+    Raises
+    ------
+    SpectralError
+        If a time is not finite, or ``xmax_out`` is negative or not finite.
     """
-    if xmax_out is not None and not xmax_out >= 0.0:
-        raise SpectralError(f"xmax_out must be non-negative, got {xmax_out}")
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.isfinite(times).all():
+        raise SpectralError(f"evolution times t must be finite, got {t}")
+    if xmax_out is not None and not (xmax_out >= 0.0 and np.isfinite(xmax_out)):
+        raise SpectralError(f"xmax_out must be non-negative and finite, got {xmax_out}")
     if hamiltonian is not None:
         ev = bound_states(hamiltonian)
         if ev.size:
@@ -686,7 +696,6 @@ def evolve_spectral(
                 BoundStatesPresent,
                 stacklevel=2,
             )
-    times = np.atleast_1d(np.asarray(t, dtype=float))
     single = np.isscalar(t) or np.asarray(t).ndim == 0
     Y = _as_field(Y)
     if np.all(times == 0.0) and xmax_out is None:
@@ -835,7 +844,7 @@ def discrete_hamiltonian(
     )
 
 
-def bound_states(dh: DiscreteHamiltonian, tol: float = 1e-8) -> np.ndarray:
-    """Negative eigenvalues of the discrete model (below ``-tol``)."""
+def bound_states(dh: DiscreteHamiltonian) -> np.ndarray:
+    """Negative eigenvalues of the discrete model (below ``-BOUND_STATE_TOL``)."""
     w, _ = dh.eigenpairs
-    return w[w < -tol]
+    return w[w < -BOUND_STATE_TOL]

@@ -12,12 +12,16 @@ L^p test families.
 Layout
 ------
 ``FieldRplus`` / ``FieldR`` hold fields sampled on the half line and on a
-grid symmetric about 0; each constructor checks its own grid.  The routes
-are written directly on the primitives (extension, restriction, Hilbert
-transform, convolution, kernel application).  The formulas interleave the
-two domains; ``kernel_apply`` and its adjoint reject a ``FieldR`` with
-``DomainMismatch``, since a full-line field passes their grid checks and the
-kernel rows would act on its negative-x samples.
+grid symmetric about 0 with its centre node at 0; each constructor checks
+its own grid.  A grid taken, sliced or reflected from a checked field is
+valid by construction, and so is ``grid.x_sym``, on which the symbols
+``F_s`` and ``P_+-`` live: fields derived from either are not checked
+again, only their length.  The routes are written directly on the
+primitives (extension, restriction, Hilbert transform, convolution, kernel
+application).  The formulas interleave the two domains; ``kernel_apply``
+and its adjoint reject a ``FieldR`` with ``DomainMismatch``, since a
+full-line field passes their grid checks and the kernel rows would act on
+its negative-x samples.
 
 All adjoints are the exact discrete adjoints of the forward quadratures with
 respect to the trapezoid inner products, so duality tests close to rounding;
@@ -81,7 +85,7 @@ OUTER_MASS_FRACTION = 0.01
 #: window precondition is moot
 NEGLIGIBLE_MASS = 1e-20
 
-#: default ceiling for the kernel Schur row/column integrals
+#: ceiling for the kernel Schur row/column integrals
 SCHUR_BOUND = 100.0
 
 #: how closely S(0) and S_infinity must match the identity for the four-term
@@ -94,6 +98,8 @@ IDENTITY_TOL = 1e-3
 BOUNDED_SPREAD = 2.0
 GROWTH_TOTAL = 1.2
 GROWTH_JITTER = 0.98
+#: growth between successive time-limit distances still called non-increasing
+DISTANCE_JITTER = 1.1
 
 EVIDENCE_NOTE = (
     "finite family of dilated bumps on a truncated window: ratios are "
@@ -148,11 +154,10 @@ def _as_columns(values: np.ndarray) -> np.ndarray:
     return v[:, None] if v.ndim == 1 else v
 
 
-def _check_uniform(x: np.ndarray, label: str) -> float:
+def _check_uniform(x: np.ndarray, label: str) -> None:
     steps = np.diff(x)
     if x.size < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise GridMismatch(f"{label} grid must be uniform")
-    return float(steps[0])
 
 
 @dataclass(frozen=True)
@@ -184,12 +189,11 @@ class _Field:
     @classmethod
     def _derived(cls, x: np.ndarray, values: np.ndarray):
         """A field on ``x``, a grid taken, sliced or reflected from a field
-        that passed its checks, and so uniform: every check but uniformity
-        runs.  Fields on a caller's grid are built by the constructor, which
-        runs every check."""
+        that passed its checks, or ``grid.x_sym``: valid by construction, so
+        only the length is checked.  Fields on a caller's grid are built by
+        the constructor, which runs every check."""
         field = object.__new__(cls)
         field._adopt(x, values)
-        field._check_grid()
         return field
 
     @property
@@ -223,13 +227,16 @@ class FieldRplus(_Field):
 
 
 class FieldR(_Field):
-    """Samples of a C^n-valued function on a uniform grid symmetric about 0."""
+    """Samples of a C^n-valued function on a uniform grid symmetric about 0
+    whose centre node is 0, so that its right half is a half-line grid."""
 
     kind = "symmetric"
 
     def _check_grid(self) -> None:
         if self.x.size % 2 == 0 or np.abs(self.x + self.x[::-1]).max() > 1e-9:
             raise GridMismatch("full-line grid must be symmetric about 0")
+        if abs(self.x[self.center]) > 1e-12:
+            raise GridMismatch("full-line grid must have its centre node at 0")
 
     @property
     def center(self) -> int:
@@ -395,12 +402,12 @@ def convolve_adjoint(G: FieldR, f: FieldR) -> FieldR:
     return f.replace_values(out * (f.dx / f.weights[:, None]))
 
 
-def _kernel_gate(kt: KernelTable, schur_bound: float) -> None:
+def _kernel_gate(kt: KernelTable) -> None:
     worst = max(kt.schur_row, kt.schur_col)
-    if worst > schur_bound:
+    if worst > SCHUR_BOUND:
         raise SchurUnbounded(
             f"kernel row/column integrals {kt.schur_row:.3e}/{kt.schur_col:.3e} "
-            f"exceed the ceiling {schur_bound:.3e}"
+            f"exceed the ceiling {SCHUR_BOUND:.3e}"
         )
 
 
@@ -415,22 +422,20 @@ def _kernel_grid_check(kt: KernelTable, f: FieldRplus) -> None:
         raise GridMismatch("field window ends before the kernel columns do")
 
 
-def kernel_apply(
-    kt: KernelTable, f: FieldRplus, schur_bound: float = SCHUR_BOUND
-) -> FieldRplus:
+def kernel_apply(kt: KernelTable, f: FieldRplus) -> FieldRplus:
     """``integral_0^inf K(x, y) Y(y) dy`` using the band-limited kernel
     synthesis (it integrates exactly against band-limited fields).
 
     Raises
     ------
     SchurUnbounded
-        If either Schur integral of the kernel exceeds ``schur_bound``.
+        If either Schur integral of the kernel exceeds ``SCHUR_BOUND``.
     DomainMismatch
         If the field is not a half-line field.
     GridMismatch
         If the field grid is not a superset of the kernel columns.
     """
-    _kernel_gate(kt, schur_bound)
+    _kernel_gate(kt)
     _kernel_grid_check(kt, f)
     out = np.zeros_like(f.values)
     ny = kt.y.size
@@ -440,13 +445,11 @@ def kernel_apply(
     return f.replace_values(out)
 
 
-def kernel_apply_adjoint(
-    kt: KernelTable, f: FieldRplus, schur_bound: float = SCHUR_BOUND
-) -> FieldRplus:
+def kernel_apply_adjoint(kt: KernelTable, f: FieldRplus) -> FieldRplus:
     """Exact discrete adjoint of :func:`kernel_apply` (the conjugate
     transpose acting from rows to columns, ``integral_0^x K(y,x)^dagger Y(y)
     dy`` in the continuum)."""
-    _kernel_gate(kt, schur_bound)
+    _kernel_gate(kt)
     _kernel_grid_check(kt, f)
     wg = f.weights
     nxk = kt.x.size
@@ -497,7 +500,8 @@ def wave_op_decomposed(
     if st.Fs is None:
         raise WaveOpError("attach the transform of S - S_infinity first")
     g = extend_even(f)
-    t = g.values @ st.S_infinity.T + convolve(FieldR(st.Fs_y, st.Fs), g).values
+    Fs = FieldR._derived(st.grid.x_sym, st.Fs)
+    t = g.values @ st.S_infinity.T + convolve(Fs, g).values
     h = hilbert(g.replace_values(g.values - t))
     u = restrict(g.replace_values(0.5 * (g.values + t) + 0.5j * sign * h.values))
     return u.replace_values(u.values + kernel_apply(kt, u).values)
@@ -514,7 +518,7 @@ def _identity_gate(st: ScatteringTable) -> None:
 def _p_symbol_field(st: ScatteringTable, sign: int) -> FieldR:
     if st.Pplus is None or st.Pminus is None:
         raise WaveOpError("attach the half-line symbols first")
-    return FieldR(st.P_x, st.Pplus if sign > 0 else st.Pminus)
+    return FieldR._derived(st.grid.x_sym, st.Pplus if sign > 0 else st.Pminus)
 
 
 def wave_op_l1_form(
@@ -561,18 +565,22 @@ def wave_op_time_limit(
     f: FieldRplus,
     sign: int = +1,
     tschedule: Sequence[float] = (25.0, 50.0, 100.0, 200.0),
-    jitter: float = 1.1,
 ) -> dict:
     """Distances between the finite-time products ``e^{itH} e^{-itH0} Y`` and
     the stationary route, over a schedule of times pushed toward the
-    ``sign``-infinity.
+    ``sign``-infinity; ``nonincreasing`` allows each distance to exceed the
+    one before by the factor ``DISTANCE_JITTER``.
 
     Raises
     ------
+    WaveOpError
+        If the schedule holds no time.
     DomainReflection
         If the evolution's outer-mass monitor trips (window too small for the
         largest time).
     """
+    if len(tschedule) == 0:
+        raise WaveOpError("tschedule must hold at least one time")
     stationary = wave_op_stationary(pt, f, sign)
     base = stationary.norm(2)
     times = [sign * abs(t) for t in tschedule]
@@ -585,7 +593,7 @@ def wave_op_time_limit(
         diff = f.replace_values(theta - stationary.values)
         distances.append(diff.norm(2))
     distances = np.asarray(distances)
-    nonincreasing = bool(np.all(distances[1:] <= jitter * distances[:-1]))
+    nonincreasing = bool(np.all(distances[1:] <= DISTANCE_JITTER * distances[:-1]))
     return {
         "t": np.asarray(times),
         "distance": distances,

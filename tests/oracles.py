@@ -404,7 +404,7 @@ def decomposed_three_terms(st, kt, f, sign=+1):
     terms = (
         (g, +1),
         (g.replace_values(g.values @ st.S_infinity.T), -1),
-        (convolve(FieldR(st.Fs_y, st.Fs), g), -1),
+        (convolve(FieldR(st.grid.x_sym, st.Fs), g), -1),
     )
     total = np.zeros_like(f.values)
     for field, branch in terms:

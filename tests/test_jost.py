@@ -9,14 +9,19 @@ from scatterkit.jost import (
     JostError,
     JostOverflow,
     TailNotNegligible,
-    _spectral_norms,
     born_term,
     faddeev_solve,
     jost_matrix,
     marchenko_kernel,
     solve_faddeev,
 )
-from scatterkit.potentials import NonHermitian, PotentialSpec, box_potential, zero_potential
+from scatterkit.potentials import (
+    NonHermitian,
+    PotentialSpec,
+    _spectral_norms,
+    box_potential,
+    zero_potential,
+)
 from scatterkit.scattering import smatrix
 
 # --- frozen Jost values for V = 1 on (0, 1) ---------------------------------
@@ -276,12 +281,15 @@ def test_kernel_requires_momentum_window():
 
 def test_tail_fraction_equals_all_norms_check(matrix_potential):
     grid = KXGrid.build(kmax=20.0, nk=512, dx=1.0 / 64.0, xmax=6.0)
+    # the rotated n = 3 potential reads 8.3e-3 on that grid, past TAIL_TOL,
+    # and 2.2e-3 at kmax 40
+    wide = KXGrid.build(kmax=40.0, nk=512, dx=1.0 / 64.0, xmax=6.0)
     c, s = np.cos(0.7), np.sin(0.7)
     rot = np.array([[c, -s, 0.0], [s * 0.6, c * 0.6, 0.8], [-s * 0.8, -c * 0.8, 0.6]])
     rotated = box_potential(rot @ np.diag([0.5, 1.0, 1.5]) @ rot.T, 0.0, 1.0)
-    for potential in (matrix_potential, rotated):
-        jt = solve_faddeev(potential, grid)
-        kt = marchenko_kernel(jt, tail_tol=1.0)
+    for potential, on in ((matrix_potential, grid), (rotated, wide)):
+        jt = solve_faddeev(potential, on)
+        kt = marchenko_kernel(jt)
         assert kt.tail_fraction > 0.0
         assert kt.tail_fraction == oracles.tail_fraction_all_norms(jt)
     # on n = 3 the Frobenius peak is not the spectral one, so the equality

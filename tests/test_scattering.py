@@ -118,7 +118,7 @@ def test_s0_matches_richardson_oracle(golden_potential, golden_boundary, matrix_
 
 def test_fs_symbol_tail_and_reconstruction(golden_scatter):
     _, table = golden_scatter
-    y, Fs = table.Fs_y, table.Fs[:, 0, 0]
+    y, Fs = table.grid.x_sym, table.Fs[:, 0, 0]
     wy = trapezoid_weights(y)
     outer = np.abs(y) > y.max() / 2
     tail = np.abs(Fs[outer]) @ wy[outer]
@@ -203,15 +203,17 @@ def test_p_symbols_rational_toy():
     grid = KXGrid.build(kmax=640.0, nk=16384, dx=1 / 1024, xmax=4.0)
     table = _synthetic_table(grid, 1.0 + 1.0 / (1.0 + 1j * grid.k), s0=2.0)
     xq = np.array(sorted(RATIONAL_P_MINUS))
-    table = p_symbols(table, xq)
-    for i, xv in enumerate(xq):
+    table = p_symbols(table)
+    nodes = np.searchsorted(grid.x_sym, xq)
+    np.testing.assert_array_equal(grid.x_sym[nodes], xq)  # the symbols live on grid.x_sym
+    for i, xv in zip(nodes, xq):
         got = table.Pminus[i, 0, 0]
         assert abs(got - RATIONAL_P_MINUS[xv]) < 1e-4
         assert abs(got.real - np.exp(-xv) / 2.0) < 1e-5
     # the conjugation pairing is exact on a reflection-symmetric table
     assert table.p_conjugation_defect < 1e-15
     # the two half-line pieces recombine to the full-line transform exp(-x)
-    full = table.Pminus[:, 0, 0] + table.Pplus[:, 0, 0]
+    full = table.Pminus[nodes, 0, 0] + table.Pplus[nodes, 0, 0]
     assert np.abs(full - np.exp(-xq)).max() < 1e-4
 
 
@@ -241,9 +243,8 @@ def test_fs_symbol_free_mixed_boundary_closed_form():
     grid = KXGrid.build(kmax=640.0, nk=16384, dx=1 / 1024, xmax=4.0)
     th = 1.0
     S = -(np.cos(th) - 1j * grid.k * np.sin(th)) / (np.cos(th) + 1j * grid.k * np.sin(th))
-    table = s_limits(_synthetic_table(grid, S, s0=-1.0))
-    y = np.linspace(-4.0, 4.0, 801)
-    table = fs_symbol(table, y)
+    table = fs_symbol(s_limits(_synthetic_table(grid, S, s0=-1.0)))
+    y = grid.x_sym
     away_from_jump = np.abs(y) > 0.25
     oracle = oracles.free_robin_fs(y, th)
     assert np.abs(table.Fs[away_from_jump, 0, 0] - oracle[away_from_jump]).max() < 2e-4
@@ -253,10 +254,37 @@ def test_singular_jost_is_reported(free_scatter):
     jt = jost_matrix(free_scatter, BoundaryPair.neumann(1))
     J = jt.jmatrix.J.copy()
     J[5] = 0.0
-    bad = replace(jt.jmatrix, J=J, min_sv=0.0)
+    bad = replace(jt.jmatrix, J=J)
     with pytest.raises(SingularJost) as err:
         smatrix(replace(jt, jmatrix=bad))
     assert err.value.k == pytest.approx(jt.k[5])
+
+
+def test_jost_stack_is_decomposed_once(golden_potential, golden_boundary, monkeypatch):
+    # jost_matrix and smatrix share the one SVD of the J(k) stack; J(0) is
+    # a single matrix and not counted
+    grid = KXGrid.build(kmax=20.0, nk=512, dx=1 / 64, xmax=4.0)
+    jt = solve_faddeev(golden_potential, grid)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.ndim(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    jt = jost_matrix(jt, golden_boundary)
+    smatrix(jt)
+    assert jt.jmatrix.min_sv == jt.jmatrix.sv.min()
+    assert calls.count(3) == 1
+
+
+def test_fs_l1_integrates_svd_norms_on_2x2_table(matrix_tables):
+    st, _, _ = matrix_tables
+    norms = np.linalg.norm(st.Fs, ord=2, axis=(-2, -1))
+    expected = norms @ trapezoid_weights(st.grid.x_sym)
+    assert st.fs_l1 > 0.0
+    np.testing.assert_allclose(st.fs_l1, expected, rtol=1e-14, atol=0)
 
 
 def test_smatrix_requires_attached_jost_matrix(free_scatter):
@@ -315,5 +343,5 @@ def test_synthetic_unimodular_products(a1, a2):
     )
     other = h1_membership(s_limits(_synthetic_table(dense, Sd, s0=1.0)))
     assert abs(other.h1norm - table.h1norm) / table.h1norm < 1e-3
-    table = p_symbols(table, np.array([0.5, 1.5]))
+    table = p_symbols(table)
     assert table.p_conjugation_defect < 1e-14

@@ -8,6 +8,8 @@ form for the unit step.  All discrete adjoints are exact transposes of the
 forward quadratures, so duality tests run at rounding level.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -122,6 +124,23 @@ def test_field_contracts():
         assert np.array_equal(replaced.x, grid) and np.all(replaced.values == 2.0)
         with pytest.raises(GridMismatch, match="do not match the grid length"):
             field.replace_values(np.ones(grid.size - 1))
+    # a caller's full-line grid is checked for a centre node at 0 as the
+    # half-line grid is for its start, so its right half is a half-line grid
+    with pytest.raises(GridMismatch, match="centre node at 0"):
+        FieldR(xs + 1e-10, np.ones(xs.size))
+    # derived fields keep the grids they come from, bit for bit
+    grid = KXGrid.build(kmax=10.0, nk=64, dx=1 / 16, xmax=3.0)
+    f = FieldRplus(grid.x, np.exp(-grid.x))
+    g = extend_even(f)
+    np.testing.assert_array_equal(g.x, grid.x_sym)
+    np.testing.assert_array_equal(restrict_adjoint(f).x, grid.x_sym)
+    for half in (restrict(g), extend_even_adjoint(g)):
+        np.testing.assert_array_equal(half.x, f.x)
+    for field in (f, g):
+        assert field.replace_values(2.0 * field.values).x is field.x
+    # only the length is checked on a derived field
+    with pytest.raises(GridMismatch, match="do not match the grid length"):
+        FieldR._derived(grid.x_sym, np.ones(grid.x.size))
 
 
 def test_extension_restriction_algebra():
@@ -288,8 +307,12 @@ def test_kernel_apply_matches_row_quadrature(golden_wave):
     lhs = _inner_plus(f, out)
     rhs = _inner_plus(kernel_apply_adjoint(kt, f), f)
     assert abs(lhs - rhs) < 1e-10
-    with pytest.raises(SchurUnbounded):
-        kernel_apply(kt, f, schur_bound=1e-3)
+    # the Schur integrals scale with the kernel: scaled to twice the ceiling
+    loud = replace(kt, raw=(2.0 * waveop.SCHUR_BOUND / max(kt.schur_row, kt.schur_col)) * kt.raw)
+    assert max(loud.schur_row, loud.schur_col) > waveop.SCHUR_BOUND
+    for op in (kernel_apply, kernel_apply_adjoint):
+        with pytest.raises(SchurUnbounded):
+            op(loud, f)
     coarse = FieldRplus(np.arange(0.0, 16.0, 1 / 64), np.ones(1024))
     with pytest.raises(GridMismatch):
         kernel_apply(kt, coarse)
