@@ -35,9 +35,10 @@ Every FFT in the package is ``numpy.fft``, at the 11-smooth lengths of
 the pipeline.  Spectra that do not depend on the data are computed once per
 key and kept, at most ``SPECTRUM_CACHE`` of each kind: the chirp spectrum
 of :func:`fourier_sum`, keyed on the FFT length, the node count and the
-float64 steps ``(size, nk, dk, dy)``, and the lattice Hilbert kernel's
-spectrum in ``waveop``, keyed on the node count.  Kept spectra are
-read-only.
+float64 steps ``(size, nk, dk, dy)``; its head and tail phases, keyed on
+the two node counts and the float64 grids ``(nk, m, k0, dk, y0, dy)``; and
+the lattice Hilbert kernel's spectrum in ``waveop``, keyed on the node
+count.  Kept spectra and phases are read-only.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ DEFAULT_XMAX = 40.0
 #: fraction of the momentum range occupied by the smooth spectral taper
 TAPER_FRACTION = 0.10
 
-#: gathered spline coefficients per evaluation block (512 KB when complex)
+#: gathered spline knot values and slopes per evaluation block (512 KB when
+#: complex)
 SPLINE_BLOCK = 1 << 15
 #: rows per block of the spline's slope sweeps: a carry crossing a whole
 #: block shrinks by ``(2 - sqrt 3)^32 < 2^-60``, below float64 rounding
@@ -175,6 +177,24 @@ def _chirp_spectrum(size: int, nk: int, dk: float, dy: float) -> np.ndarray:
     return spectrum
 
 
+@lru_cache(maxsize=SPECTRUM_CACHE)
+def _bluestein_phases(
+    nk: int, m: int, k0: float, dk: float, y0: float, dy: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The head phases ``e^{i (k_j y_0 + theta j^2 / 2)}`` and the tail phases
+    ``e^{i (k_0 l dy + theta l^2 / 2)}`` of the chirp-z transform from ``nk``
+    uniform ``k_j = k0 + j dk`` to ``m`` uniform ``y_l = y0 + l dy``, with
+    ``theta = dk dy``."""
+    theta = np.longdouble(dk) * np.longdouble(dy)
+    n = np.arange(max(nk, m), dtype=np.longdouble)
+    j, l = n[:nk], n[:m]
+    kj = np.longdouble(k0) + j * np.longdouble(dk)
+    head = _cis(kj * np.longdouble(y0) + 0.5 * theta * j * j)
+    tail = _cis(np.longdouble(k0) * l * np.longdouble(dy) + 0.5 * theta * l * l)
+    head.flags.writeable = tail.flags.writeable = False
+    return head, tail
+
+
 def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = +1) -> np.ndarray:
     """``sum_j g[j] e^{i sign (k0 + j dk) y_l}`` along axis 0 of ``g``.
 
@@ -196,19 +216,15 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
     y = np.asarray(y, dtype=float)
     nk, m = g.shape[0], y.size
     cols = g.reshape(nk, -1)
-    kj = np.longdouble(k0) + np.arange(nk, dtype=np.longdouble) * np.longdouble(dk)
     dy = (y[-1] - y[0]) / (m - 1) if m > 2 else 0.0
     line = y[:1] + np.arange(m) * dy
     if m < 3 or np.abs(y - line).max() > 16 * np.finfo(float).eps * np.abs(y).max():
+        kj = np.longdouble(k0) + np.arange(nk, dtype=np.longdouble) * np.longdouble(dk)
         out = _cis(np.outer(y.astype(np.longdouble), kj)) @ cols
         return out.reshape((m,) + g.shape[1:])
-    theta = np.longdouble(dk) * np.longdouble(dy)
     size = next_fast_len(nk + m - 1)
     chirp = _chirp_spectrum(size, nk, float(dk), float(dy))
-    n = np.arange(max(nk, m), dtype=np.longdouble)
-    j, l = n[:nk], n[:m]
-    head = _cis(kj * np.longdouble(y[0]) + 0.5 * theta * j * j)
-    tail = _cis(np.longdouble(k0) * l * np.longdouble(dy) + 0.5 * theta * l * l)
+    head, tail = _bluestein_phases(nk, m, float(k0), float(dk), float(y[0]), float(dy))
     conv = ifft(fft(np.multiply(cols.T, head, order="C"), size) * chirp)[:, :m]
     return np.multiply(conv.T, tail[:, None], order="C").reshape((m,) + g.shape[1:])
 
@@ -279,48 +295,63 @@ def _knot_slopes(d: np.ndarray) -> np.ndarray:
     return s.view(complex) if cplx else s
 
 
-def spline_pieces(x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """The cubic pieces of the not-a-knot spline through the columns of
-    ``y``, shape ``(nx, columns)``, at uniform knots ``x``: for ``p = 0..3``
-    the coefficients of ``(q - x[j])^p`` on piece ``j``, each ``(nx - 1,
-    columns)``.  The knot slopes ``s`` solve ``s[i-1] + 4 s[i] + s[i+1] =
-    3 (d[i-1] + d[i])`` in the secant slopes ``d``, closed by ``s[0] + 2 s[1]
-    = (5 d[0] + d[1]) / 2`` and its mirror (:func:`_knot_slopes`)."""
-    nx = x.size
-    if nx < 4:
-        raise GridError("a not-a-knot spline needs at least four knots")
-    h = (x[-1] - x[0]) / (nx - 1)
-    d = np.diff(y, axis=0) / h
-    s = _knot_slopes(d)
-    c3 = (s[:-1] + s[1:] - 2.0 * d) / h**2
-    c2 = (d - s[:-1]) / h - c3 * h
-    return [y[:-1], s[:-1], c2, c3]
+def hermite_weights(u: np.ndarray, h: float) -> np.ndarray:
+    """The cubic Hermite weights of ``y_j, s_j, y_{j+1}, s_{j+1}`` at the
+    offsets ``u = (q - x_j) / h`` in a piece of width ``h``, along a new last
+    axis: the value there is ``y_j h00(u) + h s_j h10(u) + y_{j+1} h01(u) +
+    h s_{j+1} h11(u)``.  Inside the piece every weight is at most 1 in size;
+    far outside it the weights of ``y_j`` and ``y_{j+1}`` grow as ``2 u^3``
+    and cancel."""
+    v = 1.0 - u
+    out = np.empty(np.shape(u) + (4,))
+    out[..., 0] = (1.0 + 2.0 * u) * v * v
+    out[..., 1] = h * u * v * v
+    out[..., 2] = u * u * (1.0 + 2.0 * v)
+    out[..., 3] = -h * u * u * v
+    return out
 
 
 class UniformSpline:
     """Not-a-knot cubic spline through samples ``y`` at uniform knots ``x``
     along axis 0, the interpolant ``scipy.interpolate.CubicSpline`` builds by
-    default; past the end knots the end cubics extend.  Its pieces come from
-    :func:`spline_pieces`."""
+    default; past the end knots the end cubics extend.
+
+    It is held as its knot values ``values`` (``y`` itself, not a copy, when
+    ``y`` is contiguous) and knot slopes ``slopes``, both ``(nx, columns)``:
+    on each piece the not-a-knot cubic is the cubic Hermite interpolant of
+    the values and slopes of its two knots (:func:`hermite_weights`).  The
+    slopes ``s`` solve ``s[i-1] + 4 s[i] + s[i+1] = 3 (d[i-1] + d[i])`` in
+    the secant slopes ``d``, closed by ``s[0] + 2 s[1] = (5 d[0] + d[1]) /
+    2`` and its mirror (:func:`_knot_slopes`).  It is evaluated about the
+    piece's left knot, ``y_j + u D + u (1 - u) ((1 - u) (h s_j - D) - u (h
+    s_{j+1} - D))`` with ``D = y_{j+1} - y_j``, whose terms stay small past
+    the end knots.
+    """
 
     def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
         self.x, y = np.asarray(x, dtype=float), np.asarray(y)
+        nx = self.x.size
+        if nx < 4:
+            raise GridError("a not-a-knot spline needs at least four knots")
         self._tail = y.shape[1:]
-        pieces = spline_pieces(self.x, y.reshape(self.x.size, -1))
-        self._coef = np.stack(pieces, axis=1)  # (nx - 1, 4, size)
+        self.h = (self.x[-1] - self.x[0]) / (nx - 1)
+        self.values = y.reshape(nx, -1)
+        self.slopes = _knot_slopes(np.diff(self.values, axis=0) / self.h)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         """Spline values at ``q``, shape ``q.shape + y.shape[1:]``; blocks of
-        at most ``SPLINE_BLOCK`` gathered coefficients."""
+        at most ``SPLINE_BLOCK`` gathered knot values and slopes."""
         flat = np.ravel(q).astype(float)
         i = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, self.x.size - 2)
-        powers = ((flat - self.x[i])[:, None] ** np.arange(4)).astype(self._coef.dtype)
-        size = self._coef.shape[-1]
-        out = np.empty((flat.size, size), dtype=self._coef.dtype)
-        step = max(1, SPLINE_BLOCK // (4 * size))
+        u = ((flat - self.x[i]) / self.h)[:, None]
+        h, y, s = self.h, self.values, self.slopes
+        out = np.empty((flat.size, y.shape[1]), dtype=np.result_type(y, s))
+        step = max(1, SPLINE_BLOCK // (4 * y.shape[1]))
         for a in range(0, flat.size, step):
-            blk = slice(a, a + step)
-            out[blk] = np.matmul(powers[blk, None], self._coef[i[blk]])[:, 0]
+            j, t = i[a : a + step], u[a : a + step]
+            D = y[j + 1] - y[j]
+            bend = (1.0 - t) * (h * s[j] - D) - t * (h * s[j + 1] - D)
+            out[a : a + step] = y[j] + t * (D + (1.0 - t) * bend)
         return out.reshape(np.shape(q) + self._tail)
 
 

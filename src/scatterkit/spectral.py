@@ -16,12 +16,16 @@ sized from a phase-resolution budget.
 On the table grid, which is closed under ``k -> -k``, the near-field
 correction of both Faddeev factors is one product with a matrix of
 ``e^{ikx} (m(k, x) - I)`` over the whole grid, built once per table.  On the
-dense grid the near-field sums read ``m`` through the cubic pieces of its
-spline in momentum (it is smooth in momentum), block by block: each piece's
-coefficients are contracted once against the field, or against the
-phase-weighted sums of the momenta the piece holds, so no ``m`` table on the
-dense grid is ever formed.  Evolution runs the analysis and every synthesis
-in one pass over the dense blocks.
+dense grid the near-field sums read ``m`` (smooth in momentum) through its
+not-a-knot spline, held as the spline's knot values, ``m`` itself, and its
+knot slopes, solved once per table; on each piece the spline is the cubic
+Hermite interpolant of the values and slopes of its two knots.  The sums run
+block by block, knot by knot: the field is contracted into each knot's value
+and slope, or each knot gathers the Hermite-weighted sums of the momenta of
+its two pieces, and ``e^{iqx}`` is the product of a phase per knot and a
+phase per offset of ``q`` from it.  So no ``m`` table and no phase table on
+the dense grid is ever formed.  Evolution runs the analysis and every
+synthesis in one pass over the dense blocks.
 """
 from __future__ import annotations
 
@@ -38,9 +42,9 @@ from .grids import (
     KXGrid,
     UniformSpline,
     fourier_sum,
+    hermite_weights,
     next_fast_len,
     simpson_weights,
-    spline_pieces,
     trapezoid_weights,
 )
 from .jost import JostTable
@@ -69,6 +73,9 @@ __all__ = [
 #: dense grid's near-field sums: the size a Faddeev-factor table on the block
 #: would have (the table grid's sums are one product each, in no blocks)
 CHUNK = 1 << 21
+#: knot-table entries the dense grid's near-field contractions read per pass
+#: (256 KB when complex), so that their ``n^2`` strided sweeps run in cache
+KNOT_BLOCK = 1 << 14
 #: maximum radians of accumulated phase between adjacent dense momentum nodes
 PHASE_BUDGET = 0.3
 #: relative spectral amplitude treated as the band edge
@@ -115,9 +122,9 @@ class PhysicalSolutionTable:
     ``e^{-ikx} I + e^{ikx} S(k)`` exactly.  The maps on the table grid read
     ``mnear`` as one matrix of ``e^{ikx} (m(k, x) - I)``, built at the first
     such map and kept.  Off the grid, ``mnear`` and ``S`` are read through
-    their not-a-knot splines: ``mnear`` through the pieces of
-    :func:`~.grids.spline_pieces`, ``S`` through the
-    :class:`~.grids.UniformSpline` built on the same pieces.
+    their not-a-knot splines (:class:`~.grids.UniformSpline`), built at the
+    first evolution and kept: knot values that are ``mnear`` and ``S``
+    themselves, and knot slopes of the same size.
     """
 
     k: np.ndarray
@@ -134,28 +141,22 @@ class PhysicalSolutionTable:
         return self.S.shape[-1]
 
     @cached_property
-    def npos(self) -> int:
-        return int((self.k > 0).sum())
-
-    @cached_property
-    def kpos(self) -> np.ndarray:
-        return self.k[self.k > 0]
-
-    @cached_property
     def _near_matrix(self) -> "_NearMatrix":
         """``e^{ikx} (m(k, x) - I)`` at the stored momenta, as one matrix."""
         return _NearMatrix.from_table(self.k, self.xv, self.mnear)
 
     @cached_property
     def _near_spline(self) -> "_NearField":
-        """``m - I`` between the stored momenta: the cubic pieces of the
-        not-a-knot spline of ``mnear`` (the one :class:`UniformSpline`
-        evaluates)."""
-        shape = self.mnear.shape
-        pieces = spline_pieces(self.k, self.mnear.reshape(shape[0], -1))
-        return _NearField.from_pieces(
-            self.k[:-1], self.xv, [c.reshape((shape[0] - 1,) + shape[1:]) for c in pieces]
-        )
+        """``m - I`` between the stored momenta: the knot form of the
+        not-a-knot spline of ``mnear``, whose values are ``mnear`` itself."""
+        spline = UniformSpline(self.k, self.mnear)
+        slopes = spline.slopes.reshape(self.mnear.shape)
+        return _NearField(spline.x, spline.h, self.xv, self.mnear, slopes)
+
+    @cached_property
+    def _S_spline(self) -> UniformSpline:
+        """``S`` between the stored momenta: its not-a-knot spline."""
+        return UniformSpline(self.k, self.S)
 
 
 def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTable:
@@ -234,135 +235,160 @@ def _phases(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(q.shape + (-1,))[..., : x.size]
 
 
-def _powers(t: np.ndarray, order: int) -> np.ndarray:
-    """``t^p`` for ``p < order`` along a new last axis."""
-    out = np.ones(t.shape + (order,))
-    for p in range(1, order):
-        out[..., p] = out[..., p - 1] * t
-    return out
-
-
 @dataclass(frozen=True)
 class _NearBlock:
-    """One run of whole pieces of a map's near-field sums.
+    """One run of whole pieces of a map's near-field sums, over uniform
+    momenta ``k[nodes]`` with spacing ``dk``.
 
-    Its momenta ``k[nodes]`` sit piece by piece in a ``(pieces, width)``
-    layout, padded where a piece holds fewer than ``width``; ``real`` lists
-    the real entries of the flattened layout.  For each Faddeev factor,
-    ``m(k, .)`` then ``m(-k, .)``, it holds the powers ``t^p`` of each
-    momentum's offset in its piece and its pieces' coefficients as a
-    ``(nxv, n, pieces order n)`` view; ``phases`` holds ``e^{ikx}`` on
-    ``xv``, which the second factor reads conjugated by conjugating the
-    smaller operand and the product.  The second factor's pieces are the
-    mirrors of the first's, so its coefficients run in reverse; ``flip``
-    turns them back into block order.
+    Knot ``i`` of the run (``pieces + 1`` knots, in block order) bounds
+    pieces ``i - 1`` and ``i``, whose momenta are ``q = ref_i + l dk`` with
+    ``-width <= l < width``, ``ref_i`` the first momentum of piece ``i``.
+    So ``e^{iqx} = e^{i ref_i x} e^{i l dk x}``:
+    ``phases`` holds the first factor, ``(knots, nxv)``, and ``steps`` the
+    second, ``(2 width, nxv)``, row ``l + width``.
+
+    For each Faddeev factor, ``m(k, .)`` then ``m(-k, .)``, it holds each
+    momentum's Hermite weights in its piece (:func:`~.grids.hermite_weights`),
+    ``(len(nodes), 4)``, and where they apply: ``at = (knot, row)``, each
+    ``(len(nodes), 2)``, gives for the piece's lower and its upper knot the
+    knot's place in the factor's run of knots ``runs`` (an ascending slice
+    of ``values`` and ``slopes``) and the row of the momentum's step from it.
+    The second factor's pieces are the mirrors of the first's, so its run
+    holds the block's knots in reverse (``mirror``); it reads the phases
+    conjugated, by conjugating the smaller operand and the product.
     """
 
     nodes: slice
-    real: np.ndarray
     phases: np.ndarray
-    powers: tuple[np.ndarray, np.ndarray]
-    coef: tuple[np.ndarray, np.ndarray]
-    flip = (slice(None), slice(None, None, -1))
-    conj = (False, True)
+    steps: np.ndarray
+    weights: tuple[np.ndarray, np.ndarray]
+    at: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    runs: tuple[slice, slice]
+    values: np.ndarray
+    slopes: np.ndarray
+    mirror = (False, True)
 
     def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
         """``sum_x e^{+-ikx} (m(+-k, x) - I)^T Yc(x)`` for both factors, each
-        ``(len(nodes), n)``: ``Yc`` is contracted into every piece's
-        coefficients once, then each piece's phase rows run against them."""
-        nxv, n = Yc.shape
+        ``(len(nodes), n)``: ``Yc`` is contracted into the value and slope of
+        every knot once, each knot's contracted data is summed against the
+        phases of its pieces' momenta, and each momentum weighs the sums of
+        its two knots."""
+        nknots, nxv = self.phases.shape
+        n = Yc.shape[1]
         out = []
-        for pw, C, flip, conj in zip(self.powers, self.coef, self.flip, self.conj):
-            pieces, width, order = pw.shape
-            W = np.matmul(Yc[:, None, :], C).reshape(nxv, pieces, order * n).transpose(1, 0, 2)
-            R = np.matmul(self.phases, W[flip].conj() if conj else W)
-            R = (R.conj() if conj else R).reshape(pieces, width, order, n)
-            out.append(np.take(np.einsum("jwp,jwpn->jwn", pw, R).reshape(-1, n), self.real, axis=0))
+        for wt, at, run, mirror in zip(self.weights, self.at, self.runs, self.mirror):
+            # E[i, c, b, x] = sum_a Yc[x, a] data_c[i, x, a, b], read in the
+            # tables' own order, a few knots at a time
+            E = np.empty((nknots, 2, n, nxv), dtype=complex)
+            per = max(1, KNOT_BLOCK // (nxv * n * n))
+            for c, table in enumerate((self.values[run], self.slopes[run])):
+                for i in range(0, nknots, per):
+                    data, Ec = table[i : i + per], E[i : i + per, c]
+                    for b in range(n):
+                        np.multiply(data[:, :, 0, b], Yc[:, 0], out=Ec[:, b])
+                        for a in range(1, n):
+                            Ec[:, b] += data[:, :, a, b] * Yc[:, a]
+            E[:, 0] -= Yc.T  # the identity has no slope
+            if mirror:
+                np.conjugate(E, out=E)
+            E *= (self.phases[::-1] if mirror else self.phases)[:, None, None]
+            # S[i, (c, b), l] = sum_x e^{i (ref_i + l dk) x} E[i, c, b, x]
+            S = (E.reshape(-1, nxv) @ self.steps.T).reshape(nknots, 2 * n, -1)
+            R = np.matmul(wt[:, None], S[at[0], :, at[1]].reshape(-1, 4, n))[:, 0]
+            out.append(R.conj() if mirror else R)
         return out
 
     def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
         """``sum_k e^{ikx} (m(k, x) - I) Z(k) + e^{-ikx} (m(-k, x) - I) Zm(k)``
         on ``xv`` for each row of ``Z`` and ``Zm`` (shape ``(rows,
-        len(nodes), n)``), shape ``(rows, nxv, n)``: each piece sums
-        ``t^p e^{+-ikx} Z`` over its momenta, then the sums are contracted
-        against the pieces' coefficients."""
-        rows, _, n = Z.shape
-        out = 0.0
-        factors = zip(self.powers, self.coef, self.flip, self.conj, (Z, Zm))
-        for pw, C, flip, conj, Zf in factors:
-            pieces, width, order = pw.shape
-            Zp = np.zeros((pieces * width, n, rows), dtype=complex)
-            Zp[self.real] = Zf.conj().transpose(1, 2, 0) if conj else Zf.transpose(1, 2, 0)
-            TZ = pw[..., None, None] * Zp.reshape(pieces, width, 1, n, rows)
-            TZ = TZ.reshape(pieces, width, -1)
-            # G[x, j, (p, b, row)], written straight into the layout C reads
-            G = np.empty((C.shape[0], pieces, TZ.shape[-1]), dtype=complex)
-            np.matmul(self.phases.transpose(0, 2, 1), TZ, out=G[:, flip].transpose(1, 0, 2))
-            if conj:
-                np.conjugate(G, out=G)
-            out = out + np.matmul(C, G.reshape(C.shape[0], -1, rows))
-        return out.transpose(2, 0, 1)
+        len(nodes), n)``), shape ``(rows, nxv, n)``: each knot sums
+        ``e^{+-ikx} Z`` over its pieces' momenta against their Hermite
+        weights, then the sums are contracted against its value and slope."""
+        rows, size, n = Z.shape
+        nknots, nxv = self.phases.shape
+        out = np.zeros((n, rows, nxv), dtype=complex)
+        factors = zip(self.weights, self.at, self.runs, self.mirror, (Z, Zm))
+        for wt, at, run, mirror, Zf in factors:
+            Zq = (Zf.conj() if mirror else Zf).transpose(1, 2, 0).reshape(size, 1, 1, -1)
+            # T[i, c, (b, row), l]: Z at the momentum ref_i + l dk times its
+            # weight of knot i's value (c = 0) or slope (c = 1)
+            T = np.zeros((nknots, 2, n * rows, self.steps.shape[0]), dtype=complex)
+            T[at[0], :, :, at[1]] = wt.reshape(size, 2, 2, 1) * Zq
+            D = T.reshape(-1, self.steps.shape[0]) @ self.steps
+            D = D.reshape(nknots, 2, n, rows, nxv)
+            D *= (self.phases[::-1] if mirror else self.phases)[:, None, None, None]
+            if mirror:
+                np.conjugate(D, out=D)
+            per = max(1, KNOT_BLOCK // (nxv * n * n))
+            for c, table in enumerate((self.values[run], self.slopes[run])):
+                for i in range(0, nknots, per):
+                    data, Dc = table[i : i + per], D[i : i + per, c]
+                    for a in range(n):
+                        for b in range(n):
+                            out[a] += (data[:, None, :, a, b] * Dc[:, b]).sum(axis=0)
+            out -= D[:, 0].sum(axis=0)  # the identity's part
+        return out.transpose(1, 2, 0)
 
 
 @dataclass(frozen=True)
 class _NearField:
-    """``m(q, x) - I`` on the near-field nodes ``xv`` as piecewise
-    polynomials in the momentum: on piece ``j``, with ``t = q - knots[j]``,
-    ``m(q, x) - I = sum_{p < order} t^p C_{j,p}(x)``.
-
-    ``coef[x, a, j, p, b]`` holds ``C_{j,p}(x)[a, b]``, so that a run of
-    pieces is one ``(nxv, n, pieces order n)`` view.  Momenta past the end
-    pieces use them.  Piece ``pieces - 1 - j`` mirrors piece ``j``: the
-    knots are closed under ``q -> -q``, so ``m(-k)`` is read on the mirror
-    of the piece holding ``k``.
+    """``m(q, x) - I`` on the near-field nodes ``xv`` between the momentum
+    nodes ``knots`` (spacing ``h``): the not-a-knot spline of ``mnear`` in
+    its knot form, ``values`` (``mnear`` itself) and ``slopes``, both
+    ``[q, x, a, b]``.  On piece ``j`` the spline is the cubic Hermite
+    interpolant of the values and slopes of knots ``j`` and ``j + 1``, and
+    ``-I`` enters through the values alone.  Momenta past the end pieces use
+    them.  Piece ``pieces - 1 - j`` mirrors piece ``j``: the knots are
+    closed under ``q -> -q``, so ``m(-k)`` is read on the mirror of the
+    piece holding ``k``.
     """
 
     knots: np.ndarray
+    h: float
     xv: np.ndarray
-    coef: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
 
-    @classmethod
-    def from_pieces(
-        cls, knots: np.ndarray, xv: np.ndarray, pieces: list[np.ndarray]
-    ) -> "_NearField":
-        """From ``pieces[p][j, x, a, b]``, the coefficients of ``m`` itself,
-        written straight into the ``[x, a, j, p, b]`` layout."""
-        npieces, nxv, n = pieces[0].shape[:3]
-        coef = np.empty((nxv, n, npieces, len(pieces), n), dtype=complex)
-        for p, c in enumerate(pieces):
-            coef[:, :, :, p] = c.transpose(1, 2, 0, 3)
-        for a in range(n):
-            coef[:, a, :, 0, a] -= 1.0
-        return cls(knots, xv, coef)
-
-    def blocks(self, k: np.ndarray):
-        """The ascending momenta ``k`` grouped by the piece that holds each,
-        in runs of whole pieces holding at most ``CHUNK / (len(xv) n^2)``
-        padded momenta (at least one piece)."""
-        nxv, n, npieces, order = self.coef.shape[:4]
+    def blocks(self, k: np.ndarray, dk: float):
+        """The ascending uniform momenta ``k`` (spacing ``dk``) grouped by the
+        piece that holds each, in runs of whole pieces holding at most
+        ``CHUNK / (len(xv) n^2)`` momenta (at least one piece)."""
+        nxv, n = self.values.shape[1:3]
+        npieces = self.knots.size - 1
         piece = np.clip(np.searchsorted(self.knots, k, side="right") - 1, 0, npieces - 1)
         lo = piece[0]
         counts = np.bincount(piece - lo)
         starts = np.concatenate([[0], np.cumsum(counts)])
         width = int(counts.max())
+        steps = _phases(dk * np.arange(-width, width), self.xv)
         step = max(1, CHUNK // (width * nxv * n * n))
         for a in range(0, counts.size, step):
             b = min(a + step, counts.size)
-            run = np.arange(lo + a, lo + b)
-            slot = starts[a:b, None] + np.arange(width)
-            q = k[np.minimum(slot, k.size - 1)]
+            nodes = slice(starts[a], starts[b])
+            q, j = k[nodes], piece[nodes] - lo
+            # knot i of the block starts its piece i at the momentum k[ref[i]];
+            # a momentum's lower and upper knots are those of its piece
+            ref = starts[a : b + 1]
+            index = np.arange(nodes.start, nodes.stop)
+            lower, upper = j - a, j - a + 1
+            rows = (index - ref[lower] + width, index - ref[upper] + width)
+            last = b - a  # the mirrored factor's knots run in reverse
             yield _NearBlock(
-                nodes=slice(starts[a], starts[b]),
-                real=np.flatnonzero(slot < starts[a + 1 : b + 1, None]),
-                phases=_phases(q, self.xv),
-                powers=(
-                    _powers(q - self.knots[run, None], order),
-                    _powers(-q - self.knots[npieces - 1 - run, None], order),
+                nodes=nodes,
+                phases=_phases(k[0] + ref * dk, self.xv),
+                steps=steps,
+                weights=(
+                    hermite_weights((q - self.knots[lo + j]) / self.h, self.h),
+                    hermite_weights((-q - self.knots[npieces - 1 - lo - j]) / self.h, self.h),
                 ),
-                coef=(
-                    self.coef[:, :, lo + a : lo + b].reshape(nxv, n, -1),
-                    self.coef[:, :, npieces - lo - b : npieces - lo - a].reshape(nxv, n, -1),
+                at=(
+                    (np.stack([lower, upper], 1), np.stack(rows, 1)),
+                    (np.stack([last - upper, last - lower], 1), np.stack(rows[::-1], 1)),
                 ),
+                runs=(slice(lo + a, lo + b + 1), slice(npieces - lo - b, npieces - lo - a + 1)),
+                values=self.values,
+                slopes=self.slopes,
             )
 
 
@@ -401,7 +427,7 @@ class _NearMatrix:
     def nodes(self) -> slice:
         return slice(0, self.npos)
 
-    def blocks(self, k: np.ndarray):
+    def blocks(self, k: np.ndarray, dk: float):
         """The positive momenta ``k`` of the table grid, as one block."""
         yield self
 
@@ -487,7 +513,7 @@ class _MapKernel:
         ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on ``xv``."""
         out = self._plane_analysis(Y, x0, dx, w)
         Yc = np.conj(Ynear * trapezoid_weights(self.xv)[:, None])
-        for blk in self.near.blocks(self.k):
+        for blk in self.near.blocks(self.k, self.dk):
             out[blk.nodes] += self._near_analysis(blk, Yc)
         return out / np.sqrt(2.0 * np.pi)
 
@@ -496,7 +522,7 @@ class _MapKernel:
         whose prefix is ``xv``; ``Zw`` carries the momentum weights."""
         SZ = np.einsum("kij,kj->ki", self.S, Zw)
         out = self._plane_synthesis(Zw, SZ, x)
-        for blk in self.near.blocks(self.k):
+        for blk in self.near.blocks(self.k, self.dk):
             nodes = blk.nodes
             out[: self.xv.size] += self._near_synthesis(blk, Zw[None, nodes], SZ[None, nodes])[0]
         return out / np.sqrt(2.0 * np.pi)
@@ -515,7 +541,7 @@ class _MapKernel:
         Zw = np.empty((mults.shape[0],) + phi.shape, dtype=complex)
         SZ = np.empty_like(Zw)
         near = np.zeros((mults.shape[0], self.xv.size, phi.shape[1]), dtype=complex)
-        for blk in self.near.blocks(self.k):
+        for blk in self.near.blocks(self.k, self.dk):
             nodes = blk.nodes
             phi[nodes] += self._near_analysis(blk, Yc)
             phi[nodes] /= np.sqrt(2.0 * np.pi)
@@ -535,9 +561,9 @@ class _MapKernel:
 def _table_kernel(pt: PhysicalSolutionTable, sign: int) -> _MapKernel:
     """The map kernel on the positive nodes of the table grid, reading the
     stored ``S`` and Faddeev factors (``k[::-1] == -k`` exactly)."""
-    npos = pt.npos
+    npos = pt.grid.npos
     S = pt.S[npos - 1 :: -1] if sign == +1 else pt.S[npos:]
-    return _MapKernel(sign, pt.kpos, pt.grid.dk, S, pt._near_matrix)
+    return _MapKernel(sign, pt.grid.kpos, pt.grid.dk, S, pt._near_matrix)
 
 
 def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np.ndarray:
@@ -571,8 +597,8 @@ class _DenseStage:
     ``kq[l] = l * dkq`` with trapezoid weights ``wk``, and the spatial step
     ``ratio * dx`` of an ``nfft``-node circle whose lower half is the
     evolution domain.  Its map kernels read ``S`` interpolated onto ``kq``
-    and the Faddeev factors through the cubic pieces of their spline (both
-    are smooth in momentum)."""
+    and the Faddeev factors through the knot values and slopes of their
+    splines (both are smooth in momentum), kept on the table."""
 
     pt: PhysicalSolutionTable
     nfft: int
@@ -585,9 +611,8 @@ class _DenseStage:
     def kernel(self, sign: int) -> _MapKernel:
         """The map kernel on ``kq``: ``S`` from its spline at ``-sign*kq``,
         the Faddeev factors from the pieces of theirs that hold ``kq``."""
-        pt, kq = self.pt, self.kq
-        S = UniformSpline(pt.k, pt.S)(-sign * kq)
-        return _MapKernel(sign, kq, self.dkq, S, pt._near_spline)
+        pt = self.pt
+        return _MapKernel(sign, self.kq, self.dkq, pt._S_spline(-sign * self.kq), pt._near_spline)
 
     def check_overflow(self, kernel: _MapKernel, Zw: np.ndarray) -> None:
         """Reconstruct the field synthesized from ``Zw`` on the full FFT
@@ -653,7 +678,7 @@ def _stage_for(
     """Dense stage for evolving ``Y``, whose spectrum on the positive table
     nodes is ``phi``, to time ``t``: band edge from ``phi``, domain from the
     field's extent plus the distance ``2 |t| k_band`` its fastest part runs."""
-    k_band = _last_above(pt.kpos, phi, BAND_TOL)
+    k_band = _last_above(pt.grid.kpos, phi, BAND_TOL)
     reach = _last_above(pt.grid.x, Y, 1e-9) + 2.0 * abs(t) * k_band + 8.0
     return _build_stage(pt, k_band, reach)
 

@@ -485,8 +485,8 @@ def map_kernel_near_sums(pt, k, sign, S, Yc, Zw):
     of ``Zw``, the synthesis part on ``xv``."""
     from scatterkit.grids import UniformSpline
 
-    if np.array_equal(k, pt.kpos):
-        m_pos, m_neg = pt.mnear[pt.npos :], pt.mnear[pt.npos - 1 :: -1]
+    if np.array_equal(k, pt.grid.kpos):
+        m_pos, m_neg = pt.mnear[pt.grid.npos :], pt.mnear[pt.grid.npos - 1 :: -1]
     else:
         spline = UniformSpline(pt.k, pt.mnear)
         m_pos, m_neg = spline(k), spline(-k)

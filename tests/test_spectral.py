@@ -7,6 +7,8 @@ cross-checked against an independently assembled dense matrix and against the
 transcendental bound-state oracle for a square well.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from scatterkit.grids import KXGrid, UniformSpline, _cis, simpson_weights, trape
 from scatterkit.jost import jost_matrix, solve_faddeev
 from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import smatrix
-from scatterkit import spectral
+from scatterkit import grids, spectral
 from scatterkit.spectral import (
     BoundStatesPresent,
     SpectralError,
@@ -427,7 +429,7 @@ def test_kernel_blocks_do_not_change_results(matrix_physical, monkeypatch):
     pt = matrix_physical
     Y = _packet(pt.grid.x, pt.n)
     step = 7  # momenta per block
-    assert pt.npos >= 5 * step
+    assert pt.grid.npos >= 5 * step
     assert _stage_for(pt, Y, fourier_maps(pt, Y, +1), 2.0).kq.size >= 5 * step
 
     def run():
@@ -448,10 +450,11 @@ def test_kernel_blocks_do_not_change_results(matrix_physical, monkeypatch):
 
 def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
     """One ``evolve_spectral`` call runs one pass over the pieces of the dense
-    stage, for every time: each block's phases and coefficients serve the
-    analysis and every synthesis."""
+    stage, for every time: each block's knot phases serve one analysis and
+    then one synthesis of all the times."""
     pt = matrix_physical
     Y = _packet(pt.grid.x, pt.n)
+    times = [0.5, -1.0, 2.0]
     step = 7  # momenta per block
     monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * step)
     stages = []
@@ -462,20 +465,64 @@ def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
 
     monkeypatch.setattr(spectral, "_stage_for", stage_for)
     blocks = spectral._NearField.blocks
-    visits = []
+    visits, calls = [], []
 
-    def counted(near, k):
-        for blk in blocks(near, k):
+    def counted(near, k, dk):
+        for blk in blocks(near, k, dk):
             visits.append((k, blk.nodes))
             yield blk
 
     monkeypatch.setattr(spectral._NearField, "blocks", counted)
-    evolve_spectral(pt, Y, [0.5, -1.0, 2.0])
+    for name in ("analysis", "synthesis"):
+
+        def logged(blk, *args, run=getattr(spectral._NearBlock, name), name=name):
+            calls.append((name, blk.nodes, args[0].shape))
+            return run(blk, *args)
+
+        monkeypatch.setattr(spectral._NearBlock, name, logged)
+    evolve_spectral(pt, Y, times)
     kq = stages[0].kq
     dense = [nodes for k, nodes in visits if k is kq]
     assert len(dense) >= 5
     covered = np.concatenate([np.arange(kq.size)[nodes] for nodes in dense])
     assert np.array_equal(covered, np.arange(kq.size))
+    expected = []
+    for nodes in dense:
+        expected.append(("analysis", nodes, (pt.xv.size, pt.n)))
+        expected.append(("synthesis", nodes, (len(times), nodes.stop - nodes.start, pt.n)))
+    assert calls == expected
+
+
+def test_spline_slopes_are_solved_once_per_table(matrix_physical, monkeypatch):
+    """The first evolution on a table solves the knot slopes of ``m`` and of
+    ``S`` once each and keeps them: evolving three more fields solves none."""
+    pt = dataclasses.replace(matrix_physical)  # a table with nothing cached
+    solved = []
+    knot_slopes = grids._knot_slopes
+
+    def counted(d):
+        solved.append(d.shape[1])
+        return knot_slopes(d)
+
+    monkeypatch.setattr(grids, "_knot_slopes", counted)
+    evolve_spectral(pt, _packet(pt.grid.x, pt.n), 1.0)
+    assert sorted(solved) == [pt.S[0].size, pt.mnear[0].size]
+    solved.clear()
+    for shift in (-1.0, 1.0, 2.0):
+        evolve_spectral(pt, _packet(pt.grid.x - shift, pt.n), 1.0)
+    assert solved == []
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
+def test_near_field_keeps_only_knot_values_and_slopes(table, request):
+    """The dense stage reads ``m`` through its spline's knot values, which
+    are ``mnear`` itself, and knot slopes of the same size: at most twice the
+    bytes of ``mnear``, with no copy of the table."""
+    pt = dataclasses.replace(request.getfixturevalue(table))
+    evolve_spectral(pt, _packet(pt.grid.x, pt.n), 1.0)
+    near = pt.__dict__["_near_spline"]
+    assert near.values is pt.mnear
+    assert near.values.nbytes + near.slopes.nbytes <= 2 * pt.mnear.nbytes
 
 
 def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch):
@@ -535,13 +582,15 @@ def test_dense_kernel_duality(table, request):
 @pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
 def test_near_field_sums_match_whole_table_reference(table, blocks, request, monkeypatch):
     """The near-field sums read from the table grid's near-field matrix and
-    from the pieces of ``m`` equal those of whole ``m(+-k, xv)`` tables (the
-    stored table on its own nodes, its spline on the dense grid), for both
-    signs and the times of one evolution, with the dense grid in one block or
-    in many (the table grid is one block whatever ``CHUNK``)."""
+    from the knot values and slopes of ``m`` equal those of whole ``m(+-k,
+    xv)`` tables (the stored table on its own nodes, its spline on the dense
+    grid), for both signs and the times of one evolution, with the dense grid
+    in one block or in many, each contracted a few knots at a time (the
+    table grid is one block whatever ``CHUNK``)."""
     pt = request.getfixturevalue(table)
     if blocks == "many":
         monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * 7)
+        monkeypatch.setattr(spectral, "KNOT_BLOCK", pt.xv.size * pt.n**2 * 3)
     grid = pt.grid
     rng = np.random.default_rng(5)
     Y = _packet(grid.x, pt.n) + 0.1 * rng.normal(size=(grid.x.size, pt.n))
@@ -555,7 +604,7 @@ def test_near_field_sums_match_whole_table_reference(table, blocks, request, mon
             Zw = np.exp(-(1j * times[:, None] + 0.02) * k**2)[..., None] * noise
             SZ = np.einsum("kij,tkj->tki", kernel.S, Zw)
             analysis, synthesis = oracles.map_kernel_near_sums(pt, k, sign, kernel.S, Yc, Zw)
-            parts = list(kernel.near.blocks(k))
+            parts = list(kernel.near.blocks(k, kernel.dk))
             got = np.concatenate([kernel._near_analysis(blk, Yc) for blk in parts])
             assert np.abs(got - analysis).max() <= 1e-13 * np.abs(analysis).max()
             got = sum(
@@ -573,7 +622,7 @@ def test_near_field_phases_match_longdouble_reference(table, request):
     pt = request.getfixturevalue(table)
     kq = _build_stage(pt, pt.grid.kmax, 30.0).kq
     xv = pt.xv.astype(np.longdouble)
-    for q in (kq, -kq, pt.kpos, -pt.kpos):
+    for q in (kq, -kq, pt.grid.kpos, -pt.grid.kpos):
         reference = _cis(np.multiply.outer(q.astype(np.longdouble), xv))
         assert np.abs(spectral._phases(q, pt.xv) - reference).max() <= 4e-15
 
