@@ -3,11 +3,12 @@
 The package computes, for -d^2/dx^2 + V(x) on x >= 0 with a general
 self-adjoint boundary condition at the origin:
 
-* Jost (Faddeev) solutions and the Jost matrix,
+* Jost (Faddeev) solutions, the Jost matrix and the bound states, the
+  roots of ``J(i kappa)``,
 * the scattering matrix, its exact zero/infinite-energy limits and Fourier
   symbols,
 * the Marchenko integral kernel of the Jost-solution representation,
-* generalized Fourier maps, spectral time evolution and bound states,
+* generalized Fourier maps and spectral time evolution,
 * wave operators in three equivalent forms (spectral, three-term
   Hilbert-transform decomposition, four-term convolution form),
 * fold helpers that turn a full-line problem with a point interaction into a
@@ -52,6 +53,7 @@ from .jost import (
     TailNotNegligible,
     solve_faddeev,
     jost_matrix,
+    bound_states,
     marchenko_kernel,
 )
 

@@ -457,10 +457,3 @@ class KXGrid:
     def x_sym(self) -> np.ndarray:
         """Symmetric spatial grid on ``[-X_max, X_max]`` aligned with ``x``."""
         return np.concatenate([-self.x[:0:-1], self.x])
-
-    def index_of_x(self, value: float) -> int:
-        """Index of the node nearest to ``value`` (must lie on the grid)."""
-        idx = int(round(value / self.dx))
-        if not (0 <= idx < self.x.size) or abs(self.x[idx] - value) > 1e-9 * max(1.0, abs(value)):
-            raise GridError(f"{value} is not a node of the spatial grid")
-        return idx

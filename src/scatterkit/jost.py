@@ -8,11 +8,13 @@ channel is a combination of ``cos(qs)`` and ``sin(qs)/q`` with
 ``q = sqrt(k^2 - lambda)``.  The solver starts at the support edge and
 propagates ``(f, f')`` exactly from cell edge to cell edge, right to left,
 vectorized over the whole momentum grid; there is no iteration and no
-spatial refinement, and ``k = 0`` is the same formula.
+spatial refinement, and ``k = 0`` and ``k = i kappa`` are the same formula.
 
 Derived objects:
 
 * the Jost matrix ``J(k) = f(-k, 0)^dagger B - f'(-k, 0)^dagger A``;
+* the bound states, the energies ``-kappa^2`` where ``J(i kappa)`` is
+  singular, from an exact count of the states below each energy;
 * the Marchenko kernel ``K(x, y)``, the Fourier synthesis of ``m - I``,
   entering the representation
   ``f(k, x) = e^{ikx} I + integral_x^inf K(x, y) e^{iky} dy``.
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import BoundaryPair, validate_boundary
+from .boundary import ANGLE_SNAP_TOL, BoundaryPair, diagonalize_boundary, validate_boundary
 from .grids import KXGrid, fourier_sum, trapezoid_weights
 from .potentials import PotentialSpec, _spectral_norms, tail_integral, validate_potential
 
@@ -47,27 +49,31 @@ class JostError(RuntimeError):
 class JostOverflow(JostError):
     """The Jost solution outgrows float64 inside an opaque barrier.
 
-    Crossing a cell where ``lambda > k^2`` multiplies the solution by up to
-    ``e^{width sqrt(lambda - k^2)}``; past ``log(float64 max)`` the tables
-    would be non-finite.
+    Crossing a cell where ``lambda > Re k^2`` multiplies the solution by up
+    to ``e^{width sqrt(lambda - Re k^2)}``; at ``k = i kappa`` the solution
+    also starts at ``e^{-kappa x_e}`` on the support edge ``x_e``, and
+    ``m = e^{kappa x} f`` carries the inverse factor.  Past
+    ``log(float64 max)`` the tables would be non-finite.
     """
 
-    def __init__(self, cell: tuple[float, float], k: float, growth: float):
+    def __init__(self, cell: tuple[float, float], k: complex, growth: float):
         self.cell = (float(cell[0]), float(cell[1]))
-        self.k = float(k)
+        self.k = complex(k)
         self.growth = float(growth)
+        at = f"k={self.k.real:g}" if self.k.imag == 0 else f"k={self.k.imag:g}i"
         super().__init__(
             f"Jost solution overflows float64 in the cell [{self.cell[0]:g}, {self.cell[1]:g}] "
-            f"at k={self.k:g}: its growth exponent integral sqrt(max(lambda - k^2, 0)) "
+            f"at {at}: its growth exponent |Im k| x_e + integral sqrt(max(lambda - Re k^2, 0)) "
             f"reaches {self.growth:.4g}, past log(float64 max) = {np.log(np.finfo(float).max):.1f}"
         )
 
     @classmethod
-    def at(cls, edges: np.ndarray, cells: np.ndarray, c: int, k: float) -> "JostOverflow":
+    def at(cls, edges: np.ndarray, cells: np.ndarray, c: int, k: complex) -> "JostOverflow":
         """The error for cell ``c``, with the exponent summed from the right edge."""
+        k = complex(k)
         lam = np.linalg.eigvalsh(cells[c:])[:, -1]
-        growth = float(np.diff(edges[c:]) @ np.sqrt(np.clip(lam - k * k, 0.0, None)))
-        return cls((edges[c], edges[c + 1]), k, growth)
+        barrier = np.diff(edges[c:]) @ np.sqrt(np.clip(lam - (k * k).real, 0.0, None))
+        return cls((edges[c], edges[c + 1]), k, abs(k.imag) * edges[-1] + barrier)
 
 
 class TailNotNegligible(JostError):
@@ -201,13 +207,16 @@ def faddeev_solve(
         f'(x) = U [q sin(qs) U^dagger f(b) + cos(qs) U^dagger f'(b)].
 
     These factors are even in ``q`` and finite at ``q = 0``, so ``k = 0``
-    and ``k^2 = lambda`` take the same formula.  Every output node is evaluated from its own cell's
-    right edge, so round-off does not accumulate node by node.
+    and ``k^2 = lambda`` take the same formula.  At ``k = i kappa`` the
+    energy ``k^2 = -kappa^2`` is real, so ``q^2`` stays real and the same
+    propagation gives the decaying solution exactly.  Every output node is
+    evaluated from its own cell's right edge, so round-off does not
+    accumulate node by node.
 
     Parameters
     ----------
     k : ndarray
-        Momentum values (``k = 0`` allowed).
+        Real momenta (``k = 0`` allowed) or purely imaginary ones.
     x_out : ndarray
         Ascending output nodes; the last node must sit at or beyond the
         potential support.
@@ -222,14 +231,21 @@ def faddeev_solve(
 
     Raises
     ------
+    JostError
+        If a momentum is neither real nor purely imaginary.
     NonHermitian
         If a cell matrix is not Hermitian (``eigh`` would read one triangle).
     JostOverflow
-        If the solution outgrows float64 inside an opaque barrier; no table
-        with non-finite entries is returned.
+        If the solution outgrows float64 inside an opaque barrier or, at
+        ``k = i kappa``, ``e^{kappa x_e}`` does; no table with non-finite
+        entries is returned.
     """
     validate_potential(potential)
-    k = np.asarray(k, dtype=float)
+    k = np.asarray(k)
+    if not np.iscomplexobj(k):
+        k = k.astype(float)
+    elif (k.real * k.imag).any():
+        raise JostError("momenta k must be real or purely imaginary, so that k^2 is real")
     x_out = np.asarray(x_out, dtype=float)
     n = potential.n
     nk, nx = k.size, x_out.size
@@ -260,7 +276,7 @@ def faddeev_solve(
         lam, u = np.linalg.eigh(cells[c])
         lo, hi = np.searchsorted(owner, (c, c + 1))
         s = b - np.append(x_out[lo:hi], a)  # the cell's output nodes, then its left edge
-        q2 = (k * k)[:, None] - lam  # (nk, n)
+        q2 = (k * k).real[:, None] - lam  # (nk, n)
         cos, sinc = _cell_factors(q2, s)
         # f(x) = sum over channels l of cos_l A_l - sinc_l B_l and
         # f'(x) = sum of q2_l sinc_l A_l + cos_l B_l, where
@@ -269,9 +285,9 @@ def faddeev_solve(
         basis = basis.reshape(nk, 2 * n, n * n)
         fcoef = np.concatenate([cos, -sinc], axis=1).swapaxes(1, 2)  # (nk, ns + 1, 2n)
         fpcoef = np.concatenate([q2 * sinc[..., -1], cos[..., -1]], axis=1)[:, None]  # left edge
-        phase = np.exp(-1j * np.outer(k, x_out[lo:hi]))[..., None]
         mc = m_out[:, lo:hi]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # e^{kappa x} at k = i kappa
+            phase = np.exp(-1j * np.outer(k, x_out[lo:hi]))[..., None]
             np.matmul(phase * fcoef[:, :-1], basis, out=mc)
             f = (fcoef[:, -1:] @ basis).reshape(nk, n, n)
             fp = (fpcoef @ basis).reshape(nk, n, n)
@@ -333,6 +349,112 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
         boundary=bp,
     )
     return replace(jt, jmatrix=jm)
+
+
+def _states_below(jt: JostTable, kappa: np.ndarray, cot: np.ndarray) -> np.ndarray:
+    """How many bound states lie below ``-kappa^2``, for each ``kappa``.
+
+    The Lagrangian plane of ``(f, f'/sigma)`` is held as the unitary
+    ``U = (f + i f'/sigma)(f - i f'/sigma)^{-1}``, which stays bounded where
+    ``f`` grows; ``f`` is singular exactly where ``U`` has the eigenvalue -1,
+    and there the eigenphases always turn the same way.  Walking the
+    decaying solution from ``x_e`` to the wall in steps of
+    ``pi / (3 n sigma)``, where ``sigma^2`` bounds ``|kappa^2 + lambda|``
+    and each eigenphase turns at most ``2 sigma`` per unit length, the
+    unwrapped phase ``Theta`` of ``det U`` counts these points: they are
+    the Dirichlet eigenvalues below the energy (oscillation theorem).  The
+    wall adds the index of the pair: with ``W = U_b^dagger U`` and ``b_j``
+    the eigenphases of ``-U_b^dagger`` (the limit of ``W`` as
+    ``kappa -> infinity``), all taken in ``[0, 2 pi)``, the count is
+    ``(Theta + n pi + sum b_j - sum phases(W)) / 2 pi``.
+    """
+    pot, bp, n = jt.potential, jt.jmatrix.boundary, jt.n
+    edges = np.unique(np.clip(np.append(pot.breaks, 0.0), 0.0, pot.support_radius))
+    cells = pot.segment_values(edges)
+    k2 = (kappa * kappa)[:, None]
+    sig = np.sqrt(np.maximum(k2, np.abs(k2 + np.linalg.eigvalsh(pot.values).ravel())).max(axis=1))[:, None]
+    eye = np.eye(n)
+
+    def solve_right(num, den):  # num den^{-1}
+        return np.linalg.solve(den.swapaxes(1, 2), num.swapaxes(1, 2)).swapaxes(1, 2)
+
+    u = ((sig - 1j * kappa[:, None]) / (sig + 1j * kappa[:, None]))[..., None] * eye
+    phase, det = n * np.angle(u[:, 0, 0]), np.linalg.det(u)
+    for c in range(cells.shape[0] - 1, -1, -1):
+        lam, w = np.linalg.eigh(cells[c])
+        pieces = int(np.ceil(3.0 * n * sig.max() * (edges[c + 1] - edges[c]) / np.pi))
+        q2 = -k2 - lam
+        cos, sinc = (v[..., 0] for v in _cell_factors(q2, np.array([(edges[c + 1] - edges[c]) / pieces])))
+        # in the cell's eigenbasis one piece maps U to (aU + b)(conj(a) - bU)^{-1}
+        a = (cos + 0.5j * sinc * (q2 / sig + sig))[..., None]
+        b = (0.5j * sinc * (q2 / sig - sig))[..., None]
+        beye, aceye = b * eye, a.conj() * eye
+        u = w.conj().T @ u @ w
+        for _ in range(pieces):
+            u = solve_right(a * u + beye, aceye - b * u)
+            d = np.linalg.det(u)
+            phase, det = phase + np.angle(d / det), d
+        u = w @ u @ w.conj().T
+    ub = solve_right(bp.A + 1j * bp.B / sig[..., None], bp.A - 1j * bp.B / sig[..., None])
+    beta = np.mod(np.angle(np.linalg.eigvals(ub.conj().swapaxes(1, 2) @ u)), 2.0 * np.pi).sum(axis=1)
+    # the b_j in closed form, where a Dirichlet channel's 0 cannot round to 2 pi
+    limit = (np.pi + 2.0 * np.arctan(cot / sig)).sum(axis=1)
+    return np.rint((phase + n * np.pi + limit - beta) / (2.0 * np.pi)).astype(int)
+
+
+def bound_states(jt: JostTable) -> np.ndarray:
+    """Bound-state energies ``-kappa^2``, ascending, each repeated
+    ``dim Ker J(i kappa)`` times.
+
+    The decaying solutions ``f(i kappa, x) c`` meet the boundary condition
+    for some ``c != 0`` exactly where
+    ``J(i kappa) = f(i kappa, 0)^dagger B - f'(i kappa, 0)^dagger A`` is
+    singular.  The count of bound states below ``-kappa^2`` is exact at any
+    ``kappa`` (:func:`_states_below`) and drops by ``dim Ker J(i kappa)`` at
+    each root.  Halving ``(0, kappa_max]`` (with a margin) where the count
+    drops, down to rounding, finds every root: a double one as one drop of
+    two, where ``det J`` touches zero without changing sign, and a state
+    behind a barrier, whose wall values turn through ``2 pi`` in a width of
+    ``kappa`` that a scan of ``J`` would step over.
+    ``kappa_max^2 = max(0, -lambda_min(V)) + max(0, max_j cot theta_j)^2``
+    bounds the quadratic form from below.  The zero-energy resonance of the
+    exceptional case is not a bound state, nor is a state with ``kappa``
+    below ``1e-8 kappa_max``.
+
+    Raises
+    ------
+    JostError
+        If ``jt`` carries no Jost matrix (the boundary pair is read from it),
+        or the count at ``kappa_max`` is not zero.
+    """
+    if jt.jmatrix is None:
+        raise JostError("bound_states needs the boundary pair: attach it with jost_matrix(jt, bp)")
+    thetas = diagonalize_boundary(jt.jmatrix.boundary).thetas
+    cot = 1.0 / np.tan(thetas)
+    # angles within the snap tolerance of pi/2 are Neumann channels, as
+    # diagonalize_boundary counts them, rather than a rounded cot of 1e-17
+    attract = np.where(np.abs(thetas - 0.5 * np.pi) > ANGLE_SNAP_TOL, cot, 0.0).max()
+    kmax2 = max(0.0, -np.linalg.eigvalsh(jt.potential.values).min()) + max(0.0, attract) ** 2
+    if kmax2 == 0.0:
+        return np.empty(0)
+    top = 1.0625 * np.sqrt(kmax2)  # a root may sit on kappa_max itself
+    lo, hi = np.array([1e-8 * top]), np.array([top])
+    nlo, nhi = np.split(_states_below(jt, np.append(lo, hi), cot), 2)
+    if nhi[0] != 0:
+        raise JostError(f"{nhi[0]} bound states counted below the bound -kappa_max^2 = {-kmax2:g}")
+    roots = []
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        # the count falls with kappa: clipped, a rounding flip beside a root cannot split it
+        nmid = np.clip(_states_below(jt, mid, cot), nhi, nlo)
+        left, right = nmid < nlo, nhi < nmid  # the halves holding a drop
+        lo, hi, nlo, nhi = (
+            np.concatenate([u[left], v[right]]) for u, v in ((lo, mid), (mid, hi), (nlo, nmid), (nmid, nhi))
+        )
+        done = hi - lo <= 4.0 * np.spacing(hi)
+        roots.append(np.repeat(hi[done], (nlo - nhi)[done]))
+        lo, hi, nlo, nhi = (v[~done] for v in (lo, hi, nlo, nhi))
+    return np.sort(-np.concatenate(roots) ** 2)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ synthesis in one pass over the dense blocks.
 """
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +36,7 @@ from functools import cached_property
 import numpy as np
 from numpy.fft import fft, ifft
 
-from .boundary import BoundaryPair, diagonalize_boundary
+from .boundary import BoundaryPair
 from .grids import (
     KXGrid,
     UniformSpline,
@@ -48,13 +47,11 @@ from .grids import (
     trapezoid_weights,
 )
 from .jost import JostTable
-from .potentials import PotentialSpec
 from .scattering import ScatteringTable
 
 __all__ = [
     "SpectralError",
     "WindowOverflow",
-    "BoundStatesPresent",
     "PhysicalSolutionTable",
     "physical_solution",
     "boundary_residual",
@@ -63,9 +60,6 @@ __all__ = [
     "fourier_maps_adjoint",
     "evolve_spectral",
     "interacting_after_free",
-    "DiscreteHamiltonian",
-    "discrete_hamiltonian",
-    "bound_states",
     "field_norm",
 ]
 
@@ -82,8 +76,6 @@ PHASE_BUDGET = 0.3
 BAND_TOL = 1e-6
 #: abort threshold for mass reaching the outer tenth of the evolution domain
 OVERFLOW_FRACTION = 0.01
-#: eigenvalues of the discrete model below ``-BOUND_STATE_TOL`` are bound states
-BOUND_STATE_TOL = 1e-8
 
 
 class SpectralError(RuntimeError):
@@ -92,11 +84,6 @@ class SpectralError(RuntimeError):
 
 class WindowOverflow(SpectralError):
     """An evolved field reached the outer part of the computational domain."""
-
-
-class BoundStatesPresent(UserWarning):
-    """The operator has negative eigenvalues; only the absolutely continuous
-    component of the field is evolved."""
 
 
 def _as_field(Y: np.ndarray) -> np.ndarray:
@@ -688,7 +675,6 @@ def evolve_spectral(
     Y: np.ndarray,
     t: float | np.ndarray,
     sign: int = +1,
-    hamiltonian: "DiscreteHamiltonian | None" = None,
     xmax_out: float | None = None,
 ) -> np.ndarray:
     """Evolve the absolutely continuous component: ``e^{-itH} P_ac Y`` via
@@ -697,10 +683,9 @@ def evolve_spectral(
     Accepts a single time or a sequence (evolved on one shared dense grid
     sized for the largest |t|, in one pass over its momentum blocks).  The
     result is sampled on the table's spatial step up to ``xmax_out`` (by
-    default the table's window), which may end inside the near field.  If a
-    discrete Hamiltonian is supplied and has negative eigenvalues, a
-    BoundStatesPresent warning lists them: those components are absent from
-    the result by construction.
+    default the table's window), which may end inside the near field.  Bound
+    states, which :func:`~.jost.bound_states` lists, are absent from the
+    result by construction.
 
     Raises
     ------
@@ -712,15 +697,6 @@ def evolve_spectral(
         raise SpectralError(f"evolution times t must be finite, got {t}")
     if xmax_out is not None and not (xmax_out >= 0.0 and np.isfinite(xmax_out)):
         raise SpectralError(f"xmax_out must be non-negative and finite, got {xmax_out}")
-    if hamiltonian is not None:
-        ev = bound_states(hamiltonian)
-        if ev.size:
-            warnings.warn(
-                f"discrete eigenvalues below zero: {np.sort(ev)}; evolving the "
-                "absolutely continuous part only",
-                BoundStatesPresent,
-                stacklevel=2,
-            )
     single = np.isscalar(t) or np.asarray(t).ndim == 0
     Y = _as_field(Y)
     if np.all(times == 0.0) and xmax_out is None:
@@ -772,104 +748,3 @@ def interacting_after_free(
         u, 0.0, stage.dxb, _wall_weights(xs.size, stage.dxb), u_near, mult[None], grid.x,
         lambda Zw: stage.check_overflow(kernel, Zw),
     )[0]
-
-
-# -- discrete Hamiltonian ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscreteHamiltonian:
-    """Banded finite-difference model of the operator with its boundary
-    condition imposed channel-wise in the frame that diagonalizes the pair.
-
-    The boundary row uses a ghost-point elimination and is symmetrized by a
-    diagonal similarity (weight 1/sqrt(2) on the boundary node), so the band
-    is exactly Hermitian; Dirichlet channels simply drop their boundary node.
-    """
-
-    band: np.ndarray  # lower band, shape (n+1, N)
-    index: np.ndarray  # (nx, n) variable numbers, -1 where eliminated
-    mixer: np.ndarray  # unitary channel frame
-    x: np.ndarray
-    dx: float
-    n: int
-    boundary_scale: np.ndarray  # per-variable diagonal similarity
-
-    @cached_property
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        # numpy has no banded eigensolver, and the dense one would cost
-        # O(N^3); this optional model is off the pipeline's path, so scipy
-        # is imported only here
-        from scipy.linalg import eig_banded
-
-        band = self.band.real if not self.band.imag.any() else self.band
-        w, v = eig_banded(band, lower=True)
-        return w, v
-
-    @property
-    def size(self) -> int:
-        return self.band.shape[1]
-
-
-def discrete_hamiltonian(
-    potential: PotentialSpec, bp: BoundaryPair, x: np.ndarray
-) -> DiscreteHamiltonian:
-    """Second-order finite-difference matrix for the operator on the given
-    uniform grid (homogeneous Dirichlet truncation at the right edge).
-
-    Robin channels eliminate the ghost node through the boundary derivative,
-    which makes the boundary row lopsided (``-2/dx^2`` out, ``-1/dx^2`` back);
-    conjugating by ``diag(1/sqrt(2))`` on the boundary node restores a
-    Hermitian band with off-diagonal ``-sqrt(2)/dx^2`` there.
-    """
-    x = np.asarray(x, dtype=float)
-    dx = float(x[1] - x[0])
-    if np.abs(np.diff(x) - dx).max() > 1e-12 * max(1.0, dx):
-        raise SpectralError("the discrete model needs a uniform grid")
-    form = diagonalize_boundary(bp)
-    M = form.M
-    thetas = form.thetas
-    n = M.shape[0]
-
-    nx = x.size
-    index = -np.ones((nx, n), dtype=int)
-    count = 0
-    for j in range(nx - 1):  # right wall eliminated
-        for c in range(n):
-            if j == 0 and form.dirichlet[c]:
-                continue
-            index[j, c] = count
-            count += 1
-    scale = np.ones(count)
-    scale[index[0][~form.dirichlet]] = 1.0 / np.sqrt(2.0)
-
-    vrot = np.einsum("ij,xjl,lm->xim", M.conj().T, potential.value_at(x), M)
-    band = np.zeros((n + 1, count), dtype=complex)
-    inv2 = 1.0 / dx**2
-    for j in range(nx - 1):
-        for c in range(n):
-            i = index[j, c]
-            if i < 0:
-                continue
-            if j == 0:
-                band[0, i] = 2.0 * inv2 * (1.0 - dx / np.tan(thetas[c])) + vrot[
-                    j, c, c
-                ].real
-            else:
-                band[0, i] = 2.0 * inv2 + vrot[j, c, c].real
-            for c2 in range(c + 1, n):
-                i2 = index[j, c2]
-                if i2 >= 0:
-                    band[i2 - i, i] = vrot[j, c2, c]
-            if j + 1 < nx - 1:
-                i2 = index[j + 1, c]
-                band[i2 - i, i] = -inv2 / scale[i]
-    return DiscreteHamiltonian(
-        band=band, index=index, mixer=M, x=x, dx=dx, n=n, boundary_scale=scale
-    )
-
-
-def bound_states(dh: DiscreteHamiltonian) -> np.ndarray:
-    """Negative eigenvalues of the discrete model (below ``-BOUND_STATE_TOL``)."""
-    w, _ = dh.eigenpairs
-    return w[w < -BOUND_STATE_TOL]

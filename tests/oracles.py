@@ -21,13 +21,19 @@ the generalized Fourier maps' near-field sums from whole Faddeev-factor
 tables, against which the sums from the spline's pieces are checked.
 :func:`jost_representation_check` tests the paper's representation
 ``f = e^{ikx} + integral K e^{iky}`` on the package's kernel.
-:func:`f0_synthesis` inverts the package's cosine transform,
-:func:`evolve_discrete` propagates with the package's
-finite-difference model, and :func:`free_jost_matrix` is the closed-form
-Jost matrix of the zero potential.
+:func:`f0_synthesis` inverts the package's cosine transform, and
+:func:`free_jost_matrix` is the closed-form Jost matrix of the zero
+potential.
 
-Imports beyond the top-level ones stay inside the functions: benchmark code
-loads this module into the process it measures.
+The finite-difference model of the operator lives here as well:
+:func:`discrete_hamiltonian` builds it, :func:`discrete_bound_states` lists
+its negative eigenvalues as a cross-check of the exact
+``scatterkit.jost.bound_states``, and :func:`evolve_discrete` propagates
+with it.
+
+Imports beyond the top-level ones stay inside the functions, scipy's
+``eig_banded`` included: benchmark code loads this module into the process it
+measures.
 """
 
 from __future__ import annotations
@@ -545,6 +551,103 @@ def f0_synthesis(grid, Z, x=None):
     xq = grid.x if x is None else np.asarray(x, dtype=float)
     Zw = _as_field(Z) * grid.dk
     return np.sqrt(2.0 / np.pi) * _cosine_sum(Zw, grid.kpos[0], grid.dk, xq)
+
+
+# -- finite-difference model --------------------------------------------------
+
+
+class DiscreteHamiltonian:
+    """Banded second-order finite-difference model of the operator, with its
+    boundary condition imposed channel-wise in the frame that diagonalizes
+    the pair.  Its eigenvalues are off by O(dx) where the potential steps
+    between nodes, and by O(dx^2) elsewhere.
+
+    The boundary row uses a ghost-point elimination and is symmetrized by a
+    diagonal similarity (weight 1/sqrt(2) on the boundary node), so the band
+    is exactly Hermitian; Dirichlet channels simply drop their boundary node.
+    ``band`` is the lower band, shape ``(n + 1, N)``; ``index`` holds the
+    ``(nx, n)`` variable numbers, -1 where eliminated; ``mixer`` is the
+    unitary channel frame and ``boundary_scale`` the per-variable similarity.
+    """
+
+    def __init__(self, band, index, mixer, x, n, boundary_scale):
+        self.band, self.index, self.mixer = band, index, mixer
+        self.x, self.n, self.boundary_scale = x, n, boundary_scale
+        self._eigenpairs = None
+
+    @property
+    def eigenpairs(self):
+        if self._eigenpairs is None:
+            # numpy has no banded eigensolver, and the dense one would cost O(N^3)
+            from scipy.linalg import eig_banded
+
+            band = self.band.real if not self.band.imag.any() else self.band
+            self._eigenpairs = eig_banded(band, lower=True)
+        return self._eigenpairs
+
+    @property
+    def size(self):
+        return self.band.shape[1]
+
+
+def discrete_hamiltonian(potential, bp, x):
+    """Second-order finite-difference matrix for the operator on the given
+    uniform grid (homogeneous Dirichlet truncation at the right edge).
+
+    Robin channels eliminate the ghost node through the boundary derivative,
+    which makes the boundary row lopsided (``-2/dx^2`` out, ``-1/dx^2`` back);
+    conjugating by ``diag(1/sqrt(2))`` on the boundary node restores a
+    Hermitian band with off-diagonal ``-sqrt(2)/dx^2`` there.
+    """
+    from scatterkit.boundary import diagonalize_boundary
+
+    x = np.asarray(x, dtype=float)
+    dx = float(x[1] - x[0])
+    if np.abs(np.diff(x) - dx).max() > 1e-12 * max(1.0, dx):
+        raise ValueError("the discrete model needs a uniform grid")
+    form = diagonalize_boundary(bp)
+    M = form.M
+    thetas = form.thetas
+    n = M.shape[0]
+
+    nx = x.size
+    index = -np.ones((nx, n), dtype=int)
+    count = 0
+    for j in range(nx - 1):  # right wall eliminated
+        for c in range(n):
+            if j == 0 and form.dirichlet[c]:
+                continue
+            index[j, c] = count
+            count += 1
+    scale = np.ones(count)
+    scale[index[0][~form.dirichlet]] = 1.0 / np.sqrt(2.0)
+
+    vrot = np.einsum("ij,xjl,lm->xim", M.conj().T, potential.value_at(x), M)
+    band = np.zeros((n + 1, count), dtype=complex)
+    inv2 = 1.0 / dx**2
+    for j in range(nx - 1):
+        for c in range(n):
+            i = index[j, c]
+            if i < 0:
+                continue
+            if j == 0:
+                band[0, i] = 2.0 * inv2 * (1.0 - dx / np.tan(thetas[c])) + vrot[j, c, c].real
+            else:
+                band[0, i] = 2.0 * inv2 + vrot[j, c, c].real
+            for c2 in range(c + 1, n):
+                i2 = index[j, c2]
+                if i2 >= 0:
+                    band[i2 - i, i] = vrot[j, c2, c]
+            if j + 1 < nx - 1:
+                i2 = index[j + 1, c]
+                band[i2 - i, i] = -inv2 / scale[i]
+    return DiscreteHamiltonian(band=band, index=index, mixer=M, x=x, n=n, boundary_scale=scale)
+
+
+def discrete_bound_states(dh):
+    """Eigenvalues of the discrete model below ``-1e-8``."""
+    w, _ = dh.eigenpairs
+    return w[w < -1e-8]
 
 
 def evolve_discrete(dh, Y, t):

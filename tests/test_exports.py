@@ -24,8 +24,8 @@ def test_all_names_resolve(module_name):
     assert [name for name in exported if not hasattr(module, name)] == []
 
 
-# the package import, then tables for the unit step, all three routes and
-# the evolution, in one process; prints the scipy modules loaded after each
+# the package import, then tables for the unit step, its bound states, all
+# three routes and the evolution, in one process; prints the scipy modules loaded after each
 WHOLE_RUN = """
 import sys
 import scatterkit
@@ -33,7 +33,7 @@ print("import:", *(m for m in sys.modules if m.split(".")[0] == "scipy"))
 import numpy as np
 from scatterkit.boundary import BoundaryPair
 from scatterkit.grids import KXGrid
-from scatterkit.jost import jost_matrix, marchenko_kernel, solve_faddeev
+from scatterkit.jost import bound_states, jost_matrix, marchenko_kernel, solve_faddeev
 from scatterkit.potentials import box_potential
 from scatterkit.scattering import scattering_table
 from scatterkit.spectral import evolve_spectral, physical_solution
@@ -43,6 +43,7 @@ grid = KXGrid.build(kmax=40.0, nk=1024, dx=1 / 128, xmax=12.0)
 potential = box_potential(1.0, 0.0, 1.0)
 jt = jost_matrix(solve_faddeev(potential, grid), BoundaryPair.robin(0.9199161587718891))
 st, kt = scattering_table(jt), marchenko_kernel(jt)
+bound_states(jt)
 pt = physical_solution(jt, st)
 st.s_at(np.array([0.5, 50.0]))
 f = FieldRplus(grid.x, np.exp(-((grid.x - 5.0) ** 2)))

@@ -35,16 +35,13 @@ def test_momentum_grid_symmetric_half_offset():
     np.testing.assert_allclose(g.kpos[-1], g.kmax - 0.5 * g.dk)
 
 
-def test_spatial_grid_weights_and_lookup():
+def test_spatial_grid_weights():
     g = small_grid()
     assert g.x[0] == 0.0
     np.testing.assert_allclose(g.x[-1], 4.0)
     np.testing.assert_allclose(np.diff(g.x), g.dx)
     np.testing.assert_allclose(g.wx.sum(), 4.0)
     np.testing.assert_allclose(g.wx @ g.x, 8.0)  # trapezoid exact on linear
-    assert g.index_of_x(0.5) == 16
-    with pytest.raises(GridError):
-        g.index_of_x(0.51)
 
 
 def test_symmetric_spatial_extension():

@@ -10,6 +10,7 @@ from scatterkit.jost import (
     JostOverflow,
     TailNotNegligible,
     born_term,
+    bound_states,
     faddeev_solve,
     jost_matrix,
     marchenko_kernel,
@@ -343,3 +344,138 @@ def test_born_term_leading_order():
     np.testing.assert_allclose(
         born[1, :, 0, 0], 0.5 * eps * (1.0 - x) ** 2, atol=1e-12
     )
+
+
+# --- bound states: the roots of J(i kappa) ------------------------------------
+
+
+def _bound_states(potential, bp, xmax=4.0):
+    grid = KXGrid.build(kmax=8.0, nk=64, dx=1.0 / 32.0, xmax=xmax)
+    return bound_states(jost_matrix(solve_faddeev(potential, grid), bp))
+
+
+def _jost_at(potential, bp, kappa):
+    """``J(i kappa)`` from the Jost solution at imaginary momenta."""
+    kappa = np.asarray(kappa, dtype=float)
+    m, mprime = faddeev_solve(potential, 1j * kappa, np.array([0.0, potential.support_radius]))
+    f = m[:, 0]
+    fp = mprime - kappa[:, None, None] * f
+    return f.conj().swapaxes(1, 2) @ bp.B - fp.conj().swapaxes(1, 2) @ bp.A
+
+
+def _in_frame(q, potential, bp):
+    """The same operator in the channel frame ``q``: ``V -> q V q^dagger`` and
+    ``(A, B) -> (qA, qB)``."""
+    cells = [
+        (a, b, 0.5 * (q @ v @ q.conj().T + (q @ v @ q.conj().T).conj().T))
+        for a, b, v in zip(potential.breaks[:-1], potential.breaks[1:], potential.values)
+    ]
+    return PotentialSpec.from_cells(potential.n, cells), BoundaryPair.from_matrices(q @ bp.A, q @ bp.B)
+
+
+def test_imaginary_momenta_match_ode_oracle(matrix_potential):
+    kappa = np.array([0.3, 1.7])
+    m, mprime = faddeev_solve(matrix_potential, 1j * kappa, np.linspace(0.0, 2.0, 33))
+    for i, kap in enumerate(kappa):
+        f_ref, fp_ref = oracles.ode_jost(matrix_potential, 1j * kap)
+        np.testing.assert_allclose(m[i, 0], f_ref[0], atol=1e-9)
+        np.testing.assert_allclose(mprime[i] - kap * m[i, 0], fp_ref[0], atol=1e-9)
+
+
+@pytest.mark.parametrize("depth, width", [(5.0, 1.0), (50.0, 10.0)])
+def test_box_well_bound_states_match_shooting_oracle(depth, width):
+    # the wide well binds 23 states, dense in kappa near its bottom
+    found = _bound_states(box_potential(-depth, 0.0, width), BoundaryPair.neumann(), xmax=12.0)
+    exact = oracles.box_well_bound_states(depth=depth, width=width)
+    assert found.size == len(exact)
+    np.testing.assert_allclose(found, exact, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("theta", [0.05, 0.4, GOLDEN_THETA, 1.4, 1.55])
+def test_free_robin_bound_state_is_minus_cot_squared(theta):
+    found = _bound_states(zero_potential(1), BoundaryPair.robin(theta))
+    np.testing.assert_allclose(found, [-1.0 / np.tan(theta) ** 2], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bp",
+    [BoundaryPair.robin(np.pi / 2), BoundaryPair.robin(2.0), BoundaryPair.robin(3.0), BoundaryPair.dirichlet()],
+    ids=["neumann", "robin 2", "robin 3", "dirichlet"],
+)
+def test_free_pair_without_attraction_binds_nothing(bp):
+    assert _bound_states(zero_potential(1), bp).size == 0
+
+
+def test_golden_resonance_is_not_a_bound_state(golden_table):
+    assert golden_table.jmatrix.exceptional
+    assert bound_states(golden_table).size == 0
+
+
+@pytest.mark.parametrize("depths", [(5.0, 5.0), (5.0, 8.0)], ids=["double", "distinct"])
+def test_two_channel_wells_in_any_channel_frame(depths):
+    # equal depths give a double root, where det J touches zero without
+    # changing sign; the list must hold it twice in every frame
+    v = PotentialSpec.from_cells(2, [(0.0, 1.0, np.diag(-np.asarray(depths)))])
+    exact = np.sort(np.concatenate([oracles.box_well_bound_states(d, 1.0) for d in depths]))
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    robin = BoundaryPair.robin(np.array([1.2, 0.7]), n=2)
+    reference = _bound_states(v, robin)
+    # attracting Robin channels lower every energy (min-max)
+    assert reference.size >= exact.size and np.all(reference[: exact.size] < exact)
+    for frame in (np.eye(2), q):
+        found = _bound_states(*_in_frame(frame, v, BoundaryPair.neumann(2)))
+        np.testing.assert_allclose(found, exact, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(_bound_states(*_in_frame(frame, v, robin)), reference, atol=1e-10)
+
+
+@pytest.mark.parametrize("shift", [0.0, 6.0])
+def test_matrix_fixture_count_matches_finite_differences(matrix_potential, shift):
+    cells = zip(matrix_potential.breaks[:-1], matrix_potential.breaks[1:], matrix_potential.values)
+    v = PotentialSpec.from_cells(2, [(a, b, m - shift * np.eye(2)) for a, b, m in cells])
+    bp = BoundaryPair.robin(np.array([np.pi, 0.9]), n=2)
+    found = _bound_states(v, bp)
+    dh = oracles.discrete_hamiltonian(v, bp, np.arange(0.0, 12.0, 1 / 32))
+    fd = np.sort(oracles.discrete_bound_states(dh))
+    assert found.size == fd.size
+    assert np.abs(found - fd).max(initial=0.0) < 5e-2  # the model's first-order error at the steps
+    # each energy makes J(i kappa) singular
+    sv = np.linalg.svd(_jost_at(v, bp, np.sqrt(-found)), compute_uv=False)
+    assert np.all(sv[:, -1] < 1e-12 * sv[:, 0])
+
+
+def test_states_behind_a_barrier():
+    # the deep state sits behind a barrier: its wall values turn through
+    # 2 pi in a relative width of about 1e-7 in kappa, which a scan of J
+    # would step over; the oscillation count does not
+    v = PotentialSpec.from_cells(1, [(0.0, 1.5, 20.0), (1.5, 3.0, -8.0)])
+    found = _bound_states(v, BoundaryPair.neumann(), xmax=12.0)
+    dh = oracles.discrete_hamiltonian(v, BoundaryPair.neumann(), np.arange(0.0, 12.0, 1 / 64))
+    fd = np.sort(oracles.discrete_bound_states(dh))
+    assert found.size == fd.size == 2
+    # the shallow state reaches the model's Dirichlet end at x = 12
+    assert np.abs(found - fd).max() < 5e-3
+    # J = -f'(i kappa, 0) is real here and changes sign at each root
+    below, above = (
+        _jost_at(v, BoundaryPair.neumann(), np.sqrt(-found) * t)[:, 0, 0].real for t in (1 - 1e-9, 1 + 1e-9)
+    )
+    assert np.all(below * above < 0.0)
+
+
+def test_wide_well_overflow_names_the_imaginary_momentum():
+    # at k = 100i on a support of 10, e^{-kappa x_e} underflows and
+    # e^{kappa x} overflows: the table is refused, with the momentum named
+    v = box_potential(-1e4, 0.0, 10.0)
+    with pytest.raises(JostOverflow, match="k=100i") as err:
+        faddeev_solve(v, np.array([100j]), np.array([0.0, 10.0]))
+    assert err.value.k == 100j
+    # lambda + kappa^2 = 0 inside the well: the plane-wave factor alone
+    assert err.value.growth == pytest.approx(1000.0)
+
+
+def test_bound_states_hold_past_the_overflow_of_the_jost_solution():
+    # kappa_max x_e = 850 is past log(float64 max), where the Jost solution
+    # overflows; the count walks a bounded representation of its plane
+    theta = np.arctan(1.0 / 80.0)
+    found = _bound_states(box_potential(1.0, 9.5, 10.0), BoundaryPair.robin(theta), xmax=12.0)
+    np.testing.assert_allclose(found, [-6400.0], rtol=1e-12)

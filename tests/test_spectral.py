@@ -2,9 +2,9 @@
 
 Closed forms used here: the free Neumann solution 2 cos(kx) and Dirichlet
 solution -2i sin(kx); the cosine transform of e^{-x}; the free Gaussian
-propagator by the method of images (oracles.py).  The discrete Hamiltonian is
-cross-checked against an independently assembled dense matrix and against the
-transcendental bound-state oracle for a square well.
+propagator by the method of images (oracles.py).  The finite-difference
+model in oracles.py is cross-checked against an independently assembled dense
+matrix and against the transcendental bound-state oracle for a square well.
 """
 
 import dataclasses
@@ -17,20 +17,17 @@ from hypothesis import strategies as st
 import oracles
 from scatterkit.boundary import BoundaryPair
 from scatterkit.grids import KXGrid, UniformSpline, _cis, simpson_weights, trapezoid_weights
-from scatterkit.jost import jost_matrix, solve_faddeev
+from scatterkit.jost import bound_states, jost_matrix, solve_faddeev
 from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import smatrix
 from scatterkit import grids, spectral
 from scatterkit.spectral import (
-    BoundStatesPresent,
     SpectralError,
     WindowOverflow,
     _build_stage,
     _stage_for,
     _wall_weights,
-    bound_states,
     boundary_residual,
-    discrete_hamiltonian,
     evolve_spectral,
     f0_transform,
     field_norm,
@@ -263,7 +260,7 @@ def test_norm_conservation(wide_grid, golden_physical):
 
 def test_spectral_matches_discrete_exponential(wide_grid):
     pt = _free_table(BoundaryPair.neumann(1), wide_grid)
-    dh = discrete_hamiltonian(zero_potential(1), BoundaryPair.neumann(1), wide_grid.x)
+    dh = oracles.discrete_hamiltonian(zero_potential(1), BoundaryPair.neumann(1), wide_grid.x)
     Y = np.exp(-(wide_grid.x**2) / (2.0 * 6.0**2))
     for t in (10.0, 50.0):
         a = evolve_spectral(pt, Y, t)
@@ -274,7 +271,7 @@ def test_spectral_matches_discrete_exponential(wide_grid):
 def test_discrete_hamiltonian_hermitian_against_dense(matrix_potential):
     bc = BoundaryPair.robin(np.array([np.pi, 0.9]), n=2)
     xg = np.arange(0.0, 6.0, 1 / 16)
-    dh = discrete_hamiltonian(matrix_potential, bc, xg)
+    dh = oracles.discrete_hamiltonian(matrix_potential, bc, xg)
     N = dh.size
     banded = np.zeros((N, N), dtype=complex)
     for u in range(dh.band.shape[0]):
@@ -311,23 +308,23 @@ def test_discrete_hamiltonian_hermitian_against_dense(matrix_potential):
 
 
 def test_free_neumann_discrete_spectrum_bounds(wide_grid):
-    dh = discrete_hamiltonian(zero_potential(1), BoundaryPair.neumann(1), wide_grid.x)
+    dh = oracles.discrete_hamiltonian(zero_potential(1), BoundaryPair.neumann(1), wide_grid.x)
     w, _ = dh.eigenpairs
     assert w.min() > 0.0
     assert w.max() < 4.0 / wide_grid.dx**2
-    assert bound_states(dh).size == 0
+    assert oracles.discrete_bound_states(dh).size == 0
 
 
 def test_free_dirichlet_discrete_no_negatives(small_grid):
-    dh = discrete_hamiltonian(zero_potential(1), BoundaryPair.dirichlet(1), small_grid.x)
-    assert bound_states(dh).size == 0
+    dh = oracles.discrete_hamiltonian(zero_potential(1), BoundaryPair.dirichlet(1), small_grid.x)
+    assert oracles.discrete_bound_states(dh).size == 0
     assert dh.index[0, 0] == -1  # boundary node eliminated
 
 
 def test_well_bound_state_count_matches_oracle():
     xg = np.arange(0.0, 30.0, 1 / 64)
-    dh = discrete_hamiltonian(box_potential(-5.0, 0.0, 1.0), BoundaryPair.neumann(1), xg)
-    found = np.sort(bound_states(dh))
+    dh = oracles.discrete_hamiltonian(box_potential(-5.0, 0.0, 1.0), BoundaryPair.neumann(1), xg)
+    found = np.sort(oracles.discrete_bound_states(dh))
     exact = np.sort(oracles.box_well_bound_states(depth=5.0, width=1.0))
     assert found.size == exact.size
     assert np.abs(found - exact).max() < 2e-2  # first-order error at the step edge
@@ -335,23 +332,23 @@ def test_well_bound_state_count_matches_oracle():
 
 def test_golden_discrete_spectrum_nonnegative(golden_potential, golden_boundary):
     xg = np.arange(0.0, 30.0, 1 / 64)
-    dh = discrete_hamiltonian(golden_potential, golden_boundary, xg)
+    dh = oracles.discrete_hamiltonian(golden_potential, golden_boundary, xg)
     w, _ = dh.eigenpairs
     assert w.min() > -1e-8
-    assert bound_states(dh).size == 0
+    assert oracles.discrete_bound_states(dh).size == 0
 
 
-def test_bound_state_warning_and_projection(wide_grid):
+def test_bound_state_projection(wide_grid):
     pot = box_potential(-5.0, 0.0, 1.0)
     bc = BoundaryPair.neumann(1)
     jt = jost_matrix(solve_faddeev(pot, wide_grid), bc)
     pt = physical_solution(jt, smatrix(jt))  # plateau not needed here
-    dh = discrete_hamiltonian(pot, bc, wide_grid.x)
+    dh = oracles.discrete_hamiltonian(pot, bc, wide_grid.x)
     Y = np.exp(-((wide_grid.x - 3.0) ** 2) / 1.5)
-    with pytest.warns(BoundStatesPresent, match="absolutely continuous"):
-        out = evolve_spectral(pt, Y, 0.0, hamiltonian=dh, xmax_out=50.0)
-    # the projection strips the bound component: overlap with the discrete
-    # ground state collapses and some mass is lost
+    assert bound_states(jt).size == 1
+    out = evolve_spectral(pt, Y, 0.0, xmax_out=50.0)
+    # the projection strips the bound component: overlap with the
+    # finite-difference ground state collapses and some mass is lost
     w, v = dh.eigenpairs
     ground = np.zeros(wide_grid.x.size, dtype=complex)
     mask = dh.index[:, 0] >= 0
