@@ -8,7 +8,7 @@ channel is a combination of ``cos(qs)`` and ``sin(qs)/q`` with
 ``q = sqrt(k^2 - lambda)``.  The solver starts at the support edge and
 propagates ``(f, f')`` exactly from cell edge to cell edge, right to left,
 vectorized over the whole momentum grid; there is no iteration and no
-spatial refinement, and ``k = 0`` and ``k = i kappa`` are the same formula.
+spatial refinement, and ``k = 0`` is the same formula.
 
 Derived objects:
 
@@ -49,31 +49,27 @@ class JostError(RuntimeError):
 class JostOverflow(JostError):
     """The Jost solution outgrows float64 inside an opaque barrier.
 
-    Crossing a cell where ``lambda > Re k^2`` multiplies the solution by up
-    to ``e^{width sqrt(lambda - Re k^2)}``; at ``k = i kappa`` the solution
-    also starts at ``e^{-kappa x_e}`` on the support edge ``x_e``, and
-    ``m = e^{kappa x} f`` carries the inverse factor.  Past
-    ``log(float64 max)`` the tables would be non-finite.
+    Crossing a cell where ``lambda > k^2`` multiplies the solution by up to
+    ``e^{width sqrt(lambda - k^2)}``; past ``log(float64 max)`` the tables
+    would be non-finite.
     """
 
-    def __init__(self, cell: tuple[float, float], k: complex, growth: float):
+    def __init__(self, cell: tuple[float, float], k: float, growth: float):
         self.cell = (float(cell[0]), float(cell[1]))
-        self.k = complex(k)
+        self.k = float(k)
         self.growth = float(growth)
-        at = f"k={self.k.real:g}" if self.k.imag == 0 else f"k={self.k.imag:g}i"
         super().__init__(
             f"Jost solution overflows float64 in the cell [{self.cell[0]:g}, {self.cell[1]:g}] "
-            f"at {at}: its growth exponent |Im k| x_e + integral sqrt(max(lambda - Re k^2, 0)) "
+            f"at k={self.k:g}: its growth exponent integral sqrt(max(lambda - k^2, 0)) "
             f"reaches {self.growth:.4g}, past log(float64 max) = {np.log(np.finfo(float).max):.1f}"
         )
 
     @classmethod
-    def at(cls, edges: np.ndarray, cells: np.ndarray, c: int, k: complex) -> "JostOverflow":
+    def at(cls, edges: np.ndarray, cells: np.ndarray, c: int, k: float) -> "JostOverflow":
         """The error for cell ``c``, with the exponent summed from the right edge."""
-        k = complex(k)
         lam = np.linalg.eigvalsh(cells[c:])[:, -1]
-        barrier = np.diff(edges[c:]) @ np.sqrt(np.clip(lam - (k * k).real, 0.0, None))
-        return cls((edges[c], edges[c + 1]), k, abs(k.imag) * edges[-1] + barrier)
+        growth = float(np.diff(edges[c:]) @ np.sqrt(np.clip(lam - k * k, 0.0, None)))
+        return cls((edges[c], edges[c + 1]), k, growth)
 
 
 class TailNotNegligible(JostError):
@@ -207,16 +203,13 @@ def faddeev_solve(
         f'(x) = U [q sin(qs) U^dagger f(b) + cos(qs) U^dagger f'(b)].
 
     These factors are even in ``q`` and finite at ``q = 0``, so ``k = 0``
-    and ``k^2 = lambda`` take the same formula.  At ``k = i kappa`` the
-    energy ``k^2 = -kappa^2`` is real, so ``q^2`` stays real and the same
-    propagation gives the decaying solution exactly.  Every output node is
-    evaluated from its own cell's right edge, so round-off does not
-    accumulate node by node.
+    and ``k^2 = lambda`` take the same formula.  Every output node is evaluated from its own cell's
+    right edge, so round-off does not accumulate node by node.
 
     Parameters
     ----------
     k : ndarray
-        Real momenta (``k = 0`` allowed) or purely imaginary ones.
+        Momentum values (``k = 0`` allowed).
     x_out : ndarray
         Ascending output nodes; the last node must sit at or beyond the
         potential support.
@@ -231,21 +224,14 @@ def faddeev_solve(
 
     Raises
     ------
-    JostError
-        If a momentum is neither real nor purely imaginary.
     NonHermitian
         If a cell matrix is not Hermitian (``eigh`` would read one triangle).
     JostOverflow
-        If the solution outgrows float64 inside an opaque barrier or, at
-        ``k = i kappa``, ``e^{kappa x_e}`` does; no table with non-finite
-        entries is returned.
+        If the solution outgrows float64 inside an opaque barrier; no table
+        with non-finite entries is returned.
     """
     validate_potential(potential)
-    k = np.asarray(k)
-    if not np.iscomplexobj(k):
-        k = k.astype(float)
-    elif (k.real * k.imag).any():
-        raise JostError("momenta k must be real or purely imaginary, so that k^2 is real")
+    k = np.asarray(k, dtype=float)
     x_out = np.asarray(x_out, dtype=float)
     n = potential.n
     nk, nx = k.size, x_out.size
@@ -276,7 +262,7 @@ def faddeev_solve(
         lam, u = np.linalg.eigh(cells[c])
         lo, hi = np.searchsorted(owner, (c, c + 1))
         s = b - np.append(x_out[lo:hi], a)  # the cell's output nodes, then its left edge
-        q2 = (k * k).real[:, None] - lam  # (nk, n)
+        q2 = (k * k)[:, None] - lam  # (nk, n)
         cos, sinc = _cell_factors(q2, s)
         # f(x) = sum over channels l of cos_l A_l - sinc_l B_l and
         # f'(x) = sum of q2_l sinc_l A_l + cos_l B_l, where
@@ -285,9 +271,9 @@ def faddeev_solve(
         basis = basis.reshape(nk, 2 * n, n * n)
         fcoef = np.concatenate([cos, -sinc], axis=1).swapaxes(1, 2)  # (nk, ns + 1, 2n)
         fpcoef = np.concatenate([q2 * sinc[..., -1], cos[..., -1]], axis=1)[:, None]  # left edge
+        phase = np.exp(-1j * np.outer(k, x_out[lo:hi]))[..., None]
         mc = m_out[:, lo:hi]
-        with np.errstate(over="ignore", invalid="ignore"):  # e^{kappa x} at k = i kappa
-            phase = np.exp(-1j * np.outer(k, x_out[lo:hi]))[..., None]
+        with np.errstate(invalid="ignore"):
             np.matmul(phase * fcoef[:, :-1], basis, out=mc)
             f = (fcoef[:, -1:] @ basis).reshape(nk, n, n)
             fp = (fpcoef @ basis).reshape(nk, n, n)
@@ -429,12 +415,13 @@ def bound_states(jt: JostTable) -> np.ndarray:
     """
     if jt.jmatrix is None:
         raise JostError("bound_states needs the boundary pair: attach it with jost_matrix(jt, bp)")
-    thetas = diagonalize_boundary(jt.jmatrix.boundary).thetas
-    cot = 1.0 / np.tan(thetas)
-    # angles within the snap tolerance of pi/2 are Neumann channels, as
-    # diagonalize_boundary counts them, rather than a rounded cot of 1e-17
-    attract = np.where(np.abs(thetas - 0.5 * np.pi) > ANGLE_SNAP_TOL, cot, 0.0).max()
-    kmax2 = max(0.0, -np.linalg.eigvalsh(jt.potential.values).min()) + max(0.0, attract) ** 2
+    form = diagonalize_boundary(jt.jmatrix.boundary)
+    # channels within the snap tolerance of pi/2 and pi are Neumann and
+    # Dirichlet, as diagonalize_boundary counts them, rather than a rounded
+    # cot of 1e-17 or of +-1e15 (a Dirichlet angle may sit just above pi)
+    neumann = np.abs(form.thetas - 0.5 * np.pi) <= ANGLE_SNAP_TOL
+    cot = np.where(form.dirichlet, -np.inf, np.where(neumann, 0.0, 1.0 / np.tan(form.thetas)))
+    kmax2 = max(0.0, -np.linalg.eigvalsh(jt.potential.values).min()) + max(0.0, cot.max()) ** 2
     if kmax2 == 0.0:
         return np.empty(0)
     top = 1.0625 * np.sqrt(kmax2)  # a root may sit on kappa_max itself

@@ -23,7 +23,9 @@ tables, against which the sums from the spline's pieces are checked.
 ``f = e^{ikx} + integral K e^{iky}`` on the package's kernel.
 :func:`f0_synthesis` inverts the package's cosine transform, and
 :func:`free_jost_matrix` is the closed-form Jost matrix of the zero
-potential.
+potential.  :func:`imaginary_jost_matrix` gives ``J(i kappa)`` by a matrix
+exponential per step cell, at whose zeros the package's bound states are
+checked.
 
 The finite-difference model of the operator lives here as well:
 :func:`discrete_hamiltonian` builds it, :func:`discrete_bound_states` lists
@@ -32,7 +34,7 @@ its negative eigenvalues as a cross-check of the exact
 with it.
 
 Imports beyond the top-level ones stay inside the functions, scipy's
-``eig_banded`` included: benchmark code loads this module into the process it
+``expm`` and ``eig_banded`` included: benchmark code loads this module into the process it
 measures.
 """
 
@@ -99,6 +101,29 @@ def ode_jost(potential, k: complex, x_eval=None, rtol=1e-11, atol=1e-12):
     f = us[:, : n * n].reshape(-1, n, n)
     fp = us[:, n * n :].reshape(-1, n, n)
     return f, fp
+
+
+def imaginary_jost_matrix(potential, bp, kappa):
+    """``J(i kappa) = f(i kappa, 0)^dagger B - f'(i kappa, 0)^dagger A`` for
+    each ``kappa``, shape ``(len(kappa), n, n)``.
+
+    On a step cell ``(f, f')`` solves a constant first-order system, so it
+    crosses the cell by one matrix exponential of
+    ``[[0, I], [V + kappa^2, 0]]``, from ``f = e^{-kappa x_e} I``,
+    ``f' = -kappa f`` at the support edge ``x_e``.
+    """
+    from scipy.linalg import expm
+
+    n, edges = potential.n, np.append(0.0, potential.breaks)  # V = 0 below the first break
+    cells = list(zip(edges[:-1], edges[1:], np.concatenate([np.zeros((1, n, n)), potential.values])))
+    out = []
+    for kap in np.atleast_1d(np.asarray(kappa, dtype=float)):
+        y = np.vstack([np.eye(n), -kap * np.eye(n)]) * np.exp(-kap * edges[-1])
+        for a, b, v in cells[::-1]:
+            gen = np.block([[np.zeros((n, n)), np.eye(n)], [v + kap * kap * np.eye(n), np.zeros((n, n))]])
+            y = expm(-(b - a) * gen) @ y
+        out.append(y[:n].conj().T @ bp.B - y[n:].conj().T @ bp.A)
+    return np.array(out).reshape(-1, n, n)
 
 
 # -- Volterra (Neumann-iteration) Faddeev oracle ---------------------------------

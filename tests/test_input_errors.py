@@ -6,7 +6,7 @@ import pytest
 
 from scatterkit.boundary import BoundaryError, BoundaryPair, diagonalize_boundary, validate_boundary
 from scatterkit.grids import GridError, KXGrid
-from scatterkit.jost import JostError, bound_states, faddeev_solve, jost_matrix, solve_faddeev
+from scatterkit.jost import JostError, bound_states, jost_matrix, solve_faddeev
 from scatterkit.potentials import PotentialError, PotentialSpec, validate_potential
 from scatterkit.scattering import smatrix
 from scatterkit.spectral import SpectralError, evolve_spectral, physical_solution
@@ -62,11 +62,6 @@ CASES = {
     "diagonalize nan": (lambda: diagonalize_boundary(_pair(NAN)), BoundaryError, "matrix A"),
     "jost matrix nan": (lambda: jost_matrix(_free_jost(), _pair(NAN)), BoundaryError, "matrix A"),
     "bound states without J": (lambda: bound_states(_free_jost()), JostError, "jost_matrix"),
-    "complex momentum": (
-        lambda: faddeev_solve(_potential(1.0), np.array([1.0 + 1.0j]), np.array([0.0, 1.0])),
-        JostError,
-        "momenta k",
-    ),
     "evolve nan": (_evolve_nan, SpectralError, "times t"),
     "empty schedule": (_empty_schedule, WaveOpError, "tschedule"),
 }

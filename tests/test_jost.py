@@ -354,15 +354,6 @@ def _bound_states(potential, bp, xmax=4.0):
     return bound_states(jost_matrix(solve_faddeev(potential, grid), bp))
 
 
-def _jost_at(potential, bp, kappa):
-    """``J(i kappa)`` from the Jost solution at imaginary momenta."""
-    kappa = np.asarray(kappa, dtype=float)
-    m, mprime = faddeev_solve(potential, 1j * kappa, np.array([0.0, potential.support_radius]))
-    f = m[:, 0]
-    fp = mprime - kappa[:, None, None] * f
-    return f.conj().swapaxes(1, 2) @ bp.B - fp.conj().swapaxes(1, 2) @ bp.A
-
-
 def _in_frame(q, potential, bp):
     """The same operator in the channel frame ``q``: ``V -> q V q^dagger`` and
     ``(A, B) -> (qA, qB)``."""
@@ -371,15 +362,6 @@ def _in_frame(q, potential, bp):
         for a, b, v in zip(potential.breaks[:-1], potential.breaks[1:], potential.values)
     ]
     return PotentialSpec.from_cells(potential.n, cells), BoundaryPair.from_matrices(q @ bp.A, q @ bp.B)
-
-
-def test_imaginary_momenta_match_ode_oracle(matrix_potential):
-    kappa = np.array([0.3, 1.7])
-    m, mprime = faddeev_solve(matrix_potential, 1j * kappa, np.linspace(0.0, 2.0, 33))
-    for i, kap in enumerate(kappa):
-        f_ref, fp_ref = oracles.ode_jost(matrix_potential, 1j * kap)
-        np.testing.assert_allclose(m[i, 0], f_ref[0], atol=1e-9)
-        np.testing.assert_allclose(mprime[i] - kap * m[i, 0], fp_ref[0], atol=1e-9)
 
 
 @pytest.mark.parametrize("depth, width", [(5.0, 1.0), (50.0, 10.0)])
@@ -399,10 +381,18 @@ def test_free_robin_bound_state_is_minus_cot_squared(theta):
 
 @pytest.mark.parametrize(
     "bp",
-    [BoundaryPair.robin(np.pi / 2), BoundaryPair.robin(2.0), BoundaryPair.robin(3.0), BoundaryPair.dirichlet()],
-    ids=["neumann", "robin 2", "robin 3", "dirichlet"],
+    [
+        BoundaryPair.robin(np.pi / 2),
+        BoundaryPair.robin(2.0),
+        BoundaryPair.robin(3.0),
+        BoundaryPair.dirichlet(),
+        BoundaryPair.robin(np.pi + 1e-12),
+    ],
+    ids=["neumann", "robin 2", "robin 3", "dirichlet", "dirichlet above pi"],
 )
 def test_free_pair_without_attraction_binds_nothing(bp):
+    # a Dirichlet angle within the snap tolerance above pi has a cot of
+    # +1e12, which must count as Dirichlet rather than as an attraction
     assert _bound_states(zero_potential(1), bp).size == 0
 
 
@@ -420,13 +410,17 @@ def test_two_channel_wells_in_any_channel_frame(depths):
     rng = np.random.default_rng(7)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     robin = BoundaryPair.robin(np.array([1.2, 0.7]), n=2)
-    reference = _bound_states(v, robin)
-    # attracting Robin channels lower every energy (min-max)
+    mixed = BoundaryPair.robin(np.array([np.pi, 0.7]), n=2)  # Dirichlet and Robin
+    reference, mixed_reference = _bound_states(v, robin), _bound_states(v, mixed)
+    # attracting Robin channels lower every energy, a Dirichlet one raises them (min-max)
     assert reference.size >= exact.size and np.all(reference[: exact.size] < exact)
+    assert 1 <= mixed_reference.size <= reference.size
+    assert np.all(mixed_reference >= reference[: mixed_reference.size])
     for frame in (np.eye(2), q):
         found = _bound_states(*_in_frame(frame, v, BoundaryPair.neumann(2)))
         np.testing.assert_allclose(found, exact, rtol=0.0, atol=1e-10)
         np.testing.assert_allclose(_bound_states(*_in_frame(frame, v, robin)), reference, atol=1e-10)
+        np.testing.assert_allclose(_bound_states(*_in_frame(frame, v, mixed)), mixed_reference, atol=1e-10)
 
 
 @pytest.mark.parametrize("shift", [0.0, 6.0])
@@ -440,7 +434,7 @@ def test_matrix_fixture_count_matches_finite_differences(matrix_potential, shift
     assert found.size == fd.size
     assert np.abs(found - fd).max(initial=0.0) < 5e-2  # the model's first-order error at the steps
     # each energy makes J(i kappa) singular
-    sv = np.linalg.svd(_jost_at(v, bp, np.sqrt(-found)), compute_uv=False)
+    sv = np.linalg.svd(oracles.imaginary_jost_matrix(v, bp, np.sqrt(-found)), compute_uv=False)
     assert np.all(sv[:, -1] < 1e-12 * sv[:, 0])
 
 
@@ -456,21 +450,9 @@ def test_states_behind_a_barrier():
     # the shallow state reaches the model's Dirichlet end at x = 12
     assert np.abs(found - fd).max() < 5e-3
     # J = -f'(i kappa, 0) is real here and changes sign at each root
-    below, above = (
-        _jost_at(v, BoundaryPair.neumann(), np.sqrt(-found) * t)[:, 0, 0].real for t in (1 - 1e-9, 1 + 1e-9)
-    )
+    jost = [oracles.imaginary_jost_matrix(v, BoundaryPair.neumann(), np.sqrt(-found) * t) for t in (1 - 1e-9, 1 + 1e-9)]
+    below, above = (j[:, 0, 0].real for j in jost)
     assert np.all(below * above < 0.0)
-
-
-def test_wide_well_overflow_names_the_imaginary_momentum():
-    # at k = 100i on a support of 10, e^{-kappa x_e} underflows and
-    # e^{kappa x} overflows: the table is refused, with the momentum named
-    v = box_potential(-1e4, 0.0, 10.0)
-    with pytest.raises(JostOverflow, match="k=100i") as err:
-        faddeev_solve(v, np.array([100j]), np.array([0.0, 10.0]))
-    assert err.value.k == 100j
-    # lambda + kappa^2 = 0 inside the well: the plane-wave factor alone
-    assert err.value.growth == pytest.approx(1000.0)
 
 
 def test_bound_states_hold_past_the_overflow_of_the_jost_solution():
