@@ -15,9 +15,10 @@ Derived objects:
 * the Jost matrix ``J(k) = f(-k, 0)^dagger B - f'(-k, 0)^dagger A``;
 * the bound states, the energies ``-kappa^2`` where ``J(i kappa)`` is
   singular, from an exact count of the states below each energy;
-* the Marchenko kernel ``K(x, y)``, the Fourier synthesis of ``m - I``,
-  entering the representation
-  ``f(k, x) = e^{ikx} I + integral_x^inf K(x, y) e^{iky} dy``.
+* the Marchenko kernel ``K(x, y)`` of ``f(k, x) = e^{ikx} I + integral_x^inf
+  K(x, y) e^{iky} dy``: its first Born part ``K_1(x, y) = (1/2)
+  integral_{(x+y)/2}^inf V``, exact with its jump at ``y = x``, plus the
+  Fourier synthesis of the rest of ``m - I``.
 
 The table keeps ``m`` on the near field, which the kernel and the Fourier
 maps read, and ``m'`` at the wall only: the Jost matrix, ``S`` and the
@@ -36,10 +37,9 @@ from .grids import KXGrid, fourier_sum, trapezoid_weights
 from .potentials import PotentialSpec, _spectral_norms, tail_integral, validate_potential
 
 EXCEPTIONAL_TOL = 1e-6
-#: largest edge-to-peak fraction of the Born-subtracted kernel integrand
+#: largest edge-to-peak fraction of the kernel's synthesized remainder
+#: ``m - I - born_term``
 TAIL_TOL = 5e-3
-#: kernel columns reach this far past twice the support radius
-Y_MARGIN = 0.5
 
 
 class JostError(RuntimeError):
@@ -337,7 +337,9 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
     return replace(jt, jmatrix=jm)
 
 
-def _states_below(jt: JostTable, kappa: np.ndarray, cot: np.ndarray) -> np.ndarray:
+def _states_below(
+    pot: PotentialSpec, bp: BoundaryPair, kappa: np.ndarray, cot: np.ndarray
+) -> np.ndarray:
     """How many bound states lie below ``-kappa^2``, for each ``kappa``.
 
     The Lagrangian plane of ``(f, f'/sigma)`` is held as the unitary
@@ -354,7 +356,7 @@ def _states_below(jt: JostTable, kappa: np.ndarray, cot: np.ndarray) -> np.ndarr
     ``kappa -> infinity``), all taken in ``[0, 2 pi)``, the count is
     ``(Theta + n pi + sum b_j - sum phases(W)) / 2 pi``.
     """
-    pot, bp, n = jt.potential, jt.jmatrix.boundary, jt.n
+    n = pot.n
     edges = np.unique(np.clip(np.append(pot.breaks, 0.0), 0.0, pot.support_radius))
     cells = pot.segment_values(edges)
     k2 = (kappa * kappa)[:, None]
@@ -388,7 +390,7 @@ def _states_below(jt: JostTable, kappa: np.ndarray, cot: np.ndarray) -> np.ndarr
     return np.rint((phase + n * np.pi + limit - beta) / (2.0 * np.pi)).astype(int)
 
 
-def bound_states(jt: JostTable) -> np.ndarray:
+def bound_states(potential: PotentialSpec, bp: BoundaryPair) -> np.ndarray:
     """Bound-state energies ``-kappa^2``, ascending, each repeated
     ``dim Ker J(i kappa)`` times.
 
@@ -409,31 +411,35 @@ def bound_states(jt: JostTable) -> np.ndarray:
 
     Raises
     ------
+    PotentialError
+        If the potential is not admissible (:func:`~.potentials.validate_potential`).
+    BoundaryError
+        If the pair is not admissible (:func:`~.boundary.validate_boundary`).
     JostError
-        If ``jt`` carries no Jost matrix (the boundary pair is read from it),
-        or the count at ``kappa_max`` is not zero.
+        If the dimensions differ, or the count at ``kappa_max`` is not zero.
     """
-    if jt.jmatrix is None:
-        raise JostError("bound_states needs the boundary pair: attach it with jost_matrix(jt, bp)")
-    form = diagonalize_boundary(jt.jmatrix.boundary)
+    validate_potential(potential)
+    if bp.n != potential.n:
+        raise JostError(f"boundary dimension {bp.n} does not match potential {potential.n}")
+    form = diagonalize_boundary(bp)
     # channels within the snap tolerance of pi/2 and pi are Neumann and
     # Dirichlet, as diagonalize_boundary counts them, rather than a rounded
     # cot of 1e-17 or of +-1e15 (a Dirichlet angle may sit just above pi)
     neumann = np.abs(form.thetas - 0.5 * np.pi) <= ANGLE_SNAP_TOL
     cot = np.where(form.dirichlet, -np.inf, np.where(neumann, 0.0, 1.0 / np.tan(form.thetas)))
-    kmax2 = max(0.0, -np.linalg.eigvalsh(jt.potential.values).min()) + max(0.0, cot.max()) ** 2
+    kmax2 = max(0.0, -np.linalg.eigvalsh(potential.values).min()) + max(0.0, cot.max()) ** 2
     if kmax2 == 0.0:
         return np.empty(0)
     top = 1.0625 * np.sqrt(kmax2)  # a root may sit on kappa_max itself
     lo, hi = np.array([1e-8 * top]), np.array([top])
-    nlo, nhi = np.split(_states_below(jt, np.append(lo, hi), cot), 2)
+    nlo, nhi = np.split(_states_below(potential, bp, np.append(lo, hi), cot), 2)
     if nhi[0] != 0:
         raise JostError(f"{nhi[0]} bound states counted below the bound -kappa_max^2 = {-kmax2:g}")
     roots = []
     while lo.size:
         mid = 0.5 * (lo + hi)
         # the count falls with kappa: clipped, a rounding flip beside a root cannot split it
-        nmid = np.clip(_states_below(jt, mid, cot), nhi, nlo)
+        nmid = np.clip(_states_below(potential, bp, mid, cot), nhi, nlo)
         left, right = nmid < nlo, nhi < nmid  # the halves holding a drop
         lo, hi, nlo, nhi = (
             np.concatenate([u[left], v[right]]) for u, v in ((lo, mid), (mid, hi), (nlo, nmid), (nmid, nhi))
@@ -451,40 +457,30 @@ class KernelTable:
     Attributes
     ----------
     x : ndarray
-        Row nodes (near field, within the potential support).
+        Row nodes (near field, within the potential support), ``grid.x[:len(x)]``.
     y : ndarray
-        Column nodes, reaching past twice the support radius.
-    raw : ndarray
-        Bare band-limited synthesis, shape ``(len(x), len(y), n, n)`` (keeps
-        the smeared sub-diagonal mass of the jump at ``y = x``); integrates
-        exactly against band-limited fields, so all operator applications
-        use it.  The contract form ``values`` is derived from it.
+        Column nodes ``grid.x[:len(y)]``, ending at the first node at or past
+        twice the support radius (the kernel vanishes for ``x + y > 2 X_V``),
+        and at least two of them.
+    values : ndarray
+        ``K(x, y)``, shape ``(len(x), len(y), n, n)``, exactly 0 for ``y < x``.
+        The diagonal node holds half the jump ``K(x, x+)``, so that a
+        trapezoid rule over all columns counts only ``y >= x``; the wall row,
+        whose column weight is already half, holds all of it.
     diagonal : ndarray
         The jump ``K(x, x+) = (1/2) integral_x^inf V``, exact over the cells;
         shape ``(len(x), n, n)``.
     tail_fraction : float
-        Edge-to-peak fraction of the (first-Born-subtracted) synthesis
-        integrand; a large value means the momentum window was too small.
+        Edge-to-peak fraction of the synthesized remainder ``m - I - born_term``;
+        a large value means the momentum window was too small.
     """
 
     x: np.ndarray
     y: np.ndarray
-    raw: np.ndarray
+    values: np.ndarray
     diagonal: np.ndarray
     tail_fraction: float
     n: int
-
-    @property
-    def _below(self) -> np.ndarray:
-        """Where ``y < x``, outside the kernel's support; shape ``(len(x), len(y))``."""
-        return self.y[None, :] < self.x[:, None] - 1e-12
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """Contract form: ``raw`` with ``K(x, y) = 0`` enforced for ``y < x``."""
-        values = self.raw.copy()
-        values[self._below] = 0.0
-        return values
 
     @cached_property
     def wy(self) -> np.ndarray:
@@ -496,23 +492,20 @@ class KernelTable:
 
     @cached_property
     def _schur(self) -> tuple[float, float]:
-        """Both Schur integrals from one table of spectral norms ``|K(x, y)|``
-        of the supported values."""
-        # row-major, so that each row's integral is a pairwise sum in memory
-        norms = np.ascontiguousarray(_spectral_norms(self.raw))
-        norms[self._below] = 0.0
+        """Both Schur integrals from one table of spectral norms ``|K(x, y)|``."""
+        norms = _spectral_norms(self.values)
         row = (norms * self.wy[None, :]).sum(axis=1).max()
         col = (norms * self.wx[:, None]).sum(axis=0).max()
         return float(row), float(col)
 
     @property
     def schur_row(self) -> float:
-        """sup_x integral |K(x, y)| dy (spectral norms, supported values)."""
+        """sup_x integral |K(x, y)| dy (spectral norms)."""
         return self._schur[0]
 
     @property
     def schur_col(self) -> float:
-        """sup_y integral |K(x, y)| dx (spectral norms, supported values)."""
+        """sup_y integral |K(x, y)| dx (spectral norms)."""
         return self._schur[1]
 
 
@@ -520,8 +513,11 @@ def born_term(potential: PotentialSpec, k: np.ndarray, x: np.ndarray) -> np.ndar
     """First Born approximation ``integral_x^inf D_k(y-x) V(y) dy`` in closed
     form over the cells; shape ``(len(k), len(x), n, n)``.
 
-    This carries the entire ``O(1/k)`` tail of ``m - I`` and is subtracted
-    when judging whether the momentum window covers the nonlinear remainder.
+    It is the momentum transform of the first Born kernel
+    ``K_1(x, y) = (1/2) integral_{(x+y)/2}^inf V`` and carries the entire
+    ``O(1/k)`` tail of ``m - I``, with the jump of ``K`` at ``y = x``;
+    :func:`marchenko_kernel` takes ``K_1`` in closed form and synthesizes
+    only the rest.
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -557,46 +553,45 @@ def _largest_norm(mats: np.ndarray) -> float:
 
 
 def marchenko_kernel(jt: JostTable) -> KernelTable:
-    """Synthesize the Marchenko kernel from the Faddeev table.
+    """The Marchenko kernel: its first Born part plus a synthesized remainder.
 
-    ``K(x, y) = (1/2pi) integral e^{ik(x-y)} (m(k, x) - I) dk`` with the
-    grid's smooth taper; columns cover ``[0, 2 X_V + Y_MARGIN]`` (the kernel is
-    supported in ``x + y <= 2 X_V``).
+    ``K = K_1 + (1/2pi) integral e^{-ik(y-x)} R(k, x) dk`` on ``y >= x``, with
+    ``K_1(x, y) = (1/2) integral_{(x+y)/2}^inf V`` exact over the cells, jump
+    at ``y = x`` included, and ``R = m - I -`` :func:`born_term` its
+    ``O(1/k^2)`` remainder, summed untapered.  Rows and columns are prefixes
+    of ``grid.x``, so one Fourier sum over the offsets ``y - x`` serves every
+    row, and ``K_1`` reads the tail integral on the half-step nodes.
 
     Raises
     ------
     TailNotNegligible
-        If the Born-subtracted integrand at the window edge exceeds
-        ``TAIL_TOL`` of its peak: the nonlinear part of ``m - I`` has not
-        decayed inside the momentum window.
+        If the remainder at the window edge exceeds ``TAIL_TOL`` of its
+        peak: the nonlinear part of ``m - I`` has not decayed inside the
+        momentum window.
     """
     grid = jt.grid
-    k, xv, n = jt.k, jt.xv, jt.n
-    ymax = min(2.0 * jt.support_radius + Y_MARGIN, grid.xmax)
-    y = grid.x[grid.x <= ymax + 1e-12]
-    taper = grid.taper
+    k, nx, n = jt.k, jt.xv.size, jt.n
+    ny = min(grid.x.size, max(2, 2 * nx - 1))
+    y = grid.x[:ny]
 
-    g = jt.m - np.eye(n)  # (Nk, Nx, n, n)
-    # window check on the Born-subtracted remainder
-    remainder = g - born_term(jt.potential, k, xv)
+    remainder = jt.m - np.eye(n)
+    remainder -= born_term(jt.potential, k, jt.xv)
     peak = _largest_norm(remainder)
     edge = _largest_norm(remainder[np.abs(k) >= 0.9 * grid.kmax])
     tail_fraction = edge / peak if peak > 0 else 0.0
     if tail_fraction > TAIL_TOL:
         raise TailNotNegligible(
-            f"kernel integrand edge fraction {tail_fraction:.2e} exceeds {TAIL_TOL:.1e}; "
+            f"kernel remainder edge fraction {tail_fraction:.2e} exceeds {TAIL_TOL:.1e}; "
             "increase the momentum window"
         )
 
-    gt = g * taper[:, None, None, None]
-    h = gt * np.exp(1j * np.outer(k, xv))[:, :, None, None]
-    raw = (grid.dk / (2.0 * np.pi)) * fourier_sum(h, k[0], grid.dk, y, -1).swapaxes(0, 1)
-
-    return KernelTable(
-        x=xv,
-        y=y,
-        raw=raw,
-        diagonal=0.5 * tail_integral(jt.potential, xv),
-        tail_fraction=tail_fraction,
-        n=n,
-    )
+    # k1[m] is K_1 at (x + y)/2 = m dx/2; synth[d, i] is the remainder's kernel at (x_i, x_i + y_d)
+    k1 = 0.5 * tail_integral(jt.potential, 0.5 * grid.dx * np.arange(nx + ny - 1))
+    synth = (grid.dk / (2.0 * np.pi)) * fourier_sum(remainder, k[0], grid.dk, y, -1)
+    rows, cols = np.triu_indices(nx, 0, ny)
+    values = np.zeros((nx, ny, n, n), dtype=complex)
+    values[rows, cols] = k1[rows + cols] + synth[cols - rows, rows]
+    inner = np.arange(1, nx)
+    values[inner, inner] -= 0.5 * k1[2 * inner]  # half the jump, off the wall row
+    diagonal = k1[: 2 * nx : 2]
+    return KernelTable(x=jt.xv, y=y, values=values, diagonal=diagonal, tail_fraction=tail_fraction, n=n)

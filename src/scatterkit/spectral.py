@@ -40,6 +40,7 @@ from .boundary import BoundaryPair
 from .grids import (
     KXGrid,
     UniformSpline,
+    _phases,
     fourier_sum,
     hermite_weights,
     next_fast_len,
@@ -191,35 +192,6 @@ def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np
 
 
 # -- generalized Fourier maps ------------------------------------------------
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of float64 ``a`` into a 26-bit head and its tail, so
-    that the product of two heads is exact."""
-    c = 134217729.0 * a  # 2^27 + 1
-    head = c - (c - a)
-    return head, a - head
-
-
-def _phases(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``e^{i q x}`` on uniform nodes ``x`` from zero, shape ``q.shape +
-    x.shape``: the product of ``e^{i q x[bB]}`` and ``e^{i q x[r]}`` at node
-    ``bB + r``, with ``B = ceil(sqrt(len(x)))``, so each momentum takes about
-    ``2 sqrt(len(x))`` complex exponentials instead of ``len(x)``.
-
-    The coarse arguments are the long ones, so they are split: the product
-    of the heads of ``q`` and ``x[bB]`` is exact, and the small rest enters
-    through ``e^{i s} = 1 + i s - s^2/2``.  Rounding ``q x`` would cost up to
-    half an ulp of the phase, ``3.6e-15`` at ``|q x| = 40``.
-    """
-    B = int(np.ceil(np.sqrt(x.size)))
-    q_head, q_tail = _split(q)
-    x_head, x_tail = _split(x[::B])
-    rest = np.multiply.outer(q_head, x_tail) + np.multiply.outer(q_tail, x[::B])
-    coarse = np.exp(1j * np.multiply.outer(q_head, x_head)) * (1.0 - 0.5 * rest**2 + 1j * rest)
-    fine = np.exp(1j * np.multiply.outer(q, x[:B]))
-    out = coarse[..., :, None] * fine[..., None, :]
-    return out.reshape(q.shape + (-1,))[..., : x.size]
 
 
 @dataclass(frozen=True)

@@ -423,8 +423,9 @@ def _kernel_grid_check(kt: KernelTable, f: FieldRplus) -> None:
 
 
 def kernel_apply(kt: KernelTable, f: FieldRplus) -> FieldRplus:
-    """``integral_0^inf K(x, y) Y(y) dy`` using the band-limited kernel
-    synthesis (it integrates exactly against band-limited fields).
+    """``integral_x^inf K(x, y) Y(y) dy`` by the trapezoid rule over the
+    kernel's columns: ``kt.values`` is zero for ``y < x`` and holds half the
+    jump at ``y = x``, so each row's sum starts at its diagonal.
 
     Raises
     ------
@@ -438,10 +439,8 @@ def kernel_apply(kt: KernelTable, f: FieldRplus) -> FieldRplus:
     _kernel_gate(kt)
     _kernel_grid_check(kt, f)
     out = np.zeros_like(f.values)
-    ny = kt.y.size
-    out[: kt.x.size] = np.einsum(
-        "xyij,y,yj->xi", kt.raw, kt.wy, f.values[:ny]
-    )
+    weighted = kt.wy[:, None] * f.values[: kt.y.size]
+    out[: kt.x.size] = np.tensordot(kt.values, weighted, axes=([1, 3], [0, 1]))
     return f.replace_values(out)
 
 
@@ -455,9 +454,8 @@ def kernel_apply_adjoint(kt: KernelTable, f: FieldRplus) -> FieldRplus:
     nxk = kt.x.size
     ny = kt.y.size
     out = np.zeros_like(f.values)
-    out[:ny] = np.einsum(
-        "xyli,x,xl->yi", kt.raw.conj(), wg[:nxk], f.values[:nxk]
-    )
+    weighted = np.conj(wg[:nxk, None] * f.values[:nxk])
+    out[:ny] = np.conj(np.tensordot(weighted, kt.values, axes=([0, 1], [0, 2])))
     out[:ny] *= (kt.wy / wg[:ny])[:, None]
     return f.replace_values(out)
 

@@ -534,11 +534,14 @@ def map_kernel_near_sums(pt, k, sign, S, Yc, Zw):
 
 
 def jost_representation_check(jt, kt, k_samples=48):
-    """Residual of ``f(k,x) = e^{ikx} I + integral_x K(x,y) e^{iky} dy``.
+    """Residual of ``f(k,x) = e^{ikx} I + integral_x K(x,y) e^{iky} dy``, the
+    integral taken by the trapezoid rule over the kernel's columns on
+    ``kt.values`` (zero below the diagonal, half the jump on the diagonal
+    node).
 
-    Momenta are sampled well inside the untapered window so the raw kernel
-    synthesis represents the exact transform there; the defect is then pure
-    quadrature error, ``O(dy^2)``.
+    Momenta are sampled inside ``0.45 k_max``.  The jump sits in the exact
+    first Born part, so the defect is the quadrature error of the smooth
+    parts plus the synthesized remainder's truncation at ``k_max``.
 
     Returns
     -------
@@ -551,7 +554,7 @@ def jost_representation_check(jt, kt, k_samples=48):
     kmax = float(np.abs(k).max())
     inner = np.flatnonzero(np.abs(k) <= 0.45 * kmax)
     sel = inner[np.linspace(0, inner.size - 1, min(k_samples, inner.size)).astype(int)]
-    weighted = (kt.raw * kt.wy[None, :, None, None]).swapaxes(0, 1)  # (Ny, Nx, n, n)
+    weighted = (kt.values * kt.wy[None, :, None, None]).swapaxes(0, 1)  # (Ny, Nx, n, n)
     integ = fourier_sum(weighted, kt.y[0], kt.y[1] - kt.y[0], k[sel])
     phase = np.exp(1j * np.outer(k[sel], xv))[:, :, None, None]
     f_rep = phase * np.eye(jt.n) + integ
@@ -670,9 +673,12 @@ def discrete_hamiltonian(potential, bp, x):
 
 
 def discrete_bound_states(dh):
-    """Eigenvalues of the discrete model below ``-1e-8``."""
-    w, _ = dh.eigenpairs
-    return w[w < -1e-8]
+    """Eigenvalues of the discrete model below ``-1e-8``, ascending; no
+    eigenvectors are formed."""
+    from scipy.linalg import eig_banded
+
+    band = dh.band.real if not dh.band.imag.any() else dh.band
+    return eig_banded(band, lower=True, eigvals_only=True, select="v", select_range=(-np.inf, -1e-8))
 
 
 def evolve_discrete(dh, Y, t):

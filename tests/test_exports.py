@@ -41,9 +41,10 @@ from scatterkit.waveop import FieldRplus, wave_op_decomposed, wave_op_l1_form, w
 
 grid = KXGrid.build(kmax=40.0, nk=1024, dx=1 / 128, xmax=12.0)
 potential = box_potential(1.0, 0.0, 1.0)
-jt = jost_matrix(solve_faddeev(potential, grid), BoundaryPair.robin(0.9199161587718891))
+bp = BoundaryPair.robin(0.9199161587718891)
+jt = jost_matrix(solve_faddeev(potential, grid), bp)
 st, kt = scattering_table(jt), marchenko_kernel(jt)
-bound_states(jt)
+bound_states(potential, bp)
 pt = physical_solution(jt, st)
 st.s_at(np.array([0.5, 50.0]))
 f = FieldRplus(grid.x, np.exp(-((grid.x - 5.0) ** 2)))

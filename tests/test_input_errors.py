@@ -61,7 +61,8 @@ CASES = {
     "boundary inf": (lambda: validate_boundary(_pair(INF)), BoundaryError, "matrix A"),
     "diagonalize nan": (lambda: diagonalize_boundary(_pair(NAN)), BoundaryError, "matrix A"),
     "jost matrix nan": (lambda: jost_matrix(_free_jost(), _pair(NAN)), BoundaryError, "matrix A"),
-    "bound states without J": (lambda: bound_states(_free_jost()), JostError, "jost_matrix"),
+    "bound states nan": (lambda: bound_states(_potential(NAN), _pair(0.0)), PotentialError, "finite"),
+    "bound states dimension": (lambda: bound_states(_potential(1.0), BoundaryPair.neumann(2)), JostError, "dimension"),
     "evolve nan": (_evolve_nan, SpectralError, "times t"),
     "empty schedule": (_empty_schedule, WaveOpError, "tschedule"),
 }

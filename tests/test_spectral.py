@@ -345,7 +345,7 @@ def test_bound_state_projection(wide_grid):
     pt = physical_solution(jt, smatrix(jt))  # plateau not needed here
     dh = oracles.discrete_hamiltonian(pot, bc, wide_grid.x)
     Y = np.exp(-((wide_grid.x - 3.0) ** 2) / 1.5)
-    assert bound_states(jt).size == 1
+    assert bound_states(pot, bc).size == 1
     out = evolve_spectral(pt, Y, 0.0, xmax_out=50.0)
     # the projection strips the bound component: overlap with the
     # finite-difference ground state collapses and some mass is lost

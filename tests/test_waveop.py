@@ -300,7 +300,7 @@ def test_kernel_apply_matches_row_quadrature(golden_wave):
     out = kernel_apply(kt, f)
     ny = kt.y.size
     rows = np.array([
-        np.trapezoid(kt.raw[i, :, 0, 0] * f.values[:ny, 0], kt.y) for i in range(kt.x.size)
+        np.trapezoid(kt.values[i, :, 0, 0] * f.values[:ny, 0], kt.y) for i in range(kt.x.size)
     ])
     assert np.abs(out.values[: kt.x.size, 0] - rows).max() < 1e-12
     assert np.abs(out.values[kt.x.size :]).max() == 0.0
@@ -308,7 +308,7 @@ def test_kernel_apply_matches_row_quadrature(golden_wave):
     rhs = _inner_plus(kernel_apply_adjoint(kt, f), f)
     assert abs(lhs - rhs) < 1e-10
     # the Schur integrals scale with the kernel: scaled to twice the ceiling
-    loud = replace(kt, raw=(2.0 * waveop.SCHUR_BOUND / max(kt.schur_row, kt.schur_col)) * kt.raw)
+    loud = replace(kt, values=(2.0 * waveop.SCHUR_BOUND / max(kt.schur_row, kt.schur_col)) * kt.values)
     assert max(loud.schur_row, loud.schur_col) > waveop.SCHUR_BOUND
     for op in (kernel_apply, kernel_apply_adjoint):
         with pytest.raises(SchurUnbounded):
