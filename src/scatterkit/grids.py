@@ -59,9 +59,6 @@ DEFAULT_XMAX = 40.0
 #: fraction of the momentum range occupied by the smooth spectral taper
 TAPER_FRACTION = 0.10
 
-#: gathered spline knot values and slopes per evaluation block (512 KB when
-#: complex)
-SPLINE_BLOCK = 1 << 15
 #: rows per block of the spline's slope sweeps: a carry crossing a whole
 #: block shrinks by ``(2 - sqrt 3)^32 < 2^-60``, below float64 rounding
 SWEEP_BLOCK = 32
@@ -369,20 +366,14 @@ class UniformSpline:
         self.slopes = _knot_slopes(np.diff(self.values, axis=0) / self.h)
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
-        """Spline values at ``q``, shape ``q.shape + y.shape[1:]``; blocks of
-        at most ``SPLINE_BLOCK`` gathered knot values and slopes."""
+        """Spline values at ``q``, shape ``q.shape + y.shape[1:]``."""
         flat = np.ravel(q).astype(float)
-        i = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, self.x.size - 2)
-        u = ((flat - self.x[i]) / self.h)[:, None]
+        j = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, self.x.size - 2)
+        t = ((flat - self.x[j]) / self.h)[:, None]
         h, y, s = self.h, self.values, self.slopes
-        out = np.empty((flat.size, y.shape[1]), dtype=np.result_type(y, s))
-        step = max(1, SPLINE_BLOCK // (4 * y.shape[1]))
-        for a in range(0, flat.size, step):
-            j, t = i[a : a + step], u[a : a + step]
-            D = y[j + 1] - y[j]
-            bend = (1.0 - t) * (h * s[j] - D) - t * (h * s[j + 1] - D)
-            out[a : a + step] = y[j] + t * (D + (1.0 - t) * bend)
-        return out.reshape(np.shape(q) + self._tail)
+        D = y[j + 1] - y[j]
+        bend = (1.0 - t) * (h * s[j] - D) - t * (h * s[j + 1] - D)
+        return (y[j] + t * (D + (1.0 - t) * bend)).reshape(np.shape(q) + self._tail)
 
 
 @dataclass(frozen=True)

@@ -152,10 +152,6 @@ class JostTable:
         return self.potential.n
 
     @property
-    def support_radius(self) -> float:
-        return float(self.xv[-1])
-
-    @property
     def wall(self) -> tuple[np.ndarray, np.ndarray]:
         """``f(k, 0) = m(k, 0)`` and ``f'(k, 0) = ik m(k, 0) + m'(k, 0)``, each
         of shape ``(len(k), n, n)``; ``k[::-1] == -k``, so reversed rows give

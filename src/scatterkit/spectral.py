@@ -24,12 +24,12 @@ block by block, knot by knot: the field is contracted into each knot's value
 and slope, or each knot gathers the Hermite-weighted sums of the momenta of
 its two pieces, and ``e^{iqx}`` is the product of a phase per knot and a
 phase per offset of ``q`` from it.  So no ``m`` table and no phase table on
-the dense grid is ever formed.  Evolution runs the analysis and every
-synthesis in one pass over the dense blocks.
+the dense grid is ever formed.  Evolution is one analysis, the multipliers
+of every time, and one synthesis of all the times as rows; both maps read
+the blocks their kernel built once.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,15 +87,25 @@ class WindowOverflow(SpectralError):
     """An evolved field reached the outer part of the computational domain."""
 
 
-def _as_field(Y: np.ndarray) -> np.ndarray:
-    """Coerce samples to the ``(nodes, channels)`` layout used throughout."""
+def _as_field(Y: np.ndarray, nodes: int | None = None, n: int | None = None) -> np.ndarray:
+    """Coerce samples to the ``(nodes, channels, ...)`` layout used throughout
+    (a 1-D array is one channel); raise :class:`SpectralError`, naming both
+    shapes, unless it has the ``nodes`` and the ``n`` channels given."""
+    given = np.shape(Y)
     Y = np.asarray(Y, dtype=complex)
-    return Y[:, None] if Y.ndim == 1 else Y
+    Y = Y[:, None] if Y.ndim == 1 else Y
+    fits = Y.ndim >= 2 and Y.shape[0] == (nodes or Y.shape[0])
+    if not fits or (n is not None and Y.shape[1:] != (n,)):
+        raise SpectralError(
+            f"expected field samples of shape ({nodes or 'nodes'}, {n or 'channels'}), "
+            f"got shape {given}"
+        )
+    return Y
 
 
 def field_norm(Y: np.ndarray, w: np.ndarray) -> float:
     """Weighted L2 norm of a vector field sampled as ``(nx, n)``."""
-    Y = _as_field(Y)
+    Y = _as_field(Y, np.size(w))
     return float(np.sqrt(np.einsum("x,xc->", w, np.abs(Y) ** 2).real))
 
 
@@ -187,7 +197,7 @@ def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np
     """Cosine transform ``sqrt(2/pi) integral_0^inf cos(kx) Y(x) dx`` by
     composite-Simpson quadrature on the spatial grid."""
     kq = grid.kpos if k is None else np.asarray(k, dtype=float)
-    Yw = _as_field(Y) * simpson_weights(grid.x)[:, None]
+    Yw = _as_field(Y, grid.x.size) * simpson_weights(grid.x)[:, None]
     return np.sqrt(2.0 / np.pi) * _cosine_sum(Yw, grid.x[0], grid.dx, kq)
 
 
@@ -415,11 +425,11 @@ class _MapKernel:
     ``e^{-i sign k x} + S(-sign*k)^dagger e^{i sign k x}``, summed by
     :func:`fourier_sum`; on the near-field nodes ``near.xv`` the Faddeev
     factors ``m(sign*k)`` and ``m(-sign*k)`` add ``(m - I)`` corrections,
-    read block by block from ``near``: the pieces of a :class:`_NearField`
-    or the one block of a :class:`_NearMatrix`.  ``S`` holds
-    ``S(-sign*k)``.  Analysis and synthesis read the same pieces, so they
-    are adjoint to roundoff whenever the synthesis nodes are the analysis
-    nodes with ``xv`` as a prefix.
+    read from ``blocks``: the pieces of a :class:`_NearField` or the one
+    block of a :class:`_NearMatrix`, built at the first map and kept.
+    ``S`` holds ``S(-sign*k)``.  Analysis and synthesis read the same
+    blocks, so they are adjoint to roundoff whenever the synthesis nodes are
+    the analysis nodes with ``xv`` as a prefix.
     """
 
     sign: int
@@ -436,12 +446,9 @@ class _MapKernel:
     def xv(self) -> np.ndarray:
         return self.near.xv
 
-    def _plane_analysis(self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray) -> np.ndarray:
-        """The plane-wave part of the analysis sum, unscaled."""
-        Yw = Y * w[:, None]
-        out = fourier_sum(Yw, x0, dx, self.k, -self.sign)
-        out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
-        return out
+    @cached_property
+    def blocks(self) -> list[_NearBlock | _NearMatrix]:
+        return list(self.near.blocks(self.k, self.dk))
 
     def _near_analysis(self, blk: _NearBlock | _NearMatrix, Yc: np.ndarray) -> np.ndarray:
         """The near-field part of the analysis sum on one block, unscaled;
@@ -459,62 +466,32 @@ class _MapKernel:
         (``SZ`` holds ``S Zw``) from one block, unscaled."""
         return blk.synthesis(Zw, SZ) if self.sign == +1 else blk.synthesis(SZ, Zw)
 
-    def _plane_synthesis(self, Zw: np.ndarray, SZ: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The plane-wave part of the synthesis sum, unscaled."""
-        out = fourier_sum(Zw, self.k[0], self.dk, x, self.sign)
-        out += fourier_sum(SZ, self.k[0], self.dk, x, -self.sign)
-        return out
-
     def analysis(
         self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray
     ) -> np.ndarray:
         """``sqrt(1/2pi) sum_x w(x) Psi(-sign*k, x)^dagger Y(x)`` for samples
         ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on ``xv``."""
-        out = self._plane_analysis(Y, x0, dx, w)
+        Yw = Y * w[:, None]
+        out = fourier_sum(Yw, x0, dx, self.k, -self.sign)
+        out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
         Yc = np.conj(Ynear * trapezoid_weights(self.xv)[:, None])
-        for blk in self.near.blocks(self.k, self.dk):
+        for blk in self.blocks:
             out[blk.nodes] += self._near_analysis(blk, Yc)
         return out / np.sqrt(2.0 * np.pi)
 
     def synthesis(self, Zw: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``sqrt(1/2pi) sum_k Psi(-sign*k, x) Zw(k)`` at uniform nodes ``x``
-        whose prefix is ``xv``; ``Zw`` carries the momentum weights."""
-        SZ = np.einsum("kij,kj->ki", self.S, Zw)
-        out = self._plane_synthesis(Zw, SZ, x)
-        for blk in self.near.blocks(self.k, self.dk):
-            nodes = blk.nodes
-            out[: self.xv.size] += self._near_synthesis(blk, Zw[None, nodes], SZ[None, nodes])[0]
-        return out / np.sqrt(2.0 * np.pi)
-
-    def transfer(
-        self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray,
-        mults: np.ndarray, x: np.ndarray, check: Callable[[np.ndarray], None],
-    ) -> list[np.ndarray]:
-        """``synthesis(mult * analysis(Y), x)`` for every row ``mult`` of
-        ``mults`` (weights included), in one pass over the momentum blocks:
-        each block's phases and pieces serve its near-field analysis and then
-        every synthesis.  ``check`` sees every ``Zw`` before the plane sums
-        run, so a failing check returns nothing."""
-        phi = self._plane_analysis(Y, x0, dx, w)
-        Yc = np.conj(Ynear * trapezoid_weights(self.xv)[:, None])
-        Zw = np.empty((mults.shape[0],) + phi.shape, dtype=complex)
-        SZ = np.empty_like(Zw)
-        near = np.zeros((mults.shape[0], self.xv.size, phi.shape[1]), dtype=complex)
-        for blk in self.near.blocks(self.k, self.dk):
-            nodes = blk.nodes
-            phi[nodes] += self._near_analysis(blk, Yc)
-            phi[nodes] /= np.sqrt(2.0 * np.pi)
-            Zw[:, nodes] = mults[:, nodes, None] * phi[nodes]
-            SZ[:, nodes] = np.einsum("kij,tkj->tki", self.S[nodes], Zw[:, nodes])
-            near += self._near_synthesis(blk, Zw[:, nodes], SZ[:, nodes])
-        for Z in Zw:
-            check(Z)
-        outs = []
-        for Z, SZi, acc in zip(Zw, SZ, near):
-            out = self._plane_synthesis(Z, SZi, x)
-            out[: self.xv.size] += acc
-            outs.append(out / np.sqrt(2.0 * np.pi))
-        return outs
+        whose prefix is ``xv``; ``Zw`` carries the momentum weights.  ``Zw``
+        is one field, ``(len(k), n)``, or a stack of them, ``(rows, len(k),
+        n)``, whose plane sums run as one pair over all the rows."""
+        Z = Zw.reshape((-1,) + Zw.shape[-2:])
+        SZ = np.einsum("kij,tkj->tki", self.S, Z)
+        plane = fourier_sum(Z.transpose(1, 0, 2), self.k[0], self.dk, x, self.sign)
+        plane += fourier_sum(SZ.transpose(1, 0, 2), self.k[0], self.dk, x, -self.sign)
+        out = plane.transpose(1, 0, 2)
+        for blk in self.blocks:
+            out[:, : self.xv.size] += self._near_synthesis(blk, Z[:, blk.nodes], SZ[:, blk.nodes])
+        return (out / np.sqrt(2.0 * np.pi)).reshape(Zw.shape[:-2] + out.shape[1:])
 
 
 def _table_kernel(pt: PhysicalSolutionTable, sign: int) -> _MapKernel:
@@ -534,7 +511,7 @@ def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np
     identity, so no full solution table over the window is ever formed.
     """
     grid = pt.grid
-    Y = _as_field(Y)
+    Y = _as_field(Y, grid.x.size, pt.n)
     return _table_kernel(pt, sign).analysis(Y, grid.x[0], grid.dx, grid.wx, Y[: pt.xv.size])
 
 
@@ -544,7 +521,8 @@ def fourier_maps_adjoint(
     """Adjoint map ``sqrt(1/2pi) integral_0^inf Psi(-sign*k, x) Z(k) dk`` on
     the spatial grid (midpoint momentum weights, so quadrature duality with
     the forward map is exact up to roundoff)."""
-    return _table_kernel(pt, sign).synthesis(_as_field(Z) * pt.grid.dk, pt.grid.x)
+    Zw = _as_field(Z, pt.grid.npos, pt.n) * pt.grid.dk
+    return _table_kernel(pt, sign).synthesis(Zw, pt.grid.x)
 
 
 # -- dense momentum stage for time evolution ---------------------------------
@@ -574,27 +552,29 @@ class _DenseStage:
         return _MapKernel(sign, self.kq, self.dkq, pt._S_spline(-sign * self.kq), pt._near_spline)
 
     def check_overflow(self, kernel: _MapKernel, Zw: np.ndarray) -> None:
-        """Reconstruct the field synthesized from ``Zw`` on the full FFT
-        circle and abort if too much mass reaches the outer tenth of the
+        """Reconstruct each field synthesized from ``Zw``, one field ``(len(kq),
+        n)`` or a stack of them, on the full FFT circle (one FFT pair for all)
+        and abort if too much of any one's mass reaches the outer tenth of the
         physical half-domain.
 
         The conjugate-phase term always parks a mirror copy of the field in
         the upper half of the circle, so the physical domain is the lower
         half and wrap-around shows up as mass near the midpoint, where the
         direct and mirrored copies collide."""
-        SZ = np.einsum("kij,kj->ki", kernel.S, Zw)
+        SZ = np.einsum("kij,...kj->...ki", kernel.S, Zw)
         first, second = (Zw, SZ) if kernel.sign == +1 else (SZ, Zw)
-        c = np.zeros((self.nfft, first.shape[1]), dtype=complex)
-        c[: self.kq.size] = first
-        field = self.nfft * ifft(c, axis=0)
-        c[: self.kq.size] = second
-        field += fft(c, axis=0)
+        c = np.zeros(Zw.shape[:-2] + (self.nfft, Zw.shape[-1]), dtype=complex)
+        c[..., : self.kq.size, :] = first
+        field = self.nfft * ifft(c, axis=-2)
+        c[..., : self.kq.size, :] = second
+        field += fft(c, axis=-2)
         mass = np.abs(field) ** 2
-        total = float(mass.sum())
-        outer = float(mass[int(0.45 * self.nfft) : int(0.55 * self.nfft)].sum())
-        if total > 0 and outer > OVERFLOW_FRACTION * total:
+        total = mass.sum(axis=(-2, -1))
+        outer = mass[..., int(0.45 * self.nfft) : int(0.55 * self.nfft), :].sum(axis=(-2, -1))
+        worst = float(np.max(outer / np.maximum(total, np.finfo(float).tiny)))
+        if worst > OVERFLOW_FRACTION:
             raise WindowOverflow(
-                f"{outer / total:.1%} of the evolved mass sits in the outer tenth "
+                f"{worst:.1%} of the evolved mass sits in the outer tenth "
                 f"of the {self.nfft * self.dxb / 2:.0f}-wide evolution domain"
             )
 
@@ -610,7 +590,7 @@ def _wall_weights(size: int, step: float) -> np.ndarray:
 def _last_above(nodes: np.ndarray, F: np.ndarray, tol: float) -> float:
     """Last node where the channel norm of ``F`` exceeds ``tol`` times its
     peak (the first node for a zero field)."""
-    norms = np.linalg.norm(_as_field(F), axis=1)
+    norms = np.linalg.norm(F, axis=1)
     return float(nodes[max(np.flatnonzero(norms > tol * norms.max()), default=0)])
 
 
@@ -653,7 +633,7 @@ def evolve_spectral(
     the diagonalization ``(F^s)^dagger e^{-itk^2} F^s``.
 
     Accepts a single time or a sequence (evolved on one shared dense grid
-    sized for the largest |t|, in one pass over its momentum blocks).  The
+    sized for the largest |t|, by one analysis and one synthesis).  The
     result is sampled on the table's spatial step up to ``xmax_out`` (by
     default the table's window), which may end inside the near field.  Bound
     states, which :func:`~.jost.bound_states` lists, are absent from the
@@ -662,7 +642,8 @@ def evolve_spectral(
     Raises
     ------
     SpectralError
-        If a time is not finite, or ``xmax_out`` is negative or not finite.
+        If a time is not finite, ``xmax_out`` is negative or not finite, or
+        ``Y`` is not sampled on the table's grid with its channel count.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.isfinite(times).all():
@@ -670,7 +651,7 @@ def evolve_spectral(
     if xmax_out is not None and not (xmax_out >= 0.0 and np.isfinite(xmax_out)):
         raise SpectralError(f"xmax_out must be non-negative and finite, got {xmax_out}")
     single = np.isscalar(t) or np.asarray(t).ndim == 0
-    Y = _as_field(Y)
+    Y = _as_field(Y, pt.grid.x.size, pt.n)
     if np.all(times == 0.0) and xmax_out is None:
         out0 = fourier_maps_adjoint(pt, fourier_maps(pt, Y, sign), sign)
         return out0 if single else np.repeat(out0[None], times.size, axis=0)
@@ -684,11 +665,10 @@ def evolve_spectral(
     # the synthesis nodes hold the near field, so a shorter output is cut after
     x_out = np.arange(max(nx_out, pt.xv.size)) * grid.dx
     mults = np.exp(-1j * times[:, None] * stage.kq**2) * stage.wk
-    outs = kernel.transfer(
-        Ys, 0.0, stage.dxb, w, Y[: pt.xv.size], mults, x_out,
-        lambda Zw: stage.check_overflow(kernel, Zw),
-    )
-    return outs[0][:nx_out] if single else np.stack(outs)[:, :nx_out]
+    Zw = mults[:, :, None] * kernel.analysis(Ys, 0.0, stage.dxb, w, Y[: pt.xv.size])
+    stage.check_overflow(kernel, Zw)
+    out = kernel.synthesis(Zw, x_out)[:, :nx_out]
+    return out[0] if single else out
 
 
 def interacting_after_free(
@@ -705,7 +685,7 @@ def interacting_after_free(
     spatial grid.
     """
     grid = pt.grid
-    Y = _as_field(Y)
+    Y = _as_field(Y, grid.x.size, pt.n)
     stage = _stage_for(pt, Y, f0_transform(grid, Y), t)
     kernel = stage.kernel(sign)
     # free half: cosine data at the dense nodes, evolved backwards; the
@@ -716,7 +696,7 @@ def interacting_after_free(
     u, u_near = (np.sqrt(2.0 / np.pi) * _cosine_sum(c0, 0.0, stage.dkq, y) for y in (xs, pt.xv))
     # interacting half applied with the opposite phase
     mult = np.exp(1j * t * stage.kq**2) * stage.wk
-    return kernel.transfer(
-        u, 0.0, stage.dxb, _wall_weights(xs.size, stage.dxb), u_near, mult[None], grid.x,
-        lambda Zw: stage.check_overflow(kernel, Zw),
-    )[0]
+    w = _wall_weights(xs.size, stage.dxb)
+    Zw = mult[:, None] * kernel.analysis(u, 0.0, stage.dxb, w, u_near)
+    stage.check_overflow(kernel, Zw)
+    return kernel.synthesis(Zw, grid.x)

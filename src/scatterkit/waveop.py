@@ -43,6 +43,7 @@ from .scattering import ScatteringTable
 from .spectral import (
     PhysicalSolutionTable,
     WindowOverflow,
+    _as_field,
     f0_transform,
     fourier_maps_adjoint,
     interacting_after_free,
@@ -149,11 +150,6 @@ class DomainReflection(WaveOpError):
 # --------------------------------------------------------------------------
 
 
-def _as_columns(values: np.ndarray) -> np.ndarray:
-    v = np.asarray(values, dtype=complex)
-    return v[:, None] if v.ndim == 1 else v
-
-
 def _check_uniform(x: np.ndarray, label: str) -> None:
     steps = np.diff(x)
     if x.size < 2 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
@@ -178,7 +174,7 @@ class _Field:
 
     def _adopt(self, x: np.ndarray, values: np.ndarray) -> None:
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", _as_columns(values))
+        object.__setattr__(self, "values", _as_field(values))
         if self.values.shape[0] != self.x.size:
             raise GridMismatch("field values do not match the grid length")
 

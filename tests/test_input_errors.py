@@ -9,7 +9,14 @@ from scatterkit.grids import GridError, KXGrid
 from scatterkit.jost import JostError, bound_states, jost_matrix, solve_faddeev
 from scatterkit.potentials import PotentialError, PotentialSpec, validate_potential
 from scatterkit.scattering import smatrix
-from scatterkit.spectral import SpectralError, evolve_spectral, physical_solution
+from scatterkit.spectral import (
+    SpectralError,
+    evolve_spectral,
+    f0_transform,
+    fourier_maps,
+    fourier_maps_adjoint,
+    physical_solution,
+)
 from scatterkit.waveop import FieldRplus, WaveOpError, wave_op_time_limit
 
 NAN, INF = float("nan"), float("inf")
@@ -42,6 +49,23 @@ def _evolve_nan():
     evolve_spectral(pt, np.exp(-((pt.grid.x - 2.0) ** 2)), NAN)
 
 
+def _map(field, sign=+1):
+    def call():
+        pt = _free_table()
+        fourier_maps(pt, field(pt), sign)
+
+    return call
+
+
+def _one_sample_f0():
+    f0_transform(_grid()(), [1.0])
+
+
+def _short_spectrum():
+    pt = _free_table()
+    fourier_maps_adjoint(pt, np.ones(pt.grid.npos - 1))
+
+
 def _empty_schedule():
     pt = _free_table()
     f = FieldRplus(pt.grid.x, np.exp(-((pt.grid.x - 2.0) ** 2)))
@@ -64,6 +88,12 @@ CASES = {
     "bound states nan": (lambda: bound_states(_potential(NAN), _pair(0.0)), PotentialError, "finite"),
     "bound states dimension": (lambda: bound_states(_potential(1.0), BoundaryPair.neumann(2)), JostError, "dimension"),
     "evolve nan": (_evolve_nan, SpectralError, "times t"),
+    "map one sample": (_map(lambda pt: np.array([1.0])), SpectralError, "shape"),
+    "evolve one sample": (lambda: evolve_spectral(_free_table(), [1.0], 1.0), SpectralError, "shape"),
+    "f0 one sample": (_one_sample_f0, SpectralError, "shape"),
+    "map channels": (_map(lambda pt: np.ones((pt.grid.x.size, 2))), SpectralError, "shape"),
+    "adjoint spectrum length": (_short_spectrum, SpectralError, "shape"),
+    "map sign": (_map(lambda pt: np.ones(pt.grid.x.size), sign=2), SpectralError, "sign"),
     "empty schedule": (_empty_schedule, WaveOpError, "tschedule"),
 }
 

@@ -446,9 +446,9 @@ def test_kernel_blocks_do_not_change_results(matrix_physical, monkeypatch):
 
 
 def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
-    """One ``evolve_spectral`` call runs one pass over the pieces of the dense
-    stage, for every time: each block's knot phases serve one analysis and
-    then one synthesis of all the times."""
+    """One ``evolve_spectral`` call builds the blocks of the dense stage once,
+    in one pass over its pieces: it analyses each block once, then
+    synthesises each block once with all the times as rows."""
     pt = matrix_physical
     Y = _packet(pt.grid.x, pt.n)
     times = [0.5, -1.0, 2.0]
@@ -462,11 +462,12 @@ def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
 
     monkeypatch.setattr(spectral, "_stage_for", stage_for)
     blocks = spectral._NearField.blocks
-    visits, calls = [], []
+    passes, visits, calls = [], [], []
 
     def counted(near, k, dk):
+        passes.append(k)
         for blk in blocks(near, k, dk):
-            visits.append((k, blk.nodes))
+            visits.append(blk.nodes)
             yield blk
 
     monkeypatch.setattr(spectral._NearField, "blocks", counted)
@@ -478,15 +479,15 @@ def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
 
         monkeypatch.setattr(spectral._NearBlock, name, logged)
     evolve_spectral(pt, Y, times)
+    assert len(stages) == 1 and len(passes) == 1 and passes[0] is stages[0].kq
     kq = stages[0].kq
-    dense = [nodes for k, nodes in visits if k is kq]
-    assert len(dense) >= 5
-    covered = np.concatenate([np.arange(kq.size)[nodes] for nodes in dense])
+    assert len(visits) >= 5
+    covered = np.concatenate([np.arange(kq.size)[nodes] for nodes in visits])
     assert np.array_equal(covered, np.arange(kq.size))
-    expected = []
-    for nodes in dense:
-        expected.append(("analysis", nodes, (pt.xv.size, pt.n)))
-        expected.append(("synthesis", nodes, (len(times), nodes.stop - nodes.start, pt.n)))
+    expected = [("analysis", nodes, (pt.xv.size, pt.n)) for nodes in visits]
+    expected += [
+        ("synthesis", nodes, (len(times), nodes.stop - nodes.start, pt.n)) for nodes in visits
+    ]
     assert calls == expected
 
 
