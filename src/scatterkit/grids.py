@@ -404,13 +404,14 @@ class KXGrid:
         Raises
         ------
         GridError
-            If ``nk`` is odd, any size is non-positive or not finite, or
+            If ``nk`` is odd or below 4 (a not-a-knot spline through ``S``
+            needs four knots), any size is non-positive or not finite, or
             ``xmax < dx / 2`` (a window of one node).
         GridTooCoarse
             If ``dx > pi / (4 kmax)``.
         """
-        if nk < 2 or nk % 2:
-            raise GridError(f"momentum grid needs an even node count, got {nk}")
+        if nk < 4 or nk % 2:
+            raise GridError(f"nk must be an even momentum node count of at least 4, got {nk}")
         for name, size in (("kmax", kmax), ("dx", dx), ("xmax", xmax)):
             if not (np.isfinite(size) and size > 0):
                 raise GridError(f"{name} must be positive and finite, got {size}")
@@ -451,12 +452,8 @@ class KXGrid:
         return self.kpos.size
 
     @cached_property
-    def taper(self) -> np.ndarray:
-        """Smooth window over the full momentum grid."""
-        return cosine_taper(self.k, self.kmax)
-
-    @cached_property
     def taper_pos(self) -> np.ndarray:
+        """Smooth window over the positive momentum nodes."""
         return cosine_taper(self.kpos, self.kmax)
 
     # -- space-side helpers ----------------------------------------------------

@@ -573,7 +573,8 @@ def marchenko_kernel(jt: JostTable) -> KernelTable:
     remainder = jt.m - np.eye(n)
     remainder -= born_term(jt.potential, k, jt.xv)
     peak = _largest_norm(remainder)
-    edge = _largest_norm(remainder[np.abs(k) >= 0.9 * grid.kmax])
+    # the outer tenth of the window, or the outermost node pair on a coarse grid
+    edge = _largest_norm(remainder[np.abs(k) >= min(0.9 * grid.kmax, k[-1])])
     tail_fraction = edge / peak if peak > 0 else 0.0
     if tail_fraction > TAIL_TOL:
         raise TailNotNegligible(

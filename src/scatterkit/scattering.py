@@ -4,10 +4,9 @@ The scattering matrix on the momentum grid is assembled from the Jost matrix
 by batched linear solves.  Its limits are exact: ``S_inf`` depends on the
 boundary pair alone, and ``S(0) = -I + 2P`` with ``P`` the orthogonal
 projector onto ``Ker J(0)^dagger``.  The table's outer samples are checked
-against ``S_inf``, and the symbols used by the wave-operator formulas (the
-full-line transform of ``S - S_inf`` and its two half-line restrictions) are
-synthesized with the grid's tapered quadrature on the symmetric spatial
-nodes ``grid.x_sym``, the nodes the wave-operator routes convolve on.
+against ``S_inf``.  The wave-operator symbols live on ``grid.x_sym``, the
+nodes the routes convolve on: the half-line transforms ``P_+-`` of ``S -
+S_inf`` are one tapered synthesis each, and the full-line ``F_s`` is their sum.
 """
 
 from __future__ import annotations
@@ -73,10 +72,12 @@ class ScatteringTable:
         The exact zero- and high-energy limits (see smatrix).
     plateau_deviation : float or None
         Gap between the outer samples and ``S_infinity`` (see s_limits).
-    Fs : ndarray or None
-        Samples of the full-line transform of ``S - S_inf`` on ``grid.x_sym``.
-    Pplus, Pminus : ndarray or None
-        The two half-line symbols on ``grid.x_sym``.
+    Fs, Pplus, Pminus : ndarray or None
+        The transform of ``S - S_inf`` on ``grid.x_sym`` and its two half-line
+        pieces, ``Fs = Pplus + Pminus``; fs_symbol (alias p_symbols) attaches
+        them with ``fs_l1`` and ``p_conjugation_defect``.
+    h1norm : float or None
+        Sobolev norm of ``S - S_inf`` (see h1_membership).
     """
 
     k: np.ndarray
@@ -191,29 +192,21 @@ def _require_sinf(st: ScatteringTable) -> ScatteringTable:
 
 
 def fs_symbol(st: ScatteringTable) -> ScatteringTable:
-    """Full-line transform ``(1/2pi) integral (S(k) - S_inf) e^{iky} dk``.
-
-    Synthesized with the grid's tapered midpoint quadrature on the symmetric
-    spatial nodes ``grid.x_sym``; also records the integrated spectral norm
-    (finite for Hermitian potentials with a first moment).
-    """
-    st = _require_sinf(st)
-    y = st.grid.x_sym
-    g = (st.S - st.S_infinity) * st.grid.taper[:, None, None]
-    Fs = (st.grid.dk / (2.0 * np.pi)) * fourier_sum(g, st.k[0], st.grid.dk, y)
-    l1 = float(_spectral_norms(Fs) @ trapezoid_weights(y))
-    return replace(st, Fs=Fs, fs_l1=l1)
-
-
-def p_symbols(st: ScatteringTable) -> ScatteringTable:
-    """The two positive-momentum symbols
+    """The symbols of ``S - S_inf`` on the nodes ``grid.x_sym``, in one step:
 
     ``P_plus(x)  = (1/2pi) integral_0^inf e^{-ikx} (S(-k) - S_inf) dk``
     ``P_minus(x) = (1/2pi) integral_0^inf e^{+ikx} (S(k) - S_inf) dk``
 
-    on the symmetric spatial nodes ``grid.x_sym``; ``P_minus(x) =
-    P_plus(x)^dagger`` holds exactly on the symmetric grid and is recorded.
+    each one tapered midpoint sum over the positive momenta, and their sum
+    ``F_s``, the full-line transform ``(1/2pi) integral (S(k) - S_inf) e^{ikx}
+    dk``.  Attaches ``Fs``, its integrated spectral norm ``fs_l1`` (finite for
+    Hermitian potentials with a first moment), ``Pplus``, ``Pminus`` and the
+    gap ``p_conjugation_defect`` in ``P_minus(x) = P_plus(x)^dagger``.
+    ``p_symbols`` names the same step; a table that holds the symbols already
+    is returned unchanged.
     """
+    if st.Fs is not None:
+        return st
     st = _require_sinf(st)
     x = st.grid.x_sym
     pos = st.k > 0
@@ -224,10 +217,17 @@ def p_symbols(st: ScatteringTable) -> ScatteringTable:
     dk = st.grid.dk
     Pminus = (dk / (2.0 * np.pi)) * fourier_sum(gp, kp[0], dk, x, +1)
     Pplus = (dk / (2.0 * np.pi)) * fourier_sum(gm, kp[0], dk, x, -1)
+    Fs = Pplus + Pminus
     # exact when the table has exact momentum-reflection symmetry; of the
     # order of the solver's symmetry defect otherwise
     mismatch = float(np.abs(Pminus - Pplus.conj().swapaxes(-1, -2)).max())
-    return replace(st, Pplus=Pplus, Pminus=Pminus, p_conjugation_defect=mismatch)
+    l1 = float(_spectral_norms(Fs) @ trapezoid_weights(x))
+    return replace(
+        st, Fs=Fs, fs_l1=l1, Pplus=Pplus, Pminus=Pminus, p_conjugation_defect=mismatch
+    )
+
+
+p_symbols = fs_symbol
 
 
 def h1_membership(st: ScatteringTable) -> ScatteringTable:
@@ -248,5 +248,5 @@ def h1_membership(st: ScatteringTable) -> ScatteringTable:
 
 
 def scattering_table(jt: JostTable) -> ScatteringTable:
-    """One-call pipeline: S, its limits, both symbols, and the Sobolev norm."""
-    return h1_membership(p_symbols(fs_symbol(s_limits(smatrix(jt)))))
+    """One-call pipeline: S, its limits, the symbols, and the Sobolev norm."""
+    return h1_membership(fs_symbol(s_limits(smatrix(jt))))

@@ -491,11 +491,8 @@ def wave_op_decomposed(
         vanishes to rounding, so the gate passes and the route returns ``f``
         whatever the field's support.
     """
-    if st.Fs is None:
-        raise WaveOpError("attach the transform of S - S_infinity first")
     g = extend_even(f)
-    Fs = FieldR._derived(st.grid.x_sym, st.Fs)
-    t = g.values @ st.S_infinity.T + convolve(Fs, g).values
+    t = g.values @ st.S_infinity.T + convolve(_symbol_field(st, "Fs"), g).values
     h = hilbert(g.replace_values(g.values - t))
     u = restrict(g.replace_values(0.5 * (g.values + t) + 0.5j * sign * h.values))
     return u.replace_values(u.values + kernel_apply(kt, u).values)
@@ -509,10 +506,11 @@ def _identity_gate(st: ScatteringTable) -> None:
         raise HypothesisViolated(s0_defect, sinf_defect)
 
 
-def _p_symbol_field(st: ScatteringTable, sign: int) -> FieldR:
-    if st.Pplus is None or st.Pminus is None:
-        raise WaveOpError("attach the half-line symbols first")
-    return FieldR._derived(st.grid.x_sym, st.Pplus if sign > 0 else st.Pminus)
+def _symbol_field(st: ScatteringTable, name: str) -> FieldR:
+    """The symbol ``"Fs"``, ``"Pplus"`` or ``"Pminus"`` as a field on ``grid.x_sym``."""
+    if st.Fs is None:
+        raise WaveOpError("attach the symbols of S - S_infinity (fs_symbol) first")
+    return FieldR._derived(st.grid.x_sym, getattr(st, name))
 
 
 def wave_op_l1_form(
@@ -531,7 +529,7 @@ def wave_op_l1_form(
         configured tolerance.
     """
     _identity_gate(st)
-    G = _p_symbol_field(st, sign)
+    G = _symbol_field(st, "Pplus" if sign > 0 else "Pminus")
     u = f.replace_values(f.values + restrict(convolve(G, extend_even(f))).values)
     return u.replace_values(u.values + kernel_apply(kt, u).values)
 
@@ -543,7 +541,7 @@ def wave_op_adjoint(
     ``Q`` the convolution by the half-momentum symbol: each factor replaced
     by its exact discrete adjoint, applied in reverse order, one pass each."""
     _identity_gate(st)
-    G = _p_symbol_field(st, sign)
+    G = _symbol_field(st, "Pplus" if sign > 0 else "Pminus")
     v = f.replace_values(f.values + kernel_apply_adjoint(kt, f).values)
     tail = extend_even_adjoint(convolve_adjoint(G, restrict_adjoint(v)))
     return v.replace_values(v.values + tail.values)

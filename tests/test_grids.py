@@ -53,7 +53,7 @@ def test_symmetric_spatial_extension():
 
 def test_taper_window_shape():
     g = small_grid()
-    t = g.taper
+    t = cosine_taper(g.k, g.kmax)
     inner = np.abs(g.k) <= 0.9 * g.kmax
     np.testing.assert_allclose(t[inner], 1.0)
     assert np.all(t[~inner] < 1.0)
@@ -98,7 +98,7 @@ def _smooth_coefficients(grid, *trailing):
     rng = np.random.default_rng(7)
     shape = (grid.k.size,) + trailing
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return g * grid.taper.reshape((-1,) + (1,) * len(trailing))
+    return g * cosine_taper(grid.k, grid.kmax).reshape((-1,) + (1,) * len(trailing))
 
 
 def _relative_gap(got, ref):

@@ -6,7 +6,14 @@ import pytest
 
 from scatterkit.boundary import BoundaryError, BoundaryPair, diagonalize_boundary, validate_boundary
 from scatterkit.grids import GridError, KXGrid
-from scatterkit.jost import JostError, bound_states, jost_matrix, solve_faddeev
+from scatterkit.jost import (
+    JostError,
+    TailNotNegligible,
+    bound_states,
+    jost_matrix,
+    marchenko_kernel,
+    solve_faddeev,
+)
 from scatterkit.potentials import PotentialError, PotentialSpec, validate_potential
 from scatterkit.scattering import smatrix
 from scatterkit.spectral import (
@@ -66,6 +73,11 @@ def _short_spectrum():
     fourier_maps_adjoint(pt, np.ones(pt.grid.npos - 1))
 
 
+def _coarse_kernel():
+    # four momenta: no node reaches the outer tenth of the window
+    marchenko_kernel(solve_faddeev(_potential(1.0), _grid(nk=4)()))
+
+
 def _empty_schedule():
     pt = _free_table()
     f = FieldRplus(pt.grid.x, np.exp(-((pt.grid.x - 2.0) ** 2)))
@@ -78,6 +90,7 @@ CASES = {
     "xmax nan": (_grid(xmax=NAN), GridError, "xmax"),
     "xmax inf": (_grid(xmax=INF), GridError, "xmax"),
     "one-node window": (_grid(xmax=0.02), GridError, "xmax"),
+    "nk two": (_grid(nk=2), GridError, "nk"),
     "potential nan": (lambda: validate_potential(_potential(NAN)), PotentialError, "finite"),
     "potential inf": (lambda: validate_potential(_potential(INF)), PotentialError, "finite"),
     "faddeev nan": (lambda: solve_faddeev(_potential(NAN), _grid()()), PotentialError, "finite"),
@@ -87,6 +100,7 @@ CASES = {
     "jost matrix nan": (lambda: jost_matrix(_free_jost(), _pair(NAN)), BoundaryError, "matrix A"),
     "bound states nan": (lambda: bound_states(_potential(NAN), _pair(0.0)), PotentialError, "finite"),
     "bound states dimension": (lambda: bound_states(_potential(1.0), BoundaryPair.neumann(2)), JostError, "dimension"),
+    "kernel coarse grid": (_coarse_kernel, TailNotNegligible, "momentum window"),
     "evolve nan": (_evolve_nan, SpectralError, "times t"),
     "map one sample": (_map(lambda pt: np.array([1.0])), SpectralError, "shape"),
     "evolve one sample": (lambda: evolve_spectral(_free_table(), [1.0], 1.0), SpectralError, "shape"),

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import GOLDEN_THETA
+from scatterkit import scattering
 from scatterkit.boundary import (
     BoundaryPair,
     diagonalize_boundary,
     line_interaction_matrices,
     predicted_s_infinity,
 )
-from scatterkit.grids import KXGrid, trapezoid_weights
+from scatterkit.grids import KXGrid, cosine_taper, trapezoid_weights
 from scatterkit.jost import jost_matrix, solve_faddeev
 from scatterkit.potentials import PotentialSpec, box_potential, zero_potential
 from scatterkit.scattering import (
@@ -235,6 +236,34 @@ def test_symbols_on_default_grid_build_no_phase_matrix():
     assert table.Pplus.shape == table.Pminus.shape == (grid.x_sym.size, 1, 1)
     assert fs_peak < 64 * 2**20
     assert p_peak < 64 * 2**20
+
+
+def test_symbols_take_one_synthesis_per_half_line(golden_table, monkeypatch):
+    # F_s = P_plus + P_minus: one Fourier sum per half line gives all three
+    # symbols, and p_symbols after fs_symbol sums nothing more
+    calls = []
+    fourier_sum = scattering.fourier_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fourier_sum(*args, **kwargs)
+
+    monkeypatch.setattr(scattering, "fourier_sum", counting)
+    table = p_symbols(fs_symbol(s_limits(smatrix(golden_table))))
+    assert len(calls) == 2
+    np.testing.assert_array_equal(table.Fs, table.Pplus + table.Pminus)
+
+
+@pytest.mark.parametrize("fixture, index", [("golden_scatter", 1), ("matrix_tables", 0)])
+def test_fs_symbol_matches_direct_full_line_sum(fixture, index, request):
+    # the full-line transform of the tapered S - S_inf, summed term by term
+    # in long double over the whole momentum grid
+    table = request.getfixturevalue(fixture)[index]
+    grid = table.grid
+    nodes = np.linspace(0, grid.x_sym.size - 1, 32).round().astype(int)
+    g = (table.S - table.S_infinity) * cosine_taper(grid.k, grid.kmax)[:, None, None]
+    ref = (grid.dk / (2.0 * np.pi)) * oracles.direct_fourier_sum(g, grid.k[0], grid.dk, grid.x_sym[nodes])
+    assert np.abs(table.Fs[nodes] - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def test_fs_symbol_free_mixed_boundary_closed_form():
