@@ -28,8 +28,15 @@ work and memory instead of a dense ``N x m`` phase matrix.  The chirp phases
 formed in ``np.longdouble`` and reduced modulo a ``longdouble`` ``2 pi``
 before rounding.  The sums then match a ``longdouble`` direct sum to about
 ``6e-16`` relative, against ``2e-14`` with float64 phases and ``5e-11`` with
-the chirp ``w**(j^2/2)`` of ``scipy.signal.czt``.  A table of plane waves
-``e^{i q x}`` on uniform nodes from zero is :func:`_phases`.
+the chirp ``w**(j^2/2)`` of ``scipy.signal.czt``.
+
+Every table of plane waves ``e^{i q x}`` over arbitrary ``q`` is
+:func:`_phases`: the near-field phases of the generalized Fourier maps,
+the ``e^{-ikx}``, ``cos(qs)`` and ``sin(qs)`` of each cell of the Jost
+solver and the ``e^{-2ikx}`` of its Born term.  On uniform nodes from any
+origin (the test :func:`fourier_sum` dispatches on) it multiplies two
+short exponential tables, a coarse one that carries the origin and a fine
+one of offsets; other nodes take one exponential each.
 
 Every FFT in the package is ``numpy.fft``, at the 11-smooth lengths of
 :func:`next_fast_len`; the package imports no scipy module on any path of
@@ -193,6 +200,18 @@ def _bluestein_phases(
     return head, tail
 
 
+def _uniform_step(y: np.ndarray) -> float | None:
+    """The step of ``y`` when its nodes are uniform (ascending or
+    descending) to ``16`` ulps of its largest node, else ``None``; fewer
+    than three nodes count as non-uniform."""
+    m = y.size
+    if m < 3:
+        return None
+    dy = (y[-1] - y[0]) / (m - 1)
+    line = y[0] + np.arange(m) * dy
+    return None if np.abs(y - line).max() > 16 * np.finfo(float).eps * np.abs(y).max() else dy
+
+
 def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = +1) -> np.ndarray:
     """``sum_j g[j] e^{i sign (k0 + j dk) y_l}`` along axis 0 of ``g``.
 
@@ -214,9 +233,8 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
     y = np.asarray(y, dtype=float)
     nk, m = g.shape[0], y.size
     cols = g.reshape(nk, -1)
-    dy = (y[-1] - y[0]) / (m - 1) if m > 2 else 0.0
-    line = y[:1] + np.arange(m) * dy
-    if m < 3 or np.abs(y - line).max() > 16 * np.finfo(float).eps * np.abs(y).max():
+    dy = _uniform_step(y)
+    if dy is None:
         kj = np.longdouble(k0) + np.arange(nk, dtype=np.longdouble) * np.longdouble(dk)
         out = _cis(np.outer(y.astype(np.longdouble), kj)) @ cols
         return out.reshape((m,) + g.shape[1:])
@@ -236,22 +254,28 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phases(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``e^{i q x}`` on uniform nodes ``x`` from zero, shape ``q.shape +
-    x.shape``: the product of ``e^{i q x[bB]}`` and ``e^{i q x[r]}`` at node
-    ``bB + r``, with ``B = ceil(sqrt(len(x)))``, so each momentum takes about
-    ``2 sqrt(len(x))`` complex exponentials instead of ``len(x)``.
+    """``e^{i q x}``, shape ``q.shape + x.shape``.
+
+    On uniform nodes ``x`` (ascending or descending, from any origin; the
+    test of :func:`fourier_sum`) it is the product of ``e^{i q x[bB]}`` and
+    ``e^{i q (x[r] - x[0])}`` at node ``bB + r``, with ``B =
+    ceil(sqrt(len(x)))``, so each momentum takes about ``2 sqrt(len(x))``
+    complex exponentials instead of ``len(x)``; the origin rides in the
+    coarse factor.  Other nodes take one exponential each.
 
     The coarse arguments are the long ones, so they are split: the product
     of the heads of ``q`` and ``x[bB]`` is exact, and the small rest enters
     through ``e^{i s} = 1 + i s - s^2/2``.  Rounding ``q x`` would cost up to
     half an ulp of the phase, ``3.6e-15`` at ``|q x| = 40``.
     """
+    if _uniform_step(x) is None:
+        return np.exp(1j * np.multiply.outer(q, x))
     B = int(np.ceil(np.sqrt(x.size)))
     q_head, q_tail = _split(q)
     x_head, x_tail = _split(x[::B])
     rest = np.multiply.outer(q_head, x_tail) + np.multiply.outer(q_tail, x[::B])
     coarse = np.exp(1j * np.multiply.outer(q_head, x_head)) * (1.0 - 0.5 * rest**2 + 1j * rest)
-    fine = np.exp(1j * np.multiply.outer(q, x[:B]))
+    fine = np.exp(1j * np.multiply.outer(q, x[:B] - x[0]))
     out = coarse[..., :, None] * fine[..., None, :]
     return out.reshape(q.shape + (-1,))[..., : x.size]
 

@@ -18,7 +18,10 @@ Derived objects:
 * the Marchenko kernel ``K(x, y)`` of ``f(k, x) = e^{ikx} I + integral_x^inf
   K(x, y) e^{iky} dy``: its first Born part ``K_1(x, y) = (1/2)
   integral_{(x+y)/2}^inf V``, exact with its jump at ``y = x``, plus the
-  Fourier synthesis of the rest of ``m - I``.
+  Fourier synthesis of the rest of ``m - I``.  The Born part's momentum
+  transform, subtracted from ``m - I`` before the synthesis, is integrated
+  by parts over the cells (:func:`born_term`): one plane-wave table, exact
+  up to an absolute ``eps |V| / (4k^2)`` from the cancellation as ``k -> 0``.
 
 The table keeps ``m`` on the near field, which the kernel and the Fourier
 maps read, and ``m'`` at the wall only: the Jost matrix, ``S`` and the
@@ -33,13 +36,16 @@ from functools import cached_property
 import numpy as np
 
 from .boundary import ANGLE_SNAP_TOL, BoundaryPair, diagonalize_boundary, validate_boundary
-from .grids import KXGrid, fourier_sum, trapezoid_weights
+from .grids import KXGrid, _phases, fourier_sum, trapezoid_weights
 from .potentials import PotentialSpec, _spectral_norms, tail_integral, validate_potential
 
 EXCEPTIONAL_TOL = 1e-6
 #: largest edge-to-peak fraction of the kernel's synthesized remainder
 #: ``m - I - born_term``
 TAIL_TOL = 5e-3
+#: complex entries (512 KB) of the kernel's remainder ``m - I - born_term``
+#: built at once: a block of momentum rows stays in cache across its passes
+KERNEL_BLOCK = 1 << 15
 
 
 class JostError(RuntimeError):
@@ -162,24 +168,45 @@ class JostTable:
 
 def _cell_factors(q2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``cos(qs)`` and ``sin(qs)/q`` for real ``q^2`` of shape ``(nk, n)`` at
-    offsets ``s``, each of shape ``(nk, n, len(s))``.
+    offsets ``s >= 0``, each of shape ``(nk, n, len(s))``.
 
     Both are even in ``q``: for ``q^2 < 0`` they are ``cosh(|q|s)`` and
-    ``sinh(|q|s)/|q|``, and at ``q = 0`` they are ``1`` and ``s``.  They may
-    overflow to ``inf`` in an opaque barrier.
+    ``sinh(|q|s)/|q|``, and at ``q = 0`` they are ``1`` and ``s``.  The
+    oscillating channels read the real and imaginary parts of ``e^{iqs}``
+    from :func:`~.grids._phases`, so uniform offsets take its factored
+    table; with the offsets in ascending order every factor's phase is
+    non-negative, so ``sin(qs)`` keeps its relative accuracy as ``q -> 0``.
+    They may overflow to ``inf`` in an opaque barrier.
     """
-    q = np.sqrt(np.abs(q2))[..., None]
-    qs = q * s
-    osc = np.broadcast_to((q2 >= 0)[..., None], qs.shape)
-    cos, sinc = np.empty_like(qs), np.empty_like(qs)
-    with np.errstate(over="ignore"):
-        np.cos(qs, out=cos, where=osc)
-        np.cosh(qs, out=cos, where=~osc)
-        np.sin(qs, out=sinc, where=osc)
-        np.sinh(qs, out=sinc, where=~osc)
-    np.divide(sinc, q, out=sinc, where=q > 0)
-    np.copyto(sinc, s, where=q == 0)
+    q = np.sqrt(np.abs(q2))
+    wave = _phases(q, s)
+    cos, sinc = wave.real, wave.imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sinc /= q[..., None]  # the q = 0 rows are set below
+    evanescent = q2 < 0
+    if evanescent.any():
+        qe = q[evanescent][:, None]
+        with np.errstate(over="ignore"):
+            cos[evanescent] = np.cosh(qe * s)
+            sinc[evanescent] = np.sinh(qe * s) / qe
+    sinc[q == 0] = s
     return cos, sinc
+
+
+def _node_coefficients(k: np.ndarray, q2: np.ndarray, x: np.ndarray, b: float) -> np.ndarray:
+    """``e^{-ikx} cos(qs)`` and ``-e^{-ikx} sin(qs)/q`` at the output nodes
+    ``x`` of a cell with right edge ``b``, ``s = b - x``, side by side along
+    a last axis of ``2n``: shape ``(nk, len(x), 2n)``.  The offsets are
+    taken in ascending order, from the node nearest ``b``
+    (:func:`_cell_factors`)."""
+    n = q2.shape[1]
+    cos, sinc = (v[..., ::-1].swapaxes(1, 2) for v in _cell_factors(q2, b - x[::-1]))
+    phase = _phases(-k, x)[..., None]
+    coef = np.empty(cos.shape[:2] + (2 * n,), dtype=complex)
+    with np.errstate(invalid="ignore"):
+        np.multiply(phase, cos, out=coef[..., :n])
+        np.multiply(phase, np.negative(sinc, out=sinc), out=coef[..., n:])
+    return coef
 
 
 def faddeev_solve(
@@ -200,7 +227,12 @@ def faddeev_solve(
 
     These factors are even in ``q`` and finite at ``q = 0``, so ``k = 0``
     and ``k^2 = lambda`` take the same formula.  Every output node is evaluated from its own cell's
-    right edge, so round-off does not accumulate node by node.
+    right edge, so round-off does not accumulate node by node.  On a cell's
+    output nodes, ``e^{-ikx}`` and, in the oscillating channels (``q^2 >=
+    0``), ``cos(qs)`` and ``sin(qs)`` come from :func:`~.grids._phases`:
+    two short exponential tables per momentum on uniform nodes, one
+    exponential per node otherwise.  The evanescent channels and the cell's
+    left edge take ``cosh``, ``sinh`` and the exponentials directly.
 
     Parameters
     ----------
@@ -257,22 +289,18 @@ def faddeev_solve(
         a, b = edges[c], edges[c + 1]
         lam, u = np.linalg.eigh(cells[c])
         lo, hi = np.searchsorted(owner, (c, c + 1))
-        s = b - np.append(x_out[lo:hi], a)  # the cell's output nodes, then its left edge
         q2 = (k * k)[:, None] - lam  # (nk, n)
-        cos, sinc = _cell_factors(q2, s)
+        edge_cos, edge_sinc = (v[..., 0] for v in _cell_factors(q2, np.array([b - a])))
         # f(x) = sum over channels l of cos_l A_l - sinc_l B_l and
         # f'(x) = sum of q2_l sinc_l A_l + cos_l B_l, where
         # A_l = u[:, l] (u^dagger f(b))[l, :] and B_l is the same for f'(b)
         basis = u.T[None, :, :, None] * (u.conj().T @ np.stack([f, fp], axis=1))[:, :, :, None, :]
         basis = basis.reshape(nk, 2 * n, n * n)
-        fcoef = np.concatenate([cos, -sinc], axis=1).swapaxes(1, 2)  # (nk, ns + 1, 2n)
-        fpcoef = np.concatenate([q2 * sinc[..., -1], cos[..., -1]], axis=1)[:, None]  # left edge
-        phase = np.exp(-1j * np.outer(k, x_out[lo:hi]))[..., None]
         mc = m_out[:, lo:hi]
         with np.errstate(invalid="ignore"):
-            np.matmul(phase * fcoef[:, :-1], basis, out=mc)
-            f = (fcoef[:, -1:] @ basis).reshape(nk, n, n)
-            fp = (fpcoef @ basis).reshape(nk, n, n)
+            np.matmul(_node_coefficients(k, q2, x_out[lo:hi], b), basis, out=mc)
+            f = (np.concatenate([edge_cos, -edge_sinc], axis=1)[:, None] @ basis).reshape(nk, n, n)
+            fp = (np.concatenate([q2 * edge_sinc, edge_cos], axis=1)[:, None] @ basis).reshape(nk, n, n)
         if not all(np.isfinite(t).all() for t in (mc, f, fp)):
             finite = [np.isfinite(t.reshape(nk, -1)).all(axis=1) for t in (mc, f, fp)]
             raise JostOverflow.at(edges, cells, c, k[np.argmin(np.logical_and.reduce(finite))])
@@ -506,46 +534,86 @@ class KernelTable:
 
 
 def born_term(potential: PotentialSpec, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """First Born approximation ``integral_x^inf D_k(y-x) V(y) dy`` in closed
-    form over the cells; shape ``(len(k), len(x), n, n)``.
+    """First Born approximation ``integral_x^inf D_k(y-x) V(y) dy``, with
+    ``D_k(s) = (e^{2iks} - 1)/(2ik)``; shape ``(len(k), len(x), n, n)``.
 
     It is the momentum transform of the first Born kernel
     ``K_1(x, y) = (1/2) integral_{(x+y)/2}^inf V`` and carries the entire
     ``O(1/k)`` tail of ``m - I``, with the jump of ``K`` at ``y = x``;
     :func:`marchenko_kernel` takes ``K_1`` in closed form and synthesizes
-    only the rest.
+    only the rest.  Integrated by parts over the step cells it is
+
+        -T(x)/(2ik) - [e^{-2ikx} A(k, x) - V(x-)] / (4k^2),
+
+    with ``T`` the :func:`~.potentials.tail_integral` and ``A(k, x) =
+    sum_{breaks e >= x} e^{2ike} (V(e-) - V(e+))``: a reverse cumulative sum
+    over the breaks, constant on each run of nodes between two breaks, so
+    the whole term takes one plane-wave table ``e^{-2ikx}``
+    (:func:`~.grids._phases`).  The two parts cancel as ``k -> 0``, which
+    costs up to ``eps |V| / (4k^2)`` in absolute error; ``k = 0`` takes its
+    own closed form ``integral_x^inf (y - x) V(y) dy``.  A zero potential
+    returns zeros at once.
     """
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
     n = potential.n
-    out = np.zeros((k.size, x.size, n, n), dtype=complex)
-    twoik = 2j * k[:, None]
-    for a, b, v in zip(potential.breaks[:-1], potential.breaks[1:], potential.values):
-        if not np.any(v):
-            continue
-        lo = np.maximum(a, x)[None, :]
-        hi = np.maximum(b, x)[None, :]
-        length = np.clip(hi - lo, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            osc = (np.exp(twoik * (hi - x[None, :])) - np.exp(twoik * (lo - x[None, :]))) / twoik
-            weight = (osc - length) / twoik
-        zero = k == 0.0
-        if zero.any():
-            # D_0(s) = s: integral of (y - x) over the clipped cell
-            deg = 0.5 * ((hi - x[None, :]) ** 2 - (lo - x[None, :]) ** 2)
-            weight[zero] = deg[0]
-        out += weight[:, :, None, None] * v[None, None]
+    breaks, values = potential.breaks, potential.values
+    if not values.any():
+        return np.zeros((k.size, x.size, n, n), dtype=complex)
+    # left[i] is V just left of break i, and 0 past the last break
+    left = np.concatenate([np.zeros((1, n, n)), values, np.zeros((1, n, n))])
+    jumps = _phases(2.0 * k, breaks)[..., None, None] * (left[:-1] - left[1:])
+    A = np.zeros((k.size,) + left.shape, dtype=complex)
+    A[:, :-1] = np.cumsum(jumps[:, ::-1], axis=1)[:, ::-1]
+    zero = k == 0.0
+    kk = np.where(zero, 1.0, k)  # k = 0 rows are set below
+    c1, c2 = (0.5j / kk)[:, None, None, None], (0.25 / (kk * kk))[:, None, None, None]
+    tail = tail_integral(potential, x)
+    phase = _phases(-2.0 * k, x)[..., None, None]
+    out = np.empty((k.size, x.size, n, n), dtype=complex)
+    seg = np.searchsorted(breaks, x)  # the first break at or after each node
+    bounds = np.flatnonzero(np.diff(seg)) + 1
+    for lo, hi in zip(np.append(0, bounds), np.append(bounds, x.size)):
+        part = out[:, lo:hi]
+        np.multiply(c1, tail[lo:hi], out=part)
+        part += c2 * left[seg[lo]]
+        part -= phase[:, lo:hi] * (c2 * A[:, None, seg[lo]])
+    if zero.any():
+        # D_0(s) = s: integral_x^inf (y - x) V(y) dy over the clipped cells
+        lo, hi = (np.maximum(e, x[:, None]) - x[:, None] for e in (breaks[:-1], breaks[1:]))
+        out[zero] = np.tensordot(0.5 * (hi * hi - lo * lo), values, axes=1)
     return out
 
 
-def _largest_norm(mats: np.ndarray) -> float:
-    """Largest spectral norm in a stack of ``n x n`` matrices: only those whose
-    Frobenius norm (at most ``sqrt(n)`` times the spectral norm) reaches
-    ``1/sqrt(n)`` of the largest can hold it, and only their norms are
-    taken.  The margin absorbs the rounding of both norms."""
-    fro = np.linalg.norm(mats, axis=(-2, -1))
+def _largest_norm(mats: np.ndarray, fro: np.ndarray) -> float:
+    """Largest spectral norm in a stack of ``n x n`` matrices with Frobenius
+    norms ``fro``: only those whose Frobenius norm (at most ``sqrt(n)``
+    times the spectral norm) reaches ``1/sqrt(n)`` of the largest can hold
+    it, and only their norms are taken.  The margin absorbs the rounding of
+    both norms."""
     top = mats[fro >= fro.max() / np.sqrt(mats.shape[-1]) * (1.0 - 1e-12)]
     return float(_spectral_norms(top).max())
+
+
+def _remainder(jt: JostTable) -> tuple[np.ndarray, float]:
+    """``R = m - I -`` :func:`born_term` and the edge-to-peak fraction of its
+    spectral norms.  ``R`` and its Frobenius norms, which pick the matrices
+    whose spectral norms are taken, are built in blocks of momentum rows of
+    about ``KERNEL_BLOCK`` entries, so each block's passes stay in cache."""
+    k, nx, n = jt.k, jt.xv.size, jt.n
+    remainder = np.empty_like(jt.m)
+    fro = np.empty((k.size, nx))
+    rows = max(1, KERNEL_BLOCK // (nx * n * n))
+    for lo in range(0, k.size, rows):
+        block = slice(lo, lo + rows)
+        part = np.subtract(jt.m[block], np.eye(n), out=remainder[block])
+        part -= born_term(jt.potential, k[block], jt.xv)
+        fro[block] = np.linalg.norm(part, axis=(-2, -1))
+    peak = _largest_norm(remainder, fro)
+    # the outer tenth of the window, or the outermost node pair on a coarse grid
+    outer = np.abs(k) >= min(0.9 * jt.grid.kmax, k[-1])
+    edge = _largest_norm(remainder[outer], fro[outer])
+    return remainder, edge / peak if peak > 0 else 0.0
 
 
 def marchenko_kernel(jt: JostTable) -> KernelTable:
@@ -556,7 +624,8 @@ def marchenko_kernel(jt: JostTable) -> KernelTable:
     at ``y = x`` included, and ``R = m - I -`` :func:`born_term` its
     ``O(1/k^2)`` remainder, summed untapered.  Rows and columns are prefixes
     of ``grid.x``, so one Fourier sum over the offsets ``y - x`` serves every
-    row, and ``K_1`` reads the tail integral on the half-step nodes.
+    row, and ``K_1`` reads the tail integral on the half-step nodes.  ``R``
+    is built in blocks of momentum rows (:func:`_remainder`).
 
     Raises
     ------
@@ -570,12 +639,7 @@ def marchenko_kernel(jt: JostTable) -> KernelTable:
     ny = min(grid.x.size, max(2, 2 * nx - 1))
     y = grid.x[:ny]
 
-    remainder = jt.m - np.eye(n)
-    remainder -= born_term(jt.potential, k, jt.xv)
-    peak = _largest_norm(remainder)
-    # the outer tenth of the window, or the outermost node pair on a coarse grid
-    edge = _largest_norm(remainder[np.abs(k) >= min(0.9 * grid.kmax, k[-1])])
-    tail_fraction = edge / peak if peak > 0 else 0.0
+    remainder, tail_fraction = _remainder(jt)
     if tail_fraction > TAIL_TOL:
         raise TailNotNegligible(
             f"kernel remainder edge fraction {tail_fraction:.2e} exceeds {TAIL_TOL:.1e}; "

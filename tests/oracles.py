@@ -14,6 +14,9 @@ cellwise Jost solver (itself checked against :func:`ode_jost`), because the
 ODE oracle's error would be amplified by ``1/h``.  :func:`tail_fraction_all_norms`
 is the Marchenko window check with the exact norm of every ``(k, x)``
 matrix, against which the filtered check must agree bit for bit.
+:func:`born_term_cells` is the first Born term summed cell by cell, as the
+package formed it before it integrated by parts, and
+:func:`born_term_mpmath` the same integral by mpmath quadrature.
 :func:`mprime_nodes` and :func:`near_field_psi` rebuild, for the checks that
 read them, the tables the package no longer keeps: ``m'`` at every node and
 the physical solution on the near field.  :func:`map_kernel_near_sums` forms
@@ -457,6 +460,57 @@ def channel_convolve_loop(g, values):
     for i in range(values.shape[1]):
         for l in range(values.shape[1]):
             out[:, i] += fftconvolve(g[:, i, l], values[:, l], mode="same")
+    return out
+
+
+def born_term_cells(potential, k, x):
+    """The first Born term ``integral_x^inf D_k(y-x) V(y) dy``, with ``D_k(s)
+    = (e^{2iks} - 1)/(2ik)``, summed cell by cell: for each cell clipped to
+    ``[x, inf)``, the integral of ``D_k`` in closed form from two
+    exponentials, and ``integral (y - x) dy`` at ``k = 0``; shape ``(len(k),
+    len(x), n, n)``.  It has no cancellation as ``k -> 0`` beyond the one in
+    its own difference of exponentials."""
+    k = np.asarray(k, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = potential.n
+    out = np.zeros((k.size, x.size, n, n), dtype=complex)
+    twoik = 2j * k[:, None]
+    for a, b, v in zip(potential.breaks[:-1], potential.breaks[1:], potential.values):
+        if not np.any(v):
+            continue
+        lo = np.maximum(a, x)[None, :]
+        hi = np.maximum(b, x)[None, :]
+        length = np.clip(hi - lo, 0.0, None)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            osc = (np.exp(twoik * (hi - x[None, :])) - np.exp(twoik * (lo - x[None, :]))) / twoik
+            weight = (osc - length) / twoik
+        zero = k == 0.0
+        if zero.any():
+            # D_0(s) = s: integral of (y - x) over the clipped cell
+            deg = 0.5 * ((hi - x[None, :]) ** 2 - (lo - x[None, :]) ** 2)
+            weight[zero] = deg[0]
+        out += weight[:, :, None, None] * v[None, None]
+    return out
+
+
+def born_term_mpmath(potential, k, x, dps=30):
+    """One entry table of the first Born term at a single ``(k, x)``, shape
+    ``(n, n)``: mpmath quadrature of ``D_k(y - x)`` over each cell clipped to
+    ``[x, inf)``, at ``dps`` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        k, x = mp.mpf(float(k)), mp.mpf(float(x))
+
+        def kernel(y):
+            s = y - x
+            return s if k == 0 else (mp.expj(2 * k * s) - 1) / (2j * k)
+
+        out = np.zeros((potential.n, potential.n), dtype=complex)
+        for a, b, v in zip(potential.breaks[:-1], potential.breaks[1:], potential.values):
+            lo, hi = max(mp.mpf(float(a)), x), max(mp.mpf(float(b)), x)
+            if hi > lo:
+                out += complex(mp.quad(kernel, [lo, hi])) * v
     return out
 
 

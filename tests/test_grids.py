@@ -173,6 +173,32 @@ def test_fourier_sum_on_non_dyadic_spacing():
     assert _relative_gap(fourier_sum(g, grid.k[0], grid.dk, y), dense) < 1e-13
 
 
+@pytest.mark.parametrize("origin", [0.0, 0.3, 1.0 / 3.0])
+def test_phases_match_longdouble_direct_exp(origin):
+    """``_phases`` against ``e^{iqx}`` formed in long double on the default
+    grid, at ``|q x|`` up to ``2 kmax xmax``, ascending and descending.
+
+    From 0 the dyadic nodes ``j dx`` are rebuilt exactly from the coarse and
+    fine factors, so only the exponentials' rounding is left.  From an
+    offset, node ``bB + r`` is rebuilt as ``x[bB] + (x[r] - x[0])``, which
+    can sit an ulp of ``x`` away from the rounded ``x[bB + r]``: the bound is
+    the phase of a node moved by one ulp, the same size as the rounding of
+    ``q x`` in a float64 direct exponential.  Non-uniform nodes take that
+    direct exponential itself."""
+    grid = KXGrid.build()
+    q = 2.0 * np.concatenate([grid.k[::97], grid.k[-1:]])
+    x = origin + grid.x
+    assert np.abs(q).max() * x.max() >= 2.0 * grid.kmax * grid.xmax * (1.0 - 1e-3)
+    bound = 4e-15 if origin == 0.0 else np.abs(q).max() * np.spacing(x.max())
+    for nodes in (x, x[::-1]):
+        reference = grids._cis(np.multiply.outer(q.astype(np.longdouble), nodes.astype(np.longdouble)))
+        got = grids._phases(q, nodes)
+        assert got.shape == (q.size, x.size)
+        assert np.abs(got - reference).max() <= bound
+    bent = x[:300] + 1e-6 * np.sin(x[:300])
+    np.testing.assert_array_equal(grids._phases(q, bent), np.exp(1j * np.multiply.outer(q, bent)))
+
+
 def test_uniform_spline_reproduces_cubics():
     grid = small_grid()
     cubic = lambda q: (1.0 - 0.5j) + 2.0 * q - (0.3 + 0.1j) * q**2 + 0.02j * q**3

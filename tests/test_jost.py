@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from conftest import GOLDEN_THETA
+from scatterkit import jost
 from scatterkit.boundary import BoundaryPair
 from scatterkit.grids import KXGrid
 from scatterkit.jost import (
@@ -39,6 +40,17 @@ COSH1 = np.cosh(1.0)
 SINH1 = np.sinh(1.0)
 
 
+def _three_cells():
+    """A 2x2 Hermitian three-cell potential whose breaks sit off every grid
+    node, with ``V = 0`` left of its first break."""
+    cells = [
+        (0.13, 0.71, np.array([[1.0, 0.5j], [-0.5j, 2.0]])),
+        (0.71, 1.37, np.array([[-0.3, 0.2], [0.2, 0.4]])),
+        (1.37, 2.29, np.array([[0.7, -0.4 + 0.1j], [-0.4 - 0.1j, -1.2]])),
+    ]
+    return PotentialSpec.from_cells(2, cells)
+
+
 def _assert_step_values(m, mp, atol):
     """Check ``m`` and the wall values ``m'(k, 0)`` at k = (2, 0.7, -2, 0)
     against the frozen unit-step values."""
@@ -68,16 +80,25 @@ def test_jost_matches_closed_form_step():
 
 
 def test_jost_matches_ode_oracle_matrix(matrix_potential):
-    x = np.linspace(0.0, 2.0, 257)
-    idx = [0, 96]  # x = 0 and x = 0.75
-    for k in (0.6, 3.7):
-        m, _ = faddeev_solve(matrix_potential, np.array([k]), x)
-        mp = oracles.mprime_nodes(matrix_potential, np.array([k]), x)
-        f = np.exp(1j * k * x[idx, None, None]) * m[0, idx]
-        fp = np.exp(1j * k * x[idx, None, None]) * (1j * k * m[0, idx] + mp[0, idx])
-        f_ref, fp_ref = oracles.ode_jost(matrix_potential, k, x[idx])
-        np.testing.assert_allclose(f, f_ref, atol=1e-8)
-        np.testing.assert_allclose(fp, fp_ref, atol=1e-8)
+    """On nodes through the breaks, and for a potential whose breaks sit off
+    the nodes: on non-uniform nodes (each cell's exponentials taken
+    directly) and on uniform ones whose cells start off a node (the factored
+    tables from an offset origin)."""
+    scattered = np.sort(np.random.default_rng(11).uniform(0.0, 2.29, 50))
+    cases = (
+        (matrix_potential, np.linspace(0.0, 2.0, 257), [0, 96]),  # x = 0 and x = 0.75
+        (_three_cells(), np.concatenate([[0.0], scattered, [2.5]]), [0, 9, 23, 37, 49]),
+        (_three_cells(), np.linspace(0.0, 2.5, 161), [0, 9, 23, 37, 140]),  # the oracle stops at 2.29
+    )
+    for v, x, idx in cases:
+        for k in (0.6, 3.7):
+            m, _ = faddeev_solve(v, np.array([k]), x)
+            mp = oracles.mprime_nodes(v, np.array([k]), x)
+            f = np.exp(1j * k * x[idx, None, None]) * m[0, idx]
+            fp = np.exp(1j * k * x[idx, None, None]) * (1j * k * m[0, idx] + mp[0, idx])
+            f_ref, fp_ref = oracles.ode_jost(v, k, x[idx])
+            np.testing.assert_allclose(f, f_ref, atol=1e-8)
+            np.testing.assert_allclose(fp, fp_ref, atol=1e-8)
 
 
 def test_jost_agrees_with_volterra_oracle_matrix(matrix_potential):
@@ -371,6 +392,56 @@ def test_born_term_leading_order():
     np.testing.assert_allclose(
         born[1, :, 0, 0], 0.5 * eps * (1.0 - x) ** 2, atol=1e-12
     )
+
+
+def test_born_term_by_parts_matches_cells_and_mpmath():
+    """The by-parts Born term against the per-cell sum it replaced and against
+    mpmath quadrature, on uniform nodes from 0, uniform nodes from an offset
+    and non-uniform nodes holding the breaks themselves.
+
+    Integrating by parts cancels two ``O(1/k^2)`` terms as ``k -> 0``, which
+    leaves an absolute error of about ``eps |V| / (4k^2)``; at large ``k``
+    the rounding of the ``O(|V| X / k)`` term itself, with ``X`` the support
+    radius, dominates, and ``k = 0`` is a closed form of size ``|V| X^2``.
+    Both references carry the same floor, so the bound is 4 times it (the
+    measured gaps reach 1.2 times it, at ``k = dk/2``)."""
+    v = _three_cells()
+    grid = KXGrid.build(kmax=20.0, nk=1024, dx=1.0 / 64.0, xmax=4.0)
+    k = np.array([0.0, grid.dk / 2, -grid.dk / 2, 1.1, grid.k[-1], -grid.k[-1]])
+    eps, size, X = np.finfo(float).eps, np.abs(v.values).max(), v.support_radius
+    with np.errstate(divide="ignore"):
+        floor = eps * size * np.where(k == 0.0, X * X, 1.0 / (4.0 * k * k) + X / np.abs(k))
+    tol = 4.0 * floor[:, None, None, None]
+    rng = np.random.default_rng(5)
+    nodes = (
+        grid.x[:160],
+        0.3 + grid.x[:140],
+        np.sort(np.concatenate([rng.uniform(0.0, 2.6, 60), v.breaks])),
+    )
+    for x in nodes:
+        born = born_term(v, k, x)
+        assert np.all(np.abs(born - oracles.born_term_cells(v, k, x)) <= tol)
+        for j in (0, 1, 3, 4):
+            for i in (0, x.size // 3, x.size // 2):
+                reference = oracles.born_term_mpmath(v, k[j], x[i])
+                assert np.all(np.abs(born[j, i] - reference) <= tol[j])
+    # past the support the term vanishes, and a zero potential gives exact zeros
+    assert not born[:, x > X].any()
+    assert not born_term(zero_potential(2), k, nodes[0]).any()
+
+
+def test_kernel_blocks_do_not_change_results(matrix_potential, monkeypatch):
+    """The remainder ``m - I - born_term`` and its norms are built block by
+    block along the momenta; one row per block and one block for the whole
+    grid give bitwise the kernel and tail fraction of the default blocks."""
+    jt = solve_faddeev(matrix_potential, KXGrid.build(kmax=20.0, nk=1024, dx=1.0 / 64.0, xmax=16.0))
+    kt = marchenko_kernel(jt)
+    assert jt.k.size * jt.xv.size * jt.n**2 > 4 * jost.KERNEL_BLOCK
+    for budget in (jt.xv.size * jt.n**2, jt.k.size * jt.xv.size * jt.n**2):
+        monkeypatch.setattr(jost, "KERNEL_BLOCK", budget)
+        run = marchenko_kernel(jt)
+        assert np.array_equal(run.values, kt.values)
+        assert run.tail_fraction == kt.tail_fraction
 
 
 # --- bound states: the roots of J(i kappa) ------------------------------------
