@@ -17,9 +17,10 @@ self-adjoint boundary condition at the origin:
 
 Everything is table-driven: build a :class:`~scatterkit.grids.KXGrid`, solve
 for the Faddeev table, then derive scattering/spectral/wave-operator objects
-from it.  The table holds ``m(k, x)`` on the near field, which the Marchenko
-kernel and the Fourier maps read, and the wall values from which the Jost
-matrix, ``S`` and the boundary values of the physical solutions follow.
+from it.  The table holds ``m(k, x)`` on the near field, which the Fourier
+maps read, and the wall values from which the Jost matrix, ``S`` and the
+boundary values of the physical solutions follow; the Marchenko kernel is
+solved from the potential on the table's spatial nodes.
 """
 
 from .grids import KXGrid, GridError, GridTooCoarse
@@ -50,7 +51,7 @@ from .jost import (
     KernelTable,
     JostError,
     JostOverflow,
-    TailNotNegligible,
+    KernelTooCoarse,
     solve_faddeev,
     jost_matrix,
     bound_states,

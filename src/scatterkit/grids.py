@@ -31,9 +31,9 @@ before rounding.  The sums then match a ``longdouble`` direct sum to about
 the chirp ``w**(j^2/2)`` of ``scipy.signal.czt``.
 
 Every table of plane waves ``e^{i q x}`` over arbitrary ``q`` is
-:func:`_phases`: the near-field phases of the generalized Fourier maps,
+:func:`_phases`: the near-field phases of the generalized Fourier maps and
 the ``e^{-ikx}``, ``cos(qs)`` and ``sin(qs)`` of each cell of the Jost
-solver and the ``e^{-2ikx}`` of its Born term.  On uniform nodes from any
+solver.  On uniform nodes from any
 origin (the test :func:`fourier_sum` dispatches on) it multiplies two
 short exponential tables, a coarse one that carries the origin and a fine
 one of offsets; other nodes take one exponential each.

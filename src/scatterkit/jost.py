@@ -16,16 +16,15 @@ Derived objects:
 * the bound states, the energies ``-kappa^2`` where ``J(i kappa)`` is
   singular, from an exact count of the states below each energy;
 * the Marchenko kernel ``K(x, y)`` of ``f(k, x) = e^{ikx} I + integral_x^inf
-  K(x, y) e^{iky} dy``: its first Born part ``K_1(x, y) = (1/2)
-  integral_{(x+y)/2}^inf V``, exact with its jump at ``y = x``, plus the
-  Fourier synthesis of the rest of ``m - I``.  The Born part's momentum
-  transform, subtracted from ``m - I`` before the synthesis, is integrated
-  by parts over the cells (:func:`born_term`): one plane-wave table, exact
-  up to an absolute ``eps |V| / (4k^2)`` from the cancellation as ``k -> 0``.
+  K(x, y) e^{iky} dy``, from its Goursat problem ``K_xx - K_yy = V(x) K`` on
+  ``y > x`` with ``K(x, x+) = (1/2) integral_x^inf V``: a diamond recursion
+  on the table's ``x`` nodes with exact cell integrals of ``V``, second order
+  in ``dx``, whose step-doubling estimate is checked against ``KERNEL_TOL``.
+  It reads no momentum.
 
-The table keeps ``m`` on the near field, which the kernel and the Fourier
-maps read, and ``m'`` at the wall only: the Jost matrix, ``S`` and the
-boundary values of the physical solutions need ``f`` and ``f'`` nowhere else.
+The table keeps ``m`` on the near field, which the Fourier maps read, and
+``m'`` at the wall only: the Jost matrix, ``S`` and the boundary values of
+the physical solutions need ``f`` and ``f'`` nowhere else.
 """
 
 from __future__ import annotations
@@ -36,16 +35,13 @@ from functools import cached_property
 import numpy as np
 
 from .boundary import ANGLE_SNAP_TOL, BoundaryPair, diagonalize_boundary, validate_boundary
-from .grids import KXGrid, _phases, fourier_sum, trapezoid_weights
-from .potentials import PotentialSpec, _spectral_norms, tail_integral, validate_potential
+from .grids import KXGrid, _phases, trapezoid_weights
+from .potentials import PotentialSpec, _spectral_norms, _tail_cells, tail_integral, validate_potential
 
 EXCEPTIONAL_TOL = 1e-6
-#: largest edge-to-peak fraction of the kernel's synthesized remainder
-#: ``m - I - born_term``
-TAIL_TOL = 5e-3
-#: complex entries (512 KB) of the kernel's remainder ``m - I - born_term``
-#: built at once: a block of momentum rows stays in cache across its passes
-KERNEL_BLOCK = 1 << 15
+#: largest step-doubling estimate of the kernel's node error, relative to
+#: its largest entry
+KERNEL_TOL = 1e-3
 
 
 class JostError(RuntimeError):
@@ -78,8 +74,16 @@ class JostOverflow(JostError):
         return cls((edges[c], edges[c + 1]), k, growth)
 
 
-class TailNotNegligible(JostError):
-    """The momentum window is too small for the kernel synthesis."""
+class KernelTooCoarse(JostError):
+    """The spatial step is too coarse for the kernel's Goursat recursion."""
+
+    def __init__(self, dx: float, estimate: float):
+        self.dx = float(dx)
+        self.estimate = float(estimate)
+        super().__init__(
+            f"kernel error estimate {self.estimate:.2e} exceeds {KERNEL_TOL:.1e} at dx={self.dx:g}; "
+            "decrease dx (the error falls as dx^2)"
+        )
 
 
 @dataclass(frozen=True)
@@ -495,8 +499,9 @@ class KernelTable:
         The jump ``K(x, x+) = (1/2) integral_x^inf V``, exact over the cells;
         shape ``(len(x), n, n)``.
     tail_fraction : float
-        Edge-to-peak fraction of the synthesized remainder ``m - I - born_term``;
-        a large value means the momentum window was too small.
+        The relative step-doubling estimate of the node error,
+        ``max |K_2h - K_h| / (3 max |K|)`` (the field keeps its old name);
+        0 for a zero potential.
     """
 
     x: np.ndarray
@@ -533,126 +538,87 @@ class KernelTable:
         return self._schur[1]
 
 
-def born_term(potential: PotentialSpec, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """First Born approximation ``integral_x^inf D_k(y-x) V(y) dy``, with
-    ``D_k(s) = (e^{2iks} - 1)/(2ik)``; shape ``(len(k), len(x), n, n)``.
-
-    It is the momentum transform of the first Born kernel
-    ``K_1(x, y) = (1/2) integral_{(x+y)/2}^inf V`` and carries the entire
-    ``O(1/k)`` tail of ``m - I``, with the jump of ``K`` at ``y = x``;
-    :func:`marchenko_kernel` takes ``K_1`` in closed form and synthesizes
-    only the rest.  Integrated by parts over the step cells it is
-
-        -T(x)/(2ik) - [e^{-2ikx} A(k, x) - V(x-)] / (4k^2),
-
-    with ``T`` the :func:`~.potentials.tail_integral` and ``A(k, x) =
-    sum_{breaks e >= x} e^{2ike} (V(e-) - V(e+))``: a reverse cumulative sum
-    over the breaks, constant on each run of nodes between two breaks, so
-    the whole term takes one plane-wave table ``e^{-2ikx}``
-    (:func:`~.grids._phases`).  The two parts cancel as ``k -> 0``, which
-    costs up to ``eps |V| / (4k^2)`` in absolute error; ``k = 0`` takes its
-    own closed form ``integral_x^inf (y - x) V(y) dy``.  A zero potential
-    returns zeros at once.
-    """
-    k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
+def _goursat(potential: PotentialSpec, h: float, rows: int) -> np.ndarray:
+    """The kernel by the diamond recursion on the nodes ``x_i = i h``, laid
+    out ``[row, a, col, b]``: shape ``(rows, n, 2 rows - 1, n)``, holding the
+    whole jump ``K(x, x+)`` on the diagonal and 0 below it.  ``x_{rows-1}``
+    must reach the support, so that ``K`` vanishes from ``i + j = 2 rows - 2``
+    on (:func:`marchenko_kernel`)."""
     n = potential.n
-    breaks, values = potential.breaks, potential.values
-    if not values.any():
-        return np.zeros((k.size, x.size, n, n), dtype=complex)
-    # left[i] is V just left of break i, and 0 past the last break
-    left = np.concatenate([np.zeros((1, n, n)), values, np.zeros((1, n, n))])
-    jumps = _phases(2.0 * k, breaks)[..., None, None] * (left[:-1] - left[1:])
-    A = np.zeros((k.size,) + left.shape, dtype=complex)
-    A[:, :-1] = np.cumsum(jumps[:, ::-1], axis=1)[:, ::-1]
-    zero = k == 0.0
-    kk = np.where(zero, 1.0, k)  # k = 0 rows are set below
-    c1, c2 = (0.5j / kk)[:, None, None, None], (0.25 / (kk * kk))[:, None, None, None]
-    tail = tail_integral(potential, x)
-    phase = _phases(-2.0 * k, x)[..., None, None]
-    out = np.empty((k.size, x.size, n, n), dtype=complex)
-    seg = np.searchsorted(breaks, x)  # the first break at or after each node
-    bounds = np.flatnonzero(np.diff(seg)) + 1
-    for lo, hi in zip(np.append(0, bounds), np.append(bounds, x.size)):
-        part = out[:, lo:hi]
-        np.multiply(c1, tail[lo:hi], out=part)
-        part += c2 * left[seg[lo]]
-        part -= phase[:, lo:hi] * (c2 * A[:, None, seg[lo]])
-    if zero.any():
-        # D_0(s) = s: integral_x^inf (y - x) V(y) dy over the clipped cells
-        lo, hi = (np.maximum(e, x[:, None]) - x[:, None] for e in (breaks[:-1], breaks[1:]))
-        out[zero] = np.tensordot(0.5 * (hi * hi - lo * lo), values, axes=1)
-    return out
-
-
-def _largest_norm(mats: np.ndarray, fro: np.ndarray) -> float:
-    """Largest spectral norm in a stack of ``n x n`` matrices with Frobenius
-    norms ``fro``: only those whose Frobenius norm (at most ``sqrt(n)``
-    times the spectral norm) reaches ``1/sqrt(n)`` of the largest can hold
-    it, and only their norms are taken.  The margin absorbs the rounding of
-    both norms."""
-    top = mats[fro >= fro.max() / np.sqrt(mats.shape[-1]) * (1.0 - 1e-12)]
-    return float(_spectral_norms(top).max())
-
-
-def _remainder(jt: JostTable) -> tuple[np.ndarray, float]:
-    """``R = m - I -`` :func:`born_term` and the edge-to-peak fraction of its
-    spectral norms.  ``R`` and its Frobenius norms, which pick the matrices
-    whose spectral norms are taken, are built in blocks of momentum rows of
-    about ``KERNEL_BLOCK`` entries, so each block's passes stay in cache."""
-    k, nx, n = jt.k, jt.xv.size, jt.n
-    remainder = np.empty_like(jt.m)
-    fro = np.empty((k.size, nx))
-    rows = max(1, KERNEL_BLOCK // (nx * n * n))
-    for lo in range(0, k.size, rows):
-        block = slice(lo, lo + rows)
-        part = np.subtract(jt.m[block], np.eye(n), out=remainder[block])
-        part -= born_term(jt.potential, k[block], jt.xv)
-        fro[block] = np.linalg.norm(part, axis=(-2, -1))
-    peak = _largest_norm(remainder, fro)
-    # the outer tenth of the window, or the outermost node pair on a coarse grid
-    outer = np.abs(k) >= min(0.9 * jt.grid.kmax, k[-1])
-    edge = _largest_norm(remainder[outer], fro[outer])
-    return remainder, edge / peak if peak > 0 else 0.0
+    # T and S = integral_s^inf (t - s) V(t) dt, exact at the half nodes s_m = m h/2
+    s = 0.5 * h * np.arange(2 * rows + 3)
+    T = tail_integral(potential, s)
+    a, b = (e - s[:, None] for e in _tail_cells(potential, s))
+    S = np.tensordot(0.5 * (b * b - a * a), potential.values, axes=1)
+    diamond = S[0:-4:2] - 2.0 * S[2:-2:2] + S[4::2]
+    strip = S[0:-4:2] - S[1:-3:2] - S[2:-2:2] + S[3:-1:2]
+    # the half strip, its centroid's share of K(i, i+1) taken at a predictor:
+    # K(i, i+1) = A_i K(i+1, i+2) + c_i
+    half = np.eye(n) + 0.25 * strip
+    A = half @ half
+    c = half @ (0.5 * (T[1:-3:2] - T[3:-1:2]) + 0.25 * strip @ T[2:-2:2])
+    K = np.zeros((rows, n, 2 * rows - 1, n), dtype=np.result_type(potential.values, float))
+    d = np.arange(rows)
+    K[d, :, d] = 0.5 * T[0:-3:2]
+    for i in range(rows - 2, -1, -1):
+        end = 2 * rows - 2 - i
+        K[i, :, i + 1] = A[i] @ K[i + 1, :, i + 2] + c[i]
+        if end > i + 2:
+            out = K[i, :, i + 2 : end]
+            np.matmul(diamond[i], K[i + 1, :, i + 2 : end].reshape(n, -1), out=out.reshape(n, -1))
+            out += K[i + 1, :, i + 3 : end + 1]
+            out += K[i + 1, :, i + 1 : end - 1]
+            out -= K[i + 2, :, i + 2 : end]
+    return K
 
 
 def marchenko_kernel(jt: JostTable) -> KernelTable:
-    """The Marchenko kernel: its first Born part plus a synthesized remainder.
+    """The Marchenko kernel from its Goursat problem, on the table's nodes.
 
-    ``K = K_1 + (1/2pi) integral e^{-ik(y-x)} R(k, x) dk`` on ``y >= x``, with
-    ``K_1(x, y) = (1/2) integral_{(x+y)/2}^inf V`` exact over the cells, jump
-    at ``y = x`` included, and ``R = m - I -`` :func:`born_term` its
-    ``O(1/k^2)`` remainder, summed untapered.  Rows and columns are prefixes
-    of ``grid.x``, so one Fourier sum over the offsets ``y - x`` serves every
-    row, and ``K_1`` reads the tail integral on the half-step nodes.  ``R``
-    is built in blocks of momentum rows (:func:`_remainder`).
+    ``K`` solves ``K_xx - K_yy = V(x) K`` on ``y > x``, with ``K(x, x+) =
+    (1/2) integral_x^inf V`` and ``K = 0`` for ``x + y >= 2 X_V``.  In
+    ``u = (x+y)/2``, ``v = (y-x)/2`` that is ``K_uv = -V(u-v) K``, and over
+    each diamond of nodes ``(i, j), (i+1, j+-1), (i+2, j)`` on the grid of
+    step ``h = dx`` (rows from the support edge down to the wall)
+
+        K(i, j) = K(i+1, j+1) + K(i+1, j-1) - K(i+2, j) + W_{i+1} K(i+1, j),
+
+    with ``W_{i+1}`` the exact integral of ``V`` over the diamond: the
+    second difference of ``S(x) = integral_x^inf (t - x) V(t) dt`` about
+    ``x_{i+1}``.  The diagonal is exact.  The row ``j = i + 1`` crosses the
+    half strip ``0 < v < h/2``: the difference of ``K(x, x+)`` at the half
+    nodes, plus the exact integral of ``V`` over the strip times ``K`` at its
+    centroid, interpolated from the diagonal, ``K(i+1, i+2)`` and ``K(i,
+    i+1)`` itself (taken at a predictor).  Each row is one ``(n x n) @ (n x
+    ny n)`` product.  The error is second order in ``dx``, the breaks on or
+    off the nodes alike.
+
+    A second pass at ``2 dx`` gives the step-doubling estimate
+    ``max |K_2h - K_h| / 3`` on the shared nodes, relative to ``max |K|``;
+    it is kept as ``tail_fraction``.  A zero potential returns zeros at once.
 
     Raises
     ------
-    TailNotNegligible
-        If the remainder at the window edge exceeds ``TAIL_TOL`` of its
-        peak: the nonlinear part of ``m - I`` has not decayed inside the
-        momentum window.
+    KernelTooCoarse
+        If the estimate exceeds ``KERNEL_TOL``: ``dx`` is too coarse.
     """
-    grid = jt.grid
-    k, nx, n = jt.k, jt.xv.size, jt.n
+    grid, nx, n = jt.grid, jt.xv.size, jt.n
     ny = min(grid.x.size, max(2, 2 * nx - 1))
-    y = grid.x[:ny]
-
-    remainder, tail_fraction = _remainder(jt)
-    if tail_fraction > TAIL_TOL:
-        raise TailNotNegligible(
-            f"kernel remainder edge fraction {tail_fraction:.2e} exceeds {TAIL_TOL:.1e}; "
-            "increase the momentum window"
-        )
-
-    # k1[m] is K_1 at (x + y)/2 = m dx/2; synth[d, i] is the remainder's kernel at (x_i, x_i + y_d)
-    k1 = 0.5 * tail_integral(jt.potential, 0.5 * grid.dx * np.arange(nx + ny - 1))
-    synth = (grid.dk / (2.0 * np.pi)) * fourier_sum(remainder, k[0], grid.dk, y, -1)
-    rows, cols = np.triu_indices(nx, 0, ny)
     values = np.zeros((nx, ny, n, n), dtype=complex)
-    values[rows, cols] = k1[rows + cols] + synth[cols - rows, rows]
-    inner = np.arange(1, nx)
-    values[inner, inner] -= 0.5 * k1[2 * inner]  # half the jump, off the wall row
-    diagonal = k1[: 2 * nx : 2]
-    return KernelTable(x=jt.xv, y=y, values=values, diagonal=diagonal, tail_fraction=tail_fraction, n=n)
+    diagonal = np.zeros((nx, n, n), dtype=complex)
+    estimate = 0.0
+    if jt.potential.values.any():
+        fine = _goursat(jt.potential, grid.dx, nx)
+        coarse = _goursat(jt.potential, 2.0 * grid.dx, nx // 2 + 1)
+        shared = fine[::2, :, ::2]
+        gap = np.abs(coarse[: shared.shape[0], :, : shared.shape[2]] - shared).max()
+        peak = np.abs(fine).max()
+        estimate = float(gap / (3.0 * peak)) if peak > 0 else 0.0
+        if estimate > KERNEL_TOL:
+            raise KernelTooCoarse(grid.dx, estimate)
+        cols = min(ny, fine.shape[2])
+        values[:, :cols] = fine[:, :, :cols].transpose(0, 2, 1, 3)
+        inner = np.arange(nx)
+        diagonal[:] = values[inner, inner]
+        values[inner[1:], inner[1:]] *= 0.5  # half the jump, off the wall row
+    return KernelTable(x=jt.xv, y=grid.x[:ny], values=values, diagonal=diagonal, tail_fraction=estimate, n=n)

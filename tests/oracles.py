@@ -11,12 +11,15 @@ primitives.
 by term from the package's public primitives, against which the fused route
 is checked.  :func:`s_zero_richardson` extrapolates ``S(0)`` from the exact
 cellwise Jost solver (itself checked against :func:`ode_jost`), because the
-ODE oracle's error would be amplified by ``1/h``.  :func:`tail_fraction_all_norms`
-is the Marchenko window check with the exact norm of every ``(k, x)``
-matrix, against which the filtered check must agree bit for bit.
-:func:`born_term_cells` is the first Born term summed cell by cell, as the
-package formed it before it integrated by parts, and
-:func:`born_term_mpmath` the same integral by mpmath quadrature.
+ODE oracle's error would be amplified by ``1/h``.
+:func:`kernel_synthesis` is the Marchenko kernel built from the Faddeev
+table, independently of the package's Goursat recursion: its first Born
+part in closed form plus the Fourier synthesis of ``m - I -``
+:func:`born_term`, where :func:`born_term` is the first Born term integrated
+by parts over the cells.  :func:`born_term_cells` is the same term summed
+cell by cell and :func:`born_term_mpmath` by mpmath quadrature.
+:func:`goursat_kernel` restates the package's diamond recursion row by row
+with a three-row buffer, so that a step of ``dx/16`` fits in memory.
 :func:`mprime_nodes` and :func:`near_field_psi` rebuild, for the checks that
 read them, the tables the package no longer keeps: ``m'`` at every node and
 the physical solution on the near field.  :func:`map_kernel_near_sums` forms
@@ -46,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from scatterkit.jost import born_term, faddeev_solve
+from scatterkit.jost import faddeev_solve
 from scatterkit.waveop import FieldR, convolve, extend_even, hilbert, kernel_apply, restrict
 
 
@@ -514,15 +517,119 @@ def born_term_mpmath(potential, k, x, dps=30):
     return out
 
 
-def tail_fraction_all_norms(jt):
-    """Edge-to-peak ratio of the Born-subtracted Faddeev remainder, with the
-    spectral norm of every ``(k, x)`` matrix from its top Gram eigenvalue."""
-    k, grid = jt.k, jt.grid
-    remainder = jt.m - np.eye(jt.n) - born_term(jt.potential, k, jt.xv)
-    gram = remainder.conj().swapaxes(-1, -2) @ remainder
-    mags = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
-    peak = float(mags.max())
-    return float(mags[np.abs(k) >= 0.9 * grid.kmax].max() / peak) if peak > 0 else 0.0
+def born_term(potential, k, x):
+    """First Born approximation ``integral_x^inf D_k(y-x) V(y) dy``, with
+    ``D_k(s) = (e^{2iks} - 1)/(2ik)``; shape ``(len(k), len(x), n, n)``.
+
+    It is the momentum transform of the first Born kernel
+    ``K_1(x, y) = (1/2) integral_{(x+y)/2}^inf V`` and carries the entire
+    ``O(1/k)`` tail of ``m - I``.  Integrated by parts over the step cells it
+    is ``-T(x)/(2ik) - [e^{-2ikx} A(k, x) - V(x-)] / (4k^2)``, with ``T`` the
+    tail integral and ``A(k, x) = sum_{breaks e >= x} e^{2ike} (V(e-) -
+    V(e+))``, constant on each run of nodes between two breaks.  The two
+    parts cancel as ``k -> 0``, which costs up to ``eps |V| / (4k^2)`` in
+    absolute error; ``k = 0`` takes its own closed form ``integral_x^inf (y -
+    x) V(y) dy``.  A zero potential returns zeros."""
+    from scatterkit.grids import _phases
+    from scatterkit.potentials import tail_integral
+
+    k = np.asarray(k, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = potential.n
+    breaks, values = potential.breaks, potential.values
+    if not values.any():
+        return np.zeros((k.size, x.size, n, n), dtype=complex)
+    # left[i] is V just left of break i, and 0 past the last break
+    left = np.concatenate([np.zeros((1, n, n)), values, np.zeros((1, n, n))])
+    jumps = _phases(2.0 * k, breaks)[..., None, None] * (left[:-1] - left[1:])
+    A = np.zeros((k.size,) + left.shape, dtype=complex)
+    A[:, :-1] = np.cumsum(jumps[:, ::-1], axis=1)[:, ::-1]
+    zero = k == 0.0
+    kk = np.where(zero, 1.0, k)  # k = 0 rows are set below
+    c1, c2 = (0.5j / kk)[:, None, None, None], (0.25 / (kk * kk))[:, None, None, None]
+    tail = tail_integral(potential, x)
+    phase = _phases(-2.0 * k, x)[..., None, None]
+    out = np.empty((k.size, x.size, n, n), dtype=complex)
+    seg = np.searchsorted(breaks, x)  # the first break at or after each node
+    bounds = np.flatnonzero(np.diff(seg)) + 1
+    for lo, hi in zip(np.append(0, bounds), np.append(bounds, x.size)):
+        part = out[:, lo:hi]
+        np.multiply(c1, tail[lo:hi], out=part)
+        part += c2 * left[seg[lo]]
+        part -= phase[:, lo:hi] * (c2 * A[:, None, seg[lo]])
+    if zero.any():
+        # D_0(s) = s: integral_x^inf (y - x) V(y) dy over the clipped cells
+        lo, hi = (np.maximum(e, x[:, None]) - x[:, None] for e in (breaks[:-1], breaks[1:]))
+        out[zero] = np.tensordot(0.5 * (hi * hi - lo * lo), values, axes=1)
+    return out
+
+
+def kernel_synthesis(jt):
+    """The Marchenko kernel on the nodes of ``marchenko_kernel(jt)``, from the
+    Faddeev table: ``K = K_1 + (1/2pi) integral e^{-ik(y-x)} R(k, x) dk`` on
+    ``y >= x``, with ``K_1(x, y) = (1/2) integral_{(x+y)/2}^inf V`` exact and
+    ``R = m - I -`` :func:`born_term` summed untapered over the momentum
+    grid; shape ``(len(xv), ny, n, n)``, with the package's diagonal share
+    (half the jump off the wall row).  Its error is the truncation of ``R``
+    at ``k_max``, at the kinks along ``x + y = 2 break``."""
+    from scatterkit.grids import fourier_sum
+    from scatterkit.potentials import tail_integral
+
+    grid, nx, n = jt.grid, jt.xv.size, jt.n
+    ny = min(grid.x.size, max(2, 2 * nx - 1))
+    remainder = jt.m - np.eye(n) - born_term(jt.potential, jt.k, jt.xv)
+    # k1[m] is K_1 at (x + y)/2 = m dx/2; synth[d, i] is R's kernel at (x_i, x_i + y_d)
+    k1 = 0.5 * tail_integral(jt.potential, 0.5 * grid.dx * np.arange(nx + ny - 1))
+    synth = (grid.dk / (2.0 * np.pi)) * fourier_sum(remainder, jt.k[0], grid.dk, grid.x[:ny], -1)
+    rows, cols = np.triu_indices(nx, 0, ny)
+    values = np.zeros((nx, ny, n, n), dtype=complex)
+    values[rows, cols] = k1[rows + cols] + synth[cols - rows, rows]
+    inner = np.arange(1, nx)
+    values[inner, inner] -= 0.5 * k1[2 * inner]
+    return values
+
+
+def goursat_kernel(potential, h, rows, keep=1):
+    """The kernel by the diamond recursion at step ``h`` on ``rows`` row nodes
+    (``x_{rows-1}`` reaching the support), kept on the nodes ``i h``, ``j h``
+    with ``i`` and ``j`` multiples of ``keep``: shape ``(ceil(rows/keep),
+    ceil((2 rows - 1)/keep), n, n)``, the whole jump ``K(x, x+)`` on the
+    diagonal.  Rows are solved from the support edge down in a three-row
+    buffer, each diamond's ``V`` weight the second difference of ``S(x) =
+    integral_x^inf (t - x) V(t) dt`` summed cell by cell, and the half strip
+    ``j = i + 1`` with ``K`` at its centroid interpolated linearly."""
+    n, cols = potential.n, 2 * rows - 1
+
+    def tails(s):
+        T = np.zeros((s.size, n, n), dtype=complex)
+        S = np.zeros_like(T)
+        for a, b, v in zip(potential.breaks[:-1], potential.breaks[1:], potential.values):
+            lo, hi = np.maximum(a, s), np.maximum(b, s)
+            T += (hi - lo)[:, None, None] * v
+            S += (0.5 * ((hi - s) ** 2 - (lo - s) ** 2))[:, None, None] * v
+        return T, S
+
+    T, S = tails(0.5 * h * np.arange(2 * rows + 3))
+    kept = np.zeros((-(-rows // keep), -(-cols // keep), n, n), dtype=complex)
+    # rows i + 1 and i + 2, with a zero column past the last
+    below, below2 = (np.zeros((cols + 1, n, n), dtype=complex) for _ in range(2))
+    for i in range(rows - 1, -1, -1):
+        row = np.zeros_like(below)
+        row[i] = 0.5 * T[2 * i]
+        if i + 1 < cols:
+            strip = S[2 * i] - S[2 * i + 1] - S[2 * i + 2] + S[2 * i + 3]
+            # K(i, i+1) = P + (strip/4) P, the centroid's own share taken at the predictor P
+            pred = below[i + 2] + 0.5 * (T[2 * i + 1] - T[2 * i + 3])
+            pred = pred + strip @ (0.5 * below[i + 1] + 0.25 * below[i + 2])
+            row[i + 1] = pred + 0.25 * strip @ pred
+        diamond = S[2 * i] - 2.0 * S[2 * i + 2] + S[2 * i + 4]
+        row[i + 2 : cols] = below[i + 3 :] + below[i + 1 : -2] - below2[i + 2 : -1]
+        for c in range(n):
+            row[i + 2 : cols] += diamond[:, c, None] * below[i + 2 : -1, None, c]
+        if i % keep == 0:
+            kept[i // keep] = row[:cols:keep]
+        below2, below = below, row
+    return kept
 
 
 # -- tables the package does not keep -------------------------------------------
@@ -593,9 +700,9 @@ def jost_representation_check(jt, kt, k_samples=48):
     ``kt.values`` (zero below the diagonal, half the jump on the diagonal
     node).
 
-    Momenta are sampled inside ``0.45 k_max``.  The jump sits in the exact
-    first Born part, so the defect is the quadrature error of the smooth
-    parts plus the synthesized remainder's truncation at ``k_max``.
+    Momenta are sampled inside ``0.45 k_max``.  The defect is the kernel's
+    own node error plus the trapezoid rule's over the kernel's kinks, which
+    grows as ``(k dy)^2`` times ``|K|``.
 
     Returns
     -------
