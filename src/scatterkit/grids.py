@@ -38,6 +38,15 @@ origin (the test :func:`fourier_sum` dispatches on) it multiplies two
 short exponential tables, a coarse one that carries the origin and a fine
 one of offsets; other nodes take one exponential each.
 
+Values between uniform nodes come from the not-a-knot cubic spline,
+:class:`UniformSpline`: knot slopes from one banded solve, run as blocked
+sweeps (:func:`_slope_solve`), then the cubic Hermite interpolant on each
+piece.  Sampling it at fixed points is linear in the knot values, and
+:func:`spline_adjoint` is its exact transpose, so a map that interpolates
+and its adjoint stay adjoint to roundoff.  The transpose reuses the same
+sweeps: the slope matrix is ``A = E A_s`` with ``A_s`` symmetric and ``E =
+diag(2, 1, ..., 1, 2)``, so ``A^{-T} = E^{-1} A^{-1} E``.
+
 Every FFT in the package is ``numpy.fft``, at the 11-smooth lengths of
 :func:`next_fast_len`; the package imports no scipy module on any path of
 the pipeline.  Spectra that do not depend on the data are computed once per
@@ -321,18 +330,16 @@ def _slope_sweeps(nx: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _knot_slopes(d: np.ndarray) -> np.ndarray:
-    """Knot slopes of the not-a-knot spline from the secant slopes ``d``,
-    shape ``(nx - 1, columns)`` to ``(nx, columns)``.
+def _slope_solve(rhs: np.ndarray) -> np.ndarray:
+    """Solve the not-a-knot slope system ``A s = rhs`` for ``rhs`` of shape
+    ``(nx, columns)``.
 
     Each sweep is one batched matmul over the blocks with no incoming
     carry, then one broadcast of the carry from the neighbouring block's
     end row.  That carry is itself taken without its own incoming carry:
     the part dropped crossed a whole block, which damps it below ``2^-60``.
     """
-    nx = d.shape[0] + 1
-    ends = (2.5 * d[:1] + 0.5 * d[1:2], 0.5 * d[-2:-1] + 2.5 * d[-1:])
-    rhs = np.concatenate([ends[0], 3.0 * (d[:-1] + d[1:]), ends[1]])
+    nx = rhs.shape[0]
     cplx = np.iscomplexobj(rhs)
     flat = np.ascontiguousarray(rhs, dtype=complex).view(float) if cplx else rhs
     forward, forward_carry, backward, backward_carry, kind = _slope_sweeps(nx)
@@ -344,6 +351,33 @@ def _knot_slopes(d: np.ndarray) -> np.ndarray:
     s[:-1] += backward_carry[kind[:-1]] * s[1:, :1]
     s = s.reshape(kind.size * SWEEP_BLOCK, -1)[:nx]
     return s.view(complex) if cplx else s
+
+
+def _knot_slopes(d: np.ndarray) -> np.ndarray:
+    """Knot slopes of the not-a-knot spline from the secant slopes ``d``,
+    shape ``(nx - 1, columns)`` to ``(nx, columns)``."""
+    ends = (2.5 * d[:1] + 0.5 * d[1:2], 0.5 * d[-2:-1] + 2.5 * d[-1:])
+    return _slope_solve(np.concatenate([ends[0], 3.0 * (d[:-1] + d[1:]), ends[1]]))
+
+
+def _knot_slopes_adjoint(s: np.ndarray) -> np.ndarray:
+    """The transpose of :func:`_knot_slopes`, shape ``(nx, columns)`` to
+    ``(nx - 1, columns)``.
+
+    The slope matrix is ``A = E A_s`` with ``A_s`` symmetric and ``E =
+    diag(2, 1, ..., 1, 2)`` (the end rows are ``s[0] + 2 s[1]`` and its
+    mirror), so ``A^{-T} = E^{-1} A^{-1} E`` takes the same sweeps; the
+    right-hand side's secant stencil then runs transposed.
+    """
+    ends = np.ones((s.shape[0], 1))
+    ends[[0, -1]] = 2.0
+    r = _slope_solve(s * ends) / ends
+    d = 3.0 * (r[:-1] + r[1:])
+    d[0] -= 0.5 * r[0]
+    d[1] += 0.5 * r[0]
+    d[-1] -= 0.5 * r[-1]
+    d[-2] += 0.5 * r[-1]
+    return d
 
 
 def hermite_weights(u: np.ndarray, h: float) -> np.ndarray:
@@ -394,10 +428,49 @@ class UniformSpline:
         flat = np.ravel(q).astype(float)
         j = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, self.x.size - 2)
         t = ((flat - self.x[j]) / self.h)[:, None]
-        h, y, s = self.h, self.values, self.slopes
-        D = y[j + 1] - y[j]
-        bend = (1.0 - t) * (h * s[j] - D) - t * (h * s[j + 1] - D)
-        return (y[j] + t * (D + (1.0 - t) * bend)).reshape(np.shape(q) + self._tail)
+        # np.take gathers rows up to twice as fast as fancy indexing
+        y0, y1, s0, s1 = (
+            np.take(a, i, axis=0) for a in (self.values, self.slopes) for i in (j, j + 1)
+        )
+        D = y1 - y0
+        bend = (1.0 - t) * (self.h * s0 - D) - t * (self.h * s1 - D)
+        return (y0 + t * (D + (1.0 - t) * bend)).reshape(np.shape(q) + self._tail)
+
+
+def spline_adjoint(x: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The adjoint of sampling the not-a-knot spline on the uniform knots
+    ``x`` at the points ``q``, the map ``y -> UniformSpline(x, y)(q)``.
+
+    ``z`` has shape ``q.shape + tail``; the result, ``(len(x),) + tail``,
+    satisfies ``sum(z * UniformSpline(x, y)(q)) == sum(spline_adjoint(x, q,
+    z) * y)`` for every ``y`` (the map is real, so its adjoint is its
+    transpose).  The points are sorted by piece, and each piece sums its
+    points' Hermite weights for the values and slopes of its two knots (past
+    the end knots, the end piece's) in one ``reduceat``; the slopes' share
+    then runs back through the slope solve (:func:`_knot_slopes_adjoint`)
+    and the secants.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = np.ravel(q).astype(float)
+    nx, h = x.size, (x[-1] - x[0]) / (x.size - 1)
+    tail = np.shape(z)[np.ndim(q) :]
+    z = np.asarray(z).reshape(flat.size, -1)
+    j = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, nx - 2)
+    order = np.argsort(j, kind="stable")
+    j = j[order]
+    starts = np.flatnonzero(np.diff(j, prepend=-1))
+    w = hermite_weights((flat[order] - x[j]) / h, h)
+    sums = np.add.reduceat(w[:, :, None] * np.take(z, order, axis=0)[:, None], starts, axis=0)
+    piece = j[starts]
+    lower = np.zeros((nx, 2, z.shape[1]), dtype=sums.dtype)  # [knot, (value, slope), column]
+    upper = np.zeros_like(lower)
+    lower[piece] = sums[:, :2]
+    upper[piece + 1] = sums[:, 2:]
+    values, slopes = (lower + upper).swapaxes(0, 1)
+    d = _knot_slopes_adjoint(slopes) / h
+    values[:-1] -= d
+    values[1:] += d
+    return values.reshape((nx,) + tail)
 
 
 @dataclass(frozen=True)

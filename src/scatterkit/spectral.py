@@ -14,19 +14,21 @@ quadratic phase once ``2 t k`` outruns the node spacing, so the dense grid is
 sized from a phase-resolution budget.
 
 On the table grid, which is closed under ``k -> -k``, the near-field
-correction of both Faddeev factors is one product with a matrix of
-``e^{ikx} (m(k, x) - I)`` over the whole grid, built once per table.  On the
-dense grid the near-field sums read ``m`` (smooth in momentum) through its
-not-a-knot spline, held as the spline's knot values, ``m`` itself, and its
-knot slopes, solved once per table; on each piece the spline is the cubic
-Hermite interpolant of the values and slopes of its two knots.  The sums run
-block by block, knot by knot: the field is contracted into each knot's value
-and slope, or each knot gathers the Hermite-weighted sums of the momenta of
-its two pieces, and ``e^{iqx}`` is the product of a phase per knot and a
-phase per offset of ``q`` from it.  So no ``m`` table and no phase table on
-the dense grid is ever formed.  Evolution is one analysis, the multipliers
-of every time, and one synthesis of all the times as rows; both maps read
-the blocks their kernel built once.
+correction of both Faddeev factors is one product with a matrix ``G`` of
+``e^{ikx} (m(k, x) - I)`` over the whole grid, built once per table.  The
+dense grid reads the same matrix.  The near-field sums are linear in ``m``,
+so analysis contracts the field against ``G`` on the table grid, and one
+not-a-knot spline carries the small result, ``(nk, n)``, to the dense
+momenta.  Before the spline the sums are demodulated by the phase of the
+near field's end, which halves the frequencies the spline must follow
+(:class:`_NearSpline`).  Synthesis is the exact transpose: the spline's
+adjoint (:func:`~.grids.spline_adjoint`) gathers the dense momenta onto the
+table grid, then one product with ``G``.  So no ``m`` table, no slope table
+of ``m`` and no phase table on the dense grid is ever formed.  Where ``m =
+I`` on the whole near field (a zero potential), ``G`` vanishes and the maps
+skip the near-field sums.  Evolution is
+one analysis, the multipliers of every time, and one synthesis of all the
+times as rows.
 """
 from __future__ import annotations
 
@@ -38,13 +40,14 @@ from numpy.fft import fft, ifft
 
 from .boundary import BoundaryPair
 from .grids import (
+    SWEEP_BLOCK,
     KXGrid,
     UniformSpline,
     _phases,
     fourier_sum,
-    hermite_weights,
     next_fast_len,
     simpson_weights,
+    spline_adjoint,
     trapezoid_weights,
 )
 from .jost import JostTable
@@ -64,13 +67,6 @@ __all__ = [
     "field_norm",
 ]
 
-#: momenta times near-field entries (``len(xv) n^2``) in one block of the
-#: dense grid's near-field sums: the size a Faddeev-factor table on the block
-#: would have (the table grid's sums are one product each, in no blocks)
-CHUNK = 1 << 21
-#: knot-table entries the dense grid's near-field contractions read per pass
-#: (256 KB when complex), so that their ``n^2`` strided sweeps run in cache
-KNOT_BLOCK = 1 << 14
 #: maximum radians of accumulated phase between adjacent dense momentum nodes
 PHASE_BUDGET = 0.3
 #: relative spectral amplitude treated as the band edge
@@ -117,12 +113,11 @@ class PhysicalSolutionTable:
     ``psi0`` and ``psi0prime`` hold ``Psi(k, 0)`` and ``Psi'(k, 0)``, shape
     ``(len(k), n, n)``.  Elsewhere ``Psi`` is read through the Faddeev factor
     ``mnear = m(k, xv)`` and ``S``; beyond ``xv[-1]`` it equals
-    ``e^{-ikx} I + e^{ikx} S(k)`` exactly.  The maps on the table grid read
-    ``mnear`` as one matrix of ``e^{ikx} (m(k, x) - I)``, built at the first
-    such map and kept.  Off the grid, ``mnear`` and ``S`` are read through
-    their not-a-knot splines (:class:`~.grids.UniformSpline`), built at the
-    first evolution and kept: knot values that are ``mnear`` and ``S``
-    themselves, and knot slopes of the same size.
+    ``e^{-ikx} I + e^{ikx} S(k)`` exactly.  Every map reads ``mnear`` as
+    one matrix of ``e^{ikx} (m(k, x) - I)``, built at the first map and
+    kept; off the grid it splines the sums formed with that matrix, not
+    ``mnear``.  ``S`` is read off the grid through its not-a-knot spline
+    (:class:`~.grids.UniformSpline`), built at the first evolution and kept.
     """
 
     k: np.ndarray
@@ -142,14 +137,6 @@ class PhysicalSolutionTable:
     def _near_matrix(self) -> "_NearMatrix":
         """``e^{ikx} (m(k, x) - I)`` at the stored momenta, as one matrix."""
         return _NearMatrix.from_table(self.k, self.xv, self.mnear)
-
-    @cached_property
-    def _near_spline(self) -> "_NearField":
-        """``m - I`` between the stored momenta: the knot form of the
-        not-a-knot spline of ``mnear``, whose values are ``mnear`` itself."""
-        spline = UniformSpline(self.k, self.mnear)
-        slopes = spline.slopes.reshape(self.mnear.shape)
-        return _NearField(spline.x, spline.h, self.xv, self.mnear, slopes)
 
     @cached_property
     def _S_spline(self) -> UniformSpline:
@@ -205,163 +192,6 @@ def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np
 
 
 @dataclass(frozen=True)
-class _NearBlock:
-    """One run of whole pieces of a map's near-field sums, over uniform
-    momenta ``k[nodes]`` with spacing ``dk``.
-
-    Knot ``i`` of the run (``pieces + 1`` knots, in block order) bounds
-    pieces ``i - 1`` and ``i``, whose momenta are ``q = ref_i + l dk`` with
-    ``-width <= l < width``, ``ref_i`` the first momentum of piece ``i``.
-    So ``e^{iqx} = e^{i ref_i x} e^{i l dk x}``:
-    ``phases`` holds the first factor, ``(knots, nxv)``, and ``steps`` the
-    second, ``(2 width, nxv)``, row ``l + width``.
-
-    For each Faddeev factor, ``m(k, .)`` then ``m(-k, .)``, it holds each
-    momentum's Hermite weights in its piece (:func:`~.grids.hermite_weights`),
-    ``(len(nodes), 4)``, and where they apply: ``at = (knot, row)``, each
-    ``(len(nodes), 2)``, gives for the piece's lower and its upper knot the
-    knot's place in the factor's run of knots ``runs`` (an ascending slice
-    of ``values`` and ``slopes``) and the row of the momentum's step from it.
-    The second factor's pieces are the mirrors of the first's, so its run
-    holds the block's knots in reverse (``mirror``); it reads the phases
-    conjugated, by conjugating the smaller operand and the product.
-    """
-
-    nodes: slice
-    phases: np.ndarray
-    steps: np.ndarray
-    weights: tuple[np.ndarray, np.ndarray]
-    at: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    runs: tuple[slice, slice]
-    values: np.ndarray
-    slopes: np.ndarray
-    mirror = (False, True)
-
-    def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
-        """``sum_x e^{+-ikx} (m(+-k, x) - I)^T Yc(x)`` for both factors, each
-        ``(len(nodes), n)``: ``Yc`` is contracted into the value and slope of
-        every knot once, each knot's contracted data is summed against the
-        phases of its pieces' momenta, and each momentum weighs the sums of
-        its two knots."""
-        nknots, nxv = self.phases.shape
-        n = Yc.shape[1]
-        out = []
-        for wt, at, run, mirror in zip(self.weights, self.at, self.runs, self.mirror):
-            # E[i, c, b, x] = sum_a Yc[x, a] data_c[i, x, a, b], read in the
-            # tables' own order, a few knots at a time
-            E = np.empty((nknots, 2, n, nxv), dtype=complex)
-            per = max(1, KNOT_BLOCK // (nxv * n * n))
-            for c, table in enumerate((self.values[run], self.slopes[run])):
-                for i in range(0, nknots, per):
-                    data, Ec = table[i : i + per], E[i : i + per, c]
-                    for b in range(n):
-                        np.multiply(data[:, :, 0, b], Yc[:, 0], out=Ec[:, b])
-                        for a in range(1, n):
-                            Ec[:, b] += data[:, :, a, b] * Yc[:, a]
-            E[:, 0] -= Yc.T  # the identity has no slope
-            if mirror:
-                np.conjugate(E, out=E)
-            E *= (self.phases[::-1] if mirror else self.phases)[:, None, None]
-            # S[i, (c, b), l] = sum_x e^{i (ref_i + l dk) x} E[i, c, b, x]
-            S = (E.reshape(-1, nxv) @ self.steps.T).reshape(nknots, 2 * n, -1)
-            R = np.matmul(wt[:, None], S[at[0], :, at[1]].reshape(-1, 4, n))[:, 0]
-            out.append(R.conj() if mirror else R)
-        return out
-
-    def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
-        """``sum_k e^{ikx} (m(k, x) - I) Z(k) + e^{-ikx} (m(-k, x) - I) Zm(k)``
-        on ``xv`` for each row of ``Z`` and ``Zm`` (shape ``(rows,
-        len(nodes), n)``), shape ``(rows, nxv, n)``: each knot sums
-        ``e^{+-ikx} Z`` over its pieces' momenta against their Hermite
-        weights, then the sums are contracted against its value and slope."""
-        rows, size, n = Z.shape
-        nknots, nxv = self.phases.shape
-        out = np.zeros((n, rows, nxv), dtype=complex)
-        factors = zip(self.weights, self.at, self.runs, self.mirror, (Z, Zm))
-        for wt, at, run, mirror, Zf in factors:
-            Zq = (Zf.conj() if mirror else Zf).transpose(1, 2, 0).reshape(size, 1, 1, -1)
-            # T[i, c, (b, row), l]: Z at the momentum ref_i + l dk times its
-            # weight of knot i's value (c = 0) or slope (c = 1)
-            T = np.zeros((nknots, 2, n * rows, self.steps.shape[0]), dtype=complex)
-            T[at[0], :, :, at[1]] = wt.reshape(size, 2, 2, 1) * Zq
-            D = T.reshape(-1, self.steps.shape[0]) @ self.steps
-            D = D.reshape(nknots, 2, n, rows, nxv)
-            D *= (self.phases[::-1] if mirror else self.phases)[:, None, None, None]
-            if mirror:
-                np.conjugate(D, out=D)
-            per = max(1, KNOT_BLOCK // (nxv * n * n))
-            for c, table in enumerate((self.values[run], self.slopes[run])):
-                for i in range(0, nknots, per):
-                    data, Dc = table[i : i + per], D[i : i + per, c]
-                    for a in range(n):
-                        for b in range(n):
-                            out[a] += (data[:, None, :, a, b] * Dc[:, b]).sum(axis=0)
-            out -= D[:, 0].sum(axis=0)  # the identity's part
-        return out.transpose(1, 2, 0)
-
-
-@dataclass(frozen=True)
-class _NearField:
-    """``m(q, x) - I`` on the near-field nodes ``xv`` between the momentum
-    nodes ``knots`` (spacing ``h``): the not-a-knot spline of ``mnear`` in
-    its knot form, ``values`` (``mnear`` itself) and ``slopes``, both
-    ``[q, x, a, b]``.  On piece ``j`` the spline is the cubic Hermite
-    interpolant of the values and slopes of knots ``j`` and ``j + 1``, and
-    ``-I`` enters through the values alone.  Momenta past the end pieces use
-    them.  Piece ``pieces - 1 - j`` mirrors piece ``j``: the knots are
-    closed under ``q -> -q``, so ``m(-k)`` is read on the mirror of the
-    piece holding ``k``.
-    """
-
-    knots: np.ndarray
-    h: float
-    xv: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-
-    def blocks(self, k: np.ndarray, dk: float):
-        """The ascending uniform momenta ``k`` (spacing ``dk``) grouped by the
-        piece that holds each, in runs of whole pieces holding at most
-        ``CHUNK / (len(xv) n^2)`` momenta (at least one piece)."""
-        nxv, n = self.values.shape[1:3]
-        npieces = self.knots.size - 1
-        piece = np.clip(np.searchsorted(self.knots, k, side="right") - 1, 0, npieces - 1)
-        lo = piece[0]
-        counts = np.bincount(piece - lo)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        width = int(counts.max())
-        steps = _phases(dk * np.arange(-width, width), self.xv)
-        step = max(1, CHUNK // (width * nxv * n * n))
-        for a in range(0, counts.size, step):
-            b = min(a + step, counts.size)
-            nodes = slice(starts[a], starts[b])
-            q, j = k[nodes], piece[nodes] - lo
-            # knot i of the block starts its piece i at the momentum k[ref[i]];
-            # a momentum's lower and upper knots are those of its piece
-            ref = starts[a : b + 1]
-            index = np.arange(nodes.start, nodes.stop)
-            lower, upper = j - a, j - a + 1
-            rows = (index - ref[lower] + width, index - ref[upper] + width)
-            last = b - a  # the mirrored factor's knots run in reverse
-            yield _NearBlock(
-                nodes=nodes,
-                phases=_phases(k[0] + ref * dk, self.xv),
-                steps=steps,
-                weights=(
-                    hermite_weights((q - self.knots[lo + j]) / self.h, self.h),
-                    hermite_weights((-q - self.knots[npieces - 1 - lo - j]) / self.h, self.h),
-                ),
-                at=(
-                    (np.stack([lower, upper], 1), np.stack(rows, 1)),
-                    (np.stack([last - upper, last - lower], 1), np.stack(rows[::-1], 1)),
-                ),
-                runs=(slice(lo + a, lo + b + 1), slice(npieces - lo - b, npieces - lo - a + 1)),
-                values=self.values,
-                slopes=self.slopes,
-            )
-
-
-@dataclass(frozen=True)
 class _NearMatrix:
     """``m(q, x) - I`` at every node ``q`` of the table grid, with its phases,
     as one matrix ``G[(x, a), (q, b)] = e^{iqx} (m(q, x) - I)[a, b]``.
@@ -369,9 +199,8 @@ class _NearMatrix:
     The grid is closed under ``q -> -q`` (``q[::-1] == -q``), so for each
     positive momentum ``k = q[npos + i]`` both Faddeev factors ``m(k)`` and
     ``m(-k) = m(q[npos - 1 - i])`` are columns of ``G``: each near-field sum
-    of a table-grid map is one product.  It is its own single block over the
-    positive momenta (``nodes``), so the map kernel reads it as it reads the
-    blocks of a :class:`_NearField`.
+    of a table-grid map is one product.  Off the grid, :class:`_NearSpline`
+    reads the same matrix.
     """
 
     xv: np.ndarray
@@ -392,13 +221,11 @@ class _NearMatrix:
         G[:, :, :npos] *= phases[:, :, ::-1].conj()
         return cls(xv, G.reshape(nxv * n, nk * n), npos)
 
-    @property
-    def nodes(self) -> slice:
-        return slice(0, self.npos)
-
-    def blocks(self, k: np.ndarray, dk: float):
-        """The positive momenta ``k`` of the table grid, as one block."""
-        yield self
+    @cached_property
+    def vanishes(self) -> bool:
+        """Whether ``m = I`` on the whole near field (a zero potential), so
+        that every near-field sum is zero."""
+        return not self.G.any()
 
     def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
         """``sum_x e^{+-ikx} (m(+-k, x) - I)^T Yc(x)`` for both factors, each
@@ -417,6 +244,63 @@ class _NearMatrix:
 
 
 @dataclass(frozen=True)
+class _NearSpline:
+    """The near-field sums of :class:`_NearMatrix` at momenta ``q`` off the
+    table grid: ``+kq`` then ``-kq`` for uniform positive ``kq``.
+
+    The sums are linear in ``m``, so they are formed on the table grid, one
+    product with ``G``, the near matrix's columns at the knots ``k``, and
+    the small result is interpolated, not ``m``.  As a function of ``k``, a
+    row of ``G`` is a transform of the Marchenko kernel, ``e^{ikx} (m(k, x)
+    - I) = integral_x^{2b - x} K(x, y) e^{iky} dy`` for a potential
+    supported in ``[0, b]``, with frequencies ``y`` in ``[0, 2b]``.
+    Demodulated by ``e^{-ikc}`` (``demod``) at the near field's end ``c =
+    xv[-1] >= b``, the sums hold frequencies of at most ``c``, where ``m -
+    I`` itself holds up to ``2b``; on the test fixtures the spline of ``m``
+    erred 2 to 5 times more.  One spline carries them to ``q``, where
+    ``e^{iqc}`` (``remod``) restores the phase.  Synthesis is the exact
+    transpose of that path: :func:`~.grids.spline_adjoint`, then one
+    product with ``G``.
+    """
+
+    xv: np.ndarray
+    G: np.ndarray
+    k: np.ndarray
+    q: np.ndarray
+    demod: np.ndarray
+    remod: np.ndarray
+
+    @classmethod
+    def on(cls, near: _NearMatrix, k: np.ndarray, kq: np.ndarray) -> "_NearSpline":
+        """The sums at ``+-kq`` from ``near`` on the table nodes ``k``,
+        splined on the knots within ``SWEEP_BLOCK`` pieces of ``+-kq``: the
+        end conditions there move the pieces that hold ``+-kq`` by under
+        ``2^-60``."""
+        n = near.G.shape[1] // k.size
+        dk = (k[-1] - k[0]) / (k.size - 1)
+        knots = np.flatnonzero(np.abs(k) <= kq[-1] + (SWEEP_BLOCK + 1) * dk)
+        lo, hi = knots[0], knots[-1] + 1
+        k, c, q = k[lo:hi], near.xv[-1:], np.concatenate([kq, -kq])
+        G = near.G[:, lo * n : hi * n]
+        return cls(near.xv, G, k, q, _phases(-k, c)[:, 0], _phases(q, c)[:, 0])
+
+    def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
+        """``sum_x e^{+-iqx} (m(+-q, x) - I)^T Yc(x)`` for both factors at
+        ``kq``, each ``(len(kq), n)``."""
+        sums = (Yc.reshape(-1) @ self.G).reshape(self.k.size, -1) * self.demod[:, None]
+        return np.split(UniformSpline(self.k, sums)(self.q) * self.remod[:, None], 2)
+
+    def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
+        """``sum_q e^{iqx} (m(q, x) - I) Z(q) + e^{-iqx} (m(-q, x) - I) Zm(q)``
+        over ``kq`` on ``xv`` for each row of ``Z`` and ``Zm`` (shape
+        ``(rows, len(kq), n)``), shape ``(rows, nxv, n)``."""
+        rows, _, n = Z.shape
+        V = np.concatenate([Z, Zm], axis=1) * self.remod[:, None]
+        U = spline_adjoint(self.k, self.q, V.transpose(1, 0, 2)) * self.demod[:, None, None]
+        return (U.transpose(1, 0, 2).reshape(rows, -1) @ self.G.T).reshape(rows, -1, n)
+
+
+@dataclass(frozen=True)
 class _MapKernel:
     """The kernel ``Psi(-sign*k, x)^dagger`` of one generalized Fourier map on
     uniform positive momenta ``k`` with spacing ``dk``.
@@ -425,18 +309,19 @@ class _MapKernel:
     ``e^{-i sign k x} + S(-sign*k)^dagger e^{i sign k x}``, summed by
     :func:`fourier_sum`; on the near-field nodes ``near.xv`` the Faddeev
     factors ``m(sign*k)`` and ``m(-sign*k)`` add ``(m - I)`` corrections,
-    read from ``blocks``: the pieces of a :class:`_NearField` or the one
-    block of a :class:`_NearMatrix`, built at the first map and kept.
-    ``S`` holds ``S(-sign*k)``.  Analysis and synthesis read the same
-    blocks, so they are adjoint to roundoff whenever the synthesis nodes are
-    the analysis nodes with ``xv`` as a prefix.
+    read from ``near``: the table grid's :class:`_NearMatrix`, or a
+    :class:`_NearSpline` of it on a dense grid, or ``None`` where ``m = I``
+    on the whole near field.  ``S`` holds ``S(-sign*k)``.  Analysis and
+    synthesis read the same ``near``, so they are adjoint to roundoff
+    whenever the synthesis nodes are the analysis nodes with ``xv`` as a
+    prefix.
     """
 
     sign: int
     k: np.ndarray
     dk: float
     S: np.ndarray
-    near: _NearField | _NearMatrix
+    near: _NearMatrix | _NearSpline | None
 
     def __post_init__(self) -> None:
         if self.sign not in (+1, -1):
@@ -446,25 +331,19 @@ class _MapKernel:
     def xv(self) -> np.ndarray:
         return self.near.xv
 
-    @cached_property
-    def blocks(self) -> list[_NearBlock | _NearMatrix]:
-        return list(self.near.blocks(self.k, self.dk))
-
-    def _near_analysis(self, blk: _NearBlock | _NearMatrix, Yc: np.ndarray) -> np.ndarray:
-        """The near-field part of the analysis sum on one block, unscaled;
-        ``Yc`` is the conjugate of the weighted field on ``xv``."""
+    def _near_analysis(self, Yc: np.ndarray) -> np.ndarray:
+        """The near-field part of the analysis sum, unscaled; ``Yc`` is the
+        conjugate of the weighted field on ``xv``."""
         # e^{-i sign k x} (m_s - I)^dagger Y + S^dagger e^{i sign k x} (m_ms - I)^dagger Y,
         # summed over xv as the conjugate of its transpose
-        plus, minus = blk.analysis(Yc)
+        plus, minus = self.near.analysis(Yc)
         near, mirror = (plus, minus) if self.sign == +1 else (minus, plus)
-        return (near + np.einsum("kji,kj->ki", self.S[blk.nodes], mirror)).conj()
+        return (near + np.einsum("kji,kj->ki", self.S, mirror)).conj()
 
-    def _near_synthesis(
-        self, blk: _NearBlock | _NearMatrix, Zw: np.ndarray, SZ: np.ndarray
-    ) -> np.ndarray:
+    def _near_synthesis(self, Zw: np.ndarray, SZ: np.ndarray) -> np.ndarray:
         """The near-field part of the synthesis sums of the rows of ``Zw``
-        (``SZ`` holds ``S Zw``) from one block, unscaled."""
-        return blk.synthesis(Zw, SZ) if self.sign == +1 else blk.synthesis(SZ, Zw)
+        (``SZ`` holds ``S Zw``), unscaled."""
+        return self.near.synthesis(Zw, SZ) if self.sign == +1 else self.near.synthesis(SZ, Zw)
 
     def analysis(
         self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray
@@ -474,9 +353,8 @@ class _MapKernel:
         Yw = Y * w[:, None]
         out = fourier_sum(Yw, x0, dx, self.k, -self.sign)
         out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
-        Yc = np.conj(Ynear * trapezoid_weights(self.xv)[:, None])
-        for blk in self.blocks:
-            out[blk.nodes] += self._near_analysis(blk, Yc)
+        if self.near is not None:
+            out += self._near_analysis(np.conj(Ynear * trapezoid_weights(self.xv)[:, None]))
         return out / np.sqrt(2.0 * np.pi)
 
     def synthesis(self, Zw: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -489,8 +367,8 @@ class _MapKernel:
         plane = fourier_sum(Z.transpose(1, 0, 2), self.k[0], self.dk, x, self.sign)
         plane += fourier_sum(SZ.transpose(1, 0, 2), self.k[0], self.dk, x, -self.sign)
         out = plane.transpose(1, 0, 2)
-        for blk in self.blocks:
-            out[:, : self.xv.size] += self._near_synthesis(blk, Z[:, blk.nodes], SZ[:, blk.nodes])
+        if self.near is not None:
+            out[:, : self.xv.size] += self._near_synthesis(Z, SZ)
         return (out / np.sqrt(2.0 * np.pi)).reshape(Zw.shape[:-2] + out.shape[1:])
 
 
@@ -499,7 +377,8 @@ def _table_kernel(pt: PhysicalSolutionTable, sign: int) -> _MapKernel:
     stored ``S`` and Faddeev factors (``k[::-1] == -k`` exactly)."""
     npos = pt.grid.npos
     S = pt.S[npos - 1 :: -1] if sign == +1 else pt.S[npos:]
-    return _MapKernel(sign, pt.grid.kpos, pt.grid.dk, S, pt._near_matrix)
+    near = None if pt._near_matrix.vanishes else pt._near_matrix
+    return _MapKernel(sign, pt.grid.kpos, pt.grid.dk, S, near)
 
 
 def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np.ndarray:
@@ -534,8 +413,7 @@ class _DenseStage:
     ``kq[l] = l * dkq`` with trapezoid weights ``wk``, and the spatial step
     ``ratio * dx`` of an ``nfft``-node circle whose lower half is the
     evolution domain.  Its map kernels read ``S`` interpolated onto ``kq``
-    and the Faddeev factors through the knot values and slopes of their
-    splines (both are smooth in momentum), kept on the table."""
+    and the near-field sums through ``near``, built at the first kernel."""
 
     pt: PhysicalSolutionTable
     nfft: int
@@ -547,9 +425,15 @@ class _DenseStage:
 
     def kernel(self, sign: int) -> _MapKernel:
         """The map kernel on ``kq``: ``S`` from its spline at ``-sign*kq``,
-        the Faddeev factors from the pieces of theirs that hold ``kq``."""
+        the near-field sums from ``near`` unless ``m = I`` there."""
         pt = self.pt
-        return _MapKernel(sign, self.kq, self.dkq, pt._S_spline(-sign * self.kq), pt._near_spline)
+        near = None if pt._near_matrix.vanishes else self.near
+        return _MapKernel(sign, self.kq, self.dkq, pt._S_spline(-sign * self.kq), near)
+
+    @cached_property
+    def near(self) -> _NearSpline:
+        """The near-field sums at ``+-kq``, read from the table's near matrix."""
+        return _NearSpline.on(self.pt._near_matrix, self.pt.k, self.kq)
 
     def check_overflow(self, kernel: _MapKernel, Zw: np.ndarray) -> None:
         """Reconstruct each field synthesized from ``Zw``, one field ``(len(kq),
@@ -683,7 +567,15 @@ def interacting_after_free(
     on the near field, analyzed by the generalized Fourier map, multiplied by
     the conjugate quadratic phase, and synthesized back on the table's
     spatial grid.
+
+    Raises
+    ------
+    SpectralError
+        If ``t`` is not finite, or ``Y`` is not sampled on the table's grid
+        with its channel count.
     """
+    if not np.isfinite(t):
+        raise SpectralError(f"evolution time t must be finite, got {t}")
     grid = pt.grid
     Y = _as_field(Y, grid.x.size, pt.n)
     stage = _stage_for(pt, Y, f0_transform(grid, Y), t)

@@ -24,7 +24,8 @@ with a three-row buffer, so that a step of ``dx/16`` fits in memory.
 read them, the tables the package no longer keeps: ``m'`` at every node and
 the physical solution on the near field.  :func:`map_kernel_near_sums` forms
 the generalized Fourier maps' near-field sums from whole Faddeev-factor
-tables, against which the sums from the spline's pieces are checked.
+tables, exact ones from the cellwise solver off the table grid, against
+which the sums the package interpolates are checked.
 :func:`jost_representation_check` tests the paper's representation
 ``f = e^{ikx} + integral K e^{iky}`` on the package's kernel.
 :func:`f0_synthesis` inverts the package's cosine transform, and
@@ -666,22 +667,21 @@ def _near_t(ph, m, Y):
     return np.matmul(row, m.reshape(b, nxv * n, n))[:, 0] - ph @ Y
 
 
-def map_kernel_near_sums(pt, k, sign, S, Yc, Zw):
+def map_kernel_near_sums(pt, k, sign, S, Yc, Zw, potential):
     """The near-field sums of the generalized Fourier map kernel
     ``Psi(-sign*k, x)^dagger`` on positive momenta ``k``, from whole
     Faddeev-factor tables ``m(+-sign*k, xv)``: the stored table when ``k``
-    are its positive nodes, its not-a-knot spline otherwise, with the phases
-    ``e^{i sign k x}`` from one complex exponential each.  ``S`` holds
-    ``S(-sign*k)`` and ``Yc`` the conjugate weighted field on ``xv``.
+    are its positive nodes, otherwise ``m`` of ``potential`` at ``+-k`` by
+    the exact cellwise propagation :func:`~scatterkit.jost.faddeev_solve`.
+    The phases ``e^{i sign k x}`` take one complex exponential each.  ``S``
+    holds ``S(-sign*k)`` and ``Yc`` the conjugate weighted field on ``xv``.
     Returns, unscaled, the analysis part ``(len(k), n)`` and, for each row
     of ``Zw``, the synthesis part on ``xv``."""
-    from scatterkit.grids import UniformSpline
-
     if np.array_equal(k, pt.grid.kpos):
         m_pos, m_neg = pt.mnear[pt.grid.npos :], pt.mnear[pt.grid.npos - 1 :: -1]
     else:
-        spline = UniformSpline(pt.k, pt.mnear)
-        m_pos, m_neg = spline(k), spline(-k)
+        m = faddeev_solve(potential, np.concatenate([k, -k]), pt.xv)[0]
+        m_pos, m_neg = m[: k.size], m[k.size :]
     m_s, m_ms = (m_pos, m_neg) if sign == +1 else (m_neg, m_pos)
     ph = np.exp(1j * sign * np.outer(k, pt.xv))
     mirror = np.einsum("kji,kj->ki", S, _near_t(ph.conj(), m_ms, Yc))

@@ -1,13 +1,16 @@
-"""Every name a ``scatterkit`` module exports in ``__all__`` exists, and
-neither the package import nor a whole run loads any scipy module."""
+"""Every name a ``scatterkit`` module exports in ``__all__`` exists,
+neither the package import nor a whole run loads any scipy module, and the
+README's example runs as written."""
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scatterkit
@@ -69,3 +72,14 @@ def test_whole_run_loads_no_scipy():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["import:", "run:"]
+
+
+def test_readme_example_runs():
+    """The README's ``python`` block runs as written against the package."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    values = namespace["w"].values
+    assert values.shape == (namespace["grid"].x.size, 1) and np.isfinite(values).all()

@@ -12,6 +12,7 @@ from scatterkit.grids import (
     fourier_sum,
     next_fast_len,
     simpson_weights,
+    spline_adjoint,
     trapezoid_weights,
 )
 from scatterkit.waveop import FieldR, hilbert
@@ -212,6 +213,25 @@ def test_uniform_spline_reproduces_cubics():
     assert spline(np.float64(0.3)).shape == (3,)
     with pytest.raises(GridError, match="four knots"):
         UniformSpline(grid.k[:3], y[:3])
+
+
+@pytest.mark.parametrize("nx", [4, 5, 33, 70])
+def test_spline_adjoint_is_the_explicit_transpose(nx):
+    """``spline_adjoint`` is the transpose of sampling the spline, built
+    column by column as the spline of the identity: at points of both signs,
+    on the knots and past both end knots, in any order, with trailing axes
+    kept; the sweeps' blocks are crossed from ``nx = 33`` on."""
+    rng = np.random.default_rng(nx)
+    x = (np.arange(nx) + 0.5 - nx / 2) * 0.25  # half-offset knots, as on the momentum grid
+    side = np.linspace(0.0, 1.1 * x[-1], 2 * nx)
+    q = rng.permutation(np.concatenate([side, -side, x]))
+    assert np.abs(q).max() > x[-1]
+    explicit = UniformSpline(x, np.eye(nx))(q)  # (len(q), nx)
+    z = rng.standard_normal((q.size, 2, 3)) + 1j * rng.standard_normal((q.size, 2, 3))
+    got = spline_adjoint(x, q, z)
+    assert got.shape == (nx, 2, 3)
+    assert _relative_gap(got, np.einsum("qi,qab->iab", explicit, z)) < 1e-14
+    assert np.isrealobj(spline_adjoint(x, q, z.real))
 
 
 def test_next_fast_len_matches_scipy():

@@ -22,6 +22,7 @@ from scatterkit.spectral import (
     f0_transform,
     fourier_maps,
     fourier_maps_adjoint,
+    interacting_after_free,
     physical_solution,
 )
 from scatterkit.waveop import FieldRplus, WaveOpError, wave_op_time_limit
@@ -54,6 +55,23 @@ def _pair(a):
 def _evolve_nan():
     pt = _free_table()
     evolve_spectral(pt, np.exp(-((pt.grid.x - 2.0) ** 2)), NAN)
+
+
+def _after_free(t):
+    def call():
+        pt = _free_table()
+        interacting_after_free(pt, np.exp(-((pt.grid.x - 2.0) ** 2)), t)
+
+    return call
+
+
+def _time_limit(t):
+    def call():
+        pt = _free_table()
+        f = FieldRplus(pt.grid.x, np.exp(-((pt.grid.x - 2.0) ** 2)))
+        wave_op_time_limit(pt, f, +1, tschedule=(1.0, t))
+
+    return call
 
 
 def _map(field, sign=+1):
@@ -102,6 +120,10 @@ CASES = {
     "bound states dimension": (lambda: bound_states(_potential(1.0), BoundaryPair.neumann(2)), JostError, "dimension"),
     "kernel coarse grid": (_coarse_kernel, KernelTooCoarse, "dx"),
     "evolve nan": (_evolve_nan, SpectralError, "times t"),
+    "after free nan": (_after_free(NAN), SpectralError, "time t"),
+    "after free inf": (_after_free(INF), SpectralError, "time t"),
+    "time limit nan": (_time_limit(NAN), SpectralError, "time t"),
+    "time limit inf": (_time_limit(INF), SpectralError, "time t"),
     "map one sample": (_map(lambda pt: np.array([1.0])), SpectralError, "shape"),
     "evolve one sample": (lambda: evolve_spectral(_free_table(), [1.0], 1.0), SpectralError, "shape"),
     "f0 one sample": (_one_sample_f0, SpectralError, "shape"),

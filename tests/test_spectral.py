@@ -8,6 +8,7 @@ matrix and against the transcendental bound-state oracle for a square well.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from scatterkit import grids, spectral
 from scatterkit.spectral import (
     SpectralError,
     WindowOverflow,
+    _as_field,
     _build_stage,
     _stage_for,
     _wall_weights,
@@ -214,6 +216,27 @@ def test_table_near_field_matrix_is_built_once(golden_scatter, monkeypatch):
     for sign in (+1, -1):
         fourier_maps_adjoint(pt, fourier_maps(pt, Y, sign), sign)
     assert calls == []
+
+
+def test_vanishing_near_field_is_skipped_without_changing_a_bit(small_grid, monkeypatch):
+    """For a zero potential ``m = I`` on the near field, so both grids' map
+    kernels carry no near field; forcing its sums, all zero, back in must
+    leave the maps and the evolutions bitwise unchanged."""
+    pt = _free_table(BoundaryPair.robin(0.7), small_grid)
+    Y = np.exp(-((small_grid.x - 3.0) ** 2))
+    stage = _stage_for(pt, _as_field(Y), fourier_maps(pt, Y), 1.0)
+    assert spectral._table_kernel(pt, +1).near is None and stage.kernel(+1).near is None
+
+    def run(pt):
+        phi = fourier_maps(pt, Y, -1)
+        return [phi, fourier_maps_adjoint(pt, phi, -1), evolve_spectral(pt, Y, [0.5, 1.0])]
+
+    skipped = run(pt)
+    monkeypatch.setattr(spectral._NearMatrix, "vanishes", False)
+    forced = dataclasses.replace(pt)  # a table with nothing cached
+    assert dataclasses.replace(stage, pt=forced).kernel(+1).near is not None
+    for a, b in zip(skipped, run(forced)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_free_evolution_matches_image_propagator(wide_grid):
@@ -414,113 +437,124 @@ def matrix_physical(matrix_potential):
     return physical_solution(jt, smatrix(jt))
 
 
+@pytest.fixture(scope="module")
+def matrix2x2_physical(matrix_tables):
+    """The physical-solution table on the benchmark's ``matrix2x2`` grid."""
+    return matrix_tables[2]
+
+
 def _packet(x: np.ndarray, n: int) -> np.ndarray:
     """A Gaussian packet zero at the wall to roundoff, spread over ``n`` channels."""
     mix = np.array([1.0, 0.5j, -0.3])[:n]
     return np.exp(-((x - 6.0) ** 2) / 2.0 + 1.5j * x)[:, None] * mix
 
 
-def test_kernel_blocks_do_not_change_results(matrix_physical, monkeypatch):
-    """The near-field sums run block by block over the momenta; splitting
-    them into many blocks must give the one-block values."""
-    pt = matrix_physical
+def test_kernel_blocks_do_not_change_results(matrix2x2_physical, monkeypatch):
+    """The dense stage splines the near-field sums on the table knots within
+    ``SWEEP_BLOCK`` pieces of its momenta; a spline on every knot of the
+    table grid must give the same sums, to roundoff, and evolutions."""
+    pt = matrix2x2_physical
     Y = _packet(pt.grid.x, pt.n)
-    step = 7  # momenta per block
-    assert pt.grid.npos >= 5 * step
-    assert _stage_for(pt, Y, fourier_maps(pt, Y, +1), 2.0).kq.size >= 5 * step
+    stage = _stage_for(pt, Y, fourier_maps(pt, Y, +1), 1.0)
+    assert stage.kq[-1] + (grids.SWEEP_BLOCK + 1) * pt.grid.dk < pt.grid.kmax / 2
+    Yc = np.conj(Y[: pt.xv.size] * trapezoid_weights(pt.xv)[:, None])
+    rng = np.random.default_rng(3)
+    Zw = rng.normal(size=(2, stage.kq.size, pt.n)) + 1j * rng.normal(size=(2, stage.kq.size, pt.n))
 
     def run():
         out = []
         for sign in (+1, -1):
-            phi = fourier_maps(pt, Y, sign)
-            out += [phi, fourier_maps_adjoint(pt, phi, sign)]
+            kernel = dataclasses.replace(stage).kernel(sign)  # a stage with no spline kept
+            SZ = np.einsum("kij,tkj->tki", kernel.S, Zw)
+            out += [kernel._near_analysis(Yc), kernel._near_synthesis(Zw, SZ)]
             out.append(evolve_spectral(pt, Y, 1.0, sign))
             out.append(interacting_after_free(pt, Y, 2.0 * sign, sign))
         return out
 
-    monkeypatch.setattr(spectral, "CHUNK", 1 << 40)
-    whole = run()
-    monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * step)
-    for a, b in zip(whole, run()):
-        assert np.abs(a - b).max() <= 1e-13 * np.abs(a).max()
+    window = run()
+    monkeypatch.setattr(spectral, "SWEEP_BLOCK", 1 << 40)
+    for i, (a, b) in enumerate(zip(window, run())):
+        assert np.abs(a - b).max() <= (1e-14 if i % 4 < 2 else 1e-13) * np.abs(a).max()
 
 
 def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
-    """One ``evolve_spectral`` call builds the blocks of the dense stage once,
-    in one pass over its pieces: it analyses each block once, then
-    synthesises each block once with all the times as rows."""
+    """One ``evolve_spectral`` call builds its dense stage and the stage's
+    near-field spline once, then analyses the field once and synthesises
+    all the times once, as the rows of one stack."""
     pt = matrix_physical
     Y = _packet(pt.grid.x, pt.n)
     times = [0.5, -1.0, 2.0]
-    step = 7  # momenta per block
-    monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * step)
-    stages = []
+    stages, splines, calls = [], [], []
 
     def stage_for(*args):
         stages.append(_stage_for(*args))
         return stages[-1]
 
     monkeypatch.setattr(spectral, "_stage_for", stage_for)
-    blocks = spectral._NearField.blocks
-    passes, visits, calls = [], [], []
+    on = spectral._NearSpline.on
 
-    def counted(near, k, dk):
-        passes.append(k)
-        for blk in blocks(near, k, dk):
-            visits.append(blk.nodes)
-            yield blk
+    def counted(near, k, kq):
+        splines.append(kq)
+        return on(near, k, kq)
 
-    monkeypatch.setattr(spectral._NearField, "blocks", counted)
+    monkeypatch.setattr(spectral._NearSpline, "on", counted)
     for name in ("analysis", "synthesis"):
 
-        def logged(blk, *args, run=getattr(spectral._NearBlock, name), name=name):
-            calls.append((name, blk.nodes, args[0].shape))
-            return run(blk, *args)
+        def logged(near, *args, run=getattr(spectral._NearSpline, name), name=name):
+            calls.append((name, args[0].shape))
+            return run(near, *args)
 
-        monkeypatch.setattr(spectral._NearBlock, name, logged)
+        monkeypatch.setattr(spectral._NearSpline, name, logged)
     evolve_spectral(pt, Y, times)
-    assert len(stages) == 1 and len(passes) == 1 and passes[0] is stages[0].kq
+    assert len(stages) == 1 and len(splines) == 1 and splines[0] is stages[0].kq
     kq = stages[0].kq
-    assert len(visits) >= 5
-    covered = np.concatenate([np.arange(kq.size)[nodes] for nodes in visits])
-    assert np.array_equal(covered, np.arange(kq.size))
-    expected = [("analysis", nodes, (pt.xv.size, pt.n)) for nodes in visits]
-    expected += [
-        ("synthesis", nodes, (len(times), nodes.stop - nodes.start, pt.n)) for nodes in visits
-    ]
-    assert calls == expected
+    assert calls == [("analysis", (pt.xv.size, pt.n)), ("synthesis", (len(times), kq.size, pt.n))]
+
+
+def _count_slope_solves(monkeypatch) -> list[int]:
+    """Record the column count of every not-a-knot slope solve, forward
+    or transposed."""
+    solved = []
+    solve = grids._slope_solve
+
+    def counted(rhs):
+        solved.append(rhs.shape[1])
+        return solve(rhs)
+
+    monkeypatch.setattr(grids, "_slope_solve", counted)
+    return solved
 
 
 def test_spline_slopes_are_solved_once_per_table(matrix_physical, monkeypatch):
-    """The first evolution on a table solves the knot slopes of ``m`` and of
-    ``S`` once each and keeps them: evolving three more fields solves none."""
+    """The first evolution on a table solves the knot slopes of ``S`` once
+    and keeps them; the near field takes one solve of its contracted sums
+    each way, ``n`` columns per field, and never one of ``m``."""
     pt = dataclasses.replace(matrix_physical)  # a table with nothing cached
-    solved = []
-    knot_slopes = grids._knot_slopes
-
-    def counted(d):
-        solved.append(d.shape[1])
-        return knot_slopes(d)
-
-    monkeypatch.setattr(grids, "_knot_slopes", counted)
+    solved = _count_slope_solves(monkeypatch)
     evolve_spectral(pt, _packet(pt.grid.x, pt.n), 1.0)
-    assert sorted(solved) == [pt.S[0].size, pt.mnear[0].size]
+    assert sorted(solved) == sorted([pt.n, pt.n, pt.S[0].size])
     solved.clear()
     for shift in (-1.0, 1.0, 2.0):
         evolve_spectral(pt, _packet(pt.grid.x - shift, pt.n), 1.0)
-    assert solved == []
+    assert solved == [pt.n, pt.n] * 3
 
 
-@pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
-def test_near_field_keeps_only_knot_values_and_slopes(table, request):
-    """The dense stage reads ``m`` through its spline's knot values, which
-    are ``mnear`` itself, and knot slopes of the same size: at most twice the
-    bytes of ``mnear``, with no copy of the table."""
+@pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical"])
+def test_first_evolution_peak_stays_below_the_near_table(table, request, monkeypatch):
+    """Once the table grid's near matrix is built, the first evolution on a
+    table allocates less at its peak than one ``m`` table, and solves no
+    slopes of ``m``: the dense stage interpolates the contracted sums."""
     pt = dataclasses.replace(request.getfixturevalue(table))
-    evolve_spectral(pt, _packet(pt.grid.x, pt.n), 1.0)
-    near = pt.__dict__["_near_spline"]
-    assert near.values is pt.mnear
-    assert near.values.nbytes + near.slopes.nbytes <= 2 * pt.mnear.nbytes
+    pt._near_matrix
+    solved = _count_slope_solves(monkeypatch)
+    tracemalloc.start()
+    try:
+        evolve_spectral(pt, _packet(pt.grid.x, pt.n), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pt.mnear.nbytes
+    assert pt.mnear[0].size not in solved and max(solved) == pt.S[0].size
 
 
 def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch):
@@ -576,40 +610,52 @@ def test_dense_kernel_duality(table, request):
         assert abs(lhs - rhs) < 1e-12 * norm_ay * norm_z
 
 
-@pytest.mark.parametrize("blocks", ["one", "many"])
-@pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
-def test_near_field_sums_match_whole_table_reference(table, blocks, request, monkeypatch):
-    """The near-field sums read from the table grid's near-field matrix and
-    from the knot values and slopes of ``m`` equal those of whole ``m(+-k,
-    xv)`` tables (the stored table on its own nodes, its spline on the dense
-    grid), for both signs and the times of one evolution, with the dense grid
-    in one block or in many, each contracted a few knots at a time (the
-    table grid is one block whatever ``CHUNK``)."""
+#: largest relative error of the dense stage's near-field sums (analysis,
+#: synthesis) against those of the exact ``m``, each under 1.5 times that of
+#: splining ``m`` itself: 2.6e-9 and 1.3e-8 (golden), 4.6e-8 and 9.0e-8 (the
+#: 2x2 benchmark grid), 4.1e-6 and 1.5e-5 (nk = 128)
+DENSE_NEAR_TOL = {
+    "golden_physical": (1e-9, 1e-8),
+    "matrix2x2_physical": (3e-8, 1e-7),
+    "matrix_physical": (2.5e-6, 1.5e-5),
+}
+
+
+@pytest.mark.parametrize("rows", ["one", "many"])
+@pytest.mark.parametrize("table", list(DENSE_NEAR_TOL))
+def test_near_field_sums_match_whole_table_reference(table, rows, request):
+    """The near-field sums equal those of whole ``m(+-k, xv)`` tables, for
+    both signs and one time or the times of one evolution as rows: on the
+    table grid the stored table's, to roundoff; on the dense grid the exact
+    ``m`` of the potential's cellwise propagation, to the spline's error."""
     pt = request.getfixturevalue(table)
-    if blocks == "many":
-        monkeypatch.setattr(spectral, "CHUNK", pt.xv.size * pt.n**2 * 7)
-        monkeypatch.setattr(spectral, "KNOT_BLOCK", pt.xv.size * pt.n**2 * 3)
+    potential = request.getfixturevalue(
+        "golden_potential" if table.startswith("golden") else "matrix_potential"
+    )
     grid = pt.grid
     rng = np.random.default_rng(5)
     Y = _packet(grid.x, pt.n) + 0.1 * rng.normal(size=(grid.x.size, pt.n))
     Yc = np.conj(Y[: pt.xv.size] * trapezoid_weights(pt.xv)[:, None])
-    times = np.array([0.5, -1.0, 2.0])
+    times = np.array([0.5, -1.0, 2.0])[: 1 if rows == "one" else None]
     stage = _build_stage(pt, 6.0, 30.0)
     for sign in (+1, -1):
-        for kernel in (spectral._table_kernel(pt, sign), stage.kernel(sign)):
+        for kernel, tol in (
+            (spectral._table_kernel(pt, sign), (1e-13, 1e-13)),
+            (stage.kernel(sign), DENSE_NEAR_TOL[table]),
+        ):
             k = kernel.k
             noise = rng.normal(size=(k.size, pt.n)) + 1j * rng.normal(size=(k.size, pt.n))
             Zw = np.exp(-(1j * times[:, None] + 0.02) * k**2)[..., None] * noise
             SZ = np.einsum("kij,tkj->tki", kernel.S, Zw)
-            analysis, synthesis = oracles.map_kernel_near_sums(pt, k, sign, kernel.S, Yc, Zw)
-            parts = list(kernel.near.blocks(k, kernel.dk))
-            got = np.concatenate([kernel._near_analysis(blk, Yc) for blk in parts])
-            assert np.abs(got - analysis).max() <= 1e-13 * np.abs(analysis).max()
-            got = sum(
-                kernel._near_synthesis(blk, Zw[:, blk.nodes], SZ[:, blk.nodes]) for blk in parts
+            analysis, synthesis = oracles.map_kernel_near_sums(
+                pt, k, sign, kernel.S, Yc, Zw, potential
             )
+            got = kernel._near_analysis(Yc)
+            assert np.abs(got - analysis).max() <= tol[0] * np.abs(analysis).max()
+            got = kernel._near_synthesis(Zw, SZ)
+            assert len(got) == len(synthesis) == times.size
             for g, ref in zip(got, synthesis):
-                assert np.abs(g - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.abs(g - ref).max() <= tol[1] * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
