@@ -47,6 +47,14 @@ and its adjoint stay adjoint to roundoff.  The transpose reuses the same
 sweeps: the slope matrix is ``A = E A_s`` with ``A_s`` symmetric and ``E =
 diag(2, 1, ..., 1, 2)``, so ``A^{-T} = E^{-1} A^{-1} E``.
 
+Every convolution of a field with a kernel in ``waveop`` (the Hilbert
+transform and the symbols' convolutions) is one circular FFT product,
+:func:`circular_convolve` with the kernel's :func:`convolution_spectrum`.
+The kernel sits on the shortest circle on which nothing wraps, ``N +
+max(p, r)`` points for ``N`` samples and the lags ``-p .. r``, rounded up
+to a fast length: ``2N - 1`` for the lattice Hilbert kernel and ``N + (N
+- 1)/2`` for a symbol on the field's own symmetric grid.
+
 Every FFT in the package is ``numpy.fft``, at the 11-smooth lengths of
 :func:`next_fast_len`; the package imports no scipy module on any path of
 the pipeline.  Spectra that do not depend on the data are computed once per
@@ -55,7 +63,10 @@ of :func:`fourier_sum`, keyed on the FFT length, the node count and the
 float64 steps ``(size, nk, dk, dy)``; its head and tail phases, keyed on
 the two node counts and the float64 grids ``(nk, m, k0, dk, y0, dy)``; and
 the lattice Hilbert kernel's spectrum in ``waveop``, keyed on the node
-count.  Kept spectra and phases are read-only.
+count.  The spectra of the symbols ``F_s`` and ``P_+-`` are data: each
+:class:`~.scattering.ScatteringTable` keeps its own, built at first use
+(``symbol_spectrum``), and they go with the table.  Kept spectra and
+phases are read-only.
 """
 
 from __future__ import annotations
@@ -254,6 +265,39 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
     return np.multiply(conv.T, tail[:, None], order="C").reshape((m,) + g.shape[1:])
 
 
+def convolution_spectrum(kernel: np.ndarray, origin: int, nvalues: int) -> np.ndarray:
+    """The spectrum of ``kernel`` for :func:`circular_convolve` with
+    ``nvalues`` samples, along axis 0; trailing axes ride along.
+
+    ``kernel[origin + l]`` is the kernel at lag ``l``.  Only the lags ``|l|
+    < nvalues`` reach an output, so the kept lags are ``-p .. r`` with ``p,
+    r < nvalues``.  Each goes to index ``l mod L`` of a circle of ``L =
+    next_fast_len(nvalues + max(p, r))`` points.  Nothing wraps: output
+    ``j`` reads the lags ``j - i``, ``0 <= i, j < nvalues``.  A lag above
+    ``r`` lands at an index below ``nvalues <= L - p``, and one below ``-p``
+    at an index above ``L - nvalues >= r``, both in the zero padding.
+    """
+    p = min(origin, nvalues - 1)
+    r = min(kernel.shape[0] - 1 - origin, nvalues - 1)
+    size = next_fast_len(nvalues + max(p, r))
+    circle = np.zeros((size,) + kernel.shape[1:], dtype=kernel.dtype)
+    circle[: r + 1] = kernel[origin : origin + r + 1]
+    circle[size - p :] = kernel[origin - p : origin]
+    return fft(circle, axis=0)
+
+
+def circular_convolve(spectrum: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_i g[j - i] values[i]`` for ``0 <= j < len(values)``: one FFT
+    product with the kernel's :func:`convolution_spectrum` for
+    ``len(values)`` samples, read off the circle's first ``len(values)``
+    points.  A spectrum of shape ``(L,)`` acts on every column of
+    ``values`` alike; one of shape ``(L, n, n)`` takes ``sum_l g[:, i, l]
+    values[:, l]``."""
+    vk = fft(values, spectrum.shape[0], axis=0)
+    product = spectrum[:, None] * vk if spectrum.ndim == 1 else np.einsum("kil,kl->ki", spectrum, vk)
+    return ifft(product, axis=0)[: values.shape[0]]
+
+
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Veltkamp's split of float64 ``a`` into a 26-bit head and its tail, so
     that the product of two heads is exact."""
@@ -382,18 +426,25 @@ def _knot_slopes_adjoint(s: np.ndarray) -> np.ndarray:
 
 def hermite_weights(u: np.ndarray, h: float) -> np.ndarray:
     """The cubic Hermite weights of ``y_j, s_j, y_{j+1}, s_{j+1}`` at the
-    offsets ``u = (q - x_j) / h`` in a piece of width ``h``, along a new last
-    axis: the value there is ``y_j h00(u) + h s_j h10(u) + y_{j+1} h01(u) +
-    h s_{j+1} h11(u)``.  Inside the piece every weight is at most 1 in size;
-    far outside it the weights of ``y_j`` and ``y_{j+1}`` grow as ``2 u^3``
-    and cancel."""
+    offsets ``u = (q - x_j) / h`` in a piece of width ``h``, as the rows of
+    a new first axis: the value there is ``y_j h00(u) + h s_j h10(u) +
+    y_{j+1} h01(u) + h s_{j+1} h11(u)``.  Inside the piece every weight is
+    at most 1 in size; far outside it the weights of ``y_j`` and ``y_{j+1}``
+    grow as ``2 u^3`` and cancel."""
     v = 1.0 - u
-    out = np.empty(np.shape(u) + (4,))
-    out[..., 0] = (1.0 + 2.0 * u) * v * v
-    out[..., 1] = h * u * v * v
-    out[..., 2] = u * u * (1.0 + 2.0 * v)
-    out[..., 3] = -h * u * u * v
+    out = np.empty((4,) + np.shape(u))
+    out[0] = (1.0 + 2.0 * u) * v * v
+    out[1] = h * u * v * v
+    out[2] = u * u * (1.0 + 2.0 * v)
+    out[3] = -h * u * u * v
     return out
+
+
+def _pieces(x: np.ndarray, h: float, q: np.ndarray) -> np.ndarray:
+    """The piece of the uniform knots ``x``, spaced ``h``, that holds each
+    point ``q``, ``floor((q - x[0]) / h)``; points past the end knots take
+    the end pieces."""
+    return np.clip(np.floor((q - x[0]) / h), 0, x.size - 2).astype(np.intp)
 
 
 class UniformSpline:
@@ -426,7 +477,7 @@ class UniformSpline:
     def __call__(self, q: np.ndarray) -> np.ndarray:
         """Spline values at ``q``, shape ``q.shape + y.shape[1:]``."""
         flat = np.ravel(q).astype(float)
-        j = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, self.x.size - 2)
+        j = _pieces(self.x, self.h, flat)
         t = ((flat - self.x[j]) / self.h)[:, None]
         # np.take gathers rows up to twice as fast as fancy indexing
         y0, y1, s0, s1 = (
@@ -455,18 +506,18 @@ def spline_adjoint(x: np.ndarray, q: np.ndarray, z: np.ndarray) -> np.ndarray:
     nx, h = x.size, (x[-1] - x[0]) / (x.size - 1)
     tail = np.shape(z)[np.ndim(q) :]
     z = np.asarray(z).reshape(flat.size, -1)
-    j = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, nx - 2)
+    j = _pieces(x, h, flat)
     order = np.argsort(j, kind="stable")
     j = j[order]
     starts = np.flatnonzero(np.diff(j, prepend=-1))
     w = hermite_weights((flat[order] - x[j]) / h, h)
-    sums = np.add.reduceat(w[:, :, None] * np.take(z, order, axis=0)[:, None], starts, axis=0)
+    sums = np.add.reduceat(w[:, :, None] * np.take(z, order, axis=0), starts, axis=1)
     piece = j[starts]
-    lower = np.zeros((nx, 2, z.shape[1]), dtype=sums.dtype)  # [knot, (value, slope), column]
-    upper = np.zeros_like(lower)
-    lower[piece] = sums[:, :2]
-    upper[piece + 1] = sums[:, 2:]
-    values, slopes = (lower + upper).swapaxes(0, 1)
+    values = np.zeros((nx, z.shape[1]), dtype=sums.dtype)
+    slopes = np.zeros_like(values)
+    values[piece], slopes[piece] = sums[0], sums[1]
+    values[piece + 1] += sums[2]
+    slopes[piece + 1] += sums[3]
     d = _knot_slopes_adjoint(slopes) / h
     values[:-1] -= d
     values[1:] += d

@@ -12,11 +12,12 @@ S_inf`` are one tapered synthesis each, and the full-line ``F_s`` is their sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .boundary import diagonalize_boundary, predicted_s_infinity
-from .grids import KXGrid, UniformSpline, fourier_sum, trapezoid_weights
+from .grids import KXGrid, UniformSpline, convolution_spectrum, fourier_sum, trapezoid_weights
 from .jost import JostTable
 from .potentials import _spectral_norms
 
@@ -75,7 +76,9 @@ class ScatteringTable:
     Fs, Pplus, Pminus : ndarray or None
         The transform of ``S - S_inf`` on ``grid.x_sym`` and its two half-line
         pieces, ``Fs = Pplus + Pminus``; fs_symbol (alias p_symbols) attaches
-        them with ``fs_l1`` and ``p_conjugation_defect``.
+        them with ``fs_l1`` and ``p_conjugation_defect``.  The routes
+        convolve by them through their spectra, which the table builds at
+        first use and keeps (see symbol_spectrum).
     h1norm : float or None
         Sobolev norm of ``S - S_inf`` (see h1_membership).
     """
@@ -102,6 +105,23 @@ class ScatteringTable:
         """S at arbitrary momenta: the not-a-knot :class:`~.grids.UniformSpline`
         through the grid samples, entrywise."""
         return UniformSpline(self.k, self.S)(k_query)
+
+    def symbol_spectrum(self, name: str) -> np.ndarray:
+        """The :func:`~.grids.convolution_spectrum` of the symbol ``name``
+        (``"Fs"``, ``"Pplus"`` or ``"Pminus"``) for fields on ``grid.x_sym``,
+        its lag 0 at the centre node.  Built at its first use, not by
+        :func:`fs_symbol`, and kept on this table (read-only); a table made
+        by ``dataclasses.replace`` builds its own."""
+        spectra = self._symbol_spectra
+        if name not in spectra:
+            g = getattr(self, name)
+            spectra[name] = convolution_spectrum(g, g.shape[0] // 2, g.shape[0])
+            spectra[name].flags.writeable = False
+        return spectra[name]
+
+    @cached_property
+    def _symbol_spectra(self) -> dict[str, np.ndarray]:
+        return {}
 
 
 def smatrix(jt: JostTable) -> ScatteringTable:

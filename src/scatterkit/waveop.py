@@ -35,9 +35,8 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.fft import fft, ifft, rfft
 
-from .grids import SPECTRUM_CACHE, next_fast_len, trapezoid_weights
+from .grids import SPECTRUM_CACHE, circular_convolve, convolution_spectrum, trapezoid_weights
 from .jost import KernelTable
 from .scattering import ScatteringTable
 from .spectral import (
@@ -311,9 +310,10 @@ def hilbert(f: FieldR) -> FieldR:
 
     ``h[m]`` is the transform of a unit sample's sinc interpolant, read ``m``
     nodes away: the infinite-padding limit of the momentum multiplier
-    ``-i sign(k)``.  So the result is exact for band-limited samples, and the
-    linear convolution, one FFT product of length ``3N - 2``, cannot wrap
-    around.
+    ``-i sign(k)``.  So the result is exact for band-limited samples.  The
+    kernel's lags ``|m| < N`` on a circle of ``next_fast_len(2N - 1)``
+    points (:func:`~.grids.convolution_spectrum`) make it one FFT product
+    that cannot wrap around.
 
     Raises
     ------
@@ -328,21 +328,18 @@ def hilbert(f: FieldR) -> FieldR:
             f"{frac:.1%} of the field mass lies in the outer tenth of the "
             "window; enlarge it before applying a nonlocal transform"
         )
-    nx = f.x.size
-    return f.replace_values(_spectrum_convolve(_hilbert_spectrum(nx), f.values, 3 * nx - 2))
+    return f.replace_values(circular_convolve(_hilbert_spectrum(f.x.size), f.values))
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE)
 def _hilbert_spectrum(nx: int) -> np.ndarray:
-    """FFT of the lattice Hilbert kernel ``h[m]``, ``|m| < nx``, at the
-    length of its linear convolution with ``nx`` samples."""
+    """The :func:`~.grids.convolution_spectrum` of the lattice Hilbert
+    kernel ``h[m]``, ``|m| < nx``, for ``nx`` samples."""
     m = np.arange(1 - nx, nx)
     h = np.zeros(m.size)
     odd = m % 2 == 1
     h[odd] = 2.0 / (np.pi * m[odd])
-    size = next_fast_len(3 * nx - 2)
-    half = rfft(h, size)  # a real kernel's spectrum is Hermitian
-    spectrum = np.concatenate([half, half[1 : size - half.size + 1][::-1].conj()])
+    spectrum = convolution_spectrum(h, nx - 1, nx)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -364,21 +361,13 @@ def _matrix_kernel(G: FieldR, f: FieldR) -> np.ndarray:
 
 def _channel_convolve(g: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``sum_l g[:, i, l] * values[:, l]`` as linear convolutions along axis
-    0, cropped to the centred ``len(values)`` nodes (``mode="same"``): one
-    FFT product for all channel pairs.  A scalar ``(x,)`` kernel acts on
-    every channel alike."""
-    size = g.shape[0] + values.shape[0] - 1
-    return _spectrum_convolve(fft(g, next_fast_len(size), axis=0), values, size)
-
-
-def _spectrum_convolve(gk: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """:func:`_channel_convolve` from the kernel's spectrum ``gk``, taken at
-    a length of at least ``size``, the length of the linear convolution."""
-    nx = values.shape[0]
-    vk = fft(values, gk.shape[0], axis=0)
-    spectrum = gk[:, None] * vk if gk.ndim == 1 else np.einsum("kil,kl->ki", gk, vk)
-    start = (size - nx) // 2
-    return ifft(spectrum, axis=0)[start : start + nx]
+    0, cropped to the centred ``len(values)`` nodes (``mode="same"``): the
+    kernel's lag 0 is its node ``(len(g) - 1) // 2``.  One circular FFT
+    product for all channel pairs (:func:`~.grids.circular_convolve`) on
+    at most ``next_fast_len(len(values) + len(g) // 2)`` points, where
+    nothing wraps.  A scalar ``(x,)`` kernel acts on every channel alike."""
+    spectrum = convolution_spectrum(g, (g.shape[0] - 1) // 2, values.shape[0])
+    return circular_convolve(spectrum, values)
 
 
 def convolve(G: FieldR, f: FieldR) -> FieldR:
@@ -492,7 +481,7 @@ def wave_op_decomposed(
         whatever the field's support.
     """
     g = extend_even(f)
-    t = g.values @ st.S_infinity.T + convolve(_symbol_field(st, "Fs"), g).values
+    t = g.values @ st.S_infinity.T + _symbol_convolve(st, "Fs", g).values
     h = hilbert(g.replace_values(g.values - t))
     u = restrict(g.replace_values(0.5 * (g.values + t) + 0.5j * sign * h.values))
     return u.replace_values(u.values + kernel_apply(kt, u).values)
@@ -513,6 +502,14 @@ def _symbol_field(st: ScatteringTable, name: str) -> FieldR:
     return FieldR._derived(st.grid.x_sym, getattr(st, name))
 
 
+def _symbol_convolve(st: ScatteringTable, name: str, f: FieldR) -> FieldR:
+    """:func:`convolve` by the symbol ``name`` from the spectrum the table
+    keeps (:meth:`~.scattering.ScatteringTable.symbol_spectrum`), after the
+    same grid and channel checks."""
+    _matrix_kernel(_symbol_field(st, name), f)
+    return f.replace_values(circular_convolve(st.symbol_spectrum(name), f.values) * f.dx)
+
+
 def wave_op_l1_form(
     st: ScatteringTable, kt: KernelTable, f: FieldRplus, sign: int = +1
 ) -> FieldRplus:
@@ -529,8 +526,8 @@ def wave_op_l1_form(
         configured tolerance.
     """
     _identity_gate(st)
-    G = _symbol_field(st, "Pplus" if sign > 0 else "Pminus")
-    u = f.replace_values(f.values + restrict(convolve(G, extend_even(f))).values)
+    name = "Pplus" if sign > 0 else "Pminus"
+    u = f.replace_values(f.values + restrict(_symbol_convolve(st, name, extend_even(f))).values)
     return u.replace_values(u.values + kernel_apply(kt, u).values)
 
 

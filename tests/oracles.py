@@ -457,13 +457,13 @@ def decomposed_three_terms(st, kt, f, sign=+1):
 
 def channel_convolve_loop(g, values):
     """``sum_l g[:, i, l] * values[:, l]`` with one ``fftconvolve(mode="same")``
-    per channel pair."""
+    per channel pair, cropped to the centred ``len(values)`` nodes."""
     from scipy.signal import fftconvolve  # perfbench loads this module: keep its import lean
 
     out = np.zeros(values.shape, dtype=np.result_type(g, values))
     for i in range(values.shape[1]):
         for l in range(values.shape[1]):
-            out[:, i] += fftconvolve(g[:, i, l], values[:, l], mode="same")
+            out[:, i] += fftconvolve(values[:, l], g[:, i, l], mode="same")
     return out
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from scatterkit import waveop
+from scatterkit import grids, waveop
 from scatterkit.boundary import BoundaryPair
 from scatterkit.grids import KXGrid
 from scatterkit.jost import marchenko_kernel, solve_faddeev, jost_matrix
@@ -216,19 +216,51 @@ def test_hilbert_matches_dawson_closed_form(xmax, dx, width, n):
     assert np.abs(h - target).max() < 1e-13 * np.abs(target).max()
 
 
-def test_hilbert_fft_length(monkeypatch):
-    # one linear convolution with the lattice kernel: no transform longer
-    # than the 3N - 2 points of the full convolution
+def _record_fft_lengths(monkeypatch) -> list:
+    """The lengths of the FFTs that ``grids`` takes from now on."""
     lengths = []
     for name in ("fft", "ifft"):
-        def recorded(a, *args, _op=getattr(waveop, name), **kwargs):
+        def recorded(a, *args, _op=getattr(grids, name), **kwargs):
             out = _op(a, *args, **kwargs)
             lengths.append(out.shape[kwargs.get("axis", -1)])
             return out
-        monkeypatch.setattr(waveop, name, recorded)
+        monkeypatch.setattr(grids, name, recorded)
+    return lengths
+
+
+def test_hilbert_fft_length(monkeypatch):
+    # the lattice kernel's lags |m| < N on a circle of 2N - 1 points: no
+    # transform longer than that, the spectrum's own included
+    waveop._hilbert_spectrum.cache_clear()
+    lengths = _record_fft_lengths(monkeypatch)
     x = np.arange(-30.0, 30.0 + 1e-9, 1 / 8)
     hilbert(FieldR(x, np.exp(-(x**2))))
-    assert lengths and max(lengths) <= next_fast_len(3 * x.size - 2)
+    assert lengths and max(lengths) <= next_fast_len(2 * x.size - 1)
+
+
+def test_convolve_fft_length(monkeypatch):
+    # a kernel on the field's own symmetric grid reaches lags |m| <= (N - 1)/2
+    # in the output, so a circle of N + (N - 1)/2 points is exact
+    lengths = _record_fft_lengths(monkeypatch)
+    x = np.arange(-30.0, 30.0 + 1e-9, 1 / 8)
+    G = FieldR(x, np.exp(-np.abs(x))[:, None, None] * np.ones((1, 2, 2)))
+    f = FieldR(x, np.exp(-(x**2))[:, None] * np.array([1.0, 0.5j]))
+    convolve(G, f)
+    convolve_adjoint(G, f)
+    assert lengths and max(lengths) <= next_fast_len(x.size + (x.size - 1) // 2)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 64, 65])
+def test_hilbert_kernel_matches_direct_lattice_sum(nodes):
+    # (H Y)_j = sum_l h[j - l] Y_l with h[m] = 2/(pi m) for odd m, summed
+    # directly; two nodes reach only the lags -1, 0 and 1
+    rng = np.random.default_rng(nodes)
+    values = rng.normal(size=(nodes, 2)) + 1j * rng.normal(size=(nodes, 2))
+    lag = np.subtract.outer(np.arange(nodes), np.arange(nodes))
+    h = np.where(lag % 2 == 1, 2.0 / (np.pi * np.where(lag == 0, 1, lag)), 0.0)
+    direct = h @ values
+    got = grids.circular_convolve(waveop._hilbert_spectrum(nodes), values)
+    assert np.abs(got - direct).max() < 1e-14 * np.abs(direct).max()
 
 
 def test_hilbert_of_real_field_is_real():
@@ -281,16 +313,22 @@ def test_convolve_adjoint_duality():
 @pytest.mark.parametrize("nodes", [64, 65])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_channel_convolve_matches_fftconvolve_loop(n, nodes, dtype):
+    # kernels as long as the field, shorter and longer, of both parities:
+    # the circle's length reads both lengths.  Past twice the field's length
+    # the kernel's far lags reach no output and are dropped
     rng = np.random.default_rng(nodes + 10 * n)
 
     def sample(*shape):
         out = rng.normal(size=shape)
         return out + 1j * rng.normal(size=shape) if dtype is complex else out
 
-    g, values = sample(nodes, n, n), sample(nodes, n)
-    reference = oracles.channel_convolve_loop(g, values)
-    got = waveop._channel_convolve(g, values)
-    assert np.abs(got - reference).max() < 1e-14 * np.abs(reference).max()
+    values = sample(nodes, n)
+    for kernel_nodes in (nodes, 31, 32, 97, 160):
+        g = sample(kernel_nodes, n, n)
+        reference = oracles.channel_convolve_loop(g, values)
+        got = waveop._channel_convolve(g, values)
+        assert got.shape == values.shape
+        assert np.abs(got - reference).max() < 1e-14 * np.abs(reference).max()
 
 
 def test_kernel_apply_matches_row_quadrature(golden_wave):
@@ -460,8 +498,8 @@ def test_decomposed_matches_three_term_oracle(golden_wave, matrix_wave):
 @pytest.mark.parametrize(
     "route, passes",
     [
-        (wave_op_decomposed, {"hilbert": 1, "convolve": 1, "kernel_apply": 1}),
-        (wave_op_l1_form, {"hilbert": 0, "convolve": 1, "kernel_apply": 1}),
+        (wave_op_decomposed, {"hilbert": 1, "_symbol_convolve": 1, "kernel_apply": 1}),
+        (wave_op_l1_form, {"hilbert": 0, "_symbol_convolve": 1, "kernel_apply": 1}),
         (wave_op_adjoint, {"convolve_adjoint": 1, "kernel_apply_adjoint": 1}),
     ],
     ids=["decomposed", "l1_form", "adjoint"],
@@ -477,6 +515,39 @@ def test_route_makes_one_pass_of_each_primitive(golden_wave, monkeypatch, route,
     x = table.grid.x
     route(table, kt, FieldRplus(x, np.exp(-((x - 6.0) ** 2))), +1)
     assert calls == passes
+
+
+def test_symbol_spectra_are_built_once_per_table(golden_wave, monkeypatch):
+    # a fresh table builds each symbol's spectrum at its first use in a
+    # route and keeps it; fs_symbol builds none, and a table made by
+    # replace builds its own
+    from scatterkit import scattering
+
+    _, table, kt = golden_wave
+    built = []
+
+    def counted(kernel, *args):
+        built.append(kernel)
+        return grids.convolution_spectrum(kernel, *args)
+
+    monkeypatch.setattr(scattering, "convolution_spectrum", counted)
+    assert fs_symbol(replace(table, Fs=None)).Fs is not None
+    assert built == []
+    fresh = replace(table)
+    x = table.grid.x
+    for centre in (5.0, 6.0, 7.0):
+        f = FieldRplus(x, np.exp(-((x - centre) ** 2)))
+        for sign in (+1, -1):
+            wave_op_decomposed(fresh, kt, f, sign)
+            wave_op_l1_form(fresh, kt, f, sign)
+    assert len(built) == 3
+    for symbol in (fresh.Fs, fresh.Pplus, fresh.Pminus):
+        assert sum(kernel is symbol for kernel in built) == 1
+    doubled = replace(fresh, Fs=2.0 * fresh.Fs)
+    spectrum = doubled.symbol_spectrum("Fs")
+    assert len(built) == 4 and built[-1] is doubled.Fs
+    old = fresh.symbol_spectrum("Fs")
+    assert np.abs(spectrum - 2.0 * old).max() < 1e-14 * np.abs(old).max()
 
 
 def test_decomposed_window_gate(dirichlet_fine, neumann_free):
