@@ -17,8 +17,8 @@ self-adjoint boundary condition at the origin:
 
 Everything is table-driven: build a :class:`~scatterkit.grids.KXGrid`, solve
 for the Faddeev table, then derive scattering/spectral/wave-operator objects
-from it.  The table holds ``m(k, x)`` on the near field, which the Fourier
-maps read, and the wall values from which the Jost matrix, ``S`` and the
+from it.  The table holds ``f(k, x) - e^{ikx} I`` on the near field, in
+the layout the Fourier maps read, and the wall values from which the Jost matrix, ``S`` and the
 boundary values of the physical solutions follow; the Marchenko kernel is
 solved from the potential on the table's spatial nodes.
 """

@@ -22,9 +22,9 @@ Derived objects:
   in ``dx``, whose step-doubling estimate is checked against ``KERNEL_TOL``.
   It reads no momentum.
 
-The table keeps ``m`` on the near field, which the Fourier maps read, and
-``m'`` at the wall only: the Jost matrix, ``S`` and the boundary values of
-the physical solutions need ``f`` and ``f'`` nowhere else.
+The table keeps ``f(k, x) - e^{ikx} I``, the left side of the Marchenko
+representation, on the near field in the layout the Fourier maps contract
+over, and ``m'`` at the wall only; the kernel keeps its recursion's layout.
 """
 
 from __future__ import annotations
@@ -129,8 +129,8 @@ class JostMatrix:
 
 @dataclass(frozen=True)
 class JostTable:
-    """Faddeev function table on the momentum grid and near field, with the
-    wall values of its derivative.
+    """Faddeev table on the momentum grid and near field, with the wall
+    values of its derivative.
 
     Attributes
     ----------
@@ -139,8 +139,10 @@ class JostTable:
     xv : ndarray
         Near-field spatial nodes covering the potential support, from the
         wall ``xv[0] = 0``.
-    m : ndarray
-        ``m(k, x)``, shape ``(len(k), len(xv), n, n)``.
+    scattered : ndarray
+        ``f(k, x) - e^{ikx} I = e^{ikx} (m(k, x) - I)`` with entry ``[a, b]``
+        at ``[k, b, a, x]``, shape ``(len(k), n, n, len(xv))``: the Fourier
+        maps read it as one matrix over rows ``(k, b)``, without a copy.
     mprime : ndarray
         ``m'(k, 0)``, shape ``(len(k), n, n)``.
     m0, m0prime : ndarray
@@ -150,7 +152,7 @@ class JostTable:
     potential: PotentialSpec
     k: np.ndarray
     xv: np.ndarray
-    m: np.ndarray
+    scattered: np.ndarray
     mprime: np.ndarray
     m0: np.ndarray
     m0prime: np.ndarray
@@ -162,11 +164,20 @@ class JostTable:
         return self.potential.n
 
     @property
+    def m(self) -> np.ndarray:
+        """``m(k, x)``, shape ``(len(k), len(xv), n, n)``, formed on each read, 64 momenta at a time."""
+        m = self.scattered.transpose(0, 3, 2, 1).copy()
+        for lo in range(0, self.k.size, 64):
+            m[lo : lo + 64] *= _phases(-self.k[lo : lo + 64], self.xv)[:, :, None, None]
+        m[..., range(self.n), range(self.n)] += 1.0
+        return m
+
+    @property
     def wall(self) -> tuple[np.ndarray, np.ndarray]:
         """``f(k, 0) = m(k, 0)`` and ``f'(k, 0) = ik m(k, 0) + m'(k, 0)``, each
         of shape ``(len(k), n, n)``; ``k[::-1] == -k``, so reversed rows give
         ``f(-k, 0)`` and ``f'(-k, 0)``."""
-        f = self.m[:, 0]
+        f = self.scattered[..., 0].swapaxes(1, 2) + np.eye(self.n)
         return f, 1j * self.k[:, None, None] * f + self.mprime
 
 
@@ -197,29 +208,14 @@ def _cell_factors(q2: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cos, sinc
 
 
-def _node_coefficients(k: np.ndarray, q2: np.ndarray, x: np.ndarray, b: float) -> np.ndarray:
-    """``e^{-ikx} cos(qs)`` and ``-e^{-ikx} sin(qs)/q`` at the output nodes
-    ``x`` of a cell with right edge ``b``, ``s = b - x``, side by side along
-    a last axis of ``2n``: shape ``(nk, len(x), 2n)``.  The offsets are
-    taken in ascending order, from the node nearest ``b``
-    (:func:`_cell_factors`)."""
-    n = q2.shape[1]
-    cos, sinc = (v[..., ::-1].swapaxes(1, 2) for v in _cell_factors(q2, b - x[::-1]))
-    phase = _phases(-k, x)[..., None]
-    coef = np.empty(cos.shape[:2] + (2 * n,), dtype=complex)
-    with np.errstate(invalid="ignore"):
-        np.multiply(phase, cos, out=coef[..., :n])
-        np.multiply(phase, np.negative(sinc, out=sinc), out=coef[..., n:])
-    return coef
-
-
 def faddeev_solve(
     potential: PotentialSpec,
     k: np.ndarray,
     x_out: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the Jost solution across the cells and return ``m`` on the
-    output nodes and ``m'`` at the first of them.
+    """Propagate the Jost solution across the cells and return its scattered
+    part ``f(k, x) - e^{ikx} I`` on the output nodes and ``m'`` at the first
+    of them.
 
     Starting from ``f = e^{ikx} I``, ``f' = ik f`` at ``x_out[-1]``, each
     cell ``[a, b]`` (walked right to left) is crossed in the eigenbasis
@@ -230,29 +226,31 @@ def faddeev_solve(
         f'(x) = U [q sin(qs) U^dagger f(b) + cos(qs) U^dagger f'(b)].
 
     These factors are even in ``q`` and finite at ``q = 0``, so ``k = 0``
-    and ``k^2 = lambda`` take the same formula.  Every output node is evaluated from its own cell's
-    right edge, so round-off does not accumulate node by node.  On a cell's
-    output nodes, ``e^{-ikx}`` and, in the oscillating channels (``q^2 >=
-    0``), ``cos(qs)`` and ``sin(qs)`` come from :func:`~.grids._phases`:
-    two short exponential tables per momentum on uniform nodes, one
-    exponential per node otherwise.  The evanescent channels and the cell's
-    left edge take ``cosh``, ``sinh`` and the exponentials directly.
+    and ``k^2 = lambda`` take the same formula; they are evaluated once per
+    distinct ``|k|``.  On a cell's nodes ``f`` is one product of the cell's
+    basis with ``[cos; -sinc]``, written into the output's layout.  Every
+    output node is evaluated from its own cell's right edge, so round-off
+    does not accumulate node by node.  ``e^{ikx}`` (taken off the diagonal
+    at the end) and, in the oscillating channels, ``cos(qs)`` and
+    ``sin(qs)`` come from :func:`~.grids._phases`: two short exponential
+    tables per momentum on uniform nodes.  The evanescent channels and the
+    cell's left edge take ``cosh``, ``sinh`` and the exponentials directly.
 
     Parameters
     ----------
     k : ndarray
-        Momentum values (``k = 0`` allowed).
+        Momentum values (``k = 0`` allowed, in any order).
     x_out : ndarray
         Ascending output nodes; the last node must sit at or beyond the
         potential support.
 
     Returns
     -------
-    (m, mprime)
-        ``m = e^{-ikx} f`` on ``x_out``, shape ``(len(k), len(x_out), n, n)``,
-        and ``m' = e^{-ikx} f' - ik m`` at ``x_out[0]``, shape
-        ``(len(k), n, n)``, from the state the propagation holds after its
-        last cell.
+    (scattered, mprime)
+        ``f(k, x) - e^{ikx} I`` on ``x_out``, laid out as
+        :attr:`JostTable.scattered`, and ``m' = e^{-ikx} f' - ik m`` at
+        ``x_out[0]``, shape ``(len(k), n, n)``, from the propagation's
+        final state.
 
     Raises
     ------
@@ -267,7 +265,6 @@ def faddeev_solve(
     x_out = np.asarray(x_out, dtype=float)
     n = potential.n
     nk, nx = k.size, x_out.size
-    eye = np.eye(n, dtype=complex)
 
     if potential.support_radius > x_out[-1] + 1e-12:
         raise JostError(
@@ -276,40 +273,44 @@ def faddeev_solve(
         )
 
     if nx == 1 or potential.support_radius <= x_out[0]:
-        # no potential to the right of the output window: m == I
-        m = np.broadcast_to(eye, (nk, nx, n, n)).copy()
-        return m, np.zeros((nk, n, n), dtype=complex)
+        # no potential to the right of the output window: f == e^{ikx} I
+        return np.zeros((nk, n, n, nx), dtype=complex), np.zeros((nk, n, n), dtype=complex)
 
     xe = x_out[-1]
     inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xe)]
     edges = np.concatenate([[x_out[0]], inner, [xe]])
     cells = potential.segment_values(edges)
     owner = np.clip(np.searchsorted(edges, x_out, side="right") - 1, 0, cells.shape[0] - 1)
+    absk, pair = np.unique(np.abs(k), return_inverse=True)
 
-    f = np.exp(1j * k * xe)[:, None, None] * eye  # state at the current right edge
+    f = np.exp(1j * k * xe)[:, None, None] * np.eye(n)  # state at the current right edge
     fp = 1j * k[:, None, None] * f
-    m_out = np.empty((nk, nx, n * n), dtype=complex)
+    out = np.empty((nk, n * n, nx), dtype=complex)  # rows (b, a)
     for c in range(cells.shape[0] - 1, -1, -1):
         a, b = edges[c], edges[c + 1]
         lam, u = np.linalg.eigh(cells[c])
         lo, hi = np.searchsorted(owner, (c, c + 1))
-        q2 = (k * k)[:, None] - lam  # (nk, n)
-        edge_cos, edge_sinc = (v[..., 0] for v in _cell_factors(q2, np.array([b - a])))
-        # f(x) = sum over channels l of cos_l A_l - sinc_l B_l and
-        # f'(x) = sum of q2_l sinc_l A_l + cos_l B_l, where
-        # A_l = u[:, l] (u^dagger f(b))[l, :] and B_l is the same for f'(b)
-        basis = u.T[None, :, :, None] * (u.conj().T @ np.stack([f, fp], axis=1))[:, :, :, None, :]
-        basis = basis.reshape(nk, 2 * n, n * n)
-        mc = m_out[:, lo:hi]
+        q2 = (absk * absk)[:, None] - lam  # (len(absk), n)
+        cos, sinc = _cell_factors(q2, b - x_out[lo:hi][::-1])
+        nodes = np.concatenate([cos, -sinc], axis=1, dtype=complex)[..., ::-1]
+        cos, sinc = (v[..., 0] for v in _cell_factors(q2, np.array([b - a])))
+        edge = np.stack([np.concatenate([cos, -sinc], 1), np.concatenate([q2 * sinc, cos], 1)], axis=2)
+        # f(x)[a, b] = sum_l u[a, l] (cos_l C[l, b] - sinc_l D[l, b]), f'(x)[a, b] the same with
+        # q2_l sinc_l and cos_l, C = u^dagger f(b), D = u^dagger f'(b): basis[k, (b, a), (s, l)]
+        cd = (u.conj().T @ np.stack([f, fp], axis=1)).transpose(0, 3, 1, 2)  # [k, b, s, l]
+        basis = (u[:, None, :] * cd[:, :, None]).reshape(nk, n * n, 2 * n)
         with np.errstate(invalid="ignore"):
-            np.matmul(_node_coefficients(k, q2, x_out[lo:hi], b), basis, out=mc)
-            f = (np.concatenate([edge_cos, -edge_sinc], axis=1)[:, None] @ basis).reshape(nk, n, n)
-            fp = (np.concatenate([q2 * edge_sinc, edge_cos], axis=1)[:, None] @ basis).reshape(nk, n, n)
-        if not all(np.isfinite(t).all() for t in (mc, f, fp)):
-            finite = [np.isfinite(t.reshape(nk, -1)).all(axis=1) for t in (mc, f, fp)]
-            raise JostOverflow.at(edges, cells, c, k[np.argmin(np.logical_and.reduce(finite))])
+            np.matmul(basis, nodes[pair], out=out[..., lo:hi])
+            state = (basis @ edge[pair]).reshape(nk, n, n, 2)
+        f, fp = state[..., 0].swapaxes(1, 2), state[..., 1].swapaxes(1, 2)
+        finite = np.isfinite(out[..., lo:hi]).all(axis=(1, 2)) & np.isfinite(state).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise JostOverflow.at(edges, cells, c, k[np.argmin(finite)])
+    wave = _phases(k, x_out)
+    for i in range(n):
+        out[:, i * (n + 1)] -= wave
     mprime = np.exp(-1j * k * x_out[0])[:, None, None] * (fp - 1j * k[:, None, None] * f)
-    return m_out.reshape(nk, nx, n, n), mprime
+    return out.reshape(nk, n, n, nx), mprime
 
 
 def solve_faddeev(potential: PotentialSpec, grid: KXGrid) -> JostTable:
@@ -325,14 +326,14 @@ def solve_faddeev(potential: PotentialSpec, grid: KXGrid) -> JostTable:
         raise JostError(f"potential support {xs} exceeds the spatial window {grid.xmax}")
     last = min(grid.x.size - 1, int(np.ceil(xs / grid.dx - 1e-9)))
     xv = grid.x[: last + 1]
-    m, mprime = faddeev_solve(potential, np.append(grid.k, 0.0), xv)
+    scattered, mprime = faddeev_solve(potential, np.append(grid.k, 0.0), xv)
     return JostTable(
         potential=potential,
         k=grid.k.copy(),
         xv=xv,
-        m=m[:-1],
+        scattered=scattered[:-1],
         mprime=mprime[:-1],
-        m0=m[-1, 0],
+        m0=scattered[-1, ..., 0].T + np.eye(potential.n),
         m0prime=mprime[-1],
         grid=grid,
     )
@@ -494,7 +495,8 @@ class KernelTable:
         ``K(x, y)``, shape ``(len(x), len(y), n, n)``, exactly 0 for ``y < x``.
         The diagonal node holds half the jump ``K(x, x+)``, so that a
         trapezoid rule over all columns counts only ``y >= x``; the wall row,
-        whose column weight is already half, holds all of it.
+        whose column weight is already half, holds all of it.  A view of
+        the recursion's ``[x, a, y, b]`` array (``matrix``).
     diagonal : ndarray
         The jump ``K(x, x+) = (1/2) integral_x^inf V``, exact over the cells;
         shape ``(len(x), n, n)``.
@@ -510,6 +512,11 @@ class KernelTable:
     diagonal: np.ndarray
     tail_fraction: float
     n: int
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``K`` over the rows ``(x, a)`` and columns ``(y, b)``, a view."""
+        return self.values.transpose(0, 2, 1, 3).reshape(self.x.size * self.n, -1)
 
     @cached_property
     def wy(self) -> np.ndarray:
@@ -538,12 +545,12 @@ class KernelTable:
         return self._schur[1]
 
 
-def _goursat(potential: PotentialSpec, h: float, rows: int) -> np.ndarray:
+def _goursat(potential: PotentialSpec, h: float, rows: int, cols: int = 0) -> np.ndarray:
     """The kernel by the diamond recursion on the nodes ``x_i = i h``, laid
-    out ``[row, a, col, b]``: shape ``(rows, n, 2 rows - 1, n)``, holding the
-    whole jump ``K(x, x+)`` on the diagonal and 0 below it.  ``x_{rows-1}``
-    must reach the support, so that ``K`` vanishes from ``i + j = 2 rows - 2``
-    on (:func:`marchenko_kernel`)."""
+    out ``[row, a, col, b]``: shape ``(rows, n, max(cols, 2 rows - 1), n)``,
+    holding the whole jump ``K(x, x+)`` on the diagonal and 0 below it.
+    ``x_{rows-1}`` must reach the support, so that ``K`` vanishes from ``i +
+    j = 2 rows - 2`` on (:func:`marchenko_kernel`)."""
     n = potential.n
     # T and S = integral_s^inf (t - s) V(t) dt, exact at the half nodes s_m = m h/2
     s = 0.5 * h * np.arange(2 * rows + 3)
@@ -557,7 +564,7 @@ def _goursat(potential: PotentialSpec, h: float, rows: int) -> np.ndarray:
     half = np.eye(n) + 0.25 * strip
     A = half @ half
     c = half @ (0.5 * (T[1:-3:2] - T[3:-1:2]) + 0.25 * strip @ T[2:-2:2])
-    K = np.zeros((rows, n, 2 * rows - 1, n), dtype=np.result_type(potential.values, float))
+    K = np.zeros((rows, n, max(cols, 2 * rows - 1), n), dtype=complex)
     d = np.arange(rows)
     K[d, :, d] = 0.5 * T[0:-3:2]
     for i in range(rows - 2, -1, -1):
@@ -596,6 +603,7 @@ def marchenko_kernel(jt: JostTable) -> KernelTable:
     A second pass at ``2 dx`` gives the step-doubling estimate
     ``max |K_2h - K_h| / 3`` on the shared nodes, relative to ``max |K|``;
     it is kept as ``tail_fraction``.  A zero potential returns zeros at once.
+    The table keeps the first pass's array as it stands.
 
     Raises
     ------
@@ -604,11 +612,10 @@ def marchenko_kernel(jt: JostTable) -> KernelTable:
     """
     grid, nx, n = jt.grid, jt.xv.size, jt.n
     ny = min(grid.x.size, max(2, 2 * nx - 1))
-    values = np.zeros((nx, ny, n, n), dtype=complex)
-    diagonal = np.zeros((nx, n, n), dtype=complex)
+    raw = np.zeros((nx, n, ny, n), dtype=complex)
     estimate = 0.0
     if jt.potential.values.any():
-        fine = _goursat(jt.potential, grid.dx, nx)
+        fine = _goursat(jt.potential, grid.dx, nx, ny)
         coarse = _goursat(jt.potential, 2.0 * grid.dx, nx // 2 + 1)
         shared = fine[::2, :, ::2]
         gap = np.abs(coarse[: shared.shape[0], :, : shared.shape[2]] - shared).max()
@@ -616,9 +623,9 @@ def marchenko_kernel(jt: JostTable) -> KernelTable:
         estimate = float(gap / (3.0 * peak)) if peak > 0 else 0.0
         if estimate > KERNEL_TOL:
             raise KernelTooCoarse(grid.dx, estimate)
-        cols = min(ny, fine.shape[2])
-        values[:, :cols] = fine[:, :, :cols].transpose(0, 2, 1, 3)
-        inner = np.arange(nx)
-        diagonal[:] = values[inner, inner]
-        values[inner[1:], inner[1:]] *= 0.5  # half the jump, off the wall row
+        raw = np.ascontiguousarray(fine[:, :, :ny])  # a copy only if the window cuts the kernel
+    inner = np.arange(nx)
+    diagonal = raw[inner, :, inner]
+    raw[inner[1:], :, inner[1:]] *= 0.5  # half the jump, off the wall row
+    values = raw.transpose(0, 2, 1, 3)
     return KernelTable(x=jt.xv, y=grid.x[:ny], values=values, diagonal=diagonal, tail_fraction=estimate, n=n)

@@ -15,10 +15,11 @@ sized from a phase-resolution budget.
 
 On the table grid, which is closed under ``k -> -k``, the near-field
 correction of both Faddeev factors is one product with a matrix ``G`` of
-``e^{ikx} (m(k, x) - I)`` over the whole grid, built once per table.  The
-dense grid reads the same matrix.  The near-field sums are linear in ``m``,
-so analysis contracts the field against ``G`` on the table grid, and one
-not-a-knot spline carries the small result, ``(nk, n)``, to the dense
+``e^{ikx} (m(k, x) - I) = f(k, x) - e^{ikx} I`` over the whole grid: a view
+of the Jost table's array, written in this layout, which no map rebuilds.
+The dense grid reads the same matrix.  The near-field sums are linear in
+``m``, so analysis contracts the field against ``G`` on the table grid, and
+one not-a-knot spline carries the small result, ``(nk, n)``, to the dense
 momenta.  Before the spline the sums are demodulated by the phase of the
 near field's end, which halves the frequencies the spline must follow
 (:class:`_NearSpline`).  Synthesis is the exact transpose: the spline's
@@ -26,9 +27,8 @@ adjoint (:func:`~.grids.spline_adjoint`) gathers the dense momenta onto the
 table grid, then one product with ``G``.  So no ``m`` table, no slope table
 of ``m`` and no phase table on the dense grid is ever formed.  Where ``m =
 I`` on the whole near field (a zero potential), ``G`` vanishes and the maps
-skip the near-field sums.  Evolution is
-one analysis, the multipliers of every time, and one synthesis of all the
-times as rows.
+skip the near-field sums.  Evolution is one analysis, the multipliers of
+every time, and one synthesis of all the times as rows.
 """
 from __future__ import annotations
 
@@ -111,20 +111,19 @@ class PhysicalSolutionTable:
     physical solutions ``Psi(k, x) = f(-k, x) + f(k, x) S(k)``.
 
     ``psi0`` and ``psi0prime`` hold ``Psi(k, 0)`` and ``Psi'(k, 0)``, shape
-    ``(len(k), n, n)``.  Elsewhere ``Psi`` is read through the Faddeev factor
-    ``mnear = m(k, xv)`` and ``S``; beyond ``xv[-1]`` it equals
-    ``e^{-ikx} I + e^{ikx} S(k)`` exactly.  Every map reads ``mnear`` as
-    one matrix of ``e^{ikx} (m(k, x) - I)``, built at the first map and
-    kept; off the grid it splines the sums formed with that matrix, not
-    ``mnear``.  ``S`` is read off the grid through its not-a-knot spline
-    (:class:`~.grids.UniformSpline`), built at the first evolution and kept.
+    ``(len(k), n, n)``.  Elsewhere ``Psi`` is read through ``S`` and the
+    Jost table's ``scattered = f(k, xv) - e^{ikx} I`` (the same array);
+    beyond ``xv[-1]`` it equals ``e^{-ikx} I + e^{ikx} S(k)`` exactly.
+    Every map reads ``scattered`` as one matrix, a view, and off the grid
+    splines the sums formed with it.  ``S`` is read off the grid through its
+    not-a-knot spline (:class:`~.grids.UniformSpline`), built once and kept.
     """
 
     k: np.ndarray
     xv: np.ndarray
     psi0: np.ndarray
     psi0prime: np.ndarray
-    mnear: np.ndarray
+    scattered: np.ndarray
     S: np.ndarray
     grid: KXGrid
     boundary: BoundaryPair
@@ -135,8 +134,8 @@ class PhysicalSolutionTable:
 
     @cached_property
     def _near_matrix(self) -> "_NearMatrix":
-        """``e^{ikx} (m(k, x) - I)`` at the stored momenta, as one matrix."""
-        return _NearMatrix.from_table(self.k, self.xv, self.mnear)
+        """``scattered`` at the stored momenta, as one matrix (a view)."""
+        return _NearMatrix(self.xv, self.scattered.reshape(self.k.size * self.n, -1), self.k.size // 2)
 
     @cached_property
     def _S_spline(self) -> UniformSpline:
@@ -146,7 +145,7 @@ class PhysicalSolutionTable:
 
 def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTable:
     """Assemble ``Psi(k, 0) = f(-k, 0) + f(k, 0) S(k)`` and ``Psi'(k, 0)`` from
-    the Jost table's wall values, alongside its ``m`` table and ``S``."""
+    the Jost table's wall values, alongside its ``scattered`` table and ``S``."""
     if not np.array_equal(jt.k, st.k):
         raise SpectralError("Jost and scattering tables live on different momentum grids")
     f, fp = jt.wall
@@ -155,7 +154,7 @@ def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTab
         xv=jt.xv,
         psi0=f[::-1] + f @ st.S,
         psi0prime=fp[::-1] + fp @ st.S,
-        mnear=jt.m,
+        scattered=jt.scattered,
         S=st.S,
         grid=jt.grid,
         boundary=st.boundary,
@@ -193,33 +192,20 @@ def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np
 
 @dataclass(frozen=True)
 class _NearMatrix:
-    """``m(q, x) - I`` at every node ``q`` of the table grid, with its phases,
-    as one matrix ``G[(x, a), (q, b)] = e^{iqx} (m(q, x) - I)[a, b]``.
+    """``f(q, x) - e^{iqx} I`` at every node ``q`` of the table grid as one
+    matrix ``G[(q, b), (a, x)] = e^{iqx} (m(q, x) - I)[a, b]``: the Jost
+    table's ``scattered`` array, reshaped.
 
     The grid is closed under ``q -> -q`` (``q[::-1] == -q``), so for each
     positive momentum ``k = q[npos + i]`` both Faddeev factors ``m(k)`` and
-    ``m(-k) = m(q[npos - 1 - i])`` are columns of ``G``: each near-field sum
+    ``m(-k) = m(q[npos - 1 - i])`` are rows of ``G``: each near-field sum
     of a table-grid map is one product.  Off the grid, :class:`_NearSpline`
-    reads the same matrix.
+    reads a contiguous block of its rows.
     """
 
     xv: np.ndarray
     G: np.ndarray
     npos: int
-
-    @classmethod
-    def from_table(cls, k: np.ndarray, xv: np.ndarray, mnear: np.ndarray) -> "_NearMatrix":
-        """From ``mnear[q, x, a, b] = m(q, x)[a, b]``; the phases of the
-        negative momenta are the exact conjugates of the positive ones."""
-        nk, nxv, n = mnear.shape[:3]
-        npos = nk // 2
-        G = mnear.transpose(1, 2, 0, 3).copy()  # [x, a, q, b]
-        for a in range(n):
-            G[:, a, :, a] -= 1.0
-        phases = _phases(k[npos:], xv).T[:, None, :, None]
-        G[:, :, npos:] *= phases
-        G[:, :, :npos] *= phases[:, :, ::-1].conj()
-        return cls(xv, G.reshape(nxv * n, nk * n), npos)
 
     @cached_property
     def vanishes(self) -> bool:
@@ -230,7 +216,7 @@ class _NearMatrix:
     def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
         """``sum_x e^{+-ikx} (m(+-k, x) - I)^T Yc(x)`` for both factors, each
         ``(npos, n)``: one product over the whole grid, split by sign."""
-        R = (Yc.reshape(-1) @ self.G).reshape(-1, Yc.shape[1])
+        R = (self.G @ Yc.T.ravel()).reshape(-1, Yc.shape[1])
         return [R[self.npos :], R[self.npos - 1 :: -1]]
 
     def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
@@ -240,7 +226,7 @@ class _NearMatrix:
         the negative momenta, ``Z`` on the positive."""
         rows, _, n = Z.shape
         V = np.concatenate([Zm[:, ::-1], Z], axis=1).reshape(rows, -1)
-        return (V @ self.G.T).reshape(rows, -1, n)
+        return (V @ self.G).reshape(rows, n, -1).swapaxes(1, 2)
 
 
 @dataclass(frozen=True)
@@ -249,18 +235,17 @@ class _NearSpline:
     table grid: ``+kq`` then ``-kq`` for uniform positive ``kq``.
 
     The sums are linear in ``m``, so they are formed on the table grid, one
-    product with ``G``, the near matrix's columns at the knots ``k``, and
-    the small result is interpolated, not ``m``.  As a function of ``k``, a
-    row of ``G`` is a transform of the Marchenko kernel, ``e^{ikx} (m(k, x)
-    - I) = integral_x^{2b - x} K(x, y) e^{iky} dy`` for a potential
-    supported in ``[0, b]``, with frequencies ``y`` in ``[0, 2b]``.
-    Demodulated by ``e^{-ikc}`` (``demod``) at the near field's end ``c =
-    xv[-1] >= b``, the sums hold frequencies of at most ``c``, where ``m -
-    I`` itself holds up to ``2b``; on the test fixtures the spline of ``m``
-    erred 2 to 5 times more.  One spline carries them to ``q``, where
-    ``e^{iqc}`` (``remod``) restores the phase.  Synthesis is the exact
-    transpose of that path: :func:`~.grids.spline_adjoint`, then one
-    product with ``G``.
+    product with ``G``, the near matrix's rows at the knots ``k``, and the
+    small result is interpolated, not ``m``.  As a function of ``k``, a row
+    of ``G`` is a transform of the Marchenko kernel, ``e^{ikx} (m(k, x) -
+    I) = integral_x^{2b - x} K(x, y) e^{iky} dy`` for a potential supported
+    in ``[0, b]``, with frequencies ``y`` in ``[0, 2b]``.  Demodulated by
+    ``e^{-ikc}`` (``demod``) at the near field's end ``c = xv[-1] >= b``,
+    the sums hold frequencies of at most ``c``, where ``m - I`` itself holds
+    up to ``2b``; on the test fixtures the spline of ``m`` erred 2 to 5
+    times more.  One spline carries them to ``q``, where ``e^{iqc}``
+    (``remod``) restores the phase.  Synthesis is the exact transpose of
+    that path: :func:`~.grids.spline_adjoint`, then one product with ``G``.
     """
 
     xv: np.ndarray
@@ -276,18 +261,18 @@ class _NearSpline:
         splined on the knots within ``SWEEP_BLOCK`` pieces of ``+-kq``: the
         end conditions there move the pieces that hold ``+-kq`` by under
         ``2^-60``."""
-        n = near.G.shape[1] // k.size
+        n = near.G.shape[0] // k.size
         dk = (k[-1] - k[0]) / (k.size - 1)
         knots = np.flatnonzero(np.abs(k) <= kq[-1] + (SWEEP_BLOCK + 1) * dk)
         lo, hi = knots[0], knots[-1] + 1
         k, c, q = k[lo:hi], near.xv[-1:], np.concatenate([kq, -kq])
-        G = near.G[:, lo * n : hi * n]
+        G = near.G[lo * n : hi * n]
         return cls(near.xv, G, k, q, _phases(-k, c)[:, 0], _phases(q, c)[:, 0])
 
     def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
         """``sum_x e^{+-iqx} (m(+-q, x) - I)^T Yc(x)`` for both factors at
         ``kq``, each ``(len(kq), n)``."""
-        sums = (Yc.reshape(-1) @ self.G).reshape(self.k.size, -1) * self.demod[:, None]
+        sums = (self.G @ Yc.T.ravel()).reshape(self.k.size, -1) * self.demod[:, None]
         return np.split(UniformSpline(self.k, sums)(self.q) * self.remod[:, None], 2)
 
     def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
@@ -297,7 +282,7 @@ class _NearSpline:
         rows, _, n = Z.shape
         V = np.concatenate([Z, Zm], axis=1) * self.remod[:, None]
         U = spline_adjoint(self.k, self.q, V.transpose(1, 0, 2)) * self.demod[:, None, None]
-        return (U.transpose(1, 0, 2).reshape(rows, -1) @ self.G.T).reshape(rows, -1, n)
+        return (U.transpose(1, 0, 2).reshape(rows, -1) @ self.G).reshape(rows, n, -1).swapaxes(1, 2)
 
 
 @dataclass(frozen=True)

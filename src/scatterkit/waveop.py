@@ -425,7 +425,7 @@ def kernel_apply(kt: KernelTable, f: FieldRplus) -> FieldRplus:
     _kernel_grid_check(kt, f)
     out = np.zeros_like(f.values)
     weighted = kt.wy[:, None] * f.values[: kt.y.size]
-    out[: kt.x.size] = np.tensordot(kt.values, weighted, axes=([1, 3], [0, 1]))
+    out[: kt.x.size] = (kt.matrix @ weighted.ravel()).reshape(kt.x.size, -1)
     return f.replace_values(out)
 
 
@@ -440,7 +440,7 @@ def kernel_apply_adjoint(kt: KernelTable, f: FieldRplus) -> FieldRplus:
     ny = kt.y.size
     out = np.zeros_like(f.values)
     weighted = np.conj(wg[:nxk, None] * f.values[:nxk])
-    out[:ny] = np.conj(np.tensordot(weighted, kt.values, axes=([0, 1], [0, 2])))
+    out[:ny] = np.conj(weighted.ravel() @ kt.matrix).reshape(ny, -1)
     out[:ny] *= (kt.wy / wg[:ny])[:, None]
     return f.replace_values(out)
 
@@ -502,12 +502,16 @@ def _symbol_field(st: ScatteringTable, name: str) -> FieldR:
     return FieldR._derived(st.grid.x_sym, getattr(st, name))
 
 
-def _symbol_convolve(st: ScatteringTable, name: str, f: FieldR) -> FieldR:
-    """:func:`convolve` by the symbol ``name`` from the spectrum the table
-    keeps (:meth:`~.scattering.ScatteringTable.symbol_spectrum`), after the
-    same grid and channel checks."""
+def _symbol_convolve(st: ScatteringTable, name: str, f: FieldR, adjoint: bool = False) -> FieldR:
+    """:func:`convolve` by the symbol ``name`` (with ``adjoint``,
+    :func:`convolve_adjoint`) from the spectrum the table keeps
+    (:meth:`~.scattering.ScatteringTable.symbol_spectrum`), after the same checks."""
     _matrix_kernel(_symbol_field(st, name), f)
-    return f.replace_values(circular_convolve(st.symbol_spectrum(name), f.values) * f.dx)
+    spectrum = st.symbol_spectrum(name, adjoint)
+    if not adjoint:
+        return f.replace_values(circular_convolve(spectrum, f.values) * f.dx)
+    w = f.weights[:, None]
+    return f.replace_values(circular_convolve(spectrum, w * f.values) * (f.dx / w))
 
 
 def wave_op_l1_form(
@@ -538,9 +542,9 @@ def wave_op_adjoint(
     ``Q`` the convolution by the half-momentum symbol: each factor replaced
     by its exact discrete adjoint, applied in reverse order, one pass each."""
     _identity_gate(st)
-    G = _symbol_field(st, "Pplus" if sign > 0 else "Pminus")
+    name = "Pplus" if sign > 0 else "Pminus"
     v = f.replace_values(f.values + kernel_apply_adjoint(kt, f).values)
-    tail = extend_even_adjoint(convolve_adjoint(G, restrict_adjoint(v)))
+    tail = extend_even_adjoint(_symbol_convolve(st, name, restrict_adjoint(v), adjoint=True))
     return v.replace_values(v.values + tail.values)
 
 

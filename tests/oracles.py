@@ -20,12 +20,16 @@ by parts over the cells.  :func:`born_term_cells` is the same term summed
 cell by cell and :func:`born_term_mpmath` by mpmath quadrature.
 :func:`goursat_kernel` restates the package's diamond recursion row by row
 with a three-row buffer, so that a step of ``dx/16`` fits in memory.
-:func:`mprime_nodes` and :func:`near_field_psi` rebuild, for the checks that
-read them, the tables the package no longer keeps: ``m'`` at every node and
-the physical solution on the near field.  :func:`map_kernel_near_sums` forms
-the generalized Fourier maps' near-field sums from whole Faddeev-factor
-tables, exact ones from the cellwise solver off the table grid, against
-which the sums the package interpolates are checked.
+:func:`faddeev_m`, :func:`mprime_nodes` and :func:`near_field_psi`
+rebuild, for the checks that read them, the tables the package does not
+keep: ``m`` in the ``[k, x, a, b]`` layout, ``m'`` at every node and the
+physical solution on the near field.  :func:`near_matrix_from_m` is the
+near-field matrix built the way the maps once built it, from ``m`` by a
+transposing copy and two phase passes, against which the package's view of
+the Jost table is checked.  :func:`map_kernel_near_sums` forms the
+generalized Fourier maps' near-field sums from whole Faddeev-factor tables,
+exact ones from the cellwise solver off the table grid, against which the
+sums the package interpolates are checked.
 :func:`jost_representation_check` tests the paper's representation
 ``f = e^{ikx} + integral K e^{iky}`` on the package's kernel.
 :func:`f0_synthesis` inverts the package's cosine transform, and
@@ -279,7 +283,7 @@ def s_zero_richardson(potential, bp, h=1e-4):
     formula; the error is about ``eps/h`` there, from ``J(h) = O(h)``.
     """
     ks = np.array([h, 2 * h, -h, -2 * h])
-    m, mp = faddeev_solve(potential, ks, np.array([0.0, potential.breaks[-1]]))
+    m, mp = faddeev_m(potential, ks, np.array([0.0, potential.breaks[-1]]))
     f = m[:, 0]
     fp = 1j * ks[:, None, None] * f + mp
     # J at k_i reads f(-k_i), f'(-k_i): index (i + 2) % 4
@@ -578,7 +582,8 @@ def kernel_synthesis(jt):
 
     grid, nx, n = jt.grid, jt.xv.size, jt.n
     ny = min(grid.x.size, max(2, 2 * nx - 1))
-    remainder = jt.m - np.eye(n) - born_term(jt.potential, jt.k, jt.xv)
+    phase = np.exp(-1j * np.outer(jt.k, jt.xv))[..., None, None]
+    remainder = phase * jt.scattered.transpose(0, 3, 2, 1) - born_term(jt.potential, jt.k, jt.xv)
     # k1[m] is K_1 at (x + y)/2 = m dx/2; synth[d, i] is R's kernel at (x_i, x_i + y_d)
     k1 = 0.5 * tail_integral(jt.potential, 0.5 * grid.dx * np.arange(nx + ny - 1))
     synth = (grid.dk / (2.0 * np.pi)) * fourier_sum(remainder, jt.k[0], grid.dk, grid.x[:ny], -1)
@@ -636,6 +641,17 @@ def goursat_kernel(potential, h, rows, keep=1):
 # -- tables the package does not keep -------------------------------------------
 
 
+def faddeev_m(potential, k, x):
+    """``m(k, x) = I + e^{-ikx} (f(k, x) - e^{ikx} I)`` on the nodes ``x``,
+    shape ``(len(k), len(x), n, n)``, from the scattered part that
+    :func:`faddeev_solve` returns laid out ``[k, b, a, x]``, with one
+    complex exponential per phase; and ``m'(k, x[0])``."""
+    x = np.asarray(x, dtype=float)
+    scattered, mprime = faddeev_solve(potential, k, x)
+    phase = np.exp(-1j * np.outer(k, x))[..., None, None]
+    return phase * scattered.transpose(0, 3, 2, 1) + np.eye(potential.n), mprime
+
+
 def mprime_nodes(potential, k, x):
     """``m'(k, x_j)`` at every node of ``x``: the wall value of
     :func:`faddeev_solve` on ``x[j:]``; shape ``(len(k), len(x), n, n)``."""
@@ -645,49 +661,57 @@ def mprime_nodes(potential, k, x):
 
 def near_field_psi(pt):
     """``Psi(k, x) = f(-k, x) + f(k, x) S(k)`` on the near field ``pt.xv``,
-    with ``f = e^{ikx} m`` from the Jost table's ``m`` (``pt.mnear``) and
-    ``k[::-1] == -k``; shape ``(len(k), len(xv), n, n)``."""
-    f = np.exp(1j * np.outer(pt.k, pt.xv))[..., None, None] * pt.mnear
+    with ``f = e^{ikx} I +`` the Jost table's scattered part
+    (``pt.scattered``, laid out ``[k, b, a, x]``) and ``k[::-1] == -k``;
+    shape ``(len(k), len(xv), n, n)``."""
+    free = np.exp(1j * np.outer(pt.k, pt.xv))[..., None, None] * np.eye(pt.n)
+    f = free + pt.scattered.transpose(0, 3, 2, 1)
     return f[::-1] + f @ pt.S[:, None]
 
 
-def _near(ph, m, Z):
-    """``sum_k ph(k, x) (m(k, x) - I) Z(k)`` as a batched matrix-vector
-    product against the table (no ``m - I`` copy)."""
-    b, nxv, n = m.shape[:3]
-    mZ = np.matmul(m.reshape(b, nxv * n, n), Z[:, :, None]).reshape(b, nxv, n)
-    return np.einsum("kx,kxi->xi", ph, mZ) - ph.T @ Z
-
-
-def _near_t(ph, m, Y):
-    """``sum_x ph(k, x) (m(k, x) - I)^T Y(x)`` as a batched row-vector
-    product against the table (no ``m - I`` copy)."""
-    b, nxv, n = m.shape[:3]
-    row = (ph[:, :, None] * Y).reshape(b, 1, nxv * n)
-    return np.matmul(row, m.reshape(b, nxv * n, n))[:, 0] - ph @ Y
+def near_matrix_from_m(k, xv, m):
+    """``G[(x, a), (q, b)] = e^{iqx} (m(q, x) - I)[a, b]`` from ``m[q, x, a,
+    b]`` on a grid with ``k[::-1] == -k``: the transposing copy, the
+    identity taken off the diagonal, and the phases of the positive momenta,
+    conjugated for the negative ones; shape ``(len(xv) n, len(k) n)``."""
+    nk, nxv, n = m.shape[:3]
+    npos = nk // 2
+    G = m.transpose(1, 2, 0, 3).copy()  # [x, a, q, b]
+    for a in range(n):
+        G[:, a, :, a] -= 1.0
+    phases = np.exp(1j * np.outer(k[npos:], xv)).T[:, None, :, None]
+    G[:, :, npos:] *= phases
+    G[:, :, :npos] *= phases[:, :, ::-1].conj()
+    return G.reshape(nxv * n, nk * n)
 
 
 def map_kernel_near_sums(pt, k, sign, S, Yc, Zw, potential):
     """The near-field sums of the generalized Fourier map kernel
-    ``Psi(-sign*k, x)^dagger`` on positive momenta ``k``, from whole
-    Faddeev-factor tables ``m(+-sign*k, xv)``: the stored table when ``k``
-    are its positive nodes, otherwise ``m`` of ``potential`` at ``+-k`` by
-    the exact cellwise propagation :func:`~scatterkit.jost.faddeev_solve`.
-    The phases ``e^{i sign k x}`` take one complex exponential each.  ``S``
-    holds ``S(-sign*k)`` and ``Yc`` the conjugate weighted field on ``xv``.
-    Returns, unscaled, the analysis part ``(len(k), n)`` and, for each row
-    of ``Zw``, the synthesis part on ``xv``."""
+    ``Psi(-sign*k, x)^dagger`` on positive momenta ``k``, from whole tables
+    of ``e^{+-i sign k x} (m(+-sign*k, x) - I)``: the stored table when ``k``
+    are its positive nodes, otherwise that of ``potential`` at ``+-k`` by
+    the exact cellwise propagation :func:`~scatterkit.jost.faddeev_solve`;
+    both are laid out ``[k, b, a, x]``.  Each sum is one ``einsum`` per
+    factor.  ``S`` holds ``S(-sign*k)`` and ``Yc`` the conjugate weighted
+    field on ``xv``.  Returns, unscaled, the analysis part ``(len(k), n)``
+    and, for each row of ``Zw``, the synthesis part on ``xv``."""
     if np.array_equal(k, pt.grid.kpos):
-        m_pos, m_neg = pt.mnear[pt.grid.npos :], pt.mnear[pt.grid.npos - 1 :: -1]
+        g_pos, g_neg = pt.scattered[pt.grid.npos :], pt.scattered[pt.grid.npos - 1 :: -1]
     else:
-        m = faddeev_solve(potential, np.concatenate([k, -k]), pt.xv)[0]
-        m_pos, m_neg = m[: k.size], m[k.size :]
-    m_s, m_ms = (m_pos, m_neg) if sign == +1 else (m_neg, m_pos)
-    ph = np.exp(1j * sign * np.outer(k, pt.xv))
-    mirror = np.einsum("kji,kj->ki", S, _near_t(ph.conj(), m_ms, Yc))
-    analysis = (_near_t(ph, m_s, Yc) + mirror).conj()
+        g = faddeev_solve(potential, np.concatenate([k, -k]), pt.xv)[0]
+        g_pos, g_neg = g[: k.size], g[k.size :]
+    g_s, g_ms = (g_pos, g_neg) if sign == +1 else (g_neg, g_pos)
+
+    def near_t(g, Y):  # sum_x (g(k, x) as [a, b])^T Y(x)
+        return np.einsum("kbax,xa->kb", g, Y)
+
+    def near(g, Z):  # sum_k (g(k, x) as [a, b]) Z(k)
+        return np.einsum("kbax,kb->xa", g, Z)
+
+    mirror = np.einsum("kji,kj->ki", S, near_t(g_ms, Yc))
+    analysis = (near_t(g_s, Yc) + mirror).conj()
     SZ = np.einsum("kij,tkj->tki", S, Zw)
-    synthesis = [_near(ph, m_s, Z) + _near(ph.conj(), m_ms, SZi) for Z, SZi in zip(Zw, SZ)]
+    synthesis = [near(g_s, Z) + near(g_ms, SZi) for Z, SZi in zip(Zw, SZ)]
     return analysis, synthesis
 
 
@@ -711,16 +735,14 @@ def jost_representation_check(jt, kt, k_samples=48):
     """
     from scatterkit.grids import fourier_sum
 
-    k, xv = jt.k, jt.xv
+    k = jt.k
     kmax = float(np.abs(k).max())
     inner = np.flatnonzero(np.abs(k) <= 0.45 * kmax)
     sel = inner[np.linspace(0, inner.size - 1, min(k_samples, inner.size)).astype(int)]
     weighted = (kt.values * kt.wy[None, :, None, None]).swapaxes(0, 1)  # (Ny, Nx, n, n)
     integ = fourier_sum(weighted, kt.y[0], kt.y[1] - kt.y[0], k[sel])
-    phase = np.exp(1j * np.outer(k[sel], xv))[:, :, None, None]
-    f_rep = phase * np.eye(jt.n) + integ
-    f_true = phase * jt.m[sel]
-    defects = np.abs(f_rep - f_true).reshape(sel.size, -1).max(axis=1)
+    # both sides less e^{ikx} I: the integral against the table's scattered part
+    defects = np.abs(integ - jt.scattered[sel].transpose(0, 3, 2, 1)).reshape(sel.size, -1).max(axis=1)
     return {
         "max_defect": float(defects.max()),
         "k": k[sel],

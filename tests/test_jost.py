@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ def test_jost_matches_closed_form_step():
     v = box_potential(1.0, 0.0, 1.0)
     k = np.array([2.0, 0.7, -2.0, 0.0])
     x = np.linspace(0.0, 1.0, 257)
-    m, mp0 = faddeev_solve(v, k, x)
+    m, mp0 = oracles.faddeev_m(v, k, x)
     _assert_step_values(m, mp0, atol=1e-12)
     # real potential: k -> -k is entrywise conjugation
     mp = oracles.mprime_nodes(v, k, x)
@@ -89,7 +91,7 @@ def test_jost_matches_ode_oracle_matrix(matrix_potential):
     )
     for v, x, idx in cases:
         for k in (0.6, 3.7):
-            m, _ = faddeev_solve(v, np.array([k]), x)
+            m, _ = oracles.faddeev_m(v, np.array([k]), x)
             mp = oracles.mprime_nodes(v, np.array([k]), x)
             f = np.exp(1j * k * x[idx, None, None]) * m[0, idx]
             fp = np.exp(1j * k * x[idx, None, None]) * (1j * k * m[0, idx] + mp[0, idx])
@@ -103,7 +105,7 @@ def test_jost_agrees_with_volterra_oracle_matrix(matrix_potential):
     # its gap to the exact solver shrinks about fourfold per doubling
     x = np.linspace(0.0, 2.0, 257)
     k = np.array([0.0, 0.6, -1.3, 3.7])
-    m, _ = faddeev_solve(matrix_potential, k, x)
+    m, _ = oracles.faddeev_m(matrix_potential, k, x)
     mp = oracles.mprime_nodes(matrix_potential, k, x)
     gaps = []
     for refine in (8, 16):
@@ -133,7 +135,7 @@ def test_wronskian_identities(matrix_potential):
     # carries the constant 2ik, the k/-k pairing vanishes identically.
     k = 1.3
     x = np.linspace(0.0, 2.0, 257)
-    m, _ = faddeev_solve(matrix_potential, np.array([k, -k]), x)
+    m, _ = oracles.faddeev_m(matrix_potential, np.array([k, -k]), x)
     mp = oracles.mprime_nodes(matrix_potential, np.array([k, -k]), x)
     phase = np.exp(1j * np.array([k, -k])[:, None] * x[None, :])
     f = phase[..., None, None] * m
@@ -152,10 +154,36 @@ def test_wronskian_identities(matrix_potential):
 def test_conjugation_symmetry_real_matrix():
     v = PotentialSpec.from_cells(2, [(0.0, 1.5, np.array([[1.0, 0.4], [0.4, -0.5]]))])
     x = np.linspace(0.0, 1.5, 97)
-    m, _ = faddeev_solve(v, np.array([0.9, -0.9]), x)
+    m, _ = oracles.faddeev_m(v, np.array([0.9, -0.9]), x)
     mp = oracles.mprime_nodes(v, np.array([0.9, -0.9]), x)
     np.testing.assert_allclose(m[1], m[0].conj(), atol=1e-10)
     np.testing.assert_allclose(mp[1], mp[0].conj(), atol=1e-10)
+
+
+def test_unsorted_momenta_match_one_momentum_solves(matrix_potential):
+    """The cell factors are formed once per distinct ``|k|`` and gathered: on
+    an unsorted, asymmetric set holding 0 and repeated ``|k|``, with
+    evanescent channels, each row equals its own one-momentum solve."""
+    k = np.array([0.7, -2.3, 0.0, 2.3, 5.1, -0.7, 0.7, 3.3, -1.2])
+    cases = ((matrix_potential, np.linspace(0.0, 2.0, 129)), (_three_cells(), np.linspace(0.0, 2.5, 161)))
+    for v, x in cases:
+        scattered, mprime = faddeev_solve(v, k, x)
+        assert scattered.shape == (k.size, 2, 2, x.size)
+        for i in range(k.size):
+            alone, alone_prime = faddeev_solve(v, k[i : i + 1], x)
+            np.testing.assert_allclose(scattered[i], alone[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(mprime[i], alone_prime[0], rtol=0, atol=1e-14)
+
+
+def test_m_is_formed_from_the_scattered_table(golden_table, matrix_potential):
+    """``JostTable`` stores ``f - e^{ikx} I`` alone; ``m`` is formed on read
+    and matches the oracle's conversion of the solver's output to 1e-14."""
+    grid = KXGrid.build(kmax=20.0, nk=256, dx=1.0 / 64.0, xmax=4.0)
+    for jt in (golden_table, solve_faddeev(matrix_potential, grid)):
+        assert "m" not in {f.name for f in dataclasses.fields(jt)}
+        reference = oracles.faddeev_m(jt.potential, jt.k, jt.xv)[0]
+        assert jt.m.shape == (jt.k.size, jt.xv.size, jt.n, jt.n)
+        np.testing.assert_allclose(jt.m, reference, rtol=0, atol=1e-14)
 
 
 def test_output_window_must_cover_support():
@@ -209,7 +237,7 @@ def test_deep_well_with_bound_states():
 def test_free_table_and_free_jost():
     g = KXGrid.build(kmax=8.0, nk=64, dx=1.0 / 32.0, xmax=4.0)
     jt = solve_faddeev(zero_potential(2), g)
-    np.testing.assert_array_equal(jt.m, np.broadcast_to(np.eye(2), jt.m.shape))
+    np.testing.assert_array_equal(jt.scattered, 0.0)
     np.testing.assert_array_equal(jt.mprime, 0.0)
     bp = BoundaryPair.robin(GOLDEN_THETA, n=2)
     jm = jost_matrix(jt, bp).jmatrix
@@ -239,7 +267,7 @@ def test_golden_jost_matrix_is_exceptional(golden_table):
 def test_golden_table_far_edge_exact(golden_table):
     # at the support edge m = I exactly, so f = e^{ikx} I there
     xe = golden_table.xv[-1]
-    f_edge = np.exp(1j * golden_table.k * xe) * golden_table.m[:, -1, 0, 0]
+    f_edge = np.exp(1j * golden_table.k * xe) + golden_table.scattered[:, 0, 0, -1]
     np.testing.assert_allclose(f_edge, np.exp(1j * golden_table.k), atol=1e-12)
     np.testing.assert_allclose(golden_table.m0[0, 0], COSH1, atol=1e-6)
     np.testing.assert_allclose(golden_table.m0prime[0, 0], -SINH1, atol=1e-6)
@@ -391,7 +419,7 @@ def test_born_term_leading_order():
     v = box_potential(eps, 0.0, 1.0)
     k = np.array([1.1, 0.0])
     x = np.linspace(0.0, 1.0, 129)
-    m, _ = faddeev_solve(v, k, x)
+    m, _ = oracles.faddeev_m(v, k, x)
     born = oracles.born_term(v, k, x)
     resid = np.abs(m - np.eye(1) - born).max()
     assert resid < 5e-6  # second order in the coupling

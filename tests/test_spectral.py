@@ -198,9 +198,11 @@ def test_duality_is_exact(table, request):
 
 
 def test_table_near_field_matrix_is_built_once(golden_scatter, monkeypatch):
-    """The first table-grid map of a table builds its near-field matrix, and
-    every later map of either sign reads it: no phases are formed again."""
-    pt = physical_solution(*golden_scatter)
+    """The table-grid maps of either sign read the Jost table's own array as
+    their near-field matrix, reshaped: no map forms a phase."""
+    jt, table = golden_scatter
+    pt = physical_solution(jt, table)
+    assert pt.scattered is jt.scattered and np.shares_memory(pt._near_matrix.G, jt.scattered)
     calls = []
     phases = spectral._phases
 
@@ -210,12 +212,23 @@ def test_table_near_field_matrix_is_built_once(golden_scatter, monkeypatch):
 
     monkeypatch.setattr(spectral, "_phases", counted)
     Y = _packet(pt.grid.x, pt.n)
-    fourier_maps(pt, Y, +1)
-    assert len(calls) == 1
-    calls.clear()
     for sign in (+1, -1):
         fourier_maps_adjoint(pt, fourier_maps(pt, Y, sign), sign)
     assert calls == []
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical"])
+def test_near_matrix_matches_the_one_built_from_m(table, request):
+    """The near-field matrix equals the one built from ``m`` (of the oracle's
+    own conversion) by a transposing copy and two phase passes, to 1e-14."""
+    pt = request.getfixturevalue(table)
+    potential = request.getfixturevalue(
+        "golden_potential" if table.startswith("golden") else "matrix_potential"
+    )
+    nk, n, nxv = pt.k.size, pt.n, pt.xv.size
+    reference = oracles.near_matrix_from_m(pt.k, pt.xv, oracles.faddeev_m(potential, pt.k, pt.xv)[0])
+    got = pt._near_matrix.G.reshape(nk, n, n, nxv).transpose(3, 2, 0, 1).reshape(nxv * n, nk * n)
+    assert np.abs(got - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 def test_vanishing_near_field_is_skipped_without_changing_a_bit(small_grid, monkeypatch):
@@ -553,8 +566,8 @@ def test_first_evolution_peak_stays_below_the_near_table(table, request, monkeyp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < pt.mnear.nbytes
-    assert pt.mnear[0].size not in solved and max(solved) == pt.S[0].size
+    assert peak < pt.scattered.nbytes
+    assert pt.scattered[0].size not in solved and max(solved) == pt.S[0].size
 
 
 def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch):
@@ -574,7 +587,7 @@ def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch)
 
 @pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
 def test_tables_spline_matches_scipy_cubic_spline(table, request):
-    """``mnear`` and ``S`` off the grid: the dense stage's momenta, both signs,
+    """``scattered`` and ``S`` off the grid: the dense stage's momenta, both signs,
     and points past the end knots, against ``scipy``'s not-a-knot spline."""
     from scipy.interpolate import CubicSpline
 
@@ -583,7 +596,7 @@ def test_tables_spline_matches_scipy_cubic_spline(table, request):
     past = pt.grid.kmax * np.linspace(0.97, 1.05, 9)
     q = np.concatenate([kq, -kq, past, -past])
     assert np.abs(q).max() > pt.k[-1]
-    for samples in (pt.mnear, pt.S):
+    for samples in (pt.scattered, pt.S):
         reference = CubicSpline(pt.k, samples, axis=0)(q)
         got = UniformSpline(pt.k, samples)(q)
         assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()

@@ -8,6 +8,7 @@ form for the unit step.  All discrete adjoints are exact transposes of the
 forward quadratures, so duality tests run at rounding level.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -500,7 +501,7 @@ def test_decomposed_matches_three_term_oracle(golden_wave, matrix_wave):
     [
         (wave_op_decomposed, {"hilbert": 1, "_symbol_convolve": 1, "kernel_apply": 1}),
         (wave_op_l1_form, {"hilbert": 0, "_symbol_convolve": 1, "kernel_apply": 1}),
-        (wave_op_adjoint, {"convolve_adjoint": 1, "kernel_apply_adjoint": 1}),
+        (wave_op_adjoint, {"convolve_adjoint": 0, "_symbol_convolve": 1, "kernel_apply_adjoint": 1}),
     ],
     ids=["decomposed", "l1_form", "adjoint"],
 )
@@ -508,9 +509,9 @@ def test_route_makes_one_pass_of_each_primitive(golden_wave, monkeypatch, route,
     _, table, kt = golden_wave
     calls = dict.fromkeys(passes, 0)
     for name in calls:
-        def counted(*args, _name=name, _op=getattr(waveop, name)):
+        def counted(*args, _name=name, _op=getattr(waveop, name), **kwargs):
             calls[_name] += 1
-            return _op(*args)
+            return _op(*args, **kwargs)
         monkeypatch.setattr(waveop, name, counted)
     x = table.grid.x
     route(table, kt, FieldRplus(x, np.exp(-((x - 6.0) ** 2))), +1)
@@ -540,14 +541,58 @@ def test_symbol_spectra_are_built_once_per_table(golden_wave, monkeypatch):
         for sign in (+1, -1):
             wave_op_decomposed(fresh, kt, f, sign)
             wave_op_l1_form(fresh, kt, f, sign)
+            wave_op_adjoint(fresh, kt, f, sign)
     assert len(built) == 3
     for symbol in (fresh.Fs, fresh.Pplus, fresh.Pminus):
         assert sum(kernel is symbol for kernel in built) == 1
+    # the adjoint route reads the flipped spectrum off the table: the
+    # forward one conjugate-transposed, built once, kept and read-only
+    adjoint = fresh.symbol_spectrum("Pplus", adjoint=True)
+    assert adjoint is fresh.symbol_spectrum("Pplus", adjoint=True) and not adjoint.flags.writeable
+    alone = replace(table)
+    for sign in (+1, +1, -1, -1):
+        wave_op_adjoint(alone, kt, f, sign)
+    assert len(built) == 5 and built[-2] is alone.Pplus and built[-1] is alone.Pminus
+    built.clear()
     doubled = replace(fresh, Fs=2.0 * fresh.Fs)
     spectrum = doubled.symbol_spectrum("Fs")
-    assert len(built) == 4 and built[-1] is doubled.Fs
+    assert len(built) == 1 and built[-1] is doubled.Fs
     old = fresh.symbol_spectrum("Fs")
     assert np.abs(spectrum - 2.0 * old).max() < 1e-14 * np.abs(old).max()
+
+
+def test_adjoint_symbol_spectrum_is_the_flipped_kernels(golden_wave, matrix_tables):
+    """The flipped symbol ``g(-l)^dagger`` keeps its lags on the circle of
+    ``g``, so its spectrum is ``g``'s conjugate-transposed at each frequency:
+    the table's adjoint spectrum matches the spectrum of the flipped samples
+    to 1e-15, for every symbol of a scalar and of a 2x2 table."""
+    for table in (replace(golden_wave[1]), replace(matrix_tables[0])):
+        for name in ("Fs", "Pplus", "Pminus"):
+            g = getattr(table, name)
+            flipped = g[::-1].conj().swapaxes(-1, -2)
+            reference = grids.convolution_spectrum(flipped, (g.shape[0] - 1) // 2, g.shape[0])
+            got = table.symbol_spectrum(name, adjoint=True)
+            assert got.shape == reference.shape
+            assert np.abs(got - reference).max() <= 1e-15 * np.abs(reference).max()
+
+
+def test_kernel_operators_read_the_table_in_place(matrix_tables):
+    """Both kernel operators are one matrix-vector product on the array the
+    Goursat recursion wrote: ``kt.matrix`` is a view of it, and a call
+    allocates under a quarter of the table (``np.tensordot`` copied it)."""
+    _, kt, pt = matrix_tables
+    assert np.shares_memory(kt.matrix, kt.values)
+    x = pt.grid.x
+    f = FieldRplus(x, np.exp(-((x - 1.0) ** 2))[:, None] * np.array([1.0, 0.5j]))
+    for op in (kernel_apply, kernel_apply_adjoint):
+        op(kt, f)  # the Schur gate and the weights are kept on the table
+        tracemalloc.start()
+        try:
+            op(kt, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kt.values.nbytes / 4
 
 
 def test_decomposed_window_gate(dirichlet_fine, neumann_free):
