@@ -462,6 +462,49 @@ def _packet(x: np.ndarray, n: int) -> np.ndarray:
     return np.exp(-((x - 6.0) ** 2) / 2.0 + 1.5j * x)[:, None] * mix
 
 
+def test_long_output_window_holds_no_copies_of_the_field(golden_physical):
+    """The dense circle holds the output window, not only the field: at
+    ``t = 1`` the packet stays within 60 of the wall, so the rest of a
+    1875-long output window, longer than a circle sized from the field
+    alone, shows neither its mirror copy nor its next period."""
+    pt = golden_physical
+    Y = _packet(pt.grid.x, pt.n)
+    out = evolve_spectral(pt, Y, 1.0, xmax_out=1875.0)
+    xo = np.arange(out.shape[0]) * pt.grid.dx
+    assert xo[-1] >= 1875.0
+    mass = np.sum(np.abs(out) ** 2, axis=1)
+    assert mass[xo > 60.0].sum() <= 1e-12 * mass.sum()
+    near = evolve_spectral(pt, Y, 1.0, xmax_out=60.0)
+    assert np.abs(out[: near.shape[0]] - near).max() <= 1e-7 * np.abs(near).max()
+
+
+def _window(t: float) -> float:
+    """Output window of the convergence checks: it holds the packet at ``t``."""
+    return 16.0 + 20.0 * t
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical"])
+def test_evolution_converges_in_the_dense_momentum_step(table, request, monkeypatch):
+    """The dense step is ``DENSE_PER_TABLE_STEP`` to a table step until the
+    wrap bound binds (the same at ``t = 1`` and ``t = 4``, finer at ``t =
+    20``), and four times the dense momenta, per table step and over the
+    span, move the evolution by under 1e-7 of its peak at each time."""
+    pt = request.getfixturevalue(table)
+    Y = _packet(pt.grid.x, pt.n)
+    phi = fourier_maps(pt, Y, +1)
+    times = (1.0, 4.0, 20.0)
+    steps = [_stage_for(pt, Y, phi, t, _window(t)).dkq for t in times]
+    assert steps[0] == steps[1] <= pt.grid.dk / spectral.DENSE_PER_TABLE_STEP
+    assert steps[2] < steps[1]
+    coarse = [evolve_spectral(pt, Y, t, xmax_out=_window(t)) for t in times]
+    build = spectral._build_stage
+    monkeypatch.setattr(spectral, "DENSE_PER_TABLE_STEP", 4 * spectral.DENSE_PER_TABLE_STEP)
+    monkeypatch.setattr(spectral, "_build_stage", lambda pt, k_band, span: build(pt, k_band, 4.0 * span))
+    for t, out in zip(times, coarse):
+        fine = evolve_spectral(pt, Y, t, xmax_out=_window(t))
+        assert np.abs(out - fine).max() <= 1e-7 * np.abs(fine).max()
+
+
 def test_kernel_blocks_do_not_change_results(matrix2x2_physical, monkeypatch):
     """The dense stage splines the near-field sums on the table knots within
     ``SWEEP_BLOCK`` pieces of its momenta; a spline on every knot of the

@@ -655,6 +655,21 @@ def test_time_limit_free_neumann_is_flat(neumann_free):
     assert report["t"][0] == 5.0
 
 
+def test_time_limit_approaches_the_stationary_route(golden_wave):
+    """The time-dependent definition ``W_+- = s-lim e^{itH} e^{-itH_0}`` on
+    the golden step: the finite-time products approach the stationary route
+    as ``t`` runs to ``+-infinity`` (relative gaps 6.1e-2, 2.2e-2 and 6.2e-3
+    at ``|t|`` = 10, 20 and 40)."""
+    pt, _, _ = golden_wave
+    x = pt.grid.x
+    f = FieldRplus(x, np.exp(-((x - 6.0) ** 2) / 2.0))
+    for sign in (+1, -1):
+        report = wave_op_time_limit(pt, f, sign, tschedule=(10.0, 20.0, 40.0))
+        np.testing.assert_array_equal(report["t"], [10.0 * sign, 20.0 * sign, 40.0 * sign])
+        gaps = report["relative"]
+        assert np.all(np.diff(gaps) < 0) and gaps[-1] < 1e-2
+
+
 def test_time_limit_converts_window_overflow(golden_wave, monkeypatch):
     pt, _, _ = golden_wave
     x = pt.grid.x
