@@ -17,8 +17,10 @@ self-adjoint boundary condition at the origin:
 
 Everything is table-driven: build a :class:`~scatterkit.grids.KXGrid`, solve
 for the Faddeev table, then derive scattering/spectral/wave-operator objects
-from it.  The table holds ``f(k, x) - e^{ikx} I`` on the near field, in
-the layout the Fourier maps read, and the wall values from which the Jost matrix, ``S`` and the
+from it.  The table holds ``f(k, x)`` on the near field as its cell
+factors (per cell, real ``cos(qs)`` and ``-sin(qs)/q`` of each ``|k|`` and
+node, and coefficients of each momentum), which the Fourier maps contract
+with, and the wall values from which the Jost matrix, ``S`` and the
 boundary values of the physical solutions follow; the Marchenko kernel is
 solved from the potential on the table's spatial nodes.
 """
@@ -47,6 +49,7 @@ from .boundary import (
 )
 from .jost import (
     JostTable,
+    NearField,
     JostMatrix,
     KernelTable,
     JostError,

@@ -235,11 +235,11 @@ def _uniform_step(y: np.ndarray) -> float | None:
 def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = +1) -> np.ndarray:
     """``sum_j g[j] e^{i sign (k0 + j dk) y_l}`` along axis 0 of ``g``.
 
-    Returns shape ``(len(y),) + g.shape[1:]``.  Uniform nodes ``y``
-    (ascending or descending) take one Bluestein convolution, with
-    ``j l = (j^2 + l^2 - (l - j)^2) / 2`` and ``theta = dk dy``, run along
-    the contiguous last axis of the transposed columns; other nodes take the
-    direct sum.  Sign ``-1`` is ``conj`` of the ``+1`` sum of ``conj(g)``,
+    Returns shape ``(len(y),) + g.shape[1:]``, zeros for an empty ``g``.
+    Uniform nodes ``y`` (ascending or descending) take one Bluestein
+    convolution, with ``j l = (j^2 + l^2 - (l - j)^2) / 2`` and ``theta =
+    dk dy``, run along the contiguous last axis of the transposed columns;
+    other nodes take the direct sum.  Sign ``-1`` is ``conj`` of the ``+1`` sum of ``conj(g)``,
     so the two signs are exact conjugates.  Phases are formed in
     ``np.longdouble``; on a platform where that type is float64 the
     accuracy falls to that of float64 phases, about ``2e-14`` on the
@@ -252,6 +252,8 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
     g = np.asarray(g)
     y = np.asarray(y, dtype=float)
     nk, m = g.shape[0], y.size
+    if nk == 0:
+        return np.zeros((m,) + g.shape[1:], dtype=complex)
     cols = g.reshape(nk, -1)
     dy = _uniform_step(y)
     if dy is None:

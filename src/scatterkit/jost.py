@@ -22,9 +22,12 @@ Derived objects:
   in ``dx``, whose step-doubling estimate is checked against ``KERNEL_TOL``.
   It reads no momentum.
 
-The table keeps ``f(k, x) - e^{ikx} I``, the left side of the Marchenko
-representation, on the near field in the layout the Fourier maps contract
-over, and ``m'`` at the wall only; the kernel keeps its recursion's layout.
+The table keeps the Jost solution on the near field as its cell factors
+(:class:`NearField`): per distinct ``|k|``, channel and node the real
+``cos(qs)`` and ``-sin(qs)/q``, per momentum and cell the coefficients
+``u^dagger f`` and ``u^dagger f'`` at the cell's right edge, and per cell its
+basis ``u``; ``m`` is formed only on read.  It keeps ``m'`` at the wall
+only; the kernel keeps its recursion's layout.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ EXCEPTIONAL_TOL = 1e-6
 #: largest step-doubling estimate of the kernel's node error, relative to
 #: its largest entry
 KERNEL_TOL = 1e-3
+#: complex entries per block of a cell's factors in the Jost solve (rows of
+#: distinct ``|k|`` times channels times nodes), which bounds its
+#: temporaries to a fraction of the factor table
+_FACTOR_BLOCK = 1 << 14
 
 
 class JostError(RuntimeError):
@@ -128,6 +135,116 @@ class JostMatrix:
 
 
 @dataclass(frozen=True)
+class NearField:
+    """The Jost solution on a set of nodes, kept as its cell factors.
+
+    On the nodes ``x[bounds[c] : bounds[c + 1]]`` of cell ``c``, whose
+    matrix is ``V = u diag(lambda) u^dagger`` with ``u = basis[c]``, with
+    ``q^2 = k^2 - lambda``, ``s = b - x`` and ``b`` the cell's right edge,
+
+        f(k, x) = u [cos(qs) C(k) - (sin(qs)/q) D(k)],
+        C = u^dagger f(k, b),  D = u^dagger f'(k, b).
+
+    Attributes
+    ----------
+    k : ndarray
+        Momenta, shape ``(nk,)``.
+    x : ndarray
+        Ascending nodes, shape ``(nx,)``.
+    bounds : ndarray
+        The first node of each cell and the node count, shape ``(ncell + 1,)``.
+    basis : ndarray
+        Each cell's ``u``, shape ``(ncell, n, n)``.
+    waves : ndarray
+        The real factors ``cos(qs)`` and ``-sin(qs)/q`` of channel ``l`` at
+        the ``p``-th distinct ``|k|``, at ``[l, p, 0, j]`` and ``[l, p, 1,
+        j]`` for node ``j`` (``s`` and ``lambda`` from the node's cell),
+        shape ``(n, len(distinct |k|), 2, nx)``.
+    pair : ndarray
+        The row ``p`` of ``waves`` read by each momentum, shape ``(nk,)``.
+    coeffs : ndarray
+        ``C`` and ``D``, entry ``[l, b]`` of cell ``c`` and momentum
+        ``k[i]`` at ``[c, l, 0, b, i]`` and ``[c, l, 1, b, i]``, shape
+        ``(ncell, n, 2, n, nk)``: the momenta run along the contiguous axis.
+    wall : ndarray
+        ``f(k, x[0])``, shape ``(nk, n, n)``: the propagation's final state.
+    """
+
+    k: np.ndarray
+    x: np.ndarray
+    bounds: np.ndarray
+    basis: np.ndarray
+    waves: np.ndarray
+    pair: np.ndarray
+    coeffs: np.ndarray
+    wall: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.basis.shape[-1]
+
+    def cells(self, nodes: int) -> list[tuple[int, int, int]]:
+        """``(c, lo, hi)`` for each cell holding some of the first ``nodes``
+        nodes, ``x[lo:hi]``."""
+        hi = np.minimum(self.bounds[1:], nodes)
+        return [(c, lo, h) for c, (lo, h) in enumerate(zip(self.bounds[:-1], hi)) if lo < h]
+
+    def f(self, rows: slice = slice(None), out: np.ndarray | None = None) -> np.ndarray:
+        """``f(k, x)`` at the momenta ``k[rows]`` on every node, shape
+        ``(len(k[rows]), nx, n, n)``, written into ``out`` if given: per
+        cell one real product of each momentum's factors, ``(nodes, 2n)``,
+        with its coefficients turned out of the cell's basis, ``(2n, n^2)``."""
+        p = self.pair[rows]
+        n = self.n
+        if out is None:
+            out = np.empty((p.size, self.x.size, n, n), dtype=complex)
+        waves = self.waves.transpose(1, 3, 0, 2)  # [p, x, l, s]
+        for c, lo, hi in self.cells(self.x.size):
+            w = waves[p, lo:hi].reshape(p.size, hi - lo, 2 * n)
+            G = np.einsum("al,lsbp->plsab", self.basis[c], self.coeffs[c][..., rows], order="C")
+            G = G.reshape(p.size, 2 * n, -1)
+            np.matmul(w, G.view(float), out=out[:, lo:hi].reshape(p.size, hi - lo, -1).view(float))
+        return out
+
+    def sums(self, Yc: np.ndarray) -> np.ndarray:
+        """``sum_x f(k, x)^T Yc(x)`` over the first ``len(Yc)`` nodes, shape
+        ``(nk, n)``.
+
+        Per cell the field is turned into the cell's basis and contracted
+        with the factors of every ``|k|``, one real product per channel; the
+        coefficients then combine the ``2 n`` results of each cell per
+        momentum.
+        """
+        n, ncell, P = self.n, self.basis.shape[0], self.waves.shape[1]
+        waves = self.waves.reshape(n, 2 * P, -1)
+        T = np.zeros((ncell, n, 2, P), dtype=complex)
+        for c, lo, hi in self.cells(Yc.shape[0]):
+            Yr = self.basis[c].T @ Yc[lo:hi].T  # (n, nodes): sum_a u[a, l] Yc[x, a]
+            part = np.matmul(waves[..., lo:hi], Yr.view(float).reshape(n, hi - lo, 2))
+            T[c] = part.view(complex).reshape(n, P, 2).transpose(0, 2, 1)
+        cd = self.coeffs.reshape(ncell * n * 2, n, -1)
+        return (np.take(T.reshape(ncell * n * 2, 1, P), self.pair, axis=2) * cd).sum(axis=0).T
+
+    def spread(self, E: np.ndarray, nodes: int) -> np.ndarray:
+        """``sum_p`` of the factors of the ``p``-th distinct ``|k|`` times
+        ``E[:, c, l, s, p]``, turned back out of each cell's basis, on the
+        first ``nodes`` nodes, shape ``(rows, nodes, n)``.
+
+        With ``E[r, c, l, s, p]`` the sum of ``(C, D)[s][l, b] V[r, q, b]``
+        over the momenta ``q`` of the ``p``-th ``|k|``, this is ``sum_q f(q,
+        x) V[r, q]``; it is the exact transpose of :meth:`sums`.
+        """
+        rows, n, P = E.shape[0], self.n, E.shape[-1]
+        waves = self.waves[:, :P].reshape(n, 2 * P, -1)
+        out = np.empty((rows, nodes, n), dtype=complex)
+        for c, lo, hi in self.cells(nodes):
+            A = np.ascontiguousarray(E[:, c].transpose(1, 3, 2, 0)).view(float).reshape(n, 2 * P, 2 * rows)
+            part = np.matmul(waves[..., lo:hi].transpose(0, 2, 1), A).view(complex)  # (n, nodes, rows)
+            out[:, lo:hi] = np.einsum("al,lxr->rxa", self.basis[c], part)
+        return out
+
+
+@dataclass(frozen=True)
 class JostTable:
     """Faddeev table on the momentum grid and near field, with the wall
     values of its derivative.
@@ -139,10 +256,10 @@ class JostTable:
     xv : ndarray
         Near-field spatial nodes covering the potential support, from the
         wall ``xv[0] = 0``.
-    scattered : ndarray
-        ``f(k, x) - e^{ikx} I = e^{ikx} (m(k, x) - I)`` with entry ``[a, b]``
-        at ``[k, b, a, x]``, shape ``(len(k), n, n, len(xv))``: the Fourier
-        maps read it as one matrix over rows ``(k, b)``, without a copy.
+    near : NearField
+        ``f(k, x)`` on ``xv`` as its cell factors, whose rows of distinct
+        ``|k|`` are the positive momenta ``k[len(k) // 2 :]`` in order:
+        ``m`` and the Fourier maps' near-field products read it.
     mprime : ndarray
         ``m'(k, 0)``, shape ``(len(k), n, n)``.
     m0, m0prime : ndarray
@@ -152,7 +269,7 @@ class JostTable:
     potential: PotentialSpec
     k: np.ndarray
     xv: np.ndarray
-    scattered: np.ndarray
+    near: NearField
     mprime: np.ndarray
     m0: np.ndarray
     m0prime: np.ndarray
@@ -165,11 +282,12 @@ class JostTable:
 
     @property
     def m(self) -> np.ndarray:
-        """``m(k, x)``, shape ``(len(k), len(xv), n, n)``, formed on each read, 64 momenta at a time."""
-        m = self.scattered.transpose(0, 3, 2, 1).copy()
+        """``m(k, x) = e^{-ikx} f(k, x)``, shape ``(len(k), len(xv), n, n)``,
+        formed from the cell factors on each read, 64 momenta at a time."""
+        m = np.empty((self.k.size, self.xv.size, self.n, self.n), dtype=complex)
         for lo in range(0, self.k.size, 64):
-            m[lo : lo + 64] *= _phases(-self.k[lo : lo + 64], self.xv)[:, :, None, None]
-        m[..., range(self.n), range(self.n)] += 1.0
+            block = self.near.f(slice(lo, lo + 64), out=m[lo : lo + 64])
+            block *= _phases(-self.k[lo : lo + 64], self.xv)[:, :, None, None]
         return m
 
     @property
@@ -177,7 +295,7 @@ class JostTable:
         """``f(k, 0) = m(k, 0)`` and ``f'(k, 0) = ik m(k, 0) + m'(k, 0)``, each
         of shape ``(len(k), n, n)``; ``k[::-1] == -k``, so reversed rows give
         ``f(-k, 0)`` and ``f'(-k, 0)``."""
-        f = self.scattered[..., 0].swapaxes(1, 2) + np.eye(self.n)
+        f = self.near.wall
         return f, 1j * self.k[:, None, None] * f + self.mprime
 
 
@@ -212,10 +330,9 @@ def faddeev_solve(
     potential: PotentialSpec,
     k: np.ndarray,
     x_out: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the Jost solution across the cells and return its scattered
-    part ``f(k, x) - e^{ikx} I`` on the output nodes and ``m'`` at the first
-    of them.
+) -> tuple[NearField, np.ndarray]:
+    """Propagate the Jost solution across the cells and return it on the
+    output nodes as its cell factors, and ``m'`` at the first of them.
 
     Starting from ``f = e^{ikx} I``, ``f' = ik f`` at ``x_out[-1]``, each
     cell ``[a, b]`` (walked right to left) is crossed in the eigenbasis
@@ -227,14 +344,16 @@ def faddeev_solve(
 
     These factors are even in ``q`` and finite at ``q = 0``, so ``k = 0``
     and ``k^2 = lambda`` take the same formula; they are evaluated once per
-    distinct ``|k|``.  On a cell's nodes ``f`` is one product of the cell's
-    basis with ``[cos; -sinc]``, written into the output's layout.  Every
-    output node is evaluated from its own cell's right edge, so round-off
-    does not accumulate node by node.  ``e^{ikx}`` (taken off the diagonal
-    at the end) and, in the oscillating channels, ``cos(qs)`` and
-    ``sin(qs)`` come from :func:`~.grids._phases`: two short exponential
-    tables per momentum on uniform nodes.  The evanescent channels and the
-    cell's left edge take ``cosh``, ``sinh`` and the exponentials directly.
+    distinct ``|k|``, and on the cell's nodes they are kept as they are,
+    with ``U^dagger f(b)`` and ``U^dagger f'(b)`` (:class:`NearField`): no
+    node's ``f`` is formed.  Every output node is read from its own cell's
+    right edge, so round-off does not accumulate node by node.  In the
+    oscillating channels ``cos(qs)`` and ``sin(qs)`` come from
+    :func:`~.grids._phases`, two short exponential tables per ``|k|`` on
+    uniform nodes, a block of ``_FACTOR_BLOCK`` entries at a time; the evanescent
+    channels and the cell's left edge take ``cosh``, ``sinh`` and the
+    exponentials directly.  Without potential right of ``x_out[0]`` one
+    cell with ``V = 0`` carries ``f = e^{ikx} I``.
 
     Parameters
     ----------
@@ -246,11 +365,10 @@ def faddeev_solve(
 
     Returns
     -------
-    (scattered, mprime)
-        ``f(k, x) - e^{ikx} I`` on ``x_out``, laid out as
-        :attr:`JostTable.scattered`, and ``m' = e^{-ikx} f' - ik m`` at
-        ``x_out[0]``, shape ``(len(k), n, n)``, from the propagation's
-        final state.
+    (near, mprime)
+        ``f`` on ``x_out`` as a :class:`NearField`, with its value at
+        ``x_out[0]``, and ``m' = e^{-ikx} f' - ik m`` there, shape
+        ``(len(k), n, n)``, both from the propagation's final state.
 
     Raises
     ------
@@ -272,45 +390,50 @@ def faddeev_solve(
             f"{potential.support_radius}; the tail integral would be truncated"
         )
 
-    if nx == 1 or potential.support_radius <= x_out[0]:
-        # no potential to the right of the output window: f == e^{ikx} I
-        return np.zeros((nk, n, n, nx), dtype=complex), np.zeros((nk, n, n), dtype=complex)
-
     xe = x_out[-1]
-    inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xe)]
-    edges = np.concatenate([[x_out[0]], inner, [xe]])
-    cells = potential.segment_values(edges)
-    owner = np.clip(np.searchsorted(edges, x_out, side="right") - 1, 0, cells.shape[0] - 1)
+    if nx == 1 or potential.support_radius <= x_out[0]:
+        edges, cells = x_out[[0, -1]], np.zeros((1, n, n))
+    else:
+        inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xe)]
+        edges = np.concatenate([[x_out[0]], inner, [xe]])
+        cells = potential.segment_values(edges)
+    ncell = cells.shape[0]
+    owner = np.clip(np.searchsorted(edges, x_out, side="right") - 1, 0, ncell - 1)
+    bounds = np.searchsorted(owner, np.arange(ncell + 1))
     absk, pair = np.unique(np.abs(k), return_inverse=True)
 
-    f = np.exp(1j * k * xe)[:, None, None] * np.eye(n)  # state at the current right edge
-    fp = 1j * k[:, None, None] * f
-    out = np.empty((nk, n * n, nx), dtype=complex)  # rows (b, a)
-    for c in range(cells.shape[0] - 1, -1, -1):
+    basis = np.empty((ncell, n, n), dtype=complex)
+    waves = np.empty((n, absk.size, 2, nx))
+    coeffs = np.empty((ncell, n, 2, n, nk), dtype=complex)
+    # the state at the current right edge, f[a, b, k] and f'[a, b, k]
+    f = np.exp(1j * k * xe) * np.eye(n)[..., None]
+    fp = 1j * k * f
+    for c in range(ncell - 1, -1, -1):
         a, b = edges[c], edges[c + 1]
         lam, u = np.linalg.eigh(cells[c])
-        lo, hi = np.searchsorted(owner, (c, c + 1))
+        lo, hi = bounds[c], bounds[c + 1]
         q2 = (absk * absk)[:, None] - lam  # (len(absk), n)
-        cos, sinc = _cell_factors(q2, b - x_out[lo:hi][::-1])
-        nodes = np.concatenate([cos, -sinc], axis=1, dtype=complex)[..., ::-1]
-        cos, sinc = (v[..., 0] for v in _cell_factors(q2, np.array([b - a])))
-        edge = np.stack([np.concatenate([cos, -sinc], 1), np.concatenate([q2 * sinc, cos], 1)], axis=2)
-        # f(x)[a, b] = sum_l u[a, l] (cos_l C[l, b] - sinc_l D[l, b]), f'(x)[a, b] the same with
-        # q2_l sinc_l and cos_l, C = u^dagger f(b), D = u^dagger f'(b): basis[k, (b, a), (s, l)]
-        cd = (u.conj().T @ np.stack([f, fp], axis=1)).transpose(0, 3, 1, 2)  # [k, b, s, l]
-        basis = (u[:, None, :] * cd[:, :, None]).reshape(nk, n * n, 2 * n)
-        with np.errstate(invalid="ignore"):
-            np.matmul(basis, nodes[pair], out=out[..., lo:hi])
-            state = (basis @ edge[pair]).reshape(nk, n, n, 2)
-        f, fp = state[..., 0].swapaxes(1, 2), state[..., 1].swapaxes(1, 2)
-        finite = np.isfinite(out[..., lo:hi]).all(axis=(1, 2)) & np.isfinite(state).all(axis=(1, 2, 3))
+        step = max(1, _FACTOR_BLOCK // (n * (hi - lo)))
+        for r in range(0, absk.size, step):
+            p = slice(r, r + step)
+            cos, sinc = _cell_factors(q2[p], b - x_out[lo:hi][::-1])
+            waves[:, p, 0, lo:hi] = cos[..., ::-1].transpose(1, 0, 2)
+            np.negative(sinc[..., ::-1].transpose(1, 0, 2), out=waves[:, p, 1, lo:hi])
+            del cos, sinc  # freed before the next block is formed
+        basis[c] = u
+        C = coeffs[c, :, 0] = (u.conj().T @ f.reshape(n, -1)).reshape(n, n, nk)  # [l, b, k]
+        D = coeffs[c, :, 1] = (u.conj().T @ fp.reshape(n, -1)).reshape(n, n, nk)
+        cos, sinc = (v[..., 0].T[:, None, pair] for v in _cell_factors(q2, np.array([b - a])))
+        with np.errstate(invalid="ignore", over="ignore"):
+            f = (u @ (cos * C - sinc * D).reshape(n, -1)).reshape(n, n, nk)
+            fp = (u @ (q2.T[:, None, pair] * sinc * C + cos * D).reshape(n, -1)).reshape(n, n, nk)
+        finite = np.isfinite(waves[..., lo:hi]).all(axis=(0, 2, 3))[pair]
+        finite &= np.isfinite(f).all(axis=(0, 1)) & np.isfinite(fp).all(axis=(0, 1))
         if not finite.all():
             raise JostOverflow.at(edges, cells, c, k[np.argmin(finite)])
-    wave = _phases(k, x_out)
-    for i in range(n):
-        out[:, i * (n + 1)] -= wave
-    mprime = np.exp(-1j * k * x_out[0])[:, None, None] * (fp - 1j * k[:, None, None] * f)
-    return out.reshape(nk, n, n, nx), mprime
+    mprime = np.exp(-1j * k * x_out[0]) * (fp - 1j * k * f)
+    wall, mprime = (np.ascontiguousarray(v.transpose(2, 0, 1)) for v in (f, mprime))
+    return NearField(k, x_out, bounds, basis, waves, pair, coeffs, wall), mprime
 
 
 def solve_faddeev(potential: PotentialSpec, grid: KXGrid) -> JostTable:
@@ -319,21 +442,45 @@ def solve_faddeev(potential: PotentialSpec, grid: KXGrid) -> JostTable:
     The near field ``xv`` consists of the grid nodes covering the potential
     support (plus the endpoint node), on which ``m`` differs from the
     identity; beyond it ``f(k, x) = e^{ikx} I`` exactly.  The zero-energy
-    wall values come from the same propagation, with ``k = 0`` appended.
+    wall values come from the same propagation, with ``k = 0`` appended;
+    its row of factors, the first, is dropped from the table's.  Without
+    potential the near field is the wall alone, where the factors of every
+    ``|k|`` are ``(1, 0)`` and ``f = I``: the table is written down.
     """
     xs = potential.support_radius
     if xs > grid.xmax + 1e-12:
         raise JostError(f"potential support {xs} exceeds the spatial window {grid.xmax}")
     last = min(grid.x.size - 1, int(np.ceil(xs / grid.dx - 1e-9)))
     xv = grid.x[: last + 1]
-    scattered, mprime = faddeev_solve(potential, np.append(grid.k, 0.0), xv)
+    if xv.size == 1:
+        validate_potential(potential)
+        n, k = potential.n, grid.k.copy()
+        waves = np.zeros((n, grid.npos, 2, 1))
+        waves[:, :, 0] = 1.0
+        pair = np.concatenate([np.arange(grid.npos)[::-1], np.arange(grid.npos)])
+        eye = np.eye(n, dtype=complex)
+        coeffs = np.zeros((1, n, 2, n, k.size), dtype=complex)
+        coeffs[0, :, 0], coeffs[0, :, 1] = eye[..., None], 1j * k * eye[..., None]
+        zero = np.zeros((k.size, n, n), dtype=complex)
+        wall = np.broadcast_to(eye, zero.shape)
+        near = NearField(k, xv, np.array([0, 1]), eye[None], waves, pair, coeffs, wall)
+        return JostTable(potential, k, xv, near, mprime=zero, m0=eye, m0prime=0.0 * eye, grid=grid)
+    near, mprime = faddeev_solve(potential, np.append(grid.k, 0.0), xv)
+    table = replace(
+        near,
+        k=near.k[:-1],
+        waves=near.waves[:, 1:],
+        pair=near.pair[:-1] - 1,
+        coeffs=near.coeffs[..., :-1],
+        wall=near.wall[:-1],
+    )
     return JostTable(
         potential=potential,
         k=grid.k.copy(),
         xv=xv,
-        scattered=scattered[:-1],
+        near=table,
         mprime=mprime[:-1],
-        m0=scattered[-1, ..., 0].T + np.eye(potential.n),
+        m0=near.wall[-1],
         m0prime=mprime[-1],
         grid=grid,
     )

@@ -16,22 +16,30 @@ converges geometrically once the period holds the field, and what error is
 left comes from reading ``S`` and the near-field sums between the table's
 nodes, which fixes a number of dense momenta per table step.
 
-On the table grid, which is closed under ``k -> -k``, the near-field
-correction of both Faddeev factors is one product with a matrix ``G`` of
-``e^{ikx} (m(k, x) - I) = f(k, x) - e^{ikx} I`` over the whole grid: a view
-of the Jost table's array, written in this layout, which no map rebuilds.
-The dense grid reads the same matrix.  The near-field sums are linear in
-``m``, so analysis contracts the field against ``G`` on the table grid, and
+On the table grid, which is closed under ``k -> -k``, the maps read the
+Jost solution on the near field through the Jost table's cell factors
+(:class:`~.jost.NearField`): per cell, real factors of each ``|k|`` and
+node, and coefficients of each momentum.  Beyond the near field ``f(k, x) =
+e^{ikx} I``, so the table-grid maps take the whole of ``f`` on the nodes
+before its last and plane waves from there on, and no product subtracts
+``e^{ikx} I``.  Analysis turns the field into each cell's basis, contracts
+it with the factors (one real product per cell and channel) and combines
+the result with each momentum's coefficients; synthesis is its exact
+transpose, with the coefficients of ``+-k`` folded onto ``|k|``
+(:class:`_NearMatrix`).  The near-field sums are linear in ``m``, so the
+dense grid reads those of the table grid, less their plane-wave part, and
 one not-a-knot spline carries the small result, ``(nk, n)``, to the dense
-momenta.  Before the spline the sums are demodulated by the phase of the
-near field's end, which halves the frequencies the spline must follow
-(:class:`_NearSpline`).  Synthesis is the exact transpose: the spline's
-adjoint (:func:`~.grids.spline_adjoint`) gathers the dense momenta onto the
-table grid, then one product with ``G``.  So no ``m`` table, no slope table
-of ``m`` and no phase table on the dense grid is ever formed.  Where ``m =
-I`` on the whole near field (a zero potential), ``G`` vanishes and the maps
-skip the near-field sums.  Evolution is one analysis, the multipliers of
-every time, and one synthesis of all the times as rows.
+momenta; :func:`evolve_spectral` forms them once, for the map that sizes
+its stage and for the spline.  Before the spline the sums are demodulated
+by the phase of the near field's end, which halves the frequencies the
+spline must follow (:class:`_NearSpline`).  Synthesis is the exact
+transpose: the spline's adjoint (:func:`~.grids.spline_adjoint`) gathers
+the dense momenta onto the table grid, then the table grid's synthesis
+less its plane-wave part.  So no ``m`` table, no slope table of ``m`` and
+no phase table on the dense grid is ever formed.  Where the near field is
+the wall alone (a zero potential) the maps skip it.  Evolution is one
+analysis, the multipliers of every time, and one synthesis of all the
+times as rows.
 """
 from __future__ import annotations
 
@@ -53,7 +61,7 @@ from .grids import (
     spline_adjoint,
     trapezoid_weights,
 )
-from .jost import JostTable
+from .jost import JostTable, NearField
 from .scattering import ScatteringTable
 
 __all__ = [
@@ -118,18 +126,19 @@ class PhysicalSolutionTable:
 
     ``psi0`` and ``psi0prime`` hold ``Psi(k, 0)`` and ``Psi'(k, 0)``, shape
     ``(len(k), n, n)``.  Elsewhere ``Psi`` is read through ``S`` and the
-    Jost table's ``scattered = f(k, xv) - e^{ikx} I`` (the same array);
-    beyond ``xv[-1]`` it equals ``e^{-ikx} I + e^{ikx} S(k)`` exactly.
-    Every map reads ``scattered`` as one matrix, a view, and off the grid
-    splines the sums formed with it.  ``S`` is read off the grid through its
-    not-a-knot spline (:class:`~.grids.UniformSpline`), built once and kept.
+    Jost table's cell factors ``near`` (the same object), from which no
+    ``f`` or ``m`` table is formed; beyond ``xv[-1]`` it equals ``e^{-ikx}
+    I + e^{ikx} S(k)`` exactly.  Every map contracts with the factors, and
+    off the grid splines the sums formed with them.  ``S`` is read off the
+    grid through its not-a-knot spline (:class:`~.grids.UniformSpline`),
+    built once and kept.
     """
 
     k: np.ndarray
     xv: np.ndarray
     psi0: np.ndarray
     psi0prime: np.ndarray
-    scattered: np.ndarray
+    near: NearField
     S: np.ndarray
     grid: KXGrid
     boundary: BoundaryPair
@@ -140,8 +149,8 @@ class PhysicalSolutionTable:
 
     @cached_property
     def _near_matrix(self) -> "_NearMatrix":
-        """``scattered`` at the stored momenta, as one matrix (a view)."""
-        return _NearMatrix(self.xv, self.scattered.reshape(self.k.size * self.n, -1), self.k.size // 2)
+        """The near-field products at the stored momenta, on the factors."""
+        return _NearMatrix(self.near, self.k.size // 2, self.grid.dx)
 
     @cached_property
     def _S_spline(self) -> UniformSpline:
@@ -151,7 +160,7 @@ class PhysicalSolutionTable:
 
 def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTable:
     """Assemble ``Psi(k, 0) = f(-k, 0) + f(k, 0) S(k)`` and ``Psi'(k, 0)`` from
-    the Jost table's wall values, alongside its ``scattered`` table and ``S``."""
+    the Jost table's wall values, alongside its cell factors and ``S``."""
     if not np.array_equal(jt.k, st.k):
         raise SpectralError("Jost and scattering tables live on different momentum grids")
     f, fp = jt.wall
@@ -160,7 +169,7 @@ def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTab
         xv=jt.xv,
         psi0=f[::-1] + f @ st.S,
         psi0prime=fp[::-1] + fp @ st.S,
-        scattered=jt.scattered,
+        near=jt.near,
         S=st.S,
         grid=jt.grid,
         boundary=st.boundary,
@@ -198,68 +207,102 @@ def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np
 
 @dataclass(frozen=True)
 class _NearMatrix:
-    """``f(q, x) - e^{iqx} I`` at every node ``q`` of the table grid as one
-    matrix ``G[(q, b), (a, x)] = e^{iqx} (m(q, x) - I)[a, b]``: the Jost
-    table's ``scattered`` array, reshaped.
+    """The Jost solution ``f(q, x)`` at every node ``q`` of the table grid and
+    every near-field node before the last, ``x < xv[-1]``, read through the
+    Jost table's cell factors (:class:`~.jost.NearField`), whose rows of
+    distinct ``|q|`` are the positive nodes in order.
 
-    The grid is closed under ``q -> -q`` (``q[::-1] == -q``), so for each
-    positive momentum ``k = q[npos + i]`` both Faddeev factors ``m(k)`` and
-    ``m(-k) = m(q[npos - 1 - i])`` are rows of ``G``: each near-field sum
-    of a table-grid map is one product.  Off the grid, :class:`_NearSpline`
-    reads a contiguous block of its rows.
+    Beyond ``xv[-1]`` the solution is ``e^{iqx} I``, so the table-grid maps
+    take the whole of ``f`` on these nodes and plane waves from ``xv[-1]``
+    on (``start``): no product subtracts ``e^{iqx} I``.  The grid is closed
+    under ``q -> -q`` (``q[::-1] == -q``), so both Faddeev factors of a
+    positive momentum ``k`` read the row of ``|k|``: analysis is one
+    product per cell and channel with the factors, and synthesis its
+    transpose, with the ``+-k`` coefficients folded onto ``|k|`` by adding
+    the symmetric halves.  Off the grid, :class:`_NearSpline` reads the
+    sums, and the synthesis of a symmetric block of momenta.
     """
 
-    xv: np.ndarray
-    G: np.ndarray
+    field: NearField
     npos: int
+    dx: float
 
-    @cached_property
+    @property
+    def xv(self) -> np.ndarray:
+        return self.field.x
+
+    @property
+    def start(self) -> int:
+        """The number of near-field nodes before the last, the index of the
+        first node of the plane sums."""
+        return self.xv.size - 1
+
+    @property
     def vanishes(self) -> bool:
-        """Whether ``m = I`` on the whole near field (a zero potential), so
-        that every near-field sum is zero."""
-        return not self.G.any()
+        """Whether the near field is the wall alone (a zero potential), so
+        that there is no near-field sum."""
+        return self.start == 0
 
-    def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
-        """``sum_x e^{+-ikx} (m(+-k, x) - I)^T Yc(x)`` for both factors, each
-        ``(npos, n)``: one product over the whole grid, split by sign."""
-        R = (self.G @ Yc.T.ravel()).reshape(-1, Yc.shape[1])
-        return [R[self.npos :], R[self.npos - 1 :: -1]]
+    def weighted(self, Ynear: np.ndarray) -> np.ndarray:
+        """The conjugate of the trapezoid-weighted field on the nodes before
+        ``xv[-1]``, from the field on ``xv``."""
+        return np.conj(Ynear[: self.start] * trapezoid_weights(self.xv)[: self.start, None])
+
+    def sums(self, Ynear: np.ndarray) -> np.ndarray:
+        """``sum_x w(x) f(q, x)^T conj(Y(x))`` over ``x < xv[-1]`` at every
+        grid momentum ``q``, shape ``(len(q), n)``, from the field on ``xv``."""
+        return self.field.sums(self.weighted(Ynear))
 
     def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
-        """``sum_k e^{ikx} (m(k, x) - I) Z(k) + e^{-ikx} (m(-k, x) - I) Zm(k)``
-        on ``xv`` for each row of ``Z`` and ``Zm`` (shape ``(rows, npos,
-        n)``), shape ``(rows, nxv, n)``: one product with ``Zm`` reversed onto
-        the negative momenta, ``Z`` on the positive."""
-        rows, _, n = Z.shape
-        V = np.concatenate([Zm[:, ::-1], Z], axis=1).reshape(rows, -1)
-        return (V @ self.G).reshape(rows, n, -1).swapaxes(1, 2)
+        """``sum_k f(k, x) Z(k) + f(-k, x) Zm(k)`` over the first ``J`` positive
+        nodes ``k`` (all of them for the table grid's maps) on ``x <
+        xv[-1]``, for each row of ``Z`` and ``Zm`` (shape ``(rows, J, n)``),
+        shape ``(rows, nodes, n)``."""
+        rows, J, n = Z.shape
+        cd = self.field.coeffs.reshape(-1, n, self.field.k.size)[None]
+        pos, neg = cd[..., self.npos : self.npos + J], cd[..., self.npos - J : self.npos][..., ::-1]
+        # the coefficients of +-k, folded onto |k|: E[r, (c, l, s), p]
+        E = (pos * Z.transpose(0, 2, 1)[:, None]).sum(axis=2)
+        E += (neg * Zm.transpose(0, 2, 1)[:, None]).sum(axis=2)
+        return self.field.spread(E.reshape((rows,) + self.field.coeffs.shape[:3] + (J,)), self.start)
+
+    def analysis(self, Ynear: np.ndarray, sums: np.ndarray | None = None) -> list[np.ndarray]:
+        """``sum_x w(x) f(+-k, x)^T conj(Y(x))`` over ``x < xv[-1]`` for both
+        factors, each ``(npos, n)``, split by sign from :meth:`sums`, which
+        ``sums`` holds if given."""
+        R = self.sums(Ynear) if sums is None else sums
+        return [R[self.npos :], R[self.npos - 1 :: -1]]
 
 
 @dataclass(frozen=True)
 class _NearSpline:
-    """The near-field sums of :class:`_NearMatrix` at momenta ``q`` off the
+    """The near-field sums of ``f(q, x) - e^{iqx} I`` at momenta ``q`` off the
     table grid: ``+kq`` then ``-kq`` for uniform positive ``kq``.
 
-    The sums are linear in ``m``, so they are formed on the table grid, one
-    product with ``G``, the near matrix's rows at the knots ``k``, and the
-    small result is interpolated, not ``m``.  As a function of ``k``, a row
-    of ``G`` is a transform of the Marchenko kernel, ``e^{ikx} (m(k, x) -
-    I) = integral_x^{2b - x} K(x, y) e^{iky} dy`` for a potential supported
-    in ``[0, b]``, with frequencies ``y`` in ``[0, 2b]``.  Demodulated by
+    The sums are linear in ``m``, so they are formed on the table grid, from
+    the near matrix's sums less their plane-wave part, at the knots ``k``,
+    and the small result is interpolated, not ``m``.  As a function of
+    ``k``, ``e^{ikx} (m(k, x) - I) = integral_x^{2b - x} K(x, y) e^{iky} dy``
+    is a transform of the Marchenko kernel for a potential supported in
+    ``[0, b]``, with frequencies ``y`` in ``[0, 2b]``.  Demodulated by
     ``e^{-ikc}`` (``demod``) at the near field's end ``c = xv[-1] >= b``,
     the sums hold frequencies of at most ``c``, where ``m - I`` itself holds
     up to ``2b``; on the test fixtures the spline of ``m`` erred 2 to 5
     times more.  One spline carries them to ``q``, where ``e^{iqc}``
-    (``remod``) restores the phase.  Synthesis is the exact transpose of
-    that path: :func:`~.grids.spline_adjoint`, then one product with ``G``.
+    (``remod``) restores the phase.  The plane sums of the dense grid cover
+    the whole window.  Synthesis is the exact transpose of that path:
+    :func:`~.grids.spline_adjoint`, then the near matrix's spread less its
+    plane-wave part.
     """
 
-    xv: np.ndarray
-    G: np.ndarray
+    near: _NearMatrix
     k: np.ndarray
     q: np.ndarray
     demod: np.ndarray
     remod: np.ndarray
+
+    #: the dense grid's plane sums cover the whole window
+    start = 0
 
     @classmethod
     def on(cls, near: _NearMatrix, k: np.ndarray, kq: np.ndarray) -> "_NearSpline":
@@ -267,28 +310,38 @@ class _NearSpline:
         splined on the knots within ``SWEEP_BLOCK`` pieces of ``+-kq``: the
         end conditions there move the pieces that hold ``+-kq`` by under
         ``2^-60``."""
-        n = near.G.shape[0] // k.size
         dk = (k[-1] - k[0]) / (k.size - 1)
         knots = np.flatnonzero(np.abs(k) <= kq[-1] + (SWEEP_BLOCK + 1) * dk)
-        lo, hi = knots[0], knots[-1] + 1
-        k, c, q = k[lo:hi], near.xv[-1:], np.concatenate([kq, -kq])
-        G = near.G[lo * n : hi * n]
-        return cls(near.xv, G, k, q, _phases(-k, c)[:, 0], _phases(q, c)[:, 0])
+        k, c, q = k[knots[0] : knots[-1] + 1], near.xv[-1:], np.concatenate([kq, -kq])
+        return cls(near, k, q, _phases(-k, c)[:, 0], _phases(q, c)[:, 0])
 
-    def analysis(self, Yc: np.ndarray) -> list[np.ndarray]:
-        """``sum_x e^{+-iqx} (m(+-q, x) - I)^T Yc(x)`` for both factors at
-        ``kq``, each ``(len(kq), n)``."""
-        sums = (self.G @ Yc.T.ravel()).reshape(self.k.size, -1) * self.demod[:, None]
-        return np.split(UniformSpline(self.k, sums)(self.q) * self.remod[:, None], 2)
+    @property
+    def xv(self) -> np.ndarray:
+        return self.near.xv
+
+    def analysis(self, Ynear: np.ndarray, sums: np.ndarray | None = None) -> list[np.ndarray]:
+        """``sum_x w(x) (f(+-q, x) - e^{+-iqx} I)^T conj(Y(x))`` over ``x <
+        xv[-1]`` for both factors at ``kq``, each ``(len(kq), n)``, from the
+        near matrix's sums of the field (``sums`` if given) less their plane
+        part, both on the whole table grid, at the knots."""
+        near, grid_k = self.near, self.near.field.k
+        if sums is None:
+            sums = near.sums(Ynear)
+        R = sums - fourier_sum(near.weighted(Ynear), self.xv[0], near.dx, grid_k, +1)
+        lo = np.searchsorted(grid_k, self.k[0])
+        R = R[lo : lo + self.k.size] * self.demod[:, None]
+        return np.split(UniformSpline(self.k, R)(self.q) * self.remod[:, None], 2)
 
     def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
-        """``sum_q e^{iqx} (m(q, x) - I) Z(q) + e^{-iqx} (m(-q, x) - I) Zm(q)``
-        over ``kq`` on ``xv`` for each row of ``Z`` and ``Zm`` (shape
-        ``(rows, len(kq), n)``), shape ``(rows, nxv, n)``."""
-        rows, _, n = Z.shape
+        """``sum_q (f(q, x) - e^{iqx} I) Z(q) + (f(-q, x) - e^{-iqx} I)
+        Zm(q)`` over ``kq`` on ``x < xv[-1]`` for each row of ``Z`` and
+        ``Zm`` (shape ``(rows, len(kq), n)``), shape ``(rows, nodes, n)``."""
+        J, near = self.k.size // 2, self.near
         V = np.concatenate([Z, Zm], axis=1) * self.remod[:, None]
         U = spline_adjoint(self.k, self.q, V.transpose(1, 0, 2)) * self.demod[:, None, None]
-        return (U.transpose(1, 0, 2).reshape(rows, -1) @ self.G).reshape(rows, n, -1).swapaxes(1, 2)
+        whole = near.synthesis(U[J:].transpose(1, 0, 2), U[J - 1 :: -1].transpose(1, 0, 2))
+        dk = (self.k[-1] - self.k[0]) / (self.k.size - 1)
+        return whole - fourier_sum(U, self.k[0], dk, self.xv[: near.start], +1).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -298,11 +351,13 @@ class _MapKernel:
 
     Beyond the near field the kernel is the plane-wave pair
     ``e^{-i sign k x} + S(-sign*k)^dagger e^{i sign k x}``, summed by
-    :func:`fourier_sum`; on the near-field nodes ``near.xv`` the Faddeev
-    factors ``m(sign*k)`` and ``m(-sign*k)`` add ``(m - I)`` corrections,
-    read from ``near``: the table grid's :class:`_NearMatrix`, or a
-    :class:`_NearSpline` of it on a dense grid, or ``None`` where ``m = I``
-    on the whole near field.  ``S`` holds ``S(-sign*k)``.  Analysis and
+    :func:`fourier_sum`; on the near-field nodes before ``xv[-1]`` the
+    Faddeev factors ``m(sign*k)`` and ``m(-sign*k)`` enter through ``near``:
+    the table grid's :class:`_NearMatrix`, which holds the whole Jost
+    solution there, so that the plane sums start at ``xv[-1]``; or a
+    :class:`_NearSpline` of it on a dense grid, which holds its ``(m - I)``
+    part, the plane sums covering the whole window; or ``None`` where the
+    near field is the wall alone.  ``S`` holds ``S(-sign*k)``.  Analysis and
     synthesis read the same ``near``, so they are adjoint to roundoff
     whenever the synthesis nodes are the analysis nodes with ``xv`` as a
     prefix.
@@ -319,15 +374,16 @@ class _MapKernel:
             raise SpectralError("sign must be +1 or -1")
 
     @property
-    def xv(self) -> np.ndarray:
-        return self.near.xv
+    def start(self) -> int:
+        """The first node of the plane sums."""
+        return 0 if self.near is None else self.near.start
 
-    def _near_analysis(self, Yc: np.ndarray) -> np.ndarray:
-        """The near-field part of the analysis sum, unscaled; ``Yc`` is the
-        conjugate of the weighted field on ``xv``."""
-        # e^{-i sign k x} (m_s - I)^dagger Y + S^dagger e^{i sign k x} (m_ms - I)^dagger Y,
-        # summed over xv as the conjugate of its transpose
-        plus, minus = self.near.analysis(Yc)
+    def _near_analysis(self, Ynear: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
+        """The near-field part of the analysis sum, unscaled, from the field
+        on ``xv``; ``sums`` may hold the table grid's near sums of it."""
+        # e^{-i sign k x} m_s^dagger Y + S^dagger e^{i sign k x} m_ms^dagger Y (less I for the
+        # dense grid), summed over the near field as the conjugate of its transpose
+        plus, minus = self.near.analysis(Ynear, sums)
         near, mirror = (plus, minus) if self.sign == +1 else (minus, plus)
         return (near + np.einsum("kji,kj->ki", self.S, mirror)).conj()
 
@@ -337,15 +393,19 @@ class _MapKernel:
         return self.near.synthesis(Zw, SZ) if self.sign == +1 else self.near.synthesis(SZ, Zw)
 
     def analysis(
-        self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray
+        self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray,
+        sums: np.ndarray | None = None,
     ) -> np.ndarray:
         """``sqrt(1/2pi) sum_x w(x) Psi(-sign*k, x)^dagger Y(x)`` for samples
-        ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on ``xv``."""
-        Yw = Y * w[:, None]
-        out = fourier_sum(Yw, x0, dx, self.k, -self.sign)
-        out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0, dx, self.k, self.sign))
+        ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on
+        ``xv``, and ``sums`` may hold the table grid's near sums of it
+        (:meth:`_NearMatrix.sums`), formed once for both grids."""
+        j = self.start
+        Yw = Y[j:] * w[j:, None]
+        out = fourier_sum(Yw, x0 + j * dx, dx, self.k, -self.sign)
+        out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0 + j * dx, dx, self.k, self.sign))
         if self.near is not None:
-            out += self._near_analysis(np.conj(Ynear * trapezoid_weights(self.xv)[:, None]))
+            out += self._near_analysis(Ynear, sums)
         return out / np.sqrt(2.0 * np.pi)
 
     def synthesis(self, Zw: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -355,11 +415,16 @@ class _MapKernel:
         n)``, whose plane sums run as one pair over all the rows."""
         Z = Zw.reshape((-1,) + Zw.shape[-2:])
         SZ = np.einsum("kij,tkj->tki", self.S, Z)
-        plane = fourier_sum(Z.transpose(1, 0, 2), self.k[0], self.dk, x, self.sign)
-        plane += fourier_sum(SZ.transpose(1, 0, 2), self.k[0], self.dk, x, -self.sign)
-        out = plane.transpose(1, 0, 2)
-        if self.near is not None:
-            out[:, : self.xv.size] += self._near_synthesis(Z, SZ)
+        j = self.start
+        plane = fourier_sum(Z.transpose(1, 0, 2), self.k[0], self.dk, x[j:], self.sign)
+        plane += fourier_sum(SZ.transpose(1, 0, 2), self.k[0], self.dk, x[j:], -self.sign)
+        if j:
+            out = np.zeros((Z.shape[0], x.size, Z.shape[2]), dtype=complex)
+            out[:, j:] = plane.transpose(1, 0, 2)
+        else:
+            out = plane.transpose(1, 0, 2)
+        if self.near is not None:  # on the near-field nodes before the last
+            out[:, : self.near.xv.size - 1] += self._near_synthesis(Z, SZ)
         return (out / np.sqrt(2.0 * np.pi)).reshape(Zw.shape[:-2] + out.shape[1:])
 
 
@@ -535,7 +600,11 @@ def evolve_spectral(
         return out0 if single else np.repeat(out0[None], times.size, axis=0)
     grid = pt.grid
     tmax = float(np.abs(times).max())
-    stage = _stage_for(pt, Y, fourier_maps(pt, Y, sign), tmax, xmax_out or 0.0)
+    # the table grid's near sums of the field size the stage and feed its spline
+    table, Ynear = _table_kernel(pt, sign), Y[: pt.xv.size]
+    sums = None if table.near is None else table.near.sums(Ynear)
+    phi = table.analysis(Y, grid.x[0], grid.dx, grid.wx, Ynear, sums)
+    stage = _stage_for(pt, Y, phi, tmax, xmax_out or 0.0)
     kernel = stage.kernel(sign)
     # the band-limited field is resolved on every ratio-th node
     Ys = Y[:: stage.ratio]
@@ -544,7 +613,7 @@ def evolve_spectral(
     # the synthesis nodes hold the near field, so a shorter output is cut after
     x_out = np.arange(max(nx_out, pt.xv.size)) * grid.dx
     mults = np.exp(-1j * times[:, None] * stage.kq**2) * stage.wk
-    Zw = mults[:, :, None] * kernel.analysis(Ys, 0.0, stage.dxb, w, Y[: pt.xv.size])
+    Zw = mults[:, :, None] * kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear, sums)
     stage.check_overflow(kernel, Zw)
     out = kernel.synthesis(Zw, x_out)[:, :nx_out]
     return out[0] if single else out

@@ -22,14 +22,19 @@ cell by cell and :func:`born_term_mpmath` by mpmath quadrature.
 with a three-row buffer, so that a step of ``dx/16`` fits in memory.
 :func:`faddeev_m`, :func:`mprime_nodes` and :func:`near_field_psi`
 rebuild, for the checks that read them, the tables the package does not
-keep: ``m`` in the ``[k, x, a, b]`` layout, ``m'`` at every node and the
-physical solution on the near field.  :func:`near_matrix_from_m` is the
-near-field matrix built the way the maps once built it, from ``m`` by a
-transposing copy and two phase passes, against which the package's view of
-the Jost table is checked.  :func:`map_kernel_near_sums` forms the
-generalized Fourier maps' near-field sums from whole Faddeev-factor tables,
-exact ones from the cellwise solver off the table grid, against which the
-sums the package interpolates are checked.
+keep: ``m`` in the ``[k, x, a, b]`` layout from the solver's cell factors,
+``m'`` at every node and the physical solution on the near field.
+:func:`reference_near_field` is the reference near field: the exact
+cellwise propagation with ``f(k, x) - e^{ikx} I`` formed node by node in
+the ``[k, b, a, x]`` layout, against which the package's cell factors,
+``m`` on read and the products on the factors are checked.
+:func:`near_matrix_from_m` is the near-field matrix built the way the maps
+once built it, from ``m`` by a transposing copy and two phase passes,
+against which the maps' products on the factors are checked.
+:func:`map_kernel_near_sums` forms the generalized Fourier maps' near-field
+sums from whole tables of the reference near field, against which the sums
+the package forms on the factors, and interpolates off the table grid, are
+checked.
 :func:`jost_representation_check` tests the paper's representation
 ``f = e^{ikx} + integral K e^{iky}`` on the package's kernel.
 :func:`f0_synthesis` inverts the package's cosine transform, and
@@ -582,8 +587,7 @@ def kernel_synthesis(jt):
 
     grid, nx, n = jt.grid, jt.xv.size, jt.n
     ny = min(grid.x.size, max(2, 2 * nx - 1))
-    phase = np.exp(-1j * np.outer(jt.k, jt.xv))[..., None, None]
-    remainder = phase * jt.scattered.transpose(0, 3, 2, 1) - born_term(jt.potential, jt.k, jt.xv)
+    remainder = jt.m - np.eye(n) - born_term(jt.potential, jt.k, jt.xv)
     # k1[m] is K_1 at (x + y)/2 = m dx/2; synth[d, i] is R's kernel at (x_i, x_i + y_d)
     k1 = 0.5 * tail_integral(jt.potential, 0.5 * grid.dx * np.arange(nx + ny - 1))
     synth = (grid.dk / (2.0 * np.pi)) * fourier_sum(remainder, jt.k[0], grid.dk, grid.x[:ny], -1)
@@ -641,15 +645,70 @@ def goursat_kernel(potential, h, rows, keep=1):
 # -- tables the package does not keep -------------------------------------------
 
 
+def reference_near_field(potential, k, x_out):
+    """The Jost solution's scattered part ``f(k, x) - e^{ikx} I`` on the
+    nodes ``x_out``, entry ``[a, b]`` at ``[k, b, a, x]``, shape ``(len(k),
+    n, n, len(x_out))``, and ``m'`` at ``x_out[0]``: the exact cellwise
+    propagation with ``f`` formed node by node, where the package keeps its
+    cell factors.
+
+    Each cell ``[a, b]``, walked right to left in the eigenbasis ``U`` of
+    its matrix, maps the state at ``b`` to the nodes by one product of the
+    basis ``U[a, l] (U^dagger f(b), U^dagger f'(b))`` with ``[cos(qs);
+    -sin(qs)/q]`` at ``s = b - x``, and to ``a`` by the same factors at ``s
+    = b - a``; ``e^{ikx}`` comes off the diagonal at the end.  The factors
+    are the package's own (:func:`~scatterkit.jost._cell_factors`).
+    """
+    from scatterkit.grids import _phases
+    from scatterkit.jost import JostOverflow, _cell_factors
+
+    k = np.asarray(k, dtype=float)
+    x_out = np.asarray(x_out, dtype=float)
+    n = potential.n
+    nk, nx = k.size, x_out.size
+    if nx == 1 or potential.support_radius <= x_out[0]:
+        return np.zeros((nk, n, n, nx), dtype=complex), np.zeros((nk, n, n), dtype=complex)
+    xe = x_out[-1]
+    inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xe)]
+    edges = np.concatenate([[x_out[0]], inner, [xe]])
+    cells = potential.segment_values(edges)
+    owner = np.clip(np.searchsorted(edges, x_out, side="right") - 1, 0, cells.shape[0] - 1)
+    absk, pair = np.unique(np.abs(k), return_inverse=True)
+    f = np.exp(1j * k * xe)[:, None, None] * np.eye(n)
+    fp = 1j * k[:, None, None] * f
+    out = np.empty((nk, n * n, nx), dtype=complex)  # rows (b, a)
+    for c in range(cells.shape[0] - 1, -1, -1):
+        a, b = edges[c], edges[c + 1]
+        lam, u = np.linalg.eigh(cells[c])
+        lo, hi = np.searchsorted(owner, (c, c + 1))
+        q2 = (absk * absk)[:, None] - lam
+        cos, sinc = _cell_factors(q2, b - x_out[lo:hi][::-1])
+        nodes = np.concatenate([cos, -sinc], axis=1, dtype=complex)[..., ::-1]
+        cos, sinc = (v[..., 0] for v in _cell_factors(q2, np.array([b - a])))
+        edge = np.stack([np.concatenate([cos, -sinc], 1), np.concatenate([q2 * sinc, cos], 1)], axis=2)
+        cd = (u.conj().T @ np.stack([f, fp], axis=1)).transpose(0, 3, 1, 2)  # [k, b, s, l]
+        basis = (u[:, None, :] * cd[:, :, None]).reshape(nk, n * n, 2 * n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.matmul(basis, nodes[pair], out=out[..., lo:hi])
+            state = (basis @ edge[pair]).reshape(nk, n, n, 2)
+        f, fp = state[..., 0].swapaxes(1, 2), state[..., 1].swapaxes(1, 2)
+        finite = np.isfinite(out[..., lo:hi]).all(axis=(1, 2)) & np.isfinite(state).all(axis=(1, 2, 3))
+        if not finite.all():
+            raise JostOverflow.at(edges, cells, c, k[np.argmin(finite)])
+    wave = _phases(k, x_out)
+    for i in range(n):
+        out[:, i * (n + 1)] -= wave
+    mprime = np.exp(-1j * k * x_out[0])[:, None, None] * (fp - 1j * k[:, None, None] * f)
+    return out.reshape(nk, n, n, nx), mprime
+
+
 def faddeev_m(potential, k, x):
-    """``m(k, x) = I + e^{-ikx} (f(k, x) - e^{ikx} I)`` on the nodes ``x``,
-    shape ``(len(k), len(x), n, n)``, from the scattered part that
-    :func:`faddeev_solve` returns laid out ``[k, b, a, x]``, with one
-    complex exponential per phase; and ``m'(k, x[0])``."""
+    """``m(k, x) = e^{-ikx} f(k, x)`` on the nodes ``x``, shape ``(len(k),
+    len(x), n, n)``, from the cell factors :func:`faddeev_solve` returns,
+    with one complex exponential per phase; and ``m'(k, x[0])``."""
     x = np.asarray(x, dtype=float)
-    scattered, mprime = faddeev_solve(potential, k, x)
-    phase = np.exp(-1j * np.outer(k, x))[..., None, None]
-    return phase * scattered.transpose(0, 3, 2, 1) + np.eye(potential.n), mprime
+    near, mprime = faddeev_solve(potential, k, x)
+    return np.exp(-1j * np.outer(k, x))[..., None, None] * near.f(), mprime
 
 
 def mprime_nodes(potential, k, x):
@@ -661,11 +720,9 @@ def mprime_nodes(potential, k, x):
 
 def near_field_psi(pt):
     """``Psi(k, x) = f(-k, x) + f(k, x) S(k)`` on the near field ``pt.xv``,
-    with ``f = e^{ikx} I +`` the Jost table's scattered part
-    (``pt.scattered``, laid out ``[k, b, a, x]``) and ``k[::-1] == -k``;
-    shape ``(len(k), len(xv), n, n)``."""
-    free = np.exp(1j * np.outer(pt.k, pt.xv))[..., None, None] * np.eye(pt.n)
-    f = free + pt.scattered.transpose(0, 3, 2, 1)
+    with ``f`` formed from the Jost table's cell factors and ``k[::-1] ==
+    -k``; shape ``(len(k), len(xv), n, n)``."""
+    f = pt.near.f()
     return f[::-1] + f @ pt.S[:, None]
 
 
@@ -687,19 +744,22 @@ def near_matrix_from_m(k, xv, m):
 
 def map_kernel_near_sums(pt, k, sign, S, Yc, Zw, potential):
     """The near-field sums of the generalized Fourier map kernel
-    ``Psi(-sign*k, x)^dagger`` on positive momenta ``k``, from whole tables
-    of ``e^{+-i sign k x} (m(+-sign*k, x) - I)``: the stored table when ``k``
-    are its positive nodes, otherwise that of ``potential`` at ``+-k`` by
-    the exact cellwise propagation :func:`~scatterkit.jost.faddeev_solve`;
-    both are laid out ``[k, b, a, x]``.  Each sum is one ``einsum`` per
+    ``Psi(-sign*k, x)^dagger`` on positive momenta ``k``, over the
+    near-field nodes before the last, from whole tables of ``f(+-sign*k,
+    x) - e^{+-i sign k x} I`` of ``potential`` by the reference propagation
+    :func:`reference_near_field`, laid out ``[k, b, a, x]``.  When ``k``
+    are the table's positive nodes the sums are those of ``f`` itself, as
+    the table-grid maps read it (their plane sums start at ``xv[-1]``);
+    elsewhere those of ``f - e^{ikx} I``.  Each sum is one ``einsum`` per
     factor.  ``S`` holds ``S(-sign*k)`` and ``Yc`` the conjugate weighted
-    field on ``xv``.  Returns, unscaled, the analysis part ``(len(k), n)``
-    and, for each row of ``Zw``, the synthesis part on ``xv``."""
+    field on ``xv[:-1]``.  Returns, unscaled, the analysis part ``(len(k),
+    n)`` and, for each row of ``Zw``, the synthesis part on ``xv[:-1]``."""
+    g = reference_near_field(potential, np.concatenate([k, -k]), pt.xv)[0][..., :-1]
     if np.array_equal(k, pt.grid.kpos):
-        g_pos, g_neg = pt.scattered[pt.grid.npos :], pt.scattered[pt.grid.npos - 1 :: -1]
-    else:
-        g = faddeev_solve(potential, np.concatenate([k, -k]), pt.xv)[0]
-        g_pos, g_neg = g[: k.size], g[k.size :]
+        kk = np.concatenate([k, -k])
+        for a in range(pt.n):
+            g[:, a, a] += np.exp(1j * np.outer(kk, pt.xv[:-1]))
+    g_pos, g_neg = g[: k.size], g[k.size :]
     g_s, g_ms = (g_pos, g_neg) if sign == +1 else (g_neg, g_pos)
 
     def near_t(g, Y):  # sum_x (g(k, x) as [a, b])^T Y(x)
@@ -742,7 +802,8 @@ def jost_representation_check(jt, kt, k_samples=48):
     weighted = (kt.values * kt.wy[None, :, None, None]).swapaxes(0, 1)  # (Ny, Nx, n, n)
     integ = fourier_sum(weighted, kt.y[0], kt.y[1] - kt.y[0], k[sel])
     # both sides less e^{ikx} I: the integral against the table's scattered part
-    defects = np.abs(integ - jt.scattered[sel].transpose(0, 3, 2, 1)).reshape(sel.size, -1).max(axis=1)
+    scattered = jt.near.f(sel) - np.exp(1j * np.outer(k[sel], jt.xv))[..., None, None] * np.eye(jt.n)
+    defects = np.abs(integ - scattered).reshape(sel.size, -1).max(axis=1)
     return {
         "max_defect": float(defects.max()),
         "k": k[sel],

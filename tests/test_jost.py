@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,26 +165,120 @@ def test_unsorted_momenta_match_one_momentum_solves(matrix_potential):
     """The cell factors are formed once per distinct ``|k|`` and gathered: on
     an unsorted, asymmetric set holding 0 and repeated ``|k|``, with
     evanescent channels, each row equals its own one-momentum solve."""
-    k = np.array([0.7, -2.3, 0.0, 2.3, 5.1, -0.7, 0.7, 3.3, -1.2])
+    k = np.array(UNSORTED_K)
     cases = ((matrix_potential, np.linspace(0.0, 2.0, 129)), (_three_cells(), np.linspace(0.0, 2.5, 161)))
     for v, x in cases:
-        scattered, mprime = faddeev_solve(v, k, x)
-        assert scattered.shape == (k.size, 2, 2, x.size)
+        near, mprime = faddeev_solve(v, k, x)
+        f = near.f()
+        assert f.shape == (k.size, x.size, 2, 2)
         for i in range(k.size):
             alone, alone_prime = faddeev_solve(v, k[i : i + 1], x)
-            np.testing.assert_allclose(scattered[i], alone[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(f[i], alone.f()[0], rtol=0, atol=1e-14)
             np.testing.assert_allclose(mprime[i], alone_prime[0], rtol=0, atol=1e-14)
 
 
-def test_m_is_formed_from_the_scattered_table(golden_table, matrix_potential):
-    """``JostTable`` stores ``f - e^{ikx} I`` alone; ``m`` is formed on read
-    and matches the oracle's conversion of the solver's output to 1e-14."""
+#: the unsorted, asymmetric momenta with 0 and repeated ``|k|``
+UNSORTED_K = (0.7, -2.3, 0.0, 2.3, 5.1, -0.7, 0.7, 3.3, -1.2)
+
+
+def _reference_cases(request):
+    """``(potential, k, x)`` for the factored near field's checks: the golden
+    step and the 2x2 fixture on their benchmark grids' near fields, the
+    three cells (evanescent channels) and a zero potential on table grids,
+    and the unsorted momenta."""
     grid = KXGrid.build(kmax=20.0, nk=256, dx=1.0 / 64.0, xmax=4.0)
-    for jt in (golden_table, solve_faddeev(matrix_potential, grid)):
+    golden = KXGrid.build(kmax=40.0, nk=2048, dx=1.0 / 128.0, xmax=16.0)
+    wide = KXGrid.build(kmax=20.0, nk=1024, dx=1.0 / 64.0, xmax=16.0)
+    return {
+        "golden": (request.getfixturevalue("golden_potential"), golden.k, golden.x[:129]),
+        "matrix2x2": (request.getfixturevalue("matrix_potential"), wide.k, wide.x[:129]),
+        "three_cells": (_three_cells(), grid.k, grid.x[:148]),
+        "zero": (zero_potential(2), grid.k, grid.x[:1]),
+        "unsorted": (
+            request.getfixturevalue("matrix_potential"),
+            np.array(UNSORTED_K),
+            np.linspace(0.0, 2.0, 129),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["golden", "matrix2x2", "three_cells", "zero", "unsorted"])
+def test_factored_near_field_matches_the_reference_table(case, request):
+    """The factored analysis and synthesis equal the products with the
+    reference propagation's whole ``[k, b, a, x]`` table, to 1e-13; ``m``
+    formed from the factors equals the reference's to 1e-14, and so do the
+    wall values of ``f`` and ``m'``."""
+    v, k, x = _reference_cases(request)[case]
+    n = v.n
+    near, mprime = faddeev_solve(v, k, x)
+    scattered, ref_mprime = oracles.reference_near_field(v, k, x)
+    free = np.exp(1j * np.outer(k, x))[..., None, None] * np.eye(n)
+    f_ref = scattered.transpose(0, 3, 2, 1) + free  # [k, x, a, b]
+    rng = np.random.default_rng(4)
+    Yc = rng.normal(size=(x.size, n)) + 1j * rng.normal(size=(x.size, n))
+    reference = np.einsum("kxab,xa->kb", f_ref, Yc)
+    assert np.abs(near.sums(Yc) - reference).max() <= 1e-13 * np.abs(reference).max()
+    V = rng.normal(size=(3, k.size, n)) + 1j * rng.normal(size=(3, k.size, n))
+    # the coefficients of each momentum, folded onto its distinct |k|
+    E = np.zeros((3,) + near.coeffs.shape[:3] + (near.waves.shape[1],), dtype=complex)
+    np.add.at(E.transpose(4, 0, 1, 2, 3), near.pair, np.einsum("clsbq,rqb->qrcls", near.coeffs, V))
+    reference = np.einsum("kxab,rkb->rxa", f_ref, V)
+    assert np.abs(near.spread(E, x.size) - reference).max() <= 1e-13 * np.abs(reference).max()
+    m_ref = np.exp(-1j * np.outer(k, x))[..., None, None] * f_ref
+    m = np.exp(-1j * np.outer(k, x))[..., None, None] * near.f()
+    np.testing.assert_allclose(m, m_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(near.wall, f_ref[:, 0], rtol=0, atol=1e-14 * np.abs(f_ref[:, 0]).max())
+    np.testing.assert_allclose(mprime, ref_mprime, rtol=0, atol=1e-14 * max(1.0, np.abs(ref_mprime).max()))
+
+
+def test_m_is_formed_from_the_cell_factors(golden_table, matrix_potential):
+    """``JostTable`` stores the cell factors alone; ``m`` is formed on read
+    and matches the reference propagation's ``[k, b, a, x]`` table, turned
+    into ``m``, to 1e-14."""
+    grid = KXGrid.build(kmax=20.0, nk=256, dx=1.0 / 64.0, xmax=4.0)
+    tables = (golden_table, solve_faddeev(matrix_potential, grid), solve_faddeev(zero_potential(2), grid))
+    for jt in tables:
         assert "m" not in {f.name for f in dataclasses.fields(jt)}
-        reference = oracles.faddeev_m(jt.potential, jt.k, jt.xv)[0]
+        scattered = oracles.reference_near_field(jt.potential, jt.k, jt.xv)[0]
+        reference = np.exp(-1j * np.outer(jt.k, jt.xv))[..., None, None] * scattered.transpose(0, 3, 2, 1)
+        reference += np.eye(jt.n)
         assert jt.m.shape == (jt.k.size, jt.xv.size, jt.n, jt.n)
         np.testing.assert_allclose(jt.m, reference, rtol=0, atol=1e-14)
+
+
+#: the grid of the benchmark's ``matrix2x2`` workload
+MATRIX2X2_GRID = dict(kmax=20.0, nk=1024, dx=1.0 / 64.0, xmax=16.0)
+
+
+def _traced_peak(fn):
+    """``fn()`` and the ``tracemalloc`` peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solve_peaks_below_one_and_a_half_times_its_factors(matrix_potential):
+    """On the 2x2 benchmark grid the solve keeps its cell factors, a quarter
+    of one ``(nk, n, n, nx)`` table, and its peak stays below 1.5 times
+    them: no node-by-node table is formed, and the factors are formed a
+    block of ``|k|`` at a time."""
+    grid = KXGrid.build(**MATRIX2X2_GRID)
+    jt, peak = _traced_peak(lambda: solve_faddeev(matrix_potential, grid))
+    stored = jt.near.waves.nbytes + jt.near.coeffs.nbytes
+    assert stored < 16 * jt.k.size * jt.xv.size * jt.n**2 / 3
+    assert peak < 1.5 * stored
+
+
+def test_reading_m_peaks_at_one_block_past_its_size(matrix_potential):
+    """``JostTable.m`` is formed 64 momenta at a time into its output: on
+    the 2x2 benchmark grid reading it peaks at most one such block past its
+    own size."""
+    jt = solve_faddeev(matrix_potential, KXGrid.build(**MATRIX2X2_GRID))
+    m, peak = _traced_peak(lambda: jt.m)
+    assert peak <= m.nbytes + m[:64].nbytes
 
 
 def test_output_window_must_cover_support():
@@ -237,7 +332,7 @@ def test_deep_well_with_bound_states():
 def test_free_table_and_free_jost():
     g = KXGrid.build(kmax=8.0, nk=64, dx=1.0 / 32.0, xmax=4.0)
     jt = solve_faddeev(zero_potential(2), g)
-    np.testing.assert_array_equal(jt.scattered, 0.0)
+    np.testing.assert_array_equal(jt.m, np.broadcast_to(np.eye(2), jt.m.shape))
     np.testing.assert_array_equal(jt.mprime, 0.0)
     bp = BoundaryPair.robin(GOLDEN_THETA, n=2)
     jm = jost_matrix(jt, bp).jmatrix
@@ -266,8 +361,7 @@ def test_golden_jost_matrix_is_exceptional(golden_table):
 
 def test_golden_table_far_edge_exact(golden_table):
     # at the support edge m = I exactly, so f = e^{ikx} I there
-    xe = golden_table.xv[-1]
-    f_edge = np.exp(1j * golden_table.k * xe) + golden_table.scattered[:, 0, 0, -1]
+    f_edge = golden_table.near.f()[:, -1, 0, 0]
     np.testing.assert_allclose(f_edge, np.exp(1j * golden_table.k), atol=1e-12)
     np.testing.assert_allclose(golden_table.m0[0, 0], COSH1, atol=1e-6)
     np.testing.assert_allclose(golden_table.m0prime[0, 0], -SINH1, atol=1e-6)

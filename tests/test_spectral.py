@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from scatterkit.boundary import BoundaryPair
 from scatterkit.grids import KXGrid, UniformSpline, _cis, simpson_weights, trapezoid_weights
-from scatterkit.jost import bound_states, jost_matrix, solve_faddeev
+from scatterkit.jost import NearField, bound_states, jost_matrix, solve_faddeev
 from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import smatrix
 from scatterkit import grids, spectral
@@ -198,11 +198,11 @@ def test_duality_is_exact(table, request):
 
 
 def test_table_near_field_matrix_is_built_once(golden_scatter, monkeypatch):
-    """The table-grid maps of either sign read the Jost table's own array as
-    their near-field matrix, reshaped: no map forms a phase."""
+    """The table-grid maps of either sign read the Jost table's own cell
+    factors as their near-field matrix: no map forms a phase."""
     jt, table = golden_scatter
     pt = physical_solution(jt, table)
-    assert pt.scattered is jt.scattered and np.shares_memory(pt._near_matrix.G, jt.scattered)
+    assert pt.near is jt.near and pt._near_matrix.field is jt.near
     calls = []
     phases = spectral._phases
 
@@ -219,16 +219,31 @@ def test_table_near_field_matrix_is_built_once(golden_scatter, monkeypatch):
 
 @pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical"])
 def test_near_matrix_matches_the_one_built_from_m(table, request):
-    """The near-field matrix equals the one built from ``m`` (of the oracle's
-    own conversion) by a transposing copy and two phase passes, to 1e-14."""
+    """The table grid's near-field products on the cell factors equal those
+    with the matrix built from ``m`` (of the oracle's own conversion) by a
+    transposing copy and two phase passes, plus the plane waves that matrix
+    leaves out, on the nodes before ``xv[-1]``, to 1e-13."""
     pt = request.getfixturevalue(table)
     potential = request.getfixturevalue(
         "golden_potential" if table.startswith("golden") else "matrix_potential"
     )
-    nk, n, nxv = pt.k.size, pt.n, pt.xv.size
-    reference = oracles.near_matrix_from_m(pt.k, pt.xv, oracles.faddeev_m(potential, pt.k, pt.xv)[0])
-    got = pt._near_matrix.G.reshape(nk, n, n, nxv).transpose(3, 2, 0, 1).reshape(nxv * n, nk * n)
-    assert np.abs(got - reference).max() <= 1e-14 * np.abs(reference).max()
+    nk, n, npos, nxv = pt.k.size, pt.n, pt.grid.npos, pt.xv.size
+    G = oracles.near_matrix_from_m(pt.k, pt.xv, oracles.faddeev_m(potential, pt.k, pt.xv)[0])
+    G = G.reshape(nxv, n, nk, n)[:-1]
+    for a in range(n):  # f itself: the whole solution before the plane sums start
+        G[:, a, :, a] += np.exp(1j * np.outer(pt.xv[:-1], pt.k))
+    G = G.reshape((nxv - 1) * n, nk * n)
+    near = pt._near_matrix
+    rng = np.random.default_rng(2)
+    Y = rng.normal(size=(nxv, n)) + 1j * rng.normal(size=(nxv, n))
+    sums = near.sums(Y)
+    reference = (near.weighted(Y).ravel() @ G).reshape(nk, n)
+    assert np.abs(sums - reference).max() <= 1e-13 * np.abs(reference).max()
+    Z = rng.normal(size=(2, npos, n)) + 1j * rng.normal(size=(2, npos, n))
+    Zm = rng.normal(size=(2, npos, n)) + 1j * rng.normal(size=(2, npos, n))
+    reference = (G @ np.concatenate([Zm[:, ::-1], Z], axis=1).reshape(2, -1).T).T.reshape(2, nxv - 1, n)
+    got = near.synthesis(Z, Zm)
+    assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 def test_vanishing_near_field_is_skipped_without_changing_a_bit(small_grid, monkeypatch):
@@ -513,7 +528,6 @@ def test_kernel_blocks_do_not_change_results(matrix2x2_physical, monkeypatch):
     Y = _packet(pt.grid.x, pt.n)
     stage = _stage_for(pt, Y, fourier_maps(pt, Y, +1), 1.0)
     assert stage.kq[-1] + (grids.SWEEP_BLOCK + 1) * pt.grid.dk < pt.grid.kmax / 2
-    Yc = np.conj(Y[: pt.xv.size] * trapezoid_weights(pt.xv)[:, None])
     rng = np.random.default_rng(3)
     Zw = rng.normal(size=(2, stage.kq.size, pt.n)) + 1j * rng.normal(size=(2, stage.kq.size, pt.n))
 
@@ -522,7 +536,7 @@ def test_kernel_blocks_do_not_change_results(matrix2x2_physical, monkeypatch):
         for sign in (+1, -1):
             kernel = dataclasses.replace(stage).kernel(sign)  # a stage with no spline kept
             SZ = np.einsum("kij,tkj->tki", kernel.S, Zw)
-            out += [kernel._near_analysis(Yc), kernel._near_synthesis(Zw, SZ)]
+            out += [kernel._near_analysis(Y[: pt.xv.size]), kernel._near_synthesis(Zw, SZ)]
             out.append(evolve_spectral(pt, Y, 1.0, sign))
             out.append(interacting_after_free(pt, Y, 2.0 * sign, sign))
         return out
@@ -567,6 +581,32 @@ def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
     assert calls == [("analysis", (pt.xv.size, pt.n)), ("synthesis", (len(times), kq.size, pt.n))]
 
 
+def test_evolution_forms_the_near_sums_once(matrix_physical, monkeypatch):
+    """The table-grid map that sizes the stage and the stage's spline read
+    one contraction of the field with the cell factors, and the synthesis
+    of all the times one spread: one near-field product each way per call.
+    The dense analysis that reads the shared sums equals one that forms its
+    own."""
+    pt = matrix_physical
+    Y = _packet(pt.grid.x, pt.n)
+    stage = _stage_for(pt, Y, fourier_maps(pt, Y), 2.0)
+    Ynear, Ys = Y[: pt.xv.size], Y[:: stage.ratio]
+    kernel, w = stage.kernel(+1), _wall_weights(Ys.shape[0], stage.dxb)
+    alone = kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear)
+    shared = kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear, pt._near_matrix.sums(Ynear))
+    np.testing.assert_array_equal(shared, alone)
+    products = []
+    for name in ("sums", "spread"):
+
+        def logged(field, *args, run=getattr(NearField, name), name=name):
+            products.append(name)
+            return run(field, *args)
+
+        monkeypatch.setattr(NearField, name, logged)
+    evolve_spectral(pt, Y, [0.5, 2.0])
+    assert products == ["sums", "spread"]
+
+
 def _count_slope_solves(monkeypatch) -> list[int]:
     """Record the column count of every not-a-knot slope solve, forward
     or transposed."""
@@ -597,11 +637,11 @@ def test_spline_slopes_are_solved_once_per_table(matrix_physical, monkeypatch):
 
 @pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical"])
 def test_first_evolution_peak_stays_below_the_near_table(table, request, monkeypatch):
-    """Once the table grid's near matrix is built, the first evolution on a
-    table allocates less at its peak than one ``m`` table, and solves no
-    slopes of ``m``: the dense stage interpolates the contracted sums."""
+    """The first evolution on a table allocates less at its peak than one
+    ``(nk, n, n, nx)`` table of ``f`` or ``m``, which no layer keeps, and
+    solves no slopes of ``m``: the dense stage interpolates the contracted
+    sums."""
     pt = dataclasses.replace(request.getfixturevalue(table))
-    pt._near_matrix
     solved = _count_slope_solves(monkeypatch)
     tracemalloc.start()
     try:
@@ -609,8 +649,9 @@ def test_first_evolution_peak_stays_below_the_near_table(table, request, monkeyp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < pt.scattered.nbytes
-    assert pt.scattered[0].size not in solved and max(solved) == pt.S[0].size
+    per_momentum = pt.xv.size * pt.n**2
+    assert peak < 16 * pt.k.size * per_momentum
+    assert per_momentum not in solved and max(solved) == pt.S[0].size
 
 
 def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch):
@@ -630,16 +671,20 @@ def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch)
 
 @pytest.mark.parametrize("table", ["golden_physical", "matrix_physical"])
 def test_tables_spline_matches_scipy_cubic_spline(table, request):
-    """``scattered`` and ``S`` off the grid: the dense stage's momenta, both signs,
-    and points past the end knots, against ``scipy``'s not-a-knot spline."""
+    """``f - e^{ikx} I`` on the near field and ``S`` off the grid: the dense
+    stage's momenta, both signs, and points past the end knots, against
+    ``scipy``'s not-a-knot spline."""
     from scipy.interpolate import CubicSpline
 
     pt = request.getfixturevalue(table)
+    potential = request.getfixturevalue(
+        "golden_potential" if table.startswith("golden") else "matrix_potential"
+    )
     kq = _build_stage(pt, 6.0, 30.0).kq
     past = pt.grid.kmax * np.linspace(0.97, 1.05, 9)
     q = np.concatenate([kq, -kq, past, -past])
     assert np.abs(q).max() > pt.k[-1]
-    for samples in (pt.scattered, pt.S):
+    for samples in (oracles.reference_near_field(potential, pt.k, pt.xv)[0], pt.S):
         reference = CubicSpline(pt.k, samples, axis=0)(q)
         got = UniformSpline(pt.k, samples)(q)
         assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
@@ -680,10 +725,10 @@ DENSE_NEAR_TOL = {
 @pytest.mark.parametrize("rows", ["one", "many"])
 @pytest.mark.parametrize("table", list(DENSE_NEAR_TOL))
 def test_near_field_sums_match_whole_table_reference(table, rows, request):
-    """The near-field sums equal those of whole ``m(+-k, xv)`` tables, for
-    both signs and one time or the times of one evolution as rows: on the
-    table grid the stored table's, to roundoff; on the dense grid the exact
-    ``m`` of the potential's cellwise propagation, to the spline's error."""
+    """The near-field sums equal those of whole ``m(+-k, xv)`` tables of the
+    reference propagation, for both signs and one time or the times of one
+    evolution as rows: on the table grid, of ``f`` itself, to roundoff; on
+    the dense grid, of ``f - e^{ikx} I``, to the spline's error."""
     pt = request.getfixturevalue(table)
     potential = request.getfixturevalue(
         "golden_potential" if table.startswith("golden") else "matrix_potential"
@@ -691,7 +736,7 @@ def test_near_field_sums_match_whole_table_reference(table, rows, request):
     grid = pt.grid
     rng = np.random.default_rng(5)
     Y = _packet(grid.x, pt.n) + 0.1 * rng.normal(size=(grid.x.size, pt.n))
-    Yc = np.conj(Y[: pt.xv.size] * trapezoid_weights(pt.xv)[:, None])
+    Yc = np.conj(Y[: pt.xv.size] * trapezoid_weights(pt.xv)[:, None])[:-1]
     times = np.array([0.5, -1.0, 2.0])[: 1 if rows == "one" else None]
     stage = _build_stage(pt, 6.0, 30.0)
     for sign in (+1, -1):
@@ -706,7 +751,7 @@ def test_near_field_sums_match_whole_table_reference(table, rows, request):
             analysis, synthesis = oracles.map_kernel_near_sums(
                 pt, k, sign, kernel.S, Yc, Zw, potential
             )
-            got = kernel._near_analysis(Yc)
+            got = kernel._near_analysis(Y[: pt.xv.size])
             assert np.abs(got - analysis).max() <= tol[0] * np.abs(analysis).max()
             got = kernel._near_synthesis(Zw, SZ)
             assert len(got) == len(synthesis) == times.size
