@@ -49,11 +49,11 @@ diag(2, 1, ..., 1, 2)``, so ``A^{-T} = E^{-1} A^{-1} E``.
 
 Every convolution of a field with a kernel in ``waveop`` (the Hilbert
 transform and the symbols' convolutions) is one circular FFT product,
-:func:`circular_convolve` with the kernel's :func:`convolution_spectrum`.
-The kernel sits on the shortest circle on which nothing wraps, ``N +
-max(p, r)`` points for ``N`` samples and the lags ``-p .. r``, rounded up
-to a fast length: ``2N - 1`` for the lattice Hilbert kernel and ``N + (N
-- 1)/2`` for a symbol on the field's own symmetric grid.
+:func:`circular_convolve` with the kernel's spectrum on the shortest circle
+on which nothing read wraps, rounded up to a fast length: the lattice
+Hilbert kernel's outputs from node ``c`` read ``2N - 1 - c`` lags, and a
+symbol on the field's own symmetric grid needs ``N + (N - 1)/2`` points
+(:func:`convolution_spectrum`, ``N + max(p, r)`` for the lags ``-p .. r``).
 
 Every FFT in the package is ``numpy.fft``, at the 11-smooth lengths of
 :func:`next_fast_len`; the package imports no scipy module on any path of
@@ -61,9 +61,10 @@ the pipeline.  Spectra that do not depend on the data are computed once per
 key and kept, at most ``SPECTRUM_CACHE`` of each kind: the chirp spectrum
 of :func:`fourier_sum`, keyed on the FFT length, the node count and the
 float64 steps ``(size, nk, dk, dy)``; its head and tail phases, keyed on
-the two node counts and the float64 grids ``(nk, m, k0, dk, y0, dy)``; and
-the lattice Hilbert kernel's spectrum in ``waveop``, keyed on the node
-count.  The spectra of the symbols ``F_s`` and ``P_+-`` are data: each
+the two node counts and the grids ``(nk, m, k0, dk, y0, dy)``, origins in
+``np.longdouble``; and the lattice Hilbert kernel's spectrum in ``waveop``,
+keyed on the node count and the first node read.  The spectra of the
+symbols ``F_s`` and ``P_+-`` are data: each
 :class:`~.scattering.ScatteringTable` keeps its own, built at first use
 (``symbol_spectrum``), and they go with the table.  Kept spectra and
 phases are read-only.
@@ -204,7 +205,7 @@ def _chirp_spectrum(size: int, nk: int, dk: float, dy: float) -> np.ndarray:
 
 @lru_cache(maxsize=SPECTRUM_CACHE)
 def _bluestein_phases(
-    nk: int, m: int, k0: float, dk: float, y0: float, dy: float
+    nk: int, m: int, k0: np.longdouble, dk: float, y0: np.longdouble, dy: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The head phases ``e^{i (k_j y_0 + theta j^2 / 2)}`` and the tail phases
     ``e^{i (k_0 l dy + theta l^2 / 2)}`` of the chirp-z transform from ``nk``
@@ -239,8 +240,10 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
     Uniform nodes ``y`` (ascending or descending) take one Bluestein
     convolution, with ``j l = (j^2 + l^2 - (l - j)^2) / 2`` and ``theta =
     dk dy``, run along the contiguous last axis of the transposed columns;
-    other nodes take the direct sum.  Sign ``-1`` is ``conj`` of the ``+1`` sum of ``conj(g)``,
-    so the two signs are exact conjugates.  Phases are formed in
+    other nodes take the direct sum.  The phases hold the node of ``y``
+    nearest zero and ``k0`` (float64 or ``np.longdouble``) exact.  Sign
+    ``-1`` is ``conj`` of the ``+1`` sum of ``conj(g)``, so the two signs
+    are exact conjugates.  Phases are formed in
     ``np.longdouble``; on a platform where that type is float64 the
     accuracy falls to that of float64 phases, about ``2e-14`` on the
     default grid.
@@ -262,7 +265,9 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
         return out.reshape((m,) + g.shape[1:])
     size = next_fast_len(nk + m - 1)
     chirp = _chirp_spectrum(size, nk, float(dk), float(dy))
-    head, tail = _bluestein_phases(nk, m, float(k0), float(dk), float(y[0]), float(dy))
+    c = int(np.argmin(np.abs(y)))
+    y0 = np.longdouble(y[c]) - c * np.longdouble(dy)
+    head, tail = _bluestein_phases(nk, m, np.longdouble(k0), float(dk), y0, float(dy))
     conv = ifft(fft(np.multiply(cols.T, head, order="C"), size) * chirp)[:, :m]
     return np.multiply(conv.T, tail[:, None], order="C").reshape((m,) + g.shape[1:])
 

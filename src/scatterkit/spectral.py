@@ -6,11 +6,11 @@ stored, for the boundary condition; the maps read it through the Faddeev
 factor ``m`` on the near field and ``S``, since beyond the potential's
 support it is an exact plane-wave combination.  Every generalized Fourier
 map, forward (analysis) or adjoint (synthesis), is evaluated by one kernel,
-``Psi(-sign*k, x)^dagger``: two plane-wave sums over the whole window plus a
-near-field correction.  The kernel runs on the table's positive momentum
-nodes or on a dense momentum grid for time evolution, which conjugates the
-multiplier ``e^{-itk^2}`` by the maps.  The dense grid's period holds the
-evolved field and the output window: the integrand ``Psi(k, x) phi(k)`` is
+``Psi(-sign*k, x)^dagger``: one plane-wave sum over the whole window at
+``+-k`` at once, plus a near-field correction.  It runs on the table's
+positive nodes or on a dense momentum grid for time evolution, which
+conjugates the multiplier ``e^{-itk^2}`` by the maps.  The dense grid's
+period holds the evolved field and the output window: ``Psi(k, x) phi(k)`` is
 even in ``k`` (``S`` is unitary), so its trapezoid sum over the half line
 converges geometrically once the period holds the field, and what error is
 left comes from reading ``S`` and the near-field sums between the table's
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.fft import fft, ifft
+from numpy.fft import fft
 
 from .boundary import BoundaryPair
 from .grids import (
@@ -111,6 +111,11 @@ def _as_field(Y: np.ndarray, nodes: int | None = None, n: int | None = None) -> 
             f"got shape {given}"
         )
     return Y
+
+
+def _check_sign(sign: int) -> None:
+    if sign not in (+1, -1):
+        raise SpectralError(f"sign must be +1 or -1, got {sign}")
 
 
 def field_norm(Y: np.ndarray, w: np.ndarray) -> float:
@@ -189,9 +194,17 @@ def boundary_residual(pt: PhysicalSolutionTable) -> float:
 # -- cosine transform --------------------------------------------------------
 
 
+def _mirror(y: np.ndarray) -> np.ndarray:
+    """``-y`` reversed, then ``y``, a first node ``y[0] = 0`` kept once: ``-y[i]``
+    is node ``len(y) - 1 - i``, ``y[i]`` node ``i`` of the last ``len(y)``."""
+    return np.concatenate([-y[::-1][: y.size - int(y[0] == 0.0)], y])
+
+
 def _cosine_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray) -> np.ndarray:
-    """``sum_j g_j cos((k0 + j dk) y_l)``, the mean of the two signed sums."""
-    return 0.5 * (fourier_sum(g, k0, dk, y, +1) + fourier_sum(g, k0, dk, y, -1))
+    """``sum_j g_j cos((k0 + j dk) y_l)``: the mean of the sums at ``+-y``,
+    read off one :func:`fourier_sum` on the mirrored nodes."""
+    both = fourier_sum(g, k0, dk, _mirror(y))
+    return 0.5 * (both[both.shape[0] - y.size :] + both[y.size - 1 :: -1])
 
 
 def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
@@ -350,8 +363,11 @@ class _MapKernel:
     uniform positive momenta ``k`` with spacing ``dk``.
 
     Beyond the near field the kernel is the plane-wave pair
-    ``e^{-i sign k x} + S(-sign*k)^dagger e^{i sign k x}``, summed by
-    :func:`fourier_sum`; on the near-field nodes before ``xv[-1]`` the
+    ``e^{-i sign k x} + S(-sign*k)^dagger e^{i sign k x}``, summed by one
+    :func:`fourier_sum` over the mirrored momenta (:func:`_mirror`), one
+    Bluestein circle of ``2K + m - 1`` points, not two of ``K + m - 1``:
+    analysis reads both halves off one result, and synthesis sums ``Z`` at
+    ``+k`` and ``S Z`` at ``-k``.  On the nodes before ``xv[-1]`` the
     Faddeev factors ``m(sign*k)`` and ``m(-sign*k)`` enter through ``near``:
     the table grid's :class:`_NearMatrix`, which holds the whole Jost
     solution there, so that the plane sums start at ``xv[-1]``; or a
@@ -370,8 +386,7 @@ class _MapKernel:
     near: _NearMatrix | _NearSpline | None
 
     def __post_init__(self) -> None:
-        if self.sign not in (+1, -1):
-            raise SpectralError("sign must be +1 or -1")
+        _check_sign(self.sign)
 
     @property
     def start(self) -> int:
@@ -400,10 +415,9 @@ class _MapKernel:
         ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on
         ``xv``, and ``sums`` may hold the table grid's near sums of it
         (:meth:`_NearMatrix.sums`), formed once for both grids."""
-        j = self.start
-        Yw = Y[j:] * w[j:, None]
-        out = fourier_sum(Yw, x0 + j * dx, dx, self.k, -self.sign)
-        out += np.einsum("kji,kj->ki", self.S.conj(), fourier_sum(Yw, x0 + j * dx, dx, self.k, self.sign))
+        j, K = self.start, self.k.size
+        both = fourier_sum(Y[j:] * w[j:, None], x0 + j * dx, dx, _mirror(self.k), -self.sign)
+        out = both[both.shape[0] - K :] + np.einsum("kji,kj->ki", self.S.conj(), both[K - 1 :: -1])
         if self.near is not None:
             out += self._near_analysis(Ynear, sums)
         return out / np.sqrt(2.0 * np.pi)
@@ -415,14 +429,16 @@ class _MapKernel:
         n)``, whose plane sums run as one pair over all the rows."""
         Z = Zw.reshape((-1,) + Zw.shape[-2:])
         SZ = np.einsum("kij,tkj->tki", self.S, Z)
-        j = self.start
-        plane = fourier_sum(Z.transpose(1, 0, 2), self.k[0], self.dk, x[j:], self.sign)
-        plane += fourier_sum(SZ.transpose(1, 0, 2), self.k[0], self.dk, x[j:], -self.sign)
+        j, K, mirror = self.start, self.k.size, _mirror(self.k)
+        # Z at +k and S Z at -k on one coefficient vector, both added at k = 0
+        C = np.zeros((mirror.size, Z.shape[0], Z.shape[2]), dtype=complex)
+        C[mirror.size - K :] = Z.transpose(1, 0, 2)
+        C[K - 1 :: -1] += SZ.transpose(1, 0, 2)
+        k0 = -(np.longdouble(self.k[0]) + (K - 1) * np.longdouble(self.dk))
+        plane = fourier_sum(C, k0, self.dk, x[j:], self.sign)
+        out = plane.transpose(1, 0, 2)
         if j:
-            out = np.zeros((Z.shape[0], x.size, Z.shape[2]), dtype=complex)
-            out[:, j:] = plane.transpose(1, 0, 2)
-        else:
-            out = plane.transpose(1, 0, 2)
+            out = np.concatenate([np.zeros((Z.shape[0], j, Z.shape[2])), out], axis=1)
         if self.near is not None:  # on the near-field nodes before the last
             out[:, : self.near.xv.size - 1] += self._near_synthesis(Z, SZ)
         return (out / np.sqrt(2.0 * np.pi)).reshape(Zw.shape[:-2] + out.shape[1:])
@@ -491,24 +507,32 @@ class _DenseStage:
         """The near-field sums at ``+-kq``, read from the table's near matrix."""
         return _NearSpline.on(self.pt._near_matrix, self.pt.k, self.kq)
 
+    def _circle_field(self, kernel: _MapKernel, Zw: np.ndarray) -> np.ndarray:
+        """Each field synthesized from ``Zw`` on the full FFT circle: ``nfft
+        ifft(c1) + fft(c2)``, for the coefficients ``c1`` of ``e^{ikx}`` and
+        ``c2`` of ``e^{-ikx}``, is one FFT of ``c2`` plus ``c1[(-k) mod nfft]``,
+        which fills index 0 and ``nfft - L + 1`` on (``L = len(kq)``), clear of
+        ``c2`` as ``2L - 1 <= nfft``: ``dx <= pi / (4 kmax)`` makes
+        :func:`_build_stage` give ``L <= nfft / 8 + 2``."""
+        SZ = np.einsum("kij,...kj->...ki", kernel.S, Zw)
+        first, second = (Zw, SZ) if kernel.sign == +1 else (SZ, Zw)
+        c = np.zeros(Zw.shape[:-2] + (self.nfft, Zw.shape[-1]), dtype=complex)
+        c[..., : self.kq.size, :] = second
+        c[..., 0, :] += first[..., 0, :]
+        c[..., self.nfft - self.kq.size + 1 :, :] = first[..., :0:-1, :]
+        return fft(c, axis=-2)
+
     def check_overflow(self, kernel: _MapKernel, Zw: np.ndarray) -> None:
         """Reconstruct each field synthesized from ``Zw``, one field ``(len(kq),
-        n)`` or a stack of them, on the full FFT circle (one FFT pair for all)
-        and abort if too much of any one's mass reaches the outer tenth of the
-        physical half-domain.
+        n)`` or a stack of them, on the full FFT circle (one FFT for all,
+        :meth:`_circle_field`) and abort if too much of any one's mass
+        reaches the outer tenth of the physical half-domain.
 
         The conjugate-phase term always parks a mirror copy of the field in
         the upper half of the circle, so the physical domain is the lower
         half and wrap-around shows up as mass near the midpoint, where the
         direct and mirrored copies collide."""
-        SZ = np.einsum("kij,...kj->...ki", kernel.S, Zw)
-        first, second = (Zw, SZ) if kernel.sign == +1 else (SZ, Zw)
-        c = np.zeros(Zw.shape[:-2] + (self.nfft, Zw.shape[-1]), dtype=complex)
-        c[..., : self.kq.size, :] = first
-        field = self.nfft * ifft(c, axis=-2)
-        c[..., : self.kq.size, :] = second
-        field += fft(c, axis=-2)
-        mass = np.abs(field) ** 2
+        mass = np.abs(self._circle_field(kernel, Zw)) ** 2
         total = mass.sum(axis=(-2, -1))
         outer = mass[..., int(0.45 * self.nfft) : int(0.55 * self.nfft), :].sum(axis=(-2, -1))
         worst = float(np.max(outer / np.maximum(total, np.finfo(float).tiny)))

@@ -36,13 +36,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import SPECTRUM_CACHE, circular_convolve, convolution_spectrum, trapezoid_weights
+from .grids import SPECTRUM_CACHE, circular_convolve, convolution_spectrum, next_fast_len, trapezoid_weights
 from .jost import KernelTable
 from .scattering import ScatteringTable
 from .spectral import (
     PhysicalSolutionTable,
     WindowOverflow,
     _as_field,
+    _check_sign,
     f0_transform,
     fourier_maps_adjoint,
     interacting_after_free,
@@ -310,10 +311,10 @@ def hilbert(f: FieldR) -> FieldR:
 
     ``h[m]`` is the transform of a unit sample's sinc interpolant, read ``m``
     nodes away: the infinite-padding limit of the momentum multiplier
-    ``-i sign(k)``.  So the result is exact for band-limited samples.  The
-    kernel's lags ``|m| < N`` on a circle of ``next_fast_len(2N - 1)``
-    points (:func:`~.grids.convolution_spectrum`) make it one FFT product
-    that cannot wrap around.
+    ``-i sign(k)``.  So the result is exact for band-limited samples.  As
+    :func:`_hilbert_from` node 0 on, the kernel's lags ``|m| < N`` on a
+    circle of ``next_fast_len(2N - 1)`` points make it one FFT product that
+    cannot wrap around.
 
     Raises
     ------
@@ -322,24 +323,33 @@ def hilbert(f: FieldR) -> FieldR:
         outer tenth of the window: the field is cut off at the window edge,
         and the transform's 1/x tail misses what lies beyond it.
     """
+    return f.replace_values(_hilbert_from(f, 0))
+
+
+def _hilbert_from(f: FieldR, first: int) -> np.ndarray:
+    """:func:`hilbert` at the nodes ``j >= first`` alone, checked on the whole
+    field: their lags ``first + 1 - N .. N - 1`` fit once on a circle of
+    ``next_fast_len(2N - 1 - first)`` points (:func:`_hilbert_spectrum`)."""
     frac = _edge_mass_fraction(f)
     if frac > OUTER_MASS_FRACTION:
         raise WindowTooSmall(
             f"{frac:.1%} of the field mass lies in the outer tenth of the "
             "window; enlarge it before applying a nonlocal transform"
         )
-    return f.replace_values(circular_convolve(_hilbert_spectrum(f.x.size), f.values))
+    return circular_convolve(_hilbert_spectrum(f.x.size, first), f.values)[: f.x.size - first]
 
 
 @lru_cache(maxsize=SPECTRUM_CACHE)
-def _hilbert_spectrum(nx: int) -> np.ndarray:
-    """The :func:`~.grids.convolution_spectrum` of the lattice Hilbert
-    kernel ``h[m]``, ``|m| < nx``, for ``nx`` samples."""
-    m = np.arange(1 - nx, nx)
-    h = np.zeros(m.size)
-    odd = m % 2 == 1
-    h[odd] = 2.0 / (np.pi * m[odd])
-    spectrum = convolution_spectrum(h, nx - 1, nx)
+def _hilbert_spectrum(nx: int, first: int) -> np.ndarray:
+    """The lattice Hilbert kernel's spectrum for the outputs ``j >= first`` of
+    ``nx`` samples: each lag ``m = first + 1 - nx .. nx - 1`` they read sits at
+    index ``(m - first) mod size``, so output ``j - first`` is ``(H Y)_j``."""
+    size = next_fast_len(2 * nx - 1 - first)
+    m = np.arange(first + 1 - nx, nx)
+    odd = m[m % 2 == 1]
+    circle = np.zeros(size)
+    circle[(odd - first) % size] = 2.0 / (np.pi * odd)
+    spectrum = np.fft.fft(circle)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -435,9 +445,7 @@ def kernel_apply_adjoint(kt: KernelTable, f: FieldRplus) -> FieldRplus:
     dy`` in the continuum)."""
     _kernel_gate(kt)
     _kernel_grid_check(kt, f)
-    wg = f.weights
-    nxk = kt.x.size
-    ny = kt.y.size
+    wg, nxk, ny = f.weights, kt.x.size, kt.y.size
     out = np.zeros_like(f.values)
     weighted = np.conj(wg[:nxk, None] * f.values[:nxk])
     out[:ny] = np.conj(weighted.ravel() @ kt.matrix).reshape(ny, -1)
@@ -454,9 +462,7 @@ def wave_op_stationary(pt: PhysicalSolutionTable, f: FieldRplus, sign: int = +1)
     """Stationary route: adjoint generalized Fourier map applied to the free
     cosine transform of the field."""
     _same_grid(pt.grid.x, f.x, "field and solution table")
-    phi = f0_transform(pt.grid, f.values)
-    out = fourier_maps_adjoint(pt, phi, sign)
-    return f.replace_values(out)
+    return f.replace_values(fourier_maps_adjoint(pt, f0_transform(pt.grid, f.values), sign))
 
 
 def wave_op_decomposed(
@@ -469,10 +475,13 @@ def wave_op_decomposed(
     the transform of ``S - S_infinity``.  ``H`` is linear, so with
     ``t = S_inf E f + F_s * E f`` the bracket is ``(E f + t) / 2 +
     (i sign / 2) H(E f - t)``: one convolution, one Hilbert transform and one
-    kernel pass.
+    kernel pass.  ``R`` keeps the last ``c + 1`` of the ``N = 2c + 1`` nodes,
+    the only ones transformed, on ``next_fast_len(N + c)`` points.
 
     Raises
     ------
+    SpectralError
+        If ``sign`` is not +1 or -1.
     WindowTooSmall
         If ``E f - t``, the one field that is Hilbert transformed, has too
         much mass near the window edge, where the transform cuts it off.
@@ -480,10 +489,12 @@ def wave_op_decomposed(
         vanishes to rounding, so the gate passes and the route returns ``f``
         whatever the field's support.
     """
+    _check_sign(sign)
     g = extend_even(f)
     t = g.values @ st.S_infinity.T + _symbol_convolve(st, "Fs", g).values
-    h = hilbert(g.replace_values(g.values - t))
-    u = restrict(g.replace_values(0.5 * (g.values + t) + 0.5j * sign * h.values))
+    c = g.center
+    h = _hilbert_from(g.replace_values(g.values - t), c)
+    u = f.replace_values(0.5 * (g.values[c:] + t[c:]) + 0.5j * sign * h)
     return u.replace_values(u.values + kernel_apply(kt, u).values)
 
 
@@ -525,10 +536,13 @@ def wave_op_l1_form(
 
     Raises
     ------
+    SpectralError
+        If ``sign`` is not +1 or -1.
     HypothesisViolated
         If either limit of S differs from the identity by more than the
         configured tolerance.
     """
+    _check_sign(sign)
     _identity_gate(st)
     name = "Pplus" if sign > 0 else "Pminus"
     u = f.replace_values(f.values + restrict(_symbol_convolve(st, name, extend_even(f))).values)
@@ -539,8 +553,9 @@ def wave_op_adjoint(
     st: ScatteringTable, kt: KernelTable, f: FieldRplus, sign: int = +1
 ) -> FieldRplus:
     """Adjoint of the four-term route, ``(I + E^* Q^* R^*)(I + K^*) f`` with
-    ``Q`` the convolution by the half-momentum symbol: each factor replaced
-    by its exact discrete adjoint, applied in reverse order, one pass each."""
+    ``Q`` the half-momentum symbol's convolution: each factor's exact discrete
+    adjoint, in reverse order, one pass each; it raises as the route does."""
+    _check_sign(sign)
     _identity_gate(st)
     name = "Pplus" if sign > 0 else "Pminus"
     v = f.replace_values(f.values + kernel_apply_adjoint(kt, f).values)
@@ -583,8 +598,7 @@ def wave_op_time_limit(
             theta = interacting_after_free(pt, f.values, t, sign)
         except WindowOverflow as exc:
             raise DomainReflection(str(exc)) from exc
-        diff = f.replace_values(theta - stationary.values)
-        distances.append(diff.norm(2))
+        distances.append(f.replace_values(theta - stationary.values).norm(2))
     distances = np.asarray(distances)
     nonincreasing = bool(np.all(distances[1:] <= DISTANCE_JITTER * distances[:-1]))
     return {
@@ -642,11 +656,8 @@ def lp_probe(
 
     def sweep(xg: np.ndarray) -> np.ndarray:
         op = op_factory(xg)
-        ratios = []
-        for fm in bump_family(xg, scales, center, base_width, n):
-            image = op(fm)
-            ratios.append(image.norm(p) / fm.norm(p))
-        return np.asarray(ratios)
+        family = bump_family(xg, scales, center, base_width, n)
+        return np.array([op(fm).norm(p) / fm.norm(p) for fm in family])
 
     ratios = sweep(x)
     dx = float(x[1] - x[0])

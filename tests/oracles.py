@@ -37,6 +37,9 @@ the package forms on the factors, and interpolates off the table grid, are
 checked.
 :func:`jost_representation_check` tests the paper's representation
 ``f = e^{ikx} + integral K e^{iky}`` on the package's kernel.
+:func:`circle_field_two_transforms` is the evolution's field on its whole
+FFT circle by one transform per sign, against which the overflow monitor's
+single transform is checked.
 :func:`f0_synthesis` inverts the package's cosine transform, and
 :func:`free_jost_matrix` is the closed-form Jost matrix of the zero
 potential.  :func:`imaginary_jost_matrix` gives ``J(i kappa)`` by a matrix
@@ -438,6 +441,18 @@ def direct_fourier_sum(g, k0, dk, y, sign=+1):
         c, s = np.cos(phase), np.sin(phase)
         out[row] = (c @ gr - s @ gi).astype(float) + 1j * (s @ gr + c @ gi).astype(float)
     return out.reshape((y.size,) + g.shape[1:])
+
+
+def circle_field_two_transforms(nfft, plus, minus):
+    """The field ``sum_k plus[k] e^{2 pi i k j / nfft} + minus[k] e^{-2 pi i
+    k j / nfft}`` at every node ``j`` of the ``nfft``-point circle, as one
+    inverse and one forward FFT of the zero-padded coefficients (axis -2,
+    momenta from 0 up); the evolution's overflow monitor once formed it so."""
+    c = np.zeros(plus.shape[:-2] + (nfft, plus.shape[-1]), dtype=complex)
+    c[..., : plus.shape[-2], :] = plus
+    field = nfft * np.fft.ifft(c, axis=-2)
+    c[..., : minus.shape[-2], :] = minus
+    return field + np.fft.fft(c, axis=-2)
 
 
 # -- the decomposed wave operator, term by term --------------------------------

@@ -15,7 +15,7 @@ from scatterkit.jost import (
     solve_faddeev,
 )
 from scatterkit.potentials import PotentialError, PotentialSpec, validate_potential
-from scatterkit.scattering import smatrix
+from scatterkit.scattering import scattering_table, smatrix
 from scatterkit.spectral import (
     SpectralError,
     evolve_spectral,
@@ -25,7 +25,14 @@ from scatterkit.spectral import (
     interacting_after_free,
     physical_solution,
 )
-from scatterkit.waveop import FieldRplus, WaveOpError, wave_op_time_limit
+from scatterkit.waveop import (
+    FieldRplus,
+    WaveOpError,
+    wave_op_adjoint,
+    wave_op_decomposed,
+    wave_op_l1_form,
+    wave_op_time_limit,
+)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -96,6 +103,15 @@ def _coarse_kernel():
     marchenko_kernel(solve_faddeev(_potential(25.0), _grid()()))
 
 
+def _route(route, sign):
+    def call():
+        jt = jost_matrix(_free_jost(), BoundaryPair.neumann(1))
+        f = FieldRplus(jt.grid.x, np.exp(-((jt.grid.x - 2.0) ** 2)))
+        route(scattering_table(jt), marchenko_kernel(jt), f, sign)
+
+    return call
+
+
 def _empty_schedule():
     pt = _free_table()
     f = FieldRplus(pt.grid.x, np.exp(-((pt.grid.x - 2.0) ** 2)))
@@ -131,6 +147,9 @@ CASES = {
     "adjoint spectrum length": (_short_spectrum, SpectralError, "shape"),
     "map sign": (_map(lambda pt: np.ones(pt.grid.x.size), sign=2), SpectralError, "sign"),
     "empty schedule": (_empty_schedule, WaveOpError, "tschedule"),
+    "decomposed sign": (_route(wave_op_decomposed, 0), SpectralError, "sign"),
+    "l1 form sign": (_route(wave_op_l1_form, 2), SpectralError, "sign"),
+    "adjoint sign": (_route(wave_op_adjoint, 2), SpectralError, "sign"),
 }
 
 

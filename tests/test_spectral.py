@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 import oracles
 from scatterkit.boundary import BoundaryPair
-from scatterkit.grids import KXGrid, UniformSpline, _cis, simpson_weights, trapezoid_weights
+from scatterkit.grids import (
+    KXGrid,
+    UniformSpline,
+    _cis,
+    fourier_sum,
+    simpson_weights,
+    trapezoid_weights,
+)
 from scatterkit.jost import NearField, bound_states, jost_matrix, solve_faddeev
 from scatterkit.potentials import box_potential, zero_potential
 from scatterkit.scattering import smatrix
@@ -455,6 +462,140 @@ def test_evolve_spectral_checks_every_time_for_overflow(wide_grid, monkeypatch):
     evolve_spectral(pt, Y, 1.0)
     with pytest.raises(WindowOverflow, match="outer tenth"):
         evolve_spectral(pt, Y, [1.0, 60.0])
+
+
+@pytest.fixture(scope="module")
+def free_wide_physical():
+    """The physical-solution table of the benchmark's ``free_neumann_wide``
+    workload: the zero potential under Neumann on the default grid."""
+    return _free_table(BoundaryPair.neumann(1), KXGrid.build())
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical", "free_wide_physical"])
+def test_circle_field_is_the_two_transform_field(table, request):
+    """The overflow monitor's field on the whole FFT circle, one FFT of the
+    ``e^{-ikx}`` coefficients plus the ``e^{ikx}`` ones index-reversed,
+    equals the inverse-plus-forward pair of transforms, for one field and a
+    stack, on a mid-band stage and on the widest band."""
+    pt = request.getfixturevalue(table)
+    rng = np.random.default_rng(3)
+    for k_band in (6.0, pt.grid.kmax):
+        stage = _build_stage(pt, k_band, 30.0)
+        L = stage.kq.size
+        for shape in ((L, pt.n), (3, L, pt.n)):
+            Zw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for sign in (+1, -1):
+                kernel = stage.kernel(sign)
+                SZ = np.einsum("kij,...kj->...ki", kernel.S, Zw)
+                plus, minus = (Zw, SZ) if sign == +1 else (SZ, Zw)
+                reference = oracles.circle_field_two_transforms(stage.nfft, plus, minus)
+                got = stage._circle_field(kernel, Zw)
+                assert np.abs(got - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def test_circle_field_at_the_coarsest_grid():
+    """At ``dx = pi / (4 kmax)`` the widest band still leaves the reversed
+    coefficients clear of the others, ``2L - 1 <= nfft``."""
+    grid = KXGrid.build(kmax=10.0, nk=64, dx=np.pi / 40.0, xmax=8.0)
+    pt = _free_table(BoundaryPair.robin(0.3), grid)
+    rng = np.random.default_rng(4)
+    for span in (1.0, 30.0):
+        stage = _build_stage(pt, grid.kmax, span)
+        L = stage.kq.size
+        assert stage.ratio == 1 and 2 * L - 1 <= stage.nfft and L <= stage.nfft / 8 + 2
+        Zw = rng.normal(size=(L, 1)) + 1j * rng.normal(size=(L, 1))
+        kernel = stage.kernel(+1)
+        SZ = np.einsum("kij,kj->ki", kernel.S, Zw)
+        reference = oracles.circle_field_two_transforms(stage.nfft, Zw, SZ)
+        got = stage._circle_field(kernel, Zw)
+        assert np.abs(got - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def _two_sum_analysis(kernel, Y, x0, dx, w):
+    """The plane part of a map kernel's analysis as two signed sums."""
+    Yw = Y * w[:, None]
+    k, s = kernel.k, kernel.sign
+    out = fourier_sum(Yw, x0, dx, k, -s)
+    out += np.einsum("kji,kj->ki", kernel.S.conj(), fourier_sum(Yw, x0, dx, k, s))
+    return out / np.sqrt(2.0 * np.pi)
+
+
+def _two_sum_synthesis(kernel, Zw, x):
+    """The plane part of a map kernel's synthesis as two signed sums."""
+    SZ = np.einsum("kij,kj->ki", kernel.S, Zw)
+    k, dk, s = kernel.k, kernel.dk, kernel.sign
+    out = fourier_sum(Zw, k[0], dk, x, s) + fourier_sum(SZ, k[0], dk, x, -s)
+    return out / np.sqrt(2.0 * np.pi)
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical"])
+def test_one_mirrored_sum_is_the_two_signed_sums(table, request):
+    """Each plane-wave pair, one :func:`fourier_sum` over the mirrored
+    momenta, equals the sums at ``+k`` and ``-k`` to 1e-14: on the
+    half-offset table grid and on a dense grid through ``k = 0`` (``n = 2``
+    on the 2x2 table)."""
+    pt = request.getfixturevalue(table)
+    grid = pt.grid
+    rng = np.random.default_rng(8)
+    Y = _packet(grid.x, pt.n) + 0.1 * rng.normal(size=(grid.x.size, pt.n))
+    stage = _build_stage(pt, 6.0, 30.0)
+    assert stage.kq[0] == 0.0
+    Ys = Y[:: stage.ratio]
+    for sign in (+1, -1):
+        for kernel, dx, Yk, w in (
+            (spectral._table_kernel(pt, sign), grid.dx, Y, grid.wx),
+            (stage.kernel(sign), stage.dxb, Ys, _wall_weights(Ys.shape[0], stage.dxb)),
+        ):
+            plane = dataclasses.replace(kernel, near=None)
+            reference = _two_sum_analysis(plane, Yk, 0.0, dx, w)
+            got = plane.analysis(Yk, 0.0, dx, w, Y[: pt.xv.size])
+            assert np.abs(got - reference).max() <= 1e-14 * np.abs(reference).max()
+            Zw = reference * np.exp(-0.02 * plane.k**2)[:, None]
+            reference = _two_sum_synthesis(plane, Zw, grid.x)
+            got = plane.synthesis(Zw, grid.x)
+            assert np.abs(got - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def test_cosine_transform_at_unsorted_momenta(golden_physical):
+    """``f0_transform`` at a caller's unsorted, non-uniform momenta, with
+    and without a first node at ``k = 0``, is the cosine sum taken term by
+    term."""
+    grid = golden_physical.grid
+    rng = np.random.default_rng(9)
+    Y = _packet(grid.x, 1)
+    Yw = Y * simpson_weights(grid.x)[:, None]
+    for k in (rng.uniform(0.0, 30.0, 40), np.concatenate([[0.0], rng.uniform(0.0, 30.0, 40)])):
+        cosine = 0.5 * sum(oracles.direct_fourier_sum(Yw, 0.0, grid.dx, k, s) for s in (+1, -1))
+        reference = np.sqrt(2.0 / np.pi) * cosine
+        got = f0_transform(grid, Y, k)
+        assert np.abs(got - reference).max() <= 1e-14 * np.abs(reference).max()
+
+
+def test_each_plane_wave_pair_is_one_fourier_sum(golden_physical, small_grid, monkeypatch):
+    """The maps and the cosine transform make one plane sum per ``+-k``
+    pair; the evolution one per pair on each grid (the table grid's
+    analysis, the dense grid's analysis and synthesis), plus off the table
+    grid the near-field sums with their plane part taken out, one each way."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fourier_sum(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "fourier_sum", counted)
+    free = _free_table(BoundaryPair.neumann(1), small_grid)
+    for pt, evolution in ((golden_physical, 5), (free, 3)):
+        Y = _packet(pt.grid.x, pt.n)
+        phi = fourier_maps(pt, Y)
+        for count, run in (
+            (1, lambda: fourier_maps(pt, Y, -1)),
+            (1, lambda: fourier_maps_adjoint(pt, phi, +1)),
+            (1, lambda: f0_transform(pt.grid, Y)),
+            (evolution, lambda: evolve_spectral(pt, Y, 1.0, -1)),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == count
 
 
 @pytest.fixture(scope="module")

@@ -239,6 +239,47 @@ def test_hilbert_fft_length(monkeypatch):
     assert lengths and max(lengths) <= next_fast_len(2 * x.size - 1)
 
 
+#: the benchmark's step_golden and matrix2x2 grids, and their channel counts
+HALF_LINE_GRIDS = {
+    "golden": (dict(kmax=40.0, nk=2048, dx=1.0 / 128.0, xmax=16.0), 1),
+    "matrix2x2": (dict(kmax=20.0, nk=1024, dx=1.0 / 64.0, xmax=16.0), 2),
+}
+
+
+@pytest.mark.parametrize("grid", list(HALF_LINE_GRIDS))
+def test_half_line_hilbert_matches_the_restricted_transform(grid, monkeypatch):
+    # the nodes from the centre c of N = 2c + 1 read the lags -c .. 2c, so
+    # a circle of N + c points is exact
+    sizes, n = HALF_LINE_GRIDS[grid]
+    x = KXGrid.build(**sizes).x_sym
+    rng = np.random.default_rng(2)
+    values = (rng.normal(size=(x.size, n)) + 1j * rng.normal(size=(x.size, n))) * np.exp(
+        -((x[:, None] - 2.0) ** 2) / 8.0
+    )
+    f = FieldR(x, values)
+    reference = restrict(hilbert(f)).values
+    waveop._hilbert_spectrum.cache_clear()
+    lengths = _record_fft_lengths(monkeypatch)
+    got = waveop._hilbert_from(f, f.center)
+    assert lengths and max(lengths) <= next_fast_len(x.size + f.center)
+    assert np.abs(got - reference).max() <= 1e-15 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("nodes", [5, 33, 65])
+def test_hilbert_from_any_node_matches_direct_lattice_sum(nodes):
+    # tapered, so that the window check passes
+    rng = np.random.default_rng(nodes)
+    x = np.arange(nodes) - (nodes - 1) / 2.0
+    taper = np.exp(-8.0 * (2.0 * x / nodes) ** 2)[:, None]
+    values = (rng.normal(size=(nodes, 2)) + 1j * rng.normal(size=(nodes, 2))) * taper
+    lag = np.subtract.outer(np.arange(nodes), np.arange(nodes))
+    h = np.where(lag % 2 == 1, 2.0 / (np.pi * np.where(lag == 0, 1, lag)), 0.0)
+    direct = h @ values
+    for first in (1, nodes // 2, nodes - 1):
+        got = waveop._hilbert_from(FieldR(x, values), first)
+        assert np.abs(got - direct[first:]).max() < 1e-14 * np.abs(direct).max()
+
+
 def test_convolve_fft_length(monkeypatch):
     # a kernel on the field's own symmetric grid reaches lags |m| <= (N - 1)/2
     # in the output, so a circle of N + (N - 1)/2 points is exact
@@ -260,7 +301,7 @@ def test_hilbert_kernel_matches_direct_lattice_sum(nodes):
     lag = np.subtract.outer(np.arange(nodes), np.arange(nodes))
     h = np.where(lag % 2 == 1, 2.0 / (np.pi * np.where(lag == 0, 1, lag)), 0.0)
     direct = h @ values
-    got = grids.circular_convolve(waveop._hilbert_spectrum(nodes), values)
+    got = grids.circular_convolve(waveop._hilbert_spectrum(nodes, 0), values)
     assert np.abs(got - direct).max() < 1e-14 * np.abs(direct).max()
 
 
@@ -499,8 +540,8 @@ def test_decomposed_matches_three_term_oracle(golden_wave, matrix_wave):
 @pytest.mark.parametrize(
     "route, passes",
     [
-        (wave_op_decomposed, {"hilbert": 1, "_symbol_convolve": 1, "kernel_apply": 1}),
-        (wave_op_l1_form, {"hilbert": 0, "_symbol_convolve": 1, "kernel_apply": 1}),
+        (wave_op_decomposed, {"_hilbert_from": 1, "_symbol_convolve": 1, "kernel_apply": 1}),
+        (wave_op_l1_form, {"_hilbert_from": 0, "_symbol_convolve": 1, "kernel_apply": 1}),
         (wave_op_adjoint, {"convolve_adjoint": 0, "_symbol_convolve": 1, "kernel_apply_adjoint": 1}),
     ],
     ids=["decomposed", "l1_form", "adjoint"],
