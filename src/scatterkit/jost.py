@@ -39,7 +39,16 @@ import numpy as np
 
 from .boundary import ANGLE_SNAP_TOL, BoundaryPair, diagonalize_boundary, validate_boundary
 from .grids import KXGrid, _phases, trapezoid_weights
-from .potentials import PotentialSpec, _spectral_norms, _tail_cells, tail_integral, validate_potential
+from .potentials import (
+    PotentialSpec,
+    _matmul,
+    _singular_values,
+    _solve_right,
+    _spectral_norms,
+    _tail_cells,
+    tail_integral,
+    validate_potential,
+)
 
 EXCEPTIONAL_TOL = 1e-6
 #: largest step-doubling estimate of the kernel's node error, relative to
@@ -124,9 +133,10 @@ class JostMatrix:
 
     @cached_property
     def sv(self) -> np.ndarray:
-        """Singular values of each ``J(k)``, shape ``(len(k), n)``: the one SVD
-        of the stack, read by ``smatrix`` and ``min_sv``."""
-        return np.linalg.svd(self.J, compute_uv=False)
+        """Singular values of each ``J(k)``, descending, shape ``(len(k), n)``,
+        read by ``smatrix`` and ``min_sv``: in closed form for ``n <= 2``, one
+        SVD of the stack otherwise (see ``potentials._singular_values``)."""
+        return _singular_values(self.J)
 
     @property
     def min_sv(self) -> float:
@@ -497,7 +507,7 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
         raise JostError(f"boundary dimension {bp.n} does not match potential {jt.n}")
     validate_boundary(bp)
     f, fp = jt.wall
-    J = f[::-1].conj().swapaxes(-1, -2) @ bp.B - fp[::-1].conj().swapaxes(-1, -2) @ bp.A
+    J = _matmul(f[::-1].conj().swapaxes(-1, -2), bp.B) - _matmul(fp[::-1].conj().swapaxes(-1, -2), bp.A)
     J0 = jt.m0.conj().T @ bp.B - jt.m0prime.conj().T @ bp.A
     u0, sv0, _ = np.linalg.svd(J0)
     zero = sv0 < EXCEPTIONAL_TOL * max(1.0, float(sv0.max()))
@@ -538,10 +548,6 @@ def _states_below(
     k2 = (kappa * kappa)[:, None]
     sig = np.sqrt(np.maximum(k2, np.abs(k2 + np.linalg.eigvalsh(pot.values).ravel())).max(axis=1))[:, None]
     eye = np.eye(n)
-
-    def solve_right(num, den):  # num den^{-1}
-        return np.linalg.solve(den.swapaxes(1, 2), num.swapaxes(1, 2)).swapaxes(1, 2)
-
     u = ((sig - 1j * kappa[:, None]) / (sig + 1j * kappa[:, None]))[..., None] * eye
     phase, det = n * np.angle(u[:, 0, 0]), np.linalg.det(u)
     for c in range(cells.shape[0] - 1, -1, -1):
@@ -555,11 +561,11 @@ def _states_below(
         beye, aceye = b * eye, a.conj() * eye
         u = w.conj().T @ u @ w
         for _ in range(pieces):
-            u = solve_right(a * u + beye, aceye - b * u)
+            u = _solve_right(a * u + beye, aceye - b * u)
             d = np.linalg.det(u)
             phase, det = phase + np.angle(d / det), d
         u = w @ u @ w.conj().T
-    ub = solve_right(bp.A + 1j * bp.B / sig[..., None], bp.A - 1j * bp.B / sig[..., None])
+    ub = _solve_right(bp.A + 1j * bp.B / sig[..., None], bp.A - 1j * bp.B / sig[..., None])
     beta = np.mod(np.angle(np.linalg.eigvals(ub.conj().swapaxes(1, 2) @ u)), 2.0 * np.pi).sum(axis=1)
     # the b_j in closed form, where a Dirichlet channel's 0 cannot round to 2 pi
     limit = (np.pi + 2.0 * np.arctan(cot / sig)).sum(axis=1)

@@ -73,6 +73,55 @@ def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[..., -1], 0.0, None))
 
 
+# Stacks of small matrices, shape (..., n, n): numpy's stacked ``svd``,
+# ``solve`` and ``@`` visit the matrices one at a time, so these are
+# whole-array arithmetic over the stack: the products for every n, the
+# singular values and the right division for n <= 2; LAPACK for n >= 3.
+
+
+def _det2(mats: np.ndarray) -> np.ndarray:
+    return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+
+
+def _singular_values(mats: np.ndarray) -> np.ndarray:
+    """Singular values of a stack of ``n x n`` matrices, descending, shape
+    ``(..., n)``: ``|a|`` when ``n = 1``; when ``n = 2`` the spectral norm of
+    :func:`_spectral_norms` and ``|det|`` over it (0 for a zero matrix);
+    one SVD of the stack when ``n >= 3``."""
+    n = mats.shape[-1]
+    if n > 2:
+        return np.linalg.svd(mats, compute_uv=False)
+    top = _spectral_norms(mats)
+    if n == 1:
+        return top[..., None]
+    low = np.divide(np.abs(_det2(mats)), top, out=np.zeros_like(top), where=top > 0)
+    return np.stack([top, np.minimum(low, top)], axis=-1)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over stacks (either may be one matrix): a sum of ``n``
+    broadcast outer products, column ``j`` of ``a`` times row ``j`` of ``b``."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return out
+
+
+def _solve_right(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num den^{-1}`` over stacks of ``n x n`` matrices: a quotient when
+    ``n = 1``, the adjugate over the determinant when ``n = 2``, one batched
+    LAPACK solve when ``n >= 3``."""
+    n = den.shape[-1]
+    if n == 1:
+        return num / den
+    if n == 2:
+        adj = np.empty_like(den)
+        adj[..., 0, 0], adj[..., 1, 1] = den[..., 1, 1], den[..., 0, 0]
+        adj[..., 0, 1], adj[..., 1, 0] = -den[..., 0, 1], -den[..., 1, 0]
+        return _matmul(num, adj) / _det2(den)[..., None, None]
+    return np.linalg.solve(den.swapaxes(-1, -2), num.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Step-cell matrix potential.

@@ -1,12 +1,14 @@
 """Scattering matrix, its limits, and the Fourier symbols built from it.
 
 The scattering matrix on the momentum grid is assembled from the Jost matrix
-by batched linear solves.  Its limits are exact: ``S_inf`` depends on the
-boundary pair alone, and ``S(0) = -I + 2P`` with ``P`` the orthogonal
-projector onto ``Ker J(0)^dagger``.  The table's outer samples are checked
-against ``S_inf``.  The wave-operator symbols live on ``grid.x_sym``, the
-nodes the routes convolve on: the half-line transforms ``P_+-`` of ``S -
-S_inf`` are one tapered synthesis each, and the full-line ``F_s`` is their sum.
+by whole-stack arithmetic over the momenta: a quotient for one channel, the
+adjugate over the determinant for two, a batched solve beyond.  Its limits
+are exact: ``S_inf`` depends on the boundary pair alone, and
+``S(0) = -I + 2P`` with ``P`` the orthogonal projector onto
+``Ker J(0)^dagger``.  The table's outer samples are checked against
+``S_inf``.  The wave-operator symbols live on ``grid.x_sym``, the nodes the
+routes convolve on: the half-line transforms ``P_+-`` of ``S - S_inf`` are
+one tapered synthesis each, and the full-line ``F_s`` is their sum.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .boundary import diagonalize_boundary, predicted_s_infinity
 from .grids import KXGrid, UniformSpline, convolution_spectrum, fourier_sum, trapezoid_weights
 from .jost import JostTable
-from .potentials import _spectral_norms
+from .potentials import _matmul, _solve_right, _spectral_norms
 
 __all__ = [
     "ScatteringError",
@@ -132,9 +134,10 @@ def smatrix(jt: JostTable) -> ScatteringTable:
     """Scattering matrix ``S(k) = -J(-k) J(k)^{-1}`` on the grid, and its
     exact limits.
 
-    Solves ``S(k) J(k) = -J(-k)`` as one batched linear system per momentum;
-    the symmetric half-offset grid never contains ``k = 0``, so the
-    exceptional case needs no special-casing here.  ``S_inf`` is
+    Divides on the right by ``J(k)`` over the whole momentum stack
+    (``potentials._solve_right``: closed form for ``n <= 2``, one batched
+    solve otherwise); the symmetric half-offset grid never contains ``k = 0``,
+    so the exceptional case needs no special-casing here.  ``S_inf`` is
     ``predicted_s_infinity`` of the boundary pair, and ``S(0) = 2 P - I``
     with ``P`` the projector onto the Jost matrix's ``zero_modes``.
 
@@ -144,26 +147,33 @@ def smatrix(jt: JostTable) -> ScatteringTable:
         If some ``J(k)`` is numerically singular (relative to the table's
         largest singular value).
     ScatteringError
-        If the computed matrix fails unitarity beyond a loose sanity guard.
+        If some ``J(k)`` has a non-finite entry, naming the first such ``k``;
+        or if the computed matrix fails unitarity beyond a loose sanity guard.
         The Jost tables are exact per cell, so this means round-off amplified
         by an ill-conditioned ``J(k)`` or an input that is not self-adjoint.
     """
     jm = jt.jmatrix
     if jm is None:
         raise ScatteringError("attach a Jost matrix (jost_matrix) before smatrix")
-    J, sv = jm.J, jm.sv
+    J = jm.J
+    finite = np.isfinite(J).all(axis=(1, 2))
+    if not finite.all():
+        raise ScatteringError(
+            f"Jost matrix is not finite at k={jt.k[np.argmin(finite)]:g}: check the potential "
+            "and the boundary pair it was built from"
+        )
+    sv = jm.sv
     smallest = sv[:, -1]  # singular values come in descending order
     worst = int(np.argmin(smallest))
-    if smallest[worst] < 1e-12 * sv.max():
+    if not smallest[worst] > 1e-12 * sv.max():  # an all-zero stack fails too
         raise SingularJost(jt.k[worst], smallest[worst])
-    Jm = J[::-1]  # J(-k), exact node map
-    # S J = -J(-k)  <=>  J^T S^T = -J(-k)^T
-    S = -np.linalg.solve(J.transpose(0, 2, 1), Jm.transpose(0, 2, 1)).transpose(0, 2, 1)
+    S = -_solve_right(J[::-1], J)  # J[::-1] is J(-k), exact node map
+    Sh = S.conj().swapaxes(-1, -2)
     eye = np.eye(jt.n)
-    defects = np.abs(S.conj().swapaxes(-1, -2) @ S - eye).max(axis=(1, 2))
+    defects = np.abs(_matmul(Sh, S) - eye).max(axis=(1, 2))
     unit = float(defects.max())
-    symm = float(np.abs(S[::-1] - S.conj().swapaxes(-1, -2)).max())
-    if unit > UNITARITY_GUARD:
+    symm = float(np.abs(S[::-1] - Sh).max())
+    if not unit <= UNITARITY_GUARD:  # NaN fails too
         bad = int(np.argmax(defects))
         raise ScatteringError(
             f"unitarity defect {unit:.2e} exceeds the sanity guard at k={jt.k[bad]:g}, where "

@@ -62,6 +62,7 @@ from .grids import (
     trapezoid_weights,
 )
 from .jost import JostTable, NearField
+from .potentials import _matmul
 from .scattering import ScatteringTable
 
 __all__ = [
@@ -172,8 +173,8 @@ def physical_solution(jt: JostTable, st: ScatteringTable) -> PhysicalSolutionTab
     return PhysicalSolutionTable(
         k=jt.k,
         xv=jt.xv,
-        psi0=f[::-1] + f @ st.S,
-        psi0prime=fp[::-1] + fp @ st.S,
+        psi0=f[::-1] + _matmul(f, st.S),
+        psi0prime=fp[::-1] + _matmul(fp, st.S),
         near=jt.near,
         S=st.S,
         grid=jt.grid,
@@ -186,7 +187,7 @@ def boundary_residual(pt: PhysicalSolutionTable) -> float:
     solutions, ``-B^dagger Psi(k,0) + A^dagger Psi'(k,0)``, scaled per momentum
     by the size of the boundary pair at that momentum."""
     A, B = pt.boundary.A, pt.boundary.B
-    res = -B.conj().T @ pt.psi0 + A.conj().T @ pt.psi0prime
+    res = _matmul(A.conj().T, pt.psi0prime) - _matmul(B.conj().T, pt.psi0)
     scale = np.linalg.norm(B, 2) + np.abs(pt.k) * np.linalg.norm(A, 2)
     return float((np.linalg.norm(res, axis=(-2, -1)) / scale).max())
 

@@ -1,6 +1,8 @@
 """Non-finite or degenerate inputs raise the package's typed errors, naming
 the input, instead of numpy's errors or silently wrong numbers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from scatterkit.jost import (
     solve_faddeev,
 )
 from scatterkit.potentials import PotentialError, PotentialSpec, validate_potential
-from scatterkit.scattering import scattering_table, smatrix
+from scatterkit.scattering import ScatteringError, scattering_table, smatrix
 from scatterkit.spectral import (
     SpectralError,
     evolve_spectral,
@@ -112,6 +114,18 @@ def _route(route, sign):
     return call
 
 
+def _nan_jost_node(n):
+    # one NaN node in the J(k) stack: a typed refusal, not LinAlgError or a NaN S
+    def call():
+        potential = PotentialSpec.from_cells(n, [(0.0, 1.0, np.eye(n))])
+        jt = jost_matrix(solve_faddeev(potential, _grid()()), BoundaryPair.neumann(n))
+        J = jt.jmatrix.J.copy()
+        J[7, 0, -1] = NAN
+        smatrix(replace(jt, jmatrix=replace(jt.jmatrix, J=J)))
+
+    return call
+
+
 def _empty_schedule():
     pt = _free_table()
     f = FieldRplus(pt.grid.x, np.exp(-((pt.grid.x - 2.0) ** 2)))
@@ -135,6 +149,8 @@ CASES = {
     "bound states nan": (lambda: bound_states(_potential(NAN), _pair(0.0)), PotentialError, "finite"),
     "bound states dimension": (lambda: bound_states(_potential(1.0), BoundaryPair.neumann(2)), JostError, "dimension"),
     "kernel coarse grid": (_coarse_kernel, KernelTooCoarse, "dx"),
+    "jost stack nan n=1": (_nan_jost_node(1), ScatteringError, "not finite at k="),
+    "jost stack nan n=2": (_nan_jost_node(2), ScatteringError, "not finite at k="),
     "evolve nan": (_evolve_nan, SpectralError, "times t"),
     "after free nan": (_after_free(NAN), SpectralError, "time t"),
     "after free inf": (_after_free(INF), SpectralError, "time t"),

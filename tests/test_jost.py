@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from scatterkit.jost import (
 from scatterkit.potentials import (
     NonHermitian,
     PotentialSpec,
+    _singular_values,
     _spectral_norms,
     box_potential,
     zero_potential,
@@ -494,8 +496,9 @@ def test_schur_integrals_match_svd_norms(golden_kernel, matrix_potential, medium
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_spectral_norms_match_svd(n):
     """``_spectral_norms`` (closed form at n = 2, Gram eigenvalue at n = 3)
-    against the SVD norm on random, zero, rank-one and equal-singular-value
-    stacks."""
+    and ``_singular_values`` (closed form at n <= 2) against the SVD on
+    random, zero, rank-one and equal-singular-value stacks: the largest
+    value to rtol 1e-14, the smallest to 1e-14 of the largest."""
     rng = np.random.default_rng(3)
     shape = (40, 7, n, n)
     random = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -503,9 +506,17 @@ def test_spectral_norms_match_svd(n):
     rank_one = u @ v.conj().swapaxes(-1, -2)
     unitary = np.linalg.qr(random)[0] * rng.uniform(0.1, 10.0, size=(40, 7, 1, 1))
     for mats in (random, rank_one, unitary, 1e-150 * random, 1e150 * random):
-        expected = np.linalg.norm(mats, ord=2, axis=(-2, -1))
-        np.testing.assert_allclose(_spectral_norms(mats), expected, rtol=1e-14, atol=0)
-    assert not _spectral_norms(np.zeros(shape, dtype=complex)).any()
+        expected = np.linalg.svd(mats, compute_uv=False)
+        np.testing.assert_allclose(_spectral_norms(mats), expected[..., 0], rtol=1e-14, atol=0)
+        sv = _singular_values(mats)
+        assert sv.shape == expected.shape
+        np.testing.assert_allclose(sv[..., 0], expected[..., 0], rtol=1e-14, atol=0)
+        assert (np.abs(sv[..., -1] - expected[..., -1]) <= 1e-14 * expected[..., 0]).all()
+    zero = np.zeros(shape, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not _spectral_norms(zero).any()
+        assert not _singular_values(zero).any()
 
 
 def test_born_term_leading_order():

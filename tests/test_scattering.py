@@ -30,6 +30,7 @@ from scatterkit.scattering import (
     scattering_table,
     smatrix,
 )
+from scatterkit.spectral import boundary_residual, physical_solution
 
 # --- frozen scattering values for V = 1 on (0, 1), mixed boundary at the
 # exceptional angle; from the closed form S(k) = -J(-k)/J(k) with
@@ -279,33 +280,78 @@ def test_fs_symbol_free_mixed_boundary_closed_form():
     assert np.abs(table.Fs[away_from_jump, 0, 0] - oracle[away_from_jump]).max() < 2e-4
 
 
-def test_singular_jost_is_reported(free_scatter):
-    jt = jost_matrix(free_scatter, BoundaryPair.neumann(1))
+@pytest.mark.parametrize("n", [1, 2])
+def test_singular_jost_is_reported(n, free_scatter, matrix_potential, matrix_boundary):
+    if n == 1:
+        jt = jost_matrix(free_scatter, BoundaryPair.neumann(1))
+    else:
+        grid = KXGrid.build(kmax=20.0, nk=1024, dx=1 / 64, xmax=16.0)  # the matrix_tables grid
+        jt = jost_matrix(solve_faddeev(matrix_potential, grid), matrix_boundary)
     J = jt.jmatrix.J.copy()
-    J[5] = 0.0
+    # n = 1: a zero node; n = 2: a rank-one node, two parallel columns (det 0 exactly)
+    J[5] = 0.0 if n == 1 else J[5, :, :1] * np.array([1.0, 2.0])
     bad = replace(jt.jmatrix, J=J)
     with pytest.raises(SingularJost) as err:
         smatrix(replace(jt, jmatrix=bad))
     assert err.value.k == pytest.approx(jt.k[5])
+    assert err.value.min_sv <= 1e-12 * np.linalg.svd(J, compute_uv=False).max()
 
 
-def test_jost_stack_is_decomposed_once(golden_potential, golden_boundary, monkeypatch):
-    # jost_matrix and smatrix share the one SVD of the J(k) stack; J(0) is
-    # a single matrix and not counted
+@pytest.mark.parametrize(
+    "n, potential, boundary",
+    [
+        (1, "golden_potential", "golden_boundary"),
+        (2, "matrix_potential", "matrix_boundary"),
+        (3, "matrix3_potential", "matrix3_boundary"),
+    ],
+    ids=["1", "2", "3"],
+)
+def test_jost_stack_decompositions_by_channel_count(n, potential, boundary, request, monkeypatch):
+    # the singular values, the solve and the products of the J(k) stack are
+    # closed forms for n <= 2; at n = 3 the stack takes one SVD and one
+    # solve; J(0) is a single matrix and not counted
     grid = KXGrid.build(kmax=20.0, nk=512, dx=1 / 64, xmax=4.0)
-    jt = solve_faddeev(golden_potential, grid)
+    jt = solve_faddeev(request.getfixturevalue(potential), grid)
     calls = []
-    svd = np.linalg.svd
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.ndim(a))
-        return svd(a, *args, **kwargs)
+    def counting(name, fn):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.ndim(a)))
+            return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    jt = jost_matrix(jt, golden_boundary)
+        return call
+
+    for name in ("svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    jt = jost_matrix(jt, request.getfixturevalue(boundary))
     smatrix(jt)
     assert jt.jmatrix.min_sv == jt.jmatrix.sv.min()
-    assert calls.count(3) == 1
+    stack = [name for name, ndim in calls if ndim == 3]
+    assert sorted(stack) == ([] if n <= 2 else ["solve", "svd"])
+
+
+def test_three_channel_pipeline(matrix3_potential, matrix3_boundary):
+    """n = 3 under a mixed pair with off-diagonal (A, B): S is unitary and
+    reflection-symmetric, matches S formed from ODE wall values, and the
+    physical solutions meet the boundary condition."""
+    grid = KXGrid.build(kmax=20.0, nk=512, dx=1 / 64, xmax=4.0)
+    jt = jost_matrix(solve_faddeev(matrix3_potential, grid), matrix3_boundary)
+    st = smatrix(jt)
+    S = st.S
+    Sh = S.conj().swapaxes(-1, -2)
+    assert np.abs(Sh @ S - np.eye(3)).max() < 1e-12
+    assert np.abs(S[::-1] - Sh).max() < 1e-12
+    A, B = matrix3_boundary.A, matrix3_boundary.B
+
+    def jost(k):  # J(k) = f(-k,0)^dagger B - f'(-k,0)^dagger A
+        f, fp = (v[0].conj().T for v in oracles.ode_jost(matrix3_potential, -k))
+        return f @ B - fp @ A
+
+    for i in (37, 300, 480):
+        k = float(jt.k[i])
+        ref = -jost(-k) @ np.linalg.inv(jost(k))
+        assert np.abs(S[i] - ref).max() < 1e-8
+    assert boundary_residual(physical_solution(jt, st)) < 1e-10
 
 
 def test_fs_l1_integrates_svd_norms_on_2x2_table(matrix_tables):
