@@ -300,9 +300,15 @@ def circular_convolve(spectrum: np.ndarray, values: np.ndarray) -> np.ndarray:
     points.  A spectrum of shape ``(L,)`` acts on every column of
     ``values`` alike; one of shape ``(L, n, n)`` takes ``sum_l g[:, i, l]
     values[:, l]``."""
-    vk = fft(values, spectrum.shape[0], axis=0)
+    return _circle_product(spectrum, fft(values, spectrum.shape[0], axis=0), values.shape[0])
+
+
+def _circle_product(spectrum: np.ndarray, vk: np.ndarray, nvalues: int) -> np.ndarray:
+    """:func:`circular_convolve` from the values' own spectrum ``vk`` on the
+    kernel's circle: the product, one inverse FFT and the first ``nvalues``
+    points."""
     product = spectrum[:, None] * vk if spectrum.ndim == 1 else np.einsum("kil,kl->ki", spectrum, vk)
-    return ifft(product, axis=0)[: values.shape[0]]
+    return ifft(product, axis=0)[:nvalues]
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

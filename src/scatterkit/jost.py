@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import ANGLE_SNAP_TOL, BoundaryPair, diagonalize_boundary, validate_boundary
+from .boundary import ANGLE_SNAP_TOL, BoundaryPair, diagonalize_boundary, predicted_s_infinity
 from .grids import KXGrid, _phases, trapezoid_weights
 from .potentials import (
     PotentialSpec,
@@ -121,6 +121,11 @@ class JostMatrix:
     zero_modes : ndarray
         Orthonormal basis of ``Ker J(0)^dagger``, shape ``(n, d)``: the left
         singular vectors of ``J(0)`` below the same relative 1e-6.
+    boundary : BoundaryPair
+        The pair ``(A, B)``.
+    S_infinity : ndarray
+        The high-energy limit of ``S``, which depends on the pair alone:
+        ``predicted_s_infinity`` of its one diagonalization.
     """
 
     k: np.ndarray
@@ -130,6 +135,7 @@ class JostMatrix:
     exceptional: bool
     zero_modes: np.ndarray
     boundary: BoundaryPair
+    S_infinity: np.ndarray
 
     @cached_property
     def sv(self) -> np.ndarray:
@@ -501,11 +507,12 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
 
     Uses the exact node map ``k -> -k`` of the symmetric grid; no extra
     solves.  Returns a new table with the ``jmatrix`` field filled, after
-    :func:`~.boundary.validate_boundary` has checked the pair.
+    :func:`~.boundary.diagonalize_boundary` has checked the pair; its normal
+    form gives ``S_infinity``.
     """
     if bp.n != jt.n:
         raise JostError(f"boundary dimension {bp.n} does not match potential {jt.n}")
-    validate_boundary(bp)
+    form = diagonalize_boundary(bp)
     f, fp = jt.wall
     J = _matmul(f[::-1].conj().swapaxes(-1, -2), bp.B) - _matmul(fp[::-1].conj().swapaxes(-1, -2), bp.A)
     J0 = jt.m0.conj().T @ bp.B - jt.m0prime.conj().T @ bp.A
@@ -519,6 +526,7 @@ def jost_matrix(jt: JostTable, bp: BoundaryPair) -> JostTable:
         exceptional=bool(zero.any()),
         zero_modes=u0[:, zero],
         boundary=bp,
+        S_infinity=predicted_s_infinity(form),
     )
     return replace(jt, jmatrix=jm)
 

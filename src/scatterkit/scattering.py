@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import diagonalize_boundary, predicted_s_infinity
 from .grids import KXGrid, UniformSpline, convolution_spectrum, fourier_sum, trapezoid_weights
 from .jost import JostTable
 from .potentials import _matmul, _solve_right, _spectral_norms
@@ -137,9 +136,10 @@ def smatrix(jt: JostTable) -> ScatteringTable:
     Divides on the right by ``J(k)`` over the whole momentum stack
     (``potentials._solve_right``: closed form for ``n <= 2``, one batched
     solve otherwise); the symmetric half-offset grid never contains ``k = 0``,
-    so the exceptional case needs no special-casing here.  ``S_inf`` is
-    ``predicted_s_infinity`` of the boundary pair, and ``S(0) = 2 P - I``
-    with ``P`` the projector onto the Jost matrix's ``zero_modes``.
+    so the exceptional case needs no special-casing here.  ``S_inf`` is the
+    Jost matrix's ``S_infinity``, from the boundary pair's one
+    diagonalization, and ``S(0) = 2 P - I`` with ``P`` the projector onto
+    the Jost matrix's ``zero_modes``.
 
     Raises
     ------
@@ -190,7 +190,7 @@ def smatrix(jt: JostTable) -> ScatteringTable:
         unitarity_defect=unit,
         symmetry_defect=symm,
         S0=2.0 * (u0 @ u0.conj().T) - eye,
-        S_infinity=predicted_s_infinity(diagonalize_boundary(jm.boundary)),
+        S_infinity=jm.S_infinity,
         grid=jt.grid,
         boundary=jm.boundary,
     )

@@ -114,6 +114,13 @@ def _as_field(Y: np.ndarray, nodes: int | None = None, n: int | None = None) -> 
     return Y
 
 
+def _check_finite(Y: np.ndarray, name: str) -> None:
+    """Raise :class:`SpectralError` naming ``name`` unless every sample of
+    ``Y`` is finite: one NaN would spread through every sum that reads it."""
+    if not np.isfinite(Y).all():
+        raise SpectralError(f"{name} must be finite, got a non-finite sample")
+
+
 def _check_sign(sign: int) -> None:
     if sign not in (+1, -1):
         raise SpectralError(f"sign must be +1 or -1, got {sign}")
@@ -210,9 +217,12 @@ def _cosine_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray) -> np.ndarra
 
 def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
     """Cosine transform ``sqrt(2/pi) integral_0^inf cos(kx) Y(x) dx`` by
-    composite-Simpson quadrature on the spatial grid."""
+    composite-Simpson quadrature on the spatial grid; a non-finite sample of
+    ``Y`` raises :class:`SpectralError`."""
     kq = grid.kpos if k is None else np.asarray(k, dtype=float)
-    Yw = _as_field(Y, grid.x.size) * simpson_weights(grid.x)[:, None]
+    Y = _as_field(Y, grid.x.size)
+    _check_finite(Y, "field samples Y")
+    Yw = Y * simpson_weights(grid.x)[:, None]
     return np.sqrt(2.0 / np.pi) * _cosine_sum(Yw, grid.x[0], grid.dx, kq)
 
 
@@ -460,10 +470,12 @@ def fourier_maps(pt: PhysicalSolutionTable, Y: np.ndarray, sign: int = +1) -> np
 
     The integral runs over the whole spatial window as plane-wave sums plus a
     near-field correction supported where the Faddeev factor differs from the
-    identity, so no full solution table over the window is ever formed.
+    identity, so no full solution table over the window is ever formed.  A
+    non-finite sample of ``Y`` raises :class:`SpectralError`.
     """
     grid = pt.grid
     Y = _as_field(Y, grid.x.size, pt.n)
+    _check_finite(Y, "field samples Y")
     return _table_kernel(pt, sign).analysis(Y, grid.x[0], grid.dx, grid.wx, Y[: pt.xv.size])
 
 
@@ -472,8 +484,11 @@ def fourier_maps_adjoint(
 ) -> np.ndarray:
     """Adjoint map ``sqrt(1/2pi) integral_0^inf Psi(-sign*k, x) Z(k) dk`` on
     the spatial grid (midpoint momentum weights, so quadrature duality with
-    the forward map is exact up to roundoff)."""
-    Zw = _as_field(Z, pt.grid.npos, pt.n) * pt.grid.dk
+    the forward map is exact up to roundoff).  A non-finite sample of ``Z``
+    raises :class:`SpectralError`."""
+    Z = _as_field(Z, pt.grid.npos, pt.n)
+    _check_finite(Z, "spectral samples Z")
+    Zw = Z * pt.grid.dk
     return _table_kernel(pt, sign).synthesis(Zw, pt.grid.x)
 
 
@@ -611,7 +626,8 @@ def evolve_spectral(
     ------
     SpectralError
         If a time is not finite, ``xmax_out`` is negative or not finite, or
-        ``Y`` is not sampled on the table's grid with its channel count.
+        ``Y`` is not sampled on the table's grid with its channel count or
+        has a non-finite sample.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.isfinite(times).all():
@@ -620,6 +636,7 @@ def evolve_spectral(
         raise SpectralError(f"xmax_out must be non-negative and finite, got {xmax_out}")
     single = np.isscalar(t) or np.asarray(t).ndim == 0
     Y = _as_field(Y, pt.grid.x.size, pt.n)
+    _check_finite(Y, "field samples Y")
     if np.all(times == 0.0) and xmax_out is None:
         out0 = fourier_maps_adjoint(pt, fourier_maps(pt, Y, sign), sign)
         return out0 if single else np.repeat(out0[None], times.size, axis=0)
@@ -661,12 +678,13 @@ def interacting_after_free(
     ------
     SpectralError
         If ``t`` is not finite, or ``Y`` is not sampled on the table's grid
-        with its channel count.
+        with its channel count or has a non-finite sample.
     """
     if not np.isfinite(t):
         raise SpectralError(f"evolution time t must be finite, got {t}")
     grid = pt.grid
     Y = _as_field(Y, grid.x.size, pt.n)
+    _check_finite(Y, "field samples Y")
     stage = _stage_for(pt, Y, f0_transform(grid, Y), t)
     kernel = stage.kernel(sign)
     # free half: cosine data at the dense nodes, evolved backwards; the

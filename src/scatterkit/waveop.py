@@ -13,15 +13,25 @@ Layout
 ------
 ``FieldRplus`` / ``FieldR`` hold fields sampled on the half line and on a
 grid symmetric about 0 with its centre node at 0; each constructor checks
-its own grid.  A grid taken, sliced or reflected from a checked field is
-valid by construction, and so is ``grid.x_sym``, on which the symbols
-``F_s`` and ``P_+-`` live: fields derived from either are not checked
-again, only their length.  The routes are written directly on the
-primitives (extension, restriction, Hilbert transform, convolution, kernel
-application).  The formulas interleave the two domains; ``kernel_apply``
-and its adjoint reject a ``FieldR`` with ``DomainMismatch``, since a
-full-line field passes their grid checks and the kernel rows would act on
-its negative-x samples.
+its own grid and refuses non-finite samples.  A grid taken, sliced or
+reflected from a checked field is valid by construction, and so is
+``grid.x_sym``, on which the symbols ``F_s`` and ``P_+-`` live: fields
+derived from either are not checked again, only their length.  The routes
+are written directly on the primitives (extension, restriction, Hilbert
+transform, convolution, kernel application).  The formulas interleave the
+two domains; ``kernel_apply`` and its adjoint reject a ``FieldR`` with
+``DomainMismatch``, since a full-line field passes their grid checks and
+the kernel rows would act on its negative-x samples.
+
+Fields are immutable: the constructor takes its own copy of the samples,
+and every field's ``values`` is a read-only view.  So a field keeps what
+the routes compute from it that does not depend on the sign, built at the
+first call that needs it, one slot per kind: a half-line field its even
+extension, the decomposed route's bracket halves for one scattering table
+and the stationary route's cosine data for one grid; a full-line field
+its spectrum on the circle of one table's symbols.  ``W_+`` and ``W_-`` of one
+field then share that work, and a slot built from another table or grid is
+rebuilt.  A slot holds the table or grid it was built from.
 
 All adjoints are the exact discrete adjoints of the forward quadratures with
 respect to the trapezoid inner products, so duality tests close to rounding;
@@ -35,14 +45,23 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.fft import fft
 
-from .grids import SPECTRUM_CACHE, circular_convolve, convolution_spectrum, next_fast_len, trapezoid_weights
+from .grids import (
+    SPECTRUM_CACHE,
+    _circle_product,
+    circular_convolve,
+    convolution_spectrum,
+    next_fast_len,
+    trapezoid_weights,
+)
 from .jost import KernelTable
 from .scattering import ScatteringTable
 from .spectral import (
     PhysicalSolutionTable,
     WindowOverflow,
     _as_field,
+    _check_finite,
     _check_sign,
     f0_transform,
     fourier_maps_adjoint,
@@ -159,7 +178,8 @@ def _check_uniform(x: np.ndarray, label: str) -> None:
 @dataclass(frozen=True)
 class _Field:
     """Samples of a C^n-valued function on a uniform grid; the subclasses
-    fix and check which grid."""
+    fix and check which grid.  Immutable: ``values`` is a read-only view, on
+    a copy of the caller's samples when the constructor built the field."""
 
     x: np.ndarray
     values: np.ndarray
@@ -168,13 +188,16 @@ class _Field:
     kind = "uniform"
 
     def __post_init__(self):
-        self._adopt(np.asarray(self.x, dtype=float), self.values)
+        self._adopt(np.asarray(self.x, dtype=float), np.array(self.values, dtype=complex))
+        _check_finite(self.values, "field values")
         _check_uniform(self.x, self.kind)
         self._check_grid()
 
     def _adopt(self, x: np.ndarray, values: np.ndarray) -> None:
+        values = _as_field(values).view()
+        values.flags.writeable = False
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "values", _as_field(values))
+        object.__setattr__(self, "values", values)
         if self.values.shape[0] != self.x.size:
             raise GridMismatch("field values do not match the grid length")
 
@@ -211,9 +234,32 @@ class _Field:
         """The same kind of field on the same grid with new samples."""
         return self._derived(self.x, values)
 
+    @cached_property
+    def _kept(self) -> dict:
+        """The sign-free intermediates this field keeps, by kind."""
+        return {}
+
+    def _keep(self, kind: str, source: object, build: Callable[[], object]):
+        """The intermediate ``kind`` of this field built from ``source`` (a
+        table or a grid, compared by identity): ``build()`` at the first
+        call, kept in the kind's one slot with ``source`` itself, its arrays
+        read-only, and built again when ``source`` changes."""
+        slot = self._kept.get(kind)
+        if slot is None or slot[0] is not source:
+            value = build()
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            slot = self._kept[kind] = (source, value)
+        return slot[1]
+
 
 class FieldRplus(_Field):
-    """Samples of a C^n-valued function on a uniform half-line grid."""
+    """Samples of a C^n-valued function on a uniform half-line grid.
+
+    Keeps its even extension (:func:`extend_even`), and the sign-free parts
+    of :func:`wave_op_decomposed` and :func:`wave_op_stationary`, for the
+    last table and grid they read."""
 
     kind = "half-line"
 
@@ -224,7 +270,11 @@ class FieldRplus(_Field):
 
 class FieldR(_Field):
     """Samples of a C^n-valued function on a uniform grid symmetric about 0
-    whose centre node is 0, so that its right half is a half-line grid."""
+    whose centre node is 0, so that its right half is a half-line grid.
+
+    Keeps its FFT on the circle of the symbols of the last table it was
+    convolved with (:func:`_symbol_convolve`): every symbol of a table
+    shares that circle."""
 
     kind = "symmetric"
 
@@ -257,10 +307,14 @@ def _same_grid(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 
 def extend_even(f: FieldRplus) -> FieldR:
-    """Even reflection onto the symmetric grid: value at -x equals value at x."""
-    xs = np.concatenate([-f.x[:0:-1], f.x])
-    vals = np.concatenate([f.values[:0:-1], f.values])
-    return FieldR._derived(xs, vals)
+    """Even reflection onto the symmetric grid: value at -x equals value at x.
+    Built once per field and kept on it."""
+
+    def build() -> FieldR:
+        xs = np.concatenate([-f.x[:0:-1], f.x])
+        return FieldR._derived(xs, np.concatenate([f.values[:0:-1], f.values]))
+
+    return f._keep("even", None, build)
 
 
 def restrict(f: FieldR) -> FieldRplus:
@@ -460,9 +514,13 @@ def kernel_apply_adjoint(kt: KernelTable, f: FieldRplus) -> FieldRplus:
 
 def wave_op_stationary(pt: PhysicalSolutionTable, f: FieldRplus, sign: int = +1) -> FieldRplus:
     """Stationary route: adjoint generalized Fourier map applied to the free
-    cosine transform of the field."""
+    cosine transform of the field.  The cosine data ``F_0 f`` do not depend
+    on the sign: the field keeps them for the table's grid, so ``W_+`` and
+    ``W_-`` of one field take one cosine transform."""
     _same_grid(pt.grid.x, f.x, "field and solution table")
-    return f.replace_values(fourier_maps_adjoint(pt, f0_transform(pt.grid, f.values), sign))
+    grid = pt.grid
+    cosine = f._keep("cosine", grid, lambda: f0_transform(grid, f.values))
+    return f.replace_values(fourier_maps_adjoint(pt, cosine, sign))
 
 
 def wave_op_decomposed(
@@ -476,7 +534,11 @@ def wave_op_decomposed(
     ``t = S_inf E f + F_s * E f`` the bracket is ``(E f + t) / 2 +
     (i sign / 2) H(E f - t)``: one convolution, one Hilbert transform and one
     kernel pass.  ``R`` keeps the last ``c + 1`` of the ``N = 2c + 1`` nodes,
-    the only ones transformed, on ``next_fast_len(N + c)`` points.
+    the only ones transformed, on ``next_fast_len(N + c)`` points.  The
+    halves ``a = R (E f + t) / 2`` and ``b = (i / 2) R H(E f - t)`` do not
+    depend on the sign: the field keeps them for the table ``st``, so
+    ``W_+`` and ``W_-`` of one field share them and differ by the kernel
+    pass on ``a + sign b`` alone.
 
     Raises
     ------
@@ -490,12 +552,19 @@ def wave_op_decomposed(
         whatever the field's support.
     """
     _check_sign(sign)
+    a, b = f._keep("bracket", st, lambda: _bracket_halves(st, f))
+    u = f.replace_values(a + b if sign > 0 else a - b)
+    return u.replace_values(u.values + kernel_apply(kt, u).values)
+
+
+def _bracket_halves(st: ScatteringTable, f: FieldRplus) -> tuple[np.ndarray, np.ndarray]:
+    """The sign-free halves ``(a, b)`` of the decomposed route's bracket on
+    the half line (see :func:`wave_op_decomposed`)."""
     g = extend_even(f)
     t = g.values @ st.S_infinity.T + _symbol_convolve(st, "Fs", g).values
     c = g.center
     h = _hilbert_from(g.replace_values(g.values - t), c)
-    u = f.replace_values(0.5 * (g.values[c:] + t[c:]) + 0.5j * sign * h)
-    return u.replace_values(u.values + kernel_apply(kt, u).values)
+    return 0.5 * (g.values[c:] + t[c:]), 0.5j * h
 
 
 def _identity_gate(st: ScatteringTable) -> None:
@@ -516,11 +585,14 @@ def _symbol_field(st: ScatteringTable, name: str) -> FieldR:
 def _symbol_convolve(st: ScatteringTable, name: str, f: FieldR, adjoint: bool = False) -> FieldR:
     """:func:`convolve` by the symbol ``name`` (with ``adjoint``,
     :func:`convolve_adjoint`) from the spectrum the table keeps
-    (:meth:`~.scattering.ScatteringTable.symbol_spectrum`), after the same checks."""
+    (:meth:`~.scattering.ScatteringTable.symbol_spectrum`), after the same
+    checks.  Forward, the field's own spectrum on that circle is the one it
+    keeps, so the call is one product and one inverse FFT."""
     _matrix_kernel(_symbol_field(st, name), f)
     spectrum = st.symbol_spectrum(name, adjoint)
     if not adjoint:
-        return f.replace_values(circular_convolve(spectrum, f.values) * f.dx)
+        vk = f._keep("circle", st, lambda: fft(f.values, spectrum.shape[0], axis=0))
+        return f.replace_values(_circle_product(spectrum, vk, f.x.size) * f.dx)
     w = f.weights[:, None]
     return f.replace_values(circular_convolve(spectrum, w * f.values) * (f.dx / w))
 

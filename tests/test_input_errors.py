@@ -28,6 +28,7 @@ from scatterkit.spectral import (
     physical_solution,
 )
 from scatterkit.waveop import (
+    FieldR,
     FieldRplus,
     WaveOpError,
     wave_op_adjoint,
@@ -126,6 +127,21 @@ def _nan_jost_node(n):
     return call
 
 
+def _with_nan(values: np.ndarray, node: int = 5) -> np.ndarray:
+    values = np.array(values, dtype=complex)
+    values[node] = NAN
+    return values
+
+
+def _nan_field(call):
+    # one NaN sample in an otherwise admissible packet
+    def run():
+        pt = _free_table()
+        call(pt, _with_nan(np.exp(-((pt.grid.x - 2.0) ** 2))))
+
+    return run
+
+
 def _empty_schedule():
     pt = _free_table()
     f = FieldRplus(pt.grid.x, np.exp(-((pt.grid.x - 2.0) ** 2)))
@@ -166,6 +182,21 @@ CASES = {
     "decomposed sign": (_route(wave_op_decomposed, 0), SpectralError, "sign"),
     "l1 form sign": (_route(wave_op_l1_form, 2), SpectralError, "sign"),
     "adjoint sign": (_route(wave_op_adjoint, 2), SpectralError, "sign"),
+    "field nan": (_nan_field(lambda pt, y: FieldRplus(pt.grid.x, y)), SpectralError, "field values"),
+    "full-line field inf": (
+        lambda: FieldR(np.arange(-4.0, 4.5, 0.5), np.where(np.arange(17) == 8, INF, 1.0)),
+        SpectralError,
+        "field values",
+    ),
+    "evolve field nan": (_nan_field(lambda pt, y: evolve_spectral(pt, y, 1.0)), SpectralError, "samples Y"),
+    "after free field nan": (_nan_field(lambda pt, y: interacting_after_free(pt, y, 1.0)), SpectralError, "samples Y"),
+    "map field nan": (_nan_field(fourier_maps), SpectralError, "samples Y"),
+    "adjoint map nan": (
+        lambda: fourier_maps_adjoint(_free_table(), _with_nan(np.ones(_free_table().grid.npos))),
+        SpectralError,
+        "samples Z",
+    ),
+    "f0 field nan": (_nan_field(lambda pt, y: f0_transform(pt.grid, y)), SpectralError, "samples Y"),
 }
 
 

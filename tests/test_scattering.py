@@ -397,6 +397,36 @@ def test_matrix_potential_pipeline(matrix_potential):
     assert 0.0 < table.h1norm < np.inf
 
 
+def test_s_infinity_comes_from_one_diagonalization(
+    golden_potential, golden_boundary, matrix_potential, matrix_boundary,
+    matrix3_potential, matrix3_boundary, monkeypatch,
+):
+    # the pairs of the three benchmark workloads and the 3x3 fixture: from
+    # jost_matrix to smatrix the pair is validated and diagonalized once,
+    # and S_inf is bit for bit predicted_s_infinity of that normal form
+    from scatterkit import boundary, jost
+
+    grid = KXGrid.build(kmax=10.0, nk=128, dx=1 / 32, xmax=4.0)
+    cases = [
+        (golden_potential, golden_boundary),
+        (matrix_potential, matrix_boundary),
+        (zero_potential(1), BoundaryPair.neumann(1)),
+        (matrix3_potential, matrix3_boundary),
+    ]
+    calls = []
+    validate = boundary.validate_boundary
+    for module in (boundary, jost):
+        monkeypatch.setattr(
+            module, "validate_boundary", lambda bp: calls.append(bp) or validate(bp), raising=False
+        )
+    for potential, bp in cases:
+        jt = solve_faddeev(potential, grid)
+        del calls[:]
+        table = smatrix(jost_matrix(jt, bp))
+        assert calls == [bp]
+        np.testing.assert_array_equal(table.S_infinity, predicted_s_infinity(diagonalize_boundary(bp)))
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     a1=st.floats(min_value=1.0, max_value=3.0),

@@ -548,15 +548,132 @@ def test_decomposed_matches_three_term_oracle(golden_wave, matrix_wave):
 )
 def test_route_makes_one_pass_of_each_primitive(golden_wave, monkeypatch, route, passes):
     _, table, kt = golden_wave
-    calls = dict.fromkeys(passes, 0)
-    for name in calls:
-        def counted(*args, _name=name, _op=getattr(waveop, name), **kwargs):
-            calls[_name] += 1
-            return _op(*args, **kwargs)
-        monkeypatch.setattr(waveop, name, counted)
+    calls = _count_calls(monkeypatch, waveop, passes)
     x = table.grid.x
     route(table, kt, FieldRplus(x, np.exp(-((x - 6.0) ** 2))), +1)
     assert calls == passes
+
+
+def _count_calls(monkeypatch, module, names) -> dict:
+    """How often each of the module's functions ``names`` is called from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in calls:
+        def counted(*args, _name=name, _op=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _op(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_both_signs_share_the_sign_free_passes(golden_wave, monkeypatch):
+    # W_+ and W_- of one field: one Hilbert transform and one F_s product
+    # for the decomposed route, one forward FFT of E f for it and the
+    # four-term route together, and one cosine transform for the stationary
+    # route; the data-independent spectra are built by a first field
+    pt, table, kt = golden_wave
+    x = table.grid.x
+    first = FieldRplus(x, np.exp(-((x - 5.0) ** 2)))
+    for sign in (+1, -1):
+        wave_op_decomposed(table, kt, first, sign)
+        wave_op_l1_form(table, kt, first, sign)
+    calls = _count_calls(
+        monkeypatch, waveop, ["_hilbert_from", "_symbol_convolve", "kernel_apply", "f0_transform", "fft"]
+    )
+    ffts = _count_calls(monkeypatch, grids, ["fft", "ifft"])
+    f = FieldRplus(x, np.exp(-((x - 6.0) ** 2)))
+    for sign in (+1, -1):
+        wave_op_decomposed(table, kt, f, sign)
+    assert calls == {"_hilbert_from": 1, "_symbol_convolve": 1, "kernel_apply": 2, "f0_transform": 0, "fft": 1}
+    for sign in (+1, -1):
+        wave_op_l1_form(table, kt, f, sign)
+    assert calls["fft"] == 1 and calls["_symbol_convolve"] == 3
+    # the rest: the Hilbert transform's two FFTs and one inverse FFT per product
+    assert ffts == {"fft": 1, "ifft": 4}
+    for sign in (+1, -1):
+        wave_op_stationary(pt, f, sign)
+    assert calls["f0_transform"] == 1
+
+
+def _packet(x: np.ndarray, n: int) -> np.ndarray:
+    """A benchmark-like probe packet on the half-line grid ``x``, along a
+    fixed unit vector of C^n."""
+    packet = np.exp(1.5j * x - (x - 0.4 * x[-1]) ** 2 / (2.0 * 0.55**2))
+    return packet[:, None] * (np.ones(1) if n == 1 else np.array([0.6, 0.8j]))
+
+
+def _route_values(pt, table, kt, f, sign, route):
+    """One route's values on ``f``; None when the four-term route refuses."""
+    try:
+        if route == "stationary":
+            return wave_op_stationary(pt, f, sign).values
+        op = wave_op_decomposed if route == "decomposed" else wave_op_l1_form
+        return op(table, kt, f, sign).values
+    except HypothesisViolated:
+        return None
+
+
+def _apply_pass(pt, table, kt, f) -> dict:
+    """Every route at both signs on one field, in the order of the
+    benchmark's apply pass."""
+    routes = ("stationary", "decomposed", "l1_form")
+    return {(sign, r): _route_values(pt, table, kt, f, sign, r) for sign in (+1, -1) for r in routes}
+
+
+def _assert_fresh(pt, table, kt, values, shared):
+    for (sign, route), got in shared.items():
+        fresh = _route_values(pt, table, kt, FieldRplus(pt.grid.x, values), sign, route)
+        assert (got is None) == (fresh is None)
+        assert got is None or np.array_equal(got, fresh), (sign, route)
+
+
+#: the fixture of each table set and the order of (pt, table, kt) in it
+TABLE_SETS = {"golden_wave": (0, 1, 2), "matrix_tables": (2, 0, 1), "neumann_free": (0, 1, 2)}
+
+
+@pytest.mark.parametrize("tables", list(TABLE_SETS))
+def test_kept_field_data_give_the_fresh_field_outputs(tables, request):
+    # one field through every route at both signs returns, bit for bit,
+    # what each call returns on a field of its own
+    fixture = request.getfixturevalue(tables)
+    pt, table, kt = (fixture[i] for i in TABLE_SETS[tables])
+    values = _packet(pt.grid.x, table.n)
+    _assert_fresh(pt, table, kt, values, _apply_pass(pt, table, kt, FieldRplus(pt.grid.x, values)))
+
+
+def test_kept_field_data_follow_the_table(golden_wave):
+    # one field alternating between the golden Robin tables, free Neumann
+    # tables on the same grid, and free Neumann tables on the same nodes x
+    # with other momenta matches a fresh field at every call
+    golden = golden_wave
+    neumann = []
+    for grid in (golden[0].grid, KXGrid.build(kmax=40.0, nk=1024, dx=1 / 128, xmax=16.0)):
+        jt = jost_matrix(solve_faddeev(zero_potential(1), grid), BoundaryPair.neumann(1))
+        table = scattering_table(jt)
+        neumann.append((physical_solution(jt, table), table, marchenko_kernel(jt)))
+    assert np.array_equal(neumann[1][0].grid.x, golden[0].grid.x)
+    values = _packet(golden[0].grid.x, 1)
+    f = FieldRplus(golden[0].grid.x, values)
+    for tables in (golden, neumann[0], golden, neumann[1], neumann[0], golden):
+        _assert_fresh(*tables, values, _apply_pass(*tables, f))
+
+
+def test_fields_are_immutable(golden_wave):
+    # the constructor keeps its own copy, every field's values are read-only,
+    # and a caller writing to its array afterwards changes no result
+    pt, table, kt = golden_wave
+    x = pt.grid.x
+    samples = _packet(x, 1)
+    original = samples.copy()
+    f = FieldRplus(x, samples)
+    before = wave_op_stationary(pt, f, +1).values
+    samples[:] = 0.0
+    assert np.array_equal(f.values, original)
+    assert np.array_equal(before, wave_op_stationary(pt, f, +1).values)
+    _assert_fresh(pt, table, kt, original, _apply_pass(pt, table, kt, f))
+    g = extend_even(f)
+    for field in (f, g, restrict(g), f.replace_values(2.0 * original), wave_op_decomposed(table, kt, f, +1)):
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[0] = 1.0
 
 
 def test_symbol_spectra_are_built_once_per_table(golden_wave, monkeypatch):
