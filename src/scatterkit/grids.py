@@ -48,12 +48,13 @@ sweeps: the slope matrix is ``A = E A_s`` with ``A_s`` symmetric and ``E =
 diag(2, 1, ..., 1, 2)``, so ``A^{-T} = E^{-1} A^{-1} E``.
 
 Every convolution of a field with a kernel in ``waveop`` (the Hilbert
-transform and the symbols' convolutions) is one circular FFT product,
-:func:`circular_convolve` with the kernel's spectrum on the shortest circle
-on which nothing read wraps, rounded up to a fast length: the lattice
-Hilbert kernel's outputs from node ``c`` read ``2N - 1 - c`` lags, and a
-symbol on the field's own symmetric grid needs ``N + (N - 1)/2`` points
-(:func:`convolution_spectrum`, ``N + max(p, r)`` for the lags ``-p .. r``).
+transform, and the symbols' convolutions and their adjoints) is one
+circular FFT product, :func:`circular_convolve` with the kernel's spectrum
+on the shortest circle on which nothing read wraps, rounded up to a fast
+length: the lattice Hilbert kernel's outputs from node ``c`` read ``2N - 1
+- c`` lags, and a kernel on the field's own symmetric grid needs ``N + (N -
+1)/2`` points (:func:`convolution_spectrum`, ``N + max(p, r)`` for the lags
+``-p .. r``).
 
 Every FFT in the package is ``numpy.fft``, at the 11-smooth lengths of
 :func:`next_fast_len`; the package imports no scipy module on any path of
@@ -65,9 +66,10 @@ the two node counts and the grids ``(nk, m, k0, dk, y0, dy)``, origins in
 ``np.longdouble``; and the lattice Hilbert kernel's spectrum in ``waveop``,
 keyed on the node count and the first node read.  The spectra of the
 symbols ``F_s`` and ``P_+-`` are data: each
-:class:`~.scattering.ScatteringTable` keeps its own, built at first use
-(``symbol_spectrum``), and they go with the table.  Kept spectra and
-phases are read-only.
+:class:`~.scattering.ScatteringTable` keeps one per symbol, built at first
+use (``symbol_spectrum``), which a convolution and its adjoint (the same
+spectrum, conjugate-transposed) both read, and they go with the table.
+Kept spectra and phases are read-only.
 """
 
 from __future__ import annotations

@@ -184,6 +184,12 @@ class NearField:
         ``(ncell, n, 2, n, nk)``: the momenta run along the contiguous axis.
     wall : ndarray
         ``f(k, x[0])``, shape ``(nk, n, n)``: the propagation's final state.
+
+    The table-grid maps of :mod:`~.spectral` take the whole of ``f`` on the
+    nodes before the last and plane waves from ``x[-1]`` on (:meth:`start`).
+    :meth:`analysis` and :meth:`synthesis` split the momenta by sign, so
+    they need momenta closed under ``k -> -k``, ``k[::-1] == -k``, as the
+    table's are.
     """
 
     k: np.ndarray
@@ -198,6 +204,23 @@ class NearField:
     @property
     def n(self) -> int:
         return self.basis.shape[-1]
+
+    @property
+    def start(self) -> int:
+        """The number of nodes before the last, the index of the first node
+        of the maps' plane sums."""
+        return self.x.size - 1
+
+    @property
+    def vanishes(self) -> bool:
+        """Whether the nodes are the wall alone (a zero potential), so that
+        there is no near-field sum."""
+        return self.start == 0
+
+    def weighted(self, Ynear: np.ndarray) -> np.ndarray:
+        """The conjugate of the trapezoid-weighted field on the nodes before
+        the last, from the field on ``x``: the ``Yc`` of :meth:`sums`."""
+        return np.conj(Ynear[: self.start] * trapezoid_weights(self.x)[: self.start, None])
 
     def cells(self, nodes: int) -> list[tuple[int, int, int]]:
         """``(c, lo, hi)`` for each cell holding some of the first ``nodes``
@@ -258,6 +281,30 @@ class NearField:
             part = np.matmul(waves[..., lo:hi].transpose(0, 2, 1), A).view(complex)  # (n, nodes, rows)
             out[:, lo:hi] = np.einsum("al,lxr->rxa", self.basis[c], part)
         return out
+
+    def analysis(self, Ynear: np.ndarray, sums: np.ndarray | None = None) -> list[np.ndarray]:
+        """``sum_x w(x) f(+-k, x)^T conj(Y(x))`` over the nodes before the
+        last at the positive momenta ``k``, each ``(nk / 2, n)``: the
+        :meth:`sums` of the field on ``x`` (``sums`` if given), split by
+        sign (momenta closed under ``k -> -k``)."""
+        R = self.sums(self.weighted(Ynear)) if sums is None else sums
+        npos = self.k.size // 2
+        return [R[npos:], R[npos - 1 :: -1]]
+
+    def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
+        """``sum_k f(k, x) Z(k) + f(-k, x) Zm(k)`` over the first ``J``
+        positive momenta ``k`` on the nodes before the last, for each row of
+        ``Z`` and ``Zm`` (shape ``(rows, J, n)``), shape ``(rows, nodes,
+        n)``: the coefficients of ``+-k`` (momenta closed under ``k -> -k``)
+        folded onto ``|k|``, then one :meth:`spread`."""
+        rows, J, n = Z.shape
+        npos = self.k.size // 2
+        cd = self.coeffs.reshape(-1, n, self.k.size)[None]
+        pos, neg = cd[..., npos : npos + J], cd[..., npos - J : npos][..., ::-1]
+        # E[r, (c, l, s), p]
+        E = (pos * Z.transpose(0, 2, 1)[:, None]).sum(axis=2)
+        E += (neg * Zm.transpose(0, 2, 1)[:, None]).sum(axis=2)
+        return self.spread(E.reshape((rows,) + self.coeffs.shape[:3] + (J,)), self.start)
 
 
 @dataclass(frozen=True)
@@ -368,8 +415,8 @@ def faddeev_solve(
     :func:`~.grids._phases`, two short exponential tables per ``|k|`` on
     uniform nodes, a block of ``_FACTOR_BLOCK`` entries at a time; the evanescent
     channels and the cell's left edge take ``cosh``, ``sinh`` and the
-    exponentials directly.  Without potential right of ``x_out[0]`` one
-    cell with ``V = 0`` carries ``f = e^{ikx} I``.
+    exponentials directly.  Without potential right of ``x_out[0]`` the one
+    cell, of zero width on one node, carries ``f = e^{ikx} I``.
 
     Parameters
     ----------
@@ -407,12 +454,9 @@ def faddeev_solve(
         )
 
     xe = x_out[-1]
-    if nx == 1 or potential.support_radius <= x_out[0]:
-        edges, cells = x_out[[0, -1]], np.zeros((1, n, n))
-    else:
-        inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xe)]
-        edges = np.concatenate([[x_out[0]], inner, [xe]])
-        cells = potential.segment_values(edges)
+    inner = potential.breaks[(potential.breaks > x_out[0]) & (potential.breaks < xe)]
+    edges = np.concatenate([[x_out[0]], inner, [xe]])
+    cells = potential.segment_values(edges)
     ncell = cells.shape[0]
     owner = np.clip(np.searchsorted(edges, x_out, side="right") - 1, 0, ncell - 1)
     bounds = np.searchsorted(owner, np.arange(ncell + 1))

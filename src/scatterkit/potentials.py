@@ -6,13 +6,15 @@ for the step potentials used throughout, makes every moment integral a
 closed-form sum over cells, and turns sampled potentials into step functions
 at the sampling resolution.
 
-The decay functionals govern all kernel estimates downstream:
+The decay functionals (:func:`moments`) are the tails
 
 * ``sigma(x)  = integral_x^inf |V(y)| dy``
 * ``sigma1(x) = integral_x^inf  y |V(y)| dy``
 
 with ``|.|`` the spectral (largest singular value) norm, so that
-``integral_0^inf sigma(x) dx == sigma1(0)``.
+``integral_0^inf sigma(x) dx == sigma1(0)`` and ``sigma(0) + sigma1(0)`` is
+the paper's first-moment hypothesis ``integral_0^inf (1 + x) |V(x)| dx``.
+No other module reads them.
 """
 
 from __future__ import annotations

@@ -107,25 +107,23 @@ class ScatteringTable:
         through the grid samples, entrywise."""
         return UniformSpline(self.k, self.S)(k_query)
 
-    def symbol_spectrum(self, name: str, adjoint: bool = False) -> np.ndarray:
+    def symbol_spectrum(self, name: str) -> np.ndarray:
         """The :func:`~.grids.convolution_spectrum` of the symbol ``name``
         (``"Fs"``, ``"Pplus"`` or ``"Pminus"``) for fields on ``grid.x_sym``,
-        its lag 0 at the centre node; with ``adjoint``, that of ``g(-l)^dagger``,
-        which fills the same circle: ``g``'s, conjugate-transposed.  Built at
-        first use, not by :func:`fs_symbol`, and kept on this table
-        (read-only); a table made by ``dataclasses.replace`` builds its own."""
+        its lag 0 at the centre node.  The convolution and its adjoint both
+        read it: the adjoint's kernel ``g(-l)^dagger`` fills the same circle,
+        so its spectrum is this one conjugate-transposed.  Built at first
+        use, not by :func:`fs_symbol`, and kept on this table (read-only); a
+        table made by ``dataclasses.replace`` builds its own."""
         spectra = self._symbol_spectra
-        if (name, adjoint) not in spectra:
+        if name not in spectra:
             g = getattr(self, name)
-            spectra[name, adjoint] = (
-                self.symbol_spectrum(name).conj().swapaxes(-1, -2) if adjoint
-                else convolution_spectrum(g, g.shape[0] // 2, g.shape[0])
-            )
-            spectra[name, adjoint].flags.writeable = False
-        return spectra[name, adjoint]
+            spectra[name] = convolution_spectrum(g, g.shape[0] // 2, g.shape[0])
+            spectra[name].flags.writeable = False
+        return spectra[name]
 
     @cached_property
-    def _symbol_spectra(self) -> dict[tuple[str, bool], np.ndarray]:
+    def _symbol_spectra(self) -> dict[str, np.ndarray]:
         return {}
 
 

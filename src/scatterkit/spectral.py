@@ -25,21 +25,21 @@ before its last and plane waves from there on, and no product subtracts
 ``e^{ikx} I``.  Analysis turns the field into each cell's basis, contracts
 it with the factors (one real product per cell and channel) and combines
 the result with each momentum's coefficients; synthesis is its exact
-transpose, with the coefficients of ``+-k`` folded onto ``|k|``
-(:class:`_NearMatrix`).  The near-field sums are linear in ``m``, so the
-dense grid reads those of the table grid, less their plane-wave part, and
-one not-a-knot spline carries the small result, ``(nk, n)``, to the dense
-momenta; :func:`evolve_spectral` forms them once, for the map that sizes
-its stage and for the spline.  Before the spline the sums are demodulated
-by the phase of the near field's end, which halves the frequencies the
-spline must follow (:class:`_NearSpline`).  Synthesis is the exact
-transpose: the spline's adjoint (:func:`~.grids.spline_adjoint`) gathers
-the dense momenta onto the table grid, then the table grid's synthesis
-less its plane-wave part.  So no ``m`` table, no slope table of ``m`` and
-no phase table on the dense grid is ever formed.  Where the near field is
-the wall alone (a zero potential) the maps skip it.  Evolution is one
-analysis, the multipliers of every time, and one synthesis of all the
-times as rows.
+transpose, with the coefficients of ``+-k`` folded onto ``|k|``.  The map
+kernel (:class:`_MapKernel`) reads both off the ``NearField`` itself.  The
+near-field sums are linear in ``m``, so the dense grid reads those of the
+table grid, less their plane-wave part, and one not-a-knot spline carries
+the small result, ``(nk, n)``, to the dense momenta; :func:`evolve_spectral`
+forms them once, for the map that sizes its stage and for the spline.
+Before the spline the sums are demodulated by the phase of the near
+field's end, which halves the frequencies the spline must follow
+(:class:`_NearSpline`).  Synthesis is the exact transpose: the spline's
+adjoint (:func:`~.grids.spline_adjoint`) gathers the dense momenta onto the
+table grid, then the table grid's synthesis less its plane-wave part.  So
+no ``m`` table, no slope table of ``m`` and no phase table on the dense
+grid is ever formed.  Where the near field is the wall alone (a zero
+potential) the maps skip it.  Evolution is one analysis, the multipliers of
+every time, and one synthesis of all the times as rows.
 """
 from __future__ import annotations
 
@@ -59,7 +59,6 @@ from .grids import (
     next_fast_len,
     simpson_weights,
     spline_adjoint,
-    trapezoid_weights,
 )
 from .jost import JostTable, NearField
 from .potentials import _matmul
@@ -161,11 +160,6 @@ class PhysicalSolutionTable:
         return self.S.shape[-1]
 
     @cached_property
-    def _near_matrix(self) -> "_NearMatrix":
-        """The near-field products at the stored momenta, on the factors."""
-        return _NearMatrix(self.near, self.k.size // 2, self.grid.dx)
-
-    @cached_property
     def _S_spline(self) -> UniformSpline:
         """``S`` between the stored momenta: its not-a-knot spline."""
         return UniformSpline(self.k, self.S)
@@ -230,129 +224,59 @@ def f0_transform(grid: KXGrid, Y: np.ndarray, k: np.ndarray | None = None) -> np
 
 
 @dataclass(frozen=True)
-class _NearMatrix:
-    """The Jost solution ``f(q, x)`` at every node ``q`` of the table grid and
-    every near-field node before the last, ``x < xv[-1]``, read through the
-    Jost table's cell factors (:class:`~.jost.NearField`), whose rows of
-    distinct ``|q|`` are the positive nodes in order.
-
-    Beyond ``xv[-1]`` the solution is ``e^{iqx} I``, so the table-grid maps
-    take the whole of ``f`` on these nodes and plane waves from ``xv[-1]``
-    on (``start``): no product subtracts ``e^{iqx} I``.  The grid is closed
-    under ``q -> -q`` (``q[::-1] == -q``), so both Faddeev factors of a
-    positive momentum ``k`` read the row of ``|k|``: analysis is one
-    product per cell and channel with the factors, and synthesis its
-    transpose, with the ``+-k`` coefficients folded onto ``|k|`` by adding
-    the symmetric halves.  Off the grid, :class:`_NearSpline` reads the
-    sums, and the synthesis of a symmetric block of momenta.
-    """
-
-    field: NearField
-    npos: int
-    dx: float
-
-    @property
-    def xv(self) -> np.ndarray:
-        return self.field.x
-
-    @property
-    def start(self) -> int:
-        """The number of near-field nodes before the last, the index of the
-        first node of the plane sums."""
-        return self.xv.size - 1
-
-    @property
-    def vanishes(self) -> bool:
-        """Whether the near field is the wall alone (a zero potential), so
-        that there is no near-field sum."""
-        return self.start == 0
-
-    def weighted(self, Ynear: np.ndarray) -> np.ndarray:
-        """The conjugate of the trapezoid-weighted field on the nodes before
-        ``xv[-1]``, from the field on ``xv``."""
-        return np.conj(Ynear[: self.start] * trapezoid_weights(self.xv)[: self.start, None])
-
-    def sums(self, Ynear: np.ndarray) -> np.ndarray:
-        """``sum_x w(x) f(q, x)^T conj(Y(x))`` over ``x < xv[-1]`` at every
-        grid momentum ``q``, shape ``(len(q), n)``, from the field on ``xv``."""
-        return self.field.sums(self.weighted(Ynear))
-
-    def synthesis(self, Z: np.ndarray, Zm: np.ndarray) -> np.ndarray:
-        """``sum_k f(k, x) Z(k) + f(-k, x) Zm(k)`` over the first ``J`` positive
-        nodes ``k`` (all of them for the table grid's maps) on ``x <
-        xv[-1]``, for each row of ``Z`` and ``Zm`` (shape ``(rows, J, n)``),
-        shape ``(rows, nodes, n)``."""
-        rows, J, n = Z.shape
-        cd = self.field.coeffs.reshape(-1, n, self.field.k.size)[None]
-        pos, neg = cd[..., self.npos : self.npos + J], cd[..., self.npos - J : self.npos][..., ::-1]
-        # the coefficients of +-k, folded onto |k|: E[r, (c, l, s), p]
-        E = (pos * Z.transpose(0, 2, 1)[:, None]).sum(axis=2)
-        E += (neg * Zm.transpose(0, 2, 1)[:, None]).sum(axis=2)
-        return self.field.spread(E.reshape((rows,) + self.field.coeffs.shape[:3] + (J,)), self.start)
-
-    def analysis(self, Ynear: np.ndarray, sums: np.ndarray | None = None) -> list[np.ndarray]:
-        """``sum_x w(x) f(+-k, x)^T conj(Y(x))`` over ``x < xv[-1]`` for both
-        factors, each ``(npos, n)``, split by sign from :meth:`sums`, which
-        ``sums`` holds if given."""
-        R = self.sums(Ynear) if sums is None else sums
-        return [R[self.npos :], R[self.npos - 1 :: -1]]
-
-
-@dataclass(frozen=True)
 class _NearSpline:
     """The near-field sums of ``f(q, x) - e^{iqx} I`` at momenta ``q`` off the
     table grid: ``+kq`` then ``-kq`` for uniform positive ``kq``.
 
     The sums are linear in ``m``, so they are formed on the table grid, from
-    the near matrix's sums less their plane-wave part, at the knots ``k``,
-    and the small result is interpolated, not ``m``.  As a function of
-    ``k``, ``e^{ikx} (m(k, x) - I) = integral_x^{2b - x} K(x, y) e^{iky} dy``
-    is a transform of the Marchenko kernel for a potential supported in
-    ``[0, b]``, with frequencies ``y`` in ``[0, 2b]``.  Demodulated by
-    ``e^{-ikc}`` (``demod``) at the near field's end ``c = xv[-1] >= b``,
-    the sums hold frequencies of at most ``c``, where ``m - I`` itself holds
-    up to ``2b``; on the test fixtures the spline of ``m`` erred 2 to 5
-    times more.  One spline carries them to ``q``, where ``e^{iqc}``
-    (``remod``) restores the phase.  The plane sums of the dense grid cover
-    the whole window.  Synthesis is the exact transpose of that path:
-    :func:`~.grids.spline_adjoint`, then the near matrix's spread less its
-    plane-wave part.
+    the :class:`~.jost.NearField` sums less their plane-wave part, at the
+    knots ``k``, and the small result is interpolated, not ``m``.  As a
+    function of ``k``, ``e^{ikx} (m(k, x) - I) = integral_x^{2b - x} K(x, y)
+    e^{iky} dy`` is a transform of the Marchenko kernel for a potential
+    supported in ``[0, b]``, with frequencies ``y`` in ``[0, 2b]``.
+    Demodulated by ``e^{-ikc}`` (``demod``) at the near field's end ``c =
+    xv[-1] >= b``, the sums hold frequencies of at most ``c``, where ``m -
+    I`` itself holds up to ``2b``; on the test fixtures the spline of ``m``
+    erred 2 to 5 times more.  One spline carries them to ``q``, where
+    ``e^{iqc}`` (``remod``) restores the phase.  The plane sums of the dense
+    grid cover the whole window.  Synthesis is the exact transpose of that
+    path: :func:`~.grids.spline_adjoint`, then the near field's synthesis
+    less its plane-wave part.  ``dx`` is the table grid's spatial step.
     """
 
-    near: _NearMatrix
+    near: NearField
     k: np.ndarray
     q: np.ndarray
     demod: np.ndarray
     remod: np.ndarray
+    dx: float
 
     #: the dense grid's plane sums cover the whole window
     start = 0
 
     @classmethod
-    def on(cls, near: _NearMatrix, k: np.ndarray, kq: np.ndarray) -> "_NearSpline":
-        """The sums at ``+-kq`` from ``near`` on the table nodes ``k``,
-        splined on the knots within ``SWEEP_BLOCK`` pieces of ``+-kq``: the
-        end conditions there move the pieces that hold ``+-kq`` by under
+    def on(cls, near: NearField, grid: KXGrid, kq: np.ndarray) -> "_NearSpline":
+        """The sums at ``+-kq`` from ``near`` on the table grid, splined on
+        the knots within ``SWEEP_BLOCK`` pieces of ``+-kq``: the end
+        conditions there move the pieces that hold ``+-kq`` by under
         ``2^-60``."""
+        k = grid.k
         dk = (k[-1] - k[0]) / (k.size - 1)
         knots = np.flatnonzero(np.abs(k) <= kq[-1] + (SWEEP_BLOCK + 1) * dk)
-        k, c, q = k[knots[0] : knots[-1] + 1], near.xv[-1:], np.concatenate([kq, -kq])
-        return cls(near, k, q, _phases(-k, c)[:, 0], _phases(q, c)[:, 0])
-
-    @property
-    def xv(self) -> np.ndarray:
-        return self.near.xv
+        k, c, q = k[knots[0] : knots[-1] + 1], near.x[-1:], np.concatenate([kq, -kq])
+        return cls(near, k, q, _phases(-k, c)[:, 0], _phases(q, c)[:, 0], grid.dx)
 
     def analysis(self, Ynear: np.ndarray, sums: np.ndarray | None = None) -> list[np.ndarray]:
         """``sum_x w(x) (f(+-q, x) - e^{+-iqx} I)^T conj(Y(x))`` over ``x <
         xv[-1]`` for both factors at ``kq``, each ``(len(kq), n)``, from the
-        near matrix's sums of the field (``sums`` if given) less their plane
+        near field's sums of the field (``sums`` if given) less their plane
         part, both on the whole table grid, at the knots."""
-        near, grid_k = self.near, self.near.field.k
+        near = self.near
+        Yc = near.weighted(Ynear)
         if sums is None:
-            sums = near.sums(Ynear)
-        R = sums - fourier_sum(near.weighted(Ynear), self.xv[0], near.dx, grid_k, +1)
-        lo = np.searchsorted(grid_k, self.k[0])
+            sums = near.sums(Yc)
+        R = sums - fourier_sum(Yc, near.x[0], self.dx, near.k, +1)
+        lo = np.searchsorted(near.k, self.k[0])
         R = R[lo : lo + self.k.size] * self.demod[:, None]
         return np.split(UniformSpline(self.k, R)(self.q) * self.remod[:, None], 2)
 
@@ -365,7 +289,7 @@ class _NearSpline:
         U = spline_adjoint(self.k, self.q, V.transpose(1, 0, 2)) * self.demod[:, None, None]
         whole = near.synthesis(U[J:].transpose(1, 0, 2), U[J - 1 :: -1].transpose(1, 0, 2))
         dk = (self.k[-1] - self.k[0]) / (self.k.size - 1)
-        return whole - fourier_sum(U, self.k[0], dk, self.xv[: near.start], +1).transpose(1, 0, 2)
+        return whole - fourier_sum(U, self.k[0], dk, near.x[: near.start], +1).transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -379,8 +303,9 @@ class _MapKernel:
     Bluestein circle of ``2K + m - 1`` points, not two of ``K + m - 1``:
     analysis reads both halves off one result, and synthesis sums ``Z`` at
     ``+k`` and ``S Z`` at ``-k``.  On the nodes before ``xv[-1]`` the
-    Faddeev factors ``m(sign*k)`` and ``m(-sign*k)`` enter through ``near``:
-    the table grid's :class:`_NearMatrix`, which holds the whole Jost
+    Faddeev factors ``m(sign*k)`` and ``m(-sign*k)`` enter through ``near``,
+    whose products split or fold the momenta by sign, ``+k`` first: the
+    table's own :class:`~.jost.NearField`, which holds the whole Jost
     solution there, so that the plane sums start at ``xv[-1]``; or a
     :class:`_NearSpline` of it on a dense grid, which holds its ``(m - I)``
     part, the plane sums covering the whole window; or ``None`` where the
@@ -394,7 +319,7 @@ class _MapKernel:
     k: np.ndarray
     dk: float
     S: np.ndarray
-    near: _NearMatrix | _NearSpline | None
+    near: NearField | _NearSpline | None
 
     def __post_init__(self) -> None:
         _check_sign(self.sign)
@@ -404,20 +329,6 @@ class _MapKernel:
         """The first node of the plane sums."""
         return 0 if self.near is None else self.near.start
 
-    def _near_analysis(self, Ynear: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
-        """The near-field part of the analysis sum, unscaled, from the field
-        on ``xv``; ``sums`` may hold the table grid's near sums of it."""
-        # e^{-i sign k x} m_s^dagger Y + S^dagger e^{i sign k x} m_ms^dagger Y (less I for the
-        # dense grid), summed over the near field as the conjugate of its transpose
-        plus, minus = self.near.analysis(Ynear, sums)
-        near, mirror = (plus, minus) if self.sign == +1 else (minus, plus)
-        return (near + np.einsum("kji,kj->ki", self.S, mirror)).conj()
-
-    def _near_synthesis(self, Zw: np.ndarray, SZ: np.ndarray) -> np.ndarray:
-        """The near-field part of the synthesis sums of the rows of ``Zw``
-        (``SZ`` holds ``S Zw``), unscaled."""
-        return self.near.synthesis(Zw, SZ) if self.sign == +1 else self.near.synthesis(SZ, Zw)
-
     def analysis(
         self, Y: np.ndarray, x0: float, dx: float, w: np.ndarray, Ynear: np.ndarray,
         sums: np.ndarray | None = None,
@@ -425,12 +336,15 @@ class _MapKernel:
         """``sqrt(1/2pi) sum_x w(x) Psi(-sign*k, x)^dagger Y(x)`` for samples
         ``Y`` on the nodes ``x0 + j dx``; ``Ynear`` holds the field on
         ``xv``, and ``sums`` may hold the table grid's near sums of it
-        (:meth:`_NearMatrix.sums`), formed once for both grids."""
+        (:meth:`~.jost.NearField.sums`), formed once for both grids."""
         j, K = self.start, self.k.size
         both = fourier_sum(Y[j:] * w[j:, None], x0 + j * dx, dx, _mirror(self.k), -self.sign)
         out = both[both.shape[0] - K :] + np.einsum("kji,kj->ki", self.S.conj(), both[K - 1 :: -1])
         if self.near is not None:
-            out += self._near_analysis(Ynear, sums)
+            # e^{-i sign k x} m_s^dagger Y + S^dagger e^{i sign k x} m_ms^dagger Y (less I for the
+            # dense grid), summed over the near field as the conjugate of its transpose
+            near, mirror = self.near.analysis(Ynear, sums)[:: self.sign]
+            out += (near + np.einsum("kji,kj->ki", self.S, mirror)).conj()
         return out / np.sqrt(2.0 * np.pi)
 
     def synthesis(self, Zw: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -451,16 +365,18 @@ class _MapKernel:
         if j:
             out = np.concatenate([np.zeros((Z.shape[0], j, Z.shape[2])), out], axis=1)
         if self.near is not None:  # on the near-field nodes before the last
-            out[:, : self.near.xv.size - 1] += self._near_synthesis(Z, SZ)
+            near = self.near.synthesis(*(Z, SZ)[:: self.sign])
+            out[:, : near.shape[1]] += near
         return (out / np.sqrt(2.0 * np.pi)).reshape(Zw.shape[:-2] + out.shape[1:])
 
 
 def _table_kernel(pt: PhysicalSolutionTable, sign: int) -> _MapKernel:
     """The map kernel on the positive nodes of the table grid, reading the
-    stored ``S`` and Faddeev factors (``k[::-1] == -k`` exactly)."""
+    stored ``S`` and the Jost table's cell factors (``k[::-1] == -k``
+    exactly)."""
     npos = pt.grid.npos
     S = pt.S[npos - 1 :: -1] if sign == +1 else pt.S[npos:]
-    near = None if pt._near_matrix.vanishes else pt._near_matrix
+    near = None if pt.near.vanishes else pt.near
     return _MapKernel(sign, pt.grid.kpos, pt.grid.dk, S, near)
 
 
@@ -515,13 +431,13 @@ class _DenseStage:
         """The map kernel on ``kq``: ``S`` from its spline at ``-sign*kq``,
         the near-field sums from ``near`` unless ``m = I`` there."""
         pt = self.pt
-        near = None if pt._near_matrix.vanishes else self.near
+        near = None if pt.near.vanishes else self.near
         return _MapKernel(sign, self.kq, self.dkq, pt._S_spline(-sign * self.kq), near)
 
     @cached_property
     def near(self) -> _NearSpline:
-        """The near-field sums at ``+-kq``, read from the table's near matrix."""
-        return _NearSpline.on(self.pt._near_matrix, self.pt.k, self.kq)
+        """The near-field sums at ``+-kq``, read from the table's cell factors."""
+        return _NearSpline.on(self.pt.near, self.pt.grid, self.kq)
 
     def _circle_field(self, kernel: _MapKernel, Zw: np.ndarray) -> np.ndarray:
         """Each field synthesized from ``Zw`` on the full FFT circle: ``nfft
@@ -644,7 +560,7 @@ def evolve_spectral(
     tmax = float(np.abs(times).max())
     # the table grid's near sums of the field size the stage and feed its spline
     table, Ynear = _table_kernel(pt, sign), Y[: pt.xv.size]
-    sums = None if table.near is None else table.near.sums(Ynear)
+    sums = None if table.near is None else pt.near.sums(pt.near.weighted(Ynear))
     phi = table.analysis(Y, grid.x[0], grid.dx, grid.wx, Ynear, sums)
     stage = _stage_for(pt, Y, phi, tmax, xmax_out or 0.0)
     kernel = stage.kernel(sign)

@@ -29,9 +29,10 @@ the routes compute from it that does not depend on the sign, built at the
 first call that needs it, one slot per kind: a half-line field its even
 extension, the decomposed route's bracket halves for one scattering table
 and the stationary route's cosine data for one grid; a full-line field
-its spectrum on the circle of one table's symbols.  ``W_+`` and ``W_-`` of one
-field then share that work, and a slot built from another table or grid is
-rebuilt.  A slot holds the table or grid it was built from.
+its spectrum on the one circle of every convolution on its grid
+(:func:`_convolve`).  ``W_+`` and ``W_-`` of one field then share that
+work, and a slot built from another table or grid is rebuilt.  A slot
+holds the table or grid it was built from.
 
 All adjoints are the exact discrete adjoints of the forward quadratures with
 respect to the trapezoid inner products, so duality tests close to rounding;
@@ -41,7 +42,7 @@ they agree with the continuum adjoint formulas up to the quadrature rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -178,8 +179,9 @@ def _check_uniform(x: np.ndarray, label: str) -> None:
 @dataclass(frozen=True)
 class _Field:
     """Samples of a C^n-valued function on a uniform grid; the subclasses
-    fix and check which grid.  Immutable: ``values`` is a read-only view, on
-    a copy of the caller's samples when the constructor built the field."""
+    fix and check which grid.  Immutable: ``values`` is a read-only view,
+    and the constructor copies the caller's grid and samples, the grid
+    read-only too."""
 
     x: np.ndarray
     values: np.ndarray
@@ -188,7 +190,9 @@ class _Field:
     kind = "uniform"
 
     def __post_init__(self):
-        self._adopt(np.asarray(self.x, dtype=float), np.array(self.values, dtype=complex))
+        x = np.array(self.x, dtype=float)
+        x.flags.writeable = False
+        self._adopt(x, np.array(self.values, dtype=complex))
         _check_finite(self.values, "field values")
         _check_uniform(self.x, self.kind)
         self._check_grid()
@@ -272,9 +276,8 @@ class FieldR(_Field):
     """Samples of a C^n-valued function on a uniform grid symmetric about 0
     whose centre node is 0, so that its right half is a half-line grid.
 
-    Keeps its FFT on the circle of the symbols of the last table it was
-    convolved with (:func:`_symbol_convolve`): every symbol of a table
-    shares that circle."""
+    Keeps its FFT on the circle of every kernel on its grid, which each
+    symbol convolution reads (:func:`_convolve`)."""
 
     kind = "symmetric"
 
@@ -423,32 +426,37 @@ def _matrix_kernel(G: FieldR, f: FieldR) -> np.ndarray:
     return g
 
 
-def _channel_convolve(g: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``sum_l g[:, i, l] * values[:, l]`` as linear convolutions along axis
-    0, cropped to the centred ``len(values)`` nodes (``mode="same"``): the
-    kernel's lag 0 is its node ``(len(g) - 1) // 2``.  One circular FFT
-    product for all channel pairs (:func:`~.grids.circular_convolve`) on
-    at most ``next_fast_len(len(values) + len(g) // 2)`` points, where
-    nothing wraps.  A scalar ``(x,)`` kernel acts on every channel alike."""
-    spectrum = convolution_spectrum(g, (g.shape[0] - 1) // 2, values.shape[0])
-    return circular_convolve(spectrum, values)
+def _convolve(spectrum: np.ndarray, f: FieldR, adjoint: bool, keep: bool) -> FieldR:
+    """``Q(G) f``, or with ``adjoint`` its exact discrete adjoint, from the
+    :func:`~.grids.convolution_spectrum` of a kernel ``G`` on ``f``'s grid:
+    one FFT product.  Every such kernel fills one circle, which depends on
+    the grid alone.  The adjoint's kernel ``G(-l)^dagger`` fills it too, so
+    its spectrum is ``G``'s conjugate-transposed; the trapezoid weights of
+    ``f`` enter on both sides.  Forward, with ``keep``, ``f`` keeps its own
+    spectrum on the circle (:meth:`_Field._keep`), built at the first call."""
+    if adjoint:
+        w = f.weights[:, None]
+        out = circular_convolve(spectrum.conj().swapaxes(-1, -2), w * f.values)
+        return f.replace_values(out * (f.dx / w))
+    build = partial(fft, f.values, spectrum.shape[0], axis=0)
+    vk = f._keep("circle", None, build) if keep else build()
+    return f.replace_values(_circle_product(spectrum, vk, f.x.size) * f.dx)
 
 
 def convolve(G: FieldR, f: FieldR) -> FieldR:
     """``(Q(G)Y)(x) = integral G(x-y) Y(y) dy`` with matrix-valued samples of
     ``G`` on the same symmetric grid (trapezoid-in-physical-space, evaluated
-    as an exact linear convolution)."""
+    as an exact linear convolution), its lag 0 at the centre node."""
     g = _matrix_kernel(G, f)
-    return f.replace_values(_channel_convolve(g, f.values) * f.dx)
+    return _convolve(convolution_spectrum(g, g.shape[0] // 2, g.shape[0]), f, False, False)
 
 
 def convolve_adjoint(G: FieldR, f: FieldR) -> FieldR:
     """Exact discrete adjoint of :func:`convolve`: convolution by the
     reversed conjugate-transposed kernel, with the endpoint trapezoid weights
     folded in so the duality pairing closes to rounding."""
-    flipped = _matrix_kernel(G, f)[::-1].conj().swapaxes(-1, -2)
-    out = _channel_convolve(flipped, f.weights[:, None] * f.values)
-    return f.replace_values(out * (f.dx / f.weights[:, None]))
+    g = _matrix_kernel(G, f)
+    return _convolve(convolution_spectrum(g, g.shape[0] // 2, g.shape[0]), f, True, False)
 
 
 def _kernel_gate(kt: KernelTable) -> None:
@@ -586,15 +594,9 @@ def _symbol_convolve(st: ScatteringTable, name: str, f: FieldR, adjoint: bool = 
     """:func:`convolve` by the symbol ``name`` (with ``adjoint``,
     :func:`convolve_adjoint`) from the spectrum the table keeps
     (:meth:`~.scattering.ScatteringTable.symbol_spectrum`), after the same
-    checks.  Forward, the field's own spectrum on that circle is the one it
-    keeps, so the call is one product and one inverse FFT."""
+    checks; forward, the field keeps its own spectrum (:func:`_convolve`)."""
     _matrix_kernel(_symbol_field(st, name), f)
-    spectrum = st.symbol_spectrum(name, adjoint)
-    if not adjoint:
-        vk = f._keep("circle", st, lambda: fft(f.values, spectrum.shape[0], axis=0))
-        return f.replace_values(_circle_product(spectrum, vk, f.x.size) * f.dx)
-    w = f.weights[:, None]
-    return f.replace_values(circular_convolve(spectrum, w * f.values) * (f.dx / w))
+    return _convolve(st.symbol_spectrum(name), f, adjoint, True)
 
 
 def wave_op_l1_form(

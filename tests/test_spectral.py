@@ -206,10 +206,11 @@ def test_duality_is_exact(table, request):
 
 def test_table_near_field_matrix_is_built_once(golden_scatter, monkeypatch):
     """The table-grid maps of either sign read the Jost table's own cell
-    factors as their near-field matrix: no map forms a phase."""
+    factors as their near field: no map forms a phase."""
     jt, table = golden_scatter
     pt = physical_solution(jt, table)
-    assert pt.near is jt.near and pt._near_matrix.field is jt.near
+    assert pt.near is jt.near
+    assert all(spectral._table_kernel(pt, sign).near is jt.near for sign in (+1, -1))
     calls = []
     phases = spectral._phases
 
@@ -240,10 +241,10 @@ def test_near_matrix_matches_the_one_built_from_m(table, request):
     for a in range(n):  # f itself: the whole solution before the plane sums start
         G[:, a, :, a] += np.exp(1j * np.outer(pt.xv[:-1], pt.k))
     G = G.reshape((nxv - 1) * n, nk * n)
-    near = pt._near_matrix
+    near = pt.near
     rng = np.random.default_rng(2)
     Y = rng.normal(size=(nxv, n)) + 1j * rng.normal(size=(nxv, n))
-    sums = near.sums(Y)
+    sums = near.sums(near.weighted(Y))
     reference = (near.weighted(Y).ravel() @ G).reshape(nk, n)
     assert np.abs(sums - reference).max() <= 1e-13 * np.abs(reference).max()
     Z = rng.normal(size=(2, npos, n)) + 1j * rng.normal(size=(2, npos, n))
@@ -267,7 +268,7 @@ def test_vanishing_near_field_is_skipped_without_changing_a_bit(small_grid, monk
         return [phi, fourier_maps_adjoint(pt, phi, -1), evolve_spectral(pt, Y, [0.5, 1.0])]
 
     skipped = run(pt)
-    monkeypatch.setattr(spectral._NearMatrix, "vanishes", False)
+    monkeypatch.setattr(NearField, "vanishes", False)
     forced = dataclasses.replace(pt)  # a table with nothing cached
     assert dataclasses.replace(stage, pt=forced).kernel(+1).near is not None
     for a, b in zip(skipped, run(forced)):
@@ -677,7 +678,7 @@ def test_kernel_blocks_do_not_change_results(matrix2x2_physical, monkeypatch):
         for sign in (+1, -1):
             kernel = dataclasses.replace(stage).kernel(sign)  # a stage with no spline kept
             SZ = np.einsum("kij,tkj->tki", kernel.S, Zw)
-            out += [kernel._near_analysis(Y[: pt.xv.size]), kernel._near_synthesis(Zw, SZ)]
+            out += [np.concatenate(kernel.near.analysis(Y[: pt.xv.size])), kernel.near.synthesis(Zw, SZ)]
             out.append(evolve_spectral(pt, Y, 1.0, sign))
             out.append(interacting_after_free(pt, Y, 2.0 * sign, sign))
         return out
@@ -704,9 +705,9 @@ def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
     monkeypatch.setattr(spectral, "_stage_for", stage_for)
     on = spectral._NearSpline.on
 
-    def counted(near, k, kq):
+    def counted(near, grid, kq):
         splines.append(kq)
-        return on(near, k, kq)
+        return on(near, grid, kq)
 
     monkeypatch.setattr(spectral._NearSpline, "on", counted)
     for name in ("analysis", "synthesis"):
@@ -734,7 +735,7 @@ def test_evolution_forms_the_near_sums_once(matrix_physical, monkeypatch):
     Ynear, Ys = Y[: pt.xv.size], Y[:: stage.ratio]
     kernel, w = stage.kernel(+1), _wall_weights(Ys.shape[0], stage.dxb)
     alone = kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear)
-    shared = kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear, pt._near_matrix.sums(Ynear))
+    shared = kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear, pt.near.sums(pt.near.weighted(Ynear)))
     np.testing.assert_array_equal(shared, alone)
     products = []
     for name in ("sums", "spread"):
@@ -888,13 +889,19 @@ def test_near_field_sums_match_whole_table_reference(table, rows, request):
             k = kernel.k
             noise = rng.normal(size=(k.size, pt.n)) + 1j * rng.normal(size=(k.size, pt.n))
             Zw = np.exp(-(1j * times[:, None] + 0.02) * k**2)[..., None] * noise
-            SZ = np.einsum("kij,tkj->tki", kernel.S, Zw)
             analysis, synthesis = oracles.map_kernel_near_sums(
                 pt, k, sign, kernel.S, Yc, Zw, potential
             )
-            got = kernel._near_analysis(Y[: pt.xv.size])
+            # the near-field parts: the analysis of a field that vanishes
+            # beyond the near field's values, and the synthesis on the near
+            # field less the plane sums, which cover it on the dense grid
+            zero, w = np.zeros((pt.xv.size, pt.n)), grid.wx[: pt.xv.size]
+            got = kernel.analysis(zero, 0.0, grid.dx, w, Y[: pt.xv.size]) * np.sqrt(2.0 * np.pi)
             assert np.abs(got - analysis).max() <= tol[0] * np.abs(analysis).max()
-            got = kernel._near_synthesis(Zw, SZ)
+            got = kernel.synthesis(Zw, pt.xv)[:, :-1]
+            if kernel.start == 0:
+                got = got - dataclasses.replace(kernel, near=None).synthesis(Zw, pt.xv)[:, :-1]
+            got *= np.sqrt(2.0 * np.pi)
             assert len(got) == len(synthesis) == times.size
             for g, ref in zip(got, synthesis):
                 assert np.abs(g - ref).max() <= tol[1] * np.abs(ref).max()

@@ -368,7 +368,7 @@ def test_channel_convolve_matches_fftconvolve_loop(n, nodes, dtype):
     for kernel_nodes in (nodes, 31, 32, 97, 160):
         g = sample(kernel_nodes, n, n)
         reference = oracles.channel_convolve_loop(g, values)
-        got = waveop._channel_convolve(g, values)
+        got = grids.circular_convolve(grids.convolution_spectrum(g, (len(g) - 1) // 2, nodes), values)
         assert got.shape == values.shape
         assert np.abs(got - reference).max() < 1e-14 * np.abs(reference).max()
 
@@ -662,18 +662,22 @@ def test_fields_are_immutable(golden_wave):
     # and a caller writing to its array afterwards changes no result
     pt, table, kt = golden_wave
     x = pt.grid.x
-    samples = _packet(x, 1)
+    samples, grid_x = _packet(x, 1), x.copy()
     original = samples.copy()
-    f = FieldRplus(x, samples)
+    f = FieldRplus(grid_x, samples)
     before = wave_op_stationary(pt, f, +1).values
     samples[:] = 0.0
-    assert np.array_equal(f.values, original)
+    grid_x *= 2.0
+    assert np.array_equal(f.values, original) and np.array_equal(f.x, x)
+    assert np.array_equal(f.weights, grids.trapezoid_weights(x)) and extend_even(f).x[-1] == x[-1]
     assert np.array_equal(before, wave_op_stationary(pt, f, +1).values)
     _assert_fresh(pt, table, kt, original, _apply_pass(pt, table, kt, f))
     g = extend_even(f)
     for field in (f, g, restrict(g), f.replace_values(2.0 * original), wave_op_decomposed(table, kt, f, +1)):
         with pytest.raises(ValueError, match="read-only"):
             field.values[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        f.x[0] = 1.0
 
 
 def test_symbol_spectra_are_built_once_per_table(golden_wave, monkeypatch):
@@ -703,14 +707,16 @@ def test_symbol_spectra_are_built_once_per_table(golden_wave, monkeypatch):
     assert len(built) == 3
     for symbol in (fresh.Fs, fresh.Pplus, fresh.Pminus):
         assert sum(kernel is symbol for kernel in built) == 1
-    # the adjoint route reads the flipped spectrum off the table: the
-    # forward one conjugate-transposed, built once, kept and read-only
-    adjoint = fresh.symbol_spectrum("Pplus", adjoint=True)
-    assert adjoint is fresh.symbol_spectrum("Pplus", adjoint=True) and not adjoint.flags.writeable
+    # the adjoint route reads the forward spectrum, conjugate-transposed on
+    # each call: the table keeps one read-only spectrum per symbol and none
+    # for the adjoint
+    assert set(fresh._symbol_spectra) == {"Fs", "Pplus", "Pminus"}
+    assert not any(spectrum.flags.writeable for spectrum in fresh._symbol_spectra.values())
     alone = replace(table)
     for sign in (+1, +1, -1, -1):
         wave_op_adjoint(alone, kt, f, sign)
     assert len(built) == 5 and built[-2] is alone.Pplus and built[-1] is alone.Pminus
+    assert set(alone._symbol_spectra) == {"Pplus", "Pminus"}
     built.clear()
     doubled = replace(fresh, Fs=2.0 * fresh.Fs)
     spectrum = doubled.symbol_spectrum("Fs")
@@ -722,14 +728,15 @@ def test_symbol_spectra_are_built_once_per_table(golden_wave, monkeypatch):
 def test_adjoint_symbol_spectrum_is_the_flipped_kernels(golden_wave, matrix_tables):
     """The flipped symbol ``g(-l)^dagger`` keeps its lags on the circle of
     ``g``, so its spectrum is ``g``'s conjugate-transposed at each frequency:
-    the table's adjoint spectrum matches the spectrum of the flipped samples
-    to 1e-15, for every symbol of a scalar and of a 2x2 table."""
+    the table's forward spectrum, conjugate-transposed as the adjoint route
+    reads it, matches the spectrum of the flipped samples to 1e-15, for
+    every symbol of a scalar and of a 2x2 table."""
     for table in (replace(golden_wave[1]), replace(matrix_tables[0])):
         for name in ("Fs", "Pplus", "Pminus"):
             g = getattr(table, name)
             flipped = g[::-1].conj().swapaxes(-1, -2)
             reference = grids.convolution_spectrum(flipped, (g.shape[0] - 1) // 2, g.shape[0])
-            got = table.symbol_spectrum(name, adjoint=True)
+            got = table.symbol_spectrum(name).conj().swapaxes(-1, -2)
             assert got.shape == reference.shape
             assert np.abs(got - reference).max() <= 1e-15 * np.abs(reference).max()
 
