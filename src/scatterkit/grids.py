@@ -270,8 +270,11 @@ def fourier_sum(g: np.ndarray, k0: float, dk: float, y: np.ndarray, sign: int = 
     c = int(np.argmin(np.abs(y)))
     y0 = np.longdouble(y[c]) - c * np.longdouble(dy)
     head, tail = _bluestein_phases(nk, m, np.longdouble(k0), float(dk), y0, float(dy))
-    conv = ifft(fft(np.multiply(cols.T, head, order="C"), size) * chirp)[:, :m]
-    return np.multiply(conv.T, tail[:, None], order="C").reshape((m,) + g.shape[1:])
+    # one circle per column: the chirp product and the inverse FFT run in place
+    conv = fft(np.multiply(cols.T, head, order="C"), size)
+    conv *= chirp
+    conv = ifft(conv, out=conv)
+    return np.multiply(conv[:, :m].T, tail[:, None], order="C").reshape((m,) + g.shape[1:])
 
 
 def convolution_spectrum(kernel: np.ndarray, origin: int, nvalues: int) -> np.ndarray:
@@ -302,15 +305,23 @@ def circular_convolve(spectrum: np.ndarray, values: np.ndarray) -> np.ndarray:
     points.  A spectrum of shape ``(L,)`` acts on every column of
     ``values`` alike; one of shape ``(L, n, n)`` takes ``sum_l g[:, i, l]
     values[:, l]``."""
-    return _circle_product(spectrum, fft(values, spectrum.shape[0], axis=0), values.shape[0])
+    vk = fft(values, spectrum.shape[0], axis=0)
+    return _circle_product(spectrum, vk, values.shape[0], own=True)
 
 
-def _circle_product(spectrum: np.ndarray, vk: np.ndarray, nvalues: int) -> np.ndarray:
+def _circle_product(
+    spectrum: np.ndarray, vk: np.ndarray, nvalues: int, own: bool = False
+) -> np.ndarray:
     """:func:`circular_convolve` from the values' own spectrum ``vk`` on the
-    kernel's circle: the product, one inverse FFT and the first ``nvalues``
-    points."""
-    product = spectrum[:, None] * vk if spectrum.ndim == 1 else np.einsum("kil,kl->ki", spectrum, vk)
-    return ifft(product, axis=0)[:nvalues]
+    kernel's circle: the product, one inverse FFT into it and the first
+    ``nvalues`` points, a view of the circle.  With ``own`` a product by a
+    spectrum of shape ``(L,)`` overwrites ``vk``, so no second circle is
+    allocated."""
+    if spectrum.ndim > 1:
+        product = np.einsum("kil,kl->ki", spectrum, vk)
+    else:
+        product = np.multiply(spectrum[:, None], vk, out=vk if own else None)
+    return ifft(product, axis=0, out=product)[:nvalues]
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,14 +7,19 @@ factor ``m`` on the near field and ``S``, since beyond the potential's
 support it is an exact plane-wave combination.  Every generalized Fourier
 map, forward (analysis) or adjoint (synthesis), is evaluated by one kernel,
 ``Psi(-sign*k, x)^dagger``: one plane-wave sum over the whole window at
-``+-k`` at once, plus a near-field correction.  It runs on the table's
-positive nodes or on a dense momentum grid for time evolution, which
-conjugates the multiplier ``e^{-itk^2}`` by the maps.  The dense grid's
-period holds the evolved field and the output window: ``Psi(k, x) phi(k)`` is
-even in ``k`` (``S`` is unitary), so its trapezoid sum over the half line
-converges geometrically once the period holds the field, and what error is
-left comes from reading ``S`` and the near-field sums between the table's
-nodes, which fixes a number of dense momenta per table step.
+``+-k`` at once, plus a near-field correction.  Time evolution conjugates
+the multiplier ``e^{-itk^2}`` by the maps on one momentum grid whose period
+holds the evolved field and the output window: ``Psi(k, x) phi(k)`` is even
+in ``k`` (``S`` is unitary), so its sum over the positive nodes of a grid
+closed under ``k -> -k`` is a sum over the whole line and converges
+geometrically once the period holds the field.  The table's own positive
+nodes are that grid wherever their period ``2 pi / dk`` holds the span, the
+field's reach at the largest time and the output window: then the
+evolution is the table grid's analysis, the multipliers and its synthesis,
+with nothing read between the nodes (:class:`_TableStage`).  Past that
+span a dense momentum grid evolves (:class:`_DenseStage`); its error comes
+from reading ``S`` and the near-field sums between the table's nodes, which
+fixes a number of dense momenta per table step.
 
 On the table grid, which is closed under ``k -> -k``, the maps read the
 Jost solution on the near field through the Jost table's cell factors
@@ -30,7 +35,7 @@ kernel (:class:`_MapKernel`) reads both off the ``NearField`` itself.  The
 near-field sums are linear in ``m``, so the dense grid reads those of the
 table grid, less their plane-wave part, and one not-a-knot spline carries
 the small result, ``(nk, n)``, to the dense momenta; :func:`evolve_spectral`
-forms them once, for the map that sizes its stage and for the spline.
+forms them once, for the map that chooses its stage and for the spline.
 Before the spline the sums are demodulated by the phase of the near
 field's end, which halves the frequencies the spline must follow
 (:class:`_NearSpline`).  Synthesis is the exact transpose: the spline's
@@ -38,8 +43,9 @@ adjoint (:func:`~.grids.spline_adjoint`) gathers the dense momenta onto the
 table grid, then the table grid's synthesis less its plane-wave part.  So
 no ``m`` table, no slope table of ``m`` and no phase table on the dense
 grid is ever formed.  Where the near field is the wall alone (a zero
-potential) the maps skip it.  Evolution is one analysis, the multipliers of
-every time, and one synthesis of all the times as rows.
+potential) the maps skip it.  Evolution on either grid is one analysis,
+the multipliers of every time, the overflow monitor on the grid's circle,
+and one synthesis of all the times as rows.
 """
 from __future__ import annotations
 
@@ -78,10 +84,13 @@ __all__ = [
     "field_norm",
 ]
 
-#: dense momenta per step of the table grid: the dense stage reads ``S`` and
-#: the near-field sums through splines on the table grid; at 1, 2 and 3 per
-#: step the evolutions of the 2x2 benchmark's probe fields to ``t = 1``
-#: deviate from those at 12 per step by 5.1e-6, 5.2e-7 and 9.5e-8 of their peak
+#: dense momenta per step of the table grid, for evolutions whose span the
+#: table period ``2 pi / dk`` does not hold (the table grid evolves the
+#: rest, the benchmark's among them): the dense stage reads ``S`` and the
+#: near-field sums through splines on the table grid; at 1, 2 and 3 per
+#: step the dense evolutions of the 2x2 benchmark's probe fields to ``t =
+#: 1`` deviate from those at 12 per step by 5.1e-6, 5.2e-7 and 9.5e-8 of
+#: their peak
 DENSE_PER_TABLE_STEP = 3
 #: relative spectral amplitude treated as the band edge
 BAND_TOL = 1e-6
@@ -367,7 +376,8 @@ class _MapKernel:
         if self.near is not None:  # on the near-field nodes before the last
             near = self.near.synthesis(*(Z, SZ)[:: self.sign])
             out[:, : near.shape[1]] += near
-        return (out / np.sqrt(2.0 * np.pi)).reshape(Zw.shape[:-2] + out.shape[1:])
+        out /= np.sqrt(2.0 * np.pi)
+        return out.reshape(Zw.shape[:-2] + out.shape[1:])
 
 
 def _table_kernel(pt: PhysicalSolutionTable, sign: int) -> _MapKernel:
@@ -408,11 +418,82 @@ def fourier_maps_adjoint(
     return _table_kernel(pt, sign).synthesis(Zw, pt.grid.x)
 
 
-# -- dense momentum stage for time evolution ---------------------------------
+# -- momentum stages for time evolution --------------------------------------
+
+
+class _Stage:
+    """The momentum grid of one evolution: the map kernels on its positive
+    momenta ``kq``, their weights ``wk``, the field's analysis there, and the
+    circle of one period of the synthesized fields, whose lower half is the
+    evolution domain, ``width`` wide."""
+
+    def check_overflow(self, kernel: _MapKernel, Zw: np.ndarray) -> None:
+        """Reconstruct each field synthesized from ``Zw``, one field ``(len(kq),
+        n)`` or a stack of them, on the whole circle (one FFT for all,
+        ``_circle_field``) and abort if too much of any one's mass reaches the
+        outer tenth of the physical half-domain.
+
+        The conjugate-phase term always parks a mirror copy of the field in
+        the upper half of the circle, so the physical domain is the lower
+        half and wrap-around shows up as mass near the midpoint, where the
+        direct and mirrored copies collide."""
+        mass = np.abs(self._circle_field(kernel, Zw)) ** 2
+        size = mass.shape[-2]
+        total = mass.sum(axis=(-2, -1))
+        outer = mass[..., int(0.45 * size) : int(0.55 * size), :].sum(axis=(-2, -1))
+        worst = float(np.max(outer / np.maximum(total, np.finfo(float).tiny)))
+        if worst > OVERFLOW_FRACTION:
+            raise WindowOverflow(
+                f"{worst:.1%} of the evolved mass sits in the outer tenth "
+                f"of the {self.width:.0f}-wide evolution domain"
+            )
 
 
 @dataclass(frozen=True)
-class _DenseStage:
+class _TableStage(_Stage):
+    """The table grid as the momentum grid of an evolution: its positive
+    nodes with their midpoint weights ``dk``, its own map kernels, and the
+    field's spectrum ``phi`` there, the analysis that chose the stage.  On
+    the half-offset nodes every synthesized field is antiperiodic with period
+    ``2 pi / dk``, so its mass repeats with that period: the circle."""
+
+    pt: PhysicalSolutionTable
+    phi: np.ndarray
+
+    @property
+    def kq(self) -> np.ndarray:
+        return self.pt.grid.kpos
+
+    @property
+    def wk(self) -> float:
+        return self.pt.grid.dk
+
+    @property
+    def width(self) -> float:
+        return np.pi / self.pt.grid.dk
+
+    def kernel(self, sign: int) -> _MapKernel:
+        return _table_kernel(self.pt, sign)
+
+    def analysis(
+        self, kernel: _MapKernel, Y: np.ndarray, Ynear: np.ndarray, sums: np.ndarray | None
+    ) -> np.ndarray:
+        """The field's spectrum on the table grid, already at hand."""
+        return self.phi
+
+    def _circle_field(self, kernel: _MapKernel, Zw: np.ndarray) -> np.ndarray:
+        """Each field synthesized from ``Zw`` at the ``M = 2 npos`` nodes
+        ``x_l = l pi / kmax`` of one period, times ``e^{i pi l / M}``, a phase
+        no mass sees: as ``k_j x_l = 2 pi (j + 1/2) l / M``, the coefficients
+        of ``e^{-i k_j x}`` enter one FFT at index ``j`` and those of ``e^{i
+        k_j x}`` at ``M - 1 - j``."""
+        SZ = np.einsum("kij,...kj->...ki", kernel.S, Zw)
+        first, second = (Zw, SZ) if kernel.sign == +1 else (SZ, Zw)
+        return fft(np.concatenate([second, first[..., ::-1, :]], axis=-2), axis=-2)
+
+
+@dataclass(frozen=True)
+class _DenseStage(_Stage):
     """The dense momentum grid of one evolution request: positive momenta
     ``kq[l] = l * dkq`` with trapezoid weights ``wk``, and the spatial step
     ``ratio * dx`` of an ``nfft``-node circle whose lower half is the
@@ -427,6 +508,10 @@ class _DenseStage:
     kq: np.ndarray
     wk: np.ndarray
 
+    @property
+    def width(self) -> float:
+        return self.nfft * self.dxb / 2
+
     def kernel(self, sign: int) -> _MapKernel:
         """The map kernel on ``kq``: ``S`` from its spline at ``-sign*kq``,
         the near-field sums from ``near`` unless ``m = I`` there."""
@@ -438,6 +523,15 @@ class _DenseStage:
     def near(self) -> _NearSpline:
         """The near-field sums at ``+-kq``, read from the table's cell factors."""
         return _NearSpline.on(self.pt.near, self.pt.grid, self.kq)
+
+    def analysis(
+        self, kernel: _MapKernel, Y: np.ndarray, Ynear: np.ndarray, sums: np.ndarray | None
+    ) -> np.ndarray:
+        """The field's spectrum on ``kq`` from every ``ratio``-th node, on
+        which the band-limited field is resolved, and the table grid's near
+        sums ``sums`` of it."""
+        Ys = Y[:: self.ratio]
+        return kernel.analysis(Ys, 0.0, self.dxb, _wall_weights(Ys.shape[0], self.dxb), Ynear, sums)
 
     def _circle_field(self, kernel: _MapKernel, Zw: np.ndarray) -> np.ndarray:
         """Each field synthesized from ``Zw`` on the full FFT circle: ``nfft
@@ -454,26 +548,6 @@ class _DenseStage:
         c[..., self.nfft - self.kq.size + 1 :, :] = first[..., :0:-1, :]
         return fft(c, axis=-2)
 
-    def check_overflow(self, kernel: _MapKernel, Zw: np.ndarray) -> None:
-        """Reconstruct each field synthesized from ``Zw``, one field ``(len(kq),
-        n)`` or a stack of them, on the full FFT circle (one FFT for all,
-        :meth:`_circle_field`) and abort if too much of any one's mass
-        reaches the outer tenth of the physical half-domain.
-
-        The conjugate-phase term always parks a mirror copy of the field in
-        the upper half of the circle, so the physical domain is the lower
-        half and wrap-around shows up as mass near the midpoint, where the
-        direct and mirrored copies collide."""
-        mass = np.abs(self._circle_field(kernel, Zw)) ** 2
-        total = mass.sum(axis=(-2, -1))
-        outer = mass[..., int(0.45 * self.nfft) : int(0.55 * self.nfft), :].sum(axis=(-2, -1))
-        worst = float(np.max(outer / np.maximum(total, np.finfo(float).tiny)))
-        if worst > OVERFLOW_FRACTION:
-            raise WindowOverflow(
-                f"{worst:.1%} of the evolved mass sits in the outer tenth "
-                f"of the {self.nfft * self.dxb / 2:.0f}-wide evolution domain"
-            )
-
 
 def _wall_weights(size: int, step: float) -> np.ndarray:
     """Trapezoid weights of ``size`` uniform nodes from zero, open at the far
@@ -487,19 +561,26 @@ def _last_above(nodes: np.ndarray, F: np.ndarray, tol: float) -> float:
     """Last node where the channel norm of ``F`` exceeds ``tol`` times its
     peak (the first node for a zero field)."""
     norms = np.linalg.norm(F, axis=1)
-    return float(nodes[max(np.flatnonzero(norms > tol * norms.max()), default=0)])
+    above = np.flatnonzero(norms > tol * norms.max())
+    return float(nodes[above[-1] if above.size else 0])
+
+
+def _wrap_length(grid: KXGrid, span: float) -> float:
+    """The period that keeps fields held on ``[0, span]``, and the table's
+    window, apart from their mirror copies and their next periods."""
+    return 2.2 * max(span, grid.xmax)
 
 
 def _build_stage(pt: PhysicalSolutionTable, k_band: float, span: float) -> _DenseStage:
     """Dense stage for fields of band edge ``k_band`` held on ``[0, span]``:
-    the circle is the largest of the wrap bound, which keeps the field and
-    its mirror copy apart, the ``DENSE_PER_TABLE_STEP`` bound on the
-    momentum step, and twice the table's window."""
+    the circle is the largest of the wrap bound (:func:`_wrap_length`), the
+    ``DENSE_PER_TABLE_STEP`` bound on the momentum step, and twice the
+    table's window."""
     grid = pt.grid
     k_band = min(max(k_band, 1.0), 0.95 * grid.kmax)
     ratio = max(1, int(np.floor(np.pi / (4.0 * k_band) / grid.dx)))
     dxb = ratio * grid.dx
-    n_wrap = int(np.ceil(2.2 * max(span, grid.xmax) / dxb))
+    n_wrap = int(np.ceil(_wrap_length(grid, span) / dxb))
     n_table = int(np.ceil(DENSE_PER_TABLE_STEP * 2.0 * np.pi / (grid.dk * dxb)))
     nfft = next_fast_len(max(n_wrap, n_table, 2 * grid.x.size // ratio + 2))
     dkq = 2.0 * np.pi / (nfft * dxb)
@@ -509,16 +590,29 @@ def _build_stage(pt: PhysicalSolutionTable, k_band: float, span: float) -> _Dens
     return _DenseStage(pt=pt, nfft=nfft, ratio=ratio, dxb=dxb, dkq=dkq, kq=kq, wk=wk)
 
 
+def _band_and_reach(
+    pt: PhysicalSolutionTable, Y: np.ndarray, phi: np.ndarray, t: float
+) -> tuple[float, float]:
+    """The band edge of ``Y``, whose spectrum on the positive table nodes is
+    ``phi``, and its reach at time ``t``: the field's extent plus the
+    distance ``2 |t| k_band`` its fastest part runs."""
+    k_band = _last_above(pt.grid.kpos, phi, BAND_TOL)
+    return k_band, _last_above(pt.grid.x, Y, 1e-9) + 2.0 * abs(t) * k_band + 8.0
+
+
 def _stage_for(
     pt: PhysicalSolutionTable, Y: np.ndarray, phi: np.ndarray, t: float, xmax_out: float = 0.0
-) -> _DenseStage:
-    """Dense stage for evolving ``Y``, whose spectrum on the positive table
-    nodes is ``phi``, to time ``t`` and sampling it up to ``xmax_out``: band
-    edge from ``phi``, span from the output window and from the field's
-    extent plus the distance ``2 |t| k_band`` its fastest part runs."""
-    k_band = _last_above(pt.grid.kpos, phi, BAND_TOL)
-    reach = _last_above(pt.grid.x, Y, 1e-9) + 2.0 * abs(t) * k_band + 8.0
-    return _build_stage(pt, k_band, max(reach, xmax_out))
+) -> _TableStage | _DenseStage:
+    """The stage for evolving ``Y``, whose spectrum on the positive table
+    nodes is ``phi``, to time ``t`` and sampling it up to ``xmax_out``: the
+    table grid when its period ``2 pi / dk`` holds the wrap bound of the
+    span, the larger of the reach (:func:`_band_and_reach`) and the output
+    window, and otherwise a dense stage for that span."""
+    k_band, reach = _band_and_reach(pt, Y, phi, t)
+    span = max(reach, xmax_out)
+    if _wrap_length(pt.grid, span) <= 2.0 * np.pi / pt.grid.dk:
+        return _TableStage(pt, phi)
+    return _build_stage(pt, k_band, span)
 
 
 def evolve_spectral(
@@ -531,12 +625,18 @@ def evolve_spectral(
     """Evolve the absolutely continuous component: ``e^{-itH} P_ac Y`` via
     the diagonalization ``(F^s)^dagger e^{-itk^2} F^s``.
 
-    Accepts a single time or a sequence (evolved on one shared dense grid
-    sized for the largest |t| and the output window, by one analysis and one
-    synthesis).  The result is sampled on the table's spatial step up to
-    ``xmax_out`` (by default the table's window), which may end inside the
-    near field.  Bound states, which :func:`~.jost.bound_states` lists, are
-    absent from the result by construction.
+    Accepts a single time or a sequence, evolved on one momentum grid sized
+    for the largest |t| and the output window, by one analysis and one
+    synthesis of all the times.  That grid is the table's own wherever its
+    period ``2 pi / dk`` holds the wrap bound of the span, the field's reach
+    at the largest |t| or the output window, and otherwise a dense grid
+    between the table's nodes.  So at ``t = 0`` with the default output
+    window, on a table grid that holds the span, the result is
+    ``fourier_maps_adjoint(fourier_maps(Y))`` to the bit.  The result is
+    sampled on the table's spatial step up to ``xmax_out`` (by default the
+    table's window), which may end inside the near field.  Bound states,
+    which :func:`~.jost.bound_states` lists, are absent from the result by
+    construction.
 
     Raises
     ------
@@ -544,6 +644,9 @@ def evolve_spectral(
         If a time is not finite, ``xmax_out`` is negative or not finite, or
         ``Y`` is not sampled on the table's grid with its channel count or
         has a non-finite sample.
+    WindowOverflow
+        If more than ``OVERFLOW_FRACTION`` of an evolved field's mass
+        reaches the outer tenth of the evolution domain.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.isfinite(times).all():
@@ -553,25 +656,19 @@ def evolve_spectral(
     single = np.isscalar(t) or np.asarray(t).ndim == 0
     Y = _as_field(Y, pt.grid.x.size, pt.n)
     _check_finite(Y, "field samples Y")
-    if np.all(times == 0.0) and xmax_out is None:
-        out0 = fourier_maps_adjoint(pt, fourier_maps(pt, Y, sign), sign)
-        return out0 if single else np.repeat(out0[None], times.size, axis=0)
     grid = pt.grid
-    tmax = float(np.abs(times).max())
-    # the table grid's near sums of the field size the stage and feed its spline
+    # the table grid's analysis chooses the stage, and there it is the spectrum;
+    # its near sums feed a dense stage's spline
     table, Ynear = _table_kernel(pt, sign), Y[: pt.xv.size]
     sums = None if table.near is None else pt.near.sums(pt.near.weighted(Ynear))
     phi = table.analysis(Y, grid.x[0], grid.dx, grid.wx, Ynear, sums)
-    stage = _stage_for(pt, Y, phi, tmax, xmax_out or 0.0)
+    stage = _stage_for(pt, Y, phi, float(np.abs(times).max()), xmax_out or 0.0)
     kernel = stage.kernel(sign)
-    # the band-limited field is resolved on every ratio-th node
-    Ys = Y[:: stage.ratio]
-    w = _wall_weights(Ys.shape[0], stage.dxb)
     nx_out = grid.x.size if xmax_out is None else int(np.ceil(xmax_out / grid.dx)) + 1
     # the synthesis nodes hold the near field, so a shorter output is cut after
     x_out = np.arange(max(nx_out, pt.xv.size)) * grid.dx
     mults = np.exp(-1j * times[:, None] * stage.kq**2) * stage.wk
-    Zw = mults[:, :, None] * kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear, sums)
+    Zw = mults[:, :, None] * stage.analysis(kernel, Y, Ynear, sums)
     stage.check_overflow(kernel, Zw)
     out = kernel.synthesis(Zw, x_out)[:, :nx_out]
     return out[0] if single else out
@@ -601,7 +698,7 @@ def interacting_after_free(
     grid = pt.grid
     Y = _as_field(Y, grid.x.size, pt.n)
     _check_finite(Y, "field samples Y")
-    stage = _stage_for(pt, Y, f0_transform(grid, Y), t)
+    stage = _build_stage(pt, *_band_and_reach(pt, Y, f0_transform(grid, Y), t))
     kernel = stage.kernel(sign)
     # free half: cosine data at the dense nodes, evolved backwards; the
     # cosine sum mirrors the field into the upper half of the FFT circle, so

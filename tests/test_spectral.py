@@ -34,7 +34,9 @@ from scatterkit.spectral import (
     WindowOverflow,
     _as_field,
     _build_stage,
+    _DenseStage,
     _stage_for,
+    _TableStage,
     _wall_weights,
     boundary_residual,
     evolve_spectral,
@@ -50,6 +52,19 @@ from scatterkit.spectral import (
 def _free_table(bc: BoundaryPair, grid: KXGrid):
     jt = jost_matrix(solve_faddeev(zero_potential(bc.n), grid), bc)
     return physical_solution(jt, smatrix(jt))
+
+
+def _dense_stage_for(pt, Y, phi, t, xmax_out=0.0):
+    """The stage :func:`~scatterkit.spectral._stage_for` builds for a span
+    past the table period, whatever the span: the dense stage of the same
+    band edge and span, through the module's ``_build_stage``."""
+    k_band, reach = spectral._band_and_reach(pt, Y, phi, t)
+    return spectral._build_stage(pt, k_band, max(reach, xmax_out))
+
+
+def _period(pt) -> float:
+    """The period ``2 pi / dk`` of the fields the table grid synthesizes."""
+    return 2.0 * np.pi / pt.grid.dk
 
 
 @pytest.fixture(scope="module")
@@ -261,11 +276,14 @@ def test_vanishing_near_field_is_skipped_without_changing_a_bit(small_grid, monk
     pt = _free_table(BoundaryPair.robin(0.7), small_grid)
     Y = np.exp(-((small_grid.x - 3.0) ** 2))
     stage = _stage_for(pt, _as_field(Y), fourier_maps(pt, Y), 1.0)
+    assert isinstance(stage, _DenseStage)
+    assert isinstance(_stage_for(pt, _as_field(Y), fourier_maps(pt, Y), 0.05), _TableStage)
     assert spectral._table_kernel(pt, +1).near is None and stage.kernel(+1).near is None
 
     def run(pt):
         phi = fourier_maps(pt, Y, -1)
-        return [phi, fourier_maps_adjoint(pt, phi, -1), evolve_spectral(pt, Y, [0.5, 1.0])]
+        evolved = [evolve_spectral(pt, Y, times) for times in ([0.5, 1.0], [0.02, 0.05])]
+        return [phi, fourier_maps_adjoint(pt, phi, -1), *evolved]
 
     skipped = run(pt)
     monkeypatch.setattr(NearField, "vanishes", False)
@@ -286,11 +304,17 @@ def test_free_evolution_matches_image_propagator(wide_grid):
 
 
 def test_evolution_at_zero_time_projects(golden_physical):
+    """At ``t = 0`` on the table's window the table grid evolves, and the
+    evolution of one time is the projector ``F^dagger F`` bit for bit; the
+    rows of several, synthesized as one stack, equal it to roundoff."""
     pt = golden_physical
     Y = np.exp(-((pt.grid.x - 4.0) ** 2) / 2.0).astype(complex)
+    assert isinstance(_stage_for(pt, _as_field(Y), fourier_maps(pt, Y), 0.0), _TableStage)
     out = evolve_spectral(pt, Y, 0.0)
     ref = fourier_maps_adjoint(pt, fourier_maps(pt, Y, +1), +1)
-    assert np.abs(out - ref).max() < 1e-12
+    np.testing.assert_array_equal(out, ref)
+    rows = evolve_spectral(pt, Y, [0.0, 0.0])
+    assert np.abs(rows - ref).max() <= 1e-14 * np.abs(ref).max()
     assert np.abs(out[:, 0] - Y).max() < 2e-3
 
 
@@ -305,7 +329,8 @@ def test_norm_conservation(wide_grid, golden_physical):
         norms.append(field_norm(out, trapezoid_weights(xo)))
     norms = np.asarray(norms)
     assert (norms.max() - norms.min()) / norms[0] < 1e-6
-    # interacting case: near-field quadrature limits the drift but it stays small
+    # interacting case: the drift is the trapezoid rule's end term at the
+    # wall, (dx^2 / 12) (|psi|^2)'(0), in the norm taken here
     pt = golden_physical
     Yg = np.exp(-((pt.grid.x - 4.0) ** 2) / 2.0).astype(complex)
     gn = []
@@ -465,11 +490,138 @@ def test_evolve_spectral_checks_every_time_for_overflow(wide_grid, monkeypatch):
         evolve_spectral(pt, Y, [1.0, 60.0])
 
 
+def test_table_path_needs_the_period_to_hold_every_window(golden_physical, wide_grid, monkeypatch):
+    """The table grid evolves only when its period holds the wrap bound of
+    the field's reach, of the output window and of the table's window.  A
+    field whose reach fits is sent to the dense stage by an output window
+    past ``period / 2.2`` on the golden table, and by the table's own
+    window on ``wide_grid`` (window 100, period 100.5), where synthesis on
+    the table grid would park the mirror copy inside the window."""
+    built = []
+    build = spectral._build_stage
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(spectral, "_build_stage", counted)
+    golden, free = golden_physical, _free_table(BoundaryPair.neumann(1), wide_grid)
+    Yg = _packet(golden.grid.x, golden.n)
+    Yf = np.exp(-((wide_grid.x - 6.0) ** 2) / 2.0)[:, None]
+    bound = _period(golden) / 2.2
+    assert golden.grid.xmax < bound and wide_grid.xmax > _period(free) / 2.2
+    for pt, Y, t, xmax_out, dense in (
+        (golden, Yg, 0.1, None, False),
+        (golden, Yg, 0.1, 0.999 * bound, False),
+        (golden, Yg, 0.1, 1.001 * bound, True),
+        (free, Yf, 0.5, None, True),
+        (free, Yf, 0.0, None, True),
+    ):
+        phi = fourier_maps(pt, Y)
+        stage = _stage_for(pt, Y, phi, t, xmax_out or 0.0)
+        assert isinstance(stage, _DenseStage if dense else _TableStage)
+        assert spectral._band_and_reach(pt, Y, phi, t)[1] < 0.4 * _period(pt)  # the reach alone fits
+        built.clear()
+        evolve_spectral(pt, Y, t, xmax_out=xmax_out)
+        assert len(built) == (1 if dense else 0)
+    # the mirror copy stays out of the window: the closed form holds on all of it
+    out = evolve_spectral(free, Yf, 0.5)
+    exact = oracles.free_neumann_evolution(wide_grid.x, 0.5, x0=6.0, sigma=1.0)
+    assert np.abs(out[:, 0] - exact).max() < 2e-3
+
+
+def test_table_circle_overflow_monitor(golden_physical, monkeypatch):
+    """The table grid's circle, one period of its fields, trips the same
+    outer-tenth monitor: a packet evolved to ``t = 60`` wraps round it, one
+    at ``t = 1`` does not; inside ``evolve_spectral`` it checks every time
+    before any output."""
+    pt = golden_physical
+    Y = _packet(pt.grid.x, pt.n)
+    phi = fourier_maps(pt, Y)
+    stage = _TableStage(pt, phi)
+    kernel = stage.kernel(+1)
+    for t, wraps in ((1.0, False), (60.0, True)):
+        Zw = (np.exp(-1j * t * stage.kq**2) * stage.wk)[:, None] * phi
+        if wraps:
+            with pytest.raises(WindowOverflow, match="outer tenth of the 80-wide"):
+                stage.check_overflow(kernel, Zw)
+        else:
+            stage.check_overflow(kernel, Zw)
+    monkeypatch.setattr(spectral, "_stage_for", lambda *args: stage)
+    evolve_spectral(pt, Y, 1.0)
+    with pytest.raises(WindowOverflow, match="outer tenth"):
+        evolve_spectral(pt, Y, [1.0, 60.0])
+
+
+@pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical"])
+def test_table_circle_field_is_the_plane_wave_sum(table, request):
+    """The table circle's field, one FFT of ``2 npos`` points, is the plane
+    part of the table grid's synthesis at the nodes ``l pi / kmax`` of one
+    period, times the unimodular ``e^{i pi l / M}``, for one field and a
+    stack, both signs."""
+    pt = request.getfixturevalue(table)
+    stage, M = _TableStage(pt, fourier_maps(pt, _packet(pt.grid.x, pt.n))), 2 * pt.grid.npos
+    x = np.arange(M) * (_period(pt) / M)
+    phase = np.exp(-1j * np.pi * np.arange(M) / M)[:, None]
+    rng = np.random.default_rng(12)
+    for shape in ((pt.grid.npos, pt.n), (3, pt.grid.npos, pt.n)):
+        Zw = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.exp(-0.01 * stage.kq**2)[:, None]
+        for sign in (+1, -1):
+            kernel = stage.kernel(sign)
+            reference = dataclasses.replace(kernel, near=None).synthesis(Zw, x) * np.sqrt(2.0 * np.pi)
+            got = phase * stage._circle_field(kernel, Zw)
+            assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+#: largest gap between the table grid's evolution and the dense stage's, of
+#: the peak, over t = 0.5, 1, 2 and both signs: 1.6e-7 (golden) and 1.0e-5
+#: (the 2x2 benchmark grid, sign -1; 2.8e-7 at sign +1), the dense stage's
+#: reading of S and the near sums between the table's nodes
+CROSS_PATH_TOL = {"golden_physical": 2.5e-7, "matrix2x2_physical": 1.5e-5}
+
+
+@pytest.mark.parametrize("table", list(CROSS_PATH_TOL))
+def test_table_and_dense_evolutions_agree(table, request, monkeypatch):
+    """Where the table period holds the span, the table grid's evolution
+    and the dense stage's agree to ``CROSS_PATH_TOL`` of the peak at the
+    same time, and an evolution to ``t (1 + 1e-3)`` misses by at least ten
+    times that."""
+    pt = request.getfixturevalue(table)
+    Y = _packet(pt.grid.x, pt.n)
+    tol = CROSS_PATH_TOL[table]
+    for t in (0.5, 1.0, 2.0):
+        for sign in (+1, -1):
+            assert isinstance(_stage_for(pt, Y, fourier_maps(pt, Y, sign), t, 32.0), _TableStage)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_stage_for", _dense_stage_for)
+                dense = evolve_spectral(pt, Y, t, sign, xmax_out=32.0)
+            out, later = evolve_spectral(pt, Y, [t, t * (1 + 1e-3)], sign, xmax_out=32.0)
+            peak = np.abs(dense).max()
+            assert np.abs(out - dense).max() <= tol * peak
+            assert np.abs(later - dense).max() >= 10 * tol * peak
+
+
 @pytest.fixture(scope="module")
 def free_wide_physical():
     """The physical-solution table of the benchmark's ``free_neumann_wide``
     workload: the zero potential under Neumann on the default grid."""
     return _free_table(BoundaryPair.neumann(1), KXGrid.build())
+
+
+def test_free_wide_evolution_matches_closed_form(free_wide_physical):
+    """The benchmark's ``free_neumann_wide`` evolution, a real packet at
+    ``t = 1`` out to twice the window, takes the table grid and meets the
+    image propagator to 1e-12 (about 4e-16 is read)."""
+    pt = free_wide_physical
+    x = pt.grid.x
+    Y = np.exp(-((x - 16.0) ** 2) / (2.0 * 0.55**2))
+    xmax_out = 2.0 * pt.grid.xmax
+    assert isinstance(_stage_for(pt, _as_field(Y), fourier_maps(pt, Y), 1.0, xmax_out), _TableStage)
+    out = evolve_spectral(pt, Y, 1.0, xmax_out=xmax_out)
+    xo = np.arange(out.shape[0]) * pt.grid.dx
+    assert xo[-1] >= xmax_out
+    exact = oracles.free_neumann_evolution(xo, 1.0, x0=16.0, sigma=0.55)
+    assert np.abs(out[:, 0] - exact).max() <= 1e-12
 
 
 @pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical", "free_wide_physical"])
@@ -574,9 +726,11 @@ def test_cosine_transform_at_unsorted_momenta(golden_physical):
 
 def test_each_plane_wave_pair_is_one_fourier_sum(golden_physical, small_grid, monkeypatch):
     """The maps and the cosine transform make one plane sum per ``+-k``
-    pair; the evolution one per pair on each grid (the table grid's
-    analysis, the dense grid's analysis and synthesis), plus off the table
-    grid the near-field sums with their plane part taken out, one each way."""
+    pair.  So does the evolution on the table grid, which synthesizes from
+    its own analysis: two in all.  Past the table period it makes one per
+    pair on each grid (the table grid's analysis, the dense grid's analysis
+    and synthesis), plus off the table grid the near-field sums with their
+    plane part taken out, one each way."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -585,14 +739,18 @@ def test_each_plane_wave_pair_is_one_fourier_sum(golden_physical, small_grid, mo
 
     monkeypatch.setattr(spectral, "fourier_sum", counted)
     free = _free_table(BoundaryPair.neumann(1), small_grid)
-    for pt, evolution in ((golden_physical, 5), (free, 3)):
+    for pt, dense in ((golden_physical, 5), (free, 3)):
         Y = _packet(pt.grid.x, pt.n)
         phi = fourier_maps(pt, Y)
+        wide = 0.5 * _period(pt)  # past the table period's wrap bound
+        assert isinstance(_stage_for(pt, Y, phi, 0.1), _TableStage)
+        assert isinstance(_stage_for(pt, Y, phi, 1.0, wide), _DenseStage)
         for count, run in (
             (1, lambda: fourier_maps(pt, Y, -1)),
             (1, lambda: fourier_maps_adjoint(pt, phi, +1)),
             (1, lambda: f0_transform(pt.grid, Y)),
-            (evolution, lambda: evolve_spectral(pt, Y, 1.0, -1)),
+            (2, lambda: evolve_spectral(pt, Y, 0.1, -1)),
+            (dense, lambda: evolve_spectral(pt, Y, 1.0, -1, xmax_out=wide)),
         ):
             calls.clear()
             run()
@@ -623,16 +781,26 @@ def test_long_output_window_holds_no_copies_of_the_field(golden_physical):
     """The dense circle holds the output window, not only the field: at
     ``t = 1`` the packet stays within 60 of the wall, so the rest of a
     1875-long output window, longer than a circle sized from the field
-    alone, shows neither its mirror copy nor its next period."""
+    alone, shows neither its mirror copy nor its next period; the dense
+    stage of a 75-long window, past the table period's wrap bound, agrees
+    on it.  So does the table grid on the longest window its period holds:
+    nothing past 60."""
     pt = golden_physical
     Y = _packet(pt.grid.x, pt.n)
+    phi = fourier_maps(pt, Y)
     out = evolve_spectral(pt, Y, 1.0, xmax_out=1875.0)
     xo = np.arange(out.shape[0]) * pt.grid.dx
     assert xo[-1] >= 1875.0
     mass = np.sum(np.abs(out) ** 2, axis=1)
     assert mass[xo > 60.0].sum() <= 1e-12 * mass.sum()
-    near = evolve_spectral(pt, Y, 1.0, xmax_out=60.0)
+    assert isinstance(_stage_for(pt, Y, phi, 1.0, 75.0), _DenseStage)
+    near = evolve_spectral(pt, Y, 1.0, xmax_out=75.0)
     assert np.abs(out[: near.shape[0]] - near).max() <= 1e-7 * np.abs(near).max()
+    longest = _period(pt) / 2.2
+    assert isinstance(_stage_for(pt, Y, phi, 1.0, longest), _TableStage)
+    table = evolve_spectral(pt, Y, 1.0, xmax_out=longest)
+    mass = np.sum(np.abs(table) ** 2, axis=1)
+    assert mass[xo[: mass.size] > 60.0].sum() <= 1e-12 * mass.sum()
 
 
 def _window(t: float) -> float:
@@ -650,9 +818,11 @@ def test_evolution_converges_in_the_dense_momentum_step(table, request, monkeypa
     Y = _packet(pt.grid.x, pt.n)
     phi = fourier_maps(pt, Y, +1)
     times = (1.0, 4.0, 20.0)
-    steps = [_stage_for(pt, Y, phi, t, _window(t)).dkq for t in times]
+    steps = [_dense_stage_for(pt, Y, phi, t, _window(t)).dkq for t in times]
     assert steps[0] == steps[1] <= pt.grid.dk / spectral.DENSE_PER_TABLE_STEP
     assert steps[2] < steps[1]
+    # the dense stage at every time, as past the table period
+    monkeypatch.setattr(spectral, "_stage_for", _dense_stage_for)
     coarse = [evolve_spectral(pt, Y, t, xmax_out=_window(t)) for t in times]
     build = spectral._build_stage
     monkeypatch.setattr(spectral, "DENSE_PER_TABLE_STEP", 4 * spectral.DENSE_PER_TABLE_STEP)
@@ -668,8 +838,9 @@ def test_kernel_blocks_do_not_change_results(matrix2x2_physical, monkeypatch):
     table grid must give the same sums, to roundoff, and evolutions."""
     pt = matrix2x2_physical
     Y = _packet(pt.grid.x, pt.n)
-    stage = _stage_for(pt, Y, fourier_maps(pt, Y, +1), 1.0)
+    stage = _dense_stage_for(pt, Y, fourier_maps(pt, Y, +1), 1.0)
     assert stage.kq[-1] + (grids.SWEEP_BLOCK + 1) * pt.grid.dk < pt.grid.kmax / 2
+    monkeypatch.setattr(spectral, "_stage_for", _dense_stage_for)
     rng = np.random.default_rng(3)
     Zw = rng.normal(size=(2, stage.kq.size, pt.n)) + 1j * rng.normal(size=(2, stage.kq.size, pt.n))
 
@@ -699,7 +870,7 @@ def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
     stages, splines, calls = [], [], []
 
     def stage_for(*args):
-        stages.append(_stage_for(*args))
+        stages.append(_dense_stage_for(*args))
         return stages[-1]
 
     monkeypatch.setattr(spectral, "_stage_for", stage_for)
@@ -723,6 +894,34 @@ def test_evolution_passes_over_the_pieces_once(matrix_physical, monkeypatch):
     assert calls == [("analysis", (pt.xv.size, pt.n)), ("synthesis", (len(times), kq.size, pt.n))]
 
 
+def test_table_evolution_analyses_once_and_synthesizes_all_times_once(matrix_physical, monkeypatch):
+    """Where the table period holds the span, one ``evolve_spectral`` call
+    builds no dense stage and no spline: the table grid's one analysis, the
+    one that chose the stage, is the spectrum, and one synthesis takes all
+    the times as the rows of one stack."""
+    pt = matrix_physical
+    Y = _packet(pt.grid.x, pt.n)
+    times = [0.05, -0.1, 0.02]
+    assert isinstance(_stage_for(pt, Y, fourier_maps(pt, Y), 0.1), _TableStage)
+    calls = []
+    for name in ("analysis", "synthesis"):
+
+        def logged(kernel, *args, run=getattr(spectral._MapKernel, name), name=name, **kwargs):
+            calls.append((name, args[0].shape, kernel.k is pt.grid.kpos))
+            return run(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(spectral._MapKernel, name, logged)
+
+    def refused(*args):
+        raise AssertionError("a dense stage or spline was built")
+
+    monkeypatch.setattr(spectral, "_build_stage", refused)
+    monkeypatch.setattr(spectral._NearSpline, "on", refused)
+    out = evolve_spectral(pt, Y, times)
+    assert out.shape == (len(times), pt.grid.x.size, pt.n)
+    assert calls == [("analysis", Y.shape, True), ("synthesis", (len(times), pt.grid.npos, pt.n), True)]
+
+
 def test_evolution_forms_the_near_sums_once(matrix_physical, monkeypatch):
     """The table-grid map that sizes the stage and the stage's spline read
     one contraction of the field with the cell factors, and the synthesis
@@ -731,12 +930,13 @@ def test_evolution_forms_the_near_sums_once(matrix_physical, monkeypatch):
     own."""
     pt = matrix_physical
     Y = _packet(pt.grid.x, pt.n)
-    stage = _stage_for(pt, Y, fourier_maps(pt, Y), 2.0)
+    stage = _dense_stage_for(pt, Y, fourier_maps(pt, Y), 2.0)
     Ynear, Ys = Y[: pt.xv.size], Y[:: stage.ratio]
     kernel, w = stage.kernel(+1), _wall_weights(Ys.shape[0], stage.dxb)
     alone = kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear)
     shared = kernel.analysis(Ys, 0.0, stage.dxb, w, Ynear, pt.near.sums(pt.near.weighted(Ynear)))
     np.testing.assert_array_equal(shared, alone)
+    assert isinstance(_stage_for(pt, Y, fourier_maps(pt, Y), 0.1), _TableStage)
     products = []
     for name in ("sums", "spread"):
 
@@ -745,6 +945,11 @@ def test_evolution_forms_the_near_sums_once(matrix_physical, monkeypatch):
             return run(field, *args)
 
         monkeypatch.setattr(NearField, name, logged)
+    # on the table grid (short times) and past its period (the dense stage)
+    evolve_spectral(pt, Y, [0.05, 0.1])
+    assert products == ["sums", "spread"]
+    products.clear()
+    monkeypatch.setattr(spectral, "_stage_for", _dense_stage_for)
     evolve_spectral(pt, Y, [0.5, 2.0])
     assert products == ["sums", "spread"]
 
@@ -769,6 +974,7 @@ def test_spline_slopes_are_solved_once_per_table(matrix_physical, monkeypatch):
     each way, ``n`` columns per field, and never one of ``m``."""
     pt = dataclasses.replace(matrix_physical)  # a table with nothing cached
     solved = _count_slope_solves(monkeypatch)
+    monkeypatch.setattr(spectral, "_stage_for", _dense_stage_for)
     evolve_spectral(pt, _packet(pt.grid.x, pt.n), 1.0)
     assert sorted(solved) == sorted([pt.n, pt.n, pt.S[0].size])
     solved.clear()
@@ -780,20 +986,28 @@ def test_spline_slopes_are_solved_once_per_table(matrix_physical, monkeypatch):
 @pytest.mark.parametrize("table", ["golden_physical", "matrix2x2_physical"])
 def test_first_evolution_peak_stays_below_the_near_table(table, request, monkeypatch):
     """The first evolution on a table allocates less at its peak than one
-    ``(nk, n, n, nx)`` table of ``f`` or ``m``, which no layer keeps, and
-    solves no slopes of ``m``: the dense stage interpolates the contracted
-    sums."""
-    pt = dataclasses.replace(request.getfixturevalue(table))
+    ``(nk, n, n, nx)`` table of ``f`` or ``m``, which no layer keeps, on
+    either stage.  The dense stage solves no slopes of ``m``: it
+    interpolates the contracted sums.  The table grid solves none at all."""
+    per_momentum = request.getfixturevalue(table).xv.size * request.getfixturevalue(table).n ** 2
     solved = _count_slope_solves(monkeypatch)
-    tracemalloc.start()
-    try:
-        evolve_spectral(pt, _packet(pt.grid.x, pt.n), 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    per_momentum = pt.xv.size * pt.n**2
-    assert peak < 16 * pt.k.size * per_momentum
-    assert per_momentum not in solved and max(solved) == pt.S[0].size
+    for stage_for in (_stage_for, _dense_stage_for):
+        pt = dataclasses.replace(request.getfixturevalue(table))  # nothing cached
+        Y = _packet(pt.grid.x, pt.n)
+        monkeypatch.setattr(spectral, "_stage_for", stage_for)
+        solved.clear()
+        tracemalloc.start()
+        try:
+            evolve_spectral(pt, Y, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * pt.k.size * per_momentum
+        if stage_for is _stage_for:
+            assert isinstance(_stage_for(pt, Y, fourier_maps(pt, Y), 1.0), _TableStage)
+            assert solved == []
+        else:
+            assert per_momentum not in solved and max(solved) == pt.S[0].size
 
 
 def test_multi_time_evolution_matches_scalar_calls(matrix_physical, monkeypatch):
